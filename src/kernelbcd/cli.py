@@ -40,15 +40,12 @@ from .errors import (
 )
 from .kernels import Dataset, FeatureMapSpec, KernelSpec, load_csv
 from .linalg import lambda_extremes
-from .solvers import (
-    evaluate,
-    make_plan,
-    save_model,
-    solve_full,
-    solve_nystrom,
-    solve_path,
-    solve_rf,
-)
+from .solvers import evaluate, make_plan, save_model, solve_path
+
+# Every command trains through solve_path.  The single-lambda entry points
+# stay bound here because perfbench/tracing.py rebinds them in this module's
+# namespace to time them, and fails on a missing name.
+from .solvers import solve_full, solve_nystrom, solve_rf  # noqa: F401
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -262,41 +259,50 @@ def _exec_ctx(cfg: RunConfig, ledger: CostLedger | None = None) -> ExecContext |
     return ExecContext(workers=cfg.workers, ledger=ledger)
 
 
-def _train_one(cfg: RunConfig, train, test, lam, p, ledger=None, epochs=None):
-    epochs = cfg.epochs if epochs is None else epochs
-    ctx = _exec_ctx(cfg, ledger)
-    kspec = KernelSpec(cfg.kernel, cfg.sigma)
+def _train(cfg: RunConfig, train, test, ledger=None, epochs=None):
+    """Train ``cfg.method`` for every ``cfg.lambdas`` value in one
+    ``solve_path`` run: the one place the CLI builds a spec and a plan."""
     if cfg.method == "full":
+        if cfg.p:
+            raise ConfigError("--p does not apply to the full-kernel method")
         if train.n % cfg.b != 0:
             raise ConfigError(
                 f"block size {cfg.b} must divide n = {train.n} (n is never truncated)"
             )
-        plan = make_plan(train.n, cfg.b, seed=cfg.seed + PLAN_SEED_OFF)
-        return solve_full(
-            train, kspec, lam, plan, epochs,
-            test_data=test, exec_ctx=ctx, rmse=cfg.rmse,
-        )
-    p = _truncated_p(p, cfg.b)
-    plan = make_plan(p, cfg.b, seed=cfg.seed + PLAN_SEED_OFF)
+        universe = train.n
+    else:
+        universe = _truncated_p(_single_p(cfg), cfg.b)
+    try:
+        if cfg.method == "rf":
+            spec = FeatureMapSpec(
+                p=universe, sigma=cfg.sigma, master_seed=cfg.seed + FEATURE_SEED_OFF
+            )
+        else:
+            spec = KernelSpec(cfg.kernel, cfg.sigma)
+    except ValueError as exc:  # the specs reject bad values with ValueError
+        raise ConfigError(str(exc)) from None
+    extra = {}
     if cfg.method == "nystrom":
-        return solve_nystrom(
-            train, kspec, p, lam, cfg.gamma, plan, epochs,
-            landmark_seed=cfg.seed + LANDMARK_SEED_OFF,
-            test_data=test, exec_ctx=ctx, rmse=cfg.rmse,
+        extra = dict(
+            p=universe, gamma=cfg.gamma, landmark_seed=cfg.seed + LANDMARK_SEED_OFF
         )
-    fspec = FeatureMapSpec(p=p, sigma=cfg.sigma, master_seed=cfg.seed + FEATURE_SEED_OFF)
-    return solve_rf(
-        train, fspec, lam, plan, epochs,
-        test_data=test, exec_ctx=ctx, rmse=cfg.rmse,
+    plan = make_plan(universe, cfg.b, seed=cfg.seed + PLAN_SEED_OFF)
+    return solve_path(
+        train, spec, cfg.lambdas, plan, cfg.epochs if epochs is None else epochs,
+        test_data=test, exec_ctx=_exec_ctx(cfg, ledger), rmse=cfg.rmse, **extra,
     )
 
 
-def _require_p(cfg: RunConfig) -> int:
-    if cfg.method == "full":
-        if cfg.p:
-            raise ConfigError("--p does not apply to the full-kernel method")
-        return 0
-    return _single_p(cfg)
+def _single_lambda(cfg: RunConfig) -> float:
+    if len(cfg.lambdas) != 1:
+        raise ConfigError(
+            f"{cfg.command} takes a single --lambda; use the path command"
+        )
+    return cfg.lambdas[0]
+
+
+def _final_objective(trace) -> float:
+    return trace.records[-1].objective if trace.records else float("nan")
 
 
 def _write_rows(path, header: list[str], rows) -> None:
@@ -310,16 +316,13 @@ def _write_rows(path, header: list[str], rows) -> None:
 
 def cmd_solve(cfg: RunConfig) -> int:
     train, test = _load_datasets(cfg)
-    if len(cfg.lambdas) != 1:
-        raise ConfigError("solve takes a single --lambda; use the path command")
-    p = _require_p(cfg)
-    model, trace = _train_one(cfg, train, test, cfg.lambdas[0], p)
+    lam = _single_lambda(cfg)
+    model, trace = _train(cfg, train, test)[lam]
     os.makedirs(cfg.out, exist_ok=True)
     trace.write_csv(os.path.join(cfg.out, "trace.csv"))
     save_model(model, os.path.join(cfg.out, "model.kbcd"))
-    final_obj = trace.records[-1].objective if trace.records else float("nan")
     err = evaluate(model, test, rmse=cfg.rmse) if test is not None else None
-    print(f"final objective: {final_obj!r}")
+    print(f"final objective: {_final_objective(trace)!r}")
     print(f"test error: {'' if err is None else repr(err)}")
     return EXIT_OK
 
@@ -330,35 +333,7 @@ def _lambda_tag(lam: float) -> str:
 
 def cmd_path(cfg: RunConfig) -> int:
     train, test = _load_datasets(cfg)
-    p = _require_p(cfg)
-    kspec = KernelSpec(cfg.kernel, cfg.sigma)
-    ctx = _exec_ctx(cfg)
-    if cfg.method == "full":
-        if train.n % cfg.b != 0:
-            raise ConfigError(f"block size {cfg.b} must divide n = {train.n}")
-        plan = make_plan(train.n, cfg.b, seed=cfg.seed + PLAN_SEED_OFF)
-        results = solve_path(
-            train, kspec, cfg.lambdas, plan, cfg.epochs,
-            test_data=test, exec_ctx=ctx, rmse=cfg.rmse,
-        )
-    else:
-        p = _truncated_p(p, cfg.b)
-        plan = make_plan(p, cfg.b, seed=cfg.seed + PLAN_SEED_OFF)
-        if cfg.method == "nystrom":
-            results = solve_path(
-                train, kspec, cfg.lambdas, plan, cfg.epochs,
-                p=p, gamma=cfg.gamma,
-                landmark_seed=cfg.seed + LANDMARK_SEED_OFF,
-                test_data=test, exec_ctx=ctx, rmse=cfg.rmse,
-            )
-        else:
-            fspec = FeatureMapSpec(
-                p=p, sigma=cfg.sigma, master_seed=cfg.seed + FEATURE_SEED_OFF
-            )
-            results = solve_path(
-                train, fspec, cfg.lambdas, plan, cfg.epochs,
-                test_data=test, exec_ctx=ctx, rmse=cfg.rmse,
-            )
+    results = _train(cfg, train, test)
     os.makedirs(cfg.out, exist_ok=True)
     for lam, (model, trace) in results.items():
         tag = _lambda_tag(lam)
@@ -366,7 +341,7 @@ def cmd_path(cfg: RunConfig) -> int:
         save_model(model, os.path.join(cfg.out, f"model_{tag}.kbcd"))
         err = evaluate(model, test, rmse=cfg.rmse) if test is not None else None
         print(
-            f"lambda {lam!r}: objective {trace.records[-1].objective!r}"
+            f"lambda {lam!r}: objective {_final_objective(trace)!r}"
             + ("" if err is None else f", test error {err!r}")
         )
     return EXIT_OK
@@ -389,11 +364,12 @@ def cmd_compare(cfg: RunConfig) -> int:
         raise ConfigError("compare needs --test")
     if not cfg.p:
         raise ConfigError("compare needs a --p list")
+    lam = _single_lambda(cfg)
     rows = []
     for p in cfg.p:
         for method in ("nystrom", "rf"):
-            sub = RunConfig(**{**vars(cfg), "method": method})
-            model, trace = _train_one(sub, train, None, cfg.lambdas[0], p)
+            sub = RunConfig(**{**vars(cfg), "method": method, "p": [p]})
+            model, trace = _train(sub, train, None)[lam]
             err = evaluate(model, test, rmse=cfg.rmse)
             epochs = epochs_to_tolerance(trace.epoch_end_objectives(), cfg.tol)
             rows.append([p, method, repr(err), epochs])
@@ -409,6 +385,8 @@ def cmd_compare(cfg: RunConfig) -> int:
 
 
 def cmd_rates_check(cfg: RunConfig) -> int:
+    if not 1 <= cfg.b <= cfg.dim:
+        raise ConfigError(f"--b must lie in [1, --dim = {cfg.dim}], got {cfg.b}")
     os.makedirs(cfg.out, exist_ok=True)
     rng = np.random.default_rng(cfg.seed)
     curve_rows = []
@@ -472,10 +450,11 @@ def cmd_rates_check(cfg: RunConfig) -> int:
 
 def cmd_costs(cfg: RunConfig) -> int:
     train, _ = _load_datasets(cfg)
-    p = _require_p(cfg)
-    eff_p = train.n if cfg.method == "full" else _truncated_p(p, cfg.b)
+    lam = _single_lambda(cfg)
     ledger = CostLedger()
-    _train_one(cfg, train, None, cfg.lambdas[0], eff_p, ledger=ledger, epochs=1)
+    model, _ = _train(cfg, train, None, ledger=ledger, epochs=1)[lam]
+    # coefficient rows are the plan's universe: n for full, the truncated p
+    eff_p = model.coefficients.shape[0]
     prediction = predict_costs(
         cfg.method, train.n, eff_p, cfg.b, train.k, cfg.workers
     )

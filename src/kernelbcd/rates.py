@@ -223,9 +223,15 @@ def classical_bound(
 # empirical block coordinate descent on quadratics
 
 
-def _bcd_gaps(prob: QuadraticProblem, b: int, tau: int, rng) -> np.ndarray:
+def _bcd_gaps(
+    prob: QuadraticProblem, b: int, tau: int, rng, stop: float | None = None
+) -> np.ndarray:
     """One seeded run: exact block minimization with I_t drawn uniformly
-    without replacement at every step, starting from w = 0."""
+    without replacement at every step, starting from w = 0.
+
+    Returns the gaps for t = 0..tau, or, given ``stop``, the gaps up to the
+    first step whose gap is <= stop.
+    """
     d = prob.dim
     H, g = prob.H, prob.g
     w = np.zeros(d)
@@ -241,6 +247,8 @@ def _bcd_gaps(prob: QuadraticProblem, b: int, tau: int, rng) -> np.ndarray:
         hw += H[:, idx] @ delta
         w[idx] = new
         gaps[t] = 0.5 * float(w @ hw) - float(g @ w) - prob.f_star
+        if stop is not None and gaps[t] <= stop:
+            return gaps[: t + 1]
     return gaps
 
 
@@ -268,27 +276,11 @@ def bcd_iterations_to_tolerance(
     base_seed: int = 0,
 ) -> np.ndarray:
     """Per-seed step counts until gap <= rel_tol * gap(0); max_iters if never."""
-    d = prob.dim
-    H, g = prob.H, prob.g
+    target = rel_tol * (0.0 - prob.f_star)
     counts = np.empty(seeds, dtype=np.int64)
     for s in range(seeds):
         rng = np.random.default_rng(np.random.SeedSequence(base_seed, spawn_key=(s,)))
-        w = np.zeros(d)
-        hw = np.zeros(d)
-        gap0 = 0.0 - prob.f_star
-        target = rel_tol * gap0
-        counts[s] = max_iters
-        for t in range(1, max_iters + 1):
-            idx = rng.choice(d, size=b, replace=False)
-            sub = H[np.ix_(idx, idx)]
-            rhs = g[idx] - hw[idx] + sub @ w[idx]
-            new = spd_solve(sub, rhs[:, None])[:, 0]
-            delta = new - w[idx]
-            hw += H[:, idx] @ delta
-            w[idx] = new
-            if 0.5 * float(w @ hw) - float(g @ w) - prob.f_star <= target:
-                counts[s] = t
-                break
+        counts[s] = len(_bcd_gaps(prob, b, max_iters, rng, stop=target)) - 1
     return counts
 
 

@@ -1,29 +1,30 @@
 """Block coordinate descent solvers for kernel least squares.
 
-Three primal solvers share one loop skeleton:
+One engine, ``_run``, drives three primal solvers.  It sweeps the block
+plan, generates each column block once per visit, and owns the ledger,
+the descent guard, test evaluation, traces, the residual check and the
+``grad_tol`` stop.  A per-method system supplies the block source, the
+products every lambda shares, the update, the objective, a fresh residual,
+the convergence test and the ``Model``:
 
-* full kernel: block Gauss-Seidel on (K + n*lam*I) alpha = Y, which is
-  exact blockwise minimization of the strongly convex surrogate
-  0.5<alpha, K alpha> + (n*lam/2)||alpha||_F^2 - <Y, alpha>;
-* nystrom: descent on the regularized normal equations
-  (K_J^T K_J + n*lam*K_JJ + n*lam*gamma*I) alpha = K_J^T Y, keeping the
-  running residual R = (K_J + n*lam*S_J) alpha so each b x b system needs
-  only the current column block;
-* random features: descent on (Z^T Z + n*lam*I) w = Z^T Y with R = Z w.
+* ``_FullSystem``: block Gauss-Seidel on (K + n*lam*I) alpha = Y, exact
+  blockwise minimization of 0.5<alpha, K alpha> + (n*lam/2)||alpha||^2 - <Y, alpha>;
+* ``_GramSystem``, nystrom: (K_J^T K_J + n*lam*K_JJ + n*lam*gamma*I) alpha =
+  K_J^T Y, keeping the residual R = (K_J + n*lam*S_J) alpha;
+* ``_GramSystem``, random features: the same with no K_JJ term and gamma = 1,
+  (Z^T Z + n*lam*I) w = Z^T Y with R = Z w.
 
-Every update is an exact b x b solve, so each solver's objective is
-non-increasing; an increase beyond 1e-9 raises ``DivergenceError``.
-All solvers can carry several lambda values through a single pass of block
-generation: the block matrices do not depend on lambda, so a path costs
-one run's worth of generation plus one extra small solve per lambda.
-Public APIs take the statistical lambda; internally every system uses
-lam_eff = n * lambda.
+Every update is an exact b x b solve, so each objective is non-increasing;
+an increase beyond 1e-9 raises ``DivergenceError``.  Blocks do not depend on
+lambda, so a path costs one run's generation plus a small solve per lambda.
+Public APIs take the statistical lambda; systems use lam_eff = n * lambda.
 """
 
 from __future__ import annotations
 
 import json
 import os
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from time import perf_counter
 
@@ -352,15 +353,15 @@ def primal_dual_gap(Z: np.ndarray, w: np.ndarray, Y: np.ndarray, lam: float) -> 
 
 
 # ---------------------------------------------------------------------------
-# engines
+# the block-descent engine
 
 
 @dataclass
 class _LamState:
     lam: float
     coeffs: np.ndarray
-    resid: np.ndarray  # method-specific running matrix, see engines
-    trace: ConvergenceTrace
+    resid: np.ndarray  # the system's running matrix, see its docstring
+    trace: ConvergenceTrace = field(default_factory=ConvergenceTrace)
     prev_obj: float = np.inf
 
 
@@ -373,391 +374,6 @@ def _guard_descent(state: _LamState, obj: float) -> None:
             "residual maintenance is corrupt"
         )
     state.prev_obj = obj
-
-
-def _test_eval(method, coeffs, kernel, features, anchors, test_data, rmse):
-    model = Model(
-        method=method,
-        coefficients=coeffs,
-        kernel=kernel,
-        features=features,
-        anchors=anchors,
-    )
-    return evaluate(model, test_data, rmse=rmse)
-
-
-def _full_block_source(X, kspec):
-    return lambda idx: kernel_cross(X, X[idx], kspec)
-
-
-def _rf_block_source(X, fspec):
-    return lambda idx: random_features_block(X, idx, fspec)
-
-
-def _run_full(
-    data: Dataset,
-    kspec: KernelSpec,
-    lams,
-    plan: BlockPlan,
-    epochs: int,
-    *,
-    block_fn=None,
-    test_data: Dataset | None = None,
-    exec_ctx: ExecContext | None = None,
-    grad_tol: float | None = None,
-    check_residual: bool = False,
-    rmse: bool = False,
-) -> list[tuple[Model, ConvergenceTrace]]:
-    X = data.X
-    Y = one_vs_all(data)
-    n, k = Y.shape
-    if plan.universe != n:
-        raise ConfigError(f"plan universe {plan.universe} != n = {n}")
-    _check_lams(lams)
-    b = plan.block_size
-    if block_fn is None:
-        block_fn = _full_block_source(X, kspec)
-    part = exec_ctx.partition(n) if exec_ctx is not None else None
-    ledger = exec_ctx.ledger if exec_ctx is not None else None
-    eye_b = np.eye(b)
-    y_norm = np.linalg.norm(Y)
-    states = [
-        _LamState(lam, np.zeros((n, k)), np.zeros((n, k)), ConvergenceTrace())
-        for lam in lams
-    ]
-    # resid holds K @ alpha, maintained for objective logging and the
-    # gradient-norm stop; the update itself recomputes its slice from the
-    # freshly generated column block.
-    for epoch in range(epochs):
-        for blk in epoch_order(plan, epoch):
-            idx = plan.blocks[blk]
-            if ledger is not None:
-                ledger.set_position(epoch, int(blk))
-            t_gen = perf_counter()
-            kb = block_fn(idx)
-            gen_seconds = perf_counter() - t_gen
-            if ledger is not None:
-                ledger.add(
-                    "generation", flops=n * b * data.d, seconds=gen_seconds
-                )
-            kbb = kb[idx]
-            if ledger is not None:
-                # the b x b diagonal block ships to the solving node once
-                # per visit and is shared by every lambda; the closed form
-                # charges it with no worker dependence
-                ledger.add("solve", nbytes=b * b * FLOAT_BYTES)
-            shared = gen_seconds
-            for st in states:
-                t0 = perf_counter()
-                lam_eff = n * st.lam
-                t_res = perf_counter()
-                if part is not None:
-                    kta = partitioned_matvec(kb, st.coeffs, part)
-                else:
-                    kta = kb.T @ st.coeffs
-                rb = kta - kbb @ st.coeffs[idx]
-                res_seconds = perf_counter() - t_res
-                t_solve = perf_counter()
-                new_b = spd_solve(kbb + lam_eff * eye_b, Y[idx] - rb)
-                solve_seconds = perf_counter() - t_solve
-                delta = new_b - st.coeffs[idx]
-                st.resid += kb @ delta
-                st.coeffs[idx] = new_b
-                if ledger is not None:
-                    ledger.add(
-                        "residual",
-                        flops=2 * n * b * k + b * b * k,
-                        seconds=res_seconds,
-                    )
-                    ledger.add("solve", flops=b**3, seconds=solve_seconds)
-                obj = (
-                    0.5 * _ip(st.coeffs, st.resid)
-                    + 0.5 * lam_eff * _ip(st.coeffs, st.coeffs)
-                    - _ip(Y, st.coeffs)
-                )
-                alt = (
-                    _ip(st.resid - Y, st.resid - Y) / n
-                    + st.lam * _ip(st.coeffs, st.resid)
-                )
-                _guard_descent(st, obj)
-                terr = None
-                if test_data is not None:
-                    terr = _test_eval(
-                        "full", st.coeffs, kspec, None, X, test_data, rmse
-                    )
-                st.trace.append(
-                    TraceRecord(
-                        epoch, int(blk), perf_counter() - t0 + shared, obj, terr, alt
-                    )
-                )
-                shared = 0.0
-        if check_residual:
-            for st in states:
-                fresh = np.zeros((n, k))
-                for idx in plan.blocks:
-                    fresh += block_fn(idx) @ st.coeffs[idx]
-                _assert_residual(fresh, st.resid)
-        if grad_tol is not None and all(
-            np.linalg.norm(st.resid + n * st.lam * st.coeffs - Y)
-            <= grad_tol * max(y_norm, 1e-30)
-            for st in states
-        ):
-            break
-    return [
-        (
-            Model(
-                method="full",
-                coefficients=st.coeffs,
-                kernel=kspec,
-                anchors=X,
-            ),
-            st.trace,
-        )
-        for st in states
-    ]
-
-
-def _run_nystrom(
-    data: Dataset,
-    kspec: KernelSpec,
-    p: int,
-    lams,
-    gamma: float,
-    plan: BlockPlan,
-    epochs: int,
-    landmark_seed: int,
-    *,
-    block_fn=None,
-    test_data: Dataset | None = None,
-    exec_ctx: ExecContext | None = None,
-    grad_tol: float | None = None,
-    check_residual: bool = False,
-    rmse: bool = False,
-) -> list[tuple[Model, ConvergenceTrace]]:
-    X = data.X
-    Y = one_vs_all(data)
-    n, k = Y.shape
-    if plan.universe != p:
-        raise ConfigError(f"plan universe {plan.universe} != p = {p}")
-    _check_lams(lams)
-    if gamma < 0:
-        raise ConfigError("gamma must be >= 0")
-    b = plan.block_size
-    landmarks = draw_landmarks(n, p, landmark_seed)
-    anchors = X[landmarks]
-    if block_fn is None:
-        kernel_fn = _full_block_source(X, kspec)
-        block_fn = lambda pos: kernel_fn(landmarks[pos])
-    part = exec_ctx.partition(n) if exec_ctx is not None else None
-    ledger = exec_ctx.ledger if exec_ctx is not None else None
-    eye_b = np.eye(b)
-    states = [
-        _LamState(lam, np.zeros((p, k)), np.zeros((n, k)), ConvergenceTrace())
-        for lam in lams
-    ]
-    # resid holds R = (K_J + n*lam*S_J) alpha throughout.
-    rhs_norm: dict[int, float] = {}
-    for epoch in range(epochs):
-        for blk in epoch_order(plan, epoch):
-            pos = plan.blocks[blk]  # coefficient rows
-            rows = landmarks[pos]  # training-set rows of this block
-            if ledger is not None:
-                ledger.set_position(epoch, int(blk))
-            t_gen = perf_counter()
-            kb = block_fn(pos)
-            gen_seconds = perf_counter() - t_gen
-            if ledger is not None:
-                ledger.add(
-                    "generation", flops=n * b * data.d, seconds=gen_seconds
-                )
-            kbb = kb[rows]
-            t_gram = perf_counter()
-            if part is not None:
-                g = distributed_gram(kb, part)
-            else:
-                g = gram(kb)
-            gram_seconds = perf_counter() - t_gram
-            if ledger is not None:
-                # the per-block rhs partials ride in the same aggregation
-                # message; only the b x b payload is charged
-                rounds = tree_rounds(part.workers) if part is not None else 0
-                ledger.add(
-                    "gram",
-                    flops=n * b * b,
-                    nbytes=rounds * b * b * FLOAT_BYTES,
-                    seconds=gram_seconds,
-                )
-            shared = gen_seconds + gram_seconds
-            for st in states:
-                t0 = perf_counter()
-                lam_eff = n * st.lam
-                t_res = perf_counter()
-                st.resid -= kb @ st.coeffs[pos]
-                st.resid[rows] -= lam_eff * st.coeffs[pos]
-                if part is not None:
-                    rhs = partitioned_matvec(kb, Y - st.resid, part)
-                else:
-                    rhs = kb.T @ (Y - st.resid)
-                res_seconds = perf_counter() - t_res
-                t_solve = perf_counter()
-                system = g + lam_eff * kbb + (lam_eff * gamma) * eye_b
-                new_b = spd_solve(system, rhs)
-                solve_seconds = perf_counter() - t_solve
-                st.resid += kb @ new_b
-                st.resid[rows] += lam_eff * new_b
-                st.coeffs[pos] = new_b
-                if ledger is not None:
-                    ledger.add("residual", flops=3 * n * b * k, seconds=res_seconds)
-                    ledger.add("solve", flops=b**3, seconds=solve_seconds)
-                obj = _nystrom_obj_from_resid(
-                    st, landmarks, Y, n, lam_eff, gamma
-                )
-                _guard_descent(st, obj)
-                terr = None
-                if test_data is not None:
-                    terr = _test_eval(
-                        "nystrom", st.coeffs, kspec, None, anchors, test_data, rmse
-                    )
-                st.trace.append(
-                    TraceRecord(
-                        epoch, int(blk), perf_counter() - t0 + shared, obj, terr
-                    )
-                )
-                shared = 0.0
-        if check_residual:
-            for st in states:
-                fresh = np.zeros((n, k))
-                for pos in plan.blocks:
-                    fresh += block_fn(pos) @ st.coeffs[pos]
-                    fresh[landmarks[pos]] += n * st.lam * st.coeffs[pos]
-                _assert_residual(fresh, st.resid)
-        if grad_tol is not None and _nystrom_converged(
-            states, plan, block_fn, landmarks, Y, n, gamma, grad_tol, rhs_norm
-        ):
-            break
-    return [
-        (
-            Model(
-                method="nystrom",
-                coefficients=st.coeffs,
-                kernel=kspec,
-                anchors=anchors,
-                landmarks=landmarks,
-            ),
-            st.trace,
-        )
-        for st in states
-    ]
-
-
-def _run_rf(
-    data: Dataset,
-    fspec: FeatureMapSpec,
-    lams,
-    plan: BlockPlan,
-    epochs: int,
-    *,
-    block_fn=None,
-    test_data: Dataset | None = None,
-    exec_ctx: ExecContext | None = None,
-    grad_tol: float | None = None,
-    check_residual: bool = False,
-    rmse: bool = False,
-) -> list[tuple[Model, ConvergenceTrace]]:
-    X = data.X
-    Y = one_vs_all(data)
-    n, k = Y.shape
-    if plan.universe != fspec.p:
-        raise ConfigError(f"plan universe {plan.universe} != p = {fspec.p}")
-    _check_lams(lams)
-    b = plan.block_size
-    if block_fn is None:
-        block_fn = _rf_block_source(X, fspec)
-    part = exec_ctx.partition(n) if exec_ctx is not None else None
-    ledger = exec_ctx.ledger if exec_ctx is not None else None
-    eye_b = np.eye(b)
-    states = [
-        _LamState(lam, np.zeros((fspec.p, k)), np.zeros((n, k)), ConvergenceTrace())
-        for lam in lams
-    ]
-    # resid holds R = Z @ w throughout.
-    rhs_norm: dict[int, float] = {}
-    for epoch in range(epochs):
-        for blk in epoch_order(plan, epoch):
-            pos = plan.blocks[blk]
-            if ledger is not None:
-                ledger.set_position(epoch, int(blk))
-            t_gen = perf_counter()
-            zb = block_fn(pos)
-            gen_seconds = perf_counter() - t_gen
-            if ledger is not None:
-                ledger.add(
-                    "generation", flops=n * b * data.d, seconds=gen_seconds
-                )
-            t_gram = perf_counter()
-            if part is not None:
-                g = distributed_gram(zb, part)
-            else:
-                g = gram(zb)
-            gram_seconds = perf_counter() - t_gram
-            if ledger is not None:
-                rounds = tree_rounds(part.workers) if part is not None else 0
-                ledger.add(
-                    "gram",
-                    flops=n * b * b,
-                    nbytes=rounds * b * b * FLOAT_BYTES,
-                    seconds=gram_seconds,
-                )
-            shared = gen_seconds + gram_seconds
-            for st in states:
-                t0 = perf_counter()
-                lam_eff = n * st.lam
-                t_res = perf_counter()
-                st.resid -= zb @ st.coeffs[pos]
-                if part is not None:
-                    rhs = partitioned_matvec(zb, Y - st.resid, part)
-                else:
-                    rhs = zb.T @ (Y - st.resid)
-                res_seconds = perf_counter() - t_res
-                t_solve = perf_counter()
-                new_b = spd_solve(g + lam_eff * eye_b, rhs)
-                solve_seconds = perf_counter() - t_solve
-                st.resid += zb @ new_b
-                st.coeffs[pos] = new_b
-                if ledger is not None:
-                    ledger.add("residual", flops=3 * n * b * k, seconds=res_seconds)
-                    ledger.add("solve", flops=b**3, seconds=solve_seconds)
-                r = st.resid - Y
-                obj = _ip(r, r) / n + st.lam * _ip(st.coeffs, st.coeffs)
-                _guard_descent(st, obj)
-                terr = None
-                if test_data is not None:
-                    terr = _test_eval(
-                        "rf", st.coeffs, None, fspec, None, test_data, rmse
-                    )
-                st.trace.append(
-                    TraceRecord(
-                        epoch, int(blk), perf_counter() - t0 + shared, obj, terr
-                    )
-                )
-                shared = 0.0
-        if check_residual:
-            for st in states:
-                fresh = np.zeros((n, k))
-                for pos in plan.blocks:
-                    fresh += block_fn(pos) @ st.coeffs[pos]
-                _assert_residual(fresh, st.resid)
-        if grad_tol is not None and _rf_converged(
-            states, plan, block_fn, Y, n, grad_tol, rhs_norm
-        ):
-            break
-    return [
-        (
-            Model(method="rf", coefficients=st.coeffs, features=fspec),
-            st.trace,
-        )
-        for st in states
-    ]
 
 
 def _check_lams(lams) -> None:
@@ -778,61 +394,292 @@ def _assert_residual(fresh: np.ndarray, maintained: np.ndarray) -> None:
         )
 
 
-def _nystrom_obj_from_resid(st, landmarks, Y, n, lam_eff, gamma) -> float:
-    # R = K_J a + lam_eff S_J a, so K_J a = R - lam_eff * scatter(a)
-    ka = st.resid.copy()
-    ka[landmarks] -= lam_eff * st.coeffs
-    r = ka - Y
-    lam = lam_eff / n
-    return (
-        _ip(r, r) / n
-        + lam * _ip(st.coeffs, ka[landmarks])
-        + lam * gamma * _ip(st.coeffs, st.coeffs)
-    )
+def _t_matmul(kb: np.ndarray, m: np.ndarray, part) -> np.ndarray:
+    """kb^T @ m, row-partitioned over the simulated workers when given."""
+    if part is not None:
+        return partitioned_matvec(kb, m, part)
+    return kb.T @ m
 
 
-def _nystrom_converged(states, plan, block_fn, landmarks, Y, n, gamma, tol, rhs_norm):
-    for i, st in enumerate(states):
-        lam_eff = n * st.lam
-        ka = st.resid.copy()
-        ka[landmarks] -= lam_eff * st.coeffs
-        sq = 0.0
-        rhs_sq = 0.0
-        for pos in plan.blocks:
-            kb = block_fn(pos)
-            res_b = (
-                kb.T @ (ka - Y)
-                + lam_eff * ka[landmarks[pos]]
-                + lam_eff * gamma * st.coeffs[pos]
+@dataclass
+class _FullSystem:
+    """Block Gauss-Seidel on (K + n lam I) alpha = Y.
+
+    ``resid`` holds K alpha, maintained for objective logging and the
+    gradient-norm stop; the update itself recomputes its slice from the
+    freshly generated column block.
+    """
+
+    Y: np.ndarray
+    b: int
+    block: Callable[[np.ndarray], np.ndarray]  # rows -> K([n], rows)
+    model: Callable[[np.ndarray], Model]  # coefficients -> Model
+
+    def __post_init__(self):
+        self.n, k = self.Y.shape
+        self.eye_b = np.eye(self.b)
+        self.residual_flops = 2 * self.n * self.b * k + self.b * self.b * k
+        self.y_norm = np.linalg.norm(self.Y)
+
+    def visit(self, idx, kb, part, ledger):
+        """Per-visit products shared by every lambda: the diagonal block."""
+        if ledger is not None:
+            # the b x b diagonal block ships to the solving node once per
+            # visit; the closed form charges it with no worker dependence
+            ledger.add("solve", nbytes=self.b * self.b * FLOAT_BYTES)
+        return kb[idx], 0.0
+
+    def update(self, st, idx, kb, kbb, part):
+        lam_eff = self.n * st.lam
+        t_res = perf_counter()
+        rb = _t_matmul(kb, st.coeffs, part) - kbb @ st.coeffs[idx]
+        res_seconds = perf_counter() - t_res
+        t_solve = perf_counter()
+        new_b = spd_solve(kbb + lam_eff * self.eye_b, self.Y[idx] - rb)
+        solve_seconds = perf_counter() - t_solve
+        st.resid += kb @ (new_b - st.coeffs[idx])
+        st.coeffs[idx] = new_b
+        return res_seconds, solve_seconds
+
+    def objective(self, st):
+        """The surrogate, and the least-squares value as the alternate."""
+        lam_eff = self.n * st.lam
+        c, ka = st.coeffs, st.resid
+        obj = 0.5 * _ip(c, ka) + 0.5 * lam_eff * _ip(c, c) - _ip(self.Y, c)
+        alt = _ip(ka - self.Y, ka - self.Y) / self.n + st.lam * _ip(c, ka)
+        return obj, alt
+
+    def fresh_resid(self, st, blocks):
+        fresh = np.zeros(st.resid.shape)
+        for idx in blocks:
+            fresh += self.block(idx) @ st.coeffs[idx]
+        return fresh
+
+    def converged(self, states, blocks, tol):
+        return all(
+            np.linalg.norm(st.resid + self.n * st.lam * st.coeffs - self.Y)
+            <= tol * max(self.y_norm, 1e-30)
+            for st in states
+        )
+
+
+@dataclass
+class _GramSystem:
+    """Descent on (K_J^T K_J + n lam K_JJ + n lam gamma I) a = K_J^T Y.
+
+    ``resid`` holds R = (K_J + n lam S_J) a, so each b x b system needs only
+    the current column block.  Without ``landmarks`` the K_JJ term and the
+    scatter S_J drop out, and with gamma = 1 this is the random-features
+    system (Z^T Z + n lam I) w = Z^T Y with R = Z w.
+    """
+
+    Y: np.ndarray
+    b: int
+    block: Callable[[np.ndarray], np.ndarray]  # coefficient rows -> n x b
+    model: Callable[[np.ndarray], Model]  # coefficients -> Model
+    landmarks: np.ndarray | None = None
+    gamma: float = 1.0
+
+    def __post_init__(self):
+        self.n, k = self.Y.shape
+        self.eye_b = np.eye(self.b)
+        self.residual_flops = 3 * self.n * self.b * k
+        self.rhs_norm: dict[int, float] = {}  # ||K_J^T Y|| per lambda
+
+    def visit(self, pos, kb, part, ledger):
+        """Per-visit products shared by every lambda: the gram and, with
+        landmarks, the block's training rows and its b x b block of K_JJ."""
+        t_gram = perf_counter()
+        g = gram(kb) if part is None else distributed_gram(kb, part)
+        seconds = perf_counter() - t_gram
+        if ledger is not None:
+            # the per-block rhs partials ride in the same aggregation
+            # message; only the b x b payload is charged
+            rounds = tree_rounds(part.workers) if part is not None else 0
+            ledger.add(
+                "gram",
+                flops=self.n * self.b * self.b,
+                nbytes=rounds * self.b * self.b * FLOAT_BYTES,
+                seconds=seconds,
             )
-            sq += _ip(res_b, res_b)
-            if i not in rhs_norm:
-                rhs_b = kb.T @ Y
-                rhs_sq += _ip(rhs_b, rhs_b)
-        if i not in rhs_norm:
-            rhs_norm[i] = max(np.sqrt(rhs_sq), 1e-30)
-        if np.sqrt(sq) > tol * rhs_norm[i]:
-            return False
-    return True
+        rows = None if self.landmarks is None else self.landmarks[pos]
+        return (g, rows, None if rows is None else kb[rows]), seconds
+
+    def update(self, st, pos, kb, products, part):
+        g, rows, kbb = products
+        lam_eff = self.n * st.lam
+        t_res = perf_counter()
+        st.resid -= kb @ st.coeffs[pos]
+        if rows is not None:
+            st.resid[rows] -= lam_eff * st.coeffs[pos]
+        rhs = _t_matmul(kb, self.Y - st.resid, part)
+        res_seconds = perf_counter() - t_res
+        t_solve = perf_counter()
+        system = g if rows is None else g + lam_eff * kbb
+        new_b = spd_solve(system + (lam_eff * self.gamma) * self.eye_b, rhs)
+        solve_seconds = perf_counter() - t_solve
+        st.resid += kb @ new_b
+        if rows is not None:
+            st.resid[rows] += lam_eff * new_b
+        st.coeffs[pos] = new_b
+        return res_seconds, solve_seconds
+
+    def _fitted(self, st) -> np.ndarray:
+        """K_J a, recovered from R by removing the scatter n lam S_J a."""
+        if self.landmarks is None:
+            return st.resid
+        ka = st.resid.copy()
+        ka[self.landmarks] -= self.n * st.lam * st.coeffs
+        return ka
+
+    def objective(self, st):
+        """(1/n)||K_J a - Y||^2 + lam <a, K_JJ a> + lam gamma ||a||^2."""
+        ka = self._fitted(st)
+        r = ka - self.Y
+        obj = _ip(r, r) / self.n
+        lam = st.lam
+        if self.landmarks is not None:
+            # nystrom values are taken at (n lam) / n, which can differ
+            # from lam in the last bit; kept so its traces stay as they were
+            lam = (self.n * st.lam) / self.n
+            obj += lam * _ip(st.coeffs, ka[self.landmarks])
+        return obj + lam * self.gamma * _ip(st.coeffs, st.coeffs), None
+
+    def fresh_resid(self, st, blocks):
+        fresh = np.zeros(st.resid.shape)
+        for pos in blocks:
+            fresh += self.block(pos) @ st.coeffs[pos]
+            if self.landmarks is not None:
+                fresh[self.landmarks[pos]] += self.n * st.lam * st.coeffs[pos]
+        return fresh
+
+    def converged(self, states, blocks, tol):
+        """Every lambda's normal-equation residual is within tol of
+        ||K_J^T Y||; the pass stops at the first lambda that is not."""
+        for i, st in enumerate(states):
+            lam_eff = self.n * st.lam
+            ka = self._fitted(st)
+            sq = 0.0
+            rhs_sq = 0.0
+            for pos in blocks:
+                kb = self.block(pos)
+                res_b = kb.T @ (ka - self.Y)
+                if self.landmarks is not None:
+                    res_b += lam_eff * ka[self.landmarks[pos]]
+                res_b += lam_eff * self.gamma * st.coeffs[pos]
+                sq += _ip(res_b, res_b)
+                if i not in self.rhs_norm:
+                    rhs_b = kb.T @ self.Y
+                    rhs_sq += _ip(rhs_b, rhs_b)
+            if i not in self.rhs_norm:
+                self.rhs_norm[i] = max(np.sqrt(rhs_sq), 1e-30)
+            if np.sqrt(sq) > tol * self.rhs_norm[i]:
+                return False
+        return True
 
 
-def _rf_converged(states, plan, block_fn, Y, n, tol, rhs_norm):
-    for i, st in enumerate(states):
-        lam_eff = n * st.lam
-        sq = 0.0
-        rhs_sq = 0.0
-        for pos in plan.blocks:
-            zb = block_fn(pos)
-            res_b = zb.T @ (st.resid - Y) + lam_eff * st.coeffs[pos]
-            sq += _ip(res_b, res_b)
-            if i not in rhs_norm:
-                rhs_b = zb.T @ Y
-                rhs_sq += _ip(rhs_b, rhs_b)
-        if i not in rhs_norm:
-            rhs_norm[i] = max(np.sqrt(rhs_sq), 1e-30)
-        if np.sqrt(sq) > tol * rhs_norm[i]:
-            return False
-    return True
+def _run(
+    data: Dataset, system, lams, plan: BlockPlan, epochs: int, *,
+    test_data: Dataset | None = None, exec_ctx: ExecContext | None = None,
+    grad_tol: float | None = None, check_residual: bool = False, rmse: bool = False,
+) -> list[tuple[Model, ConvergenceTrace]]:
+    """Sweep ``plan`` for ``epochs`` epochs, carrying every lambda.
+
+    Each visit generates the column block once, lets ``system`` form the
+    products every lambda shares, then applies one exact b x b update per
+    lambda.  The ledger, the descent guard, test evaluation, traces, the
+    residual check and the ``grad_tol`` stop live here and nowhere else.
+    """
+    _check_lams(lams)
+    n, k = system.Y.shape
+    part = exec_ctx.partition(n) if exec_ctx is not None else None
+    ledger = exec_ctx.ledger if exec_ctx is not None else None
+    states = [
+        _LamState(lam, np.zeros((plan.universe, k)), np.zeros((n, k))) for lam in lams
+    ]
+    for epoch in range(epochs):
+        for blk in epoch_order(plan, epoch):
+            pos = plan.blocks[blk]
+            if ledger is not None:
+                ledger.set_position(epoch, int(blk))
+            t_gen = perf_counter()
+            kb = system.block(pos)
+            gen_s = perf_counter() - t_gen
+            if ledger is not None:
+                ledger.add("generation", flops=n * system.b * data.d, seconds=gen_s)
+            products, visit_s = system.visit(pos, kb, part, ledger)
+            shared = gen_s + visit_s
+            for st in states:
+                t0 = perf_counter()
+                res_s, solve_s = system.update(st, pos, kb, products, part)
+                if ledger is not None:
+                    ledger.add("residual", flops=system.residual_flops, seconds=res_s)
+                    ledger.add("solve", flops=system.b**3, seconds=solve_s)
+                obj, alt = system.objective(st)
+                _guard_descent(st, obj)
+                terr = None
+                if test_data is not None:
+                    terr = evaluate(system.model(st.coeffs), test_data, rmse=rmse)
+                seconds = perf_counter() - t0 + shared
+                st.trace.append(TraceRecord(epoch, int(blk), seconds, obj, terr, alt))
+                shared = 0.0
+        if check_residual:
+            for st in states:
+                _assert_residual(system.fresh_resid(st, plan.blocks), st.resid)
+        if grad_tol is not None and system.converged(states, plan.blocks, grad_tol):
+            break
+    return [(system.model(st.coeffs), st.trace) for st in states]
+
+
+def _run_full(
+    data: Dataset, kspec: KernelSpec, lams, plan: BlockPlan, epochs: int,
+    *, block_fn=None, **kwargs,
+) -> list[tuple[Model, ConvergenceTrace]]:
+    X = data.X
+    if plan.universe != data.n:
+        raise ConfigError(f"plan universe {plan.universe} != n = {data.n}")
+    system = _FullSystem(
+        one_vs_all(data), plan.block_size,
+        block_fn or (lambda idx: kernel_cross(X, X[idx], kspec)),
+        lambda c: Model("full", c, kernel=kspec, anchors=X),
+    )
+    return _run(data, system, lams, plan, epochs, **kwargs)
+
+
+def _run_nystrom(
+    data: Dataset, kspec: KernelSpec, p: int, lams, gamma: float,
+    plan: BlockPlan, epochs: int, landmark_seed: int,
+    *, block_fn=None, **kwargs,
+) -> list[tuple[Model, ConvergenceTrace]]:
+    if plan.universe != p:
+        raise ConfigError(f"plan universe {plan.universe} != p = {p}")
+    if gamma < 0:
+        raise ConfigError("gamma must be >= 0")
+    landmarks = draw_landmarks(data.n, p, landmark_seed)
+    anchors = data.X[landmarks]
+    system = _GramSystem(
+        one_vs_all(data), plan.block_size,
+        block_fn or (lambda pos: kernel_cross(data.X, anchors[pos], kspec)),
+        lambda c: Model(
+            "nystrom", c, kernel=kspec, anchors=anchors, landmarks=landmarks
+        ),
+        landmarks=landmarks, gamma=gamma,
+    )
+    return _run(data, system, lams, plan, epochs, **kwargs)
+
+
+def _run_rf(
+    data: Dataset, fspec: FeatureMapSpec, lams, plan: BlockPlan, epochs: int,
+    *, block_fn=None, **kwargs,
+) -> list[tuple[Model, ConvergenceTrace]]:
+    if plan.universe != fspec.p:
+        raise ConfigError(f"plan universe {plan.universe} != p = {fspec.p}")
+    system = _GramSystem(
+        one_vs_all(data), plan.block_size,
+        block_fn or (lambda pos: random_features_block(data.X, pos, fspec)),
+        lambda c: Model("rf", c, features=fspec),
+    )
+    return _run(data, system, lams, plan, epochs, **kwargs)
 
 
 # ---------------------------------------------------------------------------

@@ -342,3 +342,57 @@ def test_console_script_runs():
     )
     assert proc.returncode == 0
     assert "solve" in proc.stdout
+
+
+def test_path_zero_epochs_reports_nan(tmp_path, blob_files, capsys):
+    train, _ = blob_files
+    out = tmp_path / "out"
+    code = main(
+        [
+            "path", "--train", train, "--method", "rf", "--p", "16", "--b", "4",
+            "--lambda", "1e-3", "--lambda", "1e-2", "--epochs", "0",
+            "--out", str(out),
+        ]
+    )
+    assert code == EXIT_OK
+    printed = capsys.readouterr().out
+    assert "lambda 0.001: objective nan" in printed
+    assert "lambda 0.01: objective nan" in printed
+    assert len(list(out.glob("model_*.kbcd"))) == 2
+
+
+@pytest.mark.parametrize("command", ["compare", "costs"])
+def test_single_lambda_commands_reject_several(tmp_path, blob_files, command):
+    train, test = blob_files
+    out = tmp_path / "out"
+    code = main(
+        [
+            command, "--train", train, "--test", test, "--method", "rf",
+            "--p", "16", "--b", "4", "--lambda", "1e-3", "--lambda", "1e-2",
+            "--out", str(out),
+        ]
+    )
+    assert code == EXIT_CONFIG
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("method", ["full", "nystrom", "rf"])
+def test_nonpositive_sigma_is_config_error(blob_files, method, capsys):
+    train, _ = blob_files
+    p_flag = [] if method == "full" else ["--p", "16"]
+    code = main(
+        ["solve", "--train", train, "--method", method, "--b", "8",
+         "--sigma", "-1"] + p_flag
+    )
+    assert code == EXIT_CONFIG
+    assert "bandwidth must be positive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags", [[], ["--dim", "4", "--b", "5"]])
+def test_rates_check_rejects_block_beyond_dim(tmp_path, flags, capsys):
+    # the defaults (--b 64, --dim 32) are such a case
+    out = tmp_path / "out"
+    code = main(["rates-check", "--out", str(out)] + flags)
+    assert code == EXIT_CONFIG
+    assert "--b must lie in [1, --dim" in capsys.readouterr().err
+    assert not out.exists()

@@ -32,6 +32,8 @@ from kernelbcd.solvers import (
     solve_nystrom,
     solve_path,
     solve_rf,
+    _run_full,
+    _run_nystrom,
     _run_rf,
 )
 
@@ -731,3 +733,53 @@ class TestTraceCsv:
             train, fspec, 1e-2, make_plan(8, 4, 91), 2, test_data=test
         )
         assert all(r.test_error is not None for r in trace.records)
+
+
+@pytest.mark.parametrize("method", ["full", "nystrom", "rf"])
+def test_engine_residual_check_and_grad_tol_stop(method):
+    # one engine serves all three methods: its residual check passes on a
+    # consistent block source, catches one that does not repeat, and its
+    # grad_tol stop leaves the dense normal-equation residual within tol
+    data = gaussian_blobs(32, 3, 2, seed=95)
+    kspec = KernelSpec("rbf", sigma=2.0)
+    lam, gamma, tol, epochs = 0.1, 1.0, 1e-6, 200
+    if method == "full":
+        plan = make_plan(32, 8, seed=96)
+
+        def source(idx):
+            return kernel_cross(data.X, data.X[idx], kspec)
+
+        def run(**kw):
+            return _run_full(data, kspec, [lam], plan, epochs, **kw)
+    elif method == "nystrom":
+        plan = make_plan(16, 4, seed=96)
+        landmarks = draw_landmarks(32, 16, seed=97)
+
+        def source(pos):
+            return kernel_cross(data.X, data.X[landmarks[pos]], kspec)
+
+        def run(**kw):
+            return _run_nystrom(data, kspec, 16, [lam], gamma, plan, epochs, 97, **kw)
+    else:
+        fspec = FeatureMapSpec(p=16, sigma=2.0, master_seed=98)
+        plan = make_plan(16, 4, seed=96)
+
+        def source(pos):
+            return random_features_block(data.X, pos, fspec)
+
+        def run(**kw):
+            return _run_rf(data, fspec, [lam], plan, epochs, **kw)
+
+    [(model, trace)] = run(block_fn=source, check_residual=True, grad_tol=tol)
+    assert trace.records[-1].epoch < epochs - 1  # the stop fired
+    assert normal_equation_residual(model, data, lam, gamma) <= tol
+
+    rng = np.random.default_rng(99)
+
+    def rescaled_source(pos):
+        # positive rescaling keeps every block system SPD, but the block
+        # differs on each call
+        return rng.uniform(0.5, 1.5) * source(pos)
+
+    with pytest.raises(DivergenceError):
+        run(block_fn=rescaled_source, check_residual=True)
