@@ -24,9 +24,10 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -62,88 +63,131 @@ FEATURE_SEED_OFF = 1
 LANDMARK_SEED_OFF = 2
 
 
+def boolean(text: str) -> bool:
+    lowered = text.strip().lower()
+    if lowered not in ("true", "false"):
+        raise ValueError("expected true or false")
+    return lowered == "true"
+
+
+def int_list(text: str) -> list[int]:
+    return [int(v) for v in text.split(",") if v.strip()]
+
+
+def float_list(text: str) -> list[float]:
+    return [float(v) for v in text.split(",") if v.strip()]
+
+
+def _option(default, parse, help: str, key: str | None = None, repeat=False):
+    """A ``RunConfig`` field that is also a command-line option.
+
+    ``parse`` turns the option's text into the field's value, for the flag
+    and for the config-file line alike; ``key`` names the flag (``--key``)
+    and the config-file key when they differ from the field name.  A
+    ``repeat`` flag may be given several times, and its values add up.
+    """
+    meta = {"parse": parse, "help": help, "key": key, "repeat": repeat}
+    if isinstance(default, list):
+        return field(default_factory=default.copy, metadata=meta)
+    return field(default=default, metadata=meta)
+
+
 @dataclass
 class RunConfig:
     command: str
-    method: str = "rf"
-    kernel: str = "rbf"
-    sigma: float = 1.0
-    lambdas: list[float] = field(default_factory=lambda: [1e-3])
-    gamma: float = 1e-6
-    p: list[int] = field(default_factory=list)
-    b: int = 64
-    epochs: int = 5
-    workers: int = 1
-    seed: int = 0
-    train: str | None = None
-    test: str | None = None
-    out: str = "."
-    rmse: bool = False
-    header: bool = False
-    tol: float = 1e-6
-    # rates-check knobs
-    dim: int = 32
-    quadratics: int = 3
-    ensemble: int = 25
-    tau: int = 150
-    trials: int = 2000
-    delta: float = 0.1
+    method: str = _option("rf", str, "full, nystrom or rf")
+    kernel: str = _option("rbf", str, "rbf or linear (full and nystrom)")
+    sigma: float = _option(1.0, float, "rbf bandwidth")
+    lambdas: list[float] = _option(
+        [1e-3], float_list, "regularization strength; repeat for a path",
+        key="lambda", repeat=True,
+    )
+    gamma: float = _option(1e-6, float, "nystrom ridge on the landmark block")
+    p: list[int] = _option([], int_list, "feature count, or comma list for compare")
+    b: int = _option(64, int, "block size")
+    epochs: int = _option(5, int, "epoch count")
+    workers: int = _option(1, int, "simulated worker count")
+    seed: int = _option(0, int, "seed of the plan, features and landmarks")
+    train: str | None = _option(None, str, "training CSV (features..., label)")
+    test: str | None = _option(None, str, "test CSV")
+    out: str = _option("", str, f"output directory (default ${OUTDIR_ENV}, else .)")
+    rmse: bool = _option(False, boolean, "test RMSE of the class id, not error rate")
+    header: bool = _option(False, boolean, "data CSVs carry a header row")
+    tol: float = _option(1e-6, float, "epoch improvement tolerance (compare)")
+    dim: int = _option(32, int, "rates-check quadratic dimension")
+    quadratics: int = _option(3, int, "rates-check problem count")
+    ensemble: int = _option(25, int, "rates-check seeds per problem")
+    tau: int = _option(150, int, "rates-check iterations")
+    trials: int = _option(2000, int, "Monte-Carlo trial count")
+    delta: float = _option(0.1, float, "Monte-Carlo failure level")
 
     def validate(self) -> None:
-        if self.method not in ("full", "nystrom", "rf"):
-            raise ConfigError(f"unknown method {self.method!r}")
-        if self.kernel not in ("rbf", "linear"):
-            raise ConfigError(f"unknown kernel {self.kernel!r}")
-        if not self.lambdas:
-            raise ConfigError("need at least one --lambda")
-        if any(not lam > 0 for lam in self.lambdas):
-            raise ConfigError("--lambda values must be positive")
-        if self.gamma < 0:
-            raise ConfigError("--gamma must be >= 0")
-        if self.b < 1:
-            raise ConfigError("--b must be positive")
-        if self.epochs < 0:
-            raise ConfigError("--epochs must be >= 0")
-        if self.workers < 1:
-            raise ConfigError("--workers must be >= 1")
+        """The one choice and range check, run before any file is touched."""
+        cmd = self.command
+        rates_check = cmd == "rates-check"
+        one_model = cmd in ("solve", "path", "costs")  # compare sets method and p
+        for ok, message in (
+            (self.method in ("full", "nystrom", "rf"),
+             f"unknown method {self.method!r}"),
+            (self.kernel in ("rbf", "linear"), f"unknown kernel {self.kernel!r}"),
+            (self.lambdas, "need at least one --lambda"),
+            (all(0 < lam < math.inf for lam in self.lambdas),
+             "--lambda values must be positive and finite"),
+            (cmd in ("path", "rates-check") or len(self.lambdas) == 1,
+             f"{cmd} takes a single --lambda; use the path command"),
+            (0 <= self.gamma < math.inf, "--gamma must be finite and >= 0"),
+            (self.b >= 1, "--b must be positive"),
+            (self.epochs >= 0, "--epochs must be >= 0"),
+            (self.workers >= 1, "--workers must be >= 1"),
+            (self.seed >= 0, "--seed must be >= 0"),
+            (rates_check or self.train, "--train is required for this command"),
+            (cmd != "compare" or self.test, "compare needs --test"),
+            (cmd != "compare" or self.p, "compare needs a --p list"),
+            (not one_model or self.method != "full" or not self.p,
+             "--p does not apply to the full-kernel method"),
+            (not one_model or self.method == "full" or len(self.p) == 1,
+             "this command needs exactly one --p value"),
+            (not rates_check or 1 <= self.b <= self.dim,
+             f"--b must lie in [1, --dim = {self.dim}], got {self.b}"),
+            (not rates_check or min(self.quadratics, self.ensemble, self.trials) >= 1,
+             "--quadratics, --ensemble and --trials must be >= 1"),
+            (not rates_check or self.tau >= 0, "--tau must be >= 0"),
+            (not rates_check or 0 < self.delta <= 1, "--delta must lie in (0, 1]"),
+        ):
+            if not ok:
+                raise ConfigError(message)
 
 
-def _parse_scalar(text: str):
-    lowered = text.strip().lower()
-    if lowered in ("true", "false"):
-        return lowered == "true"
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        return text.strip()
+# option key (flag name without dashes) -> RunConfig field
+OPTIONS = {f.metadata["key"] or f.name: f for f in fields(RunConfig) if f.metadata}
 
 
 def read_config_file(path: str) -> dict:
-    """key=value lines; '#' starts a comment; lambda/p accept commas."""
-    out: dict = {}
+    """``key = value`` lines, '#' starting a comment, parsed into field
+    values by the same parsers as the flags."""
     try:
         with open(path) as fh:
-            for raw in fh:
-                line = raw.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                if "=" not in line:
-                    raise ConfigError(f"bad config line {raw.strip()!r}")
-                key, value = (part.strip() for part in line.split("=", 1))
-                key = key.replace("-", "_")
-                if key == "lambda":
-                    out["lambdas"] = [float(v) for v in value.split(",")]
-                elif key == "p":
-                    out["p"] = [int(v) for v in value.split(",")]
-                else:
-                    out[key] = _parse_scalar(value)
-    except OSError as exc:
+            lines = fh.readlines()
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file: {exc}")
-    return out
+    values = {}
+    for raw in lines:
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"bad config line {raw.strip()!r}")
+        key, text = (part.strip() for part in line.split("=", 1))
+        opt = OPTIONS.get(key.replace("-", "_"))
+        if opt is None:
+            raise ConfigError(f"unknown config key {key!r}")
+        try:
+            values[opt.name] = opt.metadata["parse"](text)
+        except ValueError as exc:
+            raise ConfigError(
+                f"config key {key!r}: bad value {text!r} ({exc})"
+            ) from None
+    return values
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -152,78 +196,40 @@ def build_parser() -> argparse.ArgumentParser:
         description="block coordinate descent for kernel least squares",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("solve", "path", "compare", "rates-check", "costs"):
+    for name in COMMANDS:
         cmd = sub.add_parser(name)
-        cmd.add_argument("--config", default=None, help="key=value config file")
-        cmd.add_argument("--method", choices=("full", "nystrom", "rf"))
-        cmd.add_argument("--kernel", choices=("rbf", "linear"))
-        cmd.add_argument("--sigma", type=float)
-        cmd.add_argument(
-            "--lambda",
-            dest="lambdas",
-            type=float,
-            action="append",
-            help="regularization strength; repeat for a path",
-        )
-        cmd.add_argument("--gamma", type=float)
-        cmd.add_argument(
-            "--p", type=str, help="feature count, or comma list for compare"
-        )
-        cmd.add_argument("--b", type=int, help="block size")
-        cmd.add_argument("--epochs", type=int)
-        cmd.add_argument("--workers", type=int, help="simulated worker count")
-        cmd.add_argument("--seed", type=int)
-        cmd.add_argument("--train", help="training CSV (features..., label)")
-        cmd.add_argument("--test", help="test CSV")
-        cmd.add_argument("--out", help="output directory")
-        cmd.add_argument("--rmse", action="store_true", default=None)
-        cmd.add_argument(
-            "--header",
-            action="store_true",
-            default=None,
-            help="data CSVs carry a header row",
-        )
-        cmd.add_argument("--tol", type=float, help="epoch improvement tolerance")
-        cmd.add_argument("--dim", type=int, help="rates-check quadratic dimension")
-        cmd.add_argument("--quadratics", type=int, help="rates-check problem count")
-        cmd.add_argument("--ensemble", type=int, help="rates-check seeds per problem")
-        cmd.add_argument("--tau", type=int, help="rates-check iterations")
-        cmd.add_argument("--trials", type=int, help="Monte-Carlo trial count")
-        cmd.add_argument("--delta", type=float, help="Monte-Carlo failure level")
+        cmd.add_argument("--config", help="key = value file; flags take precedence")
+        for key, opt in OPTIONS.items():
+            meta = opt.metadata
+            if meta["parse"] is boolean:
+                kind = dict(action="store_true", default=None)
+            else:
+                action = "extend" if meta["repeat"] else "store"
+                kind = dict(type=meta["parse"], action=action)
+            cmd.add_argument(f"--{key}", dest=opt.name, help=meta["help"], **kind)
     return parser
 
 
 def build_config(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(command=args.command)
-    file_values = read_config_file(args.config) if args.config else {}
-    for key, value in file_values.items():
-        if not hasattr(cfg, key):
-            raise ConfigError(f"unknown config key {key!r}")
-        setattr(cfg, key, value)
-    for key in vars(cfg):
-        if key == "command" or not hasattr(args, key):
-            continue
-        value = getattr(args, key)
-        if value is not None:
-            setattr(cfg, key, value)
-    if getattr(args, "p", None) is not None:
-        try:
-            cfg.p = [int(v) for v in str(args.p).split(",") if v.strip()]
-        except ValueError:
-            raise ConfigError(f"bad --p value {args.p!r}")
-    if args.out is None and not file_values.get("out"):
+    values = read_config_file(args.config) if args.config else {}
+    for opt in OPTIONS.values():
+        flagged = getattr(args, opt.name)
+        if flagged is not None:
+            values[opt.name] = flagged
+    cfg = RunConfig(command=args.command, **values)
+    if not cfg.out:
         cfg.out = os.environ.get(OUTDIR_ENV, ".")
     cfg.validate()
     return cfg
 
 
 def _load_datasets(cfg: RunConfig) -> tuple[Dataset, Dataset | None]:
-    if not cfg.train:
-        raise ConfigError("--train is required for this command")
-    train = load_csv(cfg.train, has_header=cfg.header)
-    test = None
-    if cfg.test:
-        test = load_csv(cfg.test, has_header=cfg.header)
+    try:
+        train = load_csv(cfg.train, has_header=cfg.header)
+        test = load_csv(cfg.test, has_header=cfg.header) if cfg.test else None
+    except OSError as exc:
+        raise ConfigError(f"cannot read data file: {exc}") from None
+    if test is not None:
         if test.d != train.d:
             raise DataFormatError(
                 f"test set has {test.d} features, train has {train.d}"
@@ -232,12 +238,6 @@ def _load_datasets(cfg: RunConfig) -> tuple[Dataset, Dataset | None]:
             raise DataFormatError("test set contains unseen class labels")
         test = Dataset(X=test.X, labels=test.labels, k=train.k)
     return train, test
-
-
-def _single_p(cfg: RunConfig) -> int:
-    if len(cfg.p) != 1:
-        raise ConfigError("this command needs exactly one --p value")
-    return cfg.p[0]
 
 
 def _truncated_p(p: int, b: int) -> int:
@@ -263,15 +263,13 @@ def _train(cfg: RunConfig, train, test, ledger=None, epochs=None):
     """Train ``cfg.method`` for every ``cfg.lambdas`` value in one
     ``solve_path`` run: the one place the CLI builds a spec and a plan."""
     if cfg.method == "full":
-        if cfg.p:
-            raise ConfigError("--p does not apply to the full-kernel method")
         if train.n % cfg.b != 0:
             raise ConfigError(
                 f"block size {cfg.b} must divide n = {train.n} (n is never truncated)"
             )
         universe = train.n
     else:
-        universe = _truncated_p(_single_p(cfg), cfg.b)
+        universe = _truncated_p(cfg.p[0], cfg.b)
     try:
         if cfg.method == "rf":
             spec = FeatureMapSpec(
@@ -293,14 +291,6 @@ def _train(cfg: RunConfig, train, test, ledger=None, epochs=None):
     )
 
 
-def _single_lambda(cfg: RunConfig) -> float:
-    if len(cfg.lambdas) != 1:
-        raise ConfigError(
-            f"{cfg.command} takes a single --lambda; use the path command"
-        )
-    return cfg.lambdas[0]
-
-
 def _final_objective(trace) -> float:
     return trace.records[-1].objective if trace.records else float("nan")
 
@@ -316,7 +306,7 @@ def _write_rows(path, header: list[str], rows) -> None:
 
 def cmd_solve(cfg: RunConfig) -> int:
     train, test = _load_datasets(cfg)
-    lam = _single_lambda(cfg)
+    [lam] = cfg.lambdas
     model, trace = _train(cfg, train, test)[lam]
     os.makedirs(cfg.out, exist_ok=True)
     trace.write_csv(os.path.join(cfg.out, "trace.csv"))
@@ -360,11 +350,7 @@ def epochs_to_tolerance(epoch_objectives: np.ndarray, tol: float) -> int:
 
 def cmd_compare(cfg: RunConfig) -> int:
     train, test = _load_datasets(cfg)
-    if test is None:
-        raise ConfigError("compare needs --test")
-    if not cfg.p:
-        raise ConfigError("compare needs a --p list")
-    lam = _single_lambda(cfg)
+    [lam] = cfg.lambdas
     rows = []
     for p in cfg.p:
         for method in ("nystrom", "rf"):
@@ -385,8 +371,6 @@ def cmd_compare(cfg: RunConfig) -> int:
 
 
 def cmd_rates_check(cfg: RunConfig) -> int:
-    if not 1 <= cfg.b <= cfg.dim:
-        raise ConfigError(f"--b must lie in [1, --dim = {cfg.dim}], got {cfg.b}")
     os.makedirs(cfg.out, exist_ok=True)
     rng = np.random.default_rng(cfg.seed)
     curve_rows = []
@@ -450,7 +434,7 @@ def cmd_rates_check(cfg: RunConfig) -> int:
 
 def cmd_costs(cfg: RunConfig) -> int:
     train, _ = _load_datasets(cfg)
-    lam = _single_lambda(cfg)
+    [lam] = cfg.lambdas
     ledger = CostLedger()
     model, _ = _train(cfg, train, None, ledger=ledger, epochs=1)[lam]
     # coefficient rows are the plan's universe: n for full, the truncated p

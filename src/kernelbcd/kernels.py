@@ -12,6 +12,7 @@ storing Z.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -192,8 +193,8 @@ def gaussian_blobs(
 
 def load_csv(path, has_header: bool = False) -> Dataset:
     """Read a dataset: one row per example, feature columns then an integer
-    label column.  All features parse as float64.  Raises DataFormatError
-    with the offending 1-based line number.
+    label column.  Every feature must parse as a finite float64.  Raises
+    DataFormatError with the offending 1-based line number.
     """
     rows: list[list[float]] = []
     labels: list[int] = []
@@ -220,6 +221,8 @@ def load_csv(path, has_header: bool = False) -> Dataset:
                 feats = [float(v) for v in row[:-1]]
             except ValueError as exc:
                 raise DataFormatError(f"bad feature value: {exc}", line=line_no)
+            if not all(map(math.isfinite, feats)):
+                raise DataFormatError("feature value is not finite", line=line_no)
             raw_label = row[-1].strip()
             try:
                 as_float = float(raw_label)
@@ -227,7 +230,7 @@ def load_csv(path, has_header: bool = False) -> Dataset:
                 raise DataFormatError(
                     f"label {raw_label!r} is not an integer", line=line_no
                 )
-            if as_float != int(as_float):
+            if not math.isfinite(as_float) or as_float != int(as_float):
                 raise DataFormatError(
                     f"label {raw_label!r} is not an integer", line=line_no
                 )

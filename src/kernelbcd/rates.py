@@ -260,6 +260,8 @@ def run_bcd_quadratic(
     Seeds are reduced by stable summation in seed order, so the output is
     reproducible for a fixed (prob, b, seeds, tau, base_seed).
     """
+    if seeds < 1 or tau < 0:
+        raise ConfigError(f"need seeds >= 1 and tau >= 0, got {seeds} and {tau}")
     total = np.zeros(tau + 1)
     for s in range(seeds):
         rng = np.random.default_rng(np.random.SeedSequence(base_seed, spawn_key=(s,)))
@@ -304,6 +306,8 @@ def adversarial_hessian(d: int, lam: float) -> np.ndarray:
 
 def monte_carlo_slack(delta: float, trials: int) -> float:
     """Three-sigma binomial allowance added to delta."""
+    if trials < 1:
+        raise ConfigError(f"need at least one trial, got {trials}")
     return 3.0 * math.sqrt(delta / trials)
 
 

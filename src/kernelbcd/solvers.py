@@ -379,8 +379,8 @@ def _guard_descent(state: _LamState, obj: float) -> None:
 def _check_lams(lams) -> None:
     if not lams:
         raise ConfigError("need at least one lambda")
-    if any(not lam > 0 for lam in lams):
-        raise ConfigError("every lambda must be positive")
+    if any(not 0 < lam < np.inf for lam in lams):
+        raise ConfigError("every lambda must be positive and finite")
     if len(set(lams)) != len(lams):
         raise ConfigError("lambda values must be distinct")
 

@@ -1,14 +1,20 @@
 import csv
+import os
 import subprocess
 import sys
+import tempfile
+from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kernelbcd.cli import (
     EXIT_CONFIG,
     EXIT_DATA,
     EXIT_OK,
+    RunConfig,
     epochs_to_tolerance,
     main,
 )
@@ -396,3 +402,111 @@ def test_rates_check_rejects_block_beyond_dim(tmp_path, flags, capsys):
     assert code == EXIT_CONFIG
     assert "--b must lie in [1, --dim" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("epochs", "abc"), ("workers", "two"), ("sigma", "abc"), ("p", "x"),
+        ("lambda", "abc"), ("b", "4.5"), ("epochs", "2.0"), ("seed", "1.5"),
+        ("rmse", "no"), ("rmse", "yes"), ("rmse", "1"),
+    ],
+)
+def test_bad_config_value_exits_2_naming_key(
+    tmp_path, blob_files, key, value, capsys
+):
+    train, _ = blob_files
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"p = 16\nb = 4\n{key} = {value}\n")
+    out = tmp_path / "out"
+    code = main(["solve", "--config", str(cfg), "--train", train, "--out", str(out)])
+    assert code == EXIT_CONFIG
+    assert f"config key {key!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_infinite_lambda_is_config_error(blob_files, capsys):
+    train, _ = blob_files
+    code = main(
+        ["solve", "--train", train, "--method", "rf", "--p", "16", "--b", "8",
+         "--lambda", "inf"]
+    )
+    assert code == EXIT_CONFIG
+    assert "positive and finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--trials", "0"], ["--ensemble", "0"], ["--tau", "-1"],
+        ["--quadratics", "0"], ["--delta", "-1"], ["--seed", "-1"],
+    ],
+    ids=["trials", "ensemble", "tau", "quadratics", "delta", "seed"],
+)
+def test_rates_check_rejects_knobs_out_of_range(tmp_path, flags):
+    out = tmp_path / "out"
+    code = main(["rates-check", "--dim", "4", "--b", "2", "--out", str(out)] + flags)
+    assert code == EXIT_CONFIG
+    assert not out.exists()
+
+
+def test_missing_data_file_exits_2(tmp_path, blob_files, capsys):
+    train, _ = blob_files
+    code = main(
+        ["solve", "--train", train, "--test", str(tmp_path / "missing.csv"),
+         "--p", "16", "--b", "8", "--out", str(tmp_path / "out")]
+    )
+    assert code == EXIT_CONFIG
+    assert "missing.csv" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("column", ["feature", "label"])
+@pytest.mark.parametrize("token", ["nan", "inf", "1e400"])
+def test_non_finite_csv_value_exits_3(tmp_path, token, column, capsys):
+    bad_row = f"{token},1.0,0" if column == "feature" else f"0.5,1.0,{token}"
+    train = tmp_path / "train.csv"
+    train.write_text(f"0.5,1.0,0\n{bad_row}\n1.5,2.0,1\n")
+    code = main(
+        ["solve", "--train", str(train), "--p", "4", "--b", "2",
+         "--out", str(tmp_path / "out")]
+    )
+    assert code == EXIT_DATA
+    assert "line 2" in capsys.readouterr().err
+
+
+ADVERSARIAL_VALUES = [
+    "abc", "", "-1", "0", "1.5", "2.0", "inf", "nan", "1e400", "true", "no",
+    "8,4", ",",
+]
+
+
+@pytest.fixture(scope="module")
+def tiny_csv(tmp_path_factory):
+    data = gaussian_blobs(16, 2, 2, seed=5)
+    return write_dataset(tmp_path_factory.mktemp("tiny") / "train.csv", data)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    key=st.sampled_from(sorted({f.name for f in fields(RunConfig)} | {"lambda"})),
+    value=st.sampled_from(ADVERSARIAL_VALUES),
+    trains=st.booleans(),
+)
+def test_config_file_values_only_documented_exit_codes(tiny_csv, key, value, trains):
+    # with ``trains`` the earlier lines make a valid rf run that the
+    # adversarial line then overrides; without it the file has one line
+    base = "p = 8\nb = 4\nepochs = 1\n" if trains else ""
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = os.path.join(tmp, "run.cfg")
+        with open(cfg, "w") as fh:
+            fh.write(f"{base}{key} = {value}\n")
+        cwd = os.getcwd()
+        os.chdir(tmp)  # a relative --test value names no existing file
+        try:
+            code = main(
+                ["solve", "--config", cfg, "--train", tiny_csv,
+                 "--out", os.path.join(tmp, "out")]
+            )
+        finally:
+            os.chdir(cwd)
+    assert code in {0, 2, 3, 4, 5}

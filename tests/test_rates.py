@@ -387,3 +387,13 @@ class TestConditioning:
             for gamma in (0.0, 1e-4, 1e-2, 1.0)
         ]
         assert all(a >= b - 1e-6 * abs(a) for a, b in zip(conds, conds[1:]))
+
+
+def test_rates_knobs_out_of_range_raise_config_error():
+    prob = QuadraticProblem(random_spd(4, 3), np.ones(4))
+    with pytest.raises(ConfigError):
+        monte_carlo_slack(0.1, 0)
+    with pytest.raises(ConfigError):
+        run_bcd_quadratic(prob, 2, seeds=0, tau=5)
+    with pytest.raises(ConfigError):
+        run_bcd_quadratic(prob, 2, seeds=2, tau=-1)

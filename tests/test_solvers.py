@@ -783,3 +783,11 @@ def test_engine_residual_check_and_grad_tol_stop(method):
 
     with pytest.raises(DivergenceError):
         run(block_fn=rescaled_source, check_residual=True)
+
+
+@pytest.mark.parametrize("lam", [np.inf, np.nan])
+def test_non_finite_lambda_rejected(lam):
+    data = gaussian_blobs(16, 2, 2, seed=47)
+    fspec = FeatureMapSpec(p=8, sigma=1.0, master_seed=48)
+    with pytest.raises(ConfigError, match="positive and finite"):
+        solve_rf(data, fspec, lam, make_plan(8, 4, 0), 2)
