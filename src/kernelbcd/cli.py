@@ -147,6 +147,7 @@ class RunConfig:
              "--p does not apply to the full-kernel method"),
             (not one_model or self.method == "full" or len(self.p) == 1,
              "this command needs exactly one --p value"),
+            (all(p >= 1 for p in self.p), "--p values must be >= 1"),
             (not rates_check or 1 <= self.b <= self.dim,
              f"--b must lie in [1, --dim = {self.dim}], got {self.b}"),
             (not rates_check or min(self.quadratics, self.ensemble, self.trials) >= 1,

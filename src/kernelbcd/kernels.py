@@ -194,8 +194,16 @@ def gaussian_blobs(
 def load_csv(path, has_header: bool = False) -> Dataset:
     """Read a dataset: one row per example, feature columns then an integer
     label column.  Every feature must parse as a finite float64.  Raises
-    DataFormatError with the offending 1-based line number.
+    DataFormatError with the offending 1-based line number, or without one
+    when the file cannot be decoded as text.
     """
+    try:
+        return _read_csv(path, has_header)
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"cannot decode the file as text ({exc})") from None
+
+
+def _read_csv(path, has_header: bool) -> Dataset:
     rows: list[list[float]] = []
     labels: list[int] = []
     width = None

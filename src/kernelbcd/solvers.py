@@ -18,6 +18,12 @@ Every update is an exact b x b solve, so each objective is non-increasing;
 an increase beyond 1e-9 raises ``DivergenceError``.  Blocks do not depend on
 lambda, so a path costs one run's generation plus a small solve per lambda.
 Public APIs take the statistical lambda; systems use lam_eff = n * lambda.
+
+The ``grad_tol`` stop is exact.  ``full`` maintains K alpha and checks at
+each epoch end with no blocks.  The nystrom/rf normal-equation residual
+needs every column block, so an epoch end's check is summed on the blocks
+the next sweep generates anyway; if it passes, that sweep is discarded.  A
+run stopped after E epochs thus generates each block E + 1 times, not 2E.
 """
 
 from __future__ import annotations
@@ -455,7 +461,9 @@ class _FullSystem:
             fresh += self.block(idx) @ st.coeffs[idx]
         return fresh
 
-    def converged(self, states, blocks, tol):
+    check_needs_blocks = False  # K alpha is maintained, so check at once
+
+    def converged(self, states, tol):
         return all(
             np.linalg.norm(st.resid + self.n * st.lam * st.coeffs - self.Y)
             <= tol * max(self.y_norm, 1e-30)
@@ -484,7 +492,7 @@ class _GramSystem:
         self.n, k = self.Y.shape
         self.eye_b = np.eye(self.b)
         self.residual_flops = 3 * self.n * self.b * k
-        self.rhs_norm: dict[int, float] = {}  # ||K_J^T Y|| per lambda
+        self.rhs_norm: float | None = None  # ||K_J^T Y||, from the first check
 
     def visit(self, pos, kb, part, ledger):
         """Per-visit products shared by every lambda: the gram and, with
@@ -553,29 +561,82 @@ class _GramSystem:
                 fresh[self.landmarks[pos]] += self.n * st.lam * st.coeffs[pos]
         return fresh
 
-    def converged(self, states, blocks, tol):
-        """Every lambda's normal-equation residual is within tol of
-        ||K_J^T Y||; the pass stops at the first lambda that is not."""
-        for i, st in enumerate(states):
-            lam_eff = self.n * st.lam
-            ka = self._fitted(st)
-            sq = 0.0
-            rhs_sq = 0.0
-            for pos in blocks:
-                kb = self.block(pos)
-                res_b = kb.T @ (ka - self.Y)
-                if self.landmarks is not None:
-                    res_b += lam_eff * ka[self.landmarks[pos]]
-                res_b += lam_eff * self.gamma * st.coeffs[pos]
-                sq += _ip(res_b, res_b)
-                if i not in self.rhs_norm:
-                    rhs_b = kb.T @ self.Y
-                    rhs_sq += _ip(rhs_b, rhs_b)
-            if i not in self.rhs_norm:
-                self.rhs_norm[i] = max(np.sqrt(rhs_sq), 1e-30)
-            if np.sqrt(sq) > tol * self.rhs_norm[i]:
-                return False
-        return True
+    # the normal-equation residual K_J^T (K_J a - Y) + ... needs every
+    # column block, so the engine sums it over the next sweep's blocks
+    check_needs_blocks = True
+
+    def check_snapshot(self, st):
+        """What one lambda's check needs of this epoch end: n lam, the
+        fit error K_J a - Y and, with landmarks, the rows (K_JJ a)."""
+        ka = self._fitted(st)
+        kjj_a = None if self.landmarks is None else ka[self.landmarks]
+        return self.n * st.lam, ka - self.Y, kjj_a
+
+    def check_term(self, snapshot, coeffs, pos, kb):
+        """||block pos of the normal-equation residual||^2 at the snapshot,
+        whose coefficients are ``coeffs``."""
+        lam_eff, err, kjj_a = snapshot
+        res_b = kb.T @ err
+        if kjj_a is not None:
+            res_b += lam_eff * kjj_a[pos]
+        res_b += lam_eff * self.gamma * coeffs[pos]
+        return _ip(res_b, res_b)
+
+    def rhs_term(self, kb):
+        """||block of K_J^T Y||^2, the scale of the relative residual."""
+        rhs_b = kb.T @ self.Y
+        return _ip(rhs_b, rhs_b)
+
+
+def _sum_in_order(terms) -> float:
+    """Left-to-right float sum; the built-in ``sum`` may compensate."""
+    total = 0.0
+    for term in terms:
+        total += term
+    return total
+
+
+class _PendingCheck:
+    """An epoch end's ``grad_tol`` check, made on the next sweep's blocks.
+
+    Each visit adds its block's squared normal-equation residual for every
+    lambda, taken at the epoch end's snapshot; ``passed`` sums them in plan
+    order.  It also keeps what ``restore`` needs to return the run to that
+    epoch end: each lambda's coefficients and trace length, and the
+    ledger's length and position.  The maintained residuals are not kept,
+    as a restored run only returns.
+    """
+
+    def __init__(self, system, states, epoch, block, ledger, n_blocks):
+        self.system = system
+        self.epoch, self.block = epoch, block
+        self.coeffs = [st.coeffs.copy() for st in states]
+        self.n_records = [len(st.trace.records) for st in states]
+        self.n_ledger = len(ledger.records) if ledger is not None else 0
+        self.snapshots = [system.check_snapshot(st) for st in states]
+        self.terms = [[0.0] * n_blocks for _ in states]
+        self.rhs_terms = [0.0] * n_blocks if system.rhs_norm is None else None
+
+    def add(self, blk, pos, kb) -> None:
+        for terms, snapshot, coeffs in zip(self.terms, self.snapshots, self.coeffs):
+            terms[blk] = self.system.check_term(snapshot, coeffs, pos, kb)
+        if self.rhs_terms is not None:
+            self.rhs_terms[blk] = self.system.rhs_term(kb)
+
+    def passed(self, tol: float) -> bool:
+        """Every lambda's residual is within tol of ||K_J^T Y||."""
+        if self.rhs_terms is not None:
+            self.system.rhs_norm = max(np.sqrt(_sum_in_order(self.rhs_terms)), 1e-30)
+        bound = tol * self.system.rhs_norm
+        return not any(np.sqrt(_sum_in_order(t)) > bound for t in self.terms)
+
+    def restore(self, states, ledger) -> None:
+        for st, coeffs, n_records in zip(states, self.coeffs, self.n_records):
+            st.coeffs = coeffs
+            del st.trace.records[n_records:]
+        if ledger is not None:
+            del ledger.records[self.n_ledger:]
+            ledger.set_position(self.epoch, self.block)
 
 
 def _run(
@@ -589,6 +650,13 @@ def _run(
     products every lambda shares, then applies one exact b x b update per
     lambda.  The ledger, the descent guard, test evaluation, traces, the
     residual check and the ``grad_tol`` stop live here and nowhere else.
+
+    A system whose ``grad_tol`` check needs every column block has it
+    summed on the next sweep's blocks (``_PendingCheck``).  If the check
+    passes, that sweep is discarded and the run ends as it was at the
+    epoch end; an error raised by that sweep's updates counts only if the
+    check fails.  No check follows the last epoch: it could not change
+    the result.
     """
     _check_lams(lams)
     n, k = system.Y.shape
@@ -597,36 +665,61 @@ def _run(
     states = [
         _LamState(lam, np.zeros((plan.universe, k)), np.zeros((n, k))) for lam in lams
     ]
-    for epoch in range(epochs):
-        for blk in epoch_order(plan, epoch):
-            pos = plan.blocks[blk]
+
+    def visit(epoch, blk, pos, kb, gen_s):
+        if ledger is not None:
+            ledger.set_position(epoch, blk)
+            ledger.add("generation", flops=n * system.b * data.d, seconds=gen_s)
+        products, visit_s = system.visit(pos, kb, part, ledger)
+        shared = gen_s + visit_s
+        for st in states:
+            t0 = perf_counter()
+            res_s, solve_s = system.update(st, pos, kb, products, part)
             if ledger is not None:
-                ledger.set_position(epoch, int(blk))
+                ledger.add("residual", flops=system.residual_flops, seconds=res_s)
+                ledger.add("solve", flops=system.b**3, seconds=solve_s)
+            obj, alt = system.objective(st)
+            _guard_descent(st, obj)
+            terr = None
+            if test_data is not None:
+                terr = evaluate(system.model(st.coeffs), test_data, rmse=rmse)
+            seconds = perf_counter() - t0 + shared
+            st.trace.append(TraceRecord(epoch, blk, seconds, obj, terr, alt))
+            shared = 0.0
+
+    pending = None  # the last epoch end's check, summed on this sweep
+    for epoch in range(epochs):
+        failure = None
+        for blk in map(int, epoch_order(plan, epoch)):
+            pos = plan.blocks[blk]
             t_gen = perf_counter()
             kb = system.block(pos)
             gen_s = perf_counter() - t_gen
-            if ledger is not None:
-                ledger.add("generation", flops=n * system.b * data.d, seconds=gen_s)
-            products, visit_s = system.visit(pos, kb, part, ledger)
-            shared = gen_s + visit_s
-            for st in states:
-                t0 = perf_counter()
-                res_s, solve_s = system.update(st, pos, kb, products, part)
-                if ledger is not None:
-                    ledger.add("residual", flops=system.residual_flops, seconds=res_s)
-                    ledger.add("solve", flops=system.b**3, seconds=solve_s)
-                obj, alt = system.objective(st)
-                _guard_descent(st, obj)
-                terr = None
-                if test_data is not None:
-                    terr = evaluate(system.model(st.coeffs), test_data, rmse=rmse)
-                seconds = perf_counter() - t0 + shared
-                st.trace.append(TraceRecord(epoch, int(blk), seconds, obj, terr, alt))
-                shared = 0.0
+            if pending is not None:
+                pending.add(blk, pos, kb)
+            if failure is not None:
+                continue  # the sweep now only finishes the check
+            try:
+                visit(epoch, blk, pos, kb, gen_s)
+            except Exception as exc:
+                if pending is None:
+                    raise
+                failure = exc
+        if pending is not None:
+            if pending.passed(grad_tol):
+                pending.restore(states, ledger)
+                break
+            if failure is not None:
+                raise failure
+            pending = None
         if check_residual:
             for st in states:
                 _assert_residual(system.fresh_resid(st, plan.blocks), st.resid)
-        if grad_tol is not None and system.converged(states, plan.blocks, grad_tol):
+        if grad_tol is None or epoch == epochs - 1:
+            continue
+        if system.check_needs_blocks:
+            pending = _PendingCheck(system, states, epoch, blk, ledger, plan.n_blocks)
+        elif system.converged(states, grad_tol):
             break
     return [(system.model(st.coeffs), st.trace) for st in states]
 

@@ -510,3 +510,26 @@ def test_config_file_values_only_documented_exit_codes(tiny_csv, key, value, tra
         finally:
             os.chdir(cwd)
     assert code in {0, 2, 3, 4, 5}
+
+
+def test_undecodable_csv_exits_3(tmp_path, capsys):
+    train = tmp_path / "train.csv"
+    train.write_bytes(b"\xff0.5,1.0,0\n1.5,2.0,1\n")
+    code = main(
+        ["solve", "--train", str(train), "--p", "4", "--b", "2",
+         "--out", str(tmp_path / "out")]
+    )
+    assert code == EXIT_DATA
+    assert "decode" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("p", ["-1", "0"])
+def test_nonpositive_p_exits_2_before_truncation(tmp_path, blob_files, p, capsys):
+    train, _ = blob_files
+    out = tmp_path / "out"
+    code = main(["solve", "--train", train, "--p", p, "--b", "8", "--out", str(out)])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "--p values must be >= 1" in err
+    assert "truncating" not in err
+    assert not out.exists()

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from kernelbcd.distsim import CostLedger, ExecContext
-from kernelbcd.errors import ConfigError, DivergenceError
+from kernelbcd.errors import ConfigError, DivergenceError, NotSpdError
 from kernelbcd.kernels import (
     Dataset,
     FeatureMapSpec,
@@ -32,6 +32,8 @@ from kernelbcd.solvers import (
     solve_nystrom,
     solve_path,
     solve_rf,
+    _GramSystem,
+    _run,
     _run_full,
     _run_nystrom,
     _run_rf,
@@ -791,3 +793,139 @@ def test_non_finite_lambda_rejected(lam):
     fspec = FeatureMapSpec(p=8, sigma=1.0, master_seed=48)
     with pytest.raises(ConfigError, match="positive and finite"):
         solve_rf(data, fspec, lam, make_plan(8, 4, 0), 2)
+
+
+def _stop_case(method):
+    """A small problem per method whose grad_tol stop fires well before
+    200 epochs, with its counting block source and an engine runner."""
+    data = gaussian_blobs(32, 3, 2, seed=95)
+    kspec = KernelSpec("rbf", sigma=2.0)
+    fspec = FeatureMapSpec(p=16, sigma=2.0, master_seed=98)
+    landmarks = draw_landmarks(32, 16, seed=97)
+    calls = []
+
+    def source(pos):
+        calls.append(1)
+        if method == "full":
+            return kernel_cross(data.X, data.X[pos], kspec)
+        if method == "nystrom":
+            return kernel_cross(data.X, data.X[landmarks[pos]], kspec)
+        return random_features_block(data.X, pos, fspec)
+
+    plan = make_plan(32, 8, seed=96) if method == "full" else make_plan(16, 4, seed=96)
+
+    def run(lams, epochs, **kw):
+        if method == "full":
+            return _run_full(data, kspec, lams, plan, epochs, block_fn=source, **kw)
+        if method == "nystrom":
+            return _run_nystrom(
+                data, kspec, 16, lams, 1.0, plan, epochs, 97, block_fn=source, **kw
+            )
+        return _run_rf(data, fspec, lams, plan, epochs, block_fn=source, **kw)
+
+    return plan, calls, run
+
+
+def _values(results, ledger):
+    """Everything a run returns but the seconds fields."""
+    runs = [
+        (model.coefficients.tobytes(),
+         [(r.epoch, r.block, r.objective, r.test_error, r.objective_alt)
+          for r in trace.records])
+        for model, trace in results
+    ]
+    if ledger is None:
+        return runs, None
+    return runs, [(r.epoch, r.block, r.phase, r.flops, r.nbytes) for r in ledger.records]
+
+
+@pytest.mark.parametrize("with_ledger", [False, True], ids=["plain", "ledger"])
+@pytest.mark.parametrize("lams", [[0.1], [0.1, 0.03, 0.3]], ids=["1lam", "3lam"])
+@pytest.mark.parametrize("method", ["full", "nystrom", "rf"])
+def test_grad_tol_stop_equals_fixed_epoch_run(method, lams, with_ledger):
+    # a grad_tol run returns exactly what a run of epochs_run epochs
+    # returns; nystrom and rf check on the next sweep's blocks, so a stop
+    # costs one sweep of generation, and full checks with no blocks
+    plan, calls, run = _stop_case(method)
+
+    def ctx():
+        return ExecContext(3, CostLedger()) if with_ledger else None
+
+    stop_ctx = ctx()
+    stopped = run(lams, 200, grad_tol=1e-6, exec_ctx=stop_ctx)
+    epochs_run = stopped[0][1].records[-1].epoch + 1
+    assert epochs_run < 200  # the stop fired
+    generated = len(calls)
+    extra_sweeps = 0 if method == "full" else 1
+    assert generated == (epochs_run + extra_sweeps) * plan.n_blocks
+
+    fixed_ctx = ctx()
+    fixed = run(lams, epochs_run, exec_ctx=fixed_ctx)
+    assert len(calls) - generated == epochs_run * plan.n_blocks
+    stop_ledger = stop_ctx.ledger if with_ledger else None
+    fixed_ledger = fixed_ctx.ledger if with_ledger else None
+    assert _values(stopped, stop_ledger) == _values(fixed, fixed_ledger)
+
+
+class _FaultAfter:
+    """A system that behaves like ``system`` for ``after`` updates, then
+    faults on every later one: ``nan`` poisons the maintained residual
+    (the descent guard raises ``DivergenceError``), ``not_spd`` raises
+    ``NotSpdError`` as a singular block system would."""
+
+    def __init__(self, system, after, fault):
+        self.system, self.after, self.fault = system, after, fault
+
+    def __getattr__(self, name):
+        return getattr(self.system, name)
+
+    def update(self, st, *args):
+        self.after -= 1
+        if self.after < 0 and self.fault == "not_spd":
+            raise NotSpdError("block system is not positive definite")
+        out = self.system.update(st, *args)
+        if self.after < 0:
+            st.resid[:] = np.nan
+        return out
+
+
+@pytest.mark.parametrize("fault", ["nan", "not_spd"])
+@pytest.mark.parametrize("method", ["nystrom", "rf"])
+def test_fault_in_discarded_sweep_does_not_raise(method, fault):
+    # the sweep that finishes an epoch end's check is discarded when the
+    # check passes, so a fault in its updates must not change the result;
+    # a fault in a sweep whose pending check fails still propagates
+    data = gaussian_blobs(32, 3, 2, seed=95)
+    kspec = KernelSpec("rbf", sigma=2.0)
+    fspec = FeatureMapSpec(p=16, sigma=2.0, master_seed=98)
+    landmarks = draw_landmarks(32, 16, seed=97)
+    plan = make_plan(16, 4, seed=96)
+    Y = one_vs_all(data)
+
+    def system():
+        if method == "nystrom":
+            return _GramSystem(
+                Y, 4, lambda pos: kernel_cross(data.X, data.X[landmarks[pos]], kspec),
+                lambda c: Model("nystrom", c, kernel=kspec, anchors=data.X[landmarks],
+                                landmarks=landmarks),
+                landmarks=landmarks, gamma=1.0,
+            )
+        return _GramSystem(
+            Y, 4, lambda pos: random_features_block(data.X, pos, fspec),
+            lambda c: Model("rf", c, features=fspec),
+        )
+
+    def run(sys_):
+        ledger = CostLedger()
+        results = _run(data, sys_, [0.1], plan, 200, grad_tol=1e-6,
+                       exec_ctx=ExecContext(1, ledger))
+        return results[0][1].records[-1].epoch + 1, _values(results, ledger)
+
+    clean = run(system())
+    epochs_run = clean[0]
+    assert 2 <= epochs_run < 200
+    nb = plan.n_blocks
+    assert run(_FaultAfter(system(), epochs_run * nb, fault)) == clean
+    error = DivergenceError if fault == "nan" else NotSpdError
+    with pytest.raises(error):
+        run(_FaultAfter(system(), (epochs_run - 1) * nb, fault))
