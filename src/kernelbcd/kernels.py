@@ -6,13 +6,17 @@ the update.  Random-feature columns are a pure function of
 ``(master_seed, column index)``: regenerating any block in any epoch, or a
 block that overlaps a previous one, yields bit-identical columns within a
 build.  That is what makes epoch-over-epoch regeneration equivalent to
-storing Z.
+storing Z.  Column m is numpy's Philox stream keyed by
+``SeedSequence(master_seed, spawn_key=(m,))``, but a block draws all its
+columns in one array pass (``_block_params``) rather than one generator
+per column.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -119,7 +123,8 @@ def kernel_cross(Xa: np.ndarray, Xb: np.ndarray, spec: KernelSpec) -> np.ndarray
     if spec.family == "linear":
         return Xa @ Xb.T
     sq = cdist(Xa, Xb, "sqeuclidean")
-    return np.exp(sq / (-2.0 * spec.sigma**2))
+    sq /= -2.0 * spec.sigma**2
+    return np.exp(sq, out=sq)
 
 
 def kernel_block(X: np.ndarray, indices, spec: KernelSpec) -> np.ndarray:
@@ -136,18 +141,14 @@ def kernel_block(X: np.ndarray, indices, spec: KernelSpec) -> np.ndarray:
 def feature_params(spec: FeatureMapSpec, m: int, d: int) -> tuple[np.ndarray, float]:
     """Frequency/phase pair (omega_m, b_m) for feature m of a d-dim input.
 
-    Pure function of (master_seed, m): a Philox stream keyed by the spawn
-    path (master_seed, m) feeds inverse-CDF Gaussian sampling, so any block
-    containing column m regenerates the same pair in any epoch.
+    Pure function of (master_seed, m): column m of any block draw, so any
+    block containing column m regenerates the same pair in any epoch.
     """
+    m = operator.index(m)
     if not 0 <= m < spec.p:
         raise IndexOutOfRangeError(f"feature index {m} outside [0, {spec.p})")
-    seq = np.random.SeedSequence(spec.master_seed, spawn_key=(m,))
-    gen = np.random.Generator(np.random.Philox(seq))
-    u = gen.random(d + 1)
-    # random() can return exactly 0.0, which ndtri maps to -inf
-    omega = ndtri(np.maximum(u[:d], 5e-324)) / spec.sigma
-    return omega, TWO_PI * u[d]
+    freqs, phases = _block_params(spec, np.array([m], dtype=np.int64), d)
+    return freqs[:, 0], phases[0]
 
 
 def random_features_block(X: np.ndarray, indices, spec: FeatureMapSpec) -> np.ndarray:
@@ -159,12 +160,158 @@ def random_features_block(X: np.ndarray, indices, spec: FeatureMapSpec) -> np.nd
     """
     X = np.asarray(X, dtype=np.float64)
     idx = validate_indices(indices, spec.p)
-    d = X.shape[1]
+    freqs, phases = _block_params(spec, idx, X.shape[1])
+    z = X @ freqs
+    z += phases
+    np.cos(z, out=z)
+    z *= np.sqrt(2.0 / spec.p)
+    return z
+
+
+# numpy's SeedSequence mixing constants (numpy/random/bit_generator.pyx)
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_POOL_SIZE = 4
+
+# Philox4x64-10 multipliers and key increments (Random123; Salmon et al.,
+# "Parallel random numbers: as easy as 1, 2, 3", SC'11), shaped to act on
+# the word pairs (x0, x2) and (key0, key1)
+_PHILOX_M = np.array([[[0xD2E7470EE14C6C93]], [[0xCA5A826395121157]]], dtype=np.uint64)
+_PHILOX_W = np.array([[[0x9E3779B97F4A7C15]], [[0xBB67AE8584CAA73B]]], dtype=np.uint64)
+_PHILOX_ROUNDS = 10
+_U32, _LO32 = np.uint64(32), np.uint64(_MASK32)
+# Philox output words per column chunk of a block draw (512 KB of uint64)
+_DRAW_WORDS = 1 << 16
+
+
+def _block_params(spec: FeatureMapSpec, idx: np.ndarray, d: int):
+    """Frequencies (d x |idx|, C-contiguous) and phases of the columns idx.
+
+    Column m gets exactly the draw of numpy's
+    ``Generator(Philox(SeedSequence(master_seed, spawn_key=(m,)))).random(d + 1)``
+    -- d inverse-CDF Gaussian frequencies, then the phase -- but every column
+    is drawn in one array pass: Philox is counter based, so its key and its
+    d + 1 outputs are plain functions of (master_seed, m).  Columns are
+    drawn ``_DRAW_WORDS // (d + 1)`` at a time, which bounds the Philox
+    temporaries however wide the block is.
+    """
     freqs = np.empty((d, idx.size))
     phases = np.empty(idx.size)
-    for j, m in enumerate(idx):
-        freqs[:, j], phases[j] = feature_params(spec, int(m), d)
-    return np.sqrt(2.0 / spec.p) * np.cos(X @ freqs + phases)
+    step = max(1, _DRAW_WORDS // (d + 1))
+    for start in range(0, idx.size, step):
+        cols = slice(start, start + step)
+        key = _philox_keys(spec.master_seed, idx[cols])
+        raw = _philox4x64(key, -(-(d + 1) // 4))[: d + 1]
+        # Generator.random: the top 53 bits of each word, times 2**-53
+        u = (raw >> np.uint64(11)) * (1.0 / 9007199254740992.0)
+        # random() can return 0.0, which ndtri maps to -inf
+        np.maximum(u[:d], 5e-324, out=freqs[:, cols])
+        phases[cols] = TWO_PI * u[d]
+    ndtri(freqs, out=freqs)
+    freqs /= spec.sigma
+    return freqs, phases
+
+
+def _hashmix(value, hash_const: int, mult: int = _MULT_A):
+    """numpy's SeedSequence ``hashmix`` on a Python int or a uint64 array
+    of 32-bit words.  Returns the mixed value and the next hash constant."""
+    next_const = (hash_const * mult) & _MASK32
+    value = ((value ^ hash_const) * next_const) & _MASK32
+    return value ^ (value >> 16), next_const
+
+
+def _mix(x, y):
+    """numpy's SeedSequence ``mix`` on Python ints or uint64 arrays of
+    32-bit words."""
+    r = (((_MIX_L * x) & _MASK32) - ((_MIX_R * y) & _MASK32)) & _MASK32
+    return r ^ (r >> 16)
+
+
+def _mix_word(pool: list, word, hash_const: int) -> int:
+    """Mix one more entropy word into every pool word, in place."""
+    for i in range(_POOL_SIZE):
+        hashed, hash_const = _hashmix(word, hash_const)
+        pool[i] = _mix(pool[i], hashed)
+    return hash_const
+
+
+def _philox_keys(master_seed: int, idx: np.ndarray):
+    """The uint64 Philox key words of ``SeedSequence(master_seed,
+    spawn_key=(m,))`` for every m in idx, shape (2, len(idx)).
+
+    The entropy is the seed's 32-bit words, low first and zero-padded to
+    the pool size (numpy pads when a spawn key is given), then m's words.
+    Everything up to m's words is shared, so it is mixed once in Python
+    ints; m's words are mixed into per-column arrays.  Those hold 32-bit
+    words in uint64, the dtype Philox needs anyway: a product of two words
+    is exact there, and every step masks back to 32 bits.
+    """
+    master_seed = operator.index(master_seed)
+    if master_seed < 0:
+        raise ValueError("master_seed must be a non-negative integer")
+    words = [(master_seed >> s) & _MASK32 for s in range(0, master_seed.bit_length(), 32)]
+    words += [0] * (_POOL_SIZE - len(words))
+    hash_const = _INIT_A
+    pool = []
+    for w in words[:_POOL_SIZE]:
+        hashed, hash_const = _hashmix(w, hash_const)
+        pool.append(hashed)
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                hashed, hash_const = _hashmix(pool[src], hash_const)
+                pool[dst] = _mix(pool[dst], hashed)
+    for w in words[_POOL_SIZE:]:
+        hash_const = _mix_word(pool, w, hash_const)
+    hash_const = _mix_word(pool, (idx & _MASK32).astype(np.uint64), hash_const)
+    high = (idx >> 32).astype(np.uint64)
+    if high.any():  # m >= 2**32 is a second spawn-key word
+        wide = list(pool)
+        _mix_word(wide, high, hash_const)
+        pool = [np.where(high > 0, w, p) for w, p in zip(wide, pool)]
+    # generate_state(2, uint64): four hashed pool words, little-endian pairs
+    hash_const = _INIT_B
+    state = []
+    for w in pool:
+        hashed, hash_const = _hashmix(w, hash_const, _MULT_B)
+        state.append(hashed)
+    return np.stack([state[0] | (state[1] << _U32), state[2] | (state[3] << _U32)])
+
+
+def _mulhilo(a: np.ndarray, x: np.ndarray):
+    """High and low uint64 words of the 128-bit products a * x, the high
+    word formed from 32-bit halves."""
+    a_lo, a_hi = a & _LO32, a >> _U32
+    x_lo, x_hi = x & _LO32, x >> _U32
+    t = a_hi * x_lo + ((a_lo * x_lo) >> _U32)
+    u = a_lo * x_hi + (t & _LO32)
+    return a_hi * x_hi + (t >> _U32) + (u >> _U32), a * x
+
+
+def _philox4x64(key: np.ndarray, n_counters: int) -> np.ndarray:
+    """Philox4x64-10 output words for counters 1..n_counters (a fresh
+    numpy ``Philox`` steps its counter before its first block) under each
+    column's key pair ``key[:, j]``, in stream order: shape
+    (4 n_counters, key.shape[1]).
+
+    The four counter words are held as the pairs (x0, x2) and (x1, x3), so
+    a round is one multiply of the first pair:
+    (x0, x1, x2, x3) <- (hi1 ^ x1 ^ k0, lo1, hi0 ^ x3 ^ k1, lo0).
+    """
+    shape = (2, n_counters, key.shape[1])
+    even = np.zeros(shape, dtype=np.uint64)
+    even[0] = np.arange(1, n_counters + 1, dtype=np.uint64)[:, None]
+    odd = np.zeros(shape, dtype=np.uint64)
+    key = key[:, None, :]
+    for _ in range(_PHILOX_ROUNDS):
+        hi, lo = _mulhilo(_PHILOX_M, even)
+        even = hi[::-1] ^ odd ^ key
+        odd = lo[::-1]
+        key = key + _PHILOX_W
+    words = np.stack([even[0], odd[0], even[1], odd[1]], axis=1)
+    return words.reshape(4 * n_counters, shape[2])
 
 
 def one_vs_all(dataset: Dataset) -> np.ndarray:

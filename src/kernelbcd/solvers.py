@@ -15,8 +15,9 @@ the convergence test and the ``Model``:
   (Z^T Z + n*lam*I) w = Z^T Y with R = Z w.
 
 Every update is an exact b x b solve, so each objective is non-increasing;
-an increase beyond 1e-9 raises ``DivergenceError``.  Blocks do not depend on
-lambda, so a path costs one run's generation plus a small solve per lambda.
+an increase beyond 1e-9 times max(1, |objective|) raises ``DivergenceError``.
+Blocks do not depend on lambda, so a path costs one run's generation plus a
+small solve per lambda.
 Public APIs take the statistical lambda; systems use lam_eff = n * lambda.
 
 The ``grad_tol`` stop is exact.  ``full`` maintains K alpha and checks at
@@ -167,6 +168,10 @@ class Model:
     full:     scores(x) = k(x, anchors) @ coefficients, anchors = training X
     nystrom:  same with anchors = landmark rows
     rf:       scores(x) = z(x) @ coefficients
+
+    ``dim`` is an rf model's input width; anchors give it for the others.
+    Models saved before it was recorded load with ``dim`` None and are
+    not checked.
     """
 
     method: str
@@ -175,6 +180,7 @@ class Model:
     features: FeatureMapSpec | None = None
     anchors: np.ndarray | None = None
     landmarks: np.ndarray | None = None
+    dim: int | None = None
 
     def __post_init__(self):
         if self.method not in ("full", "nystrom", "rf"):
@@ -198,16 +204,16 @@ def predict(model: Model, x_test: np.ndarray) -> np.ndarray:
     x_test = np.asarray(x_test, dtype=np.float64)
     if x_test.ndim != 2:
         raise DimensionMismatchError("x_test must be 2-d")
+    width = model.dim if model.method == "rf" else model.anchors.shape[1]
+    if width is not None and x_test.shape[1] != width:
+        raise DimensionMismatchError(
+            f"x_test has {x_test.shape[1]} features, model expects {width}"
+        )
     if model.method == "rf":
         z = random_features_block(
             x_test, np.arange(model.features.p), model.features
         )
         return z @ model.coefficients
-    if x_test.shape[1] != model.anchors.shape[1]:
-        raise DimensionMismatchError(
-            f"x_test has {x_test.shape[1]} features, model expects "
-            f"{model.anchors.shape[1]}"
-        )
     kx = kernel_cross(x_test, model.anchors, model.kernel)
     return kx @ model.coefficients
 
@@ -247,6 +253,8 @@ def save_model(model: Model, path) -> None:
         "anchors": None if model.anchors is None else model.anchors.tolist(),
         "landmarks": None if model.landmarks is None else model.landmarks.tolist(),
     }
+    if model.dim is not None:
+        payload["dim"] = model.dim
     tmp = f"{path}.tmp-{os.getpid()}"
     with open(tmp, "w") as fh:
         fh.write(MODEL_MAGIC + "\n")
@@ -274,6 +282,7 @@ def load_model(path) -> Model:
         landmarks=None
         if payload["landmarks"] is None
         else np.asarray(payload["landmarks"], dtype=np.int64),
+        dim=payload.get("dim"),
     )
 
 
@@ -374,7 +383,7 @@ class _LamState:
 def _guard_descent(state: _LamState, obj: float) -> None:
     if not np.isfinite(obj):
         raise DivergenceError(f"objective became non-finite ({obj})")
-    if obj > state.prev_obj + DESCENT_TOL:
+    if obj > state.prev_obj + DESCENT_TOL * max(1.0, abs(state.prev_obj)):
         raise DivergenceError(
             f"objective increased from {state.prev_obj!r} to {obj!r}; "
             "residual maintenance is corrupt"
@@ -770,7 +779,7 @@ def _run_rf(
     system = _GramSystem(
         one_vs_all(data), plan.block_size,
         block_fn or (lambda pos: random_features_block(data.X, pos, fspec)),
-        lambda c: Model("rf", c, features=fspec),
+        lambda c: Model("rf", c, features=fspec, dim=data.d),
     )
     return _run(data, system, lams, plan, epochs, **kwargs)
 

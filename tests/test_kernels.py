@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.special import ndtri
 
 from kernelbcd.errors import (
     DataFormatError,
@@ -20,6 +23,7 @@ from kernelbcd.kernels import (
     load_csv,
     one_vs_all,
     random_features_block,
+    _block_params,
 )
 
 RBF = KernelSpec("rbf", sigma=1.0)
@@ -272,3 +276,66 @@ def test_kernel_cross_matches_block():
     x = rng.standard_normal((8, 3))
     idx = [1, 5]
     assert np.array_equal(kernel_cross(x, x[idx], RBF), kernel_block(x, idx, RBF))
+
+
+def _numpy_column_draw(master, m, d):
+    """Feature m's d + 1 uniforms, drawn the way each column once was."""
+    seq = np.random.SeedSequence(master, spawn_key=(m,))
+    return np.random.Generator(np.random.Philox(seq)).random(d + 1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    master=st.integers(0, 2**140 - 1),
+    d=st.integers(0, 40),
+    cols=st.lists(
+        st.one_of(
+            st.integers(0, 64), st.integers(0, 2**32 - 1), st.integers(2**32, 2**40)
+        ),
+        min_size=1, max_size=5, unique=True,
+    ),
+)
+@example(master=0, d=4, cols=[0])
+@example(master=2**130 + 5, d=6, cols=[2**32 - 1, 0, 7])
+@example(master=2**64 + 3, d=17, cols=[2**32 - 1])
+def test_block_draw_matches_numpy_philox_per_column(master, d, cols):
+    # one array pass over a block gives each column numpy's own per-column
+    # Philox draw, bit for bit, and so does feature_params
+    spec = FeatureMapSpec(p=2**41, sigma=1.5, master_seed=master)
+    freqs, phases = _block_params(spec, np.array(cols, dtype=np.int64), d)
+    assert freqs.shape == (d, len(cols)) and freqs.flags.c_contiguous
+    ref_freqs = np.empty((d, len(cols)))
+    ref_phases = np.empty(len(cols))
+    for j, m in enumerate(cols):
+        u = _numpy_column_draw(master, m, d)
+        ref_freqs[:, j] = ndtri(np.maximum(u[:d], 5e-324)) / spec.sigma
+        ref_phases[j] = 2.0 * np.pi * u[d]
+        omega, phase = feature_params(spec, m, d)
+        assert np.array_equal(omega, freqs[:, j]) and phase == phases[j]
+    assert np.array_equal(freqs, ref_freqs)
+    assert np.array_equal(phases, ref_phases)
+    X = np.random.default_rng(d).standard_normal((5, d))
+    expected = np.sqrt(2.0 / spec.p) * np.cos(X @ ref_freqs + ref_phases)
+    assert np.array_equal(random_features_block(X, cols, spec), expected)
+
+
+def test_negative_master_seed_raises():
+    spec = FeatureMapSpec(p=4, master_seed=-1)
+    with pytest.raises(ValueError):
+        feature_params(spec, 0, 3)
+    with pytest.raises(ValueError):
+        random_features_block(np.ones((2, 3)), [0, 1], spec)
+
+
+@pytest.mark.parametrize("words", [3, 24, 100])
+def test_block_draw_in_column_chunks_is_unchanged(words, monkeypatch):
+    # a wide block is drawn a few columns at a time to bound the Philox
+    # temporaries; the chunks (one column, or an uneven last one) give the
+    # same bytes as a single pass
+    spec = FeatureMapSpec(p=500, sigma=0.7, master_seed=2**40 + 9)
+    idx = np.random.default_rng(5).choice(500, size=23, replace=False)
+    freqs, phases = _block_params(spec, idx, 7)
+    monkeypatch.setattr("kernelbcd.kernels._DRAW_WORDS", words)
+    chunked, chunked_phases = _block_params(spec, idx, 7)
+    assert chunked.flags.c_contiguous
+    assert np.array_equal(chunked, freqs) and np.array_equal(chunked_phases, phases)

@@ -1,8 +1,15 @@
+import json
+
 import numpy as np
 import pytest
 
 from kernelbcd.distsim import CostLedger, ExecContext
-from kernelbcd.errors import ConfigError, DivergenceError, NotSpdError
+from kernelbcd.errors import (
+    ConfigError,
+    DimensionMismatchError,
+    DivergenceError,
+    NotSpdError,
+)
 from kernelbcd.kernels import (
     Dataset,
     FeatureMapSpec,
@@ -929,3 +936,44 @@ def test_fault_in_discarded_sweep_does_not_raise(method, fault):
     error = DivergenceError if fault == "nan" else NotSpdError
     with pytest.raises(error):
         run(_FaultAfter(system(), (epochs_run - 1) * nb, fault))
+
+
+def test_descent_guard_scales_with_objective():
+    # lambda = 1e-12 with a linear kernel drives the surrogate to -8e5,
+    # where rounding lifts it by 1.2e-9: not a divergence
+    data = gaussian_blobs(64, 32, 10, seed=1)
+    _, trace = solve_full(
+        data, KernelSpec("linear"), 1e-12, make_plan(64, 32, seed=1), 400
+    )
+    assert len(trace.records) == 800
+
+
+def test_rf_model_records_input_width(tmp_path):
+    data = gaussian_blobs(24, 3, 2, seed=78)
+    fspec = FeatureMapSpec(p=8, sigma=2.0, master_seed=79)
+    model, _ = solve_rf(data, fspec, 1e-2, make_plan(8, 4, 80), 10)
+    assert model.dim == 3
+    path = tmp_path / "model.kbcd"
+    save_model(model, path)
+    loaded = load_model(path)
+    assert loaded.dim == 3
+    assert np.array_equal(predict(loaded, data.X), predict(model, data.X))
+    for width in (2, 4):
+        with pytest.raises(DimensionMismatchError):
+            predict(loaded, np.zeros((5, width)))
+
+
+def test_rf_model_file_without_width_loads_unchecked(tmp_path):
+    data = gaussian_blobs(24, 3, 2, seed=78)
+    fspec = FeatureMapSpec(p=8, sigma=2.0, master_seed=79)
+    model, _ = solve_rf(data, fspec, 1e-2, make_plan(8, 4, 80), 10)
+    path = tmp_path / "model.kbcd"
+    save_model(model, path)
+    magic, body = path.read_text().split("\n", 1)
+    payload = json.loads(body)
+    del payload["dim"]
+    path.write_text(magic + "\n" + json.dumps(payload) + "\n")
+    loaded = load_model(path)
+    assert loaded.dim is None
+    assert np.array_equal(predict(loaded, data.X), predict(model, data.X))
+    assert predict(loaded, np.zeros((5, 4))).shape == (5, 2)
