@@ -119,15 +119,6 @@ class CostLedger:
             out[r.phase] = out.get(r.phase, 0) + r.flops
         return out
 
-    def phase_bytes(self) -> dict[str, int]:
-        out: dict[str, int] = {}
-        for r in self.records:
-            out[r.phase] = out.get(r.phase, 0) + r.nbytes
-        return out
-
-    def phases_seen(self) -> set[str]:
-        return {r.phase for r in self.records}
-
     def write_csv(self, path) -> None:
         tmp = f"{path}.tmp-{os.getpid()}"
         with open(tmp, "w", newline="") as fh:

@@ -45,8 +45,14 @@ class KernelSpec:
     def __post_init__(self):
         if self.family not in KERNEL_FAMILIES:
             raise ValueError(f"unknown kernel family {self.family!r}")
-        if self.family == "rbf" and not self.sigma > 0:
-            raise ValueError("rbf bandwidth must be positive")
+        # sigma*sigma, not sigma**2: float ** raises OverflowError, * gives inf
+        if self.family == "rbf" and not (
+            self.sigma > 0 and 0 < self.sigma * self.sigma < math.inf
+        ):
+            raise ValueError(
+                "rbf bandwidth must be positive, with sigma*sigma neither 0 "
+                f"nor inf; got sigma = {self.sigma!r}"
+            )
 
 
 @dataclass(frozen=True)

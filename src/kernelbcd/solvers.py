@@ -3,9 +3,11 @@
 One engine, ``_run``, drives three primal solvers.  It sweeps the block
 plan, generates each column block once per visit, and owns the ledger,
 the descent guard, test evaluation, traces, the residual check and the
-``grad_tol`` stop.  A per-method system supplies the block source, the
-products every lambda shares, the update, the objective, a fresh residual,
-the convergence test and the ``Model``:
+``grad_tol`` stop.  The model's column map, ``Model.columns``, is the one
+block source: K([n], J) for ``full``, K([n], landmarks[J]) for ``nystrom``
+and Z([n], J) for ``rf``; ``predict`` and the dense diagnostics read it
+too.  A per-method system supplies the products every lambda shares, the
+update, the objective, a fresh residual and the convergence test:
 
 * ``_FullSystem``: block Gauss-Seidel on (K + n*lam*I) alpha = Y, exact
   blockwise minimization of 0.5<alpha, K alpha> + (n*lam/2)||alpha||^2 - <Y, alpha>;
@@ -29,6 +31,7 @@ run stopped after E epochs thus generates each block E + 1 times, not 2E.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 from collections.abc import Callable
@@ -53,7 +56,11 @@ from .kernels import (
     one_vs_all,
     random_features_block,
 )
-from .linalg import gram, spd_solve
+from .linalg import spd_solve
+
+# The solvers call gram only through distributed_gram.  It stays bound here
+# because perfbench/tracing.py rebinds it in this module's namespace.
+from .linalg import gram  # noqa: F401
 
 DESCENT_TOL = 1e-9
 
@@ -198,6 +205,17 @@ class Model:
                     "coefficient rows must match anchor rows"
                 )
 
+    def columns(self, X: np.ndarray, cols=None) -> np.ndarray:
+        """The column block at the rows of ``X``: k(X, anchors[cols]) for
+        full/nystrom, z(X)[:, cols] for rf; every column when ``cols`` is
+        None.  Coefficient row j weights column j."""
+        if self.method == "rf":
+            if cols is None:
+                cols = np.arange(self.features.p)
+            return random_features_block(X, cols, self.features)
+        anchors = self.anchors if cols is None else self.anchors[cols]
+        return kernel_cross(X, anchors, self.kernel)
+
 
 def predict(model: Model, x_test: np.ndarray) -> np.ndarray:
     """Score matrix (m x k) for the rows of ``x_test``."""
@@ -209,13 +227,7 @@ def predict(model: Model, x_test: np.ndarray) -> np.ndarray:
         raise DimensionMismatchError(
             f"x_test has {x_test.shape[1]} features, model expects {width}"
         )
-    if model.method == "rf":
-        z = random_features_block(
-            x_test, np.arange(model.features.p), model.features
-        )
-        return z @ model.coefficients
-    kx = kernel_cross(x_test, model.anchors, model.kernel)
-    return kx @ model.coefficients
+    return model.columns(x_test) @ model.coefficients
 
 
 def classify(scores: np.ndarray) -> np.ndarray:
@@ -343,16 +355,12 @@ def objective_value(
     """The surrogate objective a solver of this method descends, evaluated
     densely at the model's coefficients (desk-scale diagnostic)."""
     Y = one_vs_all(data)
+    kj = model.columns(data.X)
     if model.method == "full":
-        K = kernel_cross(data.X, data.X, model.kernel)
-        return full_surrogate(model.coefficients, K, Y, lam)
+        return full_surrogate(model.coefficients, kj, Y, lam)
     if model.method == "nystrom":
-        kj = kernel_cross(data.X, data.X[model.landmarks], model.kernel)
-        return nystrom_objective(
-            model.coefficients, kj, model.landmarks, Y, lam, gamma
-        )
-    z = random_features_block(data.X, np.arange(model.features.p), model.features)
-    return rf_objective(model.coefficients, z, Y, lam)
+        return nystrom_objective(model.coefficients, kj, model.landmarks, Y, lam, gamma)
+    return rf_objective(model.coefficients, kj, Y, lam)
 
 
 def primal_dual_gap(Z: np.ndarray, w: np.ndarray, Y: np.ndarray, lam: float) -> float:
@@ -409,13 +417,6 @@ def _assert_residual(fresh: np.ndarray, maintained: np.ndarray) -> None:
         )
 
 
-def _t_matmul(kb: np.ndarray, m: np.ndarray, part) -> np.ndarray:
-    """kb^T @ m, row-partitioned over the simulated workers when given."""
-    if part is not None:
-        return partitioned_matvec(kb, m, part)
-    return kb.T @ m
-
-
 @dataclass
 class _FullSystem:
     """Block Gauss-Seidel on (K + n lam I) alpha = Y.
@@ -447,7 +448,7 @@ class _FullSystem:
     def update(self, st, idx, kb, kbb, part):
         lam_eff = self.n * st.lam
         t_res = perf_counter()
-        rb = _t_matmul(kb, st.coeffs, part) - kbb @ st.coeffs[idx]
+        rb = partitioned_matvec(kb, st.coeffs, part) - kbb @ st.coeffs[idx]
         res_seconds = perf_counter() - t_res
         t_solve = perf_counter()
         new_b = spd_solve(kbb + lam_eff * self.eye_b, self.Y[idx] - rb)
@@ -507,16 +508,15 @@ class _GramSystem:
         """Per-visit products shared by every lambda: the gram and, with
         landmarks, the block's training rows and its b x b block of K_JJ."""
         t_gram = perf_counter()
-        g = gram(kb) if part is None else distributed_gram(kb, part)
+        g = distributed_gram(kb, part)
         seconds = perf_counter() - t_gram
         if ledger is not None:
             # the per-block rhs partials ride in the same aggregation
             # message; only the b x b payload is charged
-            rounds = tree_rounds(part.workers) if part is not None else 0
             ledger.add(
                 "gram",
                 flops=self.n * self.b * self.b,
-                nbytes=rounds * self.b * self.b * FLOAT_BYTES,
+                nbytes=tree_rounds(part.workers) * self.b * self.b * FLOAT_BYTES,
                 seconds=seconds,
             )
         rows = None if self.landmarks is None else self.landmarks[pos]
@@ -529,7 +529,7 @@ class _GramSystem:
         st.resid -= kb @ st.coeffs[pos]
         if rows is not None:
             st.resid[rows] -= lam_eff * st.coeffs[pos]
-        rhs = _t_matmul(kb, self.Y - st.resid, part)
+        rhs = partitioned_matvec(kb, self.Y - st.resid, part)
         res_seconds = perf_counter() - t_res
         t_solve = perf_counter()
         system = g if rows is None else g + lam_eff * kbb
@@ -665,12 +665,14 @@ def _run(
     passes, that sweep is discarded and the run ends as it was at the
     epoch end; an error raised by that sweep's updates counts only if the
     check fails.  No check follows the last epoch: it could not change
-    the result.
+    the result.  No ``exec_ctx`` means one worker and no ledger.
     """
     _check_lams(lams)
     n, k = system.Y.shape
-    part = exec_ctx.partition(n) if exec_ctx is not None else None
-    ledger = exec_ctx.ledger if exec_ctx is not None else None
+    if exec_ctx is None:
+        exec_ctx = ExecContext()
+    part = exec_ctx.partition(n)
+    ledger = exec_ctx.ledger
     states = [
         _LamState(lam, np.zeros((plan.universe, k)), np.zeros((n, k))) for lam in lams
     ]
@@ -733,54 +735,40 @@ def _run(
     return [(system.model(st.coeffs), st.trace) for st in states]
 
 
-def _run_full(
-    data: Dataset, kspec: KernelSpec, lams, plan: BlockPlan, epochs: int,
-    *, block_fn=None, **kwargs,
+def _run_spec(
+    data: Dataset, spec, lams, plan: BlockPlan, epochs: int, *,
+    p: int | None = None, gamma: float = 0.0, landmark_seed: int = 0,
+    block_fn=None, **kwargs,
 ) -> list[tuple[Model, ConvergenceTrace]]:
-    X = data.X
-    if plan.universe != data.n:
-        raise ConfigError(f"plan universe {plan.universe} != n = {data.n}")
-    system = _FullSystem(
-        one_vs_all(data), plan.block_size,
-        block_fn or (lambda idx: kernel_cross(X, X[idx], kspec)),
-        lambda c: Model("full", c, kernel=kspec, anchors=X),
+    """The one place a spec (plus ``p``) picks a method: build a
+    zero-coefficient model of it, then run its system on the model's
+    column map, or on ``block_fn`` when given."""
+    Y = one_vs_all(data)
+    if isinstance(spec, FeatureMapSpec):
+        model = Model("rf", np.zeros((spec.p, data.k)), features=spec, dim=data.d)
+        gamma = 1.0  # rf is the nystrom system with no landmarks and gamma = 1
+    elif not isinstance(spec, KernelSpec):
+        raise ConfigError(f"unsupported spec type {type(spec).__name__}")
+    elif p is None:
+        model = Model("full", np.zeros((data.n, data.k)), kernel=spec, anchors=data.X)
+    else:
+        if gamma < 0:
+            raise ConfigError("gamma must be >= 0")
+        landmarks = draw_landmarks(data.n, p, landmark_seed)
+        model = Model("nystrom", np.zeros((p, data.k)), kernel=spec,
+                      anchors=data.X[landmarks], landmarks=landmarks)
+    rows = model.coefficients.shape[0]
+    if plan.universe != rows:
+        raise ConfigError(f"plan universe {plan.universe} != {rows} coefficient rows")
+    args = (
+        Y, plan.block_size,
+        block_fn or (lambda pos: model.columns(data.X, pos)),
+        lambda c: dataclasses.replace(model, coefficients=c),
     )
-    return _run(data, system, lams, plan, epochs, **kwargs)
-
-
-def _run_nystrom(
-    data: Dataset, kspec: KernelSpec, p: int, lams, gamma: float,
-    plan: BlockPlan, epochs: int, landmark_seed: int,
-    *, block_fn=None, **kwargs,
-) -> list[tuple[Model, ConvergenceTrace]]:
-    if plan.universe != p:
-        raise ConfigError(f"plan universe {plan.universe} != p = {p}")
-    if gamma < 0:
-        raise ConfigError("gamma must be >= 0")
-    landmarks = draw_landmarks(data.n, p, landmark_seed)
-    anchors = data.X[landmarks]
-    system = _GramSystem(
-        one_vs_all(data), plan.block_size,
-        block_fn or (lambda pos: kernel_cross(data.X, anchors[pos], kspec)),
-        lambda c: Model(
-            "nystrom", c, kernel=kspec, anchors=anchors, landmarks=landmarks
-        ),
-        landmarks=landmarks, gamma=gamma,
-    )
-    return _run(data, system, lams, plan, epochs, **kwargs)
-
-
-def _run_rf(
-    data: Dataset, fspec: FeatureMapSpec, lams, plan: BlockPlan, epochs: int,
-    *, block_fn=None, **kwargs,
-) -> list[tuple[Model, ConvergenceTrace]]:
-    if plan.universe != fspec.p:
-        raise ConfigError(f"plan universe {plan.universe} != p = {fspec.p}")
-    system = _GramSystem(
-        one_vs_all(data), plan.block_size,
-        block_fn or (lambda pos: random_features_block(data.X, pos, fspec)),
-        lambda c: Model("rf", c, features=fspec, dim=data.d),
-    )
+    if model.method == "full":
+        system = _FullSystem(*args)
+    else:
+        system = _GramSystem(*args, landmarks=model.landmarks, gamma=gamma)
     return _run(data, system, lams, plan, epochs, **kwargs)
 
 
@@ -789,59 +777,43 @@ def _run_rf(
 
 
 def solve_full(
-    data: Dataset,
-    kspec: KernelSpec,
-    lam: float,
-    plan: BlockPlan,
-    epochs: int,
+    data: Dataset, kspec: KernelSpec, lam: float, plan: BlockPlan, epochs: int,
     **kwargs,
 ) -> tuple[Model, ConvergenceTrace]:
     """Full-kernel block coordinate descent on (K + n*lam*I) alpha = Y."""
-    return _run_full(data, kspec, [lam], plan, epochs, **kwargs)[0]
+    return _run_spec(data, kspec, [lam], plan, epochs, **kwargs)[0]
 
 
 def solve_nystrom(
-    data: Dataset,
-    kspec: KernelSpec,
-    p: int,
-    lam: float,
-    gamma: float,
-    plan: BlockPlan,
-    epochs: int,
-    landmark_seed: int = 0,
-    **kwargs,
+    data: Dataset, kspec: KernelSpec, p: int, lam: float, gamma: float,
+    plan: BlockPlan, epochs: int, landmark_seed: int = 0, **kwargs,
 ) -> tuple[Model, ConvergenceTrace]:
     """Nystrom block coordinate descent on the regularized normal equations."""
-    return _run_nystrom(
-        data, kspec, p, [lam], gamma, plan, epochs, landmark_seed, **kwargs
+    return _run_spec(
+        data, kspec, [lam], plan, epochs,
+        p=p, gamma=gamma, landmark_seed=landmark_seed, **kwargs,
     )[0]
 
 
 def solve_rf(
-    data: Dataset,
-    fspec: FeatureMapSpec,
-    lam: float,
-    plan: BlockPlan,
-    epochs: int,
+    data: Dataset, fspec: FeatureMapSpec, lam: float, plan: BlockPlan, epochs: int,
     **kwargs,
 ) -> tuple[Model, ConvergenceTrace]:
     """Random-features block coordinate descent on (Z^T Z + n*lam*I) w = Z^T Y."""
-    return _run_rf(data, fspec, [lam], plan, epochs, **kwargs)[0]
+    return _run_spec(data, fspec, [lam], plan, epochs, **kwargs)[0]
 
 
 def solve_path(
-    data: Dataset,
-    spec,
-    lams,
-    plan: BlockPlan,
-    epochs: int,
-    *,
-    p: int | None = None,
-    gamma: float = 0.0,
-    landmark_seed: int = 0,
-    **kwargs,
+    data: Dataset, spec, lams, plan: BlockPlan, epochs: int, *,
+    p: int | None = None, gamma: float = 0.0, landmark_seed: int = 0, **kwargs,
 ) -> dict[float, tuple[Model, ConvergenceTrace]]:
     """Regularization path: one model and trace per lambda.
+
+    The method follows from ``spec`` and ``p``: a ``FeatureMapSpec`` runs
+    rf; a ``KernelSpec`` runs full when ``p`` is None, and otherwise
+    nystrom on ``p`` landmark rows drawn with ``landmark_seed``, with
+    ``gamma`` weighting its ridge term.  ``gamma`` and ``landmark_seed``
+    are ignored by full and rf.
 
     Block matrices (the column block and, for nystrom/rf, its gram) are
     generated once per block visit and shared across every lambda, so the
@@ -849,17 +821,10 @@ def solve_path(
     what its own single-lambda run with the same plan would produce.
     """
     lams = list(lams)
-    if isinstance(spec, FeatureMapSpec):
-        results = _run_rf(data, spec, lams, plan, epochs, **kwargs)
-    elif isinstance(spec, KernelSpec):
-        if p is None:
-            results = _run_full(data, spec, lams, plan, epochs, **kwargs)
-        else:
-            results = _run_nystrom(
-                data, spec, p, lams, gamma, plan, epochs, landmark_seed, **kwargs
-            )
-    else:
-        raise ConfigError(f"unsupported spec type {type(spec).__name__}")
+    results = _run_spec(
+        data, spec, lams, plan, epochs,
+        p=p, gamma=gamma, landmark_seed=landmark_seed, **kwargs,
+    )
     return {lam: res for lam, res in zip(lams, results)}
 
 
@@ -879,23 +844,17 @@ def normal_equation_residual(
     Materializes the full n x p (or n x n) block, so desk scale only.
     """
     Y = one_vs_all(data)
-    n = data.n
-    lam_eff = n * lam
+    lam_eff = data.n * lam
+    c = model.coefficients
+    kj = model.columns(data.X)
     if model.method == "full":
-        K = kernel_cross(data.X, data.X, model.kernel)
-        lhs = K @ model.coefficients + lam_eff * model.coefficients
+        lhs = kj @ c + lam_eff * c
         return float(np.linalg.norm(lhs - Y) / np.linalg.norm(Y))
+    rhs = kj.T @ Y
+    lhs = kj.T @ (kj @ c)
     if model.method == "nystrom":
-        kj = kernel_cross(data.X, data.X[model.landmarks], model.kernel)
-        kjj = kj[model.landmarks]
-        rhs = kj.T @ Y
-        lhs = (
-            kj.T @ (kj @ model.coefficients)
-            + lam_eff * (kjj @ model.coefficients)
-            + lam_eff * gamma * model.coefficients
-        )
-        return float(np.linalg.norm(lhs - rhs) / np.linalg.norm(rhs))
-    z = random_features_block(data.X, np.arange(model.features.p), model.features)
-    rhs = z.T @ Y
-    lhs = z.T @ (z @ model.coefficients) + lam_eff * model.coefficients
+        lhs += lam_eff * (kj[model.landmarks] @ c)
+    else:
+        gamma = 1.0  # rf: no K_JJ term and a ridge of 1
+    lhs += lam_eff * gamma * c
     return float(np.linalg.norm(lhs - rhs) / np.linalg.norm(rhs))

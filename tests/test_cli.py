@@ -394,6 +394,25 @@ def test_nonpositive_sigma_is_config_error(blob_files, method, capsys):
     assert "bandwidth must be positive" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("sigma", ["1e300", "1e-300"])
+@pytest.mark.parametrize("method", ["full", "nystrom"])
+def test_rbf_sigma_squared_out_of_range_is_config_error(
+    tmp_path, blob_files, method, sigma, capsys
+):
+    # sigma*sigma overflows to inf or underflows to 0: a config error
+    # naming sigma, not an OverflowError or a failed block solve
+    train, _ = blob_files
+    out = tmp_path / "out"
+    p_flag = [] if method == "full" else ["--p", "16"]
+    code = main(
+        ["solve", "--train", train, "--method", method, "--b", "8",
+         "--sigma", sigma, "--out", str(out)] + p_flag
+    )
+    assert code == EXIT_CONFIG
+    assert "sigma" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flags", [[], ["--dim", "4", "--b", "5"]])
 def test_rates_check_rejects_block_beyond_dim(tmp_path, flags, capsys):
     # the defaults (--b 64, --dim 32) are such a case

@@ -52,6 +52,18 @@ class TestKernelEval:
         with pytest.raises(ValueError):
             KernelSpec("rbf", sigma=0.0)
 
+    @pytest.mark.parametrize("sigma", [1e300, 1e-300, -1.0, float("nan"), float("inf")])
+    def test_rbf_sigma_squared_must_be_positive_and_finite(self, sigma):
+        with pytest.raises(ValueError, match="sigma"):
+            KernelSpec("rbf", sigma=sigma)
+        KernelSpec("linear", sigma=sigma)  # linear ignores sigma
+
+    def test_rbf_sigma_squared_at_the_float_edges(self):
+        # near the float edges, where sigma*sigma is still finite and nonzero
+        for sigma in (1e154, 1e-154):
+            spec = KernelSpec("rbf", sigma=sigma)
+            assert np.all(np.isfinite(kernel_cross(np.eye(2), np.eye(2), spec)))
+
 
 class TestKernelBlock:
     def test_full_block_symmetric(self):

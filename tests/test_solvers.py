@@ -41,9 +41,7 @@ from kernelbcd.solvers import (
     solve_rf,
     _GramSystem,
     _run,
-    _run_full,
-    _run_nystrom,
-    _run_rf,
+    _run_spec,
 )
 
 
@@ -226,7 +224,7 @@ class TestSolveRf:
         fspec = FeatureMapSpec(p=p, sigma=1.0, master_seed=0)
         plan = make_plan(p, 4, seed=19)
         lam = 0.05
-        results = _run_rf(
+        results = _run_spec(
             data, fspec, [lam], plan, 1, block_fn=lambda pos: q[:, pos]
         )
         model, _ = results[0]
@@ -275,7 +273,7 @@ class TestSolveRf:
             return rng.standard_normal((32, len(pos)))
 
         with pytest.raises(DivergenceError):
-            _run_rf(
+            _run_spec(
                 data, fspec, [1e-3], plan, 50,
                 block_fn=unstable_block, check_residual=True,
             )
@@ -759,7 +757,7 @@ def test_engine_residual_check_and_grad_tol_stop(method):
             return kernel_cross(data.X, data.X[idx], kspec)
 
         def run(**kw):
-            return _run_full(data, kspec, [lam], plan, epochs, **kw)
+            return _run_spec(data, kspec, [lam], plan, epochs, **kw)
     elif method == "nystrom":
         plan = make_plan(16, 4, seed=96)
         landmarks = draw_landmarks(32, 16, seed=97)
@@ -768,7 +766,10 @@ def test_engine_residual_check_and_grad_tol_stop(method):
             return kernel_cross(data.X, data.X[landmarks[pos]], kspec)
 
         def run(**kw):
-            return _run_nystrom(data, kspec, 16, [lam], gamma, plan, epochs, 97, **kw)
+            return _run_spec(
+                data, kspec, [lam], plan, epochs,
+                p=16, gamma=gamma, landmark_seed=97, **kw,
+            )
     else:
         fspec = FeatureMapSpec(p=16, sigma=2.0, master_seed=98)
         plan = make_plan(16, 4, seed=96)
@@ -777,7 +778,7 @@ def test_engine_residual_check_and_grad_tol_stop(method):
             return random_features_block(data.X, pos, fspec)
 
         def run(**kw):
-            return _run_rf(data, fspec, [lam], plan, epochs, **kw)
+            return _run_spec(data, fspec, [lam], plan, epochs, **kw)
 
     [(model, trace)] = run(block_fn=source, check_residual=True, grad_tol=tol)
     assert trace.records[-1].epoch < epochs - 1  # the stop fired
@@ -823,12 +824,13 @@ def _stop_case(method):
 
     def run(lams, epochs, **kw):
         if method == "full":
-            return _run_full(data, kspec, lams, plan, epochs, block_fn=source, **kw)
+            return _run_spec(data, kspec, lams, plan, epochs, block_fn=source, **kw)
         if method == "nystrom":
-            return _run_nystrom(
-                data, kspec, 16, lams, 1.0, plan, epochs, 97, block_fn=source, **kw
+            return _run_spec(
+                data, kspec, lams, plan, epochs, p=16, gamma=1.0, landmark_seed=97,
+                block_fn=source, **kw,
             )
-        return _run_rf(data, fspec, lams, plan, epochs, block_fn=source, **kw)
+        return _run_spec(data, fspec, lams, plan, epochs, block_fn=source, **kw)
 
     return plan, calls, run
 
@@ -977,3 +979,34 @@ def test_rf_model_file_without_width_loads_unchecked(tmp_path):
     assert loaded.dim is None
     assert np.array_equal(predict(loaded, data.X), predict(model, data.X))
     assert predict(loaded, np.zeros((5, 4))).shape == (5, 2)
+
+
+@pytest.mark.parametrize("method", ["full", "nystrom", "rf"])
+def test_model_columns_is_the_explicit_block(method, tmp_path):
+    # the column map equals the explicit kernel/feature formula, for every
+    # column and for a subset, before and after a save/load round trip
+    data = gaussian_blobs(24, 3, 2, seed=100)
+    kspec = KernelSpec("rbf", sigma=2.0)
+    fspec = FeatureMapSpec(p=8, sigma=2.0, master_seed=101)
+    if method == "full":
+        model, _ = solve_full(data, kspec, 1e-2, make_plan(24, 4, 102), 3)
+    elif method == "nystrom":
+        model, _ = solve_nystrom(
+            data, kspec, 8, 1e-2, 1.0, make_plan(8, 4, 102), 3, landmark_seed=103
+        )
+    else:
+        model, _ = solve_rf(data, fspec, 1e-2, make_plan(8, 4, 102), 3)
+    x = np.random.default_rng(104).standard_normal((5, 3))
+    cols = np.array([6, 1, 3])
+
+    def explicit(cols):
+        if method == "rf":
+            return random_features_block(x, np.arange(8)[cols], fspec)
+        rows = np.arange(24) if method == "full" else model.landmarks
+        return kernel_cross(x, data.X[rows[cols]], kspec)
+
+    path = tmp_path / "model.kbcd"
+    save_model(model, path)
+    for m in (model, load_model(path)):
+        assert np.array_equal(m.columns(x), explicit(slice(None)))
+        assert np.array_equal(m.columns(x, cols), explicit(cols))
