@@ -11,8 +11,8 @@ Subcommands:
 Configuration comes from flags, optionally seeded by a key=value config
 file (flags win).  The default output directory can be set through the
 ``KERNELBCD_OUTDIR`` environment variable.  Exit codes: 0 success,
-2 configuration error, 3 data parse error, 4 solver divergence,
-5 rate-bound violation.
+2 configuration error or out of memory, 3 data parse error, 4 solver
+divergence (including a non-finite block system), 5 rate-bound violation.
 
 Output files are written to a temporary name and renamed on success, so a
 failed run leaves no partial file behind.  Given identical configuration
@@ -254,12 +254,6 @@ def _truncated_p(p: int, b: int) -> int:
     return new_p
 
 
-def _exec_ctx(cfg: RunConfig, ledger: CostLedger | None = None) -> ExecContext | None:
-    if cfg.workers == 1 and ledger is None:
-        return None
-    return ExecContext(workers=cfg.workers, ledger=ledger)
-
-
 def _train(cfg: RunConfig, train, test, ledger=None, epochs=None):
     """Train ``cfg.method`` for every ``cfg.lambdas`` value in one
     ``solve_path`` run: the one place the CLI builds a spec and a plan."""
@@ -288,7 +282,8 @@ def _train(cfg: RunConfig, train, test, ledger=None, epochs=None):
     plan = make_plan(universe, cfg.b, seed=cfg.seed + PLAN_SEED_OFF)
     return solve_path(
         train, spec, cfg.lambdas, plan, cfg.epochs if epochs is None else epochs,
-        test_data=test, exec_ctx=_exec_ctx(cfg, ledger), rmse=cfg.rmse, **extra,
+        test_data=test, exec_ctx=ExecContext(workers=cfg.workers, ledger=ledger),
+        rmse=cfg.rmse, **extra,
     )
 
 
@@ -376,7 +371,6 @@ def cmd_rates_check(cfg: RunConfig) -> int:
     rng = np.random.default_rng(cfg.seed)
     curve_rows = []
     verdicts = []
-    all_ok = True
     for q in range(cfg.quadratics):
         raw = rng.standard_normal((cfg.dim, cfg.dim))
         H = raw @ raw.T / cfg.dim + 0.5 * np.eye(cfg.dim)
@@ -394,19 +388,16 @@ def cmd_rates_check(cfg: RunConfig) -> int:
         cls_ok = bool(np.all(mean_gap <= 1.05 * classical))
         verdicts.append([f"improved_bound_dominates_q{q}", thm_ok])
         verdicts.append([f"classical_bound_dominates_q{q}", cls_ok])
-        all_ok = all_ok and thm_ok and cls_ok
     allowed = cfg.delta + rates.monte_carlo_slack(cfg.delta, cfg.trials)
     A = rng.standard_normal((50, 100))
     chernoff = rates.chernoff_violation_rate(
         A, 10, cfg.delta, cfg.trials, seed=cfg.seed + 101
     )
     verdicts.append(["chernoff_upper_tail", chernoff <= allowed])
-    all_ok = all_ok and chernoff <= allowed
     bernstein = rates.bernstein_lower_rate(
         A, 10, cfg.delta, cfg.trials, seed=cfg.seed + 102
     )
     verdicts.append(["bernstein_lower_tail", bernstein <= allowed])
-    all_ok = all_ok and bernstein <= allowed
     X = rng.standard_normal((24, 2))
     alpha = 0.5
     p_req = rates.rf_required_features(X, 1.0, alpha, cfg.delta)
@@ -416,7 +407,7 @@ def cmd_rates_check(cfg: RunConfig) -> int:
         base_seed=cfg.seed + 104,
     )
     verdicts.append(["rf_operator_norm", rf_res.passed])
-    all_ok = all_ok and rf_res.passed
+    all_ok = all(ok for _, ok in verdicts)
     _write_rows(
         os.path.join(cfg.out, "rates_curve.csv"),
         ["problem", "t", "empirical_mean_gap", "improved_bound", "classical_bound"],
@@ -492,6 +483,9 @@ def main(argv=None) -> int:
         return EXIT_DIVERGED
     except KernelBcdError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
 

@@ -16,11 +16,11 @@ closed-form per-epoch predictions of ``predict_costs``):
 * bytes are 8 per float; a tree aggregation of a b x b result over M
   workers is charged ceil(log2(M)) * b^2 * 8, i.e. rounds x message size.
 
-Inside the solvers, the per-block right-hand-side partials ride in the
-same aggregation message as the gram, and only the b x b payload is
-charged, mirroring the closed-form communication column.  The standalone
-``distributed_matvec`` charges its own (analogous) bytes when called
-directly.
+Every run charges a ledger, the caller's or ``NULL_LEDGER``, which keeps
+nothing.  ``distributed_gram`` is the one gram charge, seconds included; the
+per-block right-hand-side partials ride in its aggregation message, and only
+the b x b payload is charged, as in the closed-form communication column.
+The standalone ``distributed_matvec`` charges its own (analogous) bytes.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ import csv
 import math
 import os
 from dataclasses import dataclass, field
+from time import perf_counter
 
 import numpy as np
 
@@ -131,6 +132,20 @@ class CostLedger:
         os.replace(tmp, path)
 
 
+class _NullLedger(CostLedger):
+    """The ledger a run given none charges.  It keeps nothing, not even a
+    position, so one shared instance serves every run."""
+
+    def set_position(self, epoch: int, block: int) -> None:
+        pass
+
+    def add(self, phase: str, flops: int = 0, nbytes: int = 0, seconds: float = 0.0):
+        pass
+
+
+NULL_LEDGER = _NullLedger()
+
+
 @dataclass
 class ExecContext:
     """How solvers execute block work: worker count plus optional ledger."""
@@ -167,24 +182,24 @@ def _check_partition(part: Partition, n_rows: int) -> None:
 
 
 def distributed_gram(
-    zb: np.ndarray, part: Partition, ledger: CostLedger | None = None
+    zb: np.ndarray, part: Partition, ledger: CostLedger = NULL_LEDGER
 ) -> np.ndarray:
     """Row-partitioned Zb^T Zb with tree aggregation.
 
     Matches the serial ``gram`` to ~1e-10 relative (bit-identical for
-    M = 1).  Ledger: n*b^2 flops, ceil(log2(M)) * b^2 * 8 bytes.
+    M = 1).  Ledger: n*b^2 flops, ceil(log2(M)) * b^2 * 8 bytes and its seconds.
     """
+    start = perf_counter()
     zb = np.asarray(zb, dtype=np.float64)
     _check_partition(part, zb.shape[0])
     parts = [gram(zb[lo:hi]) for lo, hi in part.ranges()]
     out = _tree_reduce(parts)
-    if ledger is not None:
-        b = zb.shape[1]
-        ledger.add(
-            "gram",
-            flops=zb.shape[0] * b * b,
-            nbytes=tree_rounds(part.workers) * b * b * FLOAT_BYTES,
-        )
+    ledger.add(  # out holds the b^2 entries
+        "gram",
+        flops=part.n_rows * out.size,
+        nbytes=tree_rounds(part.workers) * out.size * FLOAT_BYTES,
+        seconds=perf_counter() - start,
+    )
     return out
 
 
@@ -205,7 +220,7 @@ def distributed_matvec(
     a: np.ndarray,
     rhs: np.ndarray,
     part: Partition,
-    ledger: CostLedger | None = None,
+    ledger: CostLedger = NULL_LEDGER,
     phase: str = "gram",
 ) -> np.ndarray:
     """Row-partitioned A^T @ rhs (result b x k) with tree aggregation.
@@ -214,14 +229,11 @@ def distributed_matvec(
     convention applied to the b x k result.
     """
     out = partitioned_matvec(a, rhs, part)
-    if ledger is not None:
-        n, b = a.shape
-        k = rhs.shape[1] if rhs.ndim == 2 else 1
-        ledger.add(
-            phase,
-            flops=n * b * k,
-            nbytes=tree_rounds(part.workers) * b * k * FLOAT_BYTES,
-        )
+    ledger.add(  # out holds the b*k entries
+        phase,
+        flops=part.n_rows * out.size,
+        nbytes=tree_rounds(part.workers) * out.size * FLOAT_BYTES,
+    )
     return out
 
 

@@ -26,11 +26,12 @@ class DimensionMismatchError(KernelBcdError):
 
 
 class DivergenceError(KernelBcdError):
-    """A block update increased the solver objective beyond tolerance.
+    """A block update increased the solver objective beyond tolerance, or a
+    block system went non-finite.
 
     The exact block solve is a descent step, so an increase signals a
     residual-maintenance bug (or inconsistent block regeneration), not a
-    tuning problem.
+    tuning problem.  A non-finite system means the data overflowed.
     """
 
 

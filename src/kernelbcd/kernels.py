@@ -129,7 +129,9 @@ def kernel_cross(Xa: np.ndarray, Xb: np.ndarray, spec: KernelSpec) -> np.ndarray
     if spec.family == "linear":
         return Xa @ Xb.T
     sq = cdist(Xa, Xb, "sqeuclidean")
-    sq /= -2.0 * spec.sigma**2
+    # a subnormal sigma**2 sends off-diagonal entries to -inf: the limit 0
+    with np.errstate(over="ignore"):
+        sq /= -2.0 * spec.sigma**2
     return np.exp(sq, out=sq)
 
 

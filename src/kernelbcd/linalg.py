@@ -15,7 +15,12 @@ from typing import NamedTuple
 import numpy as np
 import scipy.linalg
 
-from .errors import DimensionMismatchError, IndexOutOfRangeError, NotSpdError
+from .errors import (
+    DimensionMismatchError,
+    DivergenceError,
+    IndexOutOfRangeError,
+    NotSpdError,
+)
 
 SYMMETRY_RTOL = 1e-9
 
@@ -45,15 +50,31 @@ def validate_indices(indices, universe: int) -> np.ndarray:
 def is_symmetric(a: np.ndarray, rtol: float = SYMMETRY_RTOL) -> bool:
     if a.size == 0:
         return True
-    scale = max(1.0, float(np.abs(a).max()))
-    return bool(np.abs(a - a.T).max() <= rtol * scale)
+    scale = float(np.abs(a).max())
+    if not scale < np.inf:  # a non-finite entry fails, before inf - inf warns
+        return False
+    return bool(np.abs(a - a.T).max() <= rtol * max(1.0, scale))
+
+
+def _raise_if_not_finite(**arrays) -> None:
+    """Raise ``DivergenceError`` naming the non-finite entries, if any."""
+    for name, arr in arrays.items():
+        bad = np.argwhere(~np.isfinite(arr))
+        if bad.size:
+            raise DivergenceError(
+                f"{name} has {len(bad)} non-finite entries, the first at "
+                f"{bad[0].tolist()}"
+            )
 
 
 def spd_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve A X = B for symmetric positive definite A via Cholesky.
 
     Raises ``NotSpdError`` if A is visibly asymmetric or the factorization
-    hits a non-positive pivot.
+    hits a non-positive pivot, and ``DivergenceError`` instead when that
+    failure comes from non-finite entries of A or B.  Finiteness is
+    checked only on those failure paths, so a solve that succeeds pays
+    nothing for it.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
@@ -64,10 +85,12 @@ def spd_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
             f"rhs has {b.shape[0]} rows, matrix has {a.shape[1]} columns"
         )
     if not is_symmetric(a):
+        _raise_if_not_finite(matrix=a, rhs=b)
         raise NotSpdError("matrix is not symmetric within tolerance")
     try:
         factor = scipy.linalg.cho_factor(a, lower=True, check_finite=False)
     except scipy.linalg.LinAlgError as exc:
+        _raise_if_not_finite(matrix=a, rhs=b)
         raise NotSpdError(str(exc)) from exc
     return scipy.linalg.cho_solve(factor, b, check_finite=False)
 

@@ -155,20 +155,10 @@ def l_max_b(
             raise CombinatorialBlowupError(
                 f"C({d},{b}) = {count} subsets exceeds the {EXACT_SUBSET_CAP} cap"
             )
-        best = -np.inf
-        for subset in combinations(range(d), b):
-            sub = H[np.ix_(subset, subset)]
-            best = max(best, float(np.linalg.eigvalsh(sub)[-1]))
-        return LmaxEstimate(best, True)
+        return LmaxEstimate(max(_tops(H, combinations(range(d), b))), True)
     if mode != "sampled":
         raise ConfigError(f"unknown mode {mode!r}")
-    rng = np.random.default_rng(seed)
-    best = -np.inf
-    for _ in range(trials):
-        subset = rng.choice(d, size=b, replace=False)
-        sub = H[np.ix_(subset, subset)]
-        best = max(best, float(np.linalg.eigvalsh(sub)[-1]))
-    return LmaxEstimate(best, False)
+    return LmaxEstimate(max(_tops(H, _subsets(d, b, trials, seed))), False)
 
 
 def standard_rate_iters(
@@ -223,6 +213,16 @@ def classical_bound(
 # empirical block coordinate descent on quadratics
 
 
+def _seeded_rngs(seeds: int, tau: int, base_seed: int):
+    """The generator of each seeded run s: SeedSequence(base_seed, spawn_key=(s,))."""
+    if seeds < 1 or tau < 0:
+        raise ConfigError(f"need seeds >= 1 and tau >= 0, got {seeds} and {tau}")
+    return (
+        np.random.default_rng(np.random.SeedSequence(base_seed, spawn_key=(s,)))
+        for s in range(seeds)
+    )
+
+
 def _bcd_gaps(
     prob: QuadraticProblem, b: int, tau: int, rng, stop: float | None = None
 ) -> np.ndarray:
@@ -260,11 +260,8 @@ def run_bcd_quadratic(
     Seeds are reduced by stable summation in seed order, so the output is
     reproducible for a fixed (prob, b, seeds, tau, base_seed).
     """
-    if seeds < 1 or tau < 0:
-        raise ConfigError(f"need seeds >= 1 and tau >= 0, got {seeds} and {tau}")
     total = np.zeros(tau + 1)
-    for s in range(seeds):
-        rng = np.random.default_rng(np.random.SeedSequence(base_seed, spawn_key=(s,)))
+    for rng in _seeded_rngs(seeds, tau, base_seed):
         total += _bcd_gaps(prob, b, tau, rng)
     return total / seeds
 
@@ -277,13 +274,16 @@ def bcd_iterations_to_tolerance(
     max_iters: int,
     base_seed: int = 0,
 ) -> np.ndarray:
-    """Per-seed step counts until gap <= rel_tol * gap(0); max_iters if never."""
+    """Per-seed step counts until gap <= rel_tol * gap(0); max_iters if never.
+    The seeds are those of ``run_bcd_quadratic``, with tau = max_iters."""
     target = rel_tol * (0.0 - prob.f_star)
-    counts = np.empty(seeds, dtype=np.int64)
-    for s in range(seeds):
-        rng = np.random.default_rng(np.random.SeedSequence(base_seed, spawn_key=(s,)))
-        counts[s] = len(_bcd_gaps(prob, b, max_iters, rng, stop=target)) - 1
-    return counts
+    return np.array(
+        [
+            len(_bcd_gaps(prob, b, max_iters, rng, stop=target)) - 1
+            for rng in _seeded_rngs(seeds, max_iters, base_seed)
+        ],
+        dtype=np.int64,
+    )
 
 
 def adversarial_hessian(d: int, lam: float) -> np.ndarray:
@@ -311,6 +311,20 @@ def monte_carlo_slack(delta: float, trials: int) -> float:
     return 3.0 * math.sqrt(delta / trials)
 
 
+def _subsets(d: int, size: int, trials: int, seed: int):
+    """``trials`` uniform without-replacement size-``size`` subsets of
+    range(d), drawn in turn from ``default_rng(seed)``."""
+    if trials < 1:
+        raise ConfigError(f"need at least one trial, got {trials}")
+    rng = np.random.default_rng(seed)
+    return (rng.choice(d, size=size, replace=False) for _ in range(trials))
+
+
+def _tops(G: np.ndarray, subsets):
+    """lambda_max of the principal submatrix G(s, s), one subset at a time."""
+    return (float(np.linalg.eigvalsh(G[np.ix_(s, s)])[-1]) for s in subsets)
+
+
 def chernoff_violation_rate(
     A: np.ndarray, b: int, delta: float, trials: int, seed: int = 0
 ) -> float:
@@ -335,13 +349,7 @@ def chernoff_violation_rate(
         math.e**2 * (b / p) * float(np.linalg.eigvalsh(G)[-1])
         + float(np.diag(G).max()) * math.log(n / delta)
     )
-    rng = np.random.default_rng(seed)
-    hits = 0
-    for _ in range(trials):
-        idx = rng.choice(p, size=b, replace=False)
-        top = float(np.linalg.eigvalsh(G[np.ix_(idx, idx)])[-1])
-        if top >= threshold:
-            hits += 1
+    hits = sum(top >= threshold for top in _tops(G, _subsets(p, b, trials, seed)))
     return hits / trials
 
 
@@ -375,13 +383,7 @@ def bernstein_lower_rate(
         - (4.0 / 3.0) * (lmax / m) * log_term
         - math.sqrt((8.0 * p / m) * lmax * col_b * log_term)
     )
-    rng = np.random.default_rng(seed)
-    hits = 0
-    for _ in range(trials):
-        idx = rng.choice(m, size=p, replace=False)
-        top = float(np.linalg.eigvalsh(G[np.ix_(idx, idx)])[-1])
-        if top < threshold:
-            hits += 1
+    hits = sum(top < threshold for top in _tops(G, _subsets(m, p, trials, seed)))
     return hits / trials
 
 
@@ -391,6 +393,8 @@ def rf_required_features(
     """Feature count the operator-norm lemma demands:
     p >= (2/alpha)(1/alpha + 2/3) (n B^2 / ||K||) log(2n / delta),
     with B = sqrt(2) for cosine features."""
+    if not 0 < delta <= 1:
+        raise ConfigError("delta must lie in (0, 1]")
     if not 0 < alpha < 1:
         raise ConfigError("alpha must lie in (0, 1)")
     X = np.asarray(X, dtype=np.float64)
@@ -429,15 +433,13 @@ def rf_concentration_check(
     at most delta once p clears ``rf_required_features``; a smaller p
     raises ThresholdNotMetError (callers should skip, not fail).
     """
-    if not 0 < delta <= 1:
-        raise ConfigError("delta must lie in (0, 1]")
     X = np.asarray(X, dtype=np.float64)
     required = rf_required_features(X, spec.sigma, alpha, delta)
     if spec.p < required:
         raise ThresholdNotMetError(
             f"p = {spec.p} below the lemma requirement {required}"
         )
-    n = X.shape[0]
+    allowed = delta + monte_carlo_slack(delta, trials)
     K = kernel_cross(X, X, KernelSpec("rbf", spec.sigma))
     norm_k = float(np.linalg.eigvalsh(K)[-1])
     lo, hi = (1.0 - alpha) * norm_k, (1.0 + alpha) * norm_k
@@ -452,7 +454,6 @@ def rf_concentration_check(
         if not lo <= top <= hi:
             hits += 1
     rate = hits / trials
-    allowed = delta + monte_carlo_slack(delta, trials)
     return RfConcentrationResult(rate, allowed, required, norm_k, rate <= allowed)
 
 

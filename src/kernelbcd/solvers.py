@@ -42,10 +42,10 @@ import numpy as np
 
 from .distsim import (
     FLOAT_BYTES,
+    NULL_LEDGER,
     ExecContext,
     distributed_gram,
     partitioned_matvec,
-    tree_rounds,
 )
 from .errors import ConfigError, DimensionMismatchError, DivergenceError
 from .kernels import (
@@ -439,11 +439,10 @@ class _FullSystem:
 
     def visit(self, idx, kb, part, ledger):
         """Per-visit products shared by every lambda: the diagonal block."""
-        if ledger is not None:
-            # the b x b diagonal block ships to the solving node once per
-            # visit; the closed form charges it with no worker dependence
-            ledger.add("solve", nbytes=self.b * self.b * FLOAT_BYTES)
-        return kb[idx], 0.0
+        # the b x b diagonal block ships to the solving node once per
+        # visit; the closed form charges it with no worker dependence
+        ledger.add("solve", nbytes=self.b * self.b * FLOAT_BYTES)
+        return kb[idx]
 
     def update(self, st, idx, kb, kbb, part):
         lam_eff = self.n * st.lam
@@ -506,21 +505,11 @@ class _GramSystem:
 
     def visit(self, pos, kb, part, ledger):
         """Per-visit products shared by every lambda: the gram and, with
-        landmarks, the block's training rows and its b x b block of K_JJ."""
-        t_gram = perf_counter()
-        g = distributed_gram(kb, part)
-        seconds = perf_counter() - t_gram
-        if ledger is not None:
-            # the per-block rhs partials ride in the same aggregation
-            # message; only the b x b payload is charged
-            ledger.add(
-                "gram",
-                flops=self.n * self.b * self.b,
-                nbytes=tree_rounds(part.workers) * self.b * self.b * FLOAT_BYTES,
-                seconds=seconds,
-            )
+        landmarks, the block's training rows and its b x b block of K_JJ.
+        The gram charges itself; the rhs partials ride in its message."""
+        g = distributed_gram(kb, part, ledger)
         rows = None if self.landmarks is None else self.landmarks[pos]
-        return (g, rows, None if rows is None else kb[rows]), seconds
+        return g, rows, None if rows is None else kb[rows]
 
     def update(self, st, pos, kb, products, part):
         g, rows, kbb = products
@@ -621,7 +610,7 @@ class _PendingCheck:
         self.epoch, self.block = epoch, block
         self.coeffs = [st.coeffs.copy() for st in states]
         self.n_records = [len(st.trace.records) for st in states]
-        self.n_ledger = len(ledger.records) if ledger is not None else 0
+        self.n_ledger = len(ledger.records)
         self.snapshots = [system.check_snapshot(st) for st in states]
         self.terms = [[0.0] * n_blocks for _ in states]
         self.rhs_terms = [0.0] * n_blocks if system.rhs_norm is None else None
@@ -643,9 +632,8 @@ class _PendingCheck:
         for st, coeffs, n_records in zip(states, self.coeffs, self.n_records):
             st.coeffs = coeffs
             del st.trace.records[n_records:]
-        if ledger is not None:
-            del ledger.records[self.n_ledger:]
-            ledger.set_position(self.epoch, self.block)
+        del ledger.records[self.n_ledger:]
+        ledger.set_position(self.epoch, self.block)
 
 
 def _run(
@@ -655,40 +643,40 @@ def _run(
 ) -> list[tuple[Model, ConvergenceTrace]]:
     """Sweep ``plan`` for ``epochs`` epochs, carrying every lambda.
 
-    Each visit generates the column block once, lets ``system`` form the
-    products every lambda shares, then applies one exact b x b update per
-    lambda.  The ledger, the descent guard, test evaluation, traces, the
-    residual check and the ``grad_tol`` stop live here and nowhere else.
+    Each visit generates the column block once, times ``system.visit``
+    forming the products every lambda shares, then applies one exact b x b
+    update per lambda.  The ledger, the descent guard, test evaluation,
+    traces, the residual check and the ``grad_tol`` stop live here.
 
     A system whose ``grad_tol`` check needs every column block has it
     summed on the next sweep's blocks (``_PendingCheck``).  If the check
     passes, that sweep is discarded and the run ends as it was at the
     epoch end; an error raised by that sweep's updates counts only if the
     check fails.  No check follows the last epoch: it could not change
-    the result.  No ``exec_ctx`` means one worker and no ledger.
+    the result.  No ``exec_ctx`` means one worker, and no ledger means
+    ``NULL_LEDGER``, which keeps nothing.
     """
     _check_lams(lams)
     n, k = system.Y.shape
     if exec_ctx is None:
         exec_ctx = ExecContext()
     part = exec_ctx.partition(n)
-    ledger = exec_ctx.ledger
+    ledger = exec_ctx.ledger if exec_ctx.ledger is not None else NULL_LEDGER
     states = [
         _LamState(lam, np.zeros((plan.universe, k)), np.zeros((n, k))) for lam in lams
     ]
 
     def visit(epoch, blk, pos, kb, gen_s):
-        if ledger is not None:
-            ledger.set_position(epoch, blk)
-            ledger.add("generation", flops=n * system.b * data.d, seconds=gen_s)
-        products, visit_s = system.visit(pos, kb, part, ledger)
-        shared = gen_s + visit_s
+        ledger.set_position(epoch, blk)
+        ledger.add("generation", flops=n * system.b * data.d, seconds=gen_s)
+        t_visit = perf_counter()
+        products = system.visit(pos, kb, part, ledger)
+        shared = gen_s + perf_counter() - t_visit
         for st in states:
             t0 = perf_counter()
             res_s, solve_s = system.update(st, pos, kb, products, part)
-            if ledger is not None:
-                ledger.add("residual", flops=system.residual_flops, seconds=res_s)
-                ledger.add("solve", flops=system.b**3, seconds=solve_s)
+            ledger.add("residual", flops=system.residual_flops, seconds=res_s)
+            ledger.add("solve", flops=system.b**3, seconds=solve_s)
             obj, alt = system.objective(st)
             _guard_descent(st, obj)
             terr = None
@@ -776,11 +764,19 @@ def _run_spec(
 # public entry points
 
 
+def _expect_spec(spec, kind: type) -> None:
+    """The single-method entry points take one spec type; the builder would
+    run the other method on the other type."""
+    if not isinstance(spec, kind):
+        raise ConfigError(f"expected a {kind.__name__}, got {type(spec).__name__}")
+
+
 def solve_full(
     data: Dataset, kspec: KernelSpec, lam: float, plan: BlockPlan, epochs: int,
     **kwargs,
 ) -> tuple[Model, ConvergenceTrace]:
     """Full-kernel block coordinate descent on (K + n*lam*I) alpha = Y."""
+    _expect_spec(kspec, KernelSpec)
     return _run_spec(data, kspec, [lam], plan, epochs, **kwargs)[0]
 
 
@@ -789,6 +785,7 @@ def solve_nystrom(
     plan: BlockPlan, epochs: int, landmark_seed: int = 0, **kwargs,
 ) -> tuple[Model, ConvergenceTrace]:
     """Nystrom block coordinate descent on the regularized normal equations."""
+    _expect_spec(kspec, KernelSpec)
     return _run_spec(
         data, kspec, [lam], plan, epochs,
         p=p, gamma=gamma, landmark_seed=landmark_seed, **kwargs,
@@ -800,6 +797,7 @@ def solve_rf(
     **kwargs,
 ) -> tuple[Model, ConvergenceTrace]:
     """Random-features block coordinate descent on (Z^T Z + n*lam*I) w = Z^T Y."""
+    _expect_spec(fspec, FeatureMapSpec)
     return _run_spec(data, fspec, [lam], plan, epochs, **kwargs)[0]
 
 

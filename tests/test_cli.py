@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from kernelbcd.cli import (
     EXIT_CONFIG,
     EXIT_DATA,
+    EXIT_DIVERGED,
     EXIT_OK,
     RunConfig,
     epochs_to_tolerance,
@@ -552,3 +553,32 @@ def test_nonpositive_p_exits_2_before_truncation(tmp_path, blob_files, p, capsys
     assert "--p values must be >= 1" in err
     assert "truncating" not in err
     assert not out.exists()
+
+
+def test_overflowing_features_exit_4_naming_non_finite_entries(tmp_path, capsys):
+    # +-1e300 features overflow the linear kernel to inf; the first block
+    # system is then non-finite, which is a divergence, not a bad config
+    rng = np.random.default_rng(0)
+    huge = Dataset(X=rng.choice([-1e300, 1e300], size=(64, 3)),
+                   labels=np.arange(64) % 2, k=2)
+    train = write_dataset(tmp_path / "huge.csv", huge)
+    code = main(
+        ["solve", "--train", train, "--method", "full", "--kernel", "linear",
+         "--b", "8", "--out", str(tmp_path / "out")]
+    )
+    assert code == EXIT_DIVERGED
+    assert "non-finite entries" in capsys.readouterr().err
+
+
+def test_allocation_failure_exits_2(tmp_path, blob_files, monkeypatch, capsys):
+    # a huge --p fails in the plan's permutation; raise as numpy would,
+    # without attempting the allocation
+    def no_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 7.28 TiB")
+
+    monkeypatch.setattr("kernelbcd.cli.make_plan", no_memory)
+    train, _ = blob_files
+    code = main(["solve", "--train", train, "--p", "16", "--b", "8",
+                 "--out", str(tmp_path / "out")])
+    assert code == EXIT_CONFIG
+    assert "out of memory" in capsys.readouterr().err

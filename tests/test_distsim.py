@@ -1,6 +1,7 @@
 import numpy as np
 
 from kernelbcd.distsim import (
+    NULL_LEDGER,
     CostLedger,
     ExecContext,
     distributed_gram,
@@ -182,3 +183,23 @@ class TestMeasuredVsPredicted:
         assert len(lines) == len(ledger.records) + 1
         phases = {line.split(",")[2] for line in lines[1:]}
         assert phases == {"generation", "gram", "residual", "solve"}
+
+
+def test_run_without_ledger_charges_the_null_ledger():
+    data = gaussian_blobs(64, 4, 2, seed=10)
+    fspec = FeatureMapSpec(p=16, sigma=2.0, master_seed=3)
+    plan = make_plan(16, 8, seed=1)
+    solve_rf(data, fspec, 1e-3, plan, 2, exec_ctx=ExecContext(workers=2))
+    z = np.ones((8, 2))
+    distributed_gram(z, make_partition(8, 2))
+    distributed_matvec(z, z, make_partition(8, 2))
+    assert NULL_LEDGER.records == []
+    assert (NULL_LEDGER._epoch, NULL_LEDGER._block) == (0, 0)
+
+
+def test_distributed_gram_charges_its_own_seconds():
+    ledger = CostLedger()
+    distributed_gram(np.ones((12, 3)), make_partition(12, 4), ledger)
+    [record] = ledger.records
+    assert (record.phase, record.flops, record.nbytes) == ("gram", 12 * 9, 2 * 9 * 8)
+    assert record.seconds > 0.0

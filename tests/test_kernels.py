@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -63,6 +64,13 @@ class TestKernelEval:
         for sigma in (1e154, 1e-154):
             spec = KernelSpec("rbf", sigma=sigma)
             assert np.all(np.isfinite(kernel_cross(np.eye(2), np.eye(2), spec)))
+
+    def test_rbf_subnormal_sigma_squared_takes_the_limit_silently(self):
+        # sigma*sigma is subnormal: off-diagonal distances scale to -inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            k = kernel_cross(np.eye(2), np.eye(2), KernelSpec("rbf", 1e-161))
+        assert np.array_equal(k, np.eye(2))
 
 
 class TestKernelBlock:

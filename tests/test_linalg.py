@@ -1,10 +1,18 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from kernelbcd.errors import DimensionMismatchError, IndexOutOfRangeError, NotSpdError
+from kernelbcd.errors import (
+    DimensionMismatchError,
+    DivergenceError,
+    IndexOutOfRangeError,
+    NotSpdError,
+)
 from kernelbcd.linalg import (
     apply_selector,
     gram,
+    is_symmetric,
     lambda_extremes,
     spd_solve,
     validate_indices,
@@ -53,6 +61,41 @@ class TestSpdSolve:
     def test_shape_mismatch_raises(self):
         with pytest.raises(DimensionMismatchError):
             spd_solve(np.eye(3), np.ones((2, 1)))
+
+    @pytest.mark.parametrize(
+        "entry", [np.inf, -np.inf, np.nan], ids=["inf", "-inf", "nan"]
+    )
+    @pytest.mark.parametrize("where", [(0, 0), (0, 1)], ids=["diagonal", "off"])
+    def test_non_finite_matrix_raises_divergence(self, entry, where):
+        # a diagonal entry fails the factorization, an off-diagonal one the
+        # symmetry test; both name the non-finite entries
+        a = 2.0 * np.eye(3)
+        a[where] = entry
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DivergenceError, match=r"matrix has 1 non-finite"):
+                spd_solve(a, np.ones((3, 1)))
+
+    def test_non_finite_rhs_named_when_the_matrix_fails(self):
+        b = np.ones((2, 1))
+        b[1, 0] = np.nan
+        with pytest.raises(DivergenceError, match=r"rhs has 1 non-finite .* \[1, 0\]"):
+            spd_solve(np.array([[1.0, 2.0], [2.0, 1.0]]), b)
+
+    def test_finite_failures_stay_not_spd(self):
+        with pytest.raises(NotSpdError):
+            spd_solve(np.array([[1.0, 2.0], [0.0, 1.0]]), np.ones((2, 1)))
+        with pytest.raises(NotSpdError):
+            spd_solve(-np.eye(2), np.ones((2, 1)))
+
+    def test_symmetry_test_fails_non_finite_matrices_silently(self):
+        one_sided = np.eye(2)
+        one_sided[0, 1] = np.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert not is_symmetric(np.full((2, 2), np.inf))
+            assert not is_symmetric(one_sided)
+            assert not is_symmetric(np.full((2, 2), np.nan))
 
 
 class TestGram:

@@ -397,3 +397,78 @@ def test_rates_knobs_out_of_range_raise_config_error():
         run_bcd_quadratic(prob, 2, seeds=0, tau=5)
     with pytest.raises(ConfigError):
         run_bcd_quadratic(prob, 2, seeds=2, tau=-1)
+
+
+def _oracle_tops(G, d, size, trials, seed):
+    """The subset draws the rates lab promises, written out as a loop."""
+    rng = np.random.default_rng(seed)
+    tops = []
+    for _ in range(trials):
+        s = rng.choice(d, size=size, replace=False)
+        tops.append(float(np.linalg.eigvalsh(G[np.ix_(s, s)])[-1]))
+    return tops
+
+
+def _one_heavy_column(p):
+    # one row whose first entry dominates: a size-2 subset holds it with
+    # probability 2/p, so both tail events below happen at a middling rate
+    a = np.ones((1, p))
+    a[0, 0] = 10.0
+    return a
+
+
+def test_sampled_l_max_b_equals_explicit_draw_loop():
+    h = random_spd(12, 2)
+    est = l_max_b(h, 4, mode="sampled", trials=60, seed=7)
+    assert est.value == max(_oracle_tops(h, 12, 4, 60, 7))
+
+
+def test_chernoff_rate_equals_explicit_draw_loop():
+    a, b, delta, trials, seed = _one_heavy_column(20), 2, 1.0, 300, 8
+    G = a.T @ a
+    lmax, diag_max = float(np.linalg.eigvalsh(G)[-1]), float(np.diag(G).max())
+    threshold = math.e**2 * (b / 20) * lmax + diag_max * math.log(1 / delta)
+    tops = _oracle_tops(G, 20, b, trials, seed)
+    expected = sum(t >= threshold for t in tops) / trials
+    assert 0.0 < expected < 1.0
+    assert chernoff_violation_rate(a, b, delta, trials, seed=seed) == expected
+
+
+def test_bernstein_rate_equals_explicit_draw_loop():
+    psi, p, delta, trials, seed = _one_heavy_column(20), 2, 1.0, 300, 9
+    G = psi.T @ psi
+    # with n = 1 and delta = 1 the log terms vanish
+    threshold = (p / 20) * float(np.linalg.eigvalsh(G)[-1])
+    tops = _oracle_tops(G, 20, p, trials, seed)
+    expected = sum(t < threshold for t in tops) / trials
+    assert 0.0 < expected < 1.0
+    assert bernstein_lower_rate(psi, p, delta, trials, seed=seed) == expected
+
+
+_H4 = random_spd(4, 3)
+_PROB4 = QuadraticProblem(_H4, np.ones(4))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: l_max_b(_H4, 2, mode="sampled", trials=0),
+        lambda: standard_rate_iters(_H4, 2, 0.5, 0.1, mode="sampled", trials=0),
+        lambda: chernoff_violation_rate(np.eye(4), 2, 0.1, trials=0),
+        lambda: bernstein_lower_rate(np.eye(4), 2, 0.1, trials=0),
+        lambda: bcd_iterations_to_tolerance(_PROB4, 2, 0.1, seeds=0, max_iters=5),
+        lambda: bcd_iterations_to_tolerance(_PROB4, 2, 0.1, seeds=2, max_iters=-1),
+        lambda: rf_required_features(np.eye(3), 1.0, 0.5, delta=0),
+        lambda: rf_concentration_check(
+            FeatureMapSpec(p=4000, sigma=1.0), np.eye(3), 0.5, 0.1, trials=0
+        ),
+    ],
+    ids=[
+        "l_max_b-trials0", "standard_rate_iters-trials0", "chernoff-trials0",
+        "bernstein-trials0", "iterations-seeds0", "iterations-max_iters-1",
+        "rf_required_features-delta0", "rf_concentration_check-trials0",
+    ],
+)
+def test_degenerate_rates_inputs_raise_config_error(call):
+    with pytest.raises(ConfigError):
+        call()

@@ -1010,3 +1010,21 @@ def test_model_columns_is_the_explicit_block(method, tmp_path):
     for m in (model, load_model(path)):
         assert np.array_equal(m.columns(x), explicit(slice(None)))
         assert np.array_equal(m.columns(x, cols), explicit(cols))
+
+
+@pytest.mark.parametrize(
+    "entry, spec, expected",
+    [
+        (lambda d, s, plan: solve_full(d, s, 0.1, plan, 2),
+         FeatureMapSpec(8, 2.0), "KernelSpec"),
+        (lambda d, s, plan: solve_nystrom(d, s, 8, 0.1, 1e-3, plan, 2),
+         FeatureMapSpec(8, 2.0), "KernelSpec"),
+        (lambda d, s, plan: solve_rf(d, s, 0.1, plan, 2),
+         KernelSpec("rbf", 2.0), "FeatureMapSpec"),
+    ],
+    ids=["full", "nystrom", "rf"],
+)
+def test_entry_point_rejects_the_other_spec_type(entry, spec, expected):
+    data = gaussian_blobs(32, 3, 2, seed=1)
+    with pytest.raises(ConfigError, match=f"expected a {expected}"):
+        entry(data, spec, make_plan(8, 4))
