@@ -25,6 +25,7 @@ from scipy.special import ndtri
 
 from .errors import DataFormatError, DimensionMismatchError, IndexOutOfRangeError
 from .linalg import validate_indices
+from .threads import for_rows
 
 TWO_PI = 2.0 * np.pi
 
@@ -119,7 +120,12 @@ def kernel_eval(spec: KernelSpec, x, y) -> float:
 
 
 def kernel_cross(Xa: np.ndarray, Xb: np.ndarray, spec: KernelSpec) -> np.ndarray:
-    """Pairwise kernel matrix, entry (i, j) = k(Xa_i, Xb_j)."""
+    """Pairwise kernel matrix, entry (i, j) = k(Xa_i, Xb_j).
+
+    The rbf entries are computed over the row ranges of ``for_rows``, each
+    entry exactly as in one pass.  Products stay one GEMM: OpenBLAS sums a
+    row range's last rows in other kernels, which changes their last bits.
+    """
     Xa = np.asarray(Xa, dtype=np.float64)
     Xb = np.asarray(Xb, dtype=np.float64)
     if Xa.shape[1] != Xb.shape[1]:
@@ -128,11 +134,19 @@ def kernel_cross(Xa: np.ndarray, Xb: np.ndarray, spec: KernelSpec) -> np.ndarray
         )
     if spec.family == "linear":
         return Xa @ Xb.T
-    sq = cdist(Xa, Xb, "sqeuclidean")
-    # a subnormal sigma**2 sends off-diagonal entries to -inf: the limit 0
-    with np.errstate(over="ignore"):
-        sq /= -2.0 * spec.sigma**2
-    return np.exp(sq, out=sq)
+    out = np.empty((Xa.shape[0], Xb.shape[0]))
+    scale = -2.0 * spec.sigma**2
+
+    def rows(lo, hi):
+        sq = out[lo:hi]
+        cdist(Xa[lo:hi], Xb, "sqeuclidean", out=sq)
+        # a subnormal sigma**2 sends off-diagonal entries to -inf: the limit 0
+        with np.errstate(over="ignore"):
+            sq /= scale
+        np.exp(sq, out=sq)
+
+    for_rows(out, rows)
+    return out
 
 
 def kernel_block(X: np.ndarray, indices, spec: KernelSpec) -> np.ndarray:
@@ -164,15 +178,22 @@ def random_features_block(X: np.ndarray, indices, spec: FeatureMapSpec) -> np.nd
 
     Column j is sqrt(2/p) * cos(X omega_I(j) + b_I(j)); every entry is
     bounded by sqrt(2/p) in magnitude and every full row has squared norm
-    at most 2.
+    at most 2.  The GEMM is one call; the phase, cosine and scale passes
+    run over the row ranges of ``for_rows``.
     """
     X = np.asarray(X, dtype=np.float64)
     idx = validate_indices(indices, spec.p)
     freqs, phases = _block_params(spec, idx, X.shape[1])
     z = X @ freqs
-    z += phases
-    np.cos(z, out=z)
-    z *= np.sqrt(2.0 / spec.p)
+    scale = np.sqrt(2.0 / spec.p)
+
+    def rows(lo, hi):
+        zr = z[lo:hi]
+        zr += phases
+        np.cos(zr, out=zr)
+        zr *= scale
+
+    for_rows(z, rows)
     return z
 
 

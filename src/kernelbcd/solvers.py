@@ -57,6 +57,7 @@ from .kernels import (
     random_features_block,
 )
 from .linalg import spd_solve
+from .threads import solver_threads
 
 # The solvers call gram only through distributed_gram.  It stays bound here
 # because perfbench/tracing.py rebinds it in this module's namespace.
@@ -655,6 +656,12 @@ def _run(
     check fails.  No check follows the last epoch: it could not change
     the result.  No ``exec_ctx`` means one worker, and no ledger means
     ``NULL_LEDGER``, which keeps nothing.
+
+    The sweeps run inside ``solver_threads``: OpenBLAS on one thread and
+    blocks generated over row ranges on a pool.  Their arithmetic ignores
+    numpy's overflow and invalid-value warnings, as a non-finite value
+    there raises ``DivergenceError`` anyway; test evaluation keeps the
+    caller's error state.
     """
     _check_lams(lams)
     n, k = system.Y.shape
@@ -665,6 +672,7 @@ def _run(
     states = [
         _LamState(lam, np.zeros((plan.universe, k)), np.zeros((n, k))) for lam in lams
     ]
+    caller_err = np.geterr()
 
     def visit(epoch, blk, pos, kb, gen_s):
         ledger.set_position(epoch, blk)
@@ -681,45 +689,47 @@ def _run(
             _guard_descent(st, obj)
             terr = None
             if test_data is not None:
-                terr = evaluate(system.model(st.coeffs), test_data, rmse=rmse)
+                with np.errstate(**caller_err):
+                    terr = evaluate(system.model(st.coeffs), test_data, rmse=rmse)
             seconds = perf_counter() - t0 + shared
             st.trace.append(TraceRecord(epoch, blk, seconds, obj, terr, alt))
             shared = 0.0
 
-    pending = None  # the last epoch end's check, summed on this sweep
-    for epoch in range(epochs):
-        failure = None
-        for blk in map(int, epoch_order(plan, epoch)):
-            pos = plan.blocks[blk]
-            t_gen = perf_counter()
-            kb = system.block(pos)
-            gen_s = perf_counter() - t_gen
+    with solver_threads(), np.errstate(over="ignore", invalid="ignore"):
+        pending = None  # the last epoch end's check, summed on this sweep
+        for epoch in range(epochs):
+            failure = None
+            for blk in map(int, epoch_order(plan, epoch)):
+                pos = plan.blocks[blk]
+                t_gen = perf_counter()
+                kb = system.block(pos)
+                gen_s = perf_counter() - t_gen
+                if pending is not None:
+                    pending.add(blk, pos, kb)
+                if failure is not None:
+                    continue  # the sweep now only finishes the check
+                try:
+                    visit(epoch, blk, pos, kb, gen_s)
+                except Exception as exc:
+                    if pending is None:
+                        raise
+                    failure = exc
             if pending is not None:
-                pending.add(blk, pos, kb)
-            if failure is not None:
-                continue  # the sweep now only finishes the check
-            try:
-                visit(epoch, blk, pos, kb, gen_s)
-            except Exception as exc:
-                if pending is None:
-                    raise
-                failure = exc
-        if pending is not None:
-            if pending.passed(grad_tol):
-                pending.restore(states, ledger)
+                if pending.passed(grad_tol):
+                    pending.restore(states, ledger)
+                    break
+                if failure is not None:
+                    raise failure
+                pending = None
+            if check_residual:
+                for st in states:
+                    _assert_residual(system.fresh_resid(st, plan.blocks), st.resid)
+            if grad_tol is None or epoch == epochs - 1:
+                continue
+            if system.check_needs_blocks:
+                pending = _PendingCheck(system, states, epoch, blk, ledger, plan.n_blocks)
+            elif system.converged(states, grad_tol):
                 break
-            if failure is not None:
-                raise failure
-            pending = None
-        if check_residual:
-            for st in states:
-                _assert_residual(system.fresh_resid(st, plan.blocks), st.resid)
-        if grad_tol is None or epoch == epochs - 1:
-            continue
-        if system.check_needs_blocks:
-            pending = _PendingCheck(system, states, epoch, blk, ledger, plan.n_blocks)
-        elif system.converged(states, grad_tol):
-            break
     return [(system.model(st.coeffs), st.trace) for st in states]
 
 

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from dataclasses import fields
 
 import numpy as np
@@ -568,6 +569,23 @@ def test_overflowing_features_exit_4_naming_non_finite_entries(tmp_path, capsys)
     )
     assert code == EXIT_DIVERGED
     assert "non-finite entries" in capsys.readouterr().err
+
+
+def test_overflowing_features_diverge_without_numpy_warnings(tmp_path):
+    # the overflow and the nans after it end in exit 4; numpy's
+    # RuntimeWarnings from the training arithmetic are not printed first
+    rng = np.random.default_rng(0)
+    huge = Dataset(X=rng.choice([-1e300, 1e300], size=(64, 3)),
+                   labels=np.arange(64) % 2, k=2)
+    train = write_dataset(tmp_path / "huge.csv", huge)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(
+            ["solve", "--train", train, "--method", "full", "--kernel", "linear",
+             "--b", "8", "--out", str(tmp_path / "out")]
+        )
+    assert code == EXIT_DIVERGED
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 def test_allocation_failure_exits_2(tmp_path, blob_files, monkeypatch, capsys):
