@@ -27,6 +27,11 @@ each epoch end with no blocks.  The nystrom/rf normal-equation residual
 needs every column block, so an epoch end's check is summed on the blocks
 the next sweep generates anyway; if it passes, that sweep is discarded.  A
 run stopped after E epochs thus generates each block E + 1 times, not 2E.
+
+Within a sweep the next block is generated while the current one is
+applied (``threads.ahead``): a block source is called one call at a time,
+in plan order, possibly from a worker thread, and never for a block past
+the sweep's last.
 """
 
 from __future__ import annotations
@@ -35,6 +40,7 @@ import dataclasses
 import json
 import os
 from collections.abc import Callable
+from contextlib import closing
 from dataclasses import dataclass, field
 from time import perf_counter
 
@@ -57,7 +63,7 @@ from .kernels import (
     random_features_block,
 )
 from .linalg import spd_solve
-from .threads import solver_threads
+from .threads import ahead, solver_threads
 
 # The solvers call gram only through distributed_gram.  It stays bound here
 # because perfbench/tracing.py rebinds it in this module's namespace.
@@ -218,8 +224,11 @@ class Model:
         return kernel_cross(X, anchors, self.kernel)
 
 
+@solver_threads()
 def predict(model: Model, x_test: np.ndarray) -> np.ndarray:
-    """Score matrix (m x k) for the rows of ``x_test``."""
+    """Score matrix (m x k) for the rows of ``x_test``, computed inside
+    ``solver_threads`` like training, so the scores do not depend on the
+    host's CPU count."""
     x_test = np.asarray(x_test, dtype=np.float64)
     if x_test.ndim != 2:
         raise DimensionMismatchError("x_test must be 2-d")
@@ -350,11 +359,13 @@ def rf_objective(w: np.ndarray, Z: np.ndarray, Y: np.ndarray, lam: float) -> flo
     return _ip(r, r) / n + lam * _ip(w, w)
 
 
+@solver_threads()
 def objective_value(
     model: Model, data: Dataset, lam: float, gamma: float = 0.0
 ) -> float:
     """The surrogate objective a solver of this method descends, evaluated
-    densely at the model's coefficients (desk-scale diagnostic)."""
+    densely at the model's coefficients (desk-scale diagnostic, inside
+    ``solver_threads``)."""
     Y = one_vs_all(data)
     kj = model.columns(data.X)
     if model.method == "full":
@@ -467,8 +478,9 @@ class _FullSystem:
 
     def fresh_resid(self, st, blocks):
         fresh = np.zeros(st.resid.shape)
-        for idx in blocks:
-            fresh += self.block(idx) @ st.coeffs[idx]
+        with closing(ahead(self.block, blocks)) as kbs:
+            for idx, (kb, _) in zip(blocks, kbs):
+                fresh += kb @ st.coeffs[idx]
         return fresh
 
     check_needs_blocks = False  # K alpha is maintained, so check at once
@@ -554,10 +566,11 @@ class _GramSystem:
 
     def fresh_resid(self, st, blocks):
         fresh = np.zeros(st.resid.shape)
-        for pos in blocks:
-            fresh += self.block(pos) @ st.coeffs[pos]
-            if self.landmarks is not None:
-                fresh[self.landmarks[pos]] += self.n * st.lam * st.coeffs[pos]
+        with closing(ahead(self.block, blocks)) as kbs:
+            for pos, (kb, _) in zip(blocks, kbs):
+                fresh += kb @ st.coeffs[pos]
+                if self.landmarks is not None:
+                    fresh[self.landmarks[pos]] += self.n * st.lam * st.coeffs[pos]
         return fresh
 
     # the normal-equation residual K_J^T (K_J a - Y) + ... needs every
@@ -657,11 +670,19 @@ def _run(
     the result.  No ``exec_ctx`` means one worker, and no ledger means
     ``NULL_LEDGER``, which keeps nothing.
 
-    The sweeps run inside ``solver_threads``: OpenBLAS on one thread and
-    blocks generated over row ranges on a pool.  Their arithmetic ignores
-    numpy's overflow and invalid-value warnings, as a non-finite value
-    there raises ``DivergenceError`` anyway; test evaluation keeps the
-    caller's error state.
+    The sweeps run inside ``solver_threads``: OpenBLAS on one thread,
+    blocks generated over row ranges on a pool, and each sweep's blocks
+    taken from ``threads.ahead``, which generates block i + 1 on a
+    background thread while visit i runs for every lambda.  The first
+    block of a sweep is generated after the previous epoch end's stop
+    decision, so no block is generated that the run does not use.  A
+    generation error is raised when its block is taken; a visit error
+    closes the sweep, which waits for the generation in flight.  A trace
+    row's seconds count the wait for the block, a ledger generation row
+    the generation's own time.  The sweeps' arithmetic ignores numpy's
+    overflow and invalid-value warnings, as a non-finite value there raises
+    ``DivergenceError`` anyway; the lookahead thread runs under the same
+    error state, and test evaluation keeps the caller's.
     """
     _check_lams(lams)
     n, k = system.Y.shape
@@ -674,12 +695,12 @@ def _run(
     ]
     caller_err = np.geterr()
 
-    def visit(epoch, blk, pos, kb, gen_s):
+    def visit(epoch, blk, pos, kb, gen_s, wait_s):
         ledger.set_position(epoch, blk)
         ledger.add("generation", flops=n * system.b * data.d, seconds=gen_s)
         t_visit = perf_counter()
         products = system.visit(pos, kb, part, ledger)
-        shared = gen_s + perf_counter() - t_visit
+        shared = wait_s + perf_counter() - t_visit
         for st in states:
             t0 = perf_counter()
             res_s, solve_s = system.update(st, pos, kb, products, part)
@@ -699,21 +720,23 @@ def _run(
         pending = None  # the last epoch end's check, summed on this sweep
         for epoch in range(epochs):
             failure = None
-            for blk in map(int, epoch_order(plan, epoch)):
-                pos = plan.blocks[blk]
-                t_gen = perf_counter()
-                kb = system.block(pos)
-                gen_s = perf_counter() - t_gen
-                if pending is not None:
-                    pending.add(blk, pos, kb)
-                if failure is not None:
-                    continue  # the sweep now only finishes the check
-                try:
-                    visit(epoch, blk, pos, kb, gen_s)
-                except Exception as exc:
-                    if pending is None:
-                        raise
-                    failure = exc
+            order = [int(blk) for blk in epoch_order(plan, epoch)]
+            positions = [plan.blocks[blk] for blk in order]
+            with closing(ahead(system.block, positions)) as sweep:
+                for blk, pos in zip(order, positions):
+                    t_take = perf_counter()
+                    kb, gen_s = next(sweep)
+                    wait_s = perf_counter() - t_take
+                    if pending is not None:
+                        pending.add(blk, pos, kb)
+                    if failure is not None:
+                        continue  # the sweep now only finishes the check
+                    try:
+                        visit(epoch, blk, pos, kb, gen_s, wait_s)
+                    except Exception as exc:
+                        if pending is None:
+                            raise
+                        failure = exc
             if pending is not None:
                 if pending.passed(grad_tol):
                     pending.restore(states, ledger)
@@ -840,6 +863,7 @@ def solve_path(
 # fixed-point residuals (dense diagnostics used by tests and the CLI)
 
 
+@solver_threads()
 def normal_equation_residual(
     model: Model, data: Dataset, lam: float, gamma: float = 0.0
 ) -> float:
@@ -849,7 +873,8 @@ def normal_equation_residual(
     nystrom:  ||(K_J^T K_J + n lam K_JJ + n lam gamma I) a - K_J^T Y|| / ||K_J^T Y||
     rf:       ||(Z^T Z + n lam I) w - Z^T Y|| / ||Z^T Y||
 
-    Materializes the full n x p (or n x n) block, so desk scale only.
+    Materializes the full n x p (or n x n) block, so desk scale only.  Runs
+    inside ``solver_threads``.
     """
     Y = one_vs_all(data)
     lam_eff = data.n * lam

@@ -1,13 +1,16 @@
-"""Threads during a solver run: one per OpenBLAS, block rows on a pool.
+"""Threads during a solver run: one per OpenBLAS, block rows on a pool,
+the next block generated while the current one is applied.
 
 numpy and scipy each bundle an OpenBLAS with its own thread pool.  On a
 host with few CPUs an idle pool's workers spin on the cores that the other
 pool, or a second thread of this process, needs.  ``solver_threads`` is the
-scope the block-descent engine runs in.  While any thread is inside it,
-every loaded OpenBLAS runs with one thread, and ``for_rows`` splits the
-rows of a generated block into one range per usable CPU, run on a
-persistent thread pool.  Outside it, and where no OpenBLAS thread control
-is found (MKL, a system BLAS), ``for_rows`` runs on the calling thread.
+scope the block-descent engine, ``predict`` and the dense diagnostics run
+in.  While any thread is inside it, every loaded OpenBLAS runs with one
+thread, ``for_rows`` splits the rows of a generated block into one range
+per usable CPU, run on a persistent thread pool, and ``ahead`` generates
+the next block of a sweep on a persistent background thread while the
+caller uses the current one.  Outside it, and where no OpenBLAS thread
+control is found (MKL, a system BLAS), both run on the calling thread.
 
 The libraries are found the way ``threadpoolctl`` does, which is not a
 dependency: read ``/proc/self/maps`` and look their thread controls up
@@ -22,6 +25,7 @@ import functools
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from time import perf_counter
 
 import numpy as np
 
@@ -39,9 +43,11 @@ _depth = 0  # scopes entered and not yet left, over every thread
 _saved: list[tuple] = []  # (set, thread count) of each OpenBLAS pinned
 _pool: ThreadPoolExecutor | None = None
 _pool_size = 0
-# The fewest entries a row range gets.  On a 2-vCPU host a random-feature
-# block of 32k entries (about 1 ms of cosine) was slower split in two than
-# whole; at 64k entries the split was faster.
+_ahead_pool: ThreadPoolExecutor | None = None  # the one lookahead thread
+# The fewest entries a row range gets, and a block needs to be generated
+# ahead.  On a 2-vCPU host a random-feature block of 32k entries (about 1 ms
+# of cosine) was slower split in two than whole; at 64k entries the split
+# was faster.
 _MIN_RANGE_ENTRIES = 1 << 15
 
 
@@ -109,7 +115,8 @@ def _cpu_count() -> int:
 
 def row_workers() -> int:
     """How many row ranges ``for_rows`` makes: one per usable CPU while a
-    scope has pinned an OpenBLAS, otherwise one."""
+    scope has pinned an OpenBLAS, otherwise one.  ``ahead`` looks ahead
+    only when this is more than one."""
     return _cpu_count() if _depth and _saved else 1
 
 
@@ -156,3 +163,68 @@ def for_rows(out: np.ndarray, fn) -> None:
             future.exception()  # waits for the range, raises nothing
     for future in futures:
         future.result()
+
+
+def _timed(fn, item):
+    start = perf_counter()
+    out = fn(item)
+    return out, perf_counter() - start
+
+
+def _lookahead_thread() -> ThreadPoolExecutor:
+    """The persistent single-thread pool ``ahead`` runs on.  It is not the
+    row pool: a generation there splits its rows onto the row pool, and
+    waiting on a pool from one of its own threads could deadlock it."""
+    global _ahead_pool
+    with _lock:
+        if _ahead_pool is None:
+            _ahead_pool = ThreadPoolExecutor(1, thread_name_prefix="kernelbcd-ahead")
+        return _ahead_pool
+
+
+def ahead(fn, items):
+    """Yield ``(fn(item), seconds)`` for each of ``items`` in order, where
+    ``seconds`` is the call's own duration.
+
+    The first call runs on the calling thread when the first pair is asked
+    for.  If its result has at least ``_MIN_RANGE_ENTRIES`` entries and
+    ``row_workers() > 1`` (a solver scope has pinned an OpenBLAS and the
+    process may use several CPUs), each later call is started on the
+    lookahead thread as soon as the previous pair is handed out, under the
+    calling thread's ``np.geterr()``; otherwise every call runs on the
+    calling thread when its pair is asked for.  Either way ``fn`` is called
+    once per item, in order, one call at a time, and never for an item
+    past the last.  A failed call raises its exception when its pair is
+    asked for.
+
+    Close the generator (``contextlib.closing``) when the consumer may stop
+    early: closing waits for a call in flight and drops its exception.
+    """
+    items = iter(items)
+    for item in items:
+        out = _timed(fn, item)
+        break
+    else:
+        return
+    if row_workers() <= 1 or out[0].size < _MIN_RANGE_ENTRIES:
+        yield out
+        for item in items:
+            yield _timed(fn, item)
+        return
+    err = np.geterr()
+
+    def task(item):
+        with np.errstate(**err):
+            return _timed(fn, item)
+
+    pool = _lookahead_thread()
+    future = None
+    try:
+        for item in items:
+            future = pool.submit(task, item)
+            yield out
+            out = future.result()
+        yield out
+    finally:
+        if future is not None:
+            future.exception()  # waits for the call, raises nothing

@@ -1,5 +1,7 @@
 """The solver thread scope: OpenBLAS pinned to one thread during a run,
-block rows generated over ranges on a pool, byte-equal to one range."""
+block rows generated over ranges on a pool, byte-equal to one range, and
+the next block generated ahead, byte-equal to a run on the calling
+thread."""
 
 import contextlib
 import sys
@@ -13,6 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kernelbcd import kernels, solvers, threads
+from kernelbcd.distsim import CostLedger, ExecContext
 from kernelbcd.errors import DivergenceError
 from kernelbcd.kernels import (
     Dataset,
@@ -316,4 +319,250 @@ def test_scope_depth_survives_many_threads_entering_at_once(blas_at_three):
     assert not any(w.is_alive() for w in workers)
     assert not errors
     assert threads.row_workers() == 1
+    assert counts(blas_at_three) == [3] * len(blas_at_three)
+
+
+def test_predict_and_the_dense_diagnostics_run_in_the_scope(blas_at_three, monkeypatch):
+    # a linear kernel at this shape is a GEMM whose last bits differ at
+    # one and at three OpenBLAS threads
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal((67, 63))
+    model = solvers.Model("full", rng.standard_normal((125, 2)),
+                          kernel=KernelSpec("linear"),
+                          anchors=rng.standard_normal((125, 63)))
+    with threads.solver_threads():
+        inside = model.columns(x) @ model.coefficients
+    seen = []
+    real = solvers.kernel_cross
+
+    def kernel_cross_counted(*args):
+        seen.append(counts(blas_at_three))
+        return real(*args)
+
+    monkeypatch.setattr(solvers, "kernel_cross", kernel_cross_counted)
+    assert solvers.predict(model, x).tobytes() == inside.tobytes()
+    data = Dataset(X=x, labels=np.arange(67) % 2, k=2)
+    trained = solvers.Model("full", rng.standard_normal((67, 2)),
+                            kernel=KernelSpec("linear"), anchors=x)
+    solvers.objective_value(trained, data, 1e-2)
+    solvers.normal_equation_residual(trained, data, 1e-2)
+    assert seen == [[1] * len(blas_at_three)] * 3
+    assert counts(blas_at_three) == [3] * len(blas_at_three)
+
+
+# ---------------------------------------------------------------------------
+# the lookahead: block i + 1 generated while block i is applied
+
+needs_openblas = pytest.mark.skipif(
+    not threads.openblas_controls(), reason="no OpenBLAS thread control in this process"
+)
+
+
+@contextlib.contextmanager
+def lookahead(on):
+    """Two usable CPUs and every block large enough to generate ahead; with
+    ``on`` False no OpenBLAS control is found, so no scope pins one and
+    every block is generated on the calling thread."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(threads, "_cpu_count", lambda: 2)
+        mp.setattr(threads, "_MIN_RANGE_ENTRIES", 1)
+        if not on:
+            mp.setattr(threads, "openblas_controls", lambda: [])
+        yield
+
+
+def test_ahead_generates_large_blocks_ahead_and_small_ones_in_place():
+    callers = []
+
+    def source(rows):
+        callers.append(threading.get_ident())
+        return np.zeros((rows, 1))
+
+    large = threads._MIN_RANGE_ENTRIES
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(threads, "row_workers", lambda: 2)
+        for rows, ahead_of_caller in ((large - 1, False), (large, True)):
+            callers.clear()
+            pairs = list(threads.ahead(source, [rows] * 4))
+            assert [block.shape for block, _ in pairs] == [(rows, 1)] * 4
+            assert all(seconds >= 0 for _, seconds in pairs)
+            assert callers[0] == threading.get_ident()
+            assert (threading.get_ident() not in callers[1:]) == ahead_of_caller
+
+
+def test_ahead_runs_under_the_callers_error_state():
+    def overflow(i):  # the first call, on the calling thread, does not
+        return np.full((threads._MIN_RANGE_ENTRIES, 1), 1e300) * (1e300 if i else 1.0)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(threads, "row_workers", lambda: 2)
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            list(threads.ahead(overflow, range(3)))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with np.errstate(over="ignore"):
+                assert len(list(threads.ahead(overflow, range(3)))) == 3
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+class Source:
+    """A block source that records each call's positions and thread, and
+    whether two calls ever overlapped; ``fail_at`` makes that call raise,
+    ``delay`` makes that call sleep first."""
+
+    def __init__(self, fn, fail_at=None, delay=None):
+        self.fn, self.fail_at, self.delay = fn, fail_at, delay
+        self.calls = []
+        self.active = 0
+        self.overlapped = False
+        self.lock = threading.Lock()
+
+    def __call__(self, pos):
+        with self.lock:
+            self.active += 1
+            self.overlapped |= self.active > 1
+            self.calls.append((tuple(pos), threading.get_ident()))
+            call = len(self.calls)
+        try:
+            if self.delay is not None and call == self.delay[0]:
+                time.sleep(self.delay[1])
+            if call == self.fail_at:
+                raise KeyError(f"call {call}")
+            return self.fn(pos)
+        finally:
+            with self.lock:
+                self.active -= 1
+
+    def positions(self):
+        return [pos for pos, _ in self.calls]
+
+
+def lookahead_case(method, lams, **source_kw):
+    """A small problem of ``method``: its recording source, and
+    ``run(workers, **kw)``, which runs the engine on that source for six
+    epochs with a fresh ledger and returns the results and the ledger."""
+    data = gaussian_blobs(48, 3, 3, seed=11)
+    kspec = KernelSpec("rbf", sigma=1.7)
+    fspec = FeatureMapSpec(24, 1.7, master_seed=12)
+    landmarks = solvers.draw_landmarks(48, 24, seed=13)
+    if method == "full":
+        spec, plan, extra = kspec, make_plan(48, 8, seed=14), {}
+        fn = lambda pos: kernel_cross(data.X, data.X[pos], kspec)  # noqa: E731
+    elif method == "nystrom":
+        spec, plan = kspec, make_plan(24, 8, seed=14)
+        extra = dict(p=24, gamma=1e-3, landmark_seed=13)
+        fn = lambda pos: kernel_cross(data.X, data.X[landmarks[pos]], kspec)  # noqa: E731
+    else:
+        spec, plan, extra = fspec, make_plan(24, 8, seed=14), {}
+        fn = lambda pos: random_features_block(data.X, pos, fspec)  # noqa: E731
+    source = Source(fn, **source_kw)
+
+    def run(workers=1, **kw):
+        ledger = CostLedger()
+        results = solvers._run_spec(
+            data, spec, lams, plan, 6, block_fn=source,
+            exec_ctx=ExecContext(workers, ledger), **extra, **kw,
+        )
+        return results, ledger
+
+    return source, run
+
+
+def run_values(results, ledger):
+    """Everything a run returns but seconds: coefficients, trace values and
+    the ordered ledger."""
+    return (
+        [model.coefficients.tobytes() for model, _ in results],
+        [[(r.epoch, r.block, r.objective, r.test_error, r.objective_alt)
+          for r in trace.records] for _, trace in results],
+        [(r.epoch, r.block, r.phase, r.flops, r.nbytes) for r in ledger.records],
+    )
+
+
+@needs_openblas
+@settings(max_examples=40, deadline=None)
+@given(method=st.sampled_from(["full", "nystrom", "rf"]),
+       n_lams=st.sampled_from([1, 3]), with_test=st.booleans(),
+       grad_tol=st.sampled_from([None, 1e-2, 1e-6]),
+       check_residual=st.booleans(), workers=st.sampled_from([1, 4]))
+@example(method="rf", n_lams=3, with_test=True, grad_tol=1e-2,
+         check_residual=True, workers=4)
+@example(method="full", n_lams=1, with_test=False, grad_tol=1e-6,
+         check_residual=True, workers=1)
+def test_lookahead_run_byte_equal_to_calling_thread_run(
+    method, n_lams, with_test, grad_tol, check_residual, workers
+):
+    lams = [1e-3, 1e-2, 1e-1][:n_lams]
+    kw = dict(grad_tol=grad_tol, check_residual=check_residual,
+              test_data=gaussian_blobs(16, 3, 3, seed=15) if with_test else None)
+    values, callers = [], []
+    for on in (True, False):
+        source, run = lookahead_case(method, lams)
+        with lookahead(on):
+            values.append(run_values(*run(workers, **kw)))
+        callers.append({ident for _, ident in source.calls})
+    assert values[0] == values[1]
+    assert len(callers[0]) > 1  # the lookahead did run
+    assert callers[1] == {threading.get_ident()}
+
+
+@needs_openblas
+@pytest.mark.parametrize("method", ["full", "nystrom", "rf"])
+def test_lookahead_calls_the_source_in_order_one_at_a_time(method):
+    seen = []
+    for on in (True, False):
+        source, run = lookahead_case(method, [1e-2, 1e-1])
+        with lookahead(on):
+            run(grad_tol=1e-3, check_residual=True)
+        assert not source.overlapped
+        seen.append(source.positions())
+    assert seen[0] == seen[1]
+
+
+@needs_openblas
+@pytest.mark.parametrize("method", ["full", "nystrom", "rf"])
+def test_a_failing_generation_raises_as_on_the_calling_thread(method, monkeypatch):
+    appended = []
+    real_append = solvers.ConvergenceTrace.append
+    monkeypatch.setattr(solvers.ConvergenceTrace, "append",
+                        lambda self, r: (appended.append(r), real_append(self, r)))
+    source, run = lookahead_case(method, [1e-2])
+    with lookahead(False):
+        run(grad_tol=1e-3, check_residual=True)
+    total = len(source.calls)
+    for fail_at in [*range(1, total, 3), total]:
+        outcomes = []
+        for on in (True, False):
+            appended.clear()
+            source, run = lookahead_case(method, [1e-2], fail_at=fail_at)
+            with lookahead(on):
+                with pytest.raises(KeyError, match=f"call {fail_at}"):
+                    run(grad_tol=1e-3, check_residual=True)
+            assert source.active == 0
+            outcomes.append((len(source.calls), len(appended)))
+        assert outcomes[0] == outcomes[1]
+
+
+def test_a_failing_visit_waits_for_the_generation_in_flight(blas_at_three, monkeypatch):
+    # the second visit fails while the third block, delayed and itself
+    # failing, is generated: the visit's error wins, the generation has
+    # finished when the run leaves, and the counts are restored
+    source, run = lookahead_case("rf", [1e-2], fail_at=3, delay=(3, 0.2))
+    solves = []
+    real = solvers.spd_solve
+
+    def solve(a, b):
+        solves.append(1)
+        if len(solves) == 2:
+            deadline = time.monotonic() + 30
+            while len(source.calls) < 3 and time.monotonic() < deadline:
+                time.sleep(0.001)
+            assert source.active == 1
+            raise ZeroDivisionError("visit 2")
+        return real(a, b)
+
+    monkeypatch.setattr(solvers, "spd_solve", solve)
+    with lookahead(True), pytest.raises(ZeroDivisionError, match="visit 2"):
+        run()
+    assert len(source.calls) == 3 and source.active == 0
     assert counts(blas_at_three) == [3] * len(blas_at_three)
