@@ -43,7 +43,7 @@ from .kernels import (
     one_vs_all,
     random_features_block,
 )
-from .linalg import SpectralEstimate, apply_selector, gram, lambda_extremes, spd_solve
+from .linalg import SpectralEstimate, gram, lambda_extremes, spd_solve
 from .rates import (
     ConditioningPair,
     LmaxEstimate,

@@ -101,25 +101,6 @@ def gram(zb: np.ndarray) -> np.ndarray:
     return (g + g.T) * 0.5
 
 
-def apply_selector(n: int, indices, a: np.ndarray) -> np.ndarray:
-    """Scatter the rows of ``a`` into an n-row zero matrix.
-
-    Equivalent to S @ a where S is the n x |I| column selector matrix with
-    S[I[j], j] = 1.
-    """
-    idx = validate_indices(indices, n)
-    a = np.asarray(a, dtype=np.float64)
-    if a.ndim == 1:
-        a = a[:, None]
-    if a.shape[0] != idx.size:
-        raise DimensionMismatchError(
-            f"selector expects {idx.size} rows, got {a.shape[0]}"
-        )
-    out = np.zeros((n, a.shape[1]))
-    out[idx] = a
-    return out
-
-
 class SpectralEstimate(NamedTuple):
     lmax: float
     lmin: float

@@ -6,13 +6,19 @@ the descent guard, test evaluation, traces, the residual check and the
 ``grad_tol`` stop.  The model's column map, ``Model.columns``, is the one
 block source: K([n], J) for ``full``, K([n], landmarks[J]) for ``nystrom``
 and Z([n], J) for ``rf``; ``predict`` and the dense diagnostics read it
-too.  A per-method system supplies the products every lambda shares, the
-update, the objective, a fresh residual and the convergence test:
+too.  A per-method system states only its math: the products every
+lambda shares, its b x b block matrix A, its block of the normal-equation
+residual ``grad`` and the rows its scatter S_J writes.  One block step
+serves every system: solve A d = -grad, add d to the block's coefficients
+and (K_J + n*lam*S_J)[:, block] d to the maintained R.  The ``grad_tol``
+check and the residual check read the same ``grad`` and the same columns.
 
 * ``_FullSystem``: block Gauss-Seidel on (K + n*lam*I) alpha = Y, exact
   blockwise minimization of 0.5<alpha, K alpha> + (n*lam/2)||alpha||^2 - <Y, alpha>;
+  R = K alpha and grad = (R - Y)[idx] + n*lam*alpha[idx], with no product;
 * ``_GramSystem``, nystrom: (K_J^T K_J + n*lam*K_JJ + n*lam*gamma*I) alpha =
-  K_J^T Y, keeping the residual R = (K_J + n*lam*S_J) alpha;
+  K_J^T Y, keeping R = (K_J + n*lam*S_J) alpha, so that
+  grad = K_J[:, pos]^T (R - Y) + n*lam*gamma*alpha[pos];
 * ``_GramSystem``, random features: the same with no K_JJ term and gamma = 1,
   (Z^T Z + n*lam*I) w = Z^T Y with R = Z w.
 
@@ -27,6 +33,7 @@ each epoch end with no blocks.  The nystrom/rf normal-equation residual
 needs every column block, so an epoch end's check is summed on the blocks
 the next sweep generates anyway; if it passes, that sweep is discarded.  A
 run stopped after E epochs thus generates each block E + 1 times, not 2E.
+``check_residual`` recomputes every lambda's R in one more sweep per epoch.
 
 Within a sweep the next block is generated while the current one is
 applied (``threads.ahead``): a block source is called one call at a time,
@@ -395,7 +402,7 @@ def primal_dual_gap(Z: np.ndarray, w: np.ndarray, Y: np.ndarray, lam: float) -> 
 class _LamState:
     lam: float
     coeffs: np.ndarray
-    resid: np.ndarray  # the system's running matrix, see its docstring
+    resid: np.ndarray  # R, see _BlockSystem
     trace: ConvergenceTrace = field(default_factory=ConvergenceTrace)
     prev_obj: float = np.inf
 
@@ -430,23 +437,62 @@ def _assert_residual(fresh: np.ndarray, maintained: np.ndarray) -> None:
 
 
 @dataclass
-class _FullSystem:
-    """Block Gauss-Seidel on (K + n lam I) alpha = Y.
-
-    ``resid`` holds K alpha, maintained for objective logging and the
-    gradient-norm stop; the update itself recomputes its slice from the
-    freshly generated column block.
+class _BlockSystem:
+    """The block step every system shares.  ``resid`` holds
+    R = (K_J + n lam S_J) a, where S_J scatters a block's coefficients onto
+    its ``rows``.  A system states ``visit`` (the products every lambda
+    shares), ``matrix`` (its b x b block A), ``gradient`` (its block of the
+    normal-equation residual at a state) and ``rows``.
     """
 
     Y: np.ndarray
     b: int
-    block: Callable[[np.ndarray], np.ndarray]  # rows -> K([n], rows)
+    block: Callable[[np.ndarray], np.ndarray]  # coefficient rows -> n x b
     model: Callable[[np.ndarray], Model]  # coefficients -> Model
 
     def __post_init__(self):
-        self.n, k = self.Y.shape
+        self.n = self.Y.shape[0]
         self.eye_b = np.eye(self.b)
-        self.residual_flops = 2 * self.n * self.b * k + self.b * self.b * k
+
+    def rows(self, pos):
+        """The training rows S_J scatters block ``pos`` onto, or None."""
+        return None
+
+    def accumulate(self, resid, pos, kb, coeffs_b, lam_eff) -> None:
+        """resid += (K_J + n lam S_J)[:, pos] @ coeffs_b."""
+        resid += kb @ coeffs_b
+        rows = self.rows(pos)
+        if rows is not None:
+            resid[rows] += lam_eff * coeffs_b
+
+    def update(self, st, pos, kb, products, part):
+        """One lambda's step on block ``pos``; returns its residual and
+        solve seconds."""
+        lam_eff = self.n * st.lam
+        t_res = perf_counter()
+        grad = self.gradient(st, pos, kb, part)
+        res_seconds = perf_counter() - t_res
+        t_solve = perf_counter()
+        delta = spd_solve(self.matrix(products, lam_eff), -grad)
+        solve_seconds = perf_counter() - t_solve
+        t_res = perf_counter()
+        st.coeffs[pos] += delta
+        self.accumulate(st.resid, pos, kb, delta, lam_eff)
+        return res_seconds + perf_counter() - t_res, solve_seconds
+
+
+@dataclass
+class _FullSystem(_BlockSystem):
+    """Block Gauss-Seidel on (K + n lam I) alpha = Y.
+
+    ``resid`` holds K alpha.  K is symmetric, so block idx of the
+    normal-equation residual is (K alpha - Y)[idx] + n lam alpha[idx], read
+    off ``resid`` with no product; the block matrix is K_bb + n lam I.
+    """
+
+    def __post_init__(self):
+        super().__post_init__()
+        self.residual_flops = self.n * self.b * self.Y.shape[1]  # kb @ delta
         self.y_norm = np.linalg.norm(self.Y)
 
     def visit(self, idx, kb, part, ledger):
@@ -456,17 +502,11 @@ class _FullSystem:
         ledger.add("solve", nbytes=self.b * self.b * FLOAT_BYTES)
         return kb[idx]
 
-    def update(self, st, idx, kb, kbb, part):
-        lam_eff = self.n * st.lam
-        t_res = perf_counter()
-        rb = partitioned_matvec(kb, st.coeffs, part) - kbb @ st.coeffs[idx]
-        res_seconds = perf_counter() - t_res
-        t_solve = perf_counter()
-        new_b = spd_solve(kbb + lam_eff * self.eye_b, self.Y[idx] - rb)
-        solve_seconds = perf_counter() - t_solve
-        st.resid += kb @ (new_b - st.coeffs[idx])
-        st.coeffs[idx] = new_b
-        return res_seconds, solve_seconds
+    def matrix(self, kbb, lam_eff):
+        return kbb + lam_eff * self.eye_b
+
+    def gradient(self, st, idx, kb, part):
+        return st.resid[idx] - self.Y[idx] + (self.n * st.lam) * st.coeffs[idx]
 
     def objective(self, st):
         """The surrogate, and the least-squares value as the alternate."""
@@ -476,84 +516,65 @@ class _FullSystem:
         alt = _ip(ka - self.Y, ka - self.Y) / self.n + st.lam * _ip(c, ka)
         return obj, alt
 
-    def fresh_resid(self, st, blocks):
-        fresh = np.zeros(st.resid.shape)
-        with closing(ahead(self.block, blocks)) as kbs:
-            for idx, (kb, _) in zip(blocks, kbs):
-                fresh += kb @ st.coeffs[idx]
-        return fresh
-
     check_needs_blocks = False  # K alpha is maintained, so check at once
 
     def converged(self, states, tol):
+        """The gradient over every row is within tol of ||Y||."""
         return all(
-            np.linalg.norm(st.resid + self.n * st.lam * st.coeffs - self.Y)
+            np.linalg.norm(self.gradient(st, slice(None), None, None))
             <= tol * max(self.y_norm, 1e-30)
             for st in states
         )
 
 
 @dataclass
-class _GramSystem:
+class _GramSystem(_BlockSystem):
     """Descent on (K_J^T K_J + n lam K_JJ + n lam gamma I) a = K_J^T Y.
 
-    ``resid`` holds R = (K_J + n lam S_J) a, so each b x b system needs only
-    the current column block.  Without ``landmarks`` the K_JJ term and the
-    scatter S_J drop out, and with gamma = 1 this is the random-features
-    system (Z^T Z + n lam I) w = Z^T Y with R = Z w.
+    ``resid`` holds R = (K_J + n lam S_J) a.  K_JJ is symmetric, so
+    K_J^T S_J a = K_JJ a and block pos of the normal-equation residual is
+    kb^T (R - Y) + n lam gamma a[pos]; the block matrix is
+    kb^T kb + n lam K_JJ[pos, pos] + n lam gamma I.  Without ``landmarks``
+    the K_JJ term and the scatter S_J drop out, and with gamma = 1 this is
+    the random-features system (Z^T Z + n lam I) w = Z^T Y with R = Z w.
     """
 
-    Y: np.ndarray
-    b: int
-    block: Callable[[np.ndarray], np.ndarray]  # coefficient rows -> n x b
-    model: Callable[[np.ndarray], Model]  # coefficients -> Model
     landmarks: np.ndarray | None = None
     gamma: float = 1.0
 
     def __post_init__(self):
-        self.n, k = self.Y.shape
-        self.eye_b = np.eye(self.b)
-        self.residual_flops = 3 * self.n * self.b * k
+        super().__post_init__()
+        # kb^T (R - Y) and kb @ delta
+        self.residual_flops = 2 * self.n * self.b * self.Y.shape[1]
         self.rhs_norm: float | None = None  # ||K_J^T Y||, from the first check
+
+    def rows(self, pos):
+        return None if self.landmarks is None else self.landmarks[pos]
 
     def visit(self, pos, kb, part, ledger):
         """Per-visit products shared by every lambda: the gram and, with
-        landmarks, the block's training rows and its b x b block of K_JJ.
-        The gram charges itself; the rhs partials ride in its message."""
-        g = distributed_gram(kb, part, ledger)
-        rows = None if self.landmarks is None else self.landmarks[pos]
-        return g, rows, None if rows is None else kb[rows]
+        landmarks, the block's b x b block of K_JJ.  The gram charges
+        itself; the rhs partials ride in its message."""
+        rows = self.rows(pos)
+        return distributed_gram(kb, part, ledger), None if rows is None else kb[rows]
 
-    def update(self, st, pos, kb, products, part):
-        g, rows, kbb = products
-        lam_eff = self.n * st.lam
-        t_res = perf_counter()
-        st.resid -= kb @ st.coeffs[pos]
-        if rows is not None:
-            st.resid[rows] -= lam_eff * st.coeffs[pos]
-        rhs = partitioned_matvec(kb, self.Y - st.resid, part)
-        res_seconds = perf_counter() - t_res
-        t_solve = perf_counter()
-        system = g if rows is None else g + lam_eff * kbb
-        new_b = spd_solve(system + (lam_eff * self.gamma) * self.eye_b, rhs)
-        solve_seconds = perf_counter() - t_solve
-        st.resid += kb @ new_b
-        if rows is not None:
-            st.resid[rows] += lam_eff * new_b
-        st.coeffs[pos] = new_b
-        return res_seconds, solve_seconds
+    def matrix(self, products, lam_eff):
+        g, kbb = products
+        system = g if kbb is None else g + lam_eff * kbb
+        return system + (lam_eff * self.gamma) * self.eye_b
 
-    def _fitted(self, st) -> np.ndarray:
-        """K_J a, recovered from R by removing the scatter n lam S_J a."""
-        if self.landmarks is None:
-            return st.resid
-        ka = st.resid.copy()
-        ka[self.landmarks] -= self.n * st.lam * st.coeffs
-        return ka
+    def gradient(self, st, pos, kb, part):
+        return (
+            partitioned_matvec(kb, st.resid - self.Y, part)
+            + (self.n * st.lam * self.gamma) * st.coeffs[pos]
+        )
 
     def objective(self, st):
         """(1/n)||K_J a - Y||^2 + lam <a, K_JJ a> + lam gamma ||a||^2."""
-        ka = self._fitted(st)
+        ka = st.resid
+        if self.landmarks is not None:  # K_J a: R without the scatter
+            ka = ka.copy()
+            ka[self.landmarks] -= self.n * st.lam * st.coeffs
         r = ka - self.Y
         obj = _ip(r, r) / self.n
         lam = st.lam
@@ -564,35 +585,9 @@ class _GramSystem:
             obj += lam * _ip(st.coeffs, ka[self.landmarks])
         return obj + lam * self.gamma * _ip(st.coeffs, st.coeffs), None
 
-    def fresh_resid(self, st, blocks):
-        fresh = np.zeros(st.resid.shape)
-        with closing(ahead(self.block, blocks)) as kbs:
-            for pos, (kb, _) in zip(blocks, kbs):
-                fresh += kb @ st.coeffs[pos]
-                if self.landmarks is not None:
-                    fresh[self.landmarks[pos]] += self.n * st.lam * st.coeffs[pos]
-        return fresh
-
-    # the normal-equation residual K_J^T (K_J a - Y) + ... needs every
-    # column block, so the engine sums it over the next sweep's blocks
+    # the normal-equation residual needs every column block, so the engine
+    # sums it over the next sweep's blocks
     check_needs_blocks = True
-
-    def check_snapshot(self, st):
-        """What one lambda's check needs of this epoch end: n lam, the
-        fit error K_J a - Y and, with landmarks, the rows (K_JJ a)."""
-        ka = self._fitted(st)
-        kjj_a = None if self.landmarks is None else ka[self.landmarks]
-        return self.n * st.lam, ka - self.Y, kjj_a
-
-    def check_term(self, snapshot, coeffs, pos, kb):
-        """||block pos of the normal-equation residual||^2 at the snapshot,
-        whose coefficients are ``coeffs``."""
-        lam_eff, err, kjj_a = snapshot
-        res_b = kb.T @ err
-        if kjj_a is not None:
-            res_b += lam_eff * kjj_a[pos]
-        res_b += lam_eff * self.gamma * coeffs[pos]
-        return _ip(res_b, res_b)
 
     def rhs_term(self, kb):
         """||block of K_J^T Y||^2, the scale of the relative residual."""
@@ -611,27 +606,29 @@ def _sum_in_order(terms) -> float:
 class _PendingCheck:
     """An epoch end's ``grad_tol`` check, made on the next sweep's blocks.
 
-    Each visit adds its block's squared normal-equation residual for every
-    lambda, taken at the epoch end's snapshot; ``passed`` sums them in plan
-    order.  It also keeps what ``restore`` needs to return the run to that
+    It keeps a copy of each lambda's state at the epoch end.  Each visit
+    adds ``system.gradient``'s squared norm at those copies for its block;
+    ``passed`` sums them in plan order.  ``restore`` returns the run to the
     epoch end: each lambda's coefficients and trace length, and the
-    ledger's length and position.  The maintained residuals are not kept,
-    as a restored run only returns.
+    ledger's length and position.  The maintained residuals are not
+    restored, as a restored run only returns.
     """
 
     def __init__(self, system, states, epoch, block, ledger, n_blocks):
         self.system = system
         self.epoch, self.block = epoch, block
-        self.coeffs = [st.coeffs.copy() for st in states]
+        self.snapshots = [
+            _LamState(st.lam, st.coeffs.copy(), st.resid.copy()) for st in states
+        ]
         self.n_records = [len(st.trace.records) for st in states]
         self.n_ledger = len(ledger.records)
-        self.snapshots = [system.check_snapshot(st) for st in states]
         self.terms = [[0.0] * n_blocks for _ in states]
         self.rhs_terms = [0.0] * n_blocks if system.rhs_norm is None else None
 
-    def add(self, blk, pos, kb) -> None:
-        for terms, snapshot, coeffs in zip(self.terms, self.snapshots, self.coeffs):
-            terms[blk] = self.system.check_term(snapshot, coeffs, pos, kb)
+    def add(self, blk, pos, kb, part) -> None:
+        for terms, snapshot in zip(self.terms, self.snapshots):
+            grad = self.system.gradient(snapshot, pos, kb, part)
+            terms[blk] = _ip(grad, grad)
         if self.rhs_terms is not None:
             self.rhs_terms[blk] = self.system.rhs_term(kb)
 
@@ -643,11 +640,22 @@ class _PendingCheck:
         return not any(np.sqrt(_sum_in_order(t)) > bound for t in self.terms)
 
     def restore(self, states, ledger) -> None:
-        for st, coeffs, n_records in zip(states, self.coeffs, self.n_records):
-            st.coeffs = coeffs
+        for st, snapshot, n_records in zip(states, self.snapshots, self.n_records):
+            st.coeffs = snapshot.coeffs
             del st.trace.records[n_records:]
         del ledger.records[self.n_ledger:]
         ledger.set_position(self.epoch, self.block)
+
+
+def _recomputed_resids(system, states, blocks) -> list[np.ndarray]:
+    """Every lambda's R recomputed from its coefficients in one pass over
+    ``blocks``, each block generated once."""
+    fresh = [np.zeros(st.resid.shape) for st in states]
+    with closing(ahead(system.block, blocks)) as kbs:
+        for pos, (kb, _) in zip(blocks, kbs):
+            for out, st in zip(fresh, states):
+                system.accumulate(out, pos, kb, st.coeffs[pos], system.n * st.lam)
+    return fresh
 
 
 def _run(
@@ -685,6 +693,10 @@ def _run(
     error state, and test evaluation keeps the caller's.
     """
     _check_lams(lams)
+    if epochs < 0:
+        raise ConfigError("epochs must be >= 0")
+    if grad_tol is not None and not 0 <= grad_tol < np.inf:
+        raise ConfigError("grad_tol must be finite and >= 0")
     n, k = system.Y.shape
     if exec_ctx is None:
         exec_ctx = ExecContext()
@@ -728,7 +740,7 @@ def _run(
                     kb, gen_s = next(sweep)
                     wait_s = perf_counter() - t_take
                     if pending is not None:
-                        pending.add(blk, pos, kb)
+                        pending.add(blk, pos, kb, part)
                     if failure is not None:
                         continue  # the sweep now only finishes the check
                     try:
@@ -745,8 +757,9 @@ def _run(
                     raise failure
                 pending = None
             if check_residual:
-                for st in states:
-                    _assert_residual(system.fresh_resid(st, plan.blocks), st.resid)
+                fresh = _recomputed_resids(system, states, plan.blocks)
+                for st, resid in zip(states, fresh):
+                    _assert_residual(resid, st.resid)
             if grad_tol is None or epoch == epochs - 1:
                 continue
             if system.check_needs_blocks:
@@ -773,8 +786,8 @@ def _run_spec(
     elif p is None:
         model = Model("full", np.zeros((data.n, data.k)), kernel=spec, anchors=data.X)
     else:
-        if gamma < 0:
-            raise ConfigError("gamma must be >= 0")
+        if not 0 <= gamma < np.inf:
+            raise ConfigError("gamma must be finite and >= 0")
         landmarks = draw_landmarks(data.n, p, landmark_seed)
         model = Model("nystrom", np.zeros((p, data.k)), kernel=spec,
                       anchors=data.X[landmarks], landmarks=landmarks)

@@ -10,7 +10,6 @@ from kernelbcd.errors import (
     NotSpdError,
 )
 from kernelbcd.linalg import (
-    apply_selector,
     gram,
     is_symmetric,
     lambda_extremes,
@@ -124,37 +123,6 @@ class TestGram:
             assert np.array_equal(g, g.T)
             vals = np.linalg.eigvalsh(g)
             assert vals[0] >= -1e-10 * max(vals[-1], 0.0)
-
-
-class TestApplySelector:
-    def test_single_scatter(self):
-        out = apply_selector(3, [1], np.array([[5.0]]))
-        assert np.array_equal(out, [[0.0], [5.0], [0.0]])
-
-    def test_identity_selector(self):
-        assert np.array_equal(apply_selector(2, [0, 1], np.eye(2)), np.eye(2))
-
-    def test_scatter_positions(self):
-        out = apply_selector(5, [4, 0], np.array([[1.0], [2.0]]))
-        expected = np.zeros((5, 1))
-        expected[4, 0] = 1.0
-        expected[0, 0] = 2.0
-        assert np.array_equal(out, expected)
-
-    def test_gather_roundtrip(self):
-        rng = np.random.default_rng(4)
-        for _ in range(10):
-            n = int(rng.integers(2, 20))
-            size = int(rng.integers(1, n + 1))
-            idx = rng.choice(n, size=size, replace=False)
-            a = rng.standard_normal((size, 3))
-            assert np.array_equal(apply_selector(n, idx, a)[idx], a)
-
-    def test_out_of_range(self):
-        with pytest.raises(IndexOutOfRangeError):
-            apply_selector(3, [3], np.array([[1.0]]))
-        with pytest.raises(IndexOutOfRangeError):
-            apply_selector(3, [1, 1], np.ones((2, 1)))
 
 
 class TestValidateIndices:
