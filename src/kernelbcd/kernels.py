@@ -15,6 +15,7 @@ per column.
 from __future__ import annotations
 
 import csv
+import locale
 import math
 import operator
 from dataclasses import dataclass
@@ -74,8 +75,12 @@ class FeatureMapSpec:
     def __post_init__(self):
         if self.p < 1:
             raise ValueError("feature count p must be >= 1")
-        if not self.sigma > 0:
-            raise ValueError("bandwidth must be positive")
+        # a frequency is a standard normal draw times 1/sigma
+        if not (0 < self.sigma < math.inf and 1.0 / float(self.sigma) < math.inf):
+            raise ValueError(
+                "bandwidth must be positive and finite, with a finite "
+                f"reciprocal; got sigma = {self.sigma!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -372,11 +377,89 @@ def load_csv(path, has_header: bool = False) -> Dataset:
     label column.  Every feature must parse as a finite float64.  Raises
     DataFormatError with the offending 1-based line number, or without one
     when the file cannot be decoded as text.
+
+    A file of plain numbers is parsed in one vectorised pass
+    (``_fast_csv``).  Any other file, and any file that pass rejects, goes
+    to the line reader, which gives the same Dataset for every file the
+    fast pass accepts and reports every error.
     """
+    with open(path, "rb") as fh:
+        data = _fast_csv(fh.read(), has_header)
+    if data is not None:
+        return data
     try:
         return _read_csv(path, has_header)
     except UnicodeDecodeError as exc:
         raise DataFormatError(f"cannot decode the file as text ({exc})") from None
+
+
+# the bytes a data row may hold for the fast pass: digits, then the rest of
+# the number grammar, the comma and both line ends (csv.writer writes CRLF)
+_PLAIN_NON_DIGITS = b".+-eE,\r\n"
+_PLAIN_BYTES = b"0123456789" + _PLAIN_NON_DIGITS
+
+
+def _fast_csv(body: bytes, has_header: bool) -> Dataset | None:
+    """The Dataset of the file bytes ``body``, parsed by one
+    ``np.loadtxt`` call, or None wherever the line reader might read the
+    file otherwise.
+
+    The data rows may hold only ``_PLAIN_BYTES``.  Over that alphabet
+    loadtxt and ``float()`` share one number grammar, csv.reader sees no
+    quote, ``str.splitlines`` ends lines where csv.reader's universal
+    newlines do (CR, LF and CRLF), and both readers skip empty lines.  A
+    header line is skipped here only if csv.reader reads it as one line
+    without error: no quote, no NUL, decodable, within the field limit.
+    The result is kept only if the line reader accepts it as well: two or
+    more columns, finite values, and labels that are integers in
+    [0, 2**63).
+    """
+    limit = csv.field_size_limit()
+    if has_header:
+        ends = [i for i in (body.find(b"\r"), body.find(b"\n")) if i >= 0]
+        cut = min(ends, default=len(body))
+        header, body = body[:cut], body[cut:]
+        if b'"' in header or b"\0" in header or len(header) > limit:
+            return None
+        try:
+            header.decode(locale.getpreferredencoding(False))
+        except UnicodeDecodeError:
+            return None
+    # a body with no digit has no row, and loadtxt would warn "no data"
+    if body.translate(None, _PLAIN_BYTES) or not body.strip(_PLAIN_NON_DIGITS):
+        return None
+    if not _fits_field_limit(body, limit):
+        return None
+    try:
+        table = np.loadtxt(
+            body.decode("ascii").splitlines(), delimiter=",", comments=None, ndmin=2
+        )
+    except ValueError:
+        return None
+    labels = table[:, -1]
+    if not (
+        table.shape[1] >= 2
+        and np.isfinite(table).all()
+        and (labels == np.trunc(labels)).all()
+        and (labels >= 0).all()
+        and (labels < 2.0**63).all()
+    ):
+        return None
+    # a copy, not a strided view: the GEMMs see the line reader's layout
+    X = np.ascontiguousarray(table[:, :-1])
+    lab = labels.astype(np.int64)
+    return Dataset(X=X, labels=lab, k=int(lab.max()) + 1)
+
+
+def _fits_field_limit(body: bytes, limit: int) -> bool:
+    """False unless every field of ``body`` is shorter than ``limit``
+    bytes.  A comma-free run of 2h - 1 or more bytes covers a whole aligned
+    h-byte chunk, so with h = limit // 2 it is enough that every such chunk
+    holds a comma."""
+    h = max(1, limit // 2)
+    u = np.frombuffer(body, dtype=np.uint8)
+    chunks = u[: u.size // h * h].reshape(-1, h)
+    return bool((chunks == ord(",")).any(axis=1).all())
 
 
 def _read_csv(path, has_header: bool) -> Dataset:
@@ -385,7 +468,7 @@ def _read_csv(path, has_header: bool) -> Dataset:
     width = None
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        for line_no, row in enumerate(reader, start=1):
+        for line_no, row in enumerate(_rows(reader), start=1):
             if has_header and line_no == 1:
                 continue
             if not row or (len(row) == 1 and not row[0].strip()):
@@ -421,6 +504,11 @@ def _read_csv(path, has_header: bool) -> Dataset:
             label = int(as_float)
             if label < 0:
                 raise DataFormatError(f"label {label} is negative", line=line_no)
+            if label >= 2**63:
+                raise DataFormatError(
+                    f"label {raw_label!r} does not fit in a 64-bit integer",
+                    line=line_no,
+                )
             rows.append(feats)
             labels.append(label)
     if not rows:
@@ -428,3 +516,12 @@ def _read_csv(path, has_header: bool) -> Dataset:
     X = np.asarray(rows, dtype=np.float64)
     lab = np.asarray(labels, dtype=np.int64)
     return Dataset(X=X, labels=lab, k=int(lab.max()) + 1)
+
+
+def _rows(reader):
+    """The rows of a csv.reader, with its errors (a field past the csv field
+    limit, say) raised as DataFormatError at the line they are on."""
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise DataFormatError(str(exc), line=reader.line_num) from None

@@ -43,8 +43,12 @@ the sweep's last.
 
 from __future__ import annotations
 
+import base64
 import dataclasses
 import json
+import math
+import numbers
+import operator
 import os
 from collections.abc import Callable
 from contextlib import closing
@@ -78,7 +82,9 @@ from .linalg import gram  # noqa: F401
 
 DESCENT_TOL = 1e-9
 
-MODEL_MAGIC = "kernelbcd-model-v1"
+MODEL_MAGIC = "kernelbcd-model-v2"
+# still read by load_model: the same header with arrays as JSON lists
+MODEL_MAGIC_V1 = "kernelbcd-model-v1"
 
 
 # ---------------------------------------------------------------------------
@@ -261,14 +267,15 @@ def evaluate(model: Model, data: Dataset, rmse: bool = False) -> float:
 
 
 def save_model(model: Model, path) -> None:
-    """Write a model file: a magic line followed by one JSON document.
-
-    json round-trips float64 exactly (shortest-repr), so load_model
-    reproduces the coefficients bit for bit.
+    """Write a model file: the magic line ``kernelbcd-model-v2``, then one
+    JSON header holding the specs, ``dim`` and each array as its dtype,
+    shape and the base64 of its little-endian bytes (``_pack``).  The
+    arrays round-trip bit for bit, and a model always writes the same
+    bytes.
     """
     payload = {
         "method": model.method,
-        "coefficients": model.coefficients.tolist(),
+        "coefficients": _pack(model.coefficients, "<f8"),
         "kernel": None
         if model.kernel is None
         else {"family": model.kernel.family, "sigma": model.kernel.sigma},
@@ -279,40 +286,79 @@ def save_model(model: Model, path) -> None:
             "sigma": model.features.sigma,
             "master_seed": model.features.master_seed,
         },
-        "anchors": None if model.anchors is None else model.anchors.tolist(),
-        "landmarks": None if model.landmarks is None else model.landmarks.tolist(),
+        "anchors": None if model.anchors is None else _pack(model.anchors, "<f8"),
+        "landmarks": None
+        if model.landmarks is None
+        else _pack(model.landmarks, "<i8"),
     }
     if model.dim is not None:
         payload["dim"] = model.dim
     tmp = f"{path}.tmp-{os.getpid()}"
     with open(tmp, "w") as fh:
-        fh.write(MODEL_MAGIC + "\n")
-        json.dump(payload, fh, sort_keys=True)
-        fh.write("\n")
+        # json.dumps, not json.dump: dump to a file runs the pure-Python encoder
+        fh.write(MODEL_MAGIC + "\n" + json.dumps(payload, sort_keys=True) + "\n")
     os.replace(tmp, path)
 
 
 def load_model(path) -> Model:
-    with open(path) as fh:
-        magic = fh.readline().strip()
-        if magic != MODEL_MAGIC:
-            raise ConfigError(f"not a model file (magic {magic!r})")
-        payload = json.load(fh)
-    kernel = payload["kernel"]
-    features = payload["features"]
-    return Model(
-        method=payload["method"],
-        coefficients=np.asarray(payload["coefficients"], dtype=np.float64),
-        kernel=None if kernel is None else KernelSpec(**kernel),
-        features=None if features is None else FeatureMapSpec(**features),
-        anchors=None
-        if payload["anchors"] is None
-        else np.asarray(payload["anchors"], dtype=np.float64),
-        landmarks=None
-        if payload["landmarks"] is None
-        else np.asarray(payload["landmarks"], dtype=np.int64),
-        dim=payload.get("dim"),
-    )
+    """Read a model file of either format: v2 (``save_model``) or v1, whose
+    arrays are JSON lists.  Any malformed file raises ``ConfigError``."""
+    with open(path, "rb") as fh:
+        magic = fh.readline().strip().decode("utf-8", "replace")
+        body = fh.read()
+    if magic not in (MODEL_MAGIC_V1, MODEL_MAGIC):
+        raise ConfigError(f"not a model file (magic {magic!r})")
+    try:
+        payload = json.loads(body)
+        kernel = payload["kernel"]
+        features = payload["features"]
+        dim = payload.get("dim")
+        return Model(
+            method=payload["method"],
+            coefficients=_unpack(payload["coefficients"], "<f8", 2),
+            kernel=None if kernel is None else KernelSpec(**kernel),
+            features=None if features is None else FeatureMapSpec(**features),
+            anchors=None
+            if payload["anchors"] is None
+            else _unpack(payload["anchors"], "<f8", 2),
+            landmarks=None
+            if payload["landmarks"] is None
+            else _unpack(payload["landmarks"], "<i8", 1),
+            dim=None if dim is None else operator.index(dim),
+        )
+    except (ValueError, KeyError, TypeError, DimensionMismatchError) as exc:
+        # ValueError covers bad JSON, bad base64 and bad spec values
+        raise ConfigError(f"malformed model file {path}: {exc!r}") from None
+
+
+def _pack(a: np.ndarray, dtype: str) -> dict:
+    """A v2 array entry: dtype, shape and the base64 of the array's bytes
+    in that little-endian dtype."""
+    a = np.ascontiguousarray(a, dtype=dtype)
+    return {
+        "dtype": dtype,
+        "shape": list(a.shape),
+        "data": base64.b64encode(a.tobytes()).decode("ascii"),
+    }
+
+
+def _unpack(entry, dtype: str, ndim: int) -> np.ndarray:
+    """The native array of a v1 JSON list or of a v2 ``_pack`` entry, which
+    must hold ``dtype`` at rank ``ndim``."""
+    native = np.dtype(dtype).newbyteorder("=")
+    if not isinstance(entry, dict):
+        a = np.asarray(entry, dtype=native)
+    else:
+        if entry["dtype"] != dtype:
+            raise ConfigError(f"array dtype {entry['dtype']!r}, expected {dtype!r}")
+        shape = [operator.index(s) for s in entry["shape"]]
+        raw = base64.b64decode(entry["data"], validate=True)
+        if min(shape, default=0) < 0 or len(raw) != math.prod(shape) * native.itemsize:
+            raise ConfigError(f"{len(raw)} array bytes do not fill shape {shape}")
+        a = np.frombuffer(raw, dtype=dtype).reshape(shape).astype(native)
+    if a.ndim != ndim:
+        raise ConfigError(f"array of rank {a.ndim}, expected {ndim}")
+    return a
 
 
 # ---------------------------------------------------------------------------
@@ -693,8 +739,14 @@ def _run(
     error state, and test evaluation keeps the caller's.
     """
     _check_lams(lams)
+    try:
+        epochs = operator.index(epochs)
+    except TypeError:
+        raise ConfigError(f"epochs must be an integer, got {epochs!r}") from None
     if epochs < 0:
         raise ConfigError("epochs must be >= 0")
+    if grad_tol is not None and not isinstance(grad_tol, numbers.Real):
+        raise ConfigError(f"grad_tol must be a real number, got {grad_tol!r}")
     if grad_tol is not None and not 0 <= grad_tol < np.inf:
         raise ConfigError("grad_tol must be finite and >= 0")
     n, k = system.Y.shape

@@ -600,3 +600,12 @@ def test_allocation_failure_exits_2(tmp_path, blob_files, monkeypatch, capsys):
                  "--out", str(tmp_path / "out")])
     assert code == EXIT_CONFIG
     assert "out of memory" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("sigma", ["inf", "1e-320"])
+def test_rf_sigma_without_finite_reciprocal_is_config_error(blob_files, sigma, capsys):
+    train, _ = blob_files
+    code = main(["solve", "--train", train, "--method", "rf", "--b", "8",
+                 "--p", "16", "--sigma", sigma])
+    assert code == EXIT_CONFIG
+    assert "bandwidth must be positive and finite" in capsys.readouterr().err

@@ -359,3 +359,16 @@ def test_block_draw_in_column_chunks_is_unchanged(words, monkeypatch):
     chunked, chunked_phases = _block_params(spec, idx, 7)
     assert chunked.flags.c_contiguous
     assert np.array_equal(chunked, freqs) and np.array_equal(chunked_phases, phases)
+
+
+@pytest.mark.parametrize("sigma", [float("inf"), float("nan"), -1.0, 0.0, 1e-320, 5e-324])
+def test_feature_map_rejects_sigma_without_finite_reciprocal(sigma):
+    with pytest.raises(ValueError, match="sigma"):
+        FeatureMapSpec(p=4, sigma=sigma)
+    with pytest.raises(ValueError, match="sigma"):
+        FeatureMapSpec(p=4, sigma=np.float64(sigma))
+
+
+@pytest.mark.parametrize("sigma", [1e-300, 1e300])
+def test_feature_map_takes_sigma_at_the_float_edges(sigma):
+    assert FeatureMapSpec(p=4, sigma=sigma).sigma == sigma

@@ -1028,3 +1028,30 @@ def test_entry_point_rejects_the_other_spec_type(entry, spec, expected):
     data = gaussian_blobs(32, 3, 2, seed=1)
     with pytest.raises(ConfigError, match=f"expected a {expected}"):
         entry(data, spec, make_plan(8, 4))
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        (dict(epochs=2.5), "epochs must be an integer"),
+        (dict(epochs="3"), "epochs must be an integer"),
+        (dict(epochs=2, grad_tol="1e-3"), "grad_tol must be a real number"),
+        (dict(epochs=2, grad_tol=[1e-3]), "grad_tol must be a real number"),
+        (dict(epochs=2, grad_tol=1j), "grad_tol must be a real number"),
+    ],
+)
+def test_run_rejects_mistyped_epochs_and_grad_tol(kwargs, message):
+    data = gaussian_blobs(16, 3, 2, seed=1)
+    fspec = FeatureMapSpec(p=8, sigma=2.0, master_seed=3)
+    epochs = kwargs.pop("epochs")
+    with pytest.raises(ConfigError, match=message):
+        solve_rf(data, fspec, 0.1, make_plan(8, 4), epochs, **kwargs)
+
+
+def test_run_takes_numpy_integer_epochs_and_tolerance():
+    data = gaussian_blobs(16, 3, 2, seed=1)
+    fspec = FeatureMapSpec(p=8, sigma=2.0, master_seed=3)
+    plan = make_plan(8, 4)
+    ref, _ = solve_rf(data, fspec, 0.1, plan, 2, grad_tol=1e-12)
+    model, _ = solve_rf(data, fspec, 0.1, plan, np.int64(2), grad_tol=np.float64(1e-12))
+    assert np.array_equal(model.coefficients, ref.coefficients)
