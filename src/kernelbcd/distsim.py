@@ -203,8 +203,22 @@ def distributed_gram(
     return out
 
 
-def partitioned_matvec(a: np.ndarray, rhs: np.ndarray, part: Partition) -> np.ndarray:
-    """Row-partitioned A^T @ rhs with tree aggregation; values only."""
+def minus_tiled(rhs: np.ndarray, minus: np.ndarray) -> np.ndarray:
+    """rhs - [minus, ..., minus]: ``minus`` (m x w) subtracted from each
+    width-w column group of ``rhs`` (m x g*w)."""
+    rows, width = minus.shape
+    groups = rhs.reshape(rows, rhs.shape[1] // width, width)
+    return (groups - minus[:, None, :]).reshape(rhs.shape)
+
+
+def partitioned_matvec(
+    a: np.ndarray, rhs: np.ndarray, part: Partition, minus: np.ndarray | None = None
+) -> np.ndarray:
+    """Row-partitioned A^T @ rhs with tree aggregation; values only.
+
+    With ``minus`` it is A^T ``minus_tiled(rhs, minus)``, the difference
+    formed one worker's rows at a time, so no n-row copy of it exists.
+    """
     a = np.asarray(a, dtype=np.float64)
     rhs = np.asarray(rhs, dtype=np.float64)
     if a.shape[0] != rhs.shape[0]:
@@ -212,7 +226,19 @@ def partitioned_matvec(a: np.ndarray, rhs: np.ndarray, part: Partition) -> np.nd
             f"A has {a.shape[0]} rows, rhs has {rhs.shape[0]}"
         )
     _check_partition(part, a.shape[0])
-    parts = [a[lo:hi].T @ rhs[lo:hi] for lo, hi in part.ranges()]
+    if minus is None:
+        parts = [a[lo:hi].T @ rhs[lo:hi] for lo, hi in part.ranges()]
+    else:
+        minus = np.asarray(minus, dtype=np.float64)
+        if (minus.ndim != 2 or rhs.ndim != 2 or minus.shape[0] != rhs.shape[0]
+                or not minus.shape[1] or rhs.shape[1] % minus.shape[1]):
+            raise DimensionMismatchError(
+                f"cannot subtract {minus.shape} from each column group of {rhs.shape}"
+            )
+        parts = [
+            a[lo:hi].T @ minus_tiled(rhs[lo:hi], minus[lo:hi])
+            for lo, hi in part.ranges()
+        ]
     return _tree_reduce(parts)
 
 

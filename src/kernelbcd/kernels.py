@@ -29,6 +29,8 @@ from .linalg import validate_indices
 from .threads import for_rows
 
 TWO_PI = 2.0 * np.pi
+# above the largest standard normal draw of a feature, |ndtri(5e-324)| = 38.47
+MAX_NORMAL_DRAW = 38.5
 
 KERNEL_FAMILIES = ("rbf", "linear")
 
@@ -75,11 +77,13 @@ class FeatureMapSpec:
     def __post_init__(self):
         if self.p < 1:
             raise ValueError("feature count p must be >= 1")
-        # a frequency is a standard normal draw times 1/sigma
-        if not (0 < self.sigma < math.inf and 1.0 / float(self.sigma) < math.inf):
+        # a frequency is a standard normal draw times 1/sigma, and a draw
+        # reaches MAX_NORMAL_DRAW / sigma
+        if not (0 < self.sigma < math.inf
+                and MAX_NORMAL_DRAW / float(self.sigma) < math.inf):
             raise ValueError(
-                "bandwidth must be positive and finite, with a finite "
-                f"reciprocal; got sigma = {self.sigma!r}"
+                "bandwidth must be positive and finite, with "
+                f"{MAX_NORMAL_DRAW} / sigma finite; got sigma = {self.sigma!r}"
             )
 
 
@@ -349,8 +353,19 @@ def _philox4x64(key: np.ndarray, n_counters: int) -> np.ndarray:
 
 
 def one_vs_all(dataset: Dataset) -> np.ndarray:
-    """The n x k label matrix with +1 at the true class and -1 elsewhere."""
+    """The n x k label matrix with +1 at the true class and -1 elsewhere.
+
+    Raises ``DataFormatError`` naming the largest label when numpy cannot
+    even index an n x k float array; a smaller matrix that does not fit in
+    memory raises ``MemoryError``.
+    """
     n = dataset.n
+    if n * dataset.k * 8 > np.iinfo(np.intp).max:
+        top = int(dataset.labels.max()) if n else dataset.k - 1
+        raise DataFormatError(
+            f"label {top} makes {dataset.k} classes: the {n} x {dataset.k} "
+            "one-vs-all label matrix is too big for any machine"
+        )
     y = np.full((n, dataset.k), -1.0)
     y[np.arange(n), dataset.labels] = 1.0
     return y

@@ -15,7 +15,7 @@ from kernelbcd.distsim import (
     measured_vs_predicted,
     predict_costs,
 )
-from kernelbcd.errors import ConfigError
+from kernelbcd.errors import ConfigError, DivergenceError, NotSpdError
 from kernelbcd.kernels import (
     FeatureMapSpec,
     KernelSpec,
@@ -45,25 +45,35 @@ class _Recorder:
     def __getattr__(self, name):
         return getattr(self.system, name)
 
-    def update(self, state, *args):
-        if not any(s is state for s in self.states):
-            self.states.append(state)
-        return self.system.update(state, *args)
+    def update(self, batch, *args):
+        for state in batch.states:
+            if not any(s is state for s in self.states):
+                self.states.append(state)
+        return self.system.update(batch, *args)
+
+
+def run_wrapped(wrap, run_spec):
+    """``run_spec()``, a call of ``_run_spec``, on ``wrap(system)``: the
+    results and the wrapper."""
+    wrappers = []
+    real_run = solvers._run
+
+    def run(data, system, *args, **kwargs):
+        wrappers.append(wrap(system))
+        return real_run(data, wrappers[-1], *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solvers, "_run", run)
+        results = run_spec()
+    return results, wrappers[0]
 
 
 def run_recorded(data, spec, lams, plan, epochs, **kw):
     """``_run_spec`` on a recording system: the results and the states."""
-    recorders = []
-    real_run = solvers._run
-
-    def run(data, system, *args, **kwargs):
-        recorders.append(_Recorder(system))
-        return real_run(data, recorders[-1], *args, **kwargs)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(solvers, "_run", run)
-        results = solvers._run_spec(data, spec, lams, plan, epochs, **kw)
-    return results, recorders[0].states
+    results, recorder = run_wrapped(
+        _Recorder, lambda: solvers._run_spec(data, spec, lams, plan, epochs, **kw)
+    )
+    return results, recorder.states
 
 
 def dense_resid(model, data, lam):
@@ -213,3 +223,141 @@ def test_library_inputs_checked_like_the_cli(method, kw, match):
 def test_zero_grad_tol_runs_every_epoch(method):
     _, trace = _solve(method, epochs=3, grad_tol=0.0)
     assert trace.records[-1].epoch == 2
+
+
+@pytest.mark.parametrize("n_lams", [1, 2, 3])
+@pytest.mark.parametrize("method", ["nystrom", "rf"])
+def test_one_gradient_product_per_visit_for_every_lambda(monkeypatch, method, n_lams):
+    # the live states' gradients are one product per visit however many
+    # lambdas ride it, and a check sweep adds one for the snapshots
+    calls = []
+    real = solvers.partitioned_matvec
+    monkeypatch.setattr(
+        solvers, "partitioned_matvec",
+        lambda *a, **kw: (calls.append(1), real(*a, **kw))[1],
+    )
+    _, plan, run = _case(method)
+    lams = [0.1, 0.03, 0.3][:n_lams]
+    run(lams, 3)
+    assert len(calls) == 3 * plan.n_blocks
+    calls.clear()
+    run(lams, 3, grad_tol=0.0)  # the checks after epochs 0 and 1 never pass
+    assert len(calls) == (3 + 2) * plan.n_blocks
+
+
+class _Faults:
+    """A system that from its second visit on scales the block matrix by
+    1e-3 for the lambda ``diverging`` (a step 1000 times too long, so the
+    objective rises and the descent guard raises ``DivergenceError``) and
+    negates it for the lambda ``singular`` (``spd_solve`` raises
+    ``NotSpdError``).  The first visit has no objective to rise from."""
+
+    def __init__(self, system, lams, diverging, singular):
+        self.system, self.visits = system, 0
+        self.diverging = system.n * lams[diverging]
+        self.singular = system.n * lams[singular]
+
+    def __getattr__(self, name):
+        return getattr(self.system, name)
+
+    def update(self, *args):  # the shared step, solving with ``matrix`` below
+        return solvers._BlockSystem.update(self, *args)
+
+    def visit(self, *args):
+        self.visits += 1
+        return self.system.visit(*args)
+
+    def matrix(self, products, lam_eff):
+        a = self.system.matrix(products, lam_eff)
+        if self.visits < 2:
+            return a
+        if lam_eff == self.diverging:
+            return a * 1e-3
+        return -a if lam_eff == self.singular else a
+
+
+@pytest.mark.parametrize(
+    "diverging, singular, error",
+    [(0, 1, DivergenceError), (1, 0, NotSpdError), (2, 1, NotSpdError)],
+)
+@pytest.mark.parametrize("method", METHODS)
+def test_visit_raises_the_first_failing_lambdas_error(method, diverging, singular, error):
+    # every solve of a visit comes before any descent check, yet the error
+    # raised is the one of the first lambda to fail, as when each lambda
+    # was checked right after its own solve
+    _, _, run = _case(method)
+    lams = [0.1, 0.03, 0.3]
+    with pytest.raises(error):
+        run_wrapped(lambda system: _Faults(system, lams, diverging, singular),
+                    lambda: run(lams, 1))
+
+
+def _path_case(method, n, d, k, b, n_blocks, seed):
+    """Data, spec, plan and method arguments of a random path problem."""
+    if method == "full":  # n rows in at most 48 blocks
+        n_blocks = min(max(n // b, n_blocks), 48)
+        n = b * n_blocks
+    data = gaussian_blobs(max(n, b * n_blocks), d, k, seed=seed)
+    plan = make_plan(b * n_blocks, b, seed=seed + 1)
+    if method == "rf":
+        return data, FeatureMapSpec(b * n_blocks, 2.0, master_seed=seed + 2), plan, {}
+    if method == "nystrom":
+        return data, KSPEC, plan, dict(p=b * n_blocks, gamma=1e-3, landmark_seed=seed + 3)
+    return data, KSPEC, plan, {}
+
+
+def _single(method, data, spec, lam, plan, epochs, extra, **kw):
+    if method == "full":
+        return solve_full(data, spec, lam, plan, epochs, **kw)
+    if method == "nystrom":
+        return solve_nystrom(data, spec, extra["p"], lam, extra["gamma"], plan, epochs,
+                             landmark_seed=extra["landmark_seed"], **kw)
+    return solve_rf(data, spec, lam, plan, epochs, **kw)
+
+
+# A width-L*k product can round a column differently from a width-k one
+# (see solve_path).  Over 750 random problems like these a path's
+# coefficients differed from the single runs' by at most 2.4e-9 of the
+# largest one (ill-conditioned 1-d nystrom blocks amplify the last bits),
+# and its objectives by at most 1.5e-12 relative
+PATH_COEFF_RTOL = 1e-7
+PATH_OBJECTIVE_RTOL = 1e-10
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    method=st.sampled_from(METHODS),
+    lams=st.lists(st.sampled_from([1e-4, 1e-3, 1e-2, 1e-1, 1.0]),
+                  min_size=1, max_size=4, unique=True),
+    workers=st.integers(1, 4),
+    grad_tol=st.sampled_from([None, 1e-2]),
+    n=st.integers(2, 3000),
+    d=st.integers(1, 6),
+    k=st.integers(1, 12),
+    b=st.sampled_from([1, 2, 3, 8, 16, 64]),
+    n_blocks=st.integers(1, 6),
+    epochs=st.integers(1, 3),
+    seed=st.integers(0, 2**16),
+)
+def test_path_equals_the_single_runs(
+    method, lams, workers, grad_tol, n, d, k, b, n_blocks, epochs, seed
+):
+    # each lambda of a path ends where its own run of as many epochs ends:
+    # a path with grad_tol stops once every lambda passes, so its singles
+    # run the epochs the path ran; a single lambda's path is its run
+    data, spec, plan, extra = _path_case(method, n, d, k, b, n_blocks, seed)
+    path = solvers.solve_path(data, spec, lams, plan, epochs, grad_tol=grad_tol,
+                              exec_ctx=ExecContext(workers), **extra)
+    ran = len(path[lams[0]][1].records) // plan.n_blocks
+    for lam in lams:
+        model, trace = path[lam]
+        single, strace = _single(method, data, spec, lam, plan, ran, extra,
+                                 exec_ctx=ExecContext(workers))
+        scale = max(np.abs(single.coefficients).max(), 1e-300)
+        dev = np.abs(model.coefficients - single.coefficients).max() / scale
+        if len(lams) == 1:
+            assert dev == 0.0
+            assert np.array_equal(trace.objectives(), strace.objectives())
+        assert dev <= PATH_COEFF_RTOL
+        assert np.allclose(trace.objectives(), strace.objectives(),
+                           rtol=PATH_OBJECTIVE_RTOL, atol=0)

@@ -609,3 +609,22 @@ def test_rf_sigma_without_finite_reciprocal_is_config_error(blob_files, sigma, c
                  "--p", "16", "--sigma", sigma])
     assert code == EXIT_CONFIG
     assert "bandwidth must be positive and finite" in capsys.readouterr().err
+
+
+def test_label_too_big_for_the_label_matrix_exits_3_naming_it(tmp_path, capsys):
+    # load_csv takes any integer label below 2**63, but 9.2e18 + 1 one-vs-all
+    # columns for two rows are past what numpy can index
+    train = tmp_path / "train.csv"
+    train.write_text("1.0,2.0,0\n1.5,2.5,9.2e18\n")
+    code = main(["solve", "--train", str(train), "--method", "full", "--b", "1",
+                 "--out", str(tmp_path / "out")])
+    assert code == EXIT_DATA
+    assert "label 9200000000000000000" in capsys.readouterr().err
+
+
+def test_rf_sigma_whose_frequencies_overflow_is_config_error(tmp_path, blob_files, capsys):
+    train, _ = blob_files
+    code = main(["solve", "--train", train, "--method", "rf", "--b", "8",
+                 "--p", "16", "--sigma", "1e-308", "--out", str(tmp_path / "out")])
+    assert code == EXIT_CONFIG
+    assert "38.5 / sigma" in capsys.readouterr().err

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from kernelbcd.distsim import (
     NULL_LEDGER,
@@ -8,9 +9,12 @@ from kernelbcd.distsim import (
     distributed_matvec,
     make_partition,
     measured_vs_predicted,
+    minus_tiled,
+    partitioned_matvec,
     predict_costs,
     tree_rounds,
 )
+from kernelbcd.errors import DimensionMismatchError
 from kernelbcd.kernels import FeatureMapSpec, gaussian_blobs
 from kernelbcd.linalg import gram
 from kernelbcd.solvers import make_plan, solve_rf
@@ -112,6 +116,26 @@ class TestDistributedMatvec:
         ledger = CostLedger()
         distributed_matvec(a, y, make_partition(24, 4), ledger)
         assert ledger.bytes_communicated == 2 * 4 * 3 * 8
+
+    @pytest.mark.parametrize("workers", [1, 3, 7])
+    def test_minus_is_subtracted_from_every_column_group(self, workers):
+        # the difference is formed per worker range, which gives the bytes
+        # of forming it whole first; 7 workers leave a range empty
+        rng = np.random.default_rng(9)
+        a = rng.standard_normal((6, 4))
+        rhs = rng.standard_normal((6, 3 * 2))
+        y = rng.standard_normal((6, 2))
+        part = make_partition(6, workers)
+        out = partitioned_matvec(a, rhs, part, minus=y)
+        assert np.array_equal(out, partitioned_matvec(a, minus_tiled(rhs, y), part))
+        groups = [rhs[:, 2 * g : 2 * g + 2] - y for g in range(3)]
+        assert np.array_equal(minus_tiled(rhs, y), np.hstack(groups))
+
+    @pytest.mark.parametrize("shape", [(6, 4), (5, 3), (6, 0)])
+    def test_minus_must_tile_the_rhs(self, shape):
+        with pytest.raises(DimensionMismatchError):
+            partitioned_matvec(np.ones((6, 2)), np.ones((6, 6)), make_partition(6, 2),
+                               minus=np.ones(shape))
 
 
 class TestPredictCosts:

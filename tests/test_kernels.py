@@ -13,6 +13,7 @@ from kernelbcd.errors import (
     IndexOutOfRangeError,
 )
 from kernelbcd.kernels import (
+    MAX_NORMAL_DRAW,
     Dataset,
     FeatureMapSpec,
     KernelSpec,
@@ -233,6 +234,12 @@ class TestOneVsAll:
                 assert y[i, j] == (1.0 if j == label else -1.0)
         assert np.all(np.sum(y == 1.0, axis=1) == 1)
 
+    def test_label_too_big_to_index_is_named(self):
+        # 2 x (2**62 + 1) floats is past what numpy can index
+        data = Dataset(X=np.zeros((2, 1)), labels=[0, 2**62], k=2**62 + 1)
+        with pytest.raises(DataFormatError, match=f"label {2**62} makes"):
+            one_vs_all(data)
+
     def test_label_validation(self):
         with pytest.raises(ValueError):
             Dataset(X=np.zeros((2, 1)), labels=[0, 2], k=2)
@@ -372,3 +379,16 @@ def test_feature_map_rejects_sigma_without_finite_reciprocal(sigma):
 @pytest.mark.parametrize("sigma", [1e-300, 1e300])
 def test_feature_map_takes_sigma_at_the_float_edges(sigma):
     assert FeatureMapSpec(p=4, sigma=sigma).sigma == sigma
+
+
+def test_feature_map_sigma_bound_covers_the_largest_draw():
+    # _block_params floors its uniforms at 5e-324 before ndtri
+    assert MAX_NORMAL_DRAW >= abs(ndtri(5e-324))
+
+
+@pytest.mark.parametrize("sigma", [1e-308, 2e-307])
+def test_feature_map_rejects_sigma_whose_frequencies_overflow(sigma):
+    # 1 / sigma is finite, but a frequency can reach 38.47 / sigma
+    with pytest.raises(ValueError, match="38.5 / sigma"):
+        FeatureMapSpec(p=4, sigma=sigma)
+    assert FeatureMapSpec(p=4, sigma=2.2e-307).sigma == 2.2e-307

@@ -877,10 +877,10 @@ def test_grad_tol_stop_equals_fixed_epoch_run(method, lams, with_ledger):
 
 
 class _FaultAfter:
-    """A system that behaves like ``system`` for ``after`` updates, then
-    faults on every later one: ``nan`` poisons the maintained residual
-    (the descent guard raises ``DivergenceError``), ``not_spd`` raises
-    ``NotSpdError`` as a singular block system would."""
+    """A system that behaves like ``system`` for ``after`` lambda updates,
+    then faults on every later one: ``nan`` poisons the maintained residual
+    (the descent guard raises ``DivergenceError``), ``not_spd`` reports
+    ``NotSpdError`` as the failed solve of a singular block system would."""
 
     def __init__(self, system, after, fault):
         self.system, self.after, self.fault = system, after, fault
@@ -888,14 +888,16 @@ class _FaultAfter:
     def __getattr__(self, name):
         return getattr(self.system, name)
 
-    def update(self, st, *args):
-        self.after -= 1
-        if self.after < 0 and self.fault == "not_spd":
-            raise NotSpdError("block system is not positive definite")
-        out = self.system.update(st, *args)
-        if self.after < 0:
-            st.resid[:] = np.nan
-        return out
+    def update(self, batch, *args):
+        res_s, solve_s, failure = self.system.update(batch, *args)
+        for i, st in enumerate(batch.states):
+            self.after -= 1
+            if self.after < 0 and self.fault == "not_spd":
+                error = NotSpdError("block system is not positive definite")
+                return res_s, solve_s[:i], error
+            if self.after < 0:
+                st.resid[:] = np.nan
+        return res_s, solve_s, failure
 
 
 @pytest.mark.parametrize("fault", ["nan", "not_spd"])
