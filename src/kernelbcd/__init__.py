@@ -13,7 +13,6 @@ from .distsim import (
     ExecContext,
     Partition,
     distributed_gram,
-    distributed_matvec,
     make_partition,
     measured_vs_predicted,
     predict_costs,

@@ -20,7 +20,8 @@ Every run charges a ledger, the caller's or ``NULL_LEDGER``, which keeps
 nothing.  ``distributed_gram`` is the one gram charge, seconds included; the
 per-block right-hand-side partials ride in its aggregation message, and only
 the b x b payload is charged, as in the closed-form communication column.
-The standalone ``distributed_matvec`` charges its own (analogous) bytes.
+``partitioned_matvec`` computes values only; the solvers charge their block
+step's products in the ``residual`` phase.
 """
 
 from __future__ import annotations
@@ -203,22 +204,8 @@ def distributed_gram(
     return out
 
 
-def minus_tiled(rhs: np.ndarray, minus: np.ndarray) -> np.ndarray:
-    """rhs - [minus, ..., minus]: ``minus`` (m x w) subtracted from each
-    width-w column group of ``rhs`` (m x g*w)."""
-    rows, width = minus.shape
-    groups = rhs.reshape(rows, rhs.shape[1] // width, width)
-    return (groups - minus[:, None, :]).reshape(rhs.shape)
-
-
-def partitioned_matvec(
-    a: np.ndarray, rhs: np.ndarray, part: Partition, minus: np.ndarray | None = None
-) -> np.ndarray:
-    """Row-partitioned A^T @ rhs with tree aggregation; values only.
-
-    With ``minus`` it is A^T ``minus_tiled(rhs, minus)``, the difference
-    formed one worker's rows at a time, so no n-row copy of it exists.
-    """
+def partitioned_matvec(a: np.ndarray, rhs: np.ndarray, part: Partition) -> np.ndarray:
+    """Row-partitioned A^T @ rhs with tree aggregation; values only."""
     a = np.asarray(a, dtype=np.float64)
     rhs = np.asarray(rhs, dtype=np.float64)
     if a.shape[0] != rhs.shape[0]:
@@ -226,41 +213,8 @@ def partitioned_matvec(
             f"A has {a.shape[0]} rows, rhs has {rhs.shape[0]}"
         )
     _check_partition(part, a.shape[0])
-    if minus is None:
-        parts = [a[lo:hi].T @ rhs[lo:hi] for lo, hi in part.ranges()]
-    else:
-        minus = np.asarray(minus, dtype=np.float64)
-        if (minus.ndim != 2 or rhs.ndim != 2 or minus.shape[0] != rhs.shape[0]
-                or not minus.shape[1] or rhs.shape[1] % minus.shape[1]):
-            raise DimensionMismatchError(
-                f"cannot subtract {minus.shape} from each column group of {rhs.shape}"
-            )
-        parts = [
-            a[lo:hi].T @ minus_tiled(rhs[lo:hi], minus[lo:hi])
-            for lo, hi in part.ranges()
-        ]
+    parts = [a[lo:hi].T @ rhs[lo:hi] for lo, hi in part.ranges()]
     return _tree_reduce(parts)
-
-
-def distributed_matvec(
-    a: np.ndarray,
-    rhs: np.ndarray,
-    part: Partition,
-    ledger: CostLedger = NULL_LEDGER,
-    phase: str = "gram",
-) -> np.ndarray:
-    """Row-partitioned A^T @ rhs (result b x k) with tree aggregation.
-
-    Ledger: n*b*k flops and ceil(log2(M)) * b*k * 8 bytes, the gram
-    convention applied to the b x k result.
-    """
-    out = partitioned_matvec(a, rhs, part)
-    ledger.add(  # out holds the b*k entries
-        phase,
-        flops=part.n_rows * out.size,
-        nbytes=tree_rounds(part.workers) * out.size * FLOAT_BYTES,
-    )
-    return out
 
 
 @dataclass(frozen=True)

@@ -10,8 +10,9 @@ too.  A per-method system states only its math: the products every
 lambda shares, its b x b block matrix A, its block of the normal-equation
 residual ``grad`` and the rows its scatter S_J writes.  One block step
 serves every system: solve A d = -grad, add d to the block's coefficients
-and (K_J + n*lam*S_J)[:, block] d to the maintained R.  The step serves
-every lambda at once: their coefficients and R sit side by side
+and (K_J + n*lam*S_J)[:, block] d to the maintained fit error
+E = (K_J + n*lam*S_J) alpha - Y, which starts at -Y.  The step serves
+every lambda at once: their coefficients and E sit side by side
 (``_Batch``), so a visit makes one gradient product and one update product
 for all lambdas, with a b x b solve per lambda in between.  The
 ``grad_tol`` check and the residual check read the same ``grad`` and the
@@ -19,12 +20,12 @@ same columns.
 
 * ``_FullSystem``: block Gauss-Seidel on (K + n*lam*I) alpha = Y, exact
   blockwise minimization of 0.5<alpha, K alpha> + (n*lam/2)||alpha||^2 - <Y, alpha>;
-  R = K alpha and grad = (R - Y)[idx] + n*lam*alpha[idx], with no product;
+  E = K alpha - Y and grad = E[idx] + n*lam*alpha[idx], with no product;
 * ``_GramSystem``, nystrom: (K_J^T K_J + n*lam*K_JJ + n*lam*gamma*I) alpha =
-  K_J^T Y, keeping R = (K_J + n*lam*S_J) alpha, so that
-  grad = K_J[:, pos]^T (R - Y) + n*lam*gamma*alpha[pos];
+  K_J^T Y, keeping E = (K_J + n*lam*S_J) alpha - Y, so that
+  grad = K_J[:, pos]^T E + n*lam*gamma*alpha[pos];
 * ``_GramSystem``, random features: the same with no K_JJ term and gamma = 1,
-  (Z^T Z + n*lam*I) w = Z^T Y with R = Z w.
+  (Z^T Z + n*lam*I) w = Z^T Y with E = Z w - Y.
 
 Every update is an exact b x b solve, so each objective is non-increasing;
 an increase beyond 1e-9 times max(1, |objective|) raises ``DivergenceError``.
@@ -33,12 +34,12 @@ pair of block products as wide as every lambda's right-hand sides together,
 and a small solve per lambda.
 Public APIs take the statistical lambda; systems use lam_eff = n * lambda.
 
-The ``grad_tol`` stop is exact.  ``full`` maintains K alpha and checks at
+The ``grad_tol`` stop is exact.  ``full`` maintains K alpha - Y and checks at
 each epoch end with no blocks.  The nystrom/rf normal-equation residual
 needs every column block, so an epoch end's check is summed on the blocks
 the next sweep generates anyway; if it passes, that sweep is discarded.  A
-run stopped after E epochs thus generates each block E + 1 times, not 2E.
-``check_residual`` recomputes every lambda's R in one more sweep per epoch.
+run stopped after T epochs thus generates each block T + 1 times, not 2T.
+``check_residual`` recomputes every lambda's E in one more sweep per epoch.
 
 Within a sweep the next block is generated while the current one is
 applied (``threads.ahead``): a block source is called one call at a time,
@@ -67,7 +68,6 @@ from .distsim import (
     NULL_LEDGER,
     ExecContext,
     distributed_gram,
-    minus_tiled,
     partitioned_matvec,
 )
 from .errors import ConfigError, DimensionMismatchError, DivergenceError, NotSpdError
@@ -126,6 +126,10 @@ def make_plan(universe: int, block_size: int, seed: int = 0) -> BlockPlan:
         raise ConfigError(
             f"block size {block_size} does not divide universe {universe}"
         )
+    # past 2**62 bytes of indices numpy's permutation raises ValueError, not
+    # MemoryError, so a universe this large is refused here
+    if universe >= 2**59:
+        raise ConfigError(f"universe {universe} is too large to index")
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
     perm = rng.permutation(universe)
     blocks = tuple(
@@ -454,13 +458,13 @@ def primal_dual_gap(Z: np.ndarray, w: np.ndarray, Y: np.ndarray, lam: float) -> 
 class _LamState:
     lam: float
     coeffs: np.ndarray  # its columns of _Batch.coeffs
-    resid: np.ndarray  # R, see _BlockSystem; its columns of _Batch.resid
+    resid: np.ndarray  # E, see _BlockSystem; its columns of _Batch.resid
     trace: ConvergenceTrace = field(default_factory=ConvergenceTrace)
     prev_obj: float = np.inf
 
 
 class _Batch:
-    """Every lambda's coefficients and R side by side: lambda l owns
+    """Every lambda's coefficients and E side by side: lambda l owns
     columns ``cols[l]`` = l*k:(l+1)*k of one coefficient and one residual
     array, so one product against a column block serves every lambda.
     ``states`` are the per-lambda views; ``lam_eff`` holds n lam per
@@ -492,17 +496,26 @@ def _guard_descent(state: _LamState, obj: float) -> None:
     state.prev_obj = obj
 
 
-def _check_lams(lams) -> None:
+def _check_lams(lams, n: int, gamma: float) -> None:
+    """Positive, finite, distinct lambdas whose block-matrix terms n lam and
+    n lam gamma are finite too."""
     if not lams:
         raise ConfigError("need at least one lambda")
     if any(not 0 < lam < np.inf for lam in lams):
         raise ConfigError("every lambda must be positive and finite")
     if len(set(lams)) != len(lams):
         raise ConfigError("lambda values must be distinct")
+    for lam in lams:
+        # python floats: an overflow gives inf without a numpy warning
+        if not math.isfinite(n * float(lam) * max(float(gamma), 1.0)):
+            term = "n * lambda" if gamma <= 1.0 else f"n * lambda * gamma (gamma = {gamma!r})"
+            raise ConfigError(f"{term} overflows at n = {n}, lambda = {lam!r}")
 
 
-def _assert_residual(fresh: np.ndarray, maintained: np.ndarray) -> None:
-    scale = max(np.linalg.norm(fresh), 1e-30)
+def _assert_residual(fresh: np.ndarray, maintained: np.ndarray, Y: np.ndarray) -> None:
+    """The maintained E against its recomputation, relative to the
+    recomputed (K_J + n lam S_J) a."""
+    scale = max(np.linalg.norm(fresh + Y), 1e-30)
     drift = np.linalg.norm(fresh - maintained) / scale
     if drift > 1e-8:
         raise DivergenceError(
@@ -512,18 +525,19 @@ def _assert_residual(fresh: np.ndarray, maintained: np.ndarray) -> None:
 
 @dataclass
 class _BlockSystem:
-    """The block step every system shares.  ``resid`` holds
-    R = (K_J + n lam S_J) a, where S_J scatters a block's coefficients onto
-    its ``rows``.  A system states ``visit`` (the products every lambda
-    shares), ``matrix`` (its b x b block A), ``gradients`` (its block of the
-    normal-equation residual for every lambda of a ``_Batch``, side by
-    side) and ``rows``.
+    """The block step every system shares.  ``resid`` holds the fit error
+    E = (K_J + n lam S_J) a - Y, where S_J scatters a block's coefficients
+    onto its ``rows``; it starts at -Y.  A system states ``visit`` (the
+    products every lambda shares), ``matrix`` (its b x b block A),
+    ``gradients`` (its block of the normal-equation residual for every
+    lambda of a ``_Batch``, side by side) and ``rows``.
     """
 
     Y: np.ndarray
     b: int
     block: Callable[[np.ndarray], np.ndarray]  # coefficient rows -> n x b
     model: Callable[[np.ndarray], Model]  # coefficients -> Model
+    gamma = 1.0  # A adds n lam gamma I
 
     def __post_init__(self):
         self.n = self.Y.shape[0]
@@ -579,9 +593,9 @@ class _BlockSystem:
 class _FullSystem(_BlockSystem):
     """Block Gauss-Seidel on (K + n lam I) alpha = Y.
 
-    ``resid`` holds K alpha.  K is symmetric, so block idx of the
-    normal-equation residual is (K alpha - Y)[idx] + n lam alpha[idx], read
-    off ``resid`` with no product; the block matrix is K_bb + n lam I.
+    ``resid`` holds E = K alpha - Y.  K is symmetric, so block idx of the
+    normal-equation residual is E[idx] + n lam alpha[idx], read off
+    ``resid`` with no product; the block matrix is K_bb + n lam I.
     """
 
     def __post_init__(self):
@@ -600,17 +614,18 @@ class _FullSystem(_BlockSystem):
         return kbb + lam_eff * self.eye_b
 
     def gradients(self, batch, idx, kb, part):
-        return minus_tiled(batch.resid[idx], self.Y[idx]) + batch.lam_eff * batch.coeffs[idx]
+        return batch.resid[idx] + batch.lam_eff * batch.coeffs[idx]
 
     def objective(self, st):
-        """The surrogate, and the least-squares value as the alternate."""
-        lam_eff = self.n * st.lam
-        c, ka = st.coeffs, st.resid
-        obj = 0.5 * _ip(c, ka) + 0.5 * lam_eff * _ip(c, c) - _ip(self.Y, c)
-        alt = _ip(ka - self.Y, ka - self.Y) / self.n + st.lam * _ip(c, ka)
+        """The surrogate, and the least-squares value as the alternate, with
+        <a, K a> = <a, E> + <a, Y>."""
+        c, e = st.coeffs, st.resid
+        ce, cy = _ip(c, e), _ip(c, self.Y)
+        obj = 0.5 * ce + 0.5 * self.n * st.lam * _ip(c, c) - 0.5 * cy
+        alt = _ip(e, e) / self.n + st.lam * (ce + cy)
         return obj, alt
 
-    check_needs_blocks = False  # K alpha is maintained, so check at once
+    check_needs_blocks = False  # E is maintained, so check at once
 
     def converged(self, batch, tol):
         """Every lambda's gradient over every row is within tol of ||Y||."""
@@ -623,12 +638,12 @@ class _FullSystem(_BlockSystem):
 class _GramSystem(_BlockSystem):
     """Descent on (K_J^T K_J + n lam K_JJ + n lam gamma I) a = K_J^T Y.
 
-    ``resid`` holds R = (K_J + n lam S_J) a.  K_JJ is symmetric, so
+    ``resid`` holds E = (K_J + n lam S_J) a - Y.  K_JJ is symmetric, so
     K_J^T S_J a = K_JJ a and block pos of the normal-equation residual is
-    kb^T (R - Y) + n lam gamma a[pos]; the block matrix is
+    kb^T E + n lam gamma a[pos]; the block matrix is
     kb^T kb + n lam K_JJ[pos, pos] + n lam gamma I.  Without ``landmarks``
     the K_JJ term and the scatter S_J drop out, and with gamma = 1 this is
-    the random-features system (Z^T Z + n lam I) w = Z^T Y with R = Z w.
+    the random-features system (Z^T Z + n lam I) w = Z^T Y with E = Z w - Y.
     """
 
     landmarks: np.ndarray | None = None
@@ -636,7 +651,7 @@ class _GramSystem(_BlockSystem):
 
     def __post_init__(self):
         super().__post_init__()
-        # kb^T (R - Y) and kb @ delta
+        # kb^T E and kb @ delta
         self.residual_flops = 2 * self.n * self.b * self.Y.shape[1]
         self.rhs_norm: float | None = None  # ||K_J^T Y||, from the first check
 
@@ -657,25 +672,20 @@ class _GramSystem(_BlockSystem):
 
     def gradients(self, batch, pos, kb, part):
         return (
-            partitioned_matvec(kb, batch.resid, part, minus=self.Y)
+            partitioned_matvec(kb, batch.resid, part)
             + (batch.lam_eff * self.gamma) * batch.coeffs[pos]
         )
 
     def objective(self, st):
         """(1/n)||K_J a - Y||^2 + lam <a, K_JJ a> + lam gamma ||a||^2."""
-        ka = st.resid
-        if self.landmarks is not None:  # K_J a: R without the scatter
-            ka = ka.copy()
-            ka[self.landmarks] -= self.n * st.lam * st.coeffs
-        r = ka - self.Y
-        obj = _ip(r, r) / self.n
-        lam = st.lam
-        if self.landmarks is not None:
-            # nystrom values are taken at (n lam) / n, which can differ
-            # from lam in the last bit; kept so its traces stay as they were
-            lam = (self.n * st.lam) / self.n
-            obj += lam * _ip(st.coeffs, ka[self.landmarks])
-        return obj + lam * self.gamma * _ip(st.coeffs, st.coeffs), None
+        c, r = st.coeffs, st.resid
+        kjj_term = 0.0
+        if self.landmarks is not None:  # K_J a - Y: E without the scatter
+            r = r.copy()
+            r[self.landmarks] -= self.n * st.lam * c
+            # K_JJ a is K_J a at the landmark rows
+            kjj_term = st.lam * _ip(c, r[self.landmarks] + self.Y[self.landmarks])
+        return _ip(r, r) / self.n + kjj_term + st.lam * self.gamma * _ip(c, c), None
 
     # the normal-equation residual needs every column block, so the engine
     # sums it over the next sweep's blocks
@@ -739,10 +749,10 @@ class _PendingCheck:
 
 
 def _recomputed_resids(system, batch, blocks) -> np.ndarray:
-    """Every lambda's R, side by side, recomputed from its coefficients in
-    one pass over ``blocks``, each block generated once and applied to
-    every lambda in one product."""
-    fresh = np.zeros(batch.resid.shape)
+    """Every lambda's E, side by side, recomputed from its coefficients in
+    one pass over ``blocks`` starting from -Y, each block generated once
+    and applied to every lambda in one product."""
+    fresh = np.tile(-system.Y, len(batch.lams))
     with closing(ahead(system.block, blocks)) as kbs:
         for pos, (kb, _) in zip(blocks, kbs):
             system.accumulate(fresh, pos, kb, batch.coeffs[pos], batch.lam_eff)
@@ -789,7 +799,8 @@ def _run(
     ``DivergenceError`` anyway; the lookahead thread runs under the same
     error state, and test evaluation keeps the caller's.
     """
-    _check_lams(lams)
+    n, k = system.Y.shape
+    _check_lams(lams, n, system.gamma)
     try:
         epochs = operator.index(epochs)
     except TypeError:
@@ -800,13 +811,12 @@ def _run(
         raise ConfigError(f"grad_tol must be a real number, got {grad_tol!r}")
     if grad_tol is not None and not 0 <= grad_tol < np.inf:
         raise ConfigError("grad_tol must be finite and >= 0")
-    n, k = system.Y.shape
     if exec_ctx is None:
         exec_ctx = ExecContext()
     part = exec_ctx.partition(n)
     ledger = exec_ctx.ledger if exec_ctx.ledger is not None else NULL_LEDGER
     batch = _Batch(
-        lams, np.zeros((plan.universe, len(lams) * k)), np.zeros((n, len(lams) * k)), n
+        lams, np.zeros((plan.universe, len(lams) * k)), np.tile(-system.Y, len(lams)), n
     )
     states = batch.states
     caller_err = np.geterr()
@@ -866,7 +876,7 @@ def _run(
             if check_residual:
                 fresh = _recomputed_resids(system, batch, plan.blocks)
                 for st, cols in zip(states, batch.cols):
-                    _assert_residual(fresh[:, cols], st.resid)
+                    _assert_residual(fresh[:, cols], st.resid, system.Y)
             if grad_tol is None or epoch == epochs - 1:
                 continue
             if system.check_needs_blocks:

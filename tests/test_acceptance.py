@@ -14,9 +14,9 @@ from kernelbcd.distsim import (
     CostLedger,
     ExecContext,
     distributed_gram,
-    distributed_matvec,
     make_partition,
     measured_vs_predicted,
+    partitioned_matvec,
     predict_costs,
 )
 from kernelbcd.kernels import (
@@ -280,7 +280,7 @@ def test_criterion_09_distributed_correctness():
         part = make_partition(256, workers)
         ledger = CostLedger()
         g = distributed_gram(zb, part, ledger)
-        mv = distributed_matvec(zb, rhs, part)
+        mv = partitioned_matvec(zb, rhs, part)
         values_ok &= bool(np.abs(g - serial_g).max() <= 1e-10 * scale_g)
         values_ok &= bool(np.abs(mv - serial_m).max() <= 1e-10 * scale_m)
         byte_totals.append(ledger.bytes_communicated)

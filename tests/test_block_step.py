@@ -21,6 +21,7 @@ from kernelbcd.kernels import (
     KernelSpec,
     gaussian_blobs,
     kernel_cross,
+    one_vs_all,
     random_features_block,
 )
 from kernelbcd.solvers import (
@@ -100,7 +101,8 @@ def test_maintained_residual_equals_dense_recomputation(
     method, b, n_blocks, plan_seed, lams, workers, epochs
 ):
     # a check_residual run passes over any plan, lambda set, worker count
-    # and epoch count, and every lambda's final R is the dense one
+    # and epoch count, and every lambda's final fit error is R - Y with the
+    # dense R
     universe = b * n_blocks
     n = max(universe, 12) if method != "full" else universe
     data = gaussian_blobs(n, 3, 2, seed=plan_seed % 97)
@@ -116,9 +118,10 @@ def test_maintained_residual_equals_dense_recomputation(
         exec_ctx=ExecContext(workers), **extra,
     )
     assert len(states) == (len(lams) if epochs else 0)
+    Y = one_vs_all(data)
     for lam, state, (model, _) in zip(lams, states, results):
         dense = dense_resid(model, data, lam)
-        drift = np.linalg.norm(state.resid - dense)
+        drift = np.linalg.norm(state.resid - (dense - Y))
         assert drift <= 1e-10 * max(np.linalg.norm(dense), 1e-30)
 
 
@@ -160,8 +163,8 @@ def test_residual_check_is_one_pass_for_every_lambda(method):
 
 @pytest.mark.parametrize("method, products", [("full", 1), ("nystrom", 2), ("rf", 2)])
 def test_ledger_charges_the_step_residual_flops(method, products):
-    # full reads its gradient off R: one n x b x k product per lambda and
-    # visit (kb @ delta); nystrom and rf add kb^T (R - Y)
+    # full reads its gradient off E: one n x b x k product per lambda and
+    # visit (kb @ delta); nystrom and rf add kb^T E
     calls, plan, run = _case(method)
     ledger = CostLedger()
     run([0.1, 0.3], 2, exec_ctx=ExecContext(2, ledger))
@@ -217,6 +220,41 @@ _BAD_INPUTS = [
 def test_library_inputs_checked_like_the_cli(method, kw, match):
     with pytest.raises(ConfigError, match=match):
         _solve(method, **kw)
+
+
+@pytest.mark.parametrize(
+    "solve",
+    [
+        lambda data: solve_rf(data, FeatureMapSpec(16, 2.0), 1e308, make_plan(16, 8), 2),
+        lambda data: solve_full(data, KSPEC, 1e307, make_plan(32, 8), 2),
+        lambda data: solve_nystrom(data, KSPEC, 16, 1.0, 1e308, make_plan(16, 8), 2),
+        # numpy lambdas overflow without a RuntimeWarning
+        lambda data: solvers.solve_path(
+            data, KSPEC, np.array([0.1, 1e307]), make_plan(16, 8), 2,
+            p=16, gamma=np.float64(2.0),
+        ),
+    ],
+    ids=["rf", "full", "nystrom-gamma", "path"],
+)
+def test_overflowing_n_lambda_is_config_error_not_divergence(solve):
+    # n lambda and n lambda gamma enter the block matrix; before any block
+    # is made, an overflow there is a bad input
+    with pytest.raises(ConfigError, match="overflows at n = 32"):
+        solve(gaussian_blobs(32, 3, 2))
+
+
+def test_full_run_ignores_a_huge_gamma():
+    # gamma weights only the nystrom ridge, so it cannot overflow a full run
+    data = gaussian_blobs(32, 3, 2)
+    [(model, _)] = solvers.solve_path(data, KSPEC, [0.1], make_plan(32, 8), 1,
+                                      gamma=1e308).values()
+    assert np.isfinite(model.coefficients).all()
+
+
+@pytest.mark.parametrize("universe", [2**59, 2**62, 10**30])
+def test_plan_past_numpy_index_range_is_config_error(universe):
+    with pytest.raises(ConfigError, match="too large to index"):
+        make_plan(universe, 1)
 
 
 @pytest.mark.parametrize("method", METHODS)

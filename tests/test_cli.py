@@ -1,4 +1,6 @@
+import contextlib
 import csv
+import io
 import os
 import subprocess
 import sys
@@ -8,7 +10,7 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from kernelbcd.cli import (
@@ -628,3 +630,93 @@ def test_rf_sigma_whose_frequencies_overflow_is_config_error(tmp_path, blob_file
                  "--p", "16", "--sigma", "1e-308", "--out", str(tmp_path / "out")])
     assert code == EXIT_CONFIG
     assert "38.5 / sigma" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--method", "rf", "--p", "16", "--lambda", "1e308"],
+        ["--method", "full", "--lambda", "1e307"],
+        ["--method", "nystrom", "--p", "16", "--lambda", "1", "--gamma", "1e308"],
+    ],
+    ids=["rf", "full", "nystrom-gamma"],
+)
+def test_overflowing_n_lambda_is_config_error(tmp_path, blob_files, flags, capsys):
+    # n * lambda (and n * lambda * gamma) enter the block system; an
+    # overflow there is a bad configuration, not a diverged solve
+    train, _ = blob_files
+    out = tmp_path / "out"
+    code = main(["solve", "--train", train, "--b", "8", "--out", str(out)] + flags)
+    assert code == EXIT_CONFIG
+    assert "overflows at n = 64" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("p", [str(2**59), str(2**62), str(10**30)])
+def test_universe_past_numpy_index_range_exits_2(tmp_path, blob_files, p, capsys):
+    # numpy raises ValueError, not MemoryError, for a permutation this long
+    train, _ = blob_files
+    code = main(["solve", "--train", train, "--p", p, "--b", "8",
+                 "--out", str(tmp_path / "out")])
+    assert code == EXIT_CONFIG
+    assert "too large to index" in capsys.readouterr().err
+
+
+# zeros, a subnormal, the largest finite magnitudes, non-finite and negative
+# values, and a few ordinary ones.  No --p or --b from about 1e6 up to 2**59
+# is drawn: that is a real problem size, whose memory and time grow with it
+# by design (exit 2 only once an allocation fails)
+EXTREME_FLOATS = ["0", "-0.0", "5e-324", "1e308", "-1e308", "inf", "-inf", "nan",
+                  "-1", "0.5", "2"]
+EXTREME_INTS = ["0", "-0", "-1", "1", "4", "8", "16", "8,4", "6", str(2**59),
+                str(2**63), str(10**30), "5e-324", "1e308", "inf", "nan"]
+EXTREME_FLAGS = {
+    **dict.fromkeys(["--lambda", "--sigma", "--gamma"], EXTREME_FLOATS),
+    **dict.fromkeys(["--p", "--b", "--seed"], EXTREME_INTS),
+}
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    command=st.sampled_from(["solve", "path", "compare", "rates-check", "costs"]),
+    method=st.sampled_from(["full", "nystrom", "rf"]),
+    kernel=st.sampled_from(["rbf", "linear"]),
+    # up to three flags of a run that is otherwise valid take extreme values
+    extremes=st.lists(
+        st.sampled_from(sorted(EXTREME_FLAGS)).flatmap(
+            lambda flag: st.tuples(st.just(flag), st.sampled_from(EXTREME_FLAGS[flag]))
+        ),
+        max_size=3, unique_by=lambda pair: pair[0],
+    ),
+    # work counts: a run's cost grows linearly with each by design, so they
+    # are drawn from small ranges
+    work=st.fixed_dictionaries({
+        "--epochs": st.integers(0, 3), "--workers": st.integers(1, 4),
+        "--tau": st.integers(0, 6), "--trials": st.integers(1, 20),
+        "--ensemble": st.integers(1, 3), "--dim": st.integers(2, 6),
+        "--quadratics": st.integers(1, 2),
+    }),
+)
+def test_cli_flags_only_documented_exit_codes(
+    tiny_csv, command, method, kernel, extremes, work
+):
+    flags = {"--lambda": ["0.1", "0.01"] if command == "path" else ["0.1"],
+             "--b": ["2"], **{flag: [str(n)] for flag, n in work.items()}}
+    if method != "full" or command == "compare":
+        flags["--p"] = ["8"]
+    flags.update((flag, [value]) for flag, value in extremes)
+    argv = [command, "--train", tiny_csv, "--test", tiny_csv,
+            "--method", method, "--kernel", kernel]
+    for flag, values in flags.items():
+        argv += [f"{flag}={value}" for value in values]  # "=" keeps "-1" a value
+    stderr = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        argv += ["--out", os.path.join(tmp, "out")]
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse rejects a value with exit 2
+                code = exc.code
+    event(f"exit {code}")
+    assert code in {0, 2, 3, 4, 5}
+    assert "Traceback" not in stderr.getvalue()

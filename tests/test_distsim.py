@@ -1,20 +1,16 @@
 import numpy as np
-import pytest
 
 from kernelbcd.distsim import (
     NULL_LEDGER,
     CostLedger,
     ExecContext,
     distributed_gram,
-    distributed_matvec,
     make_partition,
     measured_vs_predicted,
-    minus_tiled,
     partitioned_matvec,
     predict_costs,
     tree_rounds,
 )
-from kernelbcd.errors import DimensionMismatchError
 from kernelbcd.kernels import FeatureMapSpec, gaussian_blobs
 from kernelbcd.linalg import gram
 from kernelbcd.solvers import make_plan, solve_rf
@@ -87,18 +83,20 @@ class TestDistributedGram:
 
 
 class TestDistributedMatvec:
+    """``partitioned_matvec``, the row-partitioned product the solvers make."""
+
     def test_identity_block_selects_rows(self):
         y = np.arange(12.0).reshape(6, 2)
         a = np.zeros((6, 3))
         a[[1, 3, 4], [0, 1, 2]] = 1.0
-        out = distributed_matvec(a, y, make_partition(6, 2))
+        out = partitioned_matvec(a, y, make_partition(6, 2))
         assert np.array_equal(out, y[[1, 3, 4]])
 
     def test_single_worker_matches_serial(self):
         rng = np.random.default_rng(6)
         a = rng.standard_normal((30, 4))
         y = rng.standard_normal((30, 3))
-        out = distributed_matvec(a, y, make_partition(30, 1))
+        out = partitioned_matvec(a, y, make_partition(30, 1))
         assert np.array_equal(out, a.T @ y)
 
     def test_matches_serial_multi_worker(self):
@@ -106,36 +104,8 @@ class TestDistributedMatvec:
         a = rng.standard_normal((100, 8))
         y = rng.standard_normal((100, 5))
         serial = a.T @ y
-        out = distributed_matvec(a, y, make_partition(100, 6))
+        out = partitioned_matvec(a, y, make_partition(100, 6))
         assert np.abs(out - serial).max() <= 1e-12 * np.abs(serial).max()
-
-    def test_byte_charge_scales_with_result(self):
-        rng = np.random.default_rng(8)
-        a = rng.standard_normal((24, 4))
-        y = rng.standard_normal((24, 3))
-        ledger = CostLedger()
-        distributed_matvec(a, y, make_partition(24, 4), ledger)
-        assert ledger.bytes_communicated == 2 * 4 * 3 * 8
-
-    @pytest.mark.parametrize("workers", [1, 3, 7])
-    def test_minus_is_subtracted_from_every_column_group(self, workers):
-        # the difference is formed per worker range, which gives the bytes
-        # of forming it whole first; 7 workers leave a range empty
-        rng = np.random.default_rng(9)
-        a = rng.standard_normal((6, 4))
-        rhs = rng.standard_normal((6, 3 * 2))
-        y = rng.standard_normal((6, 2))
-        part = make_partition(6, workers)
-        out = partitioned_matvec(a, rhs, part, minus=y)
-        assert np.array_equal(out, partitioned_matvec(a, minus_tiled(rhs, y), part))
-        groups = [rhs[:, 2 * g : 2 * g + 2] - y for g in range(3)]
-        assert np.array_equal(minus_tiled(rhs, y), np.hstack(groups))
-
-    @pytest.mark.parametrize("shape", [(6, 4), (5, 3), (6, 0)])
-    def test_minus_must_tile_the_rhs(self, shape):
-        with pytest.raises(DimensionMismatchError):
-            partitioned_matvec(np.ones((6, 2)), np.ones((6, 6)), make_partition(6, 2),
-                               minus=np.ones(shape))
 
 
 class TestPredictCosts:
@@ -216,7 +186,6 @@ def test_run_without_ledger_charges_the_null_ledger():
     solve_rf(data, fspec, 1e-3, plan, 2, exec_ctx=ExecContext(workers=2))
     z = np.ones((8, 2))
     distributed_gram(z, make_partition(8, 2))
-    distributed_matvec(z, z, make_partition(8, 2))
     assert NULL_LEDGER.records == []
     assert (NULL_LEDGER._epoch, NULL_LEDGER._block) == (0, 0)
 
