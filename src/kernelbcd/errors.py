@@ -52,8 +52,11 @@ class ThresholdNotMetError(KernelBcdError):
     sample size; the check is skipped rather than failed."""
 
 
-class ConfigError(KernelBcdError):
-    """Invalid run configuration (CLI exit code 2)."""
+class ConfigError(KernelBcdError, ValueError):
+    """Invalid run configuration (CLI exit code 2).
+
+    Also a ``ValueError``: the specs and the solvers raise it for a bad
+    argument value."""
 
 
 class DataFormatError(KernelBcdError):

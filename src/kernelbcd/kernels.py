@@ -24,7 +24,12 @@ import numpy as np
 from scipy.spatial.distance import cdist
 from scipy.special import ndtri
 
-from .errors import DataFormatError, DimensionMismatchError, IndexOutOfRangeError
+from .errors import (
+    ConfigError,
+    DataFormatError,
+    DimensionMismatchError,
+    IndexOutOfRangeError,
+)
 from .linalg import validate_indices
 from .threads import for_rows
 
@@ -48,12 +53,12 @@ class KernelSpec:
 
     def __post_init__(self):
         if self.family not in KERNEL_FAMILIES:
-            raise ValueError(f"unknown kernel family {self.family!r}")
+            raise ConfigError(f"unknown kernel family {self.family!r}")
         # sigma*sigma, not sigma**2: float ** raises OverflowError, * gives inf
         if self.family == "rbf" and not (
             self.sigma > 0 and 0 < self.sigma * self.sigma < math.inf
         ):
-            raise ValueError(
+            raise ConfigError(
                 "rbf bandwidth must be positive, with sigma*sigma neither 0 "
                 f"nor inf; got sigma = {self.sigma!r}"
             )
@@ -75,13 +80,24 @@ class FeatureMapSpec:
     master_seed: int = 0
 
     def __post_init__(self):
-        if self.p < 1:
-            raise ValueError("feature count p must be >= 1")
+        try:
+            p, seed = operator.index(self.p), operator.index(self.master_seed)
+        except TypeError:
+            raise ConfigError(
+                "feature count p and master_seed must be integers; got "
+                f"{self.p!r} and {self.master_seed!r}"
+            ) from None
+        if p < 1:
+            raise ConfigError("feature count p must be >= 1")
+        if seed < 0:
+            raise ConfigError(f"master_seed must be >= 0, got {seed}")
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "master_seed", seed)
         # a frequency is a standard normal draw times 1/sigma, and a draw
         # reaches MAX_NORMAL_DRAW / sigma
         if not (0 < self.sigma < math.inf
                 and MAX_NORMAL_DRAW / float(self.sigma) < math.inf):
-            raise ValueError(
+            raise ConfigError(
                 "bandwidth must be positive and finite, with "
                 f"{MAX_NORMAL_DRAW} / sigma finite; got sigma = {self.sigma!r}"
             )
@@ -277,7 +293,8 @@ def _mix_word(pool: list, word, hash_const: int) -> int:
 
 def _philox_keys(master_seed: int, idx: np.ndarray):
     """The uint64 Philox key words of ``SeedSequence(master_seed,
-    spawn_key=(m,))`` for every m in idx, shape (2, len(idx)).
+    spawn_key=(m,))`` for every m in idx, shape (2, len(idx)).  The seed is
+    the non-negative int that ``FeatureMapSpec`` checked.
 
     The entropy is the seed's 32-bit words, low first and zero-padded to
     the pool size (numpy pads when a spawn key is given), then m's words.
@@ -286,9 +303,6 @@ def _philox_keys(master_seed: int, idx: np.ndarray):
     words in uint64, the dtype Philox needs anyway: a product of two words
     is exact there, and every step masks back to 32 bits.
     """
-    master_seed = operator.index(master_seed)
-    if master_seed < 0:
-        raise ValueError("master_seed must be a non-negative integer")
     words = [(master_seed >> s) & _MASK32 for s in range(0, master_seed.bit_length(), 32)]
     words += [0] * (_POOL_SIZE - len(words))
     hash_const = _INIT_A

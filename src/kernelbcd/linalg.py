@@ -3,9 +3,8 @@
 Everything is a plain float64 numpy array in row-major order.  SPD systems
 go through Cholesky and refuse to perturb: a non-positive pivot raises
 ``NotSpdError`` so the caller can fix its regularization instead of us
-papering over a singular block.  Extremal eigenvalues come from power
-iteration (with a shift for the bottom of the spectrum); dense eigensolves
-are reserved for test oracles.
+papering over a singular block.  Extremal eigenvalues come from one dense
+``eigvalsh``: every caller already holds the dense symmetric matrix.
 """
 
 from __future__ import annotations
@@ -104,62 +103,23 @@ def gram(zb: np.ndarray) -> np.ndarray:
 class SpectralEstimate(NamedTuple):
     lmax: float
     lmin: float
-    converged: bool
 
 
-def _power_dominant(a: np.ndarray, iters: int, tol: float, rng) -> tuple[float, bool]:
-    """Dominant (largest magnitude) eigenvalue of a symmetric matrix.
+def lambda_extremes(a: np.ndarray) -> SpectralEstimate:
+    """Largest and smallest eigenvalues of a symmetric matrix, from one dense
+    ``eigvalsh``: exact to rounding, whatever the gap between eigenvalues.
 
-    Power iteration with the Rayleigh quotient as the estimate; returns the
-    signed eigenvalue and a convergence flag.  A zero image means the
-    operator is (numerically) zero on the iterate, reported as 0.
-    """
-    n = a.shape[0]
-    v = rng.standard_normal(n)
-    v /= np.linalg.norm(v)
-    lam = np.inf
-    for _ in range(iters):
-        w = a @ v
-        norm_w = np.linalg.norm(w)
-        if norm_w == 0.0:
-            return 0.0, True
-        lam_new = float(v @ w)
-        v = w / norm_w
-        if abs(lam_new - lam) <= tol * max(1.0, abs(lam_new)):
-            return lam_new, True
-        lam = lam_new
-    return lam, False
-
-
-def lambda_extremes(
-    a: np.ndarray, iters: int = 2000, tol: float = 1e-12
-) -> SpectralEstimate:
-    """Extremal eigenvalues of a symmetric matrix by power iteration.
-
-    A first pass finds the dominant (largest magnitude) eigenvalue; the
-    opposite end of the spectrum comes from a second pass on the shifted
-    matrix rho*I -/+ A with rho the spectral radius estimate.  Accurate to
-    ~1e-6 relative on well-separated spectra; ties and near-ties at both
-    ends are outside the contract.  Non-convergence within ``iters`` is
-    reported through the flag, not an exception; the last estimates are
-    still returned.
+    Raises ``DimensionMismatchError`` for a matrix that is empty, not
+    square, not symmetric within tolerance, or not finite.
     """
     a = np.asarray(a, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionMismatchError(f"expected a square matrix, got {a.shape}")
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.size == 0:
+        raise DimensionMismatchError(
+            f"expected a non-empty square matrix, got {a.shape}"
+        )
     if not is_symmetric(a):
-        raise DimensionMismatchError("matrix is not symmetric within tolerance")
-    n = a.shape[0]
-    rng = np.random.default_rng(0x5EED)
-    dominant, ok_dom = _power_dominant(a, iters, tol, rng)
-    radius = abs(dominant)
-    eye = np.eye(n)
-    if dominant >= 0.0:
-        lmax = dominant
-        other, ok_other = _power_dominant(radius * eye - a, iters, tol, rng)
-        lmin = radius - other
-    else:
-        lmin = dominant
-        other, ok_other = _power_dominant(a + radius * eye, iters, tol, rng)
-        lmax = other - radius
-    return SpectralEstimate(lmax, lmin, ok_dom and ok_other)
+        raise DimensionMismatchError(
+            "matrix is not symmetric within tolerance, or not finite"
+        )
+    vals = np.linalg.eigvalsh(a)
+    return SpectralEstimate(float(vals[-1]), float(vals[0]))

@@ -170,9 +170,12 @@ def standard_rate_iters(
     trials: int = 1000,
     seed: int = 0,
 ) -> float:
-    """Classical iteration count (d L_max_b / (b m)) log(1/eps), constant 1."""
+    """Classical iteration count (d L_max_b / (b m)) log(1/eps), constant 1,
+    for a target accuracy eps in (0, 1)."""
     if not m > 0:
         raise ConfigError("strong convexity constant m must be positive")
+    if not 0 < eps < 1:
+        raise ConfigError(f"accuracy eps must lie in (0, 1), got {eps!r}")
     H = np.asarray(H, dtype=np.float64)
     d = H.shape[0]
     est = l_max_b(H, b, mode=mode, trials=trials, seed=seed)
@@ -191,6 +194,8 @@ def improved_bound(
     H: np.ndarray, b: int, m: float, gap0: float, tau: int
 ) -> np.ndarray:
     """Expected-gap envelope gap0 * (1 - m/(2 L_eff))^t for t = 0..tau."""
+    if tau < 0:
+        raise ConfigError(f"need tau >= 0, got {tau}")
     factor = theorem_rate(H, b, m)
     return gap0 * factor ** np.arange(tau + 1)
 
@@ -200,6 +205,8 @@ def classical_bound(
 ) -> np.ndarray:
     """Gap envelope from the classical analysis: per-step contraction
     (1 - b m / (d L_max_b))."""
+    if tau < 0:
+        raise ConfigError(f"need tau >= 0, got {tau}")
     H = np.asarray(H, dtype=np.float64)
     d = H.shape[0]
     est = l_max_b(H, b, mode=mode)
@@ -546,9 +553,9 @@ def conditioning_compare(
     lam: float,
     gamma: float,
     landmark_seed: int = 0,
-    iters: int = 20000,
 ) -> ConditioningPair:
-    """Condition numbers of the two p x p block systems at matched p:
+    """Exact condition numbers lmax / lmin (from ``lambda_extremes``) of
+    the two p x p block systems at matched p:
     (K_J^T K_J + n lam K_JJ + n lam gamma I)  vs  (Z^T Z + n lam I).
     """
     if fspec.p != p:
@@ -563,8 +570,8 @@ def conditioning_compare(
     z = random_features_block(data.X, np.arange(p), fspec)
     m_rf = z.T @ z + lam_eff * np.eye(p)
     m_rf = (m_rf + m_rf.T) * 0.5
-    est_ny = lambda_extremes(m_ny, iters=iters)
-    est_rf = lambda_extremes(m_rf, iters=iters)
+    est_ny = lambda_extremes(m_ny)
+    est_rf = lambda_extremes(m_rf)
     return ConditioningPair(
         nystrom=est_ny.lmax / est_ny.lmin, rf=est_rf.lmax / est_rf.lmin
     )

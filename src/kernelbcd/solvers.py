@@ -191,9 +191,11 @@ class ConvergenceTrace:
         with open(tmp, "w", newline="") as fh:
             fh.write("epoch,block,seconds,objective,test_error\n")
             for r in self.records:
-                terr = "" if r.test_error is None else repr(r.test_error)
+                # float(): numpy >= 2 writes a np.float64 as "np.float64(...)"
+                terr = "" if r.test_error is None else repr(float(r.test_error))
                 fh.write(
-                    f"{r.epoch},{r.block},{r.seconds:.6f},{r.objective!r},{terr}\n"
+                    f"{r.epoch},{r.block},{r.seconds:.6f},"
+                    f"{float(r.objective)!r},{terr}\n"
                 )
         os.replace(tmp, path)
 

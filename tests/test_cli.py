@@ -18,6 +18,7 @@ from kernelbcd.cli import (
     EXIT_DATA,
     EXIT_DIVERGED,
     EXIT_OK,
+    EXIT_RATES,
     RunConfig,
     epochs_to_tolerance,
     main,
@@ -335,6 +336,22 @@ class TestRatesCheckCommand:
         assert len(curve) == 1 + 51
         verdicts = read_csv(out / "rates_verdicts.csv")
         assert all(row[1] == "true" for row in verdicts[1:])
+
+    def test_curve_values_are_plain_floats(self, tmp_path):
+        # the gaps and bounds are np.float64, whose repr under numpy >= 2
+        # is "np.float64(...)"
+        out = tmp_path / "out"
+        code = main(
+            [
+                "rates-check", "--dim", "4", "--b", "2", "--quadratics", "2",
+                "--ensemble", "2", "--tau", "5", "--trials", "20",
+                "--out", str(out),
+            ]
+        )
+        assert code in (EXIT_OK, EXIT_RATES)
+        rows = read_csv(out / "rates_curve.csv")[1:]
+        assert len(rows) == 2 * 6
+        assert all(np.isfinite([float(v) for v in row]).all() for row in rows)
 
 
 def test_epochs_to_tolerance_helper():

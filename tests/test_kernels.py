@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from scipy.special import ndtri
 
 from kernelbcd.errors import (
+    ConfigError,
     DataFormatError,
     DimensionMismatchError,
     IndexOutOfRangeError,
@@ -347,11 +348,36 @@ def test_block_draw_matches_numpy_philox_per_column(master, d, cols):
 
 
 def test_negative_master_seed_raises():
-    spec = FeatureMapSpec(p=4, master_seed=-1)
     with pytest.raises(ValueError):
-        feature_params(spec, 0, 3)
-    with pytest.raises(ValueError):
-        random_features_block(np.ones((2, 3)), [0, 1], spec)
+        FeatureMapSpec(p=4, master_seed=-1)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        dict(p=8, master_seed=-1),
+        dict(p=8, master_seed=1.5),
+        dict(p=8.0),
+        dict(p="8"),
+        dict(p=0),
+        dict(p=8, sigma=0.0),
+    ],
+)
+def test_feature_spec_rejects_bad_values_with_config_error(kwargs):
+    with pytest.raises(ConfigError):
+        FeatureMapSpec(**kwargs)
+
+
+def test_feature_spec_keeps_numpy_integers_as_ints():
+    spec = FeatureMapSpec(p=np.int64(8), master_seed=np.uint32(3))
+    assert type(spec.p) is int and type(spec.master_seed) is int
+    assert spec == FeatureMapSpec(8, master_seed=3)
+
+
+@pytest.mark.parametrize("kwargs", [dict(family="poly"), dict(sigma=-1.0)])
+def test_kernel_spec_rejects_bad_values_with_config_error(kwargs):
+    with pytest.raises(ConfigError):
+        KernelSpec(**kwargs)
 
 
 @pytest.mark.parametrize("words", [3, 24, 100])

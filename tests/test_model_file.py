@@ -174,6 +174,19 @@ def test_malformed_header_is_config_error(name, tmp_path):
 
 
 @pytest.mark.parametrize(
+    "key, value", [("master_seed", -1), ("master_seed", 1.5), ("p", 6.0)]
+)
+def test_bad_feature_integers_are_config_error(key, value, tmp_path):
+    # the feature spec refuses them when the file is read, not at the
+    # first predict
+    path = tmp_path / "model.kbcd"
+    save_model(fixture_model("rf"), path)
+    rewrite(path, _set("features", key, value))
+    with pytest.raises(ConfigError):
+        load_model(path)
+
+
+@pytest.mark.parametrize(
     "content",
     [
         b"kernelbcd-model-v2\n",

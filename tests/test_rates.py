@@ -10,7 +10,13 @@ from kernelbcd.errors import (
     NotPerfectSquareError,
     ThresholdNotMetError,
 )
-from kernelbcd.kernels import FeatureMapSpec, KernelSpec, gaussian_blobs
+from kernelbcd.kernels import (
+    FeatureMapSpec,
+    KernelSpec,
+    gaussian_blobs,
+    kernel_cross,
+    random_features_block,
+)
 from kernelbcd.rates import (
     QuadraticProblem,
     SpectrumModel,
@@ -32,6 +38,7 @@ from kernelbcd.rates import (
     table1_regime,
     theorem_rate,
 )
+from kernelbcd.solvers import draw_landmarks
 
 
 def random_spd(d, seed, shift=0.5):
@@ -376,6 +383,25 @@ class TestConditioning:
             wins += pair.nystrom >= pair.rf
         assert wins >= 8
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_dense_condition_numbers(self, seed):
+        # the decaying-spectra problem above, where the nystrom system's
+        # smallest eigenvalue sits ~1e7 below its largest
+        data = gaussian_blobs(96, 3, 4, seed=40, center_scale=2.0, noise=0.8)
+        kspec = KernelSpec("rbf", 1.5)
+        fspec = FeatureMapSpec(p=24, sigma=1.5, master_seed=500 + seed)
+        p, lam, gamma = 24, 1e-3, 1e-6
+        pair = conditioning_compare(data, kspec, fspec, p, lam, gamma, landmark_seed=seed)
+        lam_eff = data.n * lam
+        landmarks = draw_landmarks(data.n, p, seed)
+        kj = kernel_cross(data.X, data.X[landmarks], kspec)
+        m_ny = kj.T @ kj + lam_eff * kj[landmarks] + lam_eff * gamma * np.eye(p)
+        z = random_features_block(data.X, np.arange(p), fspec)
+        m_rf = z.T @ z + lam_eff * np.eye(p)
+        for got, m in ((pair.nystrom, m_ny), (pair.rf, m_rf)):
+            vals = np.linalg.eigvalsh((m + m.T) * 0.5)
+            assert got == pytest.approx(vals[-1] / vals[0], rel=1e-10)
+
     def test_gamma_tames_nystrom_conditioning(self):
         data = gaussian_blobs(64, 3, 2, seed=41, center_scale=2.0, noise=0.8)
         kspec = KernelSpec("rbf", 1.5)
@@ -397,6 +423,21 @@ def test_rates_knobs_out_of_range_raise_config_error():
         run_bcd_quadratic(prob, 2, seeds=0, tau=5)
     with pytest.raises(ConfigError):
         run_bcd_quadratic(prob, 2, seeds=2, tau=-1)
+
+
+@pytest.mark.parametrize("eps", [0.0, -1.0, 1.0, 2.0, math.nan, math.inf])
+def test_standard_rate_iters_needs_eps_in_open_unit_interval(eps):
+    with pytest.raises(ConfigError):
+        standard_rate_iters(random_spd(4, 3), 2, 0.5, eps)
+
+
+@pytest.mark.parametrize("bound", [improved_bound, classical_bound])
+def test_bounds_refuse_negative_tau(bound):
+    h = random_spd(4, 3)
+    m = float(np.linalg.eigvalsh(h)[0])
+    assert len(bound(h, 2, m, 1.0, 0)) == 1
+    with pytest.raises(ConfigError):
+        bound(h, 2, m, 1.0, -1)
 
 
 def _oracle_tops(G, d, size, trials, seed):

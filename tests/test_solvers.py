@@ -741,6 +741,25 @@ class TestTraceCsv:
         )
         assert all(r.test_error is not None for r in trace.records)
 
+    def test_array_lambdas_write_plain_floats(self, tmp_path):
+        # a numpy lambda array makes the objectives np.float64, whose repr
+        # is "np.float64(...)" under numpy >= 2
+        train = gaussian_blobs(16, 2, 2, seed=88)
+        test = gaussian_blobs(8, 2, 2, seed=89)
+        fspec = FeatureMapSpec(p=8, sigma=2.0, master_seed=90)
+        path_result = solve_path(
+            train, fspec, np.array([1e-2, 1e-1]), make_plan(8, 4, 91), 2,
+            test_data=test,
+        )
+        for _, trace in path_result.values():
+            path = tmp_path / "trace.csv"
+            trace.write_csv(path)
+            rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
+            assert len(rows) == len(trace.records)
+            for row, r in zip(rows, trace.records):
+                values = [float(v) for v in row]
+                assert values[3:] == [r.objective, r.test_error]
+
 
 @pytest.mark.parametrize("method", ["full", "nystrom", "rf"])
 def test_engine_residual_check_and_grad_tol_stop(method):
