@@ -45,7 +45,6 @@ from .kernels import (
 from .linalg import SpectralEstimate, gram, lambda_extremes, spd_solve
 from .rates import (
     ConditioningPair,
-    LmaxEstimate,
     QuadraticProblem,
     RegimeSummary,
     RfConcentrationResult,

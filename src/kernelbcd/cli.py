@@ -11,11 +11,13 @@ Subcommands:
 Configuration comes from flags, optionally seeded by a key=value config
 file (flags win).  The default output directory can be set through the
 ``KERNELBCD_OUTDIR`` environment variable.  Exit codes: 0 success,
-2 configuration error or out of memory, 3 data parse error, 4 solver
-divergence (including a non-finite block system), 5 rate-bound violation.
+2 configuration error, out of memory or an output that cannot be written,
+3 data parse error, 4 solver divergence (including a non-finite block
+system), 5 rate-bound violation.
 
-Output files are written to a temporary name and renamed on success, so a
-failed run leaves no partial file behind.  Given identical configuration
+Output files are written to a temporary name and renamed on success.  A
+failed write removes its temporary file, so a failed run leaves neither a
+partial output nor a temporary file behind.  Given identical configuration
 and seeds, every value column is reproduced exactly; the ``seconds``
 columns are wall-clock measurements and vary run to run.
 """
@@ -24,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import math
 import os
 import sys
@@ -39,6 +42,7 @@ from .errors import (
     DivergenceError,
     KernelBcdError,
 )
+from .files import write_atomic
 from .kernels import Dataset, FeatureMapSpec, KernelSpec, load_csv
 from .linalg import lambda_extremes
 from .solvers import evaluate, make_plan, save_model, solve_path
@@ -136,6 +140,7 @@ class RunConfig:
             (cmd in ("path", "rates-check") or len(self.lambdas) == 1,
              f"{cmd} takes a single --lambda; use the path command"),
             (0 <= self.gamma < math.inf, "--gamma must be finite and >= 0"),
+            (0 <= self.tol < math.inf, "--tol must be finite and >= 0"),
             (self.b >= 1, "--b must be positive"),
             (self.epochs >= 0, "--epochs must be >= 0"),
             (self.workers >= 1, "--workers must be >= 1"),
@@ -289,12 +294,11 @@ def _final_objective(trace) -> float:
 
 
 def _write_rows(path, header: list[str], rows) -> None:
-    tmp = f"{path}.tmp-{os.getpid()}"
-    with open(tmp, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
-    os.replace(tmp, path)
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(rows)
+    write_atomic(path, buf.getvalue())
 
 
 def cmd_solve(cfg: RunConfig) -> int:
@@ -485,6 +489,9 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except MemoryError as exc:
         print(f"error: out of memory: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except OSError as exc:
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
 

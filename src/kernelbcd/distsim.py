@@ -27,14 +27,15 @@ step's products in the ``residual`` phase.
 from __future__ import annotations
 
 import csv
+import io
 import math
-import os
 from dataclasses import dataclass, field
 from time import perf_counter
 
 import numpy as np
 
 from .errors import DimensionMismatchError
+from .files import write_atomic
 from .linalg import gram
 
 FLOAT_BYTES = 8
@@ -122,15 +123,14 @@ class CostLedger:
         return out
 
     def write_csv(self, path) -> None:
-        tmp = f"{path}.tmp-{os.getpid()}"
-        with open(tmp, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["epoch", "block", "phase", "flops", "bytes", "seconds"])
-            for r in self.records:
-                writer.writerow(
-                    [r.epoch, r.block, r.phase, r.flops, r.nbytes, f"{r.seconds:.6f}"]
-                )
-        os.replace(tmp, path)
+        buf = io.StringIO()
+        writer = csv.writer(buf)
+        writer.writerow(["epoch", "block", "phase", "flops", "bytes", "seconds"])
+        for r in self.records:
+            writer.writerow(
+                [r.epoch, r.block, r.phase, r.flops, r.nbytes, f"{r.seconds:.6f}"]
+            )
+        write_atomic(path, buf.getvalue())
 
 
 class _NullLedger(CostLedger):

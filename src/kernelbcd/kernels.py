@@ -17,6 +17,7 @@ from __future__ import annotations
 import csv
 import locale
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 
@@ -40,12 +41,27 @@ MAX_NORMAL_DRAW = 38.5
 KERNEL_FAMILIES = ("rbf", "linear")
 
 
+def _bandwidth(sigma) -> float:
+    """A spec's sigma as a Python float; ConfigError unless it is a real
+    number that a float can hold."""
+    if isinstance(sigma, numbers.Real):
+        try:
+            return float(sigma)
+        except OverflowError:
+            pass
+    raise ConfigError(
+        f"bandwidth sigma must be a real number within float range; got {sigma!r}"
+    )
+
+
 @dataclass(frozen=True)
 class KernelSpec:
     """Kernel family plus its bandwidth.
 
     rbf:     k(x, y) = exp(-||x - y||^2 / (2 sigma^2))
-    linear:  k(x, y) = x . y   (sigma is ignored)
+    linear:  k(x, y) = x . y   (sigma is ignored, but must be a real number)
+
+    sigma is stored as a Python float.
     """
 
     family: str = "rbf"
@@ -54,6 +70,7 @@ class KernelSpec:
     def __post_init__(self):
         if self.family not in KERNEL_FAMILIES:
             raise ConfigError(f"unknown kernel family {self.family!r}")
+        object.__setattr__(self, "sigma", _bandwidth(self.sigma))
         # sigma*sigma, not sigma**2: float ** raises OverflowError, * gives inf
         if self.family == "rbf" and not (
             self.sigma > 0 and 0 < self.sigma * self.sigma < math.inf
@@ -72,7 +89,8 @@ class FeatureMapSpec:
     omega_m ~ N(0, sigma^-2 I) and b_m ~ Unif[0, 2pi), both derived
     deterministically from (master_seed, m).  The assembled map is
     z(x) = (1/sqrt(p)) * (phi_1(x), ..., phi_p(x)), so
-    E[z(x) . z(y)] equals the rbf kernel with the same sigma.
+    E[z(x) . z(y)] equals the rbf kernel with the same sigma.  p and
+    master_seed are stored as Python ints, sigma as a Python float.
     """
 
     p: int
@@ -93,10 +111,10 @@ class FeatureMapSpec:
             raise ConfigError(f"master_seed must be >= 0, got {seed}")
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "master_seed", seed)
+        object.__setattr__(self, "sigma", _bandwidth(self.sigma))
         # a frequency is a standard normal draw times 1/sigma, and a draw
         # reaches MAX_NORMAL_DRAW / sigma
-        if not (0 < self.sigma < math.inf
-                and MAX_NORMAL_DRAW / float(self.sigma) < math.inf):
+        if not (0 < self.sigma < math.inf and MAX_NORMAL_DRAW / self.sigma < math.inf):
             raise ConfigError(
                 "bandwidth must be positive and finite, with "
                 f"{MAX_NORMAL_DRAW} / sigma finite; got sigma = {self.sigma!r}"

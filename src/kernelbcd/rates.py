@@ -126,60 +126,34 @@ def l_eff(H: np.ndarray, b: int) -> float:
     )
 
 
-class LmaxEstimate(NamedTuple):
-    value: float
-    exact: bool
+def l_max_b(H: np.ndarray, b: int) -> float:
+    """Largest lambda_max over every size-b principal submatrix of H.
 
-
-def l_max_b(
-    H: np.ndarray,
-    b: int,
-    mode: str = "exact",
-    trials: int = 1000,
-    seed: int = 0,
-) -> LmaxEstimate:
-    """Largest lambda_max over size-b principal submatrices of H.
-
-    ``exact`` enumerates every subset (refused beyond the 1e6 cap);
-    ``sampled`` maximizes over uniform draws and is therefore only a lower
-    bound, flagged through ``exact=False`` so that classical-rate
-    consumers know the figure is optimistic.
+    Exact, by enumeration of all C(d, b) subsets; more than 1e6 subsets
+    raise CombinatorialBlowupError.
     """
     H = np.asarray(H, dtype=np.float64)
     d = H.shape[0]
     if not 1 <= b <= d:
         raise ConfigError(f"block size must lie in [1, {d}]")
-    if mode == "exact":
-        count = math.comb(d, b)
-        if count > EXACT_SUBSET_CAP:
-            raise CombinatorialBlowupError(
-                f"C({d},{b}) = {count} subsets exceeds the {EXACT_SUBSET_CAP} cap"
-            )
-        return LmaxEstimate(max(_tops(H, combinations(range(d), b))), True)
-    if mode != "sampled":
-        raise ConfigError(f"unknown mode {mode!r}")
-    return LmaxEstimate(max(_tops(H, _subsets(d, b, trials, seed))), False)
+    count = math.comb(d, b)
+    if count > EXACT_SUBSET_CAP:
+        raise CombinatorialBlowupError(
+            f"C({d},{b}) = {count} subsets exceeds the {EXACT_SUBSET_CAP} cap"
+        )
+    return max(_tops(H, combinations(range(d), b)))
 
 
-def standard_rate_iters(
-    H: np.ndarray,
-    b: int,
-    m: float,
-    eps: float,
-    mode: str = "exact",
-    trials: int = 1000,
-    seed: int = 0,
-) -> float:
+def standard_rate_iters(H: np.ndarray, b: int, m: float, eps: float) -> float:
     """Classical iteration count (d L_max_b / (b m)) log(1/eps), constant 1,
-    for a target accuracy eps in (0, 1)."""
+    for a target accuracy eps in (0, 1), with the exact ``l_max_b``."""
     if not m > 0:
         raise ConfigError("strong convexity constant m must be positive")
     if not 0 < eps < 1:
         raise ConfigError(f"accuracy eps must lie in (0, 1), got {eps!r}")
     H = np.asarray(H, dtype=np.float64)
     d = H.shape[0]
-    est = l_max_b(H, b, mode=mode, trials=trials, seed=seed)
-    return float(d * est.value / (b * m) * math.log(1.0 / eps))
+    return float(d * l_max_b(H, b) / (b * m) * math.log(1.0 / eps))
 
 
 def theorem_rate(H: np.ndarray, b: int, m: float) -> float:
@@ -201,16 +175,15 @@ def improved_bound(
 
 
 def classical_bound(
-    H: np.ndarray, b: int, m: float, gap0: float, tau: int, mode: str = "exact"
+    H: np.ndarray, b: int, m: float, gap0: float, tau: int
 ) -> np.ndarray:
     """Gap envelope from the classical analysis: per-step contraction
-    (1 - b m / (d L_max_b))."""
+    (1 - b m / (d L_max_b)), with the exact ``l_max_b``."""
     if tau < 0:
         raise ConfigError(f"need tau >= 0, got {tau}")
     H = np.asarray(H, dtype=np.float64)
     d = H.shape[0]
-    est = l_max_b(H, b, mode=mode)
-    rate = b * m / (d * est.value)
+    rate = b * m / (d * l_max_b(H, b))
     if not 0.0 < rate <= 1.0:
         raise InvalidRateError(f"b m/(d L_max_b) = {rate} outside (0, 1]")
     return gap0 * (1.0 - rate) ** np.arange(tau + 1)
@@ -400,6 +373,13 @@ def rf_required_features(
     """Feature count the operator-norm lemma demands:
     p >= (2/alpha)(1/alpha + 2/3) (n B^2 / ||K||) log(2n / delta),
     with B = sqrt(2) for cosine features."""
+    return _rf_requirement(X, sigma, alpha, delta)[0]
+
+
+def _rf_requirement(
+    X: np.ndarray, sigma: float, alpha: float, delta: float
+) -> tuple[int, float]:
+    """``rf_required_features`` and the ||K|| it is computed from."""
     if not 0 < delta <= 1:
         raise ConfigError("delta must lie in (0, 1]")
     if not 0 < alpha < 1:
@@ -414,7 +394,7 @@ def rf_required_features(
         * (n * COSINE_FEATURE_BOUND**2 / norm_k)
         * math.log(2.0 * n / delta)
     )
-    return int(math.ceil(need))
+    return int(math.ceil(need)), norm_k
 
 
 class RfConcentrationResult(NamedTuple):
@@ -441,14 +421,12 @@ def rf_concentration_check(
     raises ThresholdNotMetError (callers should skip, not fail).
     """
     X = np.asarray(X, dtype=np.float64)
-    required = rf_required_features(X, spec.sigma, alpha, delta)
+    required, norm_k = _rf_requirement(X, spec.sigma, alpha, delta)
     if spec.p < required:
         raise ThresholdNotMetError(
             f"p = {spec.p} below the lemma requirement {required}"
         )
     allowed = delta + monte_carlo_slack(delta, trials)
-    K = kernel_cross(X, X, KernelSpec("rbf", spec.sigma))
-    norm_k = float(np.linalg.eigvalsh(K)[-1])
     lo, hi = (1.0 - alpha) * norm_k, (1.0 + alpha) * norm_k
     hits = 0
     cols = np.arange(spec.p)

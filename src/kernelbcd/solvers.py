@@ -55,7 +55,6 @@ import json
 import math
 import numbers
 import operator
-import os
 from collections.abc import Callable
 from contextlib import closing
 from dataclasses import dataclass, field
@@ -71,6 +70,7 @@ from .distsim import (
     partitioned_matvec,
 )
 from .errors import ConfigError, DimensionMismatchError, DivergenceError, NotSpdError
+from .files import write_atomic
 from .kernels import (
     Dataset,
     FeatureMapSpec,
@@ -187,17 +187,15 @@ class ConvergenceTrace:
         return np.array([out[e] for e in sorted(out)])
 
     def write_csv(self, path) -> None:
-        tmp = f"{path}.tmp-{os.getpid()}"
-        with open(tmp, "w", newline="") as fh:
-            fh.write("epoch,block,seconds,objective,test_error\n")
-            for r in self.records:
-                # float(): numpy >= 2 writes a np.float64 as "np.float64(...)"
-                terr = "" if r.test_error is None else repr(float(r.test_error))
-                fh.write(
-                    f"{r.epoch},{r.block},{r.seconds:.6f},"
-                    f"{float(r.objective)!r},{terr}\n"
-                )
-        os.replace(tmp, path)
+        lines = ["epoch,block,seconds,objective,test_error\n"]
+        for r in self.records:
+            # float(): numpy >= 2 writes a np.float64 as "np.float64(...)"
+            terr = "" if r.test_error is None else repr(float(r.test_error))
+            lines.append(
+                f"{r.epoch},{r.block},{r.seconds:.6f},"
+                f"{float(r.objective)!r},{terr}\n"
+            )
+        write_atomic(path, "".join(lines))
 
 
 @dataclass
@@ -305,11 +303,8 @@ def save_model(model: Model, path) -> None:
     }
     if model.dim is not None:
         payload["dim"] = model.dim
-    tmp = f"{path}.tmp-{os.getpid()}"
-    with open(tmp, "w") as fh:
-        # json.dumps, not json.dump: dump to a file runs the pure-Python encoder
-        fh.write(MODEL_MAGIC + "\n" + json.dumps(payload, sort_keys=True) + "\n")
-    os.replace(tmp, path)
+    # json.dumps, not json.dump: dump to a file runs the pure-Python encoder
+    write_atomic(path, MODEL_MAGIC + "\n" + json.dumps(payload, sort_keys=True) + "\n")
 
 
 def load_model(path) -> Model:

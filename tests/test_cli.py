@@ -737,3 +737,76 @@ def test_cli_flags_only_documented_exit_codes(
     event(f"exit {code}")
     assert code in {0, 2, 3, 4, 5}
     assert "Traceback" not in stderr.getvalue()
+
+
+# each command with small work counts, and every file it writes
+_WRITERS = {
+    "solve": (["--method", "rf", "--p", "16", "--b", "8"], ["trace.csv", "model.kbcd"]),
+    "path": (
+        ["--method", "rf", "--p", "16", "--b", "8", "--lambda", "0.01"],
+        ["trace_0_01.csv", "model_0_01.kbcd"],
+    ),
+    "compare": (["--p", "8", "--b", "4", "--epochs", "2"], ["compare.csv"]),
+    "rates-check": (
+        ["--dim", "4", "--b", "2", "--quadratics", "1", "--ensemble", "2",
+         "--tau", "5", "--trials", "20"],
+        ["rates_curve.csv", "rates_verdicts.csv"],
+    ),
+    "costs": (["--method", "rf", "--p", "16", "--b", "8"], ["ledger.csv", "costs_report.csv"]),
+}
+
+
+def _write_failure_argv(command, blob_files, out):
+    train, test = blob_files
+    flags, _ = _WRITERS[command]
+    data = [] if command == "rates-check" else ["--train", train, "--test", test]
+    return [command, *data, *flags, "--out", str(out)]
+
+
+def _assert_cannot_write(code, capsys, root):
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "error: cannot write output" in err and "Traceback" not in err
+    assert not list(root.rglob("*.tmp-*"))
+
+
+@pytest.mark.parametrize("command", _WRITERS)
+def test_out_naming_a_file_exits_2(tmp_path, blob_files, command, capsys):
+    out = tmp_path / "out"
+    out.write_text("a file\n")
+    code = main(_write_failure_argv(command, blob_files, out))
+    _assert_cannot_write(code, capsys, tmp_path)
+    assert out.read_text() == "a file\n"
+
+
+def test_outdir_env_naming_a_file_exits_2(tmp_path, monkeypatch, capsys):
+    out = tmp_path / "out"
+    out.write_text("a file\n")
+    monkeypatch.setenv("KERNELBCD_OUTDIR", str(out))
+    code = main(["rates-check", *_WRITERS["rates-check"][0]])
+    _assert_cannot_write(code, capsys, tmp_path)
+
+
+@pytest.mark.parametrize(
+    "command, name",
+    [(command, name) for command, (_, names) in _WRITERS.items() for name in names],
+)
+def test_output_that_is_a_directory_exits_2(tmp_path, blob_files, command, name, capsys):
+    out = tmp_path / "out"
+    (out / name).mkdir(parents=True)
+    code = main(_write_failure_argv(command, blob_files, out))
+    _assert_cannot_write(code, capsys, tmp_path)
+    assert os.listdir(out / name) == []
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+def test_compare_tol_must_be_finite_and_nonnegative(tmp_path, tol, capsys):
+    # the data files do not exist: the check comes before any file is read
+    out = tmp_path / "out"
+    code = main(
+        ["compare", "--train", str(tmp_path / "train.csv"), "--test",
+         str(tmp_path / "test.csv"), "--p", "8", "--tol", tol, "--out", str(out)]
+    )
+    assert code == EXIT_CONFIG
+    assert "--tol must be finite and >= 0" in capsys.readouterr().err
+    assert not out.exists()

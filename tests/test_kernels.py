@@ -361,6 +361,9 @@ def test_negative_master_seed_raises():
         dict(p="8"),
         dict(p=0),
         dict(p=8, sigma=0.0),
+        dict(p=8, sigma="1.0"),
+        dict(p=8, sigma=None),
+        dict(p=8, sigma=10**400),
     ],
 )
 def test_feature_spec_rejects_bad_values_with_config_error(kwargs):
@@ -374,7 +377,18 @@ def test_feature_spec_keeps_numpy_integers_as_ints():
     assert spec == FeatureMapSpec(8, master_seed=3)
 
 
-@pytest.mark.parametrize("kwargs", [dict(family="poly"), dict(sigma=-1.0)])
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        dict(family="poly"),
+        dict(sigma=-1.0),
+        dict(sigma="1.0"),
+        dict(family="linear", sigma="1.0"),  # linear ignores only the value
+        dict(sigma=None),
+        dict(sigma=1 + 0j),
+        dict(sigma=10**400),
+    ],
+)
 def test_kernel_spec_rejects_bad_values_with_config_error(kwargs):
     with pytest.raises(ConfigError):
         KernelSpec(**kwargs)
@@ -418,3 +432,10 @@ def test_feature_map_rejects_sigma_whose_frequencies_overflow(sigma):
     with pytest.raises(ValueError, match="38.5 / sigma"):
         FeatureMapSpec(p=4, sigma=sigma)
     assert FeatureMapSpec(p=4, sigma=2.2e-307).sigma == 2.2e-307
+
+
+@pytest.mark.parametrize("sigma", [2, np.float32(2.0), np.float64(2.0), np.int64(2)])
+def test_spec_sigma_is_stored_as_a_python_float(sigma):
+    for spec in (KernelSpec("rbf", sigma), KernelSpec("linear", sigma),
+                 FeatureMapSpec(8, sigma)):
+        assert type(spec.sigma) is float and spec.sigma == 2.0

@@ -212,3 +212,15 @@ def test_truncated_file_is_config_error(method, tmp_path):
         path.write_bytes(whole[:size])
         with pytest.raises(ConfigError):
             load_model(path)
+
+
+def test_float32_sigma_model_saves_and_loads(tmp_path):
+    # a float32 sigma once trained, then failed in save_model with "Object
+    # of type float32 is not JSON serializable"
+    from kernelbcd.kernels import gaussian_blobs
+    from kernelbcd.solvers import make_plan, solve_rf
+
+    data = gaussian_blobs(16, 2, 2, seed=0)
+    model, _ = solve_rf(data, FeatureMapSpec(16, np.float32(2.0)), 0.1, make_plan(16, 8), 1)
+    save_model(model, tmp_path / "m.kbcd")
+    assert_same_model(load_model(tmp_path / "m.kbcd"), model)

@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import numpy as np
@@ -69,19 +70,16 @@ class TestLMaxB:
     def test_diagonal(self):
         h = np.diag([4.0, 1.0, 3.0, 2.0])
         for b in (1, 2, 3, 4):
-            est = l_max_b(h, b)
-            assert est.exact
-            assert est.value == pytest.approx(4.0)
+            assert l_max_b(h, b) == pytest.approx(4.0)
 
     def test_block_diagonal_tight_case(self):
         # all-ones blocks of exactly the block size: the restricted
         # constant equals the global one
         h = adversarial_hessian(9, 0.5)
         est = l_max_b(h, 3)
-        assert est.exact
-        assert est.value == pytest.approx(3.5, rel=1e-12)
+        assert est == pytest.approx(3.5, rel=1e-12)
         top = np.linalg.eigvalsh(h)[-1]
-        assert est.value == pytest.approx(top, rel=1e-12)
+        assert est == pytest.approx(top, rel=1e-12)
 
     def test_matches_enumeration_oracle(self):
         from itertools import combinations
@@ -92,23 +90,25 @@ class TestLMaxB:
         best = max(
             np.linalg.norm(h[np.ix_(s, s)], 2) for s in combinations(range(8), 3)
         )
-        assert est.value == pytest.approx(best, rel=1e-12)
-
-    def test_sampled_is_lower_bound_and_flagged(self):
-        h = random_spd(12, 2)
-        exact = l_max_b(h, 4)
-        sampled = l_max_b(h, 4, mode="sampled", trials=50, seed=3)
-        assert not sampled.exact
-        assert sampled.value <= exact.value + 1e-12
+        assert est == pytest.approx(best, rel=1e-12)
 
     def test_combinatorial_cap(self):
         with pytest.raises(CombinatorialBlowupError):
             l_max_b(np.eye(50), 10)
 
+    def test_is_one_exact_float(self):
+        import kernelbcd
+
+        assert type(l_max_b(adversarial_hessian(16, 0.1), 4)) is float
+        assert not hasattr(kernelbcd, "LmaxEstimate")
+        for fn in (l_max_b, standard_rate_iters, classical_bound):
+            params = inspect.signature(fn).parameters
+            assert not {"mode", "trials", "seed"} & set(params), fn.__name__
+
     def test_homogeneity(self):
         h = random_spd(7, 4)
-        assert l_max_b(3.0 * h, 2).value == pytest.approx(
-            3.0 * l_max_b(h, 2).value, rel=1e-12
+        assert l_max_b(3.0 * h, 2) == pytest.approx(
+            3.0 * l_max_b(h, 2), rel=1e-12
         )
 
 
@@ -138,8 +138,7 @@ class TestIterationCounts:
         d, lam, eps = 16, 0.1, 1e-3
         h = adversarial_hessian(d, lam)
         b = 4
-        est = l_max_b(h, b)
-        assert est.exact and est.value == pytest.approx(lam + 4.0, rel=1e-12)
+        assert l_max_b(h, b) == pytest.approx(lam + 4.0, rel=1e-12)
         classical_count = standard_rate_iters(h, b, lam, eps)
         assert classical_count == pytest.approx(
             d * (lam + 4.0) / (b * lam) * math.log(1.0 / eps), rel=1e-12
@@ -308,6 +307,25 @@ class TestRfConcentration:
         result = rf_concentration_check(spec, data.X, 0.5, 1.0, trials=20)
         assert result.violation_rate <= 1.0 and result.passed
 
+    def test_kernel_is_evaluated_once(self, monkeypatch):
+        import kernelbcd.rates
+
+        data = gaussian_blobs(16, 2, 2, seed=35, center_scale=1.0, noise=0.6)
+        p_req = rf_required_features(data.X, 1.2, 0.5, 0.5)
+        spec = FeatureMapSpec(p=p_req, sigma=1.2, master_seed=36)
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return kernel_cross(*args)
+
+        monkeypatch.setattr(kernelbcd.rates, "kernel_cross", counted)
+        result = rf_concentration_check(spec, data.X, 0.5, 0.5, trials=5)
+        assert len(calls) == 1
+        K = kernel_cross(data.X, data.X, KernelSpec("rbf", 1.2))
+        assert result.norm_k == float(np.linalg.eigvalsh(K)[-1])
+        assert result.required_p == p_req
+
 
 class TestTable1:
     def test_exponential_full(self):
@@ -458,12 +476,6 @@ def _one_heavy_column(p):
     return a
 
 
-def test_sampled_l_max_b_equals_explicit_draw_loop():
-    h = random_spd(12, 2)
-    est = l_max_b(h, 4, mode="sampled", trials=60, seed=7)
-    assert est.value == max(_oracle_tops(h, 12, 4, 60, 7))
-
-
 def test_chernoff_rate_equals_explicit_draw_loop():
     a, b, delta, trials, seed = _one_heavy_column(20), 2, 1.0, 300, 8
     G = a.T @ a
@@ -486,15 +498,12 @@ def test_bernstein_rate_equals_explicit_draw_loop():
     assert bernstein_lower_rate(psi, p, delta, trials, seed=seed) == expected
 
 
-_H4 = random_spd(4, 3)
-_PROB4 = QuadraticProblem(_H4, np.ones(4))
+_PROB4 = QuadraticProblem(random_spd(4, 3), np.ones(4))
 
 
 @pytest.mark.parametrize(
     "call",
     [
-        lambda: l_max_b(_H4, 2, mode="sampled", trials=0),
-        lambda: standard_rate_iters(_H4, 2, 0.5, 0.1, mode="sampled", trials=0),
         lambda: chernoff_violation_rate(np.eye(4), 2, 0.1, trials=0),
         lambda: bernstein_lower_rate(np.eye(4), 2, 0.1, trials=0),
         lambda: bcd_iterations_to_tolerance(_PROB4, 2, 0.1, seeds=0, max_iters=5),
@@ -505,8 +514,8 @@ _PROB4 = QuadraticProblem(_H4, np.ones(4))
         ),
     ],
     ids=[
-        "l_max_b-trials0", "standard_rate_iters-trials0", "chernoff-trials0",
-        "bernstein-trials0", "iterations-seeds0", "iterations-max_iters-1",
+        "chernoff-trials0", "bernstein-trials0", "iterations-seeds0",
+        "iterations-max_iters-1",
         "rf_required_features-delta0", "rf_concentration_check-trials0",
     ],
 )
