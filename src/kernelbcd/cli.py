@@ -130,6 +130,8 @@ class RunConfig:
         cmd = self.command
         rates_check = cmd == "rates-check"
         one_model = cmd in ("solve", "path", "costs")  # compare sets method and p
+        repeats = sorted({lam for lam in self.lambdas if self.lambdas.count(lam) > 1})
+        max_bytes = np.iinfo(np.intp).max  # the largest array numpy can describe
         for ok, message in (
             (self.method in ("full", "nystrom", "rf"),
              f"unknown method {self.method!r}"),
@@ -139,6 +141,8 @@ class RunConfig:
              "--lambda values must be positive and finite"),
             (cmd in ("path", "rates-check") or len(self.lambdas) == 1,
              f"{cmd} takes a single --lambda; use the path command"),
+            (rates_check or not repeats,
+             f"--lambda values must be distinct: {', '.join(map(repr, repeats))} repeated"),
             (0 <= self.gamma < math.inf, "--gamma must be finite and >= 0"),
             (0 <= self.tol < math.inf, "--tol must be finite and >= 0"),
             (self.b >= 1, "--b must be positive"),
@@ -159,9 +163,15 @@ class RunConfig:
              "--quadratics, --ensemble and --trials must be >= 1"),
             (not rates_check or self.tau >= 0, "--tau must be >= 0"),
             (not rates_check or 0 < self.delta <= 1, "--delta must lie in (0, 1]"),
+            (not rates_check or self.dim * self.dim * 8 <= max_bytes,
+             f"--dim {self.dim} is too large: its dim x dim matrix exceeds {max_bytes} B"),
+            (not rates_check or (self.tau + 1) * 8 <= max_bytes,
+             f"--tau {self.tau} is too large: its tau + 1 gaps exceed {max_bytes} B"),
         ):
             if not ok:
                 raise ConfigError(message)
+        if rates_check:  # --b is in [1, --dim] here
+            rates.check_subset_cap(self.dim, self.b)
 
 
 # option key (flag name without dashes) -> RunConfig field
@@ -368,7 +378,6 @@ def cmd_compare(cfg: RunConfig) -> int:
 
 
 def cmd_rates_check(cfg: RunConfig) -> int:
-    os.makedirs(cfg.out, exist_ok=True)
     rng = np.random.default_rng(cfg.seed)
     curve_rows = []
     verdicts = []
@@ -411,6 +420,7 @@ def cmd_rates_check(cfg: RunConfig) -> int:
     )
     verdicts.append(["rf_operator_norm", rf_res.passed])
     all_ok = all(ok for _, ok in verdicts)
+    os.makedirs(cfg.out, exist_ok=True)
     _write_rows(
         os.path.join(cfg.out, "rates_curve.csv"),
         ["problem", "t", "empirical_mean_gap", "improved_bound", "classical_bound"],

@@ -126,21 +126,30 @@ def l_eff(H: np.ndarray, b: int) -> float:
     )
 
 
+def check_subset_cap(d: int, b: int) -> None:
+    """Raise CombinatorialBlowupError if C(d, b), for 1 <= b <= d, exceeds
+    EXACT_SUBSET_CAP.  The count grows one factor at a time and stops once
+    past the cap, so a huge d costs nothing."""
+    count = 1
+    for i in range(min(b, d - b)):
+        count = count * (d - i) // (i + 1)  # C(d, i + 1), exactly
+        if count > EXACT_SUBSET_CAP:
+            raise CombinatorialBlowupError(
+                f"C({d},{b}) subsets exceed the {EXACT_SUBSET_CAP} cap"
+            )
+
+
 def l_max_b(H: np.ndarray, b: int) -> float:
     """Largest lambda_max over every size-b principal submatrix of H.
 
     Exact, by enumeration of all C(d, b) subsets; more than 1e6 subsets
-    raise CombinatorialBlowupError.
+    raise CombinatorialBlowupError (``check_subset_cap``).
     """
     H = np.asarray(H, dtype=np.float64)
     d = H.shape[0]
     if not 1 <= b <= d:
         raise ConfigError(f"block size must lie in [1, {d}]")
-    count = math.comb(d, b)
-    if count > EXACT_SUBSET_CAP:
-        raise CombinatorialBlowupError(
-            f"C({d},{b}) = {count} subsets exceeds the {EXACT_SUBSET_CAP} cap"
-        )
+    check_subset_cap(d, b)
     return max(_tops(H, combinations(range(d), b)))
 
 

@@ -12,9 +12,9 @@ residual ``grad`` and the rows its scatter S_J writes.  One block step
 serves every system: solve A d = -grad, add d to the block's coefficients
 and (K_J + n*lam*S_J)[:, block] d to the maintained fit error
 E = (K_J + n*lam*S_J) alpha - Y, which starts at -Y.  The step serves
-every lambda at once: their coefficients and E sit side by side
-(``_Batch``), so a visit makes one gradient product and one update product
-for all lambdas, with a b x b solve per lambda in between.  The
+every lambda at once: their coefficients and E sit side by side, and only
+there (``_Batch``), so a visit makes one gradient product and one update
+product for all lambdas, with a b x b solve per lambda in between.  The
 ``grad_tol`` check and the residual check read the same ``grad`` and the
 same columns.
 
@@ -37,8 +37,10 @@ Public APIs take the statistical lambda; systems use lam_eff = n * lambda.
 The ``grad_tol`` stop is exact.  ``full`` maintains K alpha - Y and checks at
 each epoch end with no blocks.  The nystrom/rf normal-equation residual
 needs every column block, so an epoch end's check is summed on the blocks
-the next sweep generates anyway; if it passes, that sweep is discarded.  A
-run stopped after T epochs thus generates each block T + 1 times, not 2T.
+the next sweep generates anyway; if it passes, that sweep is discarded and
+the run ends on the batch copied at the epoch end, coefficients and E
+together.  A run stopped after T epochs thus generates each block T + 1
+times, not 2T.
 ``check_residual`` recomputes every lambda's E in one more sweep per epoch.
 
 Within a sweep the next block is generated while the current one is
@@ -451,46 +453,32 @@ def primal_dual_gap(Z: np.ndarray, w: np.ndarray, Y: np.ndarray, lam: float) -> 
 # the block-descent engine
 
 
-@dataclass
-class _LamState:
-    lam: float
-    coeffs: np.ndarray  # its columns of _Batch.coeffs
-    resid: np.ndarray  # E, see _BlockSystem; its columns of _Batch.resid
-    trace: ConvergenceTrace = field(default_factory=ConvergenceTrace)
-    prev_obj: float = np.inf
-
-
 class _Batch:
     """Every lambda's coefficients and E side by side: lambda l owns
     columns ``cols[l]`` = l*k:(l+1)*k of one coefficient and one residual
     array, so one product against a column block serves every lambda.
-    ``states`` are the per-lambda views; ``lam_eff`` holds n lam per
-    column."""
+    They are a lambda's only coefficients and E, so a copy of the batch
+    copies every lambda's state.  ``lam_eff`` holds n lam per column."""
 
     def __init__(self, lams, coeffs, resid, n):
         self.lams, self.n = lams, n
         self.coeffs, self.resid = coeffs, resid
         self.k = coeffs.shape[1] // len(lams)
         self.cols = [slice(i * self.k, (i + 1) * self.k) for i in range(len(lams))]
-        self.states = [
-            _LamState(lam, coeffs[:, cols], resid[:, cols])
-            for lam, cols in zip(lams, self.cols)
-        ]
         self.lam_eff = np.repeat([n * lam for lam in lams], self.k)
 
     def copy(self) -> _Batch:
         return _Batch(self.lams, self.coeffs.copy(), self.resid.copy(), self.n)
 
 
-def _guard_descent(state: _LamState, obj: float) -> None:
+def _guard_descent(prev: float, obj: float) -> None:
     if not np.isfinite(obj):
         raise DivergenceError(f"objective became non-finite ({obj})")
-    if obj > state.prev_obj + DESCENT_TOL * max(1.0, abs(state.prev_obj)):
+    if obj > prev + DESCENT_TOL * max(1.0, abs(prev)):
         raise DivergenceError(
-            f"objective increased from {state.prev_obj!r} to {obj!r}; "
+            f"objective increased from {prev!r} to {obj!r}; "
             "residual maintenance is corrupt"
         )
-    state.prev_obj = obj
 
 
 def _check_lams(lams, n: int, gamma: float) -> None:
@@ -562,15 +550,15 @@ class _BlockSystem:
         in between.  Returns the step's residual seconds, each solved
         lambda's solve seconds and the error of the first solve that
         failed, if any; that lambda and the later ones are not stepped.
-        With one lambda the products are a single run's, with no copy."""
+        With one lambda the products are a single run's."""
         t_res = perf_counter()
         grads = self.gradients(batch, pos, kb, part)
         res_seconds = perf_counter() - t_res
         deltas, solve_seconds, failure = [], [], None
-        for st, cols in zip(batch.states, batch.cols):
+        for lam, cols in zip(batch.lams, batch.cols):
             t_solve = perf_counter()
             try:
-                a = self.matrix(products, self.n * st.lam)
+                a = self.matrix(products, self.n * lam)
                 deltas.append(spd_solve(a, -grads[:, cols]))
             except (NotSpdError, DivergenceError) as exc:
                 # _run raises it after the earlier lambdas' descent checks
@@ -580,7 +568,7 @@ class _BlockSystem:
         t_res = perf_counter()
         if deltas:
             width = len(deltas) * batch.k
-            delta = deltas[0] if len(deltas) == 1 else np.hstack(deltas)
+            delta = np.hstack(deltas)
             batch.coeffs[pos, :width] += delta
             self.accumulate(batch.resid[:, :width], pos, kb, delta, batch.lam_eff[:width])
         return res_seconds + perf_counter() - t_res, solve_seconds, failure
@@ -613,13 +601,12 @@ class _FullSystem(_BlockSystem):
     def gradients(self, batch, idx, kb, part):
         return batch.resid[idx] + batch.lam_eff * batch.coeffs[idx]
 
-    def objective(self, st):
+    def objective(self, lam, c, e):
         """The surrogate, and the least-squares value as the alternate, with
         <a, K a> = <a, E> + <a, Y>."""
-        c, e = st.coeffs, st.resid
         ce, cy = _ip(c, e), _ip(c, self.Y)
-        obj = 0.5 * ce + 0.5 * self.n * st.lam * _ip(c, c) - 0.5 * cy
-        alt = _ip(e, e) / self.n + st.lam * (ce + cy)
+        obj = 0.5 * ce + 0.5 * self.n * lam * _ip(c, c) - 0.5 * cy
+        alt = _ip(e, e) / self.n + lam * (ce + cy)
         return obj, alt
 
     check_needs_blocks = False  # E is maintained, so check at once
@@ -673,16 +660,15 @@ class _GramSystem(_BlockSystem):
             + (batch.lam_eff * self.gamma) * batch.coeffs[pos]
         )
 
-    def objective(self, st):
+    def objective(self, lam, c, e):
         """(1/n)||K_J a - Y||^2 + lam <a, K_JJ a> + lam gamma ||a||^2."""
-        c, r = st.coeffs, st.resid
-        kjj_term = 0.0
+        r, kjj_term = e, 0.0
         if self.landmarks is not None:  # K_J a - Y: E without the scatter
             r = r.copy()
-            r[self.landmarks] -= self.n * st.lam * c
+            r[self.landmarks] -= self.n * lam * c
             # K_JJ a is K_J a at the landmark rows
-            kjj_term = st.lam * _ip(c, r[self.landmarks] + self.Y[self.landmarks])
-        return _ip(r, r) / self.n + kjj_term + st.lam * self.gamma * _ip(c, c), None
+            kjj_term = lam * _ip(c, r[self.landmarks] + self.Y[self.landmarks])
+        return _ip(r, r) / self.n + kjj_term + lam * self.gamma * _ip(c, c), None
 
     # the normal-equation residual needs every column block, so the engine
     # sums it over the next sweep's blocks
@@ -709,18 +695,18 @@ class _PendingCheck:
     every lambda, the squared norm of its columns of ``system.gradients``
     at that copy for its block, one product for all lambdas; ``passed``
     sums them in plan order.  ``restore`` returns the run to the epoch end:
-    each lambda's coefficients and trace length, and the ledger's length
-    and position.  The maintained residuals are not restored, as a
-    restored run only returns.
+    it cuts each lambda's trace and the ledger back to their lengths there,
+    sets the ledger's position back, and returns the copied batch, which
+    holds every lambda's coefficients and E at the epoch end.
     """
 
-    def __init__(self, system, batch, epoch, block, ledger, n_blocks):
+    def __init__(self, system, batch, traces, epoch, block, ledger, n_blocks):
         self.system = system
         self.epoch, self.block = epoch, block
         self.snapshot = batch.copy()
-        self.n_records = [len(st.trace.records) for st in batch.states]
+        self.n_records = [len(trace.records) for trace in traces]
         self.n_ledger = len(ledger.records)
-        self.terms = [[0.0] * n_blocks for _ in batch.states]
+        self.terms = [[0.0] * n_blocks for _ in batch.cols]
         self.rhs_terms = [0.0] * n_blocks if system.rhs_norm is None else None
 
     def add(self, blk, pos, kb, part) -> None:
@@ -737,12 +723,12 @@ class _PendingCheck:
         bound = tol * self.system.rhs_norm
         return not any(np.sqrt(_sum_in_order(t)) > bound for t in self.terms)
 
-    def restore(self, states, ledger) -> None:
-        for st, snapshot, n_records in zip(states, self.snapshot.states, self.n_records):
-            st.coeffs = snapshot.coeffs
-            del st.trace.records[n_records:]
+    def restore(self, traces, ledger) -> _Batch:
+        for trace, n_records in zip(traces, self.n_records):
+            del trace.records[n_records:]
         del ledger.records[self.n_ledger:]
         ledger.set_position(self.epoch, self.block)
+        return self.snapshot
 
 
 def _recomputed_resids(system, batch, blocks) -> np.ndarray:
@@ -776,8 +762,8 @@ def _run(
 
     A system whose ``grad_tol`` check needs every column block has it
     summed on the next sweep's blocks (``_PendingCheck``).  If the check
-    passes, that sweep is discarded and the run ends as it was at the
-    epoch end; an error raised by that sweep's updates counts only if the
+    passes, that sweep is discarded and the run ends on the epoch end's
+    batch; an error raised by that sweep's updates counts only if the
     check fails.  No check follows the last epoch: it could not change
     the result.  No ``exec_ctx`` means one worker, and no ledger means
     ``NULL_LEDGER``, which keeps nothing.
@@ -815,7 +801,8 @@ def _run(
     batch = _Batch(
         lams, np.zeros((plan.universe, len(lams) * k)), np.tile(-system.Y, len(lams)), n
     )
-    states = batch.states
+    traces = [ConvergenceTrace() for _ in lams]
+    prev_objs = [np.inf] * len(lams)
     caller_err = np.geterr()
 
     def visit(epoch, blk, pos, kb, gen_s, wait_s):
@@ -825,19 +812,21 @@ def _run(
         products = system.visit(pos, kb, part, ledger)
         res_s, solve_s, failure = system.update(batch, pos, kb, products, part)
         shared = wait_s + perf_counter() - t_visit - sum(solve_s)
-        for st, st_solve_s in zip(states, solve_s):
+        for i, (lam, cols, lam_solve_s) in enumerate(zip(lams, batch.cols, solve_s)):
             t0 = perf_counter()
-            ledger.add("residual", flops=system.residual_flops, seconds=res_s / len(states))
-            ledger.add("solve", flops=system.b**3, seconds=st_solve_s)
-            obj, alt = system.objective(st)
-            _guard_descent(st, obj)
+            ledger.add("residual", flops=system.residual_flops, seconds=res_s / len(lams))
+            ledger.add("solve", flops=system.b**3, seconds=lam_solve_s)
+            c = batch.coeffs[:, cols]
+            obj, alt = system.objective(lam, c, batch.resid[:, cols])
+            _guard_descent(prev_objs[i], obj)
+            prev_objs[i] = obj
             terr = None
             if test_data is not None:
-                coeffs = np.ascontiguousarray(st.coeffs)
+                coeffs = np.ascontiguousarray(c)
                 with np.errstate(**caller_err):
                     terr = evaluate(system.model(coeffs), test_data, rmse=rmse)
-            seconds = perf_counter() - t0 + st_solve_s + shared
-            st.trace.append(TraceRecord(epoch, blk, seconds, obj, terr, alt))
+            seconds = perf_counter() - t0 + lam_solve_s + shared
+            traces[i].append(TraceRecord(epoch, blk, seconds, obj, terr, alt))
             shared = 0.0
         if failure is not None:
             raise failure
@@ -865,22 +854,25 @@ def _run(
                         failure = exc
             if pending is not None:
                 if pending.passed(grad_tol):
-                    pending.restore(states, ledger)
+                    batch = pending.restore(traces, ledger)
                     break
                 if failure is not None:
                     raise failure
                 pending = None
             if check_residual:
                 fresh = _recomputed_resids(system, batch, plan.blocks)
-                for st, cols in zip(states, batch.cols):
-                    _assert_residual(fresh[:, cols], st.resid, system.Y)
+                for cols in batch.cols:
+                    _assert_residual(fresh[:, cols], batch.resid[:, cols], system.Y)
             if grad_tol is None or epoch == epochs - 1:
                 continue
             if system.check_needs_blocks:
-                pending = _PendingCheck(system, batch, epoch, blk, ledger, plan.n_blocks)
+                pending = _PendingCheck(
+                    system, batch, traces, epoch, blk, ledger, plan.n_blocks
+                )
             elif system.converged(batch, grad_tol):
                 break
-    return [(system.model(np.ascontiguousarray(st.coeffs)), st.trace) for st in states]
+    return [(system.model(np.ascontiguousarray(batch.coeffs[:, cols])), trace)
+            for cols, trace in zip(batch.cols, traces)]
 
 
 def _run_spec(

@@ -37,19 +37,18 @@ KSPEC = KernelSpec("rbf", sigma=2.0)
 
 
 class _Recorder:
-    """A system that behaves like ``system`` and keeps every lambda state
-    it updates, in first-update order."""
+    """A system that behaves like ``system`` and keeps every batch it
+    updates, in first-update order."""
 
     def __init__(self, system):
-        self.system, self.states = system, []
+        self.system, self.batches = system, []
 
     def __getattr__(self, name):
         return getattr(self.system, name)
 
     def update(self, batch, *args):
-        for state in batch.states:
-            if not any(s is state for s in self.states):
-                self.states.append(state)
+        if not any(b is batch for b in self.batches):
+            self.batches.append(batch)
         return self.system.update(batch, *args)
 
 
@@ -70,11 +69,11 @@ def run_wrapped(wrap, run_spec):
 
 
 def run_recorded(data, spec, lams, plan, epochs, **kw):
-    """``_run_spec`` on a recording system: the results and the states."""
+    """``_run_spec`` on a recording system: the results and the batches."""
     results, recorder = run_wrapped(
         _Recorder, lambda: solvers._run_spec(data, spec, lams, plan, epochs, **kw)
     )
-    return results, recorder.states
+    return results, recorder.batches
 
 
 def dense_resid(model, data, lam):
@@ -113,16 +112,17 @@ def test_maintained_residual_equals_dense_recomputation(
         spec, extra = KSPEC, dict(p=universe, gamma=1e-3, landmark_seed=plan_seed)
     else:
         spec, extra = KSPEC, {}
-    results, states = run_recorded(
+    results, batches = run_recorded(
         data, spec, lams, plan, epochs, check_residual=True,
         exec_ctx=ExecContext(workers), **extra,
     )
-    assert len(states) == (len(lams) if epochs else 0)
+    assert len(batches) == (1 if epochs else 0)
     Y = one_vs_all(data)
-    for lam, state, (model, _) in zip(lams, states, results):
-        dense = dense_resid(model, data, lam)
-        drift = np.linalg.norm(state.resid - (dense - Y))
-        assert drift <= 1e-10 * max(np.linalg.norm(dense), 1e-30)
+    for batch in batches:
+        for lam, cols, (model, _) in zip(lams, batch.cols, results):
+            dense = dense_resid(model, data, lam)
+            drift = np.linalg.norm(batch.resid[:, cols] - (dense - Y))
+            assert drift <= 1e-10 * max(np.linalg.norm(dense), 1e-30)
 
 
 def _case(method):
@@ -151,6 +151,33 @@ def _case(method):
         )
 
     return calls, plan, run
+
+
+@pytest.mark.parametrize("n_lams", [1, 3])
+@pytest.mark.parametrize("method", ["nystrom", "rf"])
+def test_grad_tol_stop_restores_coefficients_and_fit_error_together(
+    monkeypatch, method, n_lams
+):
+    # a passing check ends the run on the epoch end's batch, so every
+    # lambda's E there is the fit error of the coefficients it returns,
+    # not of the discarded sweep's
+    restored = []
+    real = solvers._PendingCheck.restore
+    monkeypatch.setattr(
+        solvers._PendingCheck, "restore",
+        lambda self, *a: (restored.append(real(self, *a)), restored[-1])[1],
+    )
+    _, _, run = _case(method)
+    lams = [0.1, 0.03, 0.3][:n_lams]
+    results = run(lams, 200, grad_tol=1e-3)
+    [batch] = restored
+    data = gaussian_blobs(32, 3, 2, seed=95)  # _case's data
+    Y = one_vs_all(data)
+    for lam, cols, (model, _) in zip(lams, batch.cols, results):
+        assert np.array_equal(batch.coeffs[:, cols], model.coefficients)
+        dense = dense_resid(model, data, lam)
+        drift = np.linalg.norm(batch.resid[:, cols] - (dense - Y))
+        assert drift <= 1e-10 * max(np.linalg.norm(dense), 1e-30)
 
 
 @pytest.mark.parametrize("method", METHODS)

@@ -480,8 +480,13 @@ def test_infinite_lambda_is_config_error(blob_files, capsys):
     [
         ["--trials", "0"], ["--ensemble", "0"], ["--tau", "-1"],
         ["--quadratics", "0"], ["--delta", "-1"], ["--seed", "-1"],
+        # sizes that used to fail only after an ensemble had run or an
+        # allocation was tried, with --out already made
+        ["--dim", "32", "--b", "8"], ["--dim", "4294967296", "--b", "4294967296"],
+        ["--tau", "10000000000000000000"],
     ],
-    ids=["trials", "ensemble", "tau", "quadratics", "delta", "seed"],
+    ids=["trials", "ensemble", "tau", "quadratics", "delta", "seed",
+         "subset-cap", "dim-size", "tau-size"],
 )
 def test_rates_check_rejects_knobs_out_of_range(tmp_path, flags):
     out = tmp_path / "out"
@@ -810,3 +815,16 @@ def test_compare_tol_must_be_finite_and_nonnegative(tmp_path, tol, capsys):
     assert code == EXIT_CONFIG
     assert "--tol must be finite and >= 0" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("values", [["0.1", "0.1"], ["1e-3", "0.001"]])
+def test_repeated_lambda_exits_2_before_any_file_is_read(tmp_path, values, capsys):
+    # the training file does not exist: the check comes before it is read
+    argv = ["path", "--train", str(tmp_path / "missing.csv"), "--p", "8", "--b", "4",
+            "--out", str(tmp_path / "out")]
+    for value in values:
+        argv += ["--lambda", value]
+    assert main(argv) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"--lambda values must be distinct: {float(values[0])!r} repeated" in err
+    assert "cannot read data file" not in err

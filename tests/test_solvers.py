@@ -909,13 +909,13 @@ class _FaultAfter:
 
     def update(self, batch, *args):
         res_s, solve_s, failure = self.system.update(batch, *args)
-        for i, st in enumerate(batch.states):
+        for i, cols in enumerate(batch.cols):
             self.after -= 1
             if self.after < 0 and self.fault == "not_spd":
                 error = NotSpdError("block system is not positive definite")
                 return res_s, solve_s[:i], error
             if self.after < 0:
-                st.resid[:] = np.nan
+                batch.resid[:, cols] = np.nan
         return res_s, solve_s, failure
 
 
