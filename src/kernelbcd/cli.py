@@ -485,9 +485,6 @@ def main(argv=None) -> int:
     try:
         cfg = build_config(args)
         return COMMANDS[cfg.command](cfg)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except DataFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA

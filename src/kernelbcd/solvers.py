@@ -4,9 +4,10 @@ One engine, ``_run``, drives three primal solvers.  It sweeps the block
 plan, generates each column block once per visit, and owns the ledger,
 the descent guard, test evaluation, traces, the residual check and the
 ``grad_tol`` stop.  The model's column map, ``Model.columns``, is the one
-block source: K([n], J) for ``full``, K([n], landmarks[J]) for ``nystrom``
-and Z([n], J) for ``rf``; ``predict`` and the dense diagnostics read it
-too.  A per-method system states only its math: the products every
+block source and the one width check: K([n], J) for ``full``,
+K([n], landmarks[J]) for ``nystrom`` and Z([n], J) for ``rf``; the test
+set's block, ``predict`` and the dense diagnostics read it too.  A
+per-method system states only its math: the products every
 lambda shares, its b x b block matrix A, its block of the normal-equation
 residual ``grad`` and the rows its scatter S_J writes.  One block step
 serves every system: solve A d = -grad, add d to the block's coefficients
@@ -168,7 +169,6 @@ class TraceRecord:
     seconds: float
     objective: float
     test_error: float | None = None
-    objective_alt: float | None = None
 
 
 @dataclass
@@ -240,7 +240,16 @@ class Model:
     def columns(self, X: np.ndarray, cols=None) -> np.ndarray:
         """The column block at the rows of ``X``: k(X, anchors[cols]) for
         full/nystrom, z(X)[:, cols] for rf; every column when ``cols`` is
-        None.  Coefficient row j weights column j."""
+        None.  Coefficient row j weights column j.  ``X`` must be 2-d and,
+        unless ``dim`` is None, as wide as the model's input."""
+        X = np.asarray(X, dtype=np.float64)
+        if X.ndim != 2:
+            raise DimensionMismatchError("data must be 2-d")
+        width = self.dim if self.method == "rf" else self.anchors.shape[1]
+        if width is not None and X.shape[1] != width:
+            raise DimensionMismatchError(
+                f"data has {X.shape[1]} features, model expects {width}"
+            )
         if self.method == "rf":
             if cols is None:
                 cols = np.arange(self.features.p)
@@ -254,14 +263,6 @@ def predict(model: Model, x_test: np.ndarray) -> np.ndarray:
     """Score matrix (m x k) for the rows of ``x_test``, computed inside
     ``solver_threads`` like training, so the scores do not depend on the
     host's CPU count."""
-    x_test = np.asarray(x_test, dtype=np.float64)
-    if x_test.ndim != 2:
-        raise DimensionMismatchError("x_test must be 2-d")
-    width = model.dim if model.method == "rf" else model.anchors.shape[1]
-    if width is not None and x_test.shape[1] != width:
-        raise DimensionMismatchError(
-            f"x_test has {x_test.shape[1]} features, model expects {width}"
-        )
     return model.columns(x_test) @ model.coefficients
 
 
@@ -272,10 +273,15 @@ def classify(scores: np.ndarray) -> np.ndarray:
 
 def evaluate(model: Model, data: Dataset, rmse: bool = False) -> float:
     """Top-1 error rate, or root mean square error of the argmax class id."""
-    pred = classify(predict(model, data.X))
+    return _test_error(predict(model, data.X), data.labels, rmse)
+
+
+def _test_error(scores: np.ndarray, labels, rmse: bool) -> float:
+    """``evaluate``'s figure for a score matrix; a run's trace uses it too."""
+    pred = classify(scores)
     if rmse:
-        return float(np.sqrt(np.mean((pred - data.labels) ** 2.0)))
-    return float(np.mean(pred != data.labels))
+        return float(np.sqrt(np.mean((pred - labels) ** 2.0)))
+    return float(np.mean(pred != labels))
 
 
 def save_model(model: Model, path) -> None:
@@ -384,13 +390,6 @@ def full_surrogate(alpha: np.ndarray, K: np.ndarray, Y: np.ndarray, lam: float) 
     n = Y.shape[0]
     ka = K @ alpha
     return 0.5 * _ip(alpha, ka) + 0.5 * n * lam * _ip(alpha, alpha) - _ip(Y, alpha)
-
-
-def full_lsq_objective(alpha: np.ndarray, K: np.ndarray, Y: np.ndarray, lam: float) -> float:
-    """The kernel least-squares value (1/n)||Ka - Y||^2 + lam <a, Ka>."""
-    n = Y.shape[0]
-    ka = K @ alpha
-    return _ip(ka - Y, ka - Y) / n + lam * _ip(alpha, ka)
 
 
 def nystrom_objective(
@@ -521,7 +520,6 @@ class _BlockSystem:
     Y: np.ndarray
     b: int
     block: Callable[[np.ndarray], np.ndarray]  # coefficient rows -> n x b
-    model: Callable[[np.ndarray], Model]  # coefficients -> Model
     gamma = 1.0  # A adds n lam gamma I
 
     def __post_init__(self):
@@ -602,12 +600,8 @@ class _FullSystem(_BlockSystem):
         return batch.resid[idx] + batch.lam_eff * batch.coeffs[idx]
 
     def objective(self, lam, c, e):
-        """The surrogate, and the least-squares value as the alternate, with
-        <a, K a> = <a, E> + <a, Y>."""
-        ce, cy = _ip(c, e), _ip(c, self.Y)
-        obj = 0.5 * ce + 0.5 * self.n * lam * _ip(c, c) - 0.5 * cy
-        alt = _ip(e, e) / self.n + lam * (ce + cy)
-        return obj, alt
+        """The surrogate, with <a, K a> = <a, E> + <a, Y>."""
+        return 0.5 * _ip(c, e) + 0.5 * self.n * lam * _ip(c, c) - 0.5 * _ip(c, self.Y)
 
     check_needs_blocks = False  # E is maintained, so check at once
 
@@ -668,7 +662,7 @@ class _GramSystem(_BlockSystem):
             r[self.landmarks] -= self.n * lam * c
             # K_JJ a is K_J a at the landmark rows
             kjj_term = lam * _ip(c, r[self.landmarks] + self.Y[self.landmarks])
-        return _ip(r, r) / self.n + kjj_term + lam * self.gamma * _ip(c, c), None
+        return _ip(r, r) / self.n + kjj_term + lam * self.gamma * _ip(c, c)
 
     # the normal-equation residual needs every column block, so the engine
     # sums it over the next sweep's blocks
@@ -743,22 +737,28 @@ def _recomputed_resids(system, batch, blocks) -> np.ndarray:
 
 
 def _run(
-    data: Dataset, system, lams, plan: BlockPlan, epochs: int, *,
+    data: Dataset, system, model: Model, lams, plan: BlockPlan, epochs: int, *,
     test_data: Dataset | None = None, exec_ctx: ExecContext | None = None,
     grad_tol: float | None = None, check_residual: bool = False, rmse: bool = False,
 ) -> list[tuple[Model, ConvergenceTrace]]:
-    """Sweep ``plan`` for ``epochs`` epochs, carrying every lambda.
+    """Sweep ``plan`` for ``epochs`` epochs, carrying every lambda, and
+    return one copy of ``model`` per lambda with its coefficients.
 
     Each visit generates the column block once, times ``system.visit``
     forming the products every lambda shares, then ``system.update`` makes
     one exact b x b update per lambda with one gradient product and one
     update product for all of them.  The ledger, the descent guard, test
     evaluation, traces, the residual check and the ``grad_tol`` stop live
-    here.  The ledger charges each lambda its residual flops and an equal
-    share of the step's residual seconds, and its own solve; a trace row's
-    seconds count its own solve and checks, and the first lambda's row
-    also the rest of the visit.  A visit raises the error of the first
-    lambda, in lambda order, whose solve or descent guard fails.
+    here.  The test set's block ``model.columns(test_data.X)`` is generated
+    once per run, before the first visit, so a test set of the wrong width
+    is refused even with ``epochs=0``; a visit's test error is
+    ``evaluate``'s figure for that block times a lambda's coefficients,
+    bit for bit what ``evaluate`` gives for the model.  The ledger charges
+    each lambda its residual flops and an equal share of the step's
+    residual seconds, and its own solve; a trace row's seconds count its
+    own solve and checks, and the first lambda's row also the rest of the
+    visit.  A visit raises the error of the first lambda, in lambda order,
+    whose solve or descent guard fails.
 
     A system whose ``grad_tol`` check needs every column block has it
     summed on the next sweep's blocks (``_PendingCheck``).  If the check
@@ -780,7 +780,7 @@ def _run(
     the generation's own time.  The sweeps' arithmetic ignores numpy's
     overflow and invalid-value warnings, as a non-finite value there raises
     ``DivergenceError`` anyway; the lookahead thread runs under the same
-    error state, and test evaluation keeps the caller's.
+    error state, and the test set's block and errors keep the caller's.
     """
     n, k = system.Y.shape
     _check_lams(lams, n, system.gamma)
@@ -817,21 +817,25 @@ def _run(
             ledger.add("residual", flops=system.residual_flops, seconds=res_s / len(lams))
             ledger.add("solve", flops=system.b**3, seconds=lam_solve_s)
             c = batch.coeffs[:, cols]
-            obj, alt = system.objective(lam, c, batch.resid[:, cols])
+            obj = system.objective(lam, c, batch.resid[:, cols])
             _guard_descent(prev_objs[i], obj)
             prev_objs[i] = obj
             terr = None
-            if test_data is not None:
-                coeffs = np.ascontiguousarray(c)
+            if test_cols is not None:
                 with np.errstate(**caller_err):
-                    terr = evaluate(system.model(coeffs), test_data, rmse=rmse)
+                    scores = test_cols @ np.ascontiguousarray(c)
+                    terr = _test_error(scores, test_data.labels, rmse)
             seconds = perf_counter() - t0 + lam_solve_s + shared
-            traces[i].append(TraceRecord(epoch, blk, seconds, obj, terr, alt))
+            traces[i].append(TraceRecord(epoch, blk, seconds, obj, terr))
             shared = 0.0
         if failure is not None:
             raise failure
 
     with solver_threads(), np.errstate(over="ignore", invalid="ignore"):
+        test_cols = None
+        if test_data is not None:
+            with np.errstate(**caller_err):
+                test_cols = model.columns(test_data.X)
         pending = None  # the last epoch end's check, summed on this sweep
         for epoch in range(epochs):
             failure = None
@@ -871,7 +875,7 @@ def _run(
                 )
             elif system.converged(batch, grad_tol):
                 break
-    return [(system.model(np.ascontiguousarray(batch.coeffs[:, cols])), trace)
+    return [(dataclasses.replace(model, coefficients=batch.coeffs[:, cols].copy()), trace)
             for cols, trace in zip(batch.cols, traces)]
 
 
@@ -900,16 +904,12 @@ def _run_spec(
     rows = model.coefficients.shape[0]
     if plan.universe != rows:
         raise ConfigError(f"plan universe {plan.universe} != {rows} coefficient rows")
-    args = (
-        Y, plan.block_size,
-        block_fn or (lambda pos: model.columns(data.X, pos)),
-        lambda c: dataclasses.replace(model, coefficients=c),
-    )
+    args = (Y, plan.block_size, block_fn or (lambda pos: model.columns(data.X, pos)))
     if model.method == "full":
         system = _FullSystem(*args)
     else:
         system = _GramSystem(*args, landmarks=model.landmarks, gamma=gamma)
-    return _run(data, system, lams, plan, epochs, **kwargs)
+    return _run(data, system, model, lams, plan, epochs, **kwargs)
 
 
 # ---------------------------------------------------------------------------

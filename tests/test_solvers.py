@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from kernelbcd import solvers
 from kernelbcd.distsim import CostLedger, ExecContext
 from kernelbcd.errors import (
     ConfigError,
@@ -25,12 +26,12 @@ from kernelbcd.solvers import (
     draw_landmarks,
     epoch_order,
     evaluate,
-    full_lsq_objective,
     full_surrogate,
     load_model,
     make_plan,
     normal_equation_residual,
     nystrom_objective,
+    objective_value,
     predict,
     primal_dual_gap,
     rf_objective,
@@ -460,18 +461,12 @@ class TestObjectives:
         y = one_vs_all(data)
         expected = full_surrogate(model.coefficients, K, y, lam)
         assert trace.records[-1].objective == pytest.approx(expected, rel=1e-10)
-        expected_alt = full_lsq_objective(model.coefficients, K, y, lam)
-        assert trace.records[-1].objective_alt == pytest.approx(
-            expected_alt, rel=1e-10
-        )
 
     def test_objective_value_dispatcher(self):
         data = gaussian_blobs(32, 3, 2, seed=63)
         kspec = KernelSpec("rbf", sigma=2.0)
         lam = 1e-2
         model, trace = solve_full(data, kspec, lam, make_plan(32, 8, 64), 5)
-        from kernelbcd.solvers import objective_value
-
         assert objective_value(model, data, lam) == pytest.approx(
             trace.records[-1].objective, rel=1e-10
         )
@@ -858,8 +853,7 @@ def _values(results, ledger):
     """Everything a run returns but the seconds fields."""
     runs = [
         (model.coefficients.tobytes(),
-         [(r.epoch, r.block, r.objective, r.test_error, r.objective_alt)
-          for r in trace.records])
+         [(r.epoch, r.block, r.objective, r.test_error) for r in trace.records])
         for model, trace in results
     ]
     if ledger is None:
@@ -932,22 +926,24 @@ def test_fault_in_discarded_sweep_does_not_raise(method, fault):
     plan = make_plan(16, 4, seed=96)
     Y = one_vs_all(data)
 
+    zeros = np.zeros((16, data.k))
+    if method == "nystrom":
+        model = Model("nystrom", zeros, kernel=kspec, anchors=data.X[landmarks],
+                      landmarks=landmarks)
+    else:
+        model = Model("rf", zeros, features=fspec, dim=data.d)
+
     def system():
         if method == "nystrom":
             return _GramSystem(
                 Y, 4, lambda pos: kernel_cross(data.X, data.X[landmarks[pos]], kspec),
-                lambda c: Model("nystrom", c, kernel=kspec, anchors=data.X[landmarks],
-                                landmarks=landmarks),
                 landmarks=landmarks, gamma=1.0,
             )
-        return _GramSystem(
-            Y, 4, lambda pos: random_features_block(data.X, pos, fspec),
-            lambda c: Model("rf", c, features=fspec),
-        )
+        return _GramSystem(Y, 4, lambda pos: random_features_block(data.X, pos, fspec))
 
     def run(sys_):
         ledger = CostLedger()
-        results = _run(data, sys_, [0.1], plan, 200, grad_tol=1e-6,
+        results = _run(data, sys_, model, [0.1], plan, 200, grad_tol=1e-6,
                        exec_ctx=ExecContext(1, ledger))
         return results[0][1].records[-1].epoch + 1, _values(results, ledger)
 
@@ -1076,3 +1072,58 @@ def test_run_takes_numpy_integer_epochs_and_tolerance():
     ref, _ = solve_rf(data, fspec, 0.1, plan, 2, grad_tol=1e-12)
     model, _ = solve_rf(data, fspec, 0.1, plan, np.int64(2), grad_tol=np.float64(1e-12))
     assert np.array_equal(model.coefficients, ref.coefficients)
+
+
+@pytest.mark.parametrize("method", ["full", "nystrom", "rf"])
+def test_wrong_width_is_refused_before_any_visit(method):
+    # the column map is the one width check: predict, both dense
+    # diagnostics and a run's test set share it, and the test set is
+    # checked before the first block is generated, even with epochs=0
+    plan, calls, run = _stop_case(method)
+    [(model, _)] = run([0.1], 1)
+    wide = gaussian_blobs(8, 5, 2, seed=110)
+    with pytest.raises(DimensionMismatchError):
+        predict(model, wide.X)
+    with pytest.raises(DimensionMismatchError):
+        objective_value(model, wide, 0.1, 1.0)
+    with pytest.raises(DimensionMismatchError):
+        normal_equation_residual(model, wide, 0.1, 1.0)
+    del calls[:]
+    for epochs in (0, 1):
+        with pytest.raises(DimensionMismatchError):
+            run([0.1], epochs, test_data=wide)
+    assert calls == []
+
+
+@pytest.mark.parametrize("epochs", [0, 3])
+@pytest.mark.parametrize("method", ["full", "nystrom", "rf"])
+def test_run_generates_the_test_block_once(method, epochs, monkeypatch):
+    # count the column generators' calls at the test rows, over the
+    # sweeps, the grad_tol check sweeps and the residual checks
+    test = gaussian_blobs(11, 3, 2, seed=111)
+    counts = []
+    for name in ("kernel_cross", "random_features_block"):
+        def counted(X, *args, real=getattr(solvers, name)):
+            if len(X) == test.n:
+                counts.append(name)
+            return real(X, *args)
+
+        monkeypatch.setattr(solvers, name, counted)
+    _, _, run = _stop_case(method)
+    run([0.1, 0.03, 0.3], epochs, test_data=test, grad_tol=1e-12,
+        check_residual=True)
+    assert len(counts) == 1
+
+
+@pytest.mark.parametrize("rmse", [False, True], ids=["error", "rmse"])
+@pytest.mark.parametrize("lams", [[0.1], [0.1, 0.03, 0.3]], ids=["1lam", "3lam"])
+@pytest.mark.parametrize("method", ["full", "nystrom", "rf"])
+def test_last_test_error_is_evaluate(method, lams, rmse):
+    # a grad_tol stop ends on the epoch-end batch, whose test errors are
+    # the ones the trace kept; each equals evaluate bit for bit
+    test = gaussian_blobs(24, 3, 2, seed=112)
+    _, _, run = _stop_case(method)
+    results = run(lams, 200, test_data=test, grad_tol=1e-6, rmse=rmse)
+    for model, trace in results:
+        assert trace.records[-1].epoch < 199  # the stop fired
+        assert trace.records[-1].test_error == evaluate(model, test, rmse=rmse)

@@ -473,8 +473,8 @@ def run_values(results, ledger):
     the ordered ledger."""
     return (
         [model.coefficients.tobytes() for model, _ in results],
-        [[(r.epoch, r.block, r.objective, r.test_error, r.objective_alt)
-          for r in trace.records] for _, trace in results],
+        [[(r.epoch, r.block, r.objective, r.test_error) for r in trace.records]
+         for _, trace in results],
         [(r.epoch, r.block, r.phase, r.flops, r.nbytes) for r in ledger.records],
     )
 
