@@ -25,8 +25,6 @@ columns are wall-clock measurements and vary run to run.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import math
 import os
 import sys
@@ -42,7 +40,7 @@ from .errors import (
     DivergenceError,
     KernelBcdError,
 )
-from .files import write_atomic
+from .files import write_rows
 from .kernels import Dataset, FeatureMapSpec, KernelSpec, load_csv
 from .linalg import lambda_extremes
 from .solvers import evaluate, make_plan, save_model, solve_path
@@ -172,6 +170,16 @@ class RunConfig:
                 raise ConfigError(message)
         if rates_check:  # --b is in [1, --dim] here
             rates.check_subset_cap(self.dim, self.b)
+            return
+        # build every spec the command trains with, at each --p cut to --b
+        methods = ("nystrom", "rf") if cmd == "compare" else (self.method,)
+        for p in self.p or [None]:  # full has no --p
+            cut = None if p is None else _cut_p(p, self.b)
+            if cut != p:
+                print(f"warning: truncating p from {p} to {cut} so the block size "
+                      "divides it", file=sys.stderr)
+            for method in methods:
+                _spec(self, method, cut)
 
 
 # option key (flag name without dashes) -> RunConfig field
@@ -256,22 +264,25 @@ def _load_datasets(cfg: RunConfig) -> tuple[Dataset, Dataset | None]:
     return train, test
 
 
-def _truncated_p(p: int, b: int) -> int:
-    if p % b == 0:
-        return p
-    new_p = (p // b) * b
-    if new_p == 0:
+def _cut_p(p: int, b: int) -> int:
+    """``p`` cut down to a multiple of ``b``; ``validate`` warns of a cut."""
+    if p < b:
         raise ConfigError(f"block size {b} exceeds p = {p}")
-    print(
-        f"warning: truncating p from {p} to {new_p} so the block size divides it",
-        file=sys.stderr,
-    )
-    return new_p
+    return p // b * b
+
+
+def _spec(cfg: RunConfig, method: str, p: int | None):
+    """The kernel or feature-map spec ``method`` trains with, at the cut p."""
+    if method == "rf":
+        return FeatureMapSpec(
+            p=p, sigma=cfg.sigma, master_seed=cfg.seed + FEATURE_SEED_OFF
+        )
+    return KernelSpec(cfg.kernel, cfg.sigma)
 
 
 def _train(cfg: RunConfig, train, test, ledger=None, epochs=None):
     """Train ``cfg.method`` for every ``cfg.lambdas`` value in one
-    ``solve_path`` run: the one place the CLI builds a spec and a plan."""
+    ``solve_path`` run: the one place the CLI builds a plan."""
     if cfg.method == "full":
         if train.n % cfg.b != 0:
             raise ConfigError(
@@ -279,13 +290,8 @@ def _train(cfg: RunConfig, train, test, ledger=None, epochs=None):
             )
         universe = train.n
     else:
-        universe = _truncated_p(cfg.p[0], cfg.b)
-    if cfg.method == "rf":
-        spec = FeatureMapSpec(
-            p=universe, sigma=cfg.sigma, master_seed=cfg.seed + FEATURE_SEED_OFF
-        )
-    else:
-        spec = KernelSpec(cfg.kernel, cfg.sigma)
+        universe = _cut_p(cfg.p[0], cfg.b)
+    spec = _spec(cfg, cfg.method, universe)
     extra = {}
     if cfg.method == "nystrom":
         extra = dict(
@@ -301,14 +307,6 @@ def _train(cfg: RunConfig, train, test, ledger=None, epochs=None):
 
 def _final_objective(trace) -> float:
     return trace.records[-1].objective if trace.records else float("nan")
-
-
-def _write_rows(path, header: list[str], rows) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(header)
-    writer.writerows(rows)
-    write_atomic(path, buf.getvalue())
 
 
 def cmd_solve(cfg: RunConfig) -> int:
@@ -367,7 +365,7 @@ def cmd_compare(cfg: RunConfig) -> int:
             epochs = epochs_to_tolerance(trace.epoch_end_objectives(), cfg.tol)
             rows.append([p, method, repr(err), epochs])
     os.makedirs(cfg.out, exist_ok=True)
-    _write_rows(
+    write_rows(
         os.path.join(cfg.out, "compare.csv"),
         ["p", "method", "test_error", "epochs_to_tolerance"],
         rows,
@@ -421,12 +419,12 @@ def cmd_rates_check(cfg: RunConfig) -> int:
     verdicts.append(["rf_operator_norm", rf_res.passed])
     all_ok = all(ok for _, ok in verdicts)
     os.makedirs(cfg.out, exist_ok=True)
-    _write_rows(
+    write_rows(
         os.path.join(cfg.out, "rates_curve.csv"),
         ["problem", "t", "empirical_mean_gap", "improved_bound", "classical_bound"],
         curve_rows,
     )
-    _write_rows(
+    write_rows(
         os.path.join(cfg.out, "rates_verdicts.csv"),
         ["check", "pass"],
         [[name, str(ok).lower()] for name, ok in verdicts],
@@ -461,7 +459,7 @@ def cmd_costs(cfg: RunConfig) -> int:
     ]
     for phase, flops in sorted(report.phase_flops.items()):
         rows.append([f"phase_flops_{phase}", flops])
-    _write_rows(os.path.join(cfg.out, "costs_report.csv"), ["metric", "value"], rows)
+    write_rows(os.path.join(cfg.out, "costs_report.csv"), ["metric", "value"], rows)
     print(
         f"flops {report.flops_measured} vs {report.flops_predicted} "
         f"(ratio {report.flops_ratio:.3f}), bytes {report.bytes_measured} "

@@ -22,12 +22,15 @@ per-block right-hand-side partials ride in its aggregation message, and only
 the b x b payload is charged, as in the closed-form communication column.
 ``partitioned_matvec`` computes values only; the solvers charge their block
 step's products in the ``residual`` phase.
+
+``predict_costs`` is the one statement of an epoch's closed-form cost: it
+evaluates the per-block cost once, for a ``CostPrediction`` of the
+per-worker critical path (``flops``), the work summed over workers
+(``work``, which the ledger counts) and the bytes (``nbytes``).
 """
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass, field
 from time import perf_counter
@@ -35,7 +38,7 @@ from time import perf_counter
 import numpy as np
 
 from .errors import DimensionMismatchError
-from .files import write_atomic
+from .files import write_rows
 from .linalg import gram
 
 FLOAT_BYTES = 8
@@ -123,14 +126,12 @@ class CostLedger:
         return out
 
     def write_csv(self, path) -> None:
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["epoch", "block", "phase", "flops", "bytes", "seconds"])
-        for r in self.records:
-            writer.writerow(
-                [r.epoch, r.block, r.phase, r.flops, r.nbytes, f"{r.seconds:.6f}"]
-            )
-        write_atomic(path, buf.getvalue())
+        write_rows(
+            path,
+            ["epoch", "block", "phase", "flops", "bytes", "seconds"],
+            [[r.epoch, r.block, r.phase, r.flops, r.nbytes, f"{r.seconds:.6f}"]
+             for r in self.records],
+        )
 
 
 class _NullLedger(CostLedger):
@@ -221,27 +222,19 @@ def partitioned_matvec(a: np.ndarray, rhs: np.ndarray, part: Partition) -> np.nd
 class CostPrediction:
     """Closed-form per-epoch costs for one solver configuration.
 
-    ``flops`` is the per-epoch computation cost exactly as the closed
-    forms state it, with the parallelizable terms divided by M (critical
-    path); ``total_flops`` multiplies those terms back out to the sum of
-    work across workers, which is what the ledger counts.
+    ``flops`` is the computation cost as the closed forms state it, with
+    the parallelizable terms divided by M (the per-worker critical path);
+    ``work`` is the same cost summed over workers, which is what the
+    ledger counts; ``nbytes`` is the communication.
     """
 
-    method: str
-    n: int
-    p: int
-    b: int
-    k: int
-    workers: int
     flops: float
+    work: int
     nbytes: int
 
     def total_flops(self) -> int:
-        if self.method == "full":
-            per_block = self.n * self.b * self.k + self.b**3
-            return per_block * (self.n // self.b)
-        per_block = self.n * self.b**2 + self.n * self.b * self.k + self.b**3
-        return per_block * (self.p // self.b)
+        """The work summed over workers (``work``)."""
+        return self.work
 
 
 def predict_costs(
@@ -261,17 +254,14 @@ def predict_costs(
         raise ValueError(f"unknown method {method!r}")
     if min(n, b, k, workers) < 1 or (method != "full" and p < 1):
         raise ValueError("cost parameters must be positive")
-    if method == "full":
-        blocks = n // b
-        flops = (n * b * k / workers + b**3) * blocks
-        nbytes = b * b * FLOAT_BYTES * blocks
+    if method == "full":  # the block is a slice of K: no gram, one message
+        blocks, parallel, rounds = n // b, n * b * k, 1
     else:
-        blocks = p // b
-        flops = (n * b**2 / workers + n * b * k / workers + b**3) * blocks
-        nbytes = tree_rounds(workers) * b * b * FLOAT_BYTES * blocks
+        blocks, parallel, rounds = p // b, n * b * b + n * b * k, tree_rounds(workers)
     return CostPrediction(
-        method=method, n=n, p=p, b=b, k=k, workers=workers,
-        flops=flops, nbytes=nbytes,
+        flops=(parallel / workers + b**3) * blocks,
+        work=(parallel + b**3) * blocks,
+        nbytes=rounds * b * b * FLOAT_BYTES * blocks,
     )
 
 

@@ -1,8 +1,12 @@
-"""Output files that appear whole or not at all."""
+"""Output files that appear whole or not at all: ``write_atomic`` writes
+every output file, and ``write_rows`` every CSV table but the traces, with
+CRLF line ends (a trace formats its own lines, which end with LF)."""
 
 from __future__ import annotations
 
 import contextlib
+import csv
+import io
 import os
 
 
@@ -22,3 +26,12 @@ def write_atomic(path, text: str) -> None:
         with contextlib.suppress(OSError):
             os.remove(tmp)
         raise
+
+
+def write_rows(path, header: list[str], rows) -> None:
+    """Write a CSV table, ``header`` first, through ``write_atomic``."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(rows)
+    write_atomic(path, buf.getvalue())

@@ -46,13 +46,13 @@ def validate_indices(indices, universe: int) -> np.ndarray:
     return idx
 
 
-def is_symmetric(a: np.ndarray, rtol: float = SYMMETRY_RTOL) -> bool:
+def is_symmetric(a: np.ndarray) -> bool:
     if a.size == 0:
         return True
     scale = float(np.abs(a).max())
     if not scale < np.inf:  # a non-finite entry fails, before inf - inf warns
         return False
-    return bool(np.abs(a - a.T).max() <= rtol * max(1.0, scale))
+    return bool(np.abs(a - a.T).max() <= SYMMETRY_RTOL * max(1.0, scale))
 
 
 def _raise_if_not_finite(**arrays) -> None:

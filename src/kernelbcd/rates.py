@@ -26,7 +26,7 @@ tables has all constants set to 1 and is flagged as asymptotic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 from typing import NamedTuple
 
@@ -54,11 +54,12 @@ COSINE_FEATURE_BOUND = math.sqrt(2.0)  # sup |sqrt(2) cos(.)|
 
 @dataclass
 class QuadraticProblem:
-    """f(w) = 0.5 w^T H w - g^T w with SPD Hessian H."""
+    """f(w) = 0.5 w^T H w - g^T w with SPD Hessian H; ``f_star`` is its
+    minimum, always computed from H and g."""
 
     H: np.ndarray
     g: np.ndarray
-    f_star: float | None = None
+    f_star: float = field(init=False)
 
     def __post_init__(self):
         self.H = np.asarray(self.H, dtype=np.float64)
@@ -67,16 +68,12 @@ class QuadraticProblem:
             raise ConfigError("H must be square")
         if self.g.shape != (self.H.shape[0],):
             raise ConfigError("g must be a vector matching H")
-        if self.f_star is None:
-            w_star = spd_solve(self.H, self.g[:, None])[:, 0]
-            self.f_star = float(0.5 * w_star @ self.H @ w_star - self.g @ w_star)
+        w_star = spd_solve(self.H, self.g[:, None])[:, 0]
+        self.f_star = float(0.5 * w_star @ self.H @ w_star - self.g @ w_star)
 
     @property
     def dim(self) -> int:
         return self.H.shape[0]
-
-    def value(self, w: np.ndarray) -> float:
-        return float(0.5 * w @ (self.H @ w) - self.g @ w)
 
 
 @dataclass(frozen=True)

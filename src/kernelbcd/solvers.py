@@ -286,24 +286,17 @@ def _test_error(scores: np.ndarray, labels, rmse: bool) -> float:
 
 def save_model(model: Model, path) -> None:
     """Write a model file: the magic line ``kernelbcd-model-v2``, then one
-    JSON header holding the specs, ``dim`` and each array as its dtype,
-    shape and the base64 of its little-endian bytes (``_pack``).  The
-    arrays round-trip bit for bit, and a model always writes the same
+    JSON header holding each spec's fields (``dataclasses.asdict``, which
+    ``load_model`` passes back to the spec), ``dim`` and each array as its
+    dtype, shape and the base64 of its little-endian bytes (``_pack``).
+    The arrays round-trip bit for bit, and a model always writes the same
     bytes.
     """
     payload = {
         "method": model.method,
         "coefficients": _pack(model.coefficients, "<f8"),
-        "kernel": None
-        if model.kernel is None
-        else {"family": model.kernel.family, "sigma": model.kernel.sigma},
-        "features": None
-        if model.features is None
-        else {
-            "p": model.features.p,
-            "sigma": model.features.sigma,
-            "master_seed": model.features.master_seed,
-        },
+        "kernel": None if model.kernel is None else dataclasses.asdict(model.kernel),
+        "features": None if model.features is None else dataclasses.asdict(model.features),
         "anchors": None if model.anchors is None else _pack(model.anchors, "<f8"),
         "landmarks": None
         if model.landmarks is None

@@ -828,3 +828,95 @@ def test_repeated_lambda_exits_2_before_any_file_is_read(tmp_path, values, capsy
     err = capsys.readouterr().err
     assert f"--lambda values must be distinct: {float(values[0])!r} repeated" in err
     assert "cannot read data file" not in err
+
+
+_RBF_SIGMA = "rbf bandwidth must be positive, with sigma*sigma neither 0 nor inf"
+_RF_SIGMA = "bandwidth must be positive and finite, with 38.5 / sigma finite"
+_SPEC_CASES = [
+    pytest.param(["solve", "--method", method, *sizes, "--sigma", sigma], message,
+                 id=f"{method}-sigma={sigma}")
+    for method, sizes, sigmas, message in [
+        ("full", ["--b", "2"], ["-1", "0", "inf", "1e300", "1e-300"], _RBF_SIGMA),
+        ("nystrom", ["--p", "8", "--b", "4"], ["-1", "0", "inf", "1e300", "1e-300"],
+         _RBF_SIGMA),
+        ("rf", ["--p", "8", "--b", "4"], ["-1", "0", "inf", "1e-308"], _RF_SIGMA),
+    ]
+    for sigma in sigmas
+] + [
+    pytest.param([command, "--method", method, "--p", "4", "--b", "8"],
+                 "block size 8 exceeds p = 4", id=f"{command}-{method}-p<b")
+    for command in ("solve", "path", "costs")
+    for method in ("nystrom", "rf")
+] + [
+    pytest.param(["compare", "--p", "16,2", "--b", "4"], "block size 4 exceeds p = 2",
+                 id="compare-p<b"),
+]
+
+
+@pytest.mark.parametrize("argv, message", _SPEC_CASES)
+def test_spec_and_p_checks_come_before_any_file_is_read(tmp_path, argv, message, capsys):
+    # neither data file exists: each check must come before either is read
+    out = tmp_path / "out"
+    code = main([*argv, "--train", str(tmp_path / "missing.csv"),
+                 "--test", str(tmp_path / "missing_test.csv"), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == EXIT_CONFIG
+    assert message in err
+    assert "cannot read data file" not in err
+    assert not out.exists()
+
+
+def test_compare_warns_of_each_cut_p_once(tmp_path, blob_files, capsys):
+    train, test = blob_files
+    code = main(["compare", "--train", train, "--test", test, "--p", "18,12",
+                 "--b", "4", "--epochs", "2", "--out", str(tmp_path / "out")])
+    assert code == EXIT_OK
+    err = capsys.readouterr().err
+    assert err.count("warning: truncating p") == 1
+    assert "truncating p from 18 to 16" in err
+    rows = read_csv(tmp_path / "out" / "compare.csv")[1:]
+    assert [(row[0], row[1]) for row in rows] == [
+        ("18", "nystrom"), ("18", "rf"), ("12", "nystrom"), ("12", "rf")
+    ]
+
+
+# the header of every CSV the commands write, and the columns holding text
+_CSV_HEADERS = {
+    "trace.csv": "epoch,block,seconds,objective,test_error",
+    "trace_0_01.csv": "epoch,block,seconds,objective,test_error",
+    "compare.csv": "p,method,test_error,epochs_to_tolerance",
+    "rates_curve.csv": "problem,t,empirical_mean_gap,improved_bound,classical_bound",
+    "rates_verdicts.csv": "check,pass",
+    "ledger.csv": "epoch,block,phase,flops,bytes,seconds",
+    "costs_report.csv": "metric,value",
+}
+_TEXT_COLUMNS = {"method", "phase", "metric", "check"}
+_BOOLEAN_METRICS = {"bytes_exact", "ok"}  # costs_report rows whose value is a boolean
+
+
+@pytest.mark.parametrize(
+    "command, name",
+    [(command, name) for command, (_, names) in _WRITERS.items()
+     for name in names if name.endswith(".csv")],
+)
+def test_csv_output_format(tmp_path, blob_files, command, name):
+    out = tmp_path / "out"
+    assert main(_write_failure_argv(command, blob_files, out)) in (EXIT_OK, EXIT_RATES)
+    raw = (out / name).read_bytes()
+    line_end = b"\n" if name.startswith("trace") else b"\r\n"
+    lines = raw.split(line_end)
+    assert lines.pop() == b""  # the file ends with a line end
+    assert all(b"\r" not in line and b"\n" not in line for line in lines)
+    header, *rows = [line.decode().split(",") for line in lines]
+    assert ",".join(header) == _CSV_HEADERS[name]
+    assert rows
+    for row in rows:
+        assert len(row) == len(header)
+        for column, value in zip(header, row):
+            boolean = column == "pass" or (
+                column == "value" and row[0] in _BOOLEAN_METRICS
+            )
+            if boolean:
+                assert value in ("true", "false")
+            elif column not in _TEXT_COLUMNS:
+                float(value)
