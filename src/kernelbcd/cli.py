@@ -107,7 +107,7 @@ class RunConfig:
     gamma: float = _option(1e-6, float, "nystrom ridge on the landmark block")
     p: list[int] = _option([], int_list, "feature count, or comma list for compare")
     b: int = _option(64, int, "block size")
-    epochs: int = _option(5, int, "epoch count")
+    epochs: int = _option(5, int, "epoch count (costs measures exactly one epoch)")
     workers: int = _option(1, int, "simulated worker count")
     seed: int = _option(0, int, "seed of the plan, features and landmarks")
     train: str | None = _option(None, str, "training CSV (features..., label)")
@@ -129,6 +129,7 @@ class RunConfig:
         rates_check = cmd == "rates-check"
         one_model = cmd in ("solve", "path", "costs")  # compare sets method and p
         repeats = sorted({lam for lam in self.lambdas if self.lambdas.count(lam) > 1})
+        p_repeats = sorted({p for p in self.p if self.p.count(p) > 1})
         max_bytes = np.iinfo(np.intp).max  # the largest array numpy can describe
         for ok, message in (
             (self.method in ("full", "nystrom", "rf"),
@@ -150,6 +151,10 @@ class RunConfig:
             (rates_check or self.train, "--train is required for this command"),
             (cmd != "compare" or self.test, "compare needs --test"),
             (cmd != "compare" or self.p, "compare needs a --p list"),
+            (rates_check or not p_repeats,
+             f"--p values must be distinct: {', '.join(map(str, p_repeats))} repeated"),
+            (cmd != "costs" or not self.test,
+             "costs measures one training epoch and takes no --test"),
             (not one_model or self.method != "full" or not self.p,
              "--p does not apply to the full-kernel method"),
             (not one_model or self.method == "full" or len(self.p) == 1,

@@ -727,8 +727,8 @@ def test_cli_flags_only_documented_exit_codes(
     if method != "full" or command == "compare":
         flags["--p"] = ["8"]
     flags.update((flag, [value]) for flag, value in extremes)
-    argv = [command, "--train", tiny_csv, "--test", tiny_csv,
-            "--method", method, "--kernel", kernel]
+    test = [] if command == "costs" else ["--test", tiny_csv]  # costs refuses one
+    argv = [command, "--train", tiny_csv, *test, "--method", method, "--kernel", kernel]
     for flag, values in flags.items():
         argv += [f"{flag}={value}" for value in values]  # "=" keeps "-1" a value
     stderr = io.StringIO()
@@ -764,7 +764,9 @@ _WRITERS = {
 def _write_failure_argv(command, blob_files, out):
     train, test = blob_files
     flags, _ = _WRITERS[command]
-    data = [] if command == "rates-check" else ["--train", train, "--test", test]
+    data = {"rates-check": [], "costs": ["--train", train]}.get(
+        command, ["--train", train, "--test", test]
+    )
     return [command, *data, *flags, "--out", str(out)]
 
 
@@ -830,6 +832,50 @@ def test_repeated_lambda_exits_2_before_any_file_is_read(tmp_path, values, capsy
     assert "cannot read data file" not in err
 
 
+@pytest.mark.parametrize("values", ["16,16", "8,16,8"])
+def test_repeated_p_exits_2_before_any_file_is_read(tmp_path, values, capsys):
+    # neither data file exists: the check comes before either is read
+    out = tmp_path / "out"
+    code = main(["compare", "--train", str(tmp_path / "missing.csv"),
+                 "--test", str(tmp_path / "missing_test.csv"), "--p", values,
+                 "--b", "4", "--out", str(out)])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    repeated = values.split(",")[0]
+    assert f"--p values must be distinct: {repeated} repeated" in err
+    assert "cannot read data file" not in err
+    assert not out.exists()
+
+
+def test_costs_refuses_test_before_any_file_is_read(tmp_path, capsys):
+    # neither data file exists: the check comes before either is read
+    out = tmp_path / "out"
+    code = main(["costs", "--train", str(tmp_path / "missing.csv"),
+                 "--test", str(tmp_path / "missing_test.csv"), "--method", "rf",
+                 "--p", "16", "--b", "8", "--out", str(out)])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "costs measures one training epoch and takes no --test" in err
+    assert "cannot read data file" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("epochs", ["0", "1", "7"])
+def test_costs_measures_exactly_one_epoch(tmp_path, blob_files, epochs, capsys):
+    train, _ = blob_files
+    out = tmp_path / "out"
+    code = main(["costs", "--train", train, "--method", "rf", "--p", "16", "--b", "8",
+                 "--epochs", epochs, "--out", str(out)])
+    assert code == EXIT_OK
+    rows = read_csv(out / "ledger.csv")[1:]
+    assert {r[0] for r in rows} == {"0"}
+    assert [r[1] for r in rows if r[2] == "solve"] == ["0", "1"]  # 16 / 8 blocks
+    capsys.readouterr()
+    with pytest.raises(SystemExit):
+        main(["costs", "--help"])
+    assert "(costs measures exactly one epoch)" in " ".join(capsys.readouterr().out.split())
+
+
 _RBF_SIGMA = "rbf bandwidth must be positive, with sigma*sigma neither 0 nor inf"
 _RF_SIGMA = "bandwidth must be positive and finite, with 38.5 / sigma finite"
 _SPEC_CASES = [
@@ -857,8 +903,9 @@ _SPEC_CASES = [
 def test_spec_and_p_checks_come_before_any_file_is_read(tmp_path, argv, message, capsys):
     # neither data file exists: each check must come before either is read
     out = tmp_path / "out"
-    code = main([*argv, "--train", str(tmp_path / "missing.csv"),
-                 "--test", str(tmp_path / "missing_test.csv"), "--out", str(out)])
+    test = [] if argv[0] == "costs" else ["--test", str(tmp_path / "missing_test.csv")]
+    code = main([*argv, "--train", str(tmp_path / "missing.csv"), *test,
+                 "--out", str(out)])
     err = capsys.readouterr().err
     assert code == EXIT_CONFIG
     assert message in err

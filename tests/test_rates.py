@@ -1,14 +1,20 @@
 import inspect
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import kernelbcd.rates
 from kernelbcd.errors import (
     CombinatorialBlowupError,
     ConfigError,
+    DivergenceError,
     InvalidRateError,
     NotPerfectSquareError,
+    NotSpdError,
     ThresholdNotMetError,
 )
 from kernelbcd.kernels import (
@@ -522,3 +528,146 @@ _PROB4 = QuadraticProblem(random_spd(4, 3), np.ones(4))
 def test_degenerate_rates_inputs_raise_config_error(call):
     with pytest.raises(ConfigError):
         call()
+
+
+# The batched ensemble solves each block by LU on the stacked blocks, where
+# the per-seed loop below uses its own dense arithmetic, so gaps agree to
+# rounding only: within this fraction of the first gap, -f_star.
+GAP_TOL = 1e-14
+
+
+def _reference_gaps(prob, b, tau, base_seed, s):
+    """One seeded run, written out as the loop the rates lab promises: seed
+    s draws I_t from SeedSequence(base_seed, spawn_key=(s,)) and minimizes
+    exactly over w[I_t], with H w recomputed densely."""
+    rng = np.random.default_rng(np.random.SeedSequence(base_seed, spawn_key=(s,)))
+    H, g = prob.H, prob.g
+    w = np.zeros(prob.dim)
+    gaps = [0.0 - prob.f_star]
+    for _ in range(tau):
+        idx = rng.choice(prob.dim, size=b, replace=False)
+        w[idx] = 0.0
+        w[idx] = np.linalg.solve(H[np.ix_(idx, idx)], g[idx] - H[idx] @ w)
+        gaps.append(0.5 * w @ H @ w - g @ w - prob.f_star)
+    return np.array(gaps)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    d=st.integers(1, 9),
+    data=st.data(),
+    seeds=st.integers(1, 5),
+    tau=st.integers(0, 40),
+    base_seed=st.integers(0, 2**64),
+    problem_seed=st.integers(0, 2**16),
+)
+def test_ensemble_matches_per_seed_loop(d, data, seeds, tau, base_seed, problem_seed):
+    b = data.draw(st.integers(1, d), label="b")
+    rel_tol = data.draw(st.floats(1e-12, 1.0), label="rel_tol")
+    prob = QuadraticProblem(
+        random_spd(d, problem_seed),
+        np.random.default_rng(problem_seed + 1).standard_normal(d),
+    )
+    gap0 = 0.0 - prob.f_star
+    ref = [_reference_gaps(prob, b, tau, base_seed, s) for s in range(seeds)]
+    total = np.zeros(tau + 1)
+    for gaps in ref:  # in seed order
+        total += gaps
+
+    mean = run_bcd_quadratic(prob, b, seeds, tau, base_seed)
+    assert mean.shape == (tau + 1,)
+    assert mean[0] == total[0] / seeds  # the same -f_star, summed in the same order
+    assert np.all(np.abs(mean - total / seeds) <= GAP_TOL * gap0)
+
+    counts = bcd_iterations_to_tolerance(prob, b, rel_tol, seeds, tau, base_seed)
+    target = rel_tol * gap0
+    for count, row in zip(counts, ref):
+        met = np.flatnonzero(row[1:] <= target)
+        expected = met[0] + 1 if met.size else tau
+        if count != expected:
+            # a near-tie: some gap lies within rounding of the target, so the
+            # two computations may put it on opposite sides
+            assert np.any(np.abs(row[1:] - target) <= GAP_TOL * gap0)
+
+
+@pytest.mark.parametrize("d, b", [(1, 1), (5, 2), (8, 3), (9, 9), (12, 6), (16, 4)])
+def test_l_max_b_is_the_per_subset_loop_max(d, b):
+    h = random_spd(d, 100 + d + b)
+    loop = max(
+        float(np.linalg.eigvalsh(h[np.ix_(s, s)])[-1])
+        for s in combinations(range(d), b)
+    )
+    assert l_max_b(h, b).hex() == loop.hex()
+
+
+def _lab_values(prob, h, a):
+    """Every rates-lab result that goes through a chunked stacked call."""
+    return (
+        run_bcd_quadratic(prob, 2, seeds=10, tau=25, base_seed=3).tobytes(),
+        bcd_iterations_to_tolerance(prob, 2, 1e-6, seeds=10, max_iters=200).tolist(),
+        l_max_b(h, 2),
+        chernoff_violation_rate(a, 2, 1.0, trials=50, seed=4),
+        bernstein_lower_rate(a, 2, 1.0, trials=50, seed=5),
+    )
+
+
+@pytest.mark.parametrize("runs", [1, 3, 4])
+def test_chunked_stacks_give_the_same_bytes(monkeypatch, runs):
+    # d = 6, b = 2: _STACK_WORDS = runs * b * d makes chunks of `runs` of the
+    # 10 seeds (3 and 4 leave an uneven last chunk) and of 3 * runs of the
+    # C(6, 2) = 15 subsets and of the 50 Monte-Carlo subsets
+    h = random_spd(6, 50)
+    prob = QuadraticProblem(h, np.random.default_rng(51).standard_normal(6))
+    a = _one_heavy_column(20)
+    whole = _lab_values(prob, h, a)
+    monkeypatch.setattr(kernelbcd.rates, "_STACK_WORDS", runs * 2 * 6)
+    assert _lab_values(prob, h, a) == whole
+
+
+def _mutations():
+    def negate(prob):
+        prob.H *= -1.0
+
+    def set_h(value):
+        def mutate(prob):
+            prob.H[0, 0] = value
+        return mutate
+
+    def inf_off_block(prob):
+        prob.H[0, 3] = prob.H[3, 0] = np.inf
+
+    def nan_g(prob):
+        prob.g[0] = np.nan
+
+    def overflowing_solution(prob):
+        # a finite SPD problem whose block solutions, 1e300 / 1e-300, overflow
+        prob.H[:] = 1e-300 * np.eye(4)
+        prob.g[:] = 1e300
+
+    return [
+        pytest.param(negate, NotSpdError, id="H-negated"),
+        pytest.param(set_h(np.nan), DivergenceError, id="H-nan"),
+        pytest.param(set_h(np.inf), DivergenceError, id="H-inf"),
+        pytest.param(inf_off_block, DivergenceError, id="H-inf-off-block"),
+        pytest.param(nan_g, DivergenceError, id="g-nan"),
+        pytest.param(overflowing_solution, DivergenceError, id="solution-inf"),
+    ]
+
+
+@pytest.mark.parametrize("mutate, error", _mutations())
+@pytest.mark.parametrize("b", [2, 4])
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda prob, b: run_bcd_quadratic(prob, b, seeds=3, tau=5),
+        lambda prob, b: bcd_iterations_to_tolerance(prob, b, 1e-6, seeds=3, max_iters=5),
+    ],
+    ids=["run_bcd_quadratic", "bcd_iterations_to_tolerance"],
+)
+def test_stepper_refuses_a_mutated_problem(mutate, error, b, run):
+    # at b = d = 4 the first step's block holds every mutated entry; at
+    # b = 2 a block may hold none of them
+    prob = QuadraticProblem(random_spd(4, 3), np.ones(4))
+    mutate(prob)
+    with pytest.raises(error):
+        run(prob, b)
