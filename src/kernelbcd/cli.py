@@ -177,9 +177,17 @@ class RunConfig:
             rates.check_subset_cap(self.dim, self.b)
             return
         # build every spec the command trains with, at each --p cut to --b
+        cuts = {}  # cut p -> the given p
+        for p in self.p:
+            cut = _cut_p(p, self.b)
+            if cut in cuts:
+                raise ConfigError(
+                    f"--p values must be distinct once cut to a multiple of --b = "
+                    f"{self.b}: {cuts[cut]} and {p} both give {cut}"
+                )
+            cuts[cut] = p
         methods = ("nystrom", "rf") if cmd == "compare" else (self.method,)
-        for p in self.p or [None]:  # full has no --p
-            cut = None if p is None else _cut_p(p, self.b)
+        for cut, p in list(cuts.items()) or [(None, None)]:  # full has no --p
             if cut != p:
                 print(f"warning: truncating p from {p} to {cut} so the block size "
                       "divides it", file=sys.stderr)

@@ -2,14 +2,18 @@
 
 The solvers never materialize the full kernel matrix K or feature matrix Z;
 they ask this module for one column block at a time and may discard it after
-the update.  Random-feature columns are a pure function of
-``(master_seed, column index)``: regenerating any block in any epoch, or a
-block that overlaps a previous one, yields bit-identical columns within a
-build.  That is what makes epoch-over-epoch regeneration equivalent to
-storing Z.  Column m is numpy's Philox stream keyed by
+the update.  A block is a pure function of its inputs: regenerated from the
+same index list it is byte-equal within a build, in any epoch, at any
+row-worker count and whether or not it was generated ahead.  That is what
+makes epoch-over-epoch regeneration equivalent to storing Z.  A column
+that two different blocks share agrees only to rounding: each block's
+products are one GEMM, whose kernels depend on how many columns the block
+has.  Random-feature columns are a pure function of
+``(master_seed, column index)``: column m is numpy's Philox stream keyed by
 ``SeedSequence(master_seed, spawn_key=(m,))``, but a block draws all its
 columns in one array pass (``_block_params``) rather than one generator
-per column.
+per column, and maps the uniforms to normals with a port of Cephes'
+``ndtri`` (``_ndtri``).
 """
 
 from __future__ import annotations
@@ -22,8 +26,6 @@ import operator
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
-from scipy.special import ndtri
 
 from .errors import (
     ConfigError,
@@ -39,6 +41,8 @@ TWO_PI = 2.0 * np.pi
 MAX_NORMAL_DRAW = 38.5
 
 KERNEL_FAMILIES = ("rbf", "linear")
+# rbf inputs up to this squared norm keep ||x||^2 + ||y||^2 - 2 x.y finite
+_FAR_NORM = 2.0**1020
 
 
 def _bandwidth(sigma) -> float:
@@ -162,12 +166,21 @@ def kernel_eval(spec: KernelSpec, x, y) -> float:
     return float(np.exp(-sq / (2.0 * spec.sigma**2)))
 
 
-def kernel_cross(Xa: np.ndarray, Xb: np.ndarray, spec: KernelSpec) -> np.ndarray:
+def kernel_cross(
+    Xa: np.ndarray, Xb: np.ndarray, spec: KernelSpec, rows=None
+) -> np.ndarray:
     """Pairwise kernel matrix, entry (i, j) = k(Xa_i, Xb_j).
 
-    The rbf entries are computed over the row ranges of ``for_rows``, each
-    entry exactly as in one pass.  Products stay one GEMM: OpenBLAS sums a
-    row range's last rows in other kernels, which changes their last bits.
+    An rbf entry is exp(-(||x||^2 + ||y||^2 - 2 x.y) / (2 sigma^2)), the
+    squared distance clamped at 0.  The products are one GEMM, made before
+    the row ranges of ``for_rows``: OpenBLAS sums a row range's last rows in
+    other kernels, which changes their last bits.  The norm adds, the
+    clamp, the scale and the ``exp`` run over the row ranges, each entry
+    exactly as in one pass.
+
+    ``rows``, when given, says that Xb is Xa[rows]: the block meets its own
+    anchors there, and its |rows| x |rows| sub-block ``out[rows]`` is made
+    exactly symmetric, with a unit diagonal for rbf.
     """
     Xa = np.asarray(Xa, dtype=np.float64)
     Xb = np.asarray(Xb, dtype=np.float64)
@@ -176,31 +189,52 @@ def kernel_cross(Xa: np.ndarray, Xb: np.ndarray, spec: KernelSpec) -> np.ndarray
             f"feature dimensions {Xa.shape[1]} and {Xb.shape[1]} differ"
         )
     if spec.family == "linear":
-        return Xa @ Xb.T
-    out = np.empty((Xa.shape[0], Xb.shape[0]))
-    scale = -2.0 * spec.sigma**2
+        out = Xa @ Xb.T
+    else:
+        scale = -2.0 * spec.sigma**2
 
-    def rows(lo, hi):
-        sq = out[lo:hi]
-        cdist(Xa[lo:hi], Xb, "sqeuclidean", out=sq)
-        # a subnormal sigma**2 sends off-diagonal entries to -inf: the limit 0
-        with np.errstate(over="ignore"):
+        def rbf_rows(lo, hi):
+            sq = out[lo:hi]
+            sq += norms_a[lo:hi]
+            sq += norms_b
+            np.maximum(sq, 0.0, out=sq)
+            # a subnormal sigma**2 sends off-diagonal entries to -inf: the limit 0
             sq /= scale
-        np.exp(sq, out=sq)
+            np.exp(sq, out=sq)
 
-    for_rows(out, rows)
+        # an input whose squared norm passes _FAR_NORM can overflow the sum;
+        # its row or column is overwritten with distances taken directly,
+        # whose overflow to inf is the limit 0
+        with np.errstate(over="ignore", invalid="ignore"):
+            # -2 Xb is exact, so the GEMM gives -2 x.y with the bits of x.y
+            out = Xa @ (-2.0 * Xb).T
+            norms_a = np.einsum("ij,ij->i", Xa, Xa)[:, None]
+            norms_b = np.einsum("ij,ij->i", Xb, Xb)
+            for_rows(out, rbf_rows)
+            for i in np.flatnonzero(~(norms_a[:, 0] <= _FAR_NORM)):
+                out[i] = np.exp(((Xa[i] - Xb) ** 2).sum(axis=1) / scale)
+            for j in np.flatnonzero(~(norms_b <= _FAR_NORM)):
+                out[:, j] = np.exp(((Xa - Xb[j]) ** 2).sum(axis=1) / scale)
+    if rows is not None:
+        own = out[rows]
+        own = (own + own.T) * 0.5
+        if spec.family == "rbf":
+            np.fill_diagonal(own, 1.0)
+        out[rows] = own
     return out
 
 
 def kernel_block(X: np.ndarray, indices, spec: KernelSpec) -> np.ndarray:
     """Return the n x |I| column block K([n], I), entry (i, j) = k(x_i, x_I(j)).
 
-    Deterministic given the inputs.  cdist computes each squared distance
-    pairwise, so the full block (I = everything) is exactly symmetric.
+    Deterministic given the inputs.  The block meets its own anchors at the
+    rows I, so its |I| x |I| sub-block is exactly symmetric, with a unit
+    diagonal for rbf, and the full block (I = everything) is exactly
+    symmetric.
     """
     X = np.asarray(X, dtype=np.float64)
     idx = validate_indices(indices, X.shape[0])
-    return kernel_cross(X, X[idx], spec)
+    return kernel_cross(X, X[idx], spec, rows=idx)
 
 
 def feature_params(spec: FeatureMapSpec, m: int, d: int) -> tuple[np.ndarray, float]:
@@ -281,9 +315,91 @@ def _block_params(spec: FeatureMapSpec, idx: np.ndarray, d: int):
         # random() can return 0.0, which ndtri maps to -inf
         np.maximum(u[:d], 5e-324, out=freqs[:, cols])
         phases[cols] = TWO_PI * u[d]
-    ndtri(freqs, out=freqs)
+    freqs = _ndtri(freqs)
     freqs /= spec.sigma
     return freqs, phases
+
+
+# Cephes ndtri (S. L. Moshier, Cephes Math Library, ndtri.c): the inverse
+# standard normal CDF as three rational functions, highest power first; the
+# Q denominators have a leading coefficient of 1
+_NDTRI_P0 = (-5.99633501014107895267e1, 9.80010754185999661536e1,
+             -5.66762857469070293439e1, 1.39312609387279679503e1,
+             -1.23916583867381258016e0)
+_NDTRI_Q0 = (1.95448858338141759834e0, 4.67627912898881538453e0,
+             8.63602421390890590575e1, -2.25462687854119370527e2,
+             2.00260212380060660359e2, -8.20372256168333339912e1,
+             1.59056225126211695515e1, -1.18331621121330003142e0)
+_NDTRI_P1 = (4.05544892305962419923e0, 3.15251094599893866154e1,
+             5.71628192246421288162e1, 4.40805073893200834700e1,
+             1.46849561928858024014e1, 2.18663306850790267539e0,
+             -1.40256079171354495875e-1, -3.50424626827848203418e-2,
+             -8.57456785154685413611e-4)
+_NDTRI_Q1 = (1.57799883256466749731e1, 4.53907635128879210584e1,
+             4.13172038254672030440e1, 1.50425385692907503408e1,
+             2.50464946208309415979e0, -1.42182922854787788574e-1,
+             -3.80806407691578277194e-2, -9.33259480895457427372e-4)
+_NDTRI_P2 = (3.23774891776946035970e0, 6.91522889068984211695e0,
+             3.93881025292474443415e0, 1.33303460815807542389e0,
+             2.01485389549179081538e-1, 1.23716634817820021358e-2,
+             3.01581553508235416007e-4, 2.65806974686737550832e-6,
+             6.23974539184983293730e-9)
+_NDTRI_Q2 = (6.02427039364742014255e0, 3.67983563856160859403e0,
+             1.37702099489081330271e0, 2.16236993594496635890e-1,
+             1.34204006088543189037e-2, 3.28014464682127739104e-4,
+             2.89247864745380683936e-6, 6.79019408009981274425e-9)
+_EXPM2 = 0.13533528323661269189  # exp(-2)
+_SQRT_2PI = 2.50662827463100050242
+
+
+def _rational(x, p, q):
+    """x p(x) / q(x) in Cephes' order, ``x * polevl(x, p) / p1evl(x, q)``:
+    Horner's rule, with q's leading 1 left out of ``q``."""
+    num = x * p[0]
+    num += p[1]
+    den = x + q[0]
+    for c in p[2:]:
+        num *= x
+        num += c
+    for c in q[1:]:
+        den *= x
+        den += c
+    num *= x
+    num /= den
+    return num
+
+
+def _libm_log(a: np.ndarray) -> np.ndarray:
+    """The C library's log of each entry.  numpy's SIMD log rounds some
+    inputs differently, and Cephes' tails are libm's."""
+    return np.fromiter(map(math.log, a.tolist()), np.float64, a.size)
+
+
+def _ndtri(u: np.ndarray) -> np.ndarray:
+    """Cephes ``ndtri``, the standard normal quantile, of every entry of u,
+    all in (0, 1): bit for bit ``scipy.special.ndtri`` on the same libm.
+
+    The branches are Cephes': u is reflected to y = 1 - u above 1 - e^-2;
+    y above e^-2 takes the central approximation, unsigned, and the rest
+    the tail, x = sqrt(-2 log y), whose sign is negative unless u was
+    reflected.  The central one is evaluated everywhere and overwritten
+    at the tail, which costs less than gathering its entries.
+    """
+    shape, u = u.shape, u.ravel()
+    upper = u > 1.0 - _EXPM2
+    y = np.where(upper, 1.0 - u, u)
+    c = y - 0.5
+    out = (c + c * _rational(c * c, _NDTRI_P0, _NDTRI_Q0)) * _SQRT_2PI
+    tail = np.flatnonzero(y <= _EXPM2)
+    x = np.sqrt(-2.0 * _libm_log(y[tail]))
+    z = 1.0 / x
+    x1 = _rational(z, _NDTRI_P1, _NDTRI_Q1)
+    far = x >= 8.0  # y < exp(-32), rare in uniform draws
+    if far.any():
+        x1[far] = _rational(z[far], _NDTRI_P2, _NDTRI_Q2)
+    x = (x - _libm_log(x) / x) - x1
+    out[tail] = np.where(upper[tail], x, -x)
+    return out.reshape(shape)
 
 
 def _hashmix(value, hash_const: int, mult: int = _MULT_A):

@@ -1,9 +1,9 @@
 """Dense matrix primitives for the block solvers and rate checks.
 
 Everything is a plain float64 numpy array in row-major order.  SPD systems
-go through Cholesky and refuse to perturb: a non-positive pivot raises
-``NotSpdError`` so the caller can fix its regularization instead of us
-papering over a singular block.  Extremal eigenvalues come from one dense
+are tested by a Cholesky factorization and refuse to perturb: a pivot that
+is not positive to working precision raises ``NotSpdError`` so the caller
+can fix its regularization instead of us papering over a singular block.  Extremal eigenvalues come from one dense
 ``eigvalsh``: every caller already holds the dense symmetric matrix.
 """
 
@@ -12,7 +12,6 @@ from __future__ import annotations
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     DimensionMismatchError,
@@ -22,6 +21,7 @@ from .errors import (
 )
 
 SYMMETRY_RTOL = 1e-9
+EPS = float(np.finfo(np.float64).eps)
 
 
 def validate_indices(indices, universe: int) -> np.ndarray:
@@ -67,13 +67,18 @@ def _raise_if_not_finite(**arrays) -> None:
 
 
 def spd_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve A X = B for symmetric positive definite A via Cholesky.
+    """Solve A X = B for symmetric positive definite A.
 
-    Raises ``NotSpdError`` if A is visibly asymmetric or the factorization
-    hits a non-positive pivot, and ``DivergenceError`` instead when that
-    failure comes from non-finite entries of A or B.  Finiteness is
-    checked only on those failure paths, so a solve that succeeds pays
-    nothing for it.
+    ``np.linalg.cholesky`` is the SPD test and ``np.linalg.solve`` the
+    solve.  Raises ``NotSpdError`` if A is visibly asymmetric or the
+    factorization hits a non-positive pivot, and ``DivergenceError``
+    instead when that failure comes from non-finite entries of A or B.
+    OpenBLAS's Cholesky lets a NaN pivot through, so the pivots are checked:
+    one that is NaN, or whose square is at most b * eps times A's largest
+    diagonal entry (A singular to working precision, where the sign of the
+    last pivot is rounding), fails like a non-positive pivot.  Finiteness of
+    A and B is checked only on the failure paths, so a solve that succeeds
+    pays only for the O(b) check of its pivots.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
@@ -87,11 +92,20 @@ def spd_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         _raise_if_not_finite(matrix=a, rhs=b)
         raise NotSpdError("matrix is not symmetric within tolerance")
     try:
-        factor = scipy.linalg.cho_factor(a, lower=True, check_finite=False)
-    except scipy.linalg.LinAlgError as exc:
+        pivots = np.diagonal(np.linalg.cholesky(a))
+        # NaN fails, and so does a pivot at the rounding level of the
+        # largest diagonal entry: A is then singular to working precision
+        floor = a.shape[0] * EPS * float(np.diagonal(a).max(initial=0.0))
+        if not (pivots * pivots > floor).all():
+            raise np.linalg.LinAlgError(
+                f"a Cholesky pivot is {float(pivots.min())!r}, not positive "
+                "to working precision"
+            )
+        # numpy's solve raises on an invalid operation, as inf - inf in B
+        return np.linalg.solve(a, b)
+    except np.linalg.LinAlgError as exc:
         _raise_if_not_finite(matrix=a, rhs=b)
         raise NotSpdError(str(exc)) from exc
-    return scipy.linalg.cho_solve(factor, b, check_finite=False)
 
 
 def gram(zb: np.ndarray) -> np.ndarray:

@@ -237,11 +237,16 @@ class Model:
                     "coefficient rows must match anchor rows"
                 )
 
-    def columns(self, X: np.ndarray, cols=None) -> np.ndarray:
+    def columns(self, X: np.ndarray, cols=None, at_anchors: bool = False) -> np.ndarray:
         """The column block at the rows of ``X``: k(X, anchors[cols]) for
         full/nystrom, z(X)[:, cols] for rf; every column when ``cols`` is
         None.  Coefficient row j weights column j.  ``X`` must be 2-d and,
-        unless ``dim`` is None, as wide as the model's input."""
+        unless ``dim`` is None, as wide as the model's input.
+
+        ``at_anchors`` says that ``X`` is the training data the anchors are
+        rows of (all of them for full, the landmarks for nystrom): the
+        block's b x b sub-block at the anchors' own rows is then exactly
+        symmetric (``kernel_cross``'s ``rows``)."""
         X = np.asarray(X, dtype=np.float64)
         if X.ndim != 2:
             raise DimensionMismatchError("data must be 2-d")
@@ -255,7 +260,11 @@ class Model:
                 cols = np.arange(self.features.p)
             return random_features_block(X, cols, self.features)
         anchors = self.anchors if cols is None else self.anchors[cols]
-        return kernel_cross(X, anchors, self.kernel)
+        rows = None
+        if at_anchors:
+            rows = np.arange(X.shape[0]) if self.landmarks is None else self.landmarks
+            rows = rows if cols is None else rows[cols]
+        return kernel_cross(X, anchors, self.kernel, rows)
 
 
 @solver_threads()
@@ -897,7 +906,8 @@ def _run_spec(
     rows = model.coefficients.shape[0]
     if plan.universe != rows:
         raise ConfigError(f"plan universe {plan.universe} != {rows} coefficient rows")
-    args = (Y, plan.block_size, block_fn or (lambda pos: model.columns(data.X, pos)))
+    args = (Y, plan.block_size,
+            block_fn or (lambda pos: model.columns(data.X, pos, at_anchors=True)))
     if model.method == "full":
         system = _FullSystem(*args)
     else:

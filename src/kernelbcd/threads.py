@@ -1,9 +1,10 @@
 """Threads during a solver run: one per OpenBLAS, block rows on a pool,
 the next block generated while the current one is applied.
 
-numpy and scipy each bundle an OpenBLAS with its own thread pool.  On a
-host with few CPUs an idle pool's workers spin on the cores that the other
-pool, or a second thread of this process, needs.  ``solver_threads`` is the
+numpy bundles an OpenBLAS with its own thread pool, and so does scipy,
+which this package does not import but a caller may.  On a host with few
+CPUs an idle pool's workers spin on the cores that another pool, or a
+second thread of this process, needs.  ``solver_threads`` is the
 scope the block-descent engine, ``predict`` and the dense diagnostics run
 in.  While any thread is inside it, every loaded OpenBLAS runs with one
 thread, ``for_rows`` splits the rows of a generated block into one range
@@ -54,9 +55,11 @@ _MIN_RANGE_ENTRIES = 1 << 15
 @functools.cache
 def openblas_controls() -> list[tuple]:
     """The (get, set) thread-count functions of every OpenBLAS mapped into
-    this process; empty when none is found.  Looked up once: importing
-    this package maps numpy's and scipy's, and reading the map costs about
-    a millisecond."""
+    this process; empty when none is found.  Looked up once, since reading
+    the map costs about a millisecond: importing this package maps only
+    numpy's, and scipy's is there too if the caller imported scipy first.
+    A library mapped later is not pinned; this package calls none but
+    numpy's."""
     try:
         with open("/proc/self/maps") as fh:
             paths = sorted(

@@ -832,7 +832,16 @@ def test_repeated_lambda_exits_2_before_any_file_is_read(tmp_path, values, capsy
     assert "cannot read data file" not in err
 
 
-@pytest.mark.parametrize("values", ["16,16", "8,16,8"])
+REPEATED_P = {
+    "16,16": "--p values must be distinct: 16 repeated",
+    "8,16,8": "--p values must be distinct: 8 repeated",
+    # 17 cuts to 16 at --b 4, which would train p = 16 twice
+    "16,17": "--p values must be distinct once cut to a multiple of --b = 4: "
+             "16 and 17 both give 16",
+}
+
+
+@pytest.mark.parametrize("values", list(REPEATED_P))
 def test_repeated_p_exits_2_before_any_file_is_read(tmp_path, values, capsys):
     # neither data file exists: the check comes before either is read
     out = tmp_path / "out"
@@ -841,8 +850,8 @@ def test_repeated_p_exits_2_before_any_file_is_read(tmp_path, values, capsys):
                  "--b", "4", "--out", str(out)])
     assert code == EXIT_CONFIG
     err = capsys.readouterr().err
-    repeated = values.split(",")[0]
-    assert f"--p values must be distinct: {repeated} repeated" in err
+    assert REPEATED_P[values] in err
+    assert "truncating" not in err
     assert "cannot read data file" not in err
     assert not out.exists()
 

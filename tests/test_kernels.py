@@ -27,9 +27,17 @@ from kernelbcd.kernels import (
     one_vs_all,
     random_features_block,
     _block_params,
+    _ndtri,
 )
 
 RBF = KernelSpec("rbf", sigma=1.0)
+
+# A column that two different blocks share agrees only to rounding: each
+# block's products are one GEMM, whose kernels depend on the block's column
+# count.  The bound is this fraction of the entries' bound (1 for rbf,
+# sqrt(2/p) for rf); on standard normal inputs of up to 32 features the
+# largest difference seen was about 1e-14 of it.
+SHARED_COLUMN_ATOL = 1e-12
 
 
 class TestKernelEval:
@@ -91,6 +99,18 @@ class TestKernelBlock:
         assert np.abs(off).max() < 1e-10
         assert np.array_equal(np.diag(k), np.ones(6))
 
+    def test_inputs_whose_norms_overflow_take_the_limit_silently(self):
+        # the squared norms of these rows overflow, or nearly: their entries
+        # are the limits of exp(-||x - y||^2 / 2), 1 on the diagonal, else 0
+        x = np.array([[1e300, 0.0], [0.0, 1e300], [1e154, 1.0], [0.5, 0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            k = kernel_block(x, np.arange(4), RBF)
+            cross = kernel_cross(x, x[[3]], RBF)
+        expected = np.eye(4)
+        assert np.array_equal(k, expected)
+        assert np.array_equal(cross, expected[:, [3]])
+
     def test_matches_entrywise_eval(self):
         rng = np.random.default_rng(1)
         x = rng.standard_normal((6, 4))
@@ -109,7 +129,9 @@ class TestKernelBlock:
         full = kernel_block(x, np.arange(50), RBF)
         for seed in range(5):
             idx = np.random.default_rng(seed).choice(50, size=7, replace=False)
-            assert np.array_equal(kernel_block(x, idx, RBF), full[:, idx])
+            np.testing.assert_allclose(
+                kernel_block(x, idx, RBF), full[:, idx], rtol=0, atol=SHARED_COLUMN_ATOL
+            )
 
     def test_out_of_range(self):
         with pytest.raises(IndexOutOfRangeError):
@@ -173,6 +195,28 @@ class TestRandomFeatures:
         b = random_features_block(x, [9, 5, 14], spec)
         assert np.array_equal(a[:, 1], b[:, 1])
         assert np.array_equal(a[:, 2], b[:, 0])
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 30), d=st.integers(1, 32), p=st.integers(2, 64),
+           widths=st.tuples(st.integers(1, 64), st.integers(1, 64)),
+           seed=st.integers(0, 2**32 - 1))
+    @example(n=6, d=28, p=8, widths=(2, 8), seed=0)
+    def test_overlapping_blocks_share_columns_to_rounding(self, n, d, p, widths, seed):
+        # blocks of different widths, each regenerated byte-equal, share
+        # their common columns only to rounding
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((n, d))
+        spec = FeatureMapSpec(p=p, sigma=float(rng.uniform(0.5, 3.0)), master_seed=seed)
+        cols = rng.permutation(p)
+        wa, wb = (min(w, p) for w in widths)
+        a, b = cols[:wa], cols[:wb][::-1]
+        za, zb = random_features_block(x, a, spec), random_features_block(x, b, spec)
+        assert za.tobytes() == random_features_block(x, a, spec).tobytes()
+        shared = min(wa, wb)
+        np.testing.assert_allclose(
+            za[:, :shared], zb[:, ::-1][:, :shared],
+            rtol=0, atol=SHARED_COLUMN_ATOL * np.sqrt(2.0 / p),
+        )
 
     def test_feature_params_pure(self):
         spec = FeatureMapSpec(p=10, sigma=2.0, master_seed=42)
@@ -345,6 +389,24 @@ def test_block_draw_matches_numpy_philox_per_column(master, d, cols):
     X = np.random.default_rng(d).standard_normal((5, d))
     expected = np.sqrt(2.0 / spec.p) * np.cos(X @ ref_freqs + ref_phases)
     assert np.array_equal(random_features_block(X, cols, spec), expected)
+
+
+def test_ndtri_port_matches_scipy_bit_for_bit():
+    # the inputs _block_params gives it: 53-bit uniforms floored at 5e-324,
+    # and u**40 for the far lower tail, plus each branch edge
+    rng = np.random.default_rng(20)
+    words = rng.integers(0, 2**53, 1 << 20, dtype=np.uint64)
+    words[:3] = 0, 1, 2**53 - 1
+    uniforms = np.maximum(words * 2.0**-53, 5e-324)
+    far = np.maximum(rng.random(1 << 20) ** 40, 5e-324)
+    e2 = math.exp(-2.0)
+    edges = np.array([5e-324, 2.0**-53, e2, np.nextafter(e2, 0), np.nextafter(e2, 1),
+                      1 - e2, np.nextafter(1 - e2, 0), np.nextafter(1 - e2, 1),
+                      math.exp(-32.0), 0.5, 1 - 2.0**-53])
+    for u in (uniforms, far, edges, uniforms[:4096].reshape(64, 64)):
+        got = _ndtri(u)
+        assert got.shape == u.shape
+        assert got.tobytes() == ndtri(u).tobytes()
 
 
 def test_negative_master_seed_raises():

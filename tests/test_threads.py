@@ -263,21 +263,24 @@ def nystrom_run():
                          make_plan(64, 32, seed=8), 3, landmark_seed=9)
 
 
-def cdist_threads(monkeypatch):
-    """Record the thread of every distance computation in kernel_cross."""
+def rbf_row_threads(monkeypatch):
+    """Record the thread of every row range of an rbf block in kernel_cross."""
     idents = set()
-    real = kernels.cdist
+    real = kernels.for_rows
 
-    def cdist(*args, **kwargs):
-        idents.add(threading.get_ident())
-        return real(*args, **kwargs)
+    def for_rows(out, fn):
+        def rows(lo, hi):
+            idents.add(threading.get_ident())
+            fn(lo, hi)
 
-    monkeypatch.setattr(kernels, "cdist", cdist)
+        real(out, rows)
+
+    monkeypatch.setattr(kernels, "for_rows", for_rows)
     return idents
 
 
 def test_without_openblas_controls_rows_stay_on_the_calling_thread(monkeypatch):
-    pooled_ids = cdist_threads(monkeypatch)
+    pooled_ids = rbf_row_threads(monkeypatch)
     monkeypatch.setattr(threads, "_MIN_RANGE_ENTRIES", 1)
     monkeypatch.setattr(threads, "_cpu_count", lambda: 2)
     if threads.openblas_controls():
@@ -286,7 +289,7 @@ def test_without_openblas_controls_rows_stay_on_the_calling_thread(monkeypatch):
     else:
         pooled = None
     monkeypatch.setattr(threads, "openblas_controls", lambda: [])
-    alone_ids = cdist_threads(monkeypatch)
+    alone_ids = rbf_row_threads(monkeypatch)
     alone = nystrom_run()
     assert alone_ids == {threading.get_ident()}
     if pooled is not None:
