@@ -74,7 +74,7 @@ from .solvers import (
     TraceRecord,
     classify,
     draw_landmarks,
-    epoch_order,
+    epoch_blocks,
     evaluate,
     load_model,
     make_plan,

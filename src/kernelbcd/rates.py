@@ -16,8 +16,8 @@ matrix concentration inequalities behind the improved bound:
 Monte-Carlo verdicts compare an empirical violation frequency against
 delta + 3*sqrt(delta/trials) (three-sigma binomial slack).  The block
 sampler here draws a fresh uniform size-b subset each step, the model the
-expectation bound is stated for; the solvers instead sweep a fixed
-partition, and the two schedules are not interchangeable.
+expectation bound is stated for; the solvers instead sweep a fresh random
+partition each epoch, which the bound does not cover.
 
 The seeded runs of an ensemble step together: seed s draws its subsets from
 its own generator, SeedSequence(base_seed, spawn_key=(s,)), and a step of

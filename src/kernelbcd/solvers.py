@@ -1,15 +1,16 @@
 """Block coordinate descent solvers for kernel least squares.
 
-One engine, ``_run``, drives three primal solvers.  It sweeps the block
-plan, generates each column block once per visit, and owns the ledger,
-the descent guard, test evaluation, traces, the residual check and the
-``grad_tol`` stop.  The model's column map, ``Model.columns``, is the one
-block source and the one width check: K([n], J) for ``full``,
-K([n], landmarks[J]) for ``nystrom`` and Z([n], J) for ``rf``; the test
-set's block, ``predict`` and the dense diagnostics read it too.  A
-per-method system states only its math: the products every
-lambda shares, its b x b block matrix A, its block of the normal-equation
-residual ``grad`` and the rows its scatter S_J writes.  One block step
+One engine, ``_run``, drives three primal solvers.  Each epoch it sweeps
+a fresh random block partition (``epoch_blocks``), generates each column
+block once per visit, and owns the ledger, the descent guard, test
+evaluation, traces, the residual check and the ``grad_tol`` stop.  The
+model's column map, ``Model.columns``, is the one block source and the
+one width check: K([n], J) for ``full``, K([n], landmarks[J]) for
+``nystrom`` and Z([n], J) for ``rf``; the test set's block, ``predict``
+and the dense diagnostics read it too.  A per-method system states only
+its math: the products every lambda shares, its b x b block matrix A,
+its block of the normal-equation residual ``grad`` and the rows its
+scatter S_J writes.  One block step
 serves every system: solve A d = -grad, add d to the block's coefficients
 and (K_J + n*lam*S_J)[:, block] d to the maintained fit error
 E = (K_J + n*lam*S_J) alpha - Y, which starts at -Y.  The step serves
@@ -46,7 +47,7 @@ times, not 2T.
 
 Within a sweep the next block is generated while the current one is
 applied (``threads.ahead``): a block source is called one call at a time,
-in plan order, possibly from a worker thread, and never for a block past
+in sweep order, possibly from a worker thread, and never for a block past
 the sweep's last.
 """
 
@@ -102,27 +103,35 @@ MODEL_MAGIC_V1 = "kernelbcd-model-v1"
 
 @dataclass(frozen=True)
 class BlockPlan:
-    """A fixed partition of the coordinate universe into size-b blocks.
+    """How a run cuts the coordinate universe into size-b blocks.
 
-    The partition is drawn once from a shuffled universe and held fixed for
-    the whole run; only the visit order is re-permuted each epoch (see
-    ``epoch_order``).  Both draws are pure functions of ``seed``.
+    Every epoch sweeps a fresh random partition (see ``epoch_blocks``), a
+    pure function of ``(seed, epoch)``, so a plan stores no blocks.
     """
 
     block_size: int
-    blocks: tuple
+    universe: int
     seed: int
 
     @property
-    def universe(self) -> int:
-        return self.block_size * len(self.blocks)
-
-    @property
     def n_blocks(self) -> int:
-        return len(self.blocks)
+        return self.universe // self.block_size
+
+
+def _count(name: str, value) -> int:
+    """``value`` as an int >= 0; anything else raises ``ConfigError``."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ConfigError(f"{name} must be an integer, got {value!r}") from None
+    if value < 0:
+        raise ConfigError(f"{name} must be >= 0, got {value}")
+    return value
 
 
 def make_plan(universe: int, block_size: int, seed: int = 0) -> BlockPlan:
+    universe, block_size = _count("universe", universe), _count("block size", block_size)
+    seed = _count("plan seed", seed)
     if block_size < 1 or universe < 1:
         raise ConfigError("universe and block size must be positive")
     if universe % block_size != 0:
@@ -133,21 +142,16 @@ def make_plan(universe: int, block_size: int, seed: int = 0) -> BlockPlan:
     # MemoryError, so a universe this large is refused here
     if universe >= 2**59:
         raise ConfigError(f"universe {universe} is too large to index")
-    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
-    perm = rng.permutation(universe)
-    blocks = tuple(
-        perm[i * block_size : (i + 1) * block_size]
-        for i in range(universe // block_size)
-    )
-    return BlockPlan(block_size=block_size, blocks=blocks, seed=seed)
+    return BlockPlan(block_size=block_size, universe=universe, seed=seed)
 
 
-def epoch_order(plan: BlockPlan, epoch: int) -> np.ndarray:
-    """Visit order of block ids for one epoch; pure in (plan.seed, epoch)."""
-    rng = np.random.default_rng(
-        np.random.SeedSequence(plan.seed, spawn_key=(epoch + 1,))
-    )
-    return rng.permutation(plan.n_blocks)
+def epoch_blocks(plan: BlockPlan, epoch: int) -> np.ndarray:
+    """Epoch ``epoch``'s blocks in visit order, one per row: a fresh
+    permutation of the universe, drawn from ``SeedSequence(plan.seed,
+    spawn_key=(epoch + 1,))`` and cut into size-b blocks."""
+    seq = np.random.SeedSequence(plan.seed, spawn_key=(_count("epoch", epoch) + 1,))
+    perm = np.random.default_rng(seq).permutation(plan.universe)
+    return perm.reshape(plan.n_blocks, plan.block_size)
 
 
 def draw_landmarks(n: int, p: int, seed: int) -> np.ndarray:
@@ -690,10 +694,12 @@ class _PendingCheck:
     It keeps a copy of the batch at the epoch end.  Each visit adds, for
     every lambda, the squared norm of its columns of ``system.gradients``
     at that copy for its block, one product for all lambdas; ``passed``
-    sums them in plan order.  ``restore`` returns the run to the epoch end:
-    it cuts each lambda's trace and the ledger back to their lengths there,
-    sets the ledger's position back, and returns the copied batch, which
-    holds every lambda's coefficients and E at the epoch end.
+    sums them in sweep order.  The sweep's blocks are a partition, though
+    not the previous epoch's, so the sum is the whole gradient.
+    ``restore`` returns the run to the epoch end: it cuts each lambda's
+    trace and the ledger back to their lengths there, sets the ledger's
+    position back, and returns the copied batch, which holds every
+    lambda's coefficients and E at the epoch end.
     """
 
     def __init__(self, system, batch, traces, epoch, block, ledger, n_blocks):
@@ -786,12 +792,7 @@ def _run(
     """
     n, k = system.Y.shape
     _check_lams(lams, n, system.gamma)
-    try:
-        epochs = operator.index(epochs)
-    except TypeError:
-        raise ConfigError(f"epochs must be an integer, got {epochs!r}") from None
-    if epochs < 0:
-        raise ConfigError("epochs must be >= 0")
+    epochs = _count("epochs", epochs)
     if grad_tol is not None and not isinstance(grad_tol, numbers.Real):
         raise ConfigError(f"grad_tol must be a real number, got {grad_tol!r}")
     if grad_tol is not None and not 0 <= grad_tol < np.inf:
@@ -841,10 +842,9 @@ def _run(
         pending = None  # the last epoch end's check, summed on this sweep
         for epoch in range(epochs):
             failure = None
-            order = [int(blk) for blk in epoch_order(plan, epoch)]
-            positions = [plan.blocks[blk] for blk in order]
-            with closing(ahead(system.block, positions)) as sweep:
-                for blk, pos in zip(order, positions):
+            blocks = epoch_blocks(plan, epoch)
+            with closing(ahead(system.block, blocks)) as sweep:
+                for blk, pos in enumerate(blocks):
                     t_take = perf_counter()
                     kb, gen_s = next(sweep)
                     wait_s = perf_counter() - t_take
@@ -866,7 +866,7 @@ def _run(
                     raise failure
                 pending = None
             if check_residual:
-                fresh = _recomputed_resids(system, batch, plan.blocks)
+                fresh = _recomputed_resids(system, batch, blocks)
                 for cols in batch.cols:
                     _assert_residual(fresh[:, cols], batch.resid[:, cols], system.Y)
             if grad_tol is None or epoch == epochs - 1:

@@ -3,9 +3,11 @@ drives the update, the grad_tol check and the residual check; the ledger
 charges what the step computes; library inputs are range-checked like the
 CLI's."""
 
+import operator
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kernelbcd import solvers
@@ -26,7 +28,9 @@ from kernelbcd.kernels import (
 )
 from kernelbcd.solvers import (
     draw_landmarks,
+    epoch_blocks,
     make_plan,
+    normal_equation_residual,
     solve_full,
     solve_nystrom,
     solve_rf,
@@ -282,6 +286,72 @@ def test_full_run_ignores_a_huge_gamma():
 def test_plan_past_numpy_index_range_is_config_error(universe):
     with pytest.raises(ConfigError, match="too large to index"):
         make_plan(universe, 1)
+
+
+def _int_or_none(value):
+    try:
+        return operator.index(value)
+    except TypeError:
+        return None
+
+
+# integers of either sign and past the index range, and values that are no
+# integers at all
+_PLAN_VALUES = st.one_of(
+    st.integers(-3, 48), st.integers(2**58, 2**65), st.floats(allow_nan=True),
+    st.sampled_from(["8", None, True, np.int64(8), np.uint64(4), np.float64(8.0)]),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(universe=_PLAN_VALUES, block_size=_PLAN_VALUES, seed=_PLAN_VALUES)
+@example(universe=10.0, block_size=2, seed=0)
+@example(universe=8, block_size=2.0, seed=0)
+@example(universe=8, block_size=2, seed=-1)
+@example(universe=8, block_size=2, seed=1.5)
+def test_make_plan_refuses_every_bad_input_with_config_error(universe, block_size, seed):
+    u, b, s = (_int_or_none(v) for v in (universe, block_size, seed))
+    valid = (None not in (u, b, s) and 1 <= b and 1 <= u < 2**59
+             and u % b == 0 and s >= 0)
+    if not valid:
+        with pytest.raises(ConfigError):
+            make_plan(universe, block_size, seed)
+        return
+    plan = make_plan(universe, block_size, seed)
+    assert (plan.universe, plan.block_size, plan.seed) == (u, b, s)
+
+
+@settings(max_examples=60, deadline=None)
+@given(epoch=_PLAN_VALUES)
+@example(epoch=-1)  # would reuse another epoch's spawn key
+def test_epoch_blocks_refuses_a_bad_epoch_with_config_error(epoch):
+    plan = make_plan(8, 2, seed=3)
+    e = _int_or_none(epoch)
+    if e is None or e < 0:
+        with pytest.raises(ConfigError, match="epoch"):
+            epoch_blocks(plan, epoch)
+    else:
+        assert epoch_blocks(plan, epoch).shape == (4, 2)
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("method", METHODS)
+def test_grad_tol_stop_is_certified_at_the_first_passing_epoch_end(method, seed):
+    # blocks change from epoch to epoch, yet a run that stops early returns
+    # a model within grad_tol, and no earlier epoch end was within it
+    data, spec, plan, extra = _path_case(method, 32, 3, 2, 4, 4, seed)
+    lam, tol, cap = 0.1, 1e-3, 200
+
+    def residual(epochs, **kw):
+        model, trace = _single(method, data, spec, lam, plan, epochs, extra, **kw)
+        rel = normal_equation_residual(model, data, lam, extra.get("gamma", 0.0))
+        return rel, len(trace.records) // plan.n_blocks
+
+    rel, stop = residual(cap, grad_tol=tol)
+    assert stop < cap
+    assert rel <= tol
+    for epochs in range(1, stop):
+        assert residual(epochs)[0] > tol
 
 
 @pytest.mark.parametrize("method", METHODS)

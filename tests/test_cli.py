@@ -613,8 +613,8 @@ def test_overflowing_features_diverge_without_numpy_warnings(tmp_path):
 
 
 def test_allocation_failure_exits_2(tmp_path, blob_files, monkeypatch, capsys):
-    # a huge --p fails in the plan's permutation; raise as numpy would,
-    # without attempting the allocation
+    # a huge --p fails allocating the run's coefficients or a sweep's
+    # permutation; raise as numpy would, without attempting the allocation
     def no_memory(*args, **kwargs):
         raise MemoryError("Unable to allocate 7.28 TiB")
 

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kernelbcd import solvers
 from kernelbcd.distsim import CostLedger, ExecContext
@@ -24,7 +26,7 @@ from kernelbcd.solvers import (
     Model,
     classify,
     draw_landmarks,
-    epoch_order,
+    epoch_blocks,
     evaluate,
     full_surrogate,
     load_model,
@@ -55,23 +57,28 @@ def separated_points_dataset(n, k=2):
 
 
 class TestBlockPlan:
-    def test_partition_covers_universe(self):
-        plan = make_plan(24, 6, seed=3)
-        seen = np.sort(np.concatenate(plan.blocks))
-        assert np.array_equal(seen, np.arange(24))
-        assert all(len(blk) == 6 for blk in plan.blocks)
+    @settings(max_examples=60, deadline=None)
+    @given(b=st.integers(1, 12), n_blocks=st.integers(1, 12),
+           seed=st.integers(0, 2**64), epoch=st.integers(0, 2**32))
+    def test_epoch_blocks_partition_the_universe_deterministically(
+        self, b, n_blocks, seed, epoch
+    ):
+        plan = make_plan(b * n_blocks, b, seed=seed)
+        blocks = epoch_blocks(plan, epoch)
+        assert len(blocks) == n_blocks
+        assert all(len(blk) == b for blk in blocks)
+        assert np.array_equal(np.sort(np.concatenate(blocks)), np.arange(b * n_blocks))
+        assert np.array_equal(epoch_blocks(plan, epoch), blocks)
+
+    def test_each_epoch_draws_a_fresh_partition(self):
+        plan = make_plan(40, 5, seed=1)
+        parts = [{frozenset(blk.tolist()) for blk in epoch_blocks(plan, e)}
+                 for e in range(2)]
+        assert parts[0] != parts[1]
 
     def test_divisibility_enforced(self):
         with pytest.raises(ConfigError):
             make_plan(10, 3, seed=0)
-
-    def test_epoch_orders_are_permutations_and_deterministic(self):
-        plan = make_plan(40, 5, seed=1)
-        orders = [epoch_order(plan, e) for e in range(4)]
-        for order in orders:
-            assert np.array_equal(np.sort(order), np.arange(8))
-        assert np.array_equal(epoch_order(plan, 2), orders[2])
-        assert any(not np.array_equal(orders[0], o) for o in orders[1:])
 
     def test_landmarks_without_replacement(self):
         idx = draw_landmarks(50, 20, seed=4)
@@ -600,8 +607,9 @@ class TestDenseReference:
     """Straight-line dense replays of each solver's update protocol.
 
     These rebuild every quantity from the full matrices (explicit
-    selector matrices, no maintained residuals), follow the same block
-    visit order, and must agree with the engines almost to rounding.
+    selector matrices, no maintained residuals), visit each epoch's
+    ``epoch_blocks`` in order, and must agree with the engines almost to
+    rounding.
     """
 
     def test_full_matches_dense_replay(self):
@@ -615,8 +623,7 @@ class TestDenseReference:
         lam_eff = 40 * lam
         alpha = np.zeros_like(y)
         for epoch in range(4):
-            for blk in epoch_order(plan, epoch):
-                idx = plan.blocks[blk]
+            for idx in epoch_blocks(plan, epoch):
                 kbb = K[np.ix_(idx, idx)]
                 resid = K[idx] @ alpha - kbb @ alpha[idx]
                 alpha[idx] = np.linalg.solve(
@@ -641,8 +648,7 @@ class TestDenseReference:
         alpha = np.zeros((16, y.shape[1]))
         resid = np.zeros_like(y)
         for epoch in range(4):
-            for blk in epoch_order(plan, epoch):
-                pos = plan.blocks[blk]
+            for pos in epoch_blocks(plan, epoch):
                 rows = landmarks[pos]
                 kb = kj[:, pos]
                 sb = np.zeros((n, len(pos)))
@@ -669,8 +675,7 @@ class TestDenseReference:
         lam_eff = 40 * lam
         w = np.zeros((16, y.shape[1]))
         for epoch in range(4):
-            for blk in epoch_order(plan, epoch):
-                pos = plan.blocks[blk]
+            for pos in epoch_blocks(plan, epoch):
                 zb = z[:, pos]
                 others = zb.T @ (z @ w - zb @ w[pos])
                 w[pos] = np.linalg.solve(
