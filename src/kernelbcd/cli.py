@@ -9,7 +9,10 @@ Subcommands:
 * ``costs``        one instrumented epoch, ledger plus predicted-vs-measured
 
 Configuration comes from flags, optionally seeded by a key=value config
-file (flags win).  The default output directory can be set through the
+file (flags win).  ``solve``, ``path`` and ``compare`` run ``--epochs``
+epochs, or stop at the first epoch end whose relative normal-equation
+residual is within ``--grad-tol`` (the solvers' exact ``grad_tol`` check).
+The default output directory can be set through the
 ``KERNELBCD_OUTDIR`` environment variable.  Exit codes: 0 success,
 2 configuration error, out of memory or an output that cannot be written,
 3 data parse error, 4 solver divergence (including a non-finite block
@@ -85,7 +88,8 @@ def _option(default, parse, help: str, key: str | None = None, repeat=False):
 
     ``parse`` turns the option's text into the field's value, for the flag
     and for the config-file line alike; ``key`` names the flag (``--key``)
-    and the config-file key when they differ from the field name.  A
+    and the config-file key when they differ from the field name.  The flag
+    spells an underscore as a dash (``grad_tol`` is ``--grad-tol``).  A
     ``repeat`` flag may be given several times, and its values add up.
     """
     meta = {"parse": parse, "help": help, "key": key, "repeat": repeat}
@@ -115,7 +119,9 @@ class RunConfig:
     out: str = _option("", str, f"output directory (default ${OUTDIR_ENV}, else .)")
     rmse: bool = _option(False, boolean, "test RMSE of the class id, not error rate")
     header: bool = _option(False, boolean, "data CSVs carry a header row")
-    tol: float = _option(1e-6, float, "epoch improvement tolerance (compare)")
+    grad_tol: float | None = _option(
+        None, float, "stop once the relative normal-equation residual is at most this"
+    )
     dim: int = _option(32, int, "rates-check quadratic dimension")
     quadratics: int = _option(3, int, "rates-check problem count")
     ensemble: int = _option(25, int, "rates-check seeds per problem")
@@ -143,7 +149,8 @@ class RunConfig:
             (rates_check or not repeats,
              f"--lambda values must be distinct: {', '.join(map(repr, repeats))} repeated"),
             (0 <= self.gamma < math.inf, "--gamma must be finite and >= 0"),
-            (0 <= self.tol < math.inf, "--tol must be finite and >= 0"),
+            (self.grad_tol is None or 0 <= self.grad_tol < math.inf,
+             "--grad-tol must be finite and >= 0"),
             (self.b >= 1, "--b must be positive"),
             (self.epochs >= 0, "--epochs must be >= 0"),
             (self.workers >= 1, "--workers must be >= 1"),
@@ -155,6 +162,8 @@ class RunConfig:
              f"--p values must be distinct: {', '.join(map(str, p_repeats))} repeated"),
             (cmd != "costs" or not self.test,
              "costs measures one training epoch and takes no --test"),
+            (cmd != "costs" or self.grad_tol is None,
+             "costs measures one training epoch and takes no --grad-tol"),
             (not one_model or self.method != "full" or not self.p,
              "--p does not apply to the full-kernel method"),
             (not one_model or self.method == "full" or len(self.p) == 1,
@@ -243,7 +252,8 @@ def build_parser() -> argparse.ArgumentParser:
             else:
                 action = "extend" if meta["repeat"] else "store"
                 kind = dict(type=meta["parse"], action=action)
-            cmd.add_argument(f"--{key}", dest=opt.name, help=meta["help"], **kind)
+            cmd.add_argument(f"--{key.replace('_', '-')}", dest=opt.name,
+                             help=meta["help"], **kind)
     return parser
 
 
@@ -314,12 +324,14 @@ def _train(cfg: RunConfig, train, test, ledger=None, epochs=None):
     return solve_path(
         train, spec, cfg.lambdas, plan, cfg.epochs if epochs is None else epochs,
         test_data=test, exec_ctx=ExecContext(workers=cfg.workers, ledger=ledger),
-        rmse=cfg.rmse, **extra,
+        grad_tol=cfg.grad_tol, rmse=cfg.rmse, **extra,
     )
 
 
-def _final_objective(trace) -> float:
-    return trace.records[-1].objective if trace.records else float("nan")
+def _last(trace, name: str) -> float:
+    """The trace's last ``name`` (``objective`` or ``test_error``), which is
+    the returned model's; nan for a run that made no visit."""
+    return getattr(trace.records[-1], name) if trace.records else float("nan")
 
 
 def cmd_solve(cfg: RunConfig) -> int:
@@ -329,9 +341,8 @@ def cmd_solve(cfg: RunConfig) -> int:
     os.makedirs(cfg.out, exist_ok=True)
     trace.write_csv(os.path.join(cfg.out, "trace.csv"))
     save_model(model, os.path.join(cfg.out, "model.kbcd"))
-    err = evaluate(model, test, rmse=cfg.rmse) if test is not None else None
-    print(f"final objective: {_final_objective(trace)!r}")
-    print(f"test error: {'' if err is None else repr(err)}")
+    print(f"final objective: {_last(trace, 'objective')!r}")
+    print(f"test error: {'' if test is None else repr(_last(trace, 'test_error'))}")
     return EXIT_OK
 
 
@@ -347,23 +358,11 @@ def cmd_path(cfg: RunConfig) -> int:
         tag = _lambda_tag(lam)
         trace.write_csv(os.path.join(cfg.out, f"trace_{tag}.csv"))
         save_model(model, os.path.join(cfg.out, f"model_{tag}.kbcd"))
-        err = evaluate(model, test, rmse=cfg.rmse) if test is not None else None
         print(
-            f"lambda {lam!r}: objective {_final_objective(trace)!r}"
-            + ("" if err is None else f", test error {err!r}")
+            f"lambda {lam!r}: objective {_last(trace, 'objective')!r}"
+            + ("" if test is None else f", test error {_last(trace, 'test_error')!r}")
         )
     return EXIT_OK
-
-
-def epochs_to_tolerance(epoch_objectives: np.ndarray, tol: float) -> int:
-    """First 1-based epoch whose improvement over the previous epoch-end
-    objective is at most tol * max(1, |objective|); the epoch count if the
-    run never settles."""
-    for e in range(1, len(epoch_objectives)):
-        drop = epoch_objectives[e - 1] - epoch_objectives[e]
-        if drop <= tol * max(1.0, abs(epoch_objectives[e])):
-            return e + 1
-    return len(epoch_objectives)
 
 
 def cmd_compare(cfg: RunConfig) -> int:
@@ -374,13 +373,14 @@ def cmd_compare(cfg: RunConfig) -> int:
         for method in ("nystrom", "rf"):
             sub = RunConfig(**{**vars(cfg), "method": method, "p": [p]})
             model, trace = _train(sub, train, None)[lam]
+            # trained without the test set, so the trace holds no test error
             err = evaluate(model, test, rmse=cfg.rmse)
-            epochs = epochs_to_tolerance(trace.epoch_end_objectives(), cfg.tol)
-            rows.append([p, method, repr(err), epochs])
+            epochs_run = trace.records[-1].epoch + 1 if trace.records else 0
+            rows.append([p, method, repr(err), epochs_run])
     os.makedirs(cfg.out, exist_ok=True)
     write_rows(
         os.path.join(cfg.out, "compare.csv"),
-        ["p", "method", "test_error", "epochs_to_tolerance"],
+        ["p", "method", "test_error", "epochs_run"],
         rows,
     )
     for row in rows:

@@ -129,6 +129,13 @@ def _count(name: str, value) -> int:
     return value
 
 
+def _real(name: str, value) -> None:
+    """Refuse a ``value`` that is not a real number (``numbers.Real``) with
+    ``ConfigError``, before a comparison would raise ``TypeError``."""
+    if not isinstance(value, numbers.Real):
+        raise ConfigError(f"{name} must be a real number, got {value!r}")
+
+
 def make_plan(universe: int, block_size: int, seed: int = 0) -> BlockPlan:
     universe, block_size = _count("universe", universe), _count("block size", block_size)
     seed = _count("plan seed", seed)
@@ -156,6 +163,8 @@ def epoch_blocks(plan: BlockPlan, epoch: int) -> np.ndarray:
 
 def draw_landmarks(n: int, p: int, seed: int) -> np.ndarray:
     """Uniform without-replacement draw of p landmark rows out of n."""
+    n, p = _count("row count", n), _count("landmark count", p)
+    seed = _count("landmark seed", seed)
     if not 1 <= p <= n:
         raise ConfigError(f"landmark count must lie in [1, {n}], got {p}")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
@@ -184,13 +193,6 @@ class ConvergenceTrace:
 
     def objectives(self) -> np.ndarray:
         return np.array([r.objective for r in self.records])
-
-    def epoch_end_objectives(self) -> np.ndarray:
-        """Objective at the last block of each epoch."""
-        out = {}
-        for r in self.records:
-            out[r.epoch] = r.objective
-        return np.array([out[e] for e in sorted(out)])
 
     def write_csv(self, path) -> None:
         lines = ["epoch,block,seconds,objective,test_error\n"]
@@ -491,6 +493,8 @@ def _check_lams(lams, n: int, gamma: float) -> None:
     n lam gamma are finite too."""
     if not lams:
         raise ConfigError("need at least one lambda")
+    for lam in lams:
+        _real("every lambda", lam)
     if any(not 0 < lam < np.inf for lam in lams):
         raise ConfigError("every lambda must be positive and finite")
     if len(set(lams)) != len(lams):
@@ -793,10 +797,10 @@ def _run(
     n, k = system.Y.shape
     _check_lams(lams, n, system.gamma)
     epochs = _count("epochs", epochs)
-    if grad_tol is not None and not isinstance(grad_tol, numbers.Real):
-        raise ConfigError(f"grad_tol must be a real number, got {grad_tol!r}")
-    if grad_tol is not None and not 0 <= grad_tol < np.inf:
-        raise ConfigError("grad_tol must be finite and >= 0")
+    if grad_tol is not None:
+        _real("grad_tol", grad_tol)
+        if not 0 <= grad_tol < np.inf:
+            raise ConfigError("grad_tol must be finite and >= 0")
     if exec_ctx is None:
         exec_ctx = ExecContext()
     part = exec_ctx.partition(n)
@@ -898,6 +902,7 @@ def _run_spec(
     elif p is None:
         model = Model("full", np.zeros((data.n, data.k)), kernel=spec, anchors=data.X)
     else:
+        _real("gamma", gamma)
         if not 0 <= gamma < np.inf:
             raise ConfigError("gamma must be finite and >= 0")
         landmarks = draw_landmarks(data.n, p, landmark_seed)

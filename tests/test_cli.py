@@ -20,11 +20,16 @@ from kernelbcd.cli import (
     EXIT_OK,
     EXIT_RATES,
     RunConfig,
-    epochs_to_tolerance,
     main,
 )
-from kernelbcd.kernels import Dataset, FeatureMapSpec, gaussian_blobs
-from kernelbcd.solvers import load_model, make_plan, solve_rf
+from kernelbcd.kernels import Dataset, FeatureMapSpec, gaussian_blobs, load_csv
+from kernelbcd.solvers import (
+    evaluate,
+    load_model,
+    make_plan,
+    normal_equation_residual,
+    solve_rf,
+)
 
 
 def write_dataset(path, data):
@@ -244,7 +249,7 @@ class TestCompareCommand:
         )
         assert code == EXIT_OK
         rows = read_csv(out / "compare.csv")
-        assert rows[0] == ["p", "method", "test_error", "epochs_to_tolerance"]
+        assert rows[0] == ["p", "method", "test_error", "epochs_run"]
         by_method = {"nystrom": [], "rf": []}
         for p, method, err, _ in rows[1:]:
             by_method[method].append((int(p), float(err)))
@@ -354,12 +359,77 @@ class TestRatesCheckCommand:
         assert all(np.isfinite([float(v) for v in row]).all() for row in rows)
 
 
-def test_epochs_to_tolerance_helper():
-    # improvement first stalls entering epoch 4 (1-based)
-    objs = np.array([10.0, 5.0, 4.0, 3.9999999, 3.9999998])
-    assert epochs_to_tolerance(objs, 1e-6) == 4
-    # never stalls: report the epoch count itself
-    assert epochs_to_tolerance(np.array([5.0, 1.0]), 1e-9) == 2
+# a problem on blob_files that each method solves to GRAD_TOL well within
+# GRAD_TOL_EPOCHS epochs (full after 8, nystrom 16, rf 9)
+GRAD_TOL, GRAD_TOL_EPOCHS, GAMMA = 1e-3, 40, 1e-6
+_CONVERGING = ["--b", "8", "--sigma", "2.0", "--gamma", repr(GAMMA), "--lambda", "1e-2",
+               "--epochs", str(GRAD_TOL_EPOCHS)]
+_METHOD_FLAGS = {"full": ["--method", "full"], "nystrom": ["--method", "nystrom", "--p", "32"],
+                 "rf": ["--method", "rf", "--p", "32"]}
+
+
+def _epochs_run(trace_path) -> int:
+    rows = read_csv(trace_path)[1:]
+    return int(rows[-1][0]) + 1 if rows else 0
+
+
+@pytest.mark.parametrize("grad_tol", [None, GRAD_TOL], ids=["epochs", "grad_tol"])
+@pytest.mark.parametrize("method", list(_METHOD_FLAGS))
+def test_solve_and_path_stop_on_grad_tol_and_print_evaluate(
+    tmp_path, blob_files, method, grad_tol, capsys
+):
+    # the stop is the solvers' certified check, so each written model meets
+    # the bound; the printed test error is the trace's last, which is
+    # evaluate's figure for the written model bit for bit
+    train, test = blob_files
+    train_data, test_data = load_csv(train), load_csv(test)
+    argv = [*_METHOD_FLAGS[method], *_CONVERGING, "--train", train, "--test", test]
+    if grad_tol is not None:
+        argv += ["--grad-tol", repr(grad_tol)]
+    assert main(["solve", *argv, "--out", str(tmp_path / "solve")]) == EXIT_OK
+    [_, solve_err] = capsys.readouterr().out.splitlines()
+    assert main(["path", *argv, "--lambda", "1e-1", "--out", str(tmp_path / "path")]) == EXIT_OK
+    path_lines = capsys.readouterr().out.splitlines()
+    runs = [(tmp_path / "solve", "", 1e-2, solve_err.split(": ")[1])] + [
+        (tmp_path / "path", f"_{tag}", lam, line.split("test error ")[1])
+        for tag, lam, line in zip(["0_01", "0_1"], [1e-2, 1e-1], path_lines)
+    ]
+    for out, tag, lam, printed in runs:
+        model = load_model(out / f"model{tag}.kbcd")
+        assert printed == repr(evaluate(model, test_data))
+        epochs = _epochs_run(out / f"trace{tag}.csv")
+        if grad_tol is None:
+            assert epochs == GRAD_TOL_EPOCHS
+        else:
+            assert epochs < GRAD_TOL_EPOCHS
+            assert normal_equation_residual(model, train_data, lam, GAMMA) <= grad_tol
+
+
+@pytest.mark.parametrize("grad_tol", [None, GRAD_TOL], ids=["epochs", "grad_tol"])
+def test_compare_epochs_run_is_the_trace_length(tmp_path, blob_files, grad_tol):
+    # compare.csv's epochs_run is the epoch count of the run's trace: the
+    # certified stop epoch under --grad-tol, --epochs without it
+    train, test = blob_files
+    data = ["--train", train, "--test", test]
+    stop = [] if grad_tol is None else ["--grad-tol", repr(grad_tol)]
+    out = tmp_path / "compare"
+    code = main(["compare", *data, *_CONVERGING, "--p", "16,32", *stop, "--out", str(out)])
+    assert code == EXIT_OK
+    rows = read_csv(out / "compare.csv")[1:]
+    assert len(rows) == 4
+    for p, method, _, epochs_run in rows:
+        solo = tmp_path / f"{method}_{p}"
+        assert main(["solve", "--method", method, "--p", p, *data, *_CONVERGING, *stop,
+                     "--out", str(solo)]) == EXIT_OK
+        assert int(epochs_run) == _epochs_run(solo / "trace.csv")
+        if grad_tol is None:
+            assert int(epochs_run) == GRAD_TOL_EPOCHS
+        else:
+            assert int(epochs_run) < GRAD_TOL_EPOCHS
+    # no epoch, no record: epochs_run is 0
+    assert main(["compare", *data, "--p", "8", "--b", "4", "--epochs", "0",
+                 "--out", str(tmp_path / "zero")]) == EXIT_OK
+    assert [row[3] for row in read_csv(tmp_path / "zero" / "compare.csv")[1:]] == ["0", "0"]
 
 
 def test_console_script_runs():
@@ -372,19 +442,20 @@ def test_console_script_runs():
 
 
 def test_path_zero_epochs_reports_nan(tmp_path, blob_files, capsys):
-    train, _ = blob_files
+    # no visit, no trace record: the objective and the test error are nan
+    train, test = blob_files
     out = tmp_path / "out"
     code = main(
         [
-            "path", "--train", train, "--method", "rf", "--p", "16", "--b", "4",
-            "--lambda", "1e-3", "--lambda", "1e-2", "--epochs", "0",
+            "path", "--train", train, "--test", test, "--method", "rf", "--p", "16",
+            "--b", "4", "--lambda", "1e-3", "--lambda", "1e-2", "--epochs", "0",
             "--out", str(out),
         ]
     )
     assert code == EXIT_OK
     printed = capsys.readouterr().out
-    assert "lambda 0.001: objective nan" in printed
-    assert "lambda 0.01: objective nan" in printed
+    assert "lambda 0.001: objective nan, test error nan" in printed
+    assert "lambda 0.01: objective nan, test error nan" in printed
     assert len(list(out.glob("model_*.kbcd"))) == 2
 
 
@@ -693,7 +764,7 @@ EXTREME_FLOATS = ["0", "-0.0", "5e-324", "1e308", "-1e308", "inf", "-inf", "nan"
 EXTREME_INTS = ["0", "-0", "-1", "1", "4", "8", "16", "8,4", "6", str(2**59),
                 str(2**63), str(10**30), "5e-324", "1e308", "inf", "nan"]
 EXTREME_FLAGS = {
-    **dict.fromkeys(["--lambda", "--sigma", "--gamma"], EXTREME_FLOATS),
+    **dict.fromkeys(["--lambda", "--sigma", "--gamma", "--grad-tol"], EXTREME_FLOATS),
     **dict.fromkeys(["--p", "--b", "--seed"], EXTREME_INTS),
 }
 
@@ -807,16 +878,39 @@ def test_output_that_is_a_directory_exits_2(tmp_path, blob_files, command, name,
 
 
 @pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
-def test_compare_tol_must_be_finite_and_nonnegative(tmp_path, tol, capsys):
+def test_grad_tol_must_be_finite_and_nonnegative(tmp_path, tol, capsys):
     # the data files do not exist: the check comes before any file is read
     out = tmp_path / "out"
-    code = main(
-        ["compare", "--train", str(tmp_path / "train.csv"), "--test",
-         str(tmp_path / "test.csv"), "--p", "8", "--tol", tol, "--out", str(out)]
-    )
-    assert code == EXIT_CONFIG
-    assert "--tol must be finite and >= 0" in capsys.readouterr().err
-    assert not out.exists()
+    cfg = tmp_path / "run.cfg"
+    data = ["--train", str(tmp_path / "train.csv"), "--test", str(tmp_path / "test.csv")]
+    for command, stop in [
+        ("solve", ["--grad-tol", tol]), ("path", ["--grad-tol", tol]),
+        ("compare", ["--grad-tol", tol]),
+        # the config file takes the key with either separator
+        ("compare", ["--config", str(cfg)]),
+    ]:
+        cfg.write_text(f"grad-tol = {tol}\n")
+        code = main([command, *data, "--p", "8", "--b", "4", *stop, "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert "--grad-tol must be finite and >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_the_old_tol_flag_and_key_exit_2(tmp_path, blob_files, capsys):
+    # --tol and "tol =" were compare's objective-stall rule; they are refused
+    # rather than read as --grad-tol
+    train, test = blob_files
+    argv = ["compare", "--train", train, "--test", test, "--p", "8", "--b", "4",
+            "--out", str(tmp_path / "out")]
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--tol", "1e-6"])
+    assert exc.value.code == EXIT_CONFIG
+    assert "unrecognized arguments: --tol" in capsys.readouterr().err
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("tol = 1e-6\n")
+    assert main([*argv, "--config", str(cfg)]) == EXIT_CONFIG
+    assert "unknown config key 'tol'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("values", [["0.1", "0.1"], ["1e-3", "0.001"]])
@@ -865,6 +959,18 @@ def test_costs_refuses_test_before_any_file_is_read(tmp_path, capsys):
     assert code == EXIT_CONFIG
     err = capsys.readouterr().err
     assert "costs measures one training epoch and takes no --test" in err
+    assert "cannot read data file" not in err
+    assert not out.exists()
+
+
+def test_costs_refuses_grad_tol_before_any_file_is_read(tmp_path, capsys):
+    # a one-epoch run reaches no epoch-end check, so the flag would do nothing
+    out = tmp_path / "out"
+    code = main(["costs", "--train", str(tmp_path / "missing.csv"), "--method", "rf",
+                 "--p", "16", "--b", "8", "--grad-tol", "1e-3", "--out", str(out)])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "costs measures one training epoch and takes no --grad-tol" in err
     assert "cannot read data file" not in err
     assert not out.exists()
 
@@ -940,7 +1046,7 @@ def test_compare_warns_of_each_cut_p_once(tmp_path, blob_files, capsys):
 _CSV_HEADERS = {
     "trace.csv": "epoch,block,seconds,objective,test_error",
     "trace_0_01.csv": "epoch,block,seconds,objective,test_error",
-    "compare.csv": "p,method,test_error,epochs_to_tolerance",
+    "compare.csv": "p,method,test_error,epochs_run",
     "rates_curve.csv": "problem,t,empirical_mean_gap,improved_bound,classical_bound",
     "rates_verdicts.csv": "check,pass",
     "ledger.csv": "epoch,block,phase,flops,bytes,seconds",

@@ -1070,6 +1070,44 @@ def test_run_rejects_mistyped_epochs_and_grad_tol(kwargs, message):
         solve_rf(data, fspec, 0.1, make_plan(8, 4), epochs, **kwargs)
 
 
+@pytest.mark.parametrize("value", ["0.1", None, 1j])
+@pytest.mark.parametrize("name", ["lambda", "gamma"])
+def test_non_real_lambda_or_gamma_is_config_error(name, value):
+    # a comparison with a string, None or a complex number would raise a
+    # bare TypeError
+    data = gaussian_blobs(16, 3, 2, seed=1)
+    lam, gamma = (value, 1e-3) if name == "lambda" else (0.1, value)
+    with pytest.raises(ConfigError, match=f"{name} must be a real number"):
+        solve_nystrom(data, KernelSpec("rbf", 2.0), 8, lam, gamma, make_plan(8, 4), 2)
+    if name == "lambda":
+        with pytest.raises(ConfigError, match="lambda must be a real number"):
+            solve_path(data, FeatureMapSpec(8, 2.0), [0.1, value], make_plan(8, 4), 2)
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        ((16, 8, -1), "landmark seed must be >= 0"),
+        ((16, 8, 2.5), "landmark seed must be an integer"),
+        ((16, 8.0, 0), "landmark count must be an integer"),
+        ((16, -8, 0), "landmark count must be >= 0"),
+        ((16.0, 8, 0), "row count must be an integer"),
+        ((16, 17, 0), r"landmark count must lie in \[1, 16\]"),
+    ],
+)
+def test_draw_landmarks_refuses_bad_inputs_with_config_error(args, message):
+    with pytest.raises(ConfigError, match=message):
+        draw_landmarks(*args)
+
+
+@pytest.mark.parametrize("seed, message", [(-1, "must be >= 0"), (2.5, "must be an integer")])
+def test_solve_nystrom_refuses_a_bad_landmark_seed(seed, message):
+    data = gaussian_blobs(16, 3, 2, seed=1)
+    with pytest.raises(ConfigError, match=f"landmark seed {message}"):
+        solve_nystrom(data, KernelSpec("rbf", 2.0), 8, 0.1, 1e-3, make_plan(8, 4), 1,
+                      landmark_seed=seed)
+
+
 def test_run_takes_numpy_integer_epochs_and_tolerance():
     data = gaussian_blobs(16, 3, 2, seed=1)
     fspec = FeatureMapSpec(p=8, sigma=2.0, master_seed=3)
