@@ -9,11 +9,11 @@ Subcommands:
 * ``costs``        one instrumented epoch, ledger plus predicted-vs-measured
 
 Configuration comes from flags, optionally seeded by a key=value config
-file (flags win).  ``solve``, ``path`` and ``compare`` run ``--epochs``
-epochs, or stop at the first epoch end whose relative normal-equation
-residual is within ``--grad-tol`` (the solvers' exact ``grad_tol`` check).
-The default output directory can be set through the
-``KERNELBCD_OUTDIR`` environment variable.  Exit codes: 0 success,
+file (flags win); a command takes only the options that name it, and any
+other flag or key exits 2.  ``solve``, ``path`` and ``compare`` run
+``--epochs`` epochs, or stop at the first epoch end whose relative
+normal-equation residual is within ``--grad-tol``; ``costs`` runs one.
+``KERNELBCD_OUTDIR`` sets the default output directory.  Exit codes: 0 success,
 2 configuration error, out of memory or an output that cannot be written,
 3 data parse error, 4 solver divergence (including a non-finite block
 system), 5 rate-bound violation.
@@ -31,7 +31,7 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -61,6 +61,10 @@ EXIT_RATES = 5
 
 OUTDIR_ENV = "KERNELBCD_OUTDIR"
 
+FIT = ("solve", "path", "compare")  # the commands that run --epochs on a --test set
+TRAIN = (*FIT, "costs")  # the commands that read --train
+EVERY = (*TRAIN, "rates-check")
+
 # seed offsets so one --seed drives plan, features, and landmarks
 # through independent streams
 PLAN_SEED_OFF = 0
@@ -83,8 +87,8 @@ def float_list(text: str) -> list[float]:
     return [float(v) for v in text.split(",") if v.strip()]
 
 
-def _option(default, parse, help: str, key: str | None = None, repeat=False):
-    """A ``RunConfig`` field that is also a command-line option.
+def _option(default, parse, help: str, commands, key: str | None = None, repeat=False):
+    """A ``RunConfig`` field that is also an option of ``commands``.
 
     ``parse`` turns the option's text into the field's value, for the flag
     and for the config-file line alike; ``key`` names the flag (``--key``)
@@ -92,7 +96,7 @@ def _option(default, parse, help: str, key: str | None = None, repeat=False):
     spells an underscore as a dash (``grad_tol`` is ``--grad-tol``).  A
     ``repeat`` flag may be given several times, and its values add up.
     """
-    meta = {"parse": parse, "help": help, "key": key, "repeat": repeat}
+    meta = {"parse": parse, "help": help, "commands": commands, "key": key, "repeat": repeat}
     if isinstance(default, list):
         return field(default_factory=default.copy, metadata=meta)
     return field(default=default, metadata=meta)
@@ -101,33 +105,33 @@ def _option(default, parse, help: str, key: str | None = None, repeat=False):
 @dataclass
 class RunConfig:
     command: str
-    method: str = _option("rf", str, "full, nystrom or rf")
-    kernel: str = _option("rbf", str, "rbf or linear (full and nystrom)")
-    sigma: float = _option(1.0, float, "rbf bandwidth")
+    method: str = _option("rf", str, "full, nystrom or rf", ("solve", "path", "costs"))
+    kernel: str = _option("rbf", str, "rbf or linear (full and nystrom)", TRAIN)
+    sigma: float = _option(1.0, float, "rbf bandwidth", TRAIN)
     lambdas: list[float] = _option(
-        [1e-3], float_list, "regularization strength; repeat for a path",
+        [1e-3], float_list, "regularization strength; repeat for a path", TRAIN,
         key="lambda", repeat=True,
     )
-    gamma: float = _option(1e-6, float, "nystrom ridge on the landmark block")
-    p: list[int] = _option([], int_list, "feature count, or comma list for compare")
-    b: int = _option(64, int, "block size")
-    epochs: int = _option(5, int, "epoch count (costs measures exactly one epoch)")
-    workers: int = _option(1, int, "simulated worker count")
-    seed: int = _option(0, int, "seed of the plan, features and landmarks")
-    train: str | None = _option(None, str, "training CSV (features..., label)")
-    test: str | None = _option(None, str, "test CSV")
-    out: str = _option("", str, f"output directory (default ${OUTDIR_ENV}, else .)")
-    rmse: bool = _option(False, boolean, "test RMSE of the class id, not error rate")
-    header: bool = _option(False, boolean, "data CSVs carry a header row")
+    gamma: float = _option(1e-6, float, "nystrom ridge on the landmark block", TRAIN)
+    p: list[int] = _option([], int_list, "feature count, or comma list for compare", TRAIN)
+    b: int = _option(64, int, "block size", EVERY)
+    epochs: int = _option(5, int, "epoch count", FIT)
+    workers: int = _option(1, int, "simulated worker count", TRAIN)
+    seed: int = _option(0, int, "seed of every random draw", EVERY)
+    train: str | None = _option(None, str, "training CSV (features..., label)", TRAIN)
+    test: str | None = _option(None, str, "test CSV", FIT)
+    out: str = _option("", str, f"output directory (default ${OUTDIR_ENV}, else .)", EVERY)
+    rmse: bool = _option(False, boolean, "test RMSE of the class id, not error rate", FIT)
+    header: bool = _option(False, boolean, "data CSVs carry a header row", TRAIN)
     grad_tol: float | None = _option(
-        None, float, "stop once the relative normal-equation residual is at most this"
+        None, float, "stop once the relative normal-equation residual is at most this", FIT
     )
-    dim: int = _option(32, int, "rates-check quadratic dimension")
-    quadratics: int = _option(3, int, "rates-check problem count")
-    ensemble: int = _option(25, int, "rates-check seeds per problem")
-    tau: int = _option(150, int, "rates-check iterations")
-    trials: int = _option(2000, int, "Monte-Carlo trial count")
-    delta: float = _option(0.1, float, "Monte-Carlo failure level")
+    dim: int = _option(32, int, "rates-check quadratic dimension", ("rates-check",))
+    quadratics: int = _option(3, int, "rates-check problem count", ("rates-check",))
+    ensemble: int = _option(25, int, "rates-check seeds per problem", ("rates-check",))
+    tau: int = _option(150, int, "rates-check iterations", ("rates-check",))
+    trials: int = _option(2000, int, "Monte-Carlo trial count", ("rates-check",))
+    delta: float = _option(0.1, float, "Monte-Carlo failure level", ("rates-check",))
 
     def validate(self) -> None:
         """The one choice and range check, run before any file is touched."""
@@ -144,9 +148,9 @@ class RunConfig:
             (self.lambdas, "need at least one --lambda"),
             (all(0 < lam < math.inf for lam in self.lambdas),
              "--lambda values must be positive and finite"),
-            (cmd in ("path", "rates-check") or len(self.lambdas) == 1,
+            (cmd == "path" or len(self.lambdas) == 1,
              f"{cmd} takes a single --lambda; use the path command"),
-            (rates_check or not repeats,
+            (not repeats,
              f"--lambda values must be distinct: {', '.join(map(repr, repeats))} repeated"),
             (0 <= self.gamma < math.inf, "--gamma must be finite and >= 0"),
             (self.grad_tol is None or 0 <= self.grad_tol < math.inf,
@@ -158,12 +162,8 @@ class RunConfig:
             (rates_check or self.train, "--train is required for this command"),
             (cmd != "compare" or self.test, "compare needs --test"),
             (cmd != "compare" or self.p, "compare needs a --p list"),
-            (rates_check or not p_repeats,
+            (not p_repeats,
              f"--p values must be distinct: {', '.join(map(str, p_repeats))} repeated"),
-            (cmd != "costs" or not self.test,
-             "costs measures one training epoch and takes no --test"),
-            (cmd != "costs" or self.grad_tol is None,
-             "costs measures one training epoch and takes no --grad-tol"),
             (not one_model or self.method != "full" or not self.p,
              "--p does not apply to the full-kernel method"),
             (not one_model or self.method == "full" or len(self.p) == 1,
@@ -171,13 +171,13 @@ class RunConfig:
             (all(p >= 1 for p in self.p), "--p values must be >= 1"),
             (not rates_check or 1 <= self.b <= self.dim,
              f"--b must lie in [1, --dim = {self.dim}], got {self.b}"),
-            (not rates_check or min(self.quadratics, self.ensemble, self.trials) >= 1,
+            (min(self.quadratics, self.ensemble, self.trials) >= 1,
              "--quadratics, --ensemble and --trials must be >= 1"),
-            (not rates_check or self.tau >= 0, "--tau must be >= 0"),
-            (not rates_check or 0 < self.delta <= 1, "--delta must lie in (0, 1]"),
-            (not rates_check or self.dim * self.dim * 8 <= max_bytes,
+            (self.tau >= 0, "--tau must be >= 0"),
+            (0 < self.delta <= 1, "--delta must lie in (0, 1]"),
+            (self.dim * self.dim * 8 <= max_bytes,
              f"--dim {self.dim} is too large: its dim x dim matrix exceeds {max_bytes} B"),
-            (not rates_check or (self.tau + 1) * 8 <= max_bytes,
+            ((self.tau + 1) * 8 <= max_bytes,
              f"--tau {self.tau} is too large: its tau + 1 gaps exceed {max_bytes} B"),
         ):
             if not ok:
@@ -208,7 +208,7 @@ class RunConfig:
 OPTIONS = {f.metadata["key"] or f.name: f for f in fields(RunConfig) if f.metadata}
 
 
-def read_config_file(path: str) -> dict:
+def read_config_file(path: str, command: str) -> dict:
     """``key = value`` lines, '#' starting a comment, parsed into field
     values by the same parsers as the flags."""
     try:
@@ -227,6 +227,8 @@ def read_config_file(path: str) -> dict:
         opt = OPTIONS.get(key.replace("-", "_"))
         if opt is None:
             raise ConfigError(f"unknown config key {key!r}")
+        if command not in opt.metadata["commands"]:
+            raise ConfigError(f"config key {key!r} does not apply to {command}")
         try:
             values[opt.name] = opt.metadata["parse"](text)
         except ValueError as exc:
@@ -243,9 +245,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name in COMMANDS:
-        cmd = sub.add_parser(name)
+        cmd = sub.add_parser(name, allow_abbrev=False)  # a flag is its whole name
         cmd.add_argument("--config", help="key = value file; flags take precedence")
-        for key, opt in OPTIONS.items():
+        taken = {key: opt for key, opt in OPTIONS.items() if name in opt.metadata["commands"]}
+        for key, opt in taken.items():
             meta = opt.metadata
             if meta["parse"] is boolean:
                 kind = dict(action="store_true", default=None)
@@ -258,9 +261,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def build_config(args: argparse.Namespace) -> RunConfig:
-    values = read_config_file(args.config) if args.config else {}
+    values = read_config_file(args.config, args.command) if args.config else {}
     for opt in OPTIONS.values():
-        flagged = getattr(args, opt.name)
+        flagged = getattr(args, opt.name, None)  # None: not given, or not taken
         if flagged is not None:
             values[opt.name] = flagged
     cfg = RunConfig(command=args.command, **values)
@@ -303,7 +306,7 @@ def _spec(cfg: RunConfig, method: str, p: int | None):
     return KernelSpec(cfg.kernel, cfg.sigma)
 
 
-def _train(cfg: RunConfig, train, test, ledger=None, epochs=None):
+def _train(cfg: RunConfig, train, test, ledger=None):
     """Train ``cfg.method`` for every ``cfg.lambdas`` value in one
     ``solve_path`` run: the one place the CLI builds a plan."""
     if cfg.method == "full":
@@ -322,7 +325,7 @@ def _train(cfg: RunConfig, train, test, ledger=None, epochs=None):
         )
     plan = make_plan(universe, cfg.b, seed=cfg.seed + PLAN_SEED_OFF)
     return solve_path(
-        train, spec, cfg.lambdas, plan, cfg.epochs if epochs is None else epochs,
+        train, spec, cfg.lambdas, plan, cfg.epochs,
         test_data=test, exec_ctx=ExecContext(workers=cfg.workers, ledger=ledger),
         grad_tol=cfg.grad_tol, rmse=cfg.rmse, **extra,
     )
@@ -371,8 +374,7 @@ def cmd_compare(cfg: RunConfig) -> int:
     rows = []
     for p in cfg.p:
         for method in ("nystrom", "rf"):
-            sub = RunConfig(**{**vars(cfg), "method": method, "p": [p]})
-            model, trace = _train(sub, train, None)[lam]
+            model, trace = _train(replace(cfg, method=method, p=[p]), train, None)[lam]
             # trained without the test set, so the trace holds no test error
             err = evaluate(model, test, rmse=cfg.rmse)
             epochs_run = trace.records[-1].epoch + 1 if trace.records else 0
@@ -452,7 +454,7 @@ def cmd_costs(cfg: RunConfig) -> int:
     train, _ = _load_datasets(cfg)
     [lam] = cfg.lambdas
     ledger = CostLedger()
-    model, _ = _train(cfg, train, None, ledger=ledger, epochs=1)[lam]
+    model, _ = _train(replace(cfg, epochs=1), train, None, ledger=ledger)[lam]
     # coefficient rows are the plan's universe: n for full, the truncated p
     eff_p = model.coefficients.shape[0]
     prediction = predict_costs(
@@ -491,11 +493,11 @@ COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        cfg = build_config(args)
+        cfg = build_config(build_parser().parse_args(argv))
         return COMMANDS[cfg.command](cfg)
+    except SystemExit as exc:  # argparse's status: 2 for a bad flag, 0 for --help
+        return exc.code
     except DataFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA

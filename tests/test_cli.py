@@ -6,7 +6,6 @@ import subprocess
 import sys
 import tempfile
 import warnings
-from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -14,12 +13,13 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from kernelbcd.cli import (
+    COMMANDS,
     EXIT_CONFIG,
     EXIT_DATA,
     EXIT_DIVERGED,
     EXIT_OK,
     EXIT_RATES,
-    RunConfig,
+    OPTIONS,
     main,
 )
 from kernelbcd.kernels import Dataset, FeatureMapSpec, gaussian_blobs, load_csv
@@ -460,17 +460,18 @@ def test_path_zero_epochs_reports_nan(tmp_path, blob_files, capsys):
 
 
 @pytest.mark.parametrize("command", ["compare", "costs"])
-def test_single_lambda_commands_reject_several(tmp_path, blob_files, command):
+def test_single_lambda_commands_reject_several(tmp_path, blob_files, command, capsys):
     train, test = blob_files
     out = tmp_path / "out"
+    own = {"compare": ["--test", test], "costs": ["--method", "rf"]}[command]
     code = main(
         [
-            command, "--train", train, "--test", test, "--method", "rf",
-            "--p", "16", "--b", "4", "--lambda", "1e-3", "--lambda", "1e-2",
-            "--out", str(out),
+            command, "--train", train, *own, "--p", "16", "--b", "4",
+            "--lambda", "1e-3", "--lambda", "1e-2", "--out", str(out),
         ]
     )
     assert code == EXIT_CONFIG
+    assert f"{command} takes a single --lambda" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -602,29 +603,49 @@ def tiny_csv(tmp_path_factory):
     return write_dataset(tmp_path_factory.mktemp("tiny") / "train.csv", data)
 
 
+def _takes(command, flag):
+    """Whether ``command`` takes ``flag`` (``--grad-tol``) or config key."""
+    return command in OPTIONS[flag.lstrip("-").replace("-", "_")].metadata["commands"]
+
+
+# config lines that, with the data files, make a valid small run
+_SMALL_RUN = {
+    **dict.fromkeys(["solve", "path", "compare"], ["p = 8", "b = 4", "epochs = 1"]),
+    "costs": ["p = 8", "b = 4"],
+    "rates-check": ["dim = 4", "b = 2", "quadratics = 1", "ensemble = 2", "tau = 5",
+                    "trials = 20"],
+}
+
+
 @settings(max_examples=150, deadline=None)
 @given(
-    key=st.sampled_from(sorted({f.name for f in fields(RunConfig)} | {"lambda"})),
+    # a command and one of its own config keys
+    command_key=st.sampled_from(sorted(COMMANDS)).flatmap(
+        lambda command: st.tuples(
+            st.just(command), st.sampled_from([k for k in OPTIONS if _takes(command, k)])
+        )
+    ),
     value=st.sampled_from(ADVERSARIAL_VALUES),
     trains=st.booleans(),
 )
-def test_config_file_values_only_documented_exit_codes(tiny_csv, key, value, trains):
-    # with ``trains`` the earlier lines make a valid rf run that the
-    # adversarial line then overrides; without it the file has one line
-    base = "p = 8\nb = 4\nepochs = 1\n" if trains else ""
+def test_config_file_values_only_documented_exit_codes(tiny_csv, command_key, value, trains):
+    # the file names the command's data files; with ``trains`` its next lines
+    # make a valid small run.  Its last line, the adversarial one, overrides
+    command, key = command_key
+    lines = [f"{k} = {tiny_csv}" for k in ("train", "test") if _takes(command, k)]
+    lines += _SMALL_RUN[command] if trains else []
     with tempfile.TemporaryDirectory() as tmp:
         cfg = os.path.join(tmp, "run.cfg")
         with open(cfg, "w") as fh:
-            fh.write(f"{base}{key} = {value}\n")
+            fh.write("".join(f"{line}\n" for line in [*lines, f"{key} = {value}"]))
         cwd = os.getcwd()
-        os.chdir(tmp)  # a relative --test value names no existing file
+        os.chdir(tmp)  # a relative train or test value names no existing file
         try:
-            code = main(
-                ["solve", "--config", cfg, "--train", tiny_csv,
-                 "--out", os.path.join(tmp, "out")]
-            )
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = main([command, "--config", cfg, "--out", os.path.join(tmp, "out")])
         finally:
             os.chdir(cwd)
+    event(f"{command} exit {code}")
     assert code in {0, 2, 3, 4, 5}
 
 
@@ -793,24 +814,22 @@ EXTREME_FLAGS = {
 def test_cli_flags_only_documented_exit_codes(
     tiny_csv, command, method, kernel, extremes, work
 ):
-    flags = {"--lambda": ["0.1", "0.01"] if command == "path" else ["0.1"],
+    flags = {"--train": [tiny_csv], "--test": [tiny_csv], "--method": [method],
+             "--kernel": [kernel], "--lambda": ["0.1", "0.01"] if command == "path" else ["0.1"],
              "--b": ["2"], **{flag: [str(n)] for flag, n in work.items()}}
     if method != "full" or command == "compare":
         flags["--p"] = ["8"]
     flags.update((flag, [value]) for flag, value in extremes)
-    test = [] if command == "costs" else ["--test", tiny_csv]  # costs refuses one
-    argv = [command, "--train", tiny_csv, *test, "--method", method, "--kernel", kernel]
+    argv = [command]
     for flag, values in flags.items():
-        argv += [f"{flag}={value}" for value in values]  # "=" keeps "-1" a value
+        if _takes(command, flag):  # each command is given only its own flags
+            argv += [f"{flag}={value}" for value in values]  # "=" keeps "-1" a value
     stderr = io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         argv += ["--out", os.path.join(tmp, "out")]
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
-            try:
-                code = main(argv)
-            except SystemExit as exc:  # argparse rejects a value with exit 2
-                code = exc.code
-    event(f"exit {code}")
+            code = main(argv)  # argparse rejects a value with exit 2
+    event(f"{command} exit {code}")
     assert code in {0, 2, 3, 4, 5}
     assert "Traceback" not in stderr.getvalue()
 
@@ -902,9 +921,7 @@ def test_the_old_tol_flag_and_key_exit_2(tmp_path, blob_files, capsys):
     train, test = blob_files
     argv = ["compare", "--train", train, "--test", test, "--p", "8", "--b", "4",
             "--out", str(tmp_path / "out")]
-    with pytest.raises(SystemExit) as exc:
-        main([*argv, "--tol", "1e-6"])
-    assert exc.value.code == EXIT_CONFIG
+    assert main([*argv, "--tol", "1e-6"]) == EXIT_CONFIG
     assert "unrecognized arguments: --tol" in capsys.readouterr().err
     cfg = tmp_path / "run.cfg"
     cfg.write_text("tol = 1e-6\n")
@@ -951,14 +968,15 @@ def test_repeated_p_exits_2_before_any_file_is_read(tmp_path, values, capsys):
 
 
 def test_costs_refuses_test_before_any_file_is_read(tmp_path, capsys):
-    # neither data file exists: the check comes before either is read
+    # neither data file exists: costs scores no test set, and argparse
+    # refuses the flag before either file is read
     out = tmp_path / "out"
     code = main(["costs", "--train", str(tmp_path / "missing.csv"),
                  "--test", str(tmp_path / "missing_test.csv"), "--method", "rf",
                  "--p", "16", "--b", "8", "--out", str(out)])
     assert code == EXIT_CONFIG
     err = capsys.readouterr().err
-    assert "costs measures one training epoch and takes no --test" in err
+    assert "unrecognized arguments: --test" in err
     assert "cannot read data file" not in err
     assert not out.exists()
 
@@ -970,25 +988,77 @@ def test_costs_refuses_grad_tol_before_any_file_is_read(tmp_path, capsys):
                  "--p", "16", "--b", "8", "--grad-tol", "1e-3", "--out", str(out)])
     assert code == EXIT_CONFIG
     err = capsys.readouterr().err
-    assert "costs measures one training epoch and takes no --grad-tol" in err
+    assert "unrecognized arguments: --grad-tol" in err
     assert "cannot read data file" not in err
     assert not out.exists()
 
 
-@pytest.mark.parametrize("epochs", ["0", "1", "7"])
-def test_costs_measures_exactly_one_epoch(tmp_path, blob_files, epochs, capsys):
+@pytest.mark.parametrize("seed", ["0", "1", "7"])
+def test_costs_measures_exactly_one_epoch(tmp_path, blob_files, seed, capsys):
+    # whichever block partition the seed draws, the ledger holds one epoch,
+    # and costs takes no --epochs
     train, _ = blob_files
     out = tmp_path / "out"
     code = main(["costs", "--train", train, "--method", "rf", "--p", "16", "--b", "8",
-                 "--epochs", epochs, "--out", str(out)])
+                 "--seed", seed, "--out", str(out)])
     assert code == EXIT_OK
     rows = read_csv(out / "ledger.csv")[1:]
     assert {r[0] for r in rows} == {"0"}
     assert [r[1] for r in rows if r[2] == "solve"] == ["0", "1"]  # 16 / 8 blocks
     capsys.readouterr()
-    with pytest.raises(SystemExit):
-        main(["costs", "--help"])
-    assert "(costs measures exactly one epoch)" in " ".join(capsys.readouterr().out.split())
+    assert main(["costs", "--help"]) == EXIT_OK
+    assert "--epochs" not in capsys.readouterr().out
+
+
+# a value each option that some command does not take parses; the boolean
+# flags take none
+_PARSEABLE = {
+    "method": "rf", "kernel": "rbf", "sigma": "1", "lambda": "0.1", "gamma": "0",
+    "p": "8", "epochs": "1", "workers": "1", "grad_tol": "0.1", "rmse": None,
+    "header": None, "dim": "4", "quadratics": "1", "ensemble": "1", "tau": "1",
+    "trials": "1", "delta": "0.1",
+}
+
+
+@pytest.mark.parametrize(
+    "command, key",
+    [(command, key) for command in COMMANDS for key in OPTIONS if not _takes(command, key)],
+)
+def test_option_outside_its_commands_exits_2_before_any_file_is_read(
+    tmp_path, command, key, capsys
+):
+    # an otherwise valid run whose data files do not exist, given one option
+    # its command does not take, as a flag and as a config key
+    missing = str(tmp_path / "missing.csv")
+    value = missing if key in ("train", "test") else _PARSEABLE[key]
+    own = [arg for flag in ("--train", "--test") if _takes(command, flag)
+           for arg in (flag, missing)]
+    own += ["--dim", "4", "--b", "2"] if command == "rates-check" else ["--p", "8", "--b", "4"]
+    out = tmp_path / "out"
+    flag = f"--{key.replace('_', '-')}"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key} = {'true' if value is None else value}\n")
+    for given, refusal in [
+        ([flag] if value is None else [f"{flag}={value}"], f"unrecognized arguments: {flag}"),
+        (["--config", str(cfg)], f"config key {key!r} does not apply to {command}"),
+    ]:
+        assert main([command, *own, *given, "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert refusal in err
+        assert "cannot read data file" not in err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("abbrev", ["--lam", "--ep", "--gr"])
+def test_flag_abbreviation_exits_2(tmp_path, blob_files, abbrev, capsys):
+    # a flag is only its declared name, as a config key is
+    train, _ = blob_files
+    out = tmp_path / "out"
+    code = main(["solve", "--train", train, "--p", "8", "--b", "4", abbrev, "1",
+                 "--out", str(out)])
+    assert code == EXIT_CONFIG
+    assert f"unrecognized arguments: {abbrev} 1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 _RBF_SIGMA = "rbf bandwidth must be positive, with sigma*sigma neither 0 nor inf"

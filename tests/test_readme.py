@@ -1,6 +1,7 @@
 """The README's library quickstart runs as documented, and its command
 lines pass the CLI's flag parser and checks."""
 
+import argparse
 import os
 import re
 import shlex
@@ -48,3 +49,24 @@ def test_readme_command_line_is_valid(line):
     # build_config runs every choice and range check and reads no data
     # file, so a renamed or refused flag fails here
     build_config(build_parser().parse_args(shlex.split(line)[1:]))
+
+
+def _readme_flag_table():
+    """The README's command -> flags table: ``| `cmd` | `--a --b` |`` rows."""
+    rows = re.findall(r"^\| `([a-z-]+)` \| `([^`]*)` \|$", (ROOT / "README.md").read_text(), re.M)
+    return {command: flags.split() for command, flags in rows}
+
+
+def test_readme_flag_table_is_each_commands_option_set():
+    # every command also takes --config and --help
+    [subparsers] = [a for a in build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)]
+    taken = {
+        command: [s for a in sub._actions for s in a.option_strings
+                  if s not in ("-h", "--help", "--config")]
+        for command, sub in subparsers.choices.items()
+    }
+    assert taken == _readme_flag_table()
+    assert {c: len(flags) for c, flags in taken.items()} == {
+        "solve": 16, "path": 16, "compare": 15, "costs": 12, "rates-check": 9
+    }

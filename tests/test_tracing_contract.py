@@ -63,8 +63,9 @@ def test_cli_builds_its_context_by_keyword(
     train = tmp_path / "train.csv"
     np.savetxt(train, rows, delimiter=",", fmt="%.17g")
     lambdas = ["--lambda", "1e-2"] + (["--lambda", "1e-3"] if command == "path" else [])
+    epochs = [] if command == "costs" else ["--epochs", "1"]  # costs runs one
     code = kernelbcd.cli.main(
-        [command, "--train", str(train), "--p", "8", "--b", "4", "--epochs", "1",
+        [command, "--train", str(train), "--p", "8", "--b", "4", *epochs,
          "--workers", str(workers), "--out", str(tmp_path / "out"), *lambdas]
     )
     assert code == 0
