@@ -246,6 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name in COMMANDS:
         cmd = sub.add_parser(name, allow_abbrev=False)  # a flag is its whole name
+        cmd.set_defaults(parser=cmd)  # main reports a stray flag with its usage
         cmd.add_argument("--config", help="key = value file; flags take precedence")
         taken = {key: opt for key, opt in OPTIONS.items() if name in opt.metadata["commands"]}
         for key, opt in taken.items():
@@ -494,7 +495,10 @@ COMMANDS = {
 
 def main(argv=None) -> int:
     try:
-        cfg = build_config(build_parser().parse_args(argv))
+        args, stray = build_parser().parse_known_args(argv)
+        if stray:
+            args.parser.error(f"unrecognized arguments: {' '.join(stray)}")
+        cfg = build_config(args)
         return COMMANDS[cfg.command](cfg)
     except SystemExit as exc:  # argparse's status: 2 for a bad flag, 0 for --help
         return exc.code

@@ -13,7 +13,10 @@ has.  Random-feature columns are a pure function of
 ``SeedSequence(master_seed, spawn_key=(m,))``, but a block draws all its
 columns in one array pass (``_block_params``) rather than one generator
 per column, and maps the uniforms to normals with a port of Cephes'
-``ndtri`` (``_ndtri``).
+``ndtri`` (``_ndtri``).  The seed's entropy pool is numpy's own
+``SeedSequence(master_seed).pool``; the pass restates only what numpy
+does not vectorise: mixing in each column's spawn word,
+``generate_state`` and Philox (``_philox_keys``, ``_philox4x64``).
 """
 
 from __future__ import annotations
@@ -127,7 +130,12 @@ class FeatureMapSpec:
 
 @dataclass(frozen=True)
 class Dataset:
-    """Design matrix plus integer class labels in [0, k)."""
+    """Design matrix plus integer class labels in [0, k).
+
+    Raises ``DimensionMismatchError`` unless X is 2-d with one label per
+    row, and ``ConfigError`` naming the first non-finite entry of X or the
+    first label outside [0, k).
+    """
 
     X: np.ndarray
     labels: np.ndarray
@@ -140,10 +148,14 @@ class Dataset:
             raise DimensionMismatchError("X must be 2-d")
         if self.labels.shape != (self.X.shape[0],):
             raise DimensionMismatchError("labels length must match row count")
-        if not np.all(np.isfinite(self.X)):
-            raise ValueError("X contains non-finite entries")
-        if self.labels.size and (self.labels.min() < 0 or self.labels.max() >= self.k):
-            raise ValueError(f"labels must lie in [0, {self.k})")
+        finite = np.isfinite(self.X)
+        if not finite.all():  # argwhere costs ten times more: only on failure
+            row, col = np.argwhere(~finite)[0]
+            raise ConfigError(f"X[{row}, {col}] = {self.X[row, col]} is not finite")
+        bad = np.flatnonzero((self.labels < 0) | (self.labels >= self.k))
+        if bad.size:
+            i = bad[0]
+            raise ConfigError(f"labels[{i}] = {self.labels[i]} lies outside [0, {self.k})")
 
     @property
     def n(self) -> int:
@@ -321,12 +333,11 @@ def _block_params(spec: FeatureMapSpec, idx: np.ndarray, d: int):
 
 
 # Cephes ndtri (S. L. Moshier, Cephes Math Library, ndtri.c): the inverse
-# standard normal CDF as three rational functions, highest power first; the
-# Q denominators have a leading coefficient of 1
+# standard normal CDF as three rational functions, highest power first
 _NDTRI_P0 = (-5.99633501014107895267e1, 9.80010754185999661536e1,
              -5.66762857469070293439e1, 1.39312609387279679503e1,
              -1.23916583867381258016e0)
-_NDTRI_Q0 = (1.95448858338141759834e0, 4.67627912898881538453e0,
+_NDTRI_Q0 = (1.0, 1.95448858338141759834e0, 4.67627912898881538453e0,
              8.63602421390890590575e1, -2.25462687854119370527e2,
              2.00260212380060660359e2, -8.20372256168333339912e1,
              1.59056225126211695515e1, -1.18331621121330003142e0)
@@ -335,7 +346,7 @@ _NDTRI_P1 = (4.05544892305962419923e0, 3.15251094599893866154e1,
              1.46849561928858024014e1, 2.18663306850790267539e0,
              -1.40256079171354495875e-1, -3.50424626827848203418e-2,
              -8.57456785154685413611e-4)
-_NDTRI_Q1 = (1.57799883256466749731e1, 4.53907635128879210584e1,
+_NDTRI_Q1 = (1.0, 1.57799883256466749731e1, 4.53907635128879210584e1,
              4.13172038254672030440e1, 1.50425385692907503408e1,
              2.50464946208309415979e0, -1.42182922854787788574e-1,
              -3.80806407691578277194e-2, -9.33259480895457427372e-4)
@@ -344,7 +355,7 @@ _NDTRI_P2 = (3.23774891776946035970e0, 6.91522889068984211695e0,
              2.01485389549179081538e-1, 1.23716634817820021358e-2,
              3.01581553508235416007e-4, 2.65806974686737550832e-6,
              6.23974539184983293730e-9)
-_NDTRI_Q2 = (6.02427039364742014255e0, 3.67983563856160859403e0,
+_NDTRI_Q2 = (1.0, 6.02427039364742014255e0, 3.67983563856160859403e0,
              1.37702099489081330271e0, 2.16236993594496635890e-1,
              1.34204006088543189037e-2, 3.28014464682127739104e-4,
              2.89247864745380683936e-6, 6.79019408009981274425e-9)
@@ -353,17 +364,15 @@ _SQRT_2PI = 2.50662827463100050242
 
 
 def _rational(x, p, q):
-    """x p(x) / q(x) in Cephes' order, ``x * polevl(x, p) / p1evl(x, q)``:
-    Horner's rule, with q's leading 1 left out of ``q``."""
-    num = x * p[0]
-    num += p[1]
-    den = x + q[0]
-    for c in p[2:]:
-        num *= x
-        num += c
-    for c in q[1:]:
-        den *= x
-        den += c
+    """x p(x) / q(x) of the array x in Cephes' order, ``x * polevl(x, p) /
+    p1evl(x, q)``: Horner's rule on each, q's leading 1 included (x * 1 + c
+    is x + c exactly)."""
+    num, den = x * p[0], x * q[0]
+    for acc, coeffs in ((num, p), (den, q)):
+        acc += coeffs[1]
+        for c in coeffs[2:]:
+            acc *= x
+            acc += c
     num *= x
     num /= den
     return num
@@ -402,27 +411,30 @@ def _ndtri(u: np.ndarray) -> np.ndarray:
     return out.reshape(shape)
 
 
-def _hashmix(value, hash_const: int, mult: int = _MULT_A):
-    """numpy's SeedSequence ``hashmix`` on a Python int or a uint64 array
-    of 32-bit words.  Returns the mixed value and the next hash constant."""
-    next_const = (hash_const * mult) & _MASK32
-    value = ((value ^ hash_const) * next_const) & _MASK32
-    return value ^ (value >> 16), next_const
+def _hash_consts(init: int, mult: int, calls: int, count: int) -> np.ndarray:
+    """numpy's SeedSequence hash constant after each of ``calls`` to
+    ``calls + count`` hashmix calls, init * mult**k mod 2**32, as a
+    (count + 1, 1) uint64 column."""
+    steps = range(calls, calls + count + 1)
+    return np.array([[(init * pow(mult, k, 1 << 32)) & _MASK32] for k in steps], np.uint64)
 
 
-def _mix(x, y):
-    """numpy's SeedSequence ``mix`` on Python ints or uint64 arrays of
-    32-bit words."""
+# generate_state's hash constants: it hashes the pool words in turn from _INIT_B
+_STATE_CONSTS = _hash_consts(_INIT_B, _MULT_B, 0, _POOL_SIZE)
+
+
+def _hashmix(value: np.ndarray, consts: np.ndarray) -> np.ndarray:
+    """numpy's SeedSequence ``hashmix`` on uint64 arrays of 32-bit words,
+    one call per row: row i takes the hash constant ``consts[i]`` and
+    steps it to ``consts[i + 1]``."""
+    value = ((value ^ consts[:-1]) * consts[1:]) & _MASK32
+    return value ^ (value >> 16)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """numpy's SeedSequence ``mix`` on uint64 arrays of 32-bit words."""
     r = (((_MIX_L * x) & _MASK32) - ((_MIX_R * y) & _MASK32)) & _MASK32
     return r ^ (r >> 16)
-
-
-def _mix_word(pool: list, word, hash_const: int) -> int:
-    """Mix one more entropy word into every pool word, in place."""
-    for i in range(_POOL_SIZE):
-        hashed, hash_const = _hashmix(word, hash_const)
-        pool[i] = _mix(pool[i], hashed)
-    return hash_const
 
 
 def _philox_keys(master_seed: int, idx: np.ndarray):
@@ -430,39 +442,27 @@ def _philox_keys(master_seed: int, idx: np.ndarray):
     spawn_key=(m,))`` for every m in idx, shape (2, len(idx)).  The seed is
     the non-negative int that ``FeatureMapSpec`` checked.
 
-    The entropy is the seed's 32-bit words, low first and zero-padded to
-    the pool size (numpy pads when a spawn key is given), then m's words.
-    Everything up to m's words is shared, so it is mixed once in Python
-    ints; m's words are mixed into per-column arrays.  Those hold 32-bit
-    words in uint64, the dtype Philox needs anyway: a product of two words
-    is exact there, and every step masks back to 32 bits.
+    The entropy is the seed's 32-bit words, zero-padded to the pool size
+    (numpy pads when a spawn key is given), then m's words.  Everything up
+    to m's words is shared, and numpy gives it as ``SeedSequence(
+    master_seed).pool``.  Mixing it took ``_POOL_SIZE`` hashmix calls per
+    padded seed word -- one per pool word and twelve to cross-mix the pool
+    for the first four, four for each word past them -- so m's words start
+    from the hash constant after that many calls.  Each of m's words is
+    mixed into the four pool words at once, as a (4, len(idx)) array, and
+    ``generate_state`` hashes those rows.  The arrays hold 32-bit words in
+    uint64, the dtype Philox needs anyway: a product of two words is exact
+    there, and every step masks back to 32 bits.
     """
-    words = [(master_seed >> s) & _MASK32 for s in range(0, master_seed.bit_length(), 32)]
-    words += [0] * (_POOL_SIZE - len(words))
-    hash_const = _INIT_A
-    pool = []
-    for w in words[:_POOL_SIZE]:
-        hashed, hash_const = _hashmix(w, hash_const)
-        pool.append(hashed)
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                hashed, hash_const = _hashmix(pool[src], hash_const)
-                pool[dst] = _mix(pool[dst], hashed)
-    for w in words[_POOL_SIZE:]:
-        hash_const = _mix_word(pool, w, hash_const)
-    hash_const = _mix_word(pool, (idx & _MASK32).astype(np.uint64), hash_const)
-    high = (idx >> 32).astype(np.uint64)
+    pool = np.random.SeedSequence(master_seed).pool.astype(np.uint64)[:, None]
+    padded = max(_POOL_SIZE, -(-master_seed.bit_length() // 32))
+    consts = _hash_consts(_INIT_A, _MULT_A, _POOL_SIZE * padded, 2 * _POOL_SIZE)
+    low, high = (idx & _MASK32).astype(np.uint64), (idx >> 32).astype(np.uint64)
+    pool = _mix(pool, _hashmix(low, consts[: _POOL_SIZE + 1]))
     if high.any():  # m >= 2**32 is a second spawn-key word
-        wide = list(pool)
-        _mix_word(wide, high, hash_const)
-        pool = [np.where(high > 0, w, p) for w, p in zip(wide, pool)]
+        pool = np.where(high > 0, _mix(pool, _hashmix(high, consts[_POOL_SIZE:])), pool)
     # generate_state(2, uint64): four hashed pool words, little-endian pairs
-    hash_const = _INIT_B
-    state = []
-    for w in pool:
-        hashed, hash_const = _hashmix(w, hash_const, _MULT_B)
-        state.append(hashed)
+    state = _hashmix(pool, _STATE_CONSTS)
     return np.stack([state[0] | (state[1] << _U32), state[2] | (state[3] << _U32)])
 
 

@@ -24,11 +24,14 @@ its own generator, SeedSequence(base_seed, spawn_key=(s,)), and a step of
 every run is one stacked gather, one stacked SPD solve and one stacked
 update.  The subset families behind ``l_max_b`` and the Monte-Carlo checks
 go through one stacked ``eigvalsh`` per chunk, so their lambda_max values are
-byte-equal to a per-subset loop.  The stacked solve is an LU solve, not a
-Cholesky one, so mean gaps agree with a per-seed loop to rounding (within
-1e-14 of the first gap in the tests), and a run's gaps do not depend on how
-many runs step with it.  Chunks of at most ``_STACK_WORDS`` words bound the
-memory whatever the seed or subset count.
+byte-equal to a per-subset loop.  The thresholds' single-matrix tops, the
+lambda_max of A^T A, psi^T psi and the kernel matrix of X, come from
+``lambda_extremes``, which refuses a matrix that is not finite.  The
+stacked solve is an LU solve, not a Cholesky one, so mean gaps agree with a
+per-seed loop to rounding (within 1e-14 of the first gap in the tests), and
+a run's gaps do not depend on how many runs step with it.  Chunks of at
+most ``_STACK_WORDS`` words bound the memory whatever the seed or subset
+count.
 
 Natural log throughout.  Everything reported from the order-of-magnitude
 tables has all constants set to 1 and is flagged as asymptotic.
@@ -374,6 +377,8 @@ def chernoff_violation_rate(
 
     which holds with probability at most delta.  Returns the observed
     frequency; callers compare it against delta + monte_carlo_slack.
+    lambda_max(A^T A) comes from ``lambda_extremes``, so an A that is not
+    finite raises ``DimensionMismatchError``.
     """
     A = np.asarray(A, dtype=np.float64)
     n, p = A.shape
@@ -383,7 +388,7 @@ def chernoff_violation_rate(
         raise ConfigError("delta must lie in (0, 1]")
     G = A.T @ A
     threshold = (
-        math.e**2 * (b / p) * float(np.linalg.eigvalsh(G)[-1])
+        math.e**2 * (b / p) * lambda_extremes(G).lmax
         + float(np.diag(G).max()) * math.log(n / delta)
     )
     tops = _tops(G, _subsets(p, b, trials, seed), b)
@@ -404,7 +409,8 @@ def bernstein_lower_rate(
             - sqrt((8 p / m) lambda_max * B * log(n / delta)),
 
     with B the largest squared column norm; it holds with probability at
-    most delta.
+    most delta.  lambda_max(psi psi^T) comes from ``lambda_extremes``, so a
+    psi that is not finite raises ``DimensionMismatchError``.
     """
     psi = np.asarray(psi, dtype=np.float64)
     n, m = psi.shape
@@ -413,7 +419,7 @@ def bernstein_lower_rate(
     if not 0 < delta <= 1:
         raise ConfigError("delta must lie in (0, 1]")
     G = psi.T @ psi
-    lmax = float(np.linalg.eigvalsh(G)[-1])  # = lambda_max(psi psi^T)
+    lmax = lambda_extremes(G).lmax  # = lambda_max(psi psi^T)
     col_b = float(np.diag(G).max())
     log_term = math.log(n / delta)
     threshold = (
@@ -431,7 +437,9 @@ def rf_required_features(
 ) -> int:
     """Feature count the operator-norm lemma demands:
     p >= (2/alpha)(1/alpha + 2/3) (n B^2 / ||K||) log(2n / delta),
-    with B = sqrt(2) for cosine features."""
+    with B = sqrt(2) for cosine features.  ||K|| comes from
+    ``lambda_extremes``, so an X that is not finite raises
+    ``DimensionMismatchError``."""
     return _rf_requirement(X, sigma, alpha, delta)[0]
 
 
@@ -446,7 +454,7 @@ def _rf_requirement(
     X = np.asarray(X, dtype=np.float64)
     n = X.shape[0]
     K = kernel_cross(X, X, KernelSpec("rbf", sigma))
-    norm_k = float(np.linalg.eigvalsh(K)[-1])
+    norm_k = lambda_extremes(K).lmax
     need = (
         (2.0 / alpha)
         * (1.0 / alpha + 2.0 / 3.0)

@@ -190,6 +190,56 @@ class TestConfigFile:
         cfg.write_text("verbosity = 3\n")
         assert main(["solve", "--config", str(cfg), "--train", train]) == EXIT_CONFIG
 
+    def test_comment_and_blank_lines_are_skipped(self, tmp_path, blob_files):
+        # a file with comments and blank lines trains what the same flags do
+        train, _ = blob_files
+        flags = ["--method", "rf", "--p", "8", "--b", "4", "--epochs", "2"]
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(
+            "# rf on the blobs\n\nmethod = rf  # the default\n   \n"
+            "p = 8\n# b = 2\nb = 4\n\nepochs = 2\n"
+        )
+        runs = {"flags": flags, "file": ["--config", str(cfg)]}
+        for name, given in runs.items():
+            out = tmp_path / name
+            assert main(["solve", "--train", train, *given, "--out", str(out)]) == EXIT_OK
+        assert (tmp_path / "file" / "model.kbcd").read_bytes() == (
+            tmp_path / "flags" / "model.kbcd"
+        ).read_bytes()
+
+    def test_line_without_equals_exits_2(self, tmp_path, blob_files, capsys):
+        train, _ = blob_files
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("p = 8\nb 4\n")
+        assert main(["solve", "--config", str(cfg), "--train", train]) == EXIT_CONFIG
+        assert "bad config line 'b 4'" in capsys.readouterr().err
+
+    def test_config_path_that_is_a_directory_exits_2(self, tmp_path, blob_files, capsys):
+        train, _ = blob_files
+        assert main(["solve", "--config", str(tmp_path), "--train", train]) == EXIT_CONFIG
+        assert "cannot read config file" in capsys.readouterr().err
+
+    def test_header_key_writes_the_bytes_of_the_header_flag(self, tmp_path, capsys):
+        data = gaussian_blobs(32, 3, 2, seed=4, center_scale=5.0)
+        train = tmp_path / "train.csv"
+        rows = np.hstack([data.X, data.labels[:, None].astype(float)])
+        np.savetxt(train, rows, delimiter=",", fmt="%.17g", header="a,b,c,label",
+                   comments="")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("header = true\n")
+        common = ["solve", "--train", str(train), "--test", str(train), "--p", "8",
+                  "--b", "4", "--epochs", "2"]
+        runs = {}
+        for name, given in {"flag": ["--header"], "key": ["--config", str(cfg)]}.items():
+            out = tmp_path / name
+            assert main([*common, *given, "--out", str(out)]) == EXIT_OK
+            runs[name] = (
+                capsys.readouterr().out,
+                (out / "model.kbcd").read_bytes(),
+                [row[:2] + row[3:] for row in read_csv(out / "trace.csv")],  # no seconds
+            )
+        assert runs["key"] == runs["flag"]
+
     def test_outdir_env_default(self, tmp_path, blob_files, monkeypatch):
         train, _ = blob_files
         out = tmp_path / "envout"
@@ -439,6 +489,52 @@ def test_console_script_runs():
     )
     assert proc.returncode == 0
     assert "solve" in proc.stdout
+
+
+def test_console_script_reports_a_stray_flag_with_the_commands_usage(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, "-m", "kernelbcd.cli", "rates-check", "--dim", "4",
+         "--b", "2", "--test", "missing.csv", "--out", str(tmp_path / "out")],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == EXIT_CONFIG
+    assert proc.stderr.startswith("usage: kernelbcd rates-check ")
+    assert "unrecognized arguments: --test missing.csv" in proc.stderr
+    assert not (tmp_path / "out").exists()
+
+
+def test_stray_flag_is_reported_with_the_commands_usage(tmp_path, capsys):
+    # the command's usage line lists the flags it does take
+    out = tmp_path / "out"
+    code = main(["rates-check", "--dim", "4", "--b", "2", "--test", "missing.csv",
+                 "--out", str(out)])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("usage: kernelbcd rates-check [-h] [--config CONFIG] [--b B]")
+    assert "kernelbcd rates-check: error: unrecognized arguments: --test missing.csv" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "test_rows, message",
+    [
+        ("1.0,2.0,0\n3.0,4.0,1\n", "test set has 2 features, train has 4"),
+        ("1.0,2.0,3.0,4.0,0\n1.0,2.0,3.0,4.0,2\n", "test set contains unseen class labels"),
+    ],
+    ids=["width", "unseen-class"],
+)
+def test_test_set_that_does_not_match_train_exits_3(
+    tmp_path, blob_files, test_rows, message, capsys
+):
+    train, _ = blob_files
+    test = tmp_path / "odd.csv"
+    test.write_text(test_rows)
+    out = tmp_path / "out"
+    code = main(["solve", "--train", train, "--test", str(test), "--p", "8", "--b", "4",
+                 "--out", str(out)])
+    assert code == EXIT_DATA
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_path_zero_epochs_reports_nan(tmp_path, blob_files, capsys):

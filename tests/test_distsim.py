@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from kernelbcd.distsim import (
     NULL_LEDGER,
@@ -11,6 +12,7 @@ from kernelbcd.distsim import (
     predict_costs,
     tree_rounds,
 )
+from kernelbcd.errors import DimensionMismatchError
 from kernelbcd.kernels import FeatureMapSpec, gaussian_blobs
 from kernelbcd.linalg import gram
 from kernelbcd.solvers import make_plan, solve_rf
@@ -196,3 +198,49 @@ def test_distributed_gram_charges_its_own_seconds():
     [record] = ledger.records
     assert (record.phase, record.flops, record.nbytes) == ("gram", 12 * 9, 2 * 9 * 8)
     assert record.seconds > 0.0
+
+
+@pytest.mark.parametrize("n_rows, workers", [(8, 0), (-1, 2)])
+def test_make_partition_refuses_bad_sizes(n_rows, workers):
+    with pytest.raises(DimensionMismatchError):
+        make_partition(n_rows, workers)
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        (dict(phase="io", flops=1), "unknown phase 'io'"),
+        (dict(phase="gram", flops=-1), "counters must be non-negative"),
+        (dict(phase="gram", nbytes=-1), "counters must be non-negative"),
+    ],
+)
+def test_ledger_refuses_unknown_phase_and_negative_counters(kwargs, message):
+    ledger = CostLedger()
+    with pytest.raises(ValueError, match=message):
+        ledger.add(**kwargs)
+    assert ledger.records == []
+
+
+def test_products_refuse_a_partition_of_other_rows():
+    a = np.ones((6, 2))
+    part = make_partition(5, 2)
+    with pytest.raises(DimensionMismatchError, match="partition covers 5 rows, data has 6"):
+        distributed_gram(a, part)
+    with pytest.raises(DimensionMismatchError, match="partition covers 5 rows, data has 6"):
+        partitioned_matvec(a, np.ones((6, 1)), part)
+    with pytest.raises(DimensionMismatchError, match="A has 6 rows, rhs has 5"):
+        partitioned_matvec(a, np.ones((5, 1)), make_partition(6, 2))
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (("sgd", 8, 8, 4, 2, 1), "unknown method 'sgd'"),
+        (("rf", 8, 0, 4, 2, 1), "cost parameters must be positive"),
+        (("full", 0, 8, 4, 2, 1), "cost parameters must be positive"),
+        (("nystrom", 8, 8, 4, 2, 0), "cost parameters must be positive"),
+    ],
+)
+def test_predict_costs_refuses_unknown_method_and_zero_sizes(args, message):
+    with pytest.raises(ValueError, match=message):
+        predict_costs(*args)

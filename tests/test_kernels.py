@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -286,8 +287,51 @@ class TestOneVsAll:
             one_vs_all(data)
 
     def test_label_validation(self):
-        with pytest.raises(ValueError):
-            Dataset(X=np.zeros((2, 1)), labels=[0, 2], k=2)
+        # a package error that is still a ValueError, naming the first bad label
+        for labels, first in [([0, 2, 3], "labels[1] = 2"), ([1, 0, -1], "labels[2] = -1")]:
+            with pytest.raises(ConfigError, match=re.escape(f"{first} lies outside [0, 2)")):
+                Dataset(X=np.zeros((3, 1)), labels=labels, k=2)
+
+
+@pytest.mark.parametrize(
+    "X, labels, error, message",
+    [
+        (np.zeros(3), [0, 1, 0], DimensionMismatchError, "X must be 2-d"),
+        (np.zeros((3, 2)), [0, 1], DimensionMismatchError, "labels length must match"),
+        (np.array([[0.0, 1.0], [np.inf, np.nan]]), [0, 1], ConfigError,
+         r"X\[1, 0\] = inf is not finite"),
+        (np.array([[0.0, np.nan], [1.0, 2.0]]), [0, 1], ConfigError,
+         r"X\[0, 1\] = nan is not finite"),
+    ],
+    ids=["X-1-d", "labels-length", "inf", "nan"],
+)
+def test_dataset_refuses_bad_shapes_and_non_finite_X(X, labels, error, message):
+    with pytest.raises(error, match=message):
+        Dataset(X=X, labels=labels, k=2)
+
+
+@pytest.mark.parametrize(
+    "indices, message",
+    [
+        ([[0, 1]], "index set must be 1-d"),
+        ([0.5], "entries must be integers"),
+        ([1, 0, 1], "contains duplicates"),
+    ],
+    ids=["2-d", "fraction", "duplicates"],
+)
+def test_blocks_refuse_bad_index_sets(indices, message):
+    X = np.ones((3, 2))
+    spec = FeatureMapSpec(p=4, sigma=1.0, master_seed=0)
+    with pytest.raises(IndexOutOfRangeError, match=message):
+        random_features_block(X, indices, spec)
+    with pytest.raises(IndexOutOfRangeError, match=message):
+        kernel_block(X, indices, RBF)
+
+
+def test_feature_params_refuses_an_index_past_p():
+    spec = FeatureMapSpec(p=4, sigma=1.0, master_seed=0)
+    with pytest.raises(IndexOutOfRangeError, match=r"feature index 4 outside \[0, 4\)"):
+        feature_params(spec, spec.p, 3)
 
 
 class TestCsv:
@@ -370,6 +414,11 @@ def _numpy_column_draw(master, m, d):
 @example(master=0, d=4, cols=[0])
 @example(master=2**130 + 5, d=6, cols=[2**32 - 1, 0, 7])
 @example(master=2**64 + 3, d=17, cols=[2**32 - 1])
+# the seed's word count (1, 4, 5, 6) sets the hashmix calls before m's words
+@example(master=0, d=3, cols=[0, 2**32 + 1])
+@example(master=2**128 - 1, d=3, cols=[5, 2**32])
+@example(master=2**128, d=3, cols=[5, 2**32])
+@example(master=2**160 + 1, d=3, cols=[5, 2**33 + 7])
 def test_block_draw_matches_numpy_philox_per_column(master, d, cols):
     # one array pass over a block gives each column numpy's own per-column
     # Philox draw, bit for bit, and so does feature_params

@@ -11,6 +11,7 @@ import kernelbcd.rates
 from kernelbcd.errors import (
     CombinatorialBlowupError,
     ConfigError,
+    DimensionMismatchError,
     DivergenceError,
     InvalidRateError,
     NotPerfectSquareError,
@@ -671,3 +672,17 @@ def test_stepper_refuses_a_mutated_problem(mutate, error, b, run):
     mutate(prob)
     with pytest.raises(error):
         run(prob, b)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_spectral_tops_refuse_non_finite_input(bad):
+    # the single-matrix tops go through lambda_extremes: a package error,
+    # not numpy's LinAlgError or a float-to-int ValueError
+    A = np.random.default_rng(7).standard_normal((6, 8))
+    A[2, 1] = bad
+    with pytest.raises(DimensionMismatchError, match="not finite"):
+        chernoff_violation_rate(A, 2, 0.1, 5)
+    with pytest.raises(DimensionMismatchError, match="not finite"):
+        bernstein_lower_rate(A, 2, 0.1, 5)
+    with pytest.raises(DimensionMismatchError, match="not finite"):
+        rf_required_features(A[:, :2], 1.0, 0.5, 0.1)

@@ -497,6 +497,8 @@ class TestObjectives:
             model.coefficients, kj, model.landmarks, y, lam, gamma
         )
         assert trace.records[-1].objective == pytest.approx(expected, rel=1e-9)
+        # the dispatcher's nystrom branch: the model's own column map
+        assert objective_value(model, data, lam, gamma) == expected
 
 
 class TestPrimalDual:
