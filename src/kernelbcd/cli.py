@@ -145,6 +145,9 @@ class RunConfig:
             (self.method in ("full", "nystrom", "rf"),
              f"unknown method {self.method!r}"),
             (self.kernel in ("rbf", "linear"), f"unknown kernel {self.kernel!r}"),
+            (self.kernel == "rbf" or one_model and self.method != "rf",
+             "rf features approximate the rbf kernel; --kernel linear applies to "
+             "full and nystrom"),
             (self.lambdas, "need at least one --lambda"),
             (all(0 < lam < math.inf for lam in self.lambdas),
              "--lambda values must be positive and finite"),

@@ -1,10 +1,15 @@
 """Dense matrix primitives for the block solvers and rate checks.
 
-Everything is a plain float64 numpy array in row-major order.  SPD systems
-are tested by a Cholesky factorization and refuse to perturb: a pivot that
-is not positive to working precision raises ``NotSpdError`` so the caller
-can fix its regularization instead of us papering over a singular block.  Extremal eigenvalues come from one dense
-``eigvalsh``: every caller already holds the dense symmetric matrix.
+Everything is a plain float64 numpy array in row-major order.  ``spd_solve``
+is the package's one SPD solve: the solvers' block systems, every lambda of
+a visit in one stacked call, and the rates lab's quadratics and its
+stepper's blocks, every seeded run of a step in one stacked call, all go
+through it.  SPD systems are tested by a Cholesky factorization and refuse
+to perturb: a matrix that is visibly asymmetric or has a pivot that is not
+positive to working precision raises ``NotSpdError`` so the caller can fix
+its regularization instead of us papering over a singular block.  Extremal
+eigenvalues come from one dense ``eigvalsh``: every caller already holds the
+dense symmetric matrix.
 """
 
 from __future__ import annotations
@@ -46,13 +51,15 @@ def validate_indices(indices, universe: int) -> np.ndarray:
     return idx
 
 
-def is_symmetric(a: np.ndarray) -> bool:
-    if a.size == 0:
-        return True
-    scale = float(np.abs(a).max())
-    if not scale < np.inf:  # a non-finite entry fails, before inf - inf warns
-        return False
-    return bool(np.abs(a - a.T).max() <= SYMMETRY_RTOL * max(1.0, scale))
+def is_symmetric(a: np.ndarray) -> np.ndarray:
+    """Whether ``a``, or each matrix of a stack (..., m, m), equals its
+    transpose within SYMMETRY_RTOL of its own largest entry; a matrix with a
+    non-finite entry is not symmetric.  A bool array of the stack's shape,
+    0-d for one matrix."""
+    scale = np.abs(a).max(axis=(-2, -1), initial=0.0)
+    with np.errstate(invalid="ignore"):  # inf - inf, in a matrix that fails
+        skew = np.abs(a - np.swapaxes(a, -2, -1)).max(axis=(-2, -1), initial=0.0)
+    return (scale < np.inf) & (skew <= SYMMETRY_RTOL * np.maximum(1.0, scale))
 
 
 def _raise_if_not_finite(**arrays) -> None:
@@ -67,38 +74,47 @@ def _raise_if_not_finite(**arrays) -> None:
 
 
 def spd_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve A X = B for symmetric positive definite A.
+    """Solve A X = B for symmetric positive definite A, or for each matrix
+    of a stack: A of shape (..., m, m) with B of shape (..., m, k), or a
+    single A with B of shape (m, k) or (m,).
 
     ``np.linalg.cholesky`` is the SPD test and ``np.linalg.solve`` the
-    solve.  Raises ``NotSpdError`` if A is visibly asymmetric or the
-    factorization hits a non-positive pivot, and ``DivergenceError``
-    instead when that failure comes from non-finite entries of A or B.
+    solve, one stacked call each.  Raises ``NotSpdError`` if a matrix is
+    visibly asymmetric or its factorization hits a non-positive pivot, and
+    ``DivergenceError`` instead when A or B holds a non-finite entry at
+    that failure.
     OpenBLAS's Cholesky lets a NaN pivot through, so the pivots are checked:
-    one that is NaN, or whose square is at most b * eps times A's largest
-    diagonal entry (A singular to working precision, where the sign of the
-    last pivot is rounding), fails like a non-positive pivot.  Finiteness of
-    A and B is checked only on the failure paths, so a solve that succeeds
-    pays only for the O(b) check of its pivots.
+    one that is NaN, or whose square is at most m * eps times its own
+    matrix's largest diagonal entry (that matrix singular to working
+    precision, where the sign of the last pivot is rounding), fails like a
+    non-positive pivot.  Every test is made on each matrix at its own scale,
+    so a stack fails exactly when a call on one of its matrices would, and
+    otherwise gives each matrix's solution bit for bit as that call does.
+    Finiteness of A and B is checked only on the failure paths, so a solve
+    that succeeds pays only for the O(m) check of its pivots.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim < 2 or a.shape[-2] != a.shape[-1]:
         raise DimensionMismatchError(f"expected a square matrix, got {a.shape}")
-    if b.shape[0] != a.shape[1]:
+    vector = a.ndim == 2 and b.ndim == 1
+    if b.shape[: a.ndim - 1] != a.shape[:-1] or not (vector or b.ndim == a.ndim):
         raise DimensionMismatchError(
-            f"rhs has {b.shape[0]} rows, matrix has {a.shape[1]} columns"
+            f"rhs of shape {b.shape} does not fit a matrix of shape {a.shape}"
         )
-    if not is_symmetric(a):
+    if not is_symmetric(a).all():
         _raise_if_not_finite(matrix=a, rhs=b)
         raise NotSpdError("matrix is not symmetric within tolerance")
     try:
-        pivots = np.diagonal(np.linalg.cholesky(a))
-        # NaN fails, and so does a pivot at the rounding level of the
-        # largest diagonal entry: A is then singular to working precision
-        floor = a.shape[0] * EPS * float(np.diagonal(a).max(initial=0.0))
-        if not (pivots * pivots > floor).all():
+        pivots = np.diagonal(np.linalg.cholesky(a), axis1=-2, axis2=-1)
+        # NaN fails, and so does a pivot at the rounding level of its
+        # matrix's largest diagonal entry: that matrix is then singular to
+        # working precision
+        top = np.diagonal(a, axis1=-2, axis2=-1).max(axis=-1, initial=0.0)
+        low = ~(pivots * pivots > a.shape[-1] * EPS * top[..., None])
+        if low.any():
             raise np.linalg.LinAlgError(
-                f"a Cholesky pivot is {float(pivots.min())!r}, not positive "
+                f"a Cholesky pivot is {float(pivots[low].min())!r}, not positive "
                 "to working precision"
             )
         # numpy's solve raises on an invalid operation, as inf - inf in B
@@ -106,6 +122,15 @@ def spd_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     except np.linalg.LinAlgError as exc:
         _raise_if_not_finite(matrix=a, rhs=b)
         raise NotSpdError(str(exc)) from exc
+
+
+def sum_in_order(terms) -> float:
+    """Left-to-right float sum of ``terms``: Python 3.12's built-in ``sum``
+    compensates, so its result may differ in the last bits."""
+    total = 0.0
+    for term in terms:
+        total += term
+    return total
 
 
 def gram(zb: np.ndarray) -> np.ndarray:
@@ -119,13 +144,10 @@ class SpectralEstimate(NamedTuple):
     lmin: float
 
 
-def lambda_extremes(a: np.ndarray) -> SpectralEstimate:
-    """Largest and smallest eigenvalues of a symmetric matrix, from one dense
-    ``eigvalsh``: exact to rounding, whatever the gap between eigenvalues.
-
-    Raises ``DimensionMismatchError`` for a matrix that is empty, not
-    square, not symmetric within tolerance, or not finite.
-    """
+def checked_symmetric(a) -> np.ndarray:
+    """``a`` as a float64 array, which must be a non-empty square matrix,
+    symmetric within tolerance and finite; anything else raises
+    ``DimensionMismatchError``."""
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.size == 0:
         raise DimensionMismatchError(
@@ -135,5 +157,16 @@ def lambda_extremes(a: np.ndarray) -> SpectralEstimate:
         raise DimensionMismatchError(
             "matrix is not symmetric within tolerance, or not finite"
         )
-    vals = np.linalg.eigvalsh(a)
+    return a
+
+
+def lambda_extremes(a: np.ndarray) -> SpectralEstimate:
+    """Largest and smallest eigenvalues of a symmetric matrix, from one dense
+    ``eigvalsh``: exact to rounding, whatever the gap between eigenvalues.
+
+    Raises ``DimensionMismatchError`` for a matrix that ``checked_symmetric``
+    refuses: empty, not square, not symmetric within tolerance, or not
+    finite.
+    """
+    vals = np.linalg.eigvalsh(checked_symmetric(a))
     return SpectralEstimate(float(vals[-1]), float(vals[0]))

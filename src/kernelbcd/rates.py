@@ -26,12 +26,15 @@ update.  The subset families behind ``l_max_b`` and the Monte-Carlo checks
 go through one stacked ``eigvalsh`` per chunk, so their lambda_max values are
 byte-equal to a per-subset loop.  The thresholds' single-matrix tops, the
 lambda_max of A^T A, psi^T psi and the kernel matrix of X, come from
-``lambda_extremes``, which refuses a matrix that is not finite.  The
-stacked solve is an LU solve, not a Cholesky one, so mean gaps agree with a
-per-seed loop to rounding (within 1e-14 of the first gap in the tests), and
-a run's gaps do not depend on how many runs step with it.  Chunks of at
-most ``_STACK_WORDS`` words bound the memory whatever the seed or subset
-count.
+``lambda_extremes``, which refuses a matrix that is not finite, and
+``l_max_b`` refuses the same H through the same check
+(``checked_symmetric``).  The stacked solve is ``spd_solve``, the solvers'
+one: it refuses a block that is not symmetric within tolerance or whose
+Cholesky pivots are not positive to working precision (``NotSpdError``),
+and solves by LU, not Cholesky, so mean gaps agree with a per-seed loop to
+rounding (within 1e-14 of the first gap in the tests), and a run's gaps do
+not depend on how many runs step with it.  Chunks of at most
+``_STACK_WORDS`` words bound the memory whatever the seed or subset count.
 
 Natural log throughout.  Everything reported from the order-of-magnitude
 tables has all constants set to 1 and is flagged as asymptotic.
@@ -52,11 +55,16 @@ from .errors import (
     DivergenceError,
     InvalidRateError,
     NotPerfectSquareError,
-    NotSpdError,
     ThresholdNotMetError,
 )
 from .kernels import Dataset, FeatureMapSpec, KernelSpec, kernel_cross, random_features_block
-from .linalg import _raise_if_not_finite, lambda_extremes, spd_solve
+from .linalg import (
+    _raise_if_not_finite,
+    checked_symmetric,
+    lambda_extremes,
+    spd_solve,
+    sum_in_order,
+)
 from .solvers import draw_landmarks
 
 EXACT_SUBSET_CAP = 10**6
@@ -161,13 +169,16 @@ def l_max_b(H: np.ndarray, b: int) -> float:
     """Largest lambda_max over every size-b principal submatrix of H.
 
     Exact, by enumeration of all C(d, b) subsets; more than 1e6 subsets
-    raise CombinatorialBlowupError (``check_subset_cap``).
+    raise CombinatorialBlowupError (``check_subset_cap``).  An H that is
+    not symmetric within tolerance, or not finite, raises
+    ``DimensionMismatchError``, as in ``lambda_extremes``.
     """
     H = np.asarray(H, dtype=np.float64)
     d = H.shape[0]
     if not 1 <= b <= d:
         raise ConfigError(f"block size must lie in [1, {d}]")
     check_subset_cap(d, b)
+    checked_symmetric(H)
     return float(max(top.max() for top in _tops(H, combinations(range(d), b), b)))
 
 
@@ -240,11 +251,13 @@ def _ensemble_gaps(prob: QuadraticProblem, b: int, rngs: list, tau: int):
     generator at every step.
 
     Yields the vector of the runs' gaps at t = 0..tau.  A step is one
-    stacked gather of the b x b blocks, one stacked SPD solve and one
+    stacked gather of the b x b blocks, one stacked ``spd_solve`` and one
     stacked update of w and H w.  An H or g that is not finite, or a
-    solution that is not, raises ``DivergenceError``; a block that is not
-    positive definite raises ``NotSpdError``.  (H and g are checked here
-    because ``QuadraticProblem`` checked them only when it was built.)
+    solution that is not, raises ``DivergenceError``; a block that
+    ``spd_solve`` refuses, not symmetric within tolerance or not positive
+    definite to working precision, raises ``NotSpdError``.  (H and g are
+    checked here because ``QuadraticProblem`` checked them only when it was
+    built.)
     """
     H, g, d = prob.H, prob.g, prob.dim
     _raise_if_not_finite(H=H, g=g)
@@ -255,14 +268,9 @@ def _ensemble_gaps(prob: QuadraticProblem, b: int, rngs: list, tau: int):
     for _ in range(tau):
         idx = np.array([rng.choice(d, size=b, replace=False) for rng in rngs])
         sub = H[idx[:, :, None], idx[:, None, :]]
-        try:
-            np.linalg.cholesky(sub)  # the SPD test
-        except np.linalg.LinAlgError as exc:
-            raise NotSpdError(f"a b x b block of H is not positive definite: {exc}")
         old = w[runs, idx]
         rhs = g[idx] - hw[runs, idx] + (sub @ old[:, :, None])[:, :, 0]
-        # the rhs as (S, b, 1): numpy 1.x and 2.x read a stacked 1-d rhs apart
-        new = np.linalg.solve(sub, rhs[:, :, None])[:, :, 0]
+        new = spd_solve(sub, rhs[:, :, None])[:, :, 0]
         if not np.isfinite(new).all():
             raise DivergenceError("a block solve has non-finite entries")
         hw += (H[:, idx].transpose(1, 0, 2) @ (new - old)[:, :, None])[:, :, 0]
@@ -279,16 +287,14 @@ def run_bcd_quadratic(
 ) -> np.ndarray:
     """Mean optimality-gap sequence over seeded runs (length tau + 1).
 
-    Each step's gaps are summed in seed order, one addition at a time, so
-    the output is reproducible for a fixed (prob, b, seeds, tau, base_seed).
+    Each step's gaps are summed in seed order, one addition at a time
+    (``sum_in_order``), so the output is reproducible for a fixed
+    (prob, b, seeds, tau, base_seed).
     """
     total = np.zeros(tau + 1)
     for rngs in _seed_chunks(prob, b, seeds, tau, base_seed):
         for t, gaps in enumerate(_ensemble_gaps(prob, b, rngs, tau)):
-            acc = float(total[t])
-            for gap in gaps.tolist():
-                acc += gap
-            total[t] = acc
+            total[t] = sum_in_order([float(total[t]), *gaps.tolist()])
     return total / seeds
 
 

@@ -16,7 +16,8 @@ and (K_J + n*lam*S_J)[:, block] d to the maintained fit error
 E = (K_J + n*lam*S_J) alpha - Y, which starts at -Y.  The step serves
 every lambda at once: their coefficients and E sit side by side, and only
 there (``_Batch``), so a visit makes one gradient product and one update
-product for all lambdas, with a b x b solve per lambda in between.  The
+product for all lambdas, with one stacked ``spd_solve`` of every lambda's
+b x b system in between.  The
 ``grad_tol`` check and the residual check read the same ``grad`` and the
 same columns.
 
@@ -33,7 +34,7 @@ Every update is an exact b x b solve, so each objective is non-increasing;
 an increase beyond 1e-9 times max(1, |objective|) raises ``DivergenceError``.
 Blocks do not depend on lambda, so a path costs one run's generation, one
 pair of block products as wide as every lambda's right-hand sides together,
-and a small solve per lambda.
+and one stacked call of b x b solves, one per lambda.
 Public APIs take the statistical lambda; systems use lam_eff = n * lambda.
 
 The ``grad_tol`` stop is exact.  ``full`` maintains K alpha - Y and checks at
@@ -73,7 +74,7 @@ from .distsim import (
     distributed_gram,
     partitioned_matvec,
 )
-from .errors import ConfigError, DimensionMismatchError, DivergenceError, NotSpdError
+from .errors import ConfigError, DimensionMismatchError, DivergenceError
 from .files import write_atomic
 from .kernels import (
     Dataset,
@@ -83,7 +84,7 @@ from .kernels import (
     one_vs_all,
     random_features_block,
 )
-from .linalg import spd_solve
+from .linalg import spd_solve, sum_in_order
 from .threads import ahead, solver_threads
 
 # The solvers call gram only through distributed_gram.  It stays bound here
@@ -553,33 +554,25 @@ class _BlockSystem:
             resid[rows] += lam_eff * coeffs_b
 
     def update(self, batch, pos, kb, products, part):
-        """Every lambda's step on block ``pos``: one gradient product and
-        one update product for all lambdas, and a b x b solve per lambda
-        in between.  Returns the step's residual seconds, each solved
-        lambda's solve seconds and the error of the first solve that
-        failed, if any; that lambda and the later ones are not stepped.
-        With one lambda the products are a single run's."""
+        """Every lambda's step on block ``pos``: one gradient product, one
+        stacked ``spd_solve`` of every lambda's b x b system A d = -grad,
+        formed by one ``matrix`` call, and one update product for all
+        lambdas.  Returns the step's residual seconds and the solve's
+        seconds.  A solve that fails, for any lambda, raises before any
+        lambda is stepped.  With one lambda the products are a single
+        run's."""
         t_res = perf_counter()
         grads = self.gradients(batch, pos, kb, part)
         res_seconds = perf_counter() - t_res
-        deltas, solve_seconds, failure = [], [], None
-        for lam, cols in zip(batch.lams, batch.cols):
-            t_solve = perf_counter()
-            try:
-                a = self.matrix(products, self.n * lam)
-                deltas.append(spd_solve(a, -grads[:, cols]))
-            except (NotSpdError, DivergenceError) as exc:
-                # _run raises it after the earlier lambdas' descent checks
-                failure = exc
-                break
-            solve_seconds.append(perf_counter() - t_solve)
+        t_solve = perf_counter()
+        a = self.matrix(products, batch.lam_eff[:: batch.k, None, None])
+        rhs = -grads.reshape(self.b, len(batch.lams), batch.k).transpose(1, 0, 2)
+        delta = spd_solve(a, rhs).transpose(1, 0, 2).reshape(grads.shape)
+        solve_seconds = perf_counter() - t_solve
         t_res = perf_counter()
-        if deltas:
-            width = len(deltas) * batch.k
-            delta = np.hstack(deltas)
-            batch.coeffs[pos, :width] += delta
-            self.accumulate(batch.resid[:, :width], pos, kb, delta, batch.lam_eff[:width])
-        return res_seconds + perf_counter() - t_res, solve_seconds, failure
+        batch.coeffs[pos] += delta
+        self.accumulate(batch.resid, pos, kb, delta, batch.lam_eff)
+        return res_seconds + perf_counter() - t_res, solve_seconds
 
 
 @dataclass
@@ -684,14 +677,6 @@ class _GramSystem(_BlockSystem):
         return _ip(rhs_b, rhs_b)
 
 
-def _sum_in_order(terms) -> float:
-    """Left-to-right float sum; the built-in ``sum`` may compensate."""
-    total = 0.0
-    for term in terms:
-        total += term
-    return total
-
-
 class _PendingCheck:
     """An epoch end's ``grad_tol`` check, made on the next sweep's blocks.
 
@@ -725,9 +710,9 @@ class _PendingCheck:
     def passed(self, tol: float) -> bool:
         """Every lambda's residual is within tol of ||K_J^T Y||."""
         if self.rhs_terms is not None:
-            self.system.rhs_norm = max(np.sqrt(_sum_in_order(self.rhs_terms)), 1e-30)
+            self.system.rhs_norm = max(np.sqrt(sum_in_order(self.rhs_terms)), 1e-30)
         bound = tol * self.system.rhs_norm
-        return not any(np.sqrt(_sum_in_order(t)) > bound for t in self.terms)
+        return not any(np.sqrt(sum_in_order(t)) > bound for t in self.terms)
 
     def restore(self, traces, ledger) -> _Batch:
         for trace, n_records in zip(traces, self.n_records):
@@ -758,19 +743,21 @@ def _run(
 
     Each visit generates the column block once, times ``system.visit``
     forming the products every lambda shares, then ``system.update`` makes
-    one exact b x b update per lambda with one gradient product and one
-    update product for all of them.  The ledger, the descent guard, test
+    one exact b x b update per lambda with one gradient product, one
+    stacked solve and one update product for all of them.  The ledger, the descent guard, test
     evaluation, traces, the residual check and the ``grad_tol`` stop live
     here.  The test set's block ``model.columns(test_data.X)`` is generated
     once per run, before the first visit, so a test set of the wrong width
     is refused even with ``epochs=0``; a visit's test error is
     ``evaluate``'s figure for that block times a lambda's coefficients,
     bit for bit what ``evaluate`` gives for the model.  The ledger charges
-    each lambda its residual flops and an equal share of the step's
-    residual seconds, and its own solve; a trace row's seconds count its
-    own solve and checks, and the first lambda's row also the rest of the
-    visit.  A visit raises the error of the first lambda, in lambda order,
-    whose solve or descent guard fails.
+    each lambda its residual and solve flops and an equal share of the
+    step's residual seconds and of the stacked solve's seconds; a trace
+    row's seconds count that solve share and the row's own checks, and the
+    first lambda's row also the rest of the visit.  A solve that fails, for
+    any lambda, raises before any lambda is stepped, guarded, traced or
+    charged; otherwise every lambda is stepped and then guarded in lambda
+    order, and the first guard that fails raises.
 
     A system whose ``grad_tol`` check needs every column block has it
     summed on the next sweep's blocks (``_PendingCheck``).  If the check
@@ -817,9 +804,10 @@ def _run(
         ledger.add("generation", flops=n * system.b * data.d, seconds=gen_s)
         t_visit = perf_counter()
         products = system.visit(pos, kb, part, ledger)
-        res_s, solve_s, failure = system.update(batch, pos, kb, products, part)
-        shared = wait_s + perf_counter() - t_visit - sum(solve_s)
-        for i, (lam, cols, lam_solve_s) in enumerate(zip(lams, batch.cols, solve_s)):
+        res_s, solve_s = system.update(batch, pos, kb, products, part)
+        shared = wait_s + perf_counter() - t_visit - solve_s
+        lam_solve_s = solve_s / len(lams)
+        for i, (lam, cols) in enumerate(zip(lams, batch.cols)):
             t0 = perf_counter()
             ledger.add("residual", flops=system.residual_flops, seconds=res_s / len(lams))
             ledger.add("solve", flops=system.b**3, seconds=lam_solve_s)
@@ -835,8 +823,6 @@ def _run(
             seconds = perf_counter() - t0 + lam_solve_s + shared
             traces[i].append(TraceRecord(epoch, blk, seconds, obj, terr))
             shared = 0.0
-        if failure is not None:
-            raise failure
 
     with solver_threads(), np.errstate(over="ignore", invalid="ignore"):
         test_cols = None
@@ -977,7 +963,8 @@ def solve_path(
     generated once per block visit and shared across every lambda, so the
     generation cost matches a single run.  Each visit makes one gradient
     product and one update product for all lambdas, as wide as their k
-    columns together, and a b x b solve per lambda.  A one-lambda path is
+    columns together, and one stacked ``spd_solve`` of every lambda's b x b
+    system.  A one-lambda path is
     byte-identical to its single run.  With several lambdas, OpenBLAS may
     round a column of a wide product differently from the same column of
     a width-k one, so each lambda's result is its single run's up to

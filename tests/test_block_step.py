@@ -381,16 +381,17 @@ def test_one_gradient_product_per_visit_for_every_lambda(monkeypatch, method, n_
 
 
 class _Faults:
-    """A system that from its second visit on scales the block matrix by
-    1e-3 for the lambda ``diverging`` (a step 1000 times too long, so the
-    objective rises and the descent guard raises ``DivergenceError``) and
-    negates it for the lambda ``singular`` (``spd_solve`` raises
-    ``NotSpdError``).  The first visit has no objective to rise from."""
+    """A system that from its second visit on scales the stacked block
+    matrix by 1e-3 for the lambda ``diverging`` (a step 1000 times too long,
+    so the objective rises and the descent guard raises ``DivergenceError``)
+    and negates it for the lambda ``singular`` (the stacked ``spd_solve``
+    raises ``NotSpdError``); None faults no lambda.  The first visit has no
+    objective to rise from."""
 
-    def __init__(self, system, lams, diverging, singular):
+    def __init__(self, system, diverging, singular):
         self.system, self.visits = system, 0
-        self.diverging = system.n * lams[diverging]
-        self.singular = system.n * lams[singular]
+        self.diverging = [] if diverging is None else [diverging]
+        self.singular = [] if singular is None else [singular]
 
     def __getattr__(self, name):
         return getattr(self.system, name)
@@ -403,28 +404,33 @@ class _Faults:
         return self.system.visit(*args)
 
     def matrix(self, products, lam_eff):
-        a = self.system.matrix(products, lam_eff)
-        if self.visits < 2:
-            return a
-        if lam_eff == self.diverging:
-            return a * 1e-3
-        return -a if lam_eff == self.singular else a
+        a = self.system.matrix(products, lam_eff)  # one b x b slice per lambda
+        if self.visits >= 2:
+            a[self.diverging] *= 1e-3
+            a[self.singular] *= -1.0
+        return a
 
 
 @pytest.mark.parametrize(
     "diverging, singular, error",
-    [(0, 1, DivergenceError), (1, 0, NotSpdError), (2, 1, NotSpdError)],
+    [(0, 1, NotSpdError), (1, 0, NotSpdError), (2, 1, NotSpdError),
+     (None, 0, NotSpdError), (None, 2, NotSpdError), (1, None, DivergenceError)],
 )
 @pytest.mark.parametrize("method", METHODS)
 def test_visit_raises_the_first_failing_lambdas_error(method, diverging, singular, error):
-    # every solve of a visit comes before any descent check, yet the error
-    # raised is the one of the first lambda to fail, as when each lambda
-    # was checked right after its own solve
+    # a visit solves every lambda in one stacked call: a singular lambda
+    # anywhere raises NotSpdError before any lambda is stepped, guarded or
+    # charged, whatever the other lambdas' steps would do; otherwise every
+    # lambda is stepped and the first descent guard to fail raises
     _, _, run = _case(method)
     lams = [0.1, 0.03, 0.3]
+    ledger = CostLedger()
     with pytest.raises(error):
-        run_wrapped(lambda system: _Faults(system, lams, diverging, singular),
-                    lambda: run(lams, 1))
+        run_wrapped(lambda system: _Faults(system, diverging, singular),
+                    lambda: run(lams, 1, exec_ctx=ExecContext(1, ledger)))
+    failed = [r for r in ledger.records if (r.epoch, r.block) == (0, 1)]
+    stepped = [r for r in failed if r.phase == "residual" or r.phase == "solve" and r.flops]
+    assert bool(stepped) == (singular is None)
 
 
 def _path_case(method, n, d, k, b, n_blocks, seed):

@@ -1194,6 +1194,42 @@ def test_spec_and_p_checks_come_before_any_file_is_read(tmp_path, argv, message,
     assert not out.exists()
 
 
+_RF_LINEAR = "rf features approximate the rbf kernel; --kernel linear applies to full and nystrom"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [[command, "--method", "rf"] for command in ("solve", "path", "costs")] + [["compare"]],
+    ids=["solve", "path", "costs", "compare"],
+)
+@pytest.mark.parametrize("as_key", [False, True], ids=["flag", "config-key"])
+def test_linear_kernel_with_rf_exits_2_before_any_file_is_read(tmp_path, argv, as_key, capsys):
+    # rf's features approximate the rbf kernel whatever --kernel says, so a
+    # linear kernel would be ignored; compare always trains rf
+    out = tmp_path / "out"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("kernel = linear\n")
+    kernel = ["--config", str(cfg)] if as_key else ["--kernel", "linear"]
+    test = [] if argv[0] == "costs" else ["--test", str(tmp_path / "missing_test.csv")]
+    code = main([*argv, *kernel, "--p", "8", "--b", "4",
+                 "--train", str(tmp_path / "missing.csv"), *test, "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == EXIT_CONFIG
+    assert _RF_LINEAR in err
+    assert "cannot read data file" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("method", ["full", "nystrom"])
+def test_linear_kernel_trains_full_and_nystrom(tmp_path, blob_files, method, capsys):
+    train, _ = blob_files
+    sizes = ["--b", "8"] if method == "full" else ["--p", "8", "--b", "4"]
+    code = main(["solve", "--method", method, "--kernel", "linear", *sizes,
+                 "--train", train, "--epochs", "1", "--out", str(tmp_path / "out")])
+    assert code == EXIT_OK
+    assert load_model(tmp_path / "out" / "model.kbcd").kernel.family == "linear"
+
+
 def test_compare_warns_of_each_cut_p_once(tmp_path, blob_files, capsys):
     train, test = blob_files
     code = main(["compare", "--train", train, "--test", test, "--p", "18,12",

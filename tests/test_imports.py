@@ -1,6 +1,8 @@
 """Importing the package loads numpy and no scipy: scipy's import costs
-more than the package itself, and maps a second OpenBLAS."""
+more than the package itself, and maps a second OpenBLAS.  The package's
+modules factor and solve only through ``kernelbcd.linalg``."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -20,3 +22,26 @@ def test_package_and_cli_import_no_scipy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def _np_linalg_names(path: Path) -> set[str]:
+    """The ``np.linalg.<name>`` attributes a module's code uses."""
+    return {
+        node.attr
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Attribute)
+        and node.value.attr == "linalg"
+        and isinstance(node.value.value, ast.Name)
+        and node.value.value.id == "np"
+    }
+
+
+def test_only_linalg_calls_cholesky_and_solve():
+    # one SPD solve, spd_solve, with one set of checks for every caller
+    users = {
+        path.name
+        for path in (SRC / "kernelbcd").glob("*.py")
+        if {"cholesky", "solve"} & _np_linalg_names(path)
+    }
+    assert users == {"linalg.py"}

@@ -2,6 +2,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kernelbcd.errors import (
     DimensionMismatchError,
@@ -10,6 +12,7 @@ from kernelbcd.errors import (
     NotSpdError,
 )
 from kernelbcd.linalg import (
+    EPS,
     gram,
     is_symmetric,
     lambda_extremes,
@@ -95,6 +98,61 @@ class TestSpdSolve:
             assert not is_symmetric(np.full((2, 2), np.inf))
             assert not is_symmetric(one_sided)
             assert not is_symmetric(np.full((2, 2), np.nan))
+
+
+def _random_spd(rng, m):
+    raw = rng.standard_normal((m, m))
+    a = raw @ raw.T + m * np.eye(m)
+    return (a + a.T) * 0.5
+
+
+# 2 x 2 matrices a stacked solve must refuse, each with its error
+_BAD_MATRICES = {
+    "asymmetric": (np.array([[2.0, 0.5], [0.0, 2.0]]), NotSpdError),
+    "negated": (-2.0 * np.eye(2), NotSpdError),
+    # the second pivot's square, eps, is below the floor 2 * eps
+    "rounding-pivot": (np.array([[1.0, 1.0], [1.0, 1.0 + EPS]]), NotSpdError),
+    "nan": (np.array([[2.0, np.nan], [np.nan, 2.0]]), DivergenceError),
+    "inf": (np.array([[np.inf, 0.0], [0.0, 2.0]]), DivergenceError),
+}
+
+
+class TestStackedSpdSolve:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        stack=st.integers(1, 5), m=st.integers(1, 8), k=st.integers(1, 3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_a_stack_gives_the_bytes_of_one_call_per_matrix(self, stack, m, k, seed):
+        rng = np.random.default_rng(seed)
+        a = np.stack([_random_spd(rng, m) for _ in range(stack)])
+        b = rng.standard_normal((stack, m, k))
+        x = spd_solve(a, b)
+        assert x.shape == (stack, m, k)
+        for i in range(stack):
+            assert spd_solve(a[i], b[i]).tobytes() == x[i].tobytes()
+
+    @pytest.mark.parametrize("at", [0, 1, 2])
+    @pytest.mark.parametrize("kind", list(_BAD_MATRICES))
+    def test_one_bad_matrix_fails_the_stack(self, kind, at):
+        bad, error = _BAD_MATRICES[kind]
+        with pytest.raises(error):
+            spd_solve(bad, np.ones((2, 1)))  # alone, as in the stack
+        a = np.stack([_random_spd(np.random.default_rng(i), 2) for i in range(3)])
+        a[at] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(error):
+                spd_solve(a, np.ones((3, 2, 1)))
+
+    @pytest.mark.parametrize(
+        "a_shape, b_shape",
+        [((3, 2, 2), (3, 3, 1)), ((3, 2, 2), (2, 2, 1)), ((3, 2, 2), (3, 2)),
+         ((3, 2, 2), (2,)), ((2, 2), (2, 1, 1)), ((2, 2), ())],
+    )
+    def test_mismatched_rhs_raises(self, a_shape, b_shape):
+        with pytest.raises(DimensionMismatchError):
+            spd_solve(np.broadcast_to(np.eye(2), a_shape), np.ones(b_shape))
 
 
 class TestGram:

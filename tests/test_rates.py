@@ -640,6 +640,9 @@ def _mutations():
     def nan_g(prob):
         prob.g[0] = np.nan
 
+    def asymmetric(prob):
+        prob.H[0, 1] += 0.05
+
     def overflowing_solution(prob):
         # a finite SPD problem whose block solutions, 1e300 / 1e-300, overflow
         prob.H[:] = 1e-300 * np.eye(4)
@@ -647,6 +650,7 @@ def _mutations():
 
     return [
         pytest.param(negate, NotSpdError, id="H-negated"),
+        pytest.param(asymmetric, NotSpdError, id="H-asymmetric"),
         pytest.param(set_h(np.nan), DivergenceError, id="H-nan"),
         pytest.param(set_h(np.inf), DivergenceError, id="H-inf"),
         pytest.param(inf_off_block, DivergenceError, id="H-inf-off-block"),
@@ -672,6 +676,34 @@ def test_stepper_refuses_a_mutated_problem(mutate, error, b, run):
     mutate(prob)
     with pytest.raises(error):
         run(prob, b)
+
+
+def _asymmetric(h):
+    h[0, 1] += 0.05
+
+
+def _nan(h):
+    h[2, 3] = np.nan
+
+
+@pytest.mark.parametrize("mutate", [_asymmetric, _nan], ids=["asymmetric", "nan"])
+@pytest.mark.parametrize(
+    "rate",
+    [
+        lambda h: l_max_b(h, 2),
+        lambda h: standard_rate_iters(h, 2, 0.5, 1e-3),
+        lambda h: classical_bound(h, 2, 0.5, 1.0, 5),
+        lambda h: improved_bound(h, 2, 0.5, 1.0, 5),
+    ],
+    ids=["l_max_b", "standard_rate_iters", "classical_bound", "improved_bound"],
+)
+def test_rate_functions_refuse_the_h_that_lambda_extremes_refuses(rate, mutate):
+    # one check, with one message, whether a rate takes its constant from
+    # the subset tops (l_max_b) or from lambda_extremes (l_eff)
+    h = random_spd(8, 12)
+    mutate(h)
+    with pytest.raises(DimensionMismatchError, match="not symmetric within tolerance, or not finite"):
+        rate(h)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

@@ -897,10 +897,11 @@ def test_grad_tol_stop_equals_fixed_epoch_run(method, lams, with_ledger):
 
 
 class _FaultAfter:
-    """A system that behaves like ``system`` for ``after`` lambda updates,
-    then faults on every later one: ``nan`` poisons the maintained residual
-    (the descent guard raises ``DivergenceError``), ``not_spd`` reports
-    ``NotSpdError`` as the failed solve of a singular block system would."""
+    """A system that behaves like ``system`` for ``after`` updates, then
+    faults on every later one: ``nan`` poisons the maintained residual
+    (the descent guard raises ``DivergenceError``), ``not_spd`` raises
+    ``NotSpdError`` before stepping, as the failed solve of a singular
+    block system does."""
 
     def __init__(self, system, after, fault):
         self.system, self.after, self.fault = system, after, fault
@@ -909,15 +910,13 @@ class _FaultAfter:
         return getattr(self.system, name)
 
     def update(self, batch, *args):
-        res_s, solve_s, failure = self.system.update(batch, *args)
-        for i, cols in enumerate(batch.cols):
-            self.after -= 1
-            if self.after < 0 and self.fault == "not_spd":
-                error = NotSpdError("block system is not positive definite")
-                return res_s, solve_s[:i], error
-            if self.after < 0:
-                batch.resid[:, cols] = np.nan
-        return res_s, solve_s, failure
+        self.after -= 1
+        if self.after < 0 and self.fault == "not_spd":
+            raise NotSpdError("block system is not positive definite")
+        seconds = self.system.update(batch, *args)
+        if self.after < 0:
+            batch.resid[:] = np.nan
+        return seconds
 
 
 @pytest.mark.parametrize("fault", ["nan", "not_spd"])
