@@ -6,6 +6,8 @@ distributed execution layer with flop/byte accounting; and a laboratory
 for the block coordinate descent convergence bounds the solvers rely on.
 """
 
+from types import ModuleType as _ModuleType
+
 from .distsim import (
     CostLedger,
     CostPrediction,
@@ -46,9 +48,7 @@ from .linalg import SpectralEstimate, gram, lambda_extremes, spd_solve
 from .rates import (
     ConditioningPair,
     QuadraticProblem,
-    RegimeSummary,
     RfConcentrationResult,
-    SpectrumModel,
     adversarial_hessian,
     bcd_iterations_to_tolerance,
     bernstein_lower_rate,
@@ -63,8 +63,6 @@ from .rates import (
     rf_required_features,
     run_bcd_quadratic,
     standard_rate_iters,
-    synthetic_spectrum_kernel,
-    table1_regime,
     theorem_rate,
 )
 from .solvers import (
@@ -89,6 +87,12 @@ from .solvers import (
     solve_rf,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the public names the imports above bind; not the submodules that
+# importing them binds as attributes of the package
+__all__ = sorted(
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)
 
 __version__ = "0.1.0"

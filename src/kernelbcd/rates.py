@@ -36,8 +36,7 @@ rounding (within 1e-14 of the first gap in the tests), and a run's gaps do
 not depend on how many runs step with it.  Chunks of at most
 ``_STACK_WORDS`` words bound the memory whatever the seed or subset count.
 
-Natural log throughout.  Everything reported from the order-of-magnitude
-tables has all constants set to 1 and is flagged as asymptotic.
+Natural log throughout.
 """
 
 from __future__ import annotations
@@ -65,7 +64,7 @@ from .linalg import (
     spd_solve,
     sum_in_order,
 )
-from .solvers import draw_landmarks
+from .solvers import _count, _real, draw_landmarks
 
 EXACT_SUBSET_CAP = 10**6
 
@@ -75,6 +74,23 @@ COSINE_FEATURE_BOUND = math.sqrt(2.0)  # sup |sqrt(2) cos(.)|
 # the runs stepping together, or the blocks of one eigvalsh.  It bounds the
 # memory however many seeds or subsets a check asks for.
 _STACK_WORDS = 1 << 13
+
+
+def _size(name: str, value, most: float = math.inf) -> int:
+    """``value`` as an int in [1, most]: a block or sketch size, or a count of
+    seeds or trials.  Anything else raises ``ConfigError``."""
+    value = _count(name, value)
+    if not 1 <= value <= most:
+        raise ConfigError(f"{name} must lie in [1, {most}], got {value}")
+    return value
+
+
+def _check_delta(delta) -> None:
+    """A failure probability must be a real number in (0, 1]; anything else,
+    NaN included, raises ``ConfigError``."""
+    _real("delta", delta)
+    if not 0 < delta <= 1:
+        raise ConfigError(f"delta must lie in (0, 1], got {delta!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -105,37 +121,6 @@ class QuadraticProblem:
         return self.H.shape[0]
 
 
-@dataclass(frozen=True)
-class SpectrumModel:
-    """Kernel spectrum profile sigma_l(K) = n * mu_l, l = 1..n.
-
-    exponential: mu_l = exp(-rate * l), rate > 0
-    polynomial:  mu_l = l^(-2 * rate), rate > 1/2
-    """
-
-    decay: str
-    rate: float
-    n: int
-
-    def __post_init__(self):
-        if self.decay not in ("exponential", "polynomial"):
-            raise ConfigError(f"unknown decay {self.decay!r}")
-        if self.decay == "exponential" and not self.rate > 0:
-            raise ConfigError("exponential decay needs rate > 0")
-        if self.decay == "polynomial" and not self.rate > 0.5:
-            raise ConfigError("polynomial decay needs rate > 1/2")
-        if self.n < 2:
-            raise ConfigError("need n >= 2")
-
-    def eigenvalues(self) -> np.ndarray:
-        ell = np.arange(1, self.n + 1, dtype=np.float64)
-        if self.decay == "exponential":
-            mu = np.exp(-self.rate * ell)
-        else:
-            mu = ell ** (-2.0 * self.rate)
-        return self.n * mu
-
-
 # ---------------------------------------------------------------------------
 # Lipschitz constants and iteration bounds
 
@@ -144,8 +129,7 @@ def l_eff(H: np.ndarray, b: int) -> float:
     """Effective smoothness e^2 L + (d log(2 d^2 / b) / b) * max_i H_ii."""
     H = np.asarray(H, dtype=np.float64)
     d = H.shape[0]
-    if not 1 <= b <= d:
-        raise ConfigError(f"block size must lie in [1, {d}]")
+    b = _size("block size", b, d)
     lmax = lambda_extremes(H).lmax
     return float(
         math.e**2 * lmax + (d * math.log(2.0 * d * d / b) / b) * np.diag(H).max()
@@ -153,9 +137,11 @@ def l_eff(H: np.ndarray, b: int) -> float:
 
 
 def check_subset_cap(d: int, b: int) -> None:
-    """Raise CombinatorialBlowupError if C(d, b), for 1 <= b <= d, exceeds
-    EXACT_SUBSET_CAP.  The count grows one factor at a time and stops once
-    past the cap, so a huge d costs nothing."""
+    """Raise CombinatorialBlowupError if C(d, b) exceeds EXACT_SUBSET_CAP,
+    and ConfigError if b is not an integer in [1, d].  The count grows one
+    factor at a time and stops once past the cap, so a huge d costs
+    nothing."""
+    b = _size("block size", b, d)
     count = 1
     for i in range(min(b, d - b)):
         count = count * (d - i) // (i + 1)  # C(d, i + 1), exactly
@@ -169,14 +155,13 @@ def l_max_b(H: np.ndarray, b: int) -> float:
     """Largest lambda_max over every size-b principal submatrix of H.
 
     Exact, by enumeration of all C(d, b) subsets; more than 1e6 subsets
-    raise CombinatorialBlowupError (``check_subset_cap``).  An H that is
+    raise CombinatorialBlowupError, and a b that is not an integer in
+    [1, d] ConfigError (both ``check_subset_cap``).  An H that is
     not symmetric within tolerance, or not finite, raises
     ``DimensionMismatchError``, as in ``lambda_extremes``.
     """
     H = np.asarray(H, dtype=np.float64)
     d = H.shape[0]
-    if not 1 <= b <= d:
-        raise ConfigError(f"block size must lie in [1, {d}]")
     check_subset_cap(d, b)
     checked_symmetric(H)
     return float(max(top.max() for top in _tops(H, combinations(range(d), b), b)))
@@ -206,8 +191,7 @@ def improved_bound(
     H: np.ndarray, b: int, m: float, gap0: float, tau: int
 ) -> np.ndarray:
     """Expected-gap envelope gap0 * (1 - m/(2 L_eff))^t for t = 0..tau."""
-    if tau < 0:
-        raise ConfigError(f"need tau >= 0, got {tau}")
+    tau = _count("tau", tau)
     factor = theorem_rate(H, b, m)
     return gap0 * factor ** np.arange(tau + 1)
 
@@ -217,8 +201,7 @@ def classical_bound(
 ) -> np.ndarray:
     """Gap envelope from the classical analysis: per-step contraction
     (1 - b m / (d L_max_b)), with the exact ``l_max_b``."""
-    if tau < 0:
-        raise ConfigError(f"need tau >= 0, got {tau}")
+    tau = _count("tau", tau)
     H = np.asarray(H, dtype=np.float64)
     d = H.shape[0]
     rate = b * m / (d * l_max_b(H, b))
@@ -231,18 +214,21 @@ def classical_bound(
 # empirical block coordinate descent on quadratics
 
 
-def _seed_chunks(prob: QuadraticProblem, b: int, seeds: int, tau: int, base_seed: int):
+def _seed_chunks(prob: QuadraticProblem, b: int, seeds: int, base_seed: int):
     """The generator of each seeded run s, SeedSequence(base_seed, spawn_key=(s,)),
     in seed order, as lists of at most ``_STACK_WORDS // (b * dim)`` runs:
-    the runs of one list step together."""
-    if seeds < 1 or tau < 0:
-        raise ConfigError(f"need seeds >= 1 and tau >= 0, got {seeds} and {tau}")
+    the runs of one list step together.  ``b``, ``seeds`` and ``base_seed``
+    are checked by the call, before any run is drawn."""
+    b, seeds = _size("block size", b, prob.dim), _size("seeds", seeds)
+    base_seed = _count("base seed", base_seed)
     per = max(1, _STACK_WORDS // (b * prob.dim))
-    for first in range(0, seeds, per):
-        yield [
+    return (
+        [
             np.random.default_rng(np.random.SeedSequence(base_seed, spawn_key=(s,)))
             for s in range(first, min(first + per, seeds))
         ]
+        for first in range(0, seeds, per)
+    )
 
 
 def _ensemble_gaps(prob: QuadraticProblem, b: int, rngs: list, tau: int):
@@ -291,8 +277,10 @@ def run_bcd_quadratic(
     (``sum_in_order``), so the output is reproducible for a fixed
     (prob, b, seeds, tau, base_seed).
     """
+    tau = _count("tau", tau)
+    chunks = _seed_chunks(prob, b, seeds, base_seed)
     total = np.zeros(tau + 1)
-    for rngs in _seed_chunks(prob, b, seeds, tau, base_seed):
+    for rngs in chunks:
         for t, gaps in enumerate(_ensemble_gaps(prob, b, rngs, tau)):
             total[t] = sum_in_order([float(total[t]), *gaps.tolist()])
     return total / seeds
@@ -309,9 +297,10 @@ def bcd_iterations_to_tolerance(
     """Per-seed step counts until gap <= rel_tol * gap(0); max_iters if never.
     The seeds are those of ``run_bcd_quadratic``, with tau = max_iters; the
     runs stop stepping once every one of them has met the target."""
+    max_iters = _count("max_iters", max_iters)
     target = rel_tol * (0.0 - prob.f_star)
     counts = []
-    for rngs in _seed_chunks(prob, b, seeds, max_iters, base_seed):
+    for rngs in _seed_chunks(prob, b, seeds, base_seed):
         first = np.full(len(rngs), max_iters, dtype=np.int64)
         running = np.ones(len(rngs), dtype=bool)
         steps = enumerate(_ensemble_gaps(prob, b, rngs, max_iters))
@@ -334,7 +323,7 @@ def adversarial_hessian(d: int, lam: float) -> np.ndarray:
     L_max_b = lam + sqrt(d), while a typical block straddles the all-ones
     blocks and sees a far smaller curvature.
     """
-    q = math.isqrt(d)
+    q = math.isqrt(_count("dimension", d))
     if q * q != d:
         raise NotPerfectSquareError(f"d = {d} is not a perfect square")
     return lam * np.eye(d) + np.kron(np.eye(q), np.ones((q, q)))
@@ -346,17 +335,15 @@ def adversarial_hessian(d: int, lam: float) -> np.ndarray:
 
 def monte_carlo_slack(delta: float, trials: int) -> float:
     """Three-sigma binomial allowance added to delta."""
-    if trials < 1:
-        raise ConfigError(f"need at least one trial, got {trials}")
-    return 3.0 * math.sqrt(delta / trials)
+    _check_delta(delta)
+    return 3.0 * math.sqrt(delta / _size("trials", trials))
 
 
 def _subsets(d: int, size: int, trials: int, seed: int):
     """``trials`` uniform without-replacement size-``size`` subsets of
     range(d), drawn in turn from ``default_rng(seed)``."""
-    if trials < 1:
-        raise ConfigError(f"need at least one trial, got {trials}")
-    rng = np.random.default_rng(seed)
+    trials = _size("trials", trials)
+    rng = np.random.default_rng(_count("seed", seed))
     return (rng.choice(d, size=size, replace=False) for _ in range(trials))
 
 
@@ -388,10 +375,8 @@ def chernoff_violation_rate(
     """
     A = np.asarray(A, dtype=np.float64)
     n, p = A.shape
-    if not 1 <= b <= p:
-        raise ConfigError(f"block size must lie in [1, {p}]")
-    if not 0 < delta <= 1:
-        raise ConfigError("delta must lie in (0, 1]")
+    b = _size("block size", b, p)
+    _check_delta(delta)
     G = A.T @ A
     threshold = (
         math.e**2 * (b / p) * lambda_extremes(G).lmax
@@ -420,10 +405,8 @@ def bernstein_lower_rate(
     """
     psi = np.asarray(psi, dtype=np.float64)
     n, m = psi.shape
-    if not 1 <= p <= m:
-        raise ConfigError(f"sketch size must lie in [1, {m}]")
-    if not 0 < delta <= 1:
-        raise ConfigError("delta must lie in (0, 1]")
+    p = _size("sketch size", p, m)
+    _check_delta(delta)
     G = psi.T @ psi
     lmax = lambda_extremes(G).lmax  # = lambda_max(psi psi^T)
     col_b = float(np.diag(G).max())
@@ -453,8 +436,7 @@ def _rf_requirement(
     X: np.ndarray, sigma: float, alpha: float, delta: float
 ) -> tuple[int, float]:
     """``rf_required_features`` and the ||K|| it is computed from."""
-    if not 0 < delta <= 1:
-        raise ConfigError("delta must lie in (0, 1]")
+    _check_delta(delta)
     if not 0 < alpha < 1:
         raise ConfigError("alpha must lie in (0, 1)")
     X = np.asarray(X, dtype=np.float64)
@@ -516,79 +498,7 @@ def rf_concentration_check(
 
 
 # ---------------------------------------------------------------------------
-# spectrum regimes
-
-
-@dataclass(frozen=True)
-class RegimeSummary:
-    """Order-of-magnitude iteration/block-size entries, constants set to 1.
-
-    Only growth rates across n are meaningful; never compare these
-    absolutely against measured counts.
-    """
-
-    method: str
-    lambda_minimax: float
-    iterations: float
-    block_size: float
-    asymptotic: bool = True
-
-
-def table1_regime(
-    model: SpectrumModel,
-    method: str,
-    gamma: float | None = None,
-    p: int | None = None,
-) -> RegimeSummary:
-    """Minimax lambda plus the iteration/block-size orders for a method.
-
-    exponential decay, lambda = log(n)/n:
-        full    iters n              block log^2 n
-        nystrom iters n p / gamma    block (1 + gamma) log n
-        rf      iters n              block log n
-    polynomial decay (exponent beta), lambda = n^(-2 beta / (2 beta + 1)):
-        full    iters n^(2b/(2b+1))           block n^(1/(2b+1)) log n
-        nystrom iters p n^(2b/(2b+1)) / gamma block (1 + gamma) log n
-        rf      iters n^(2b/(2b+1))           block log n
-    """
-    if method not in ("full", "nystrom", "rf"):
-        raise ConfigError(f"unknown method {method!r}")
-    n = model.n
-    log_n = math.log(n)
-    if model.decay == "exponential":
-        lam = log_n / n
-        base_iters = float(n)
-    else:
-        beta = model.rate
-        expo = 2.0 * beta / (2.0 * beta + 1.0)
-        lam = n**-expo
-        base_iters = float(n**expo)
-    if method == "full":
-        if model.decay == "exponential":
-            block = log_n**2
-        else:
-            block = n ** (1.0 / (2.0 * model.rate + 1.0)) * log_n
-        return RegimeSummary("full", lam, base_iters, block)
-    if method == "nystrom":
-        if gamma is None or not gamma > 0:
-            raise ConfigError("nystrom regime needs gamma > 0")
-        if p is None:
-            raise ConfigError("nystrom regime needs the landmark count p")
-        return RegimeSummary(
-            "nystrom", lam, p * base_iters / gamma, (1.0 + gamma) * log_n
-        )
-    return RegimeSummary("rf", lam, base_iters, log_n)
-
-
-def synthetic_spectrum_kernel(model: SpectrumModel, seed: int = 0) -> np.ndarray:
-    """PSD matrix with eigenvalues n * mu_l and a seeded Haar eigenbasis."""
-    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0x5A5,)))
-    raw = rng.standard_normal((model.n, model.n))
-    q, r = np.linalg.qr(raw)
-    q = q * np.sign(np.diag(r))
-    vals = model.eigenvalues()
-    K = (q * vals) @ q.T
-    return (K + K.T) * 0.5
+# conditioning of the matched block systems
 
 
 class ConditioningPair(NamedTuple):

@@ -1,12 +1,17 @@
 """Importing the package loads numpy and no scipy: scipy's import costs
 more than the package itself, and maps a second OpenBLAS.  The package's
-modules factor and solve only through ``kernelbcd.linalg``."""
+modules factor and solve only through ``kernelbcd.linalg``, and a star
+import binds the package's public names, not its submodules."""
 
 import ast
 import os
+import re
 import subprocess
 import sys
+import types
 from pathlib import Path
+
+import kernelbcd
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -45,3 +50,18 @@ def test_only_linalg_calls_cholesky_and_solve():
         if {"cholesky", "solve"} & _np_linalg_names(path)
     }
     assert users == {"linalg.py"}
+
+
+def test_all_names_no_submodule_and_no_table1_formula():
+    assert not [
+        name
+        for name in kernelbcd.__all__
+        if isinstance(getattr(kernelbcd, name), types.ModuleType)
+    ]
+    # the Table 1 regime formulas, their spectrum model and the synthetic
+    # spectrum kernel are gone from the package
+    assert not [
+        name
+        for name in kernelbcd.__all__
+        if re.search("table1|spectrum|regime", name, re.IGNORECASE)
+    ]

@@ -27,11 +27,11 @@ from kernelbcd.kernels import (
 )
 from kernelbcd.rates import (
     QuadraticProblem,
-    SpectrumModel,
     adversarial_hessian,
     bcd_iterations_to_tolerance,
     bernstein_lower_rate,
     chernoff_violation_rate,
+    check_subset_cap,
     classical_bound,
     conditioning_compare,
     improved_bound,
@@ -42,8 +42,6 @@ from kernelbcd.rates import (
     rf_required_features,
     run_bcd_quadratic,
     standard_rate_iters,
-    synthetic_spectrum_kernel,
-    table1_regime,
     theorem_rate,
 )
 from kernelbcd.solvers import draw_landmarks
@@ -334,58 +332,6 @@ class TestRfConcentration:
         assert result.required_p == p_req
 
 
-class TestTable1:
-    def test_exponential_full(self):
-        model = SpectrumModel("exponential", 1.0, 1024)
-        regime = table1_regime(model, "full")
-        assert regime.lambda_minimax == pytest.approx(math.log(1024) / 1024)
-        assert regime.iterations == 1024
-        assert regime.block_size == pytest.approx(math.log(1024) ** 2)
-        assert regime.asymptotic
-
-    def test_polynomial_nystrom(self):
-        model = SpectrumModel("polynomial", 1.0, 729)
-        regime = table1_regime(model, "nystrom", gamma=0.5, p=32)
-        assert regime.iterations == pytest.approx(32 * 729 ** (2.0 / 3.0) / 0.5)
-        assert regime.lambda_minimax == pytest.approx(729 ** (-2.0 / 3.0))
-        assert regime.block_size == pytest.approx(1.5 * math.log(729))
-
-    def test_rf_matches_full_iteration_order(self):
-        model = SpectrumModel("exponential", 0.5, 512)
-        full = table1_regime(model, "full")
-        rf = table1_regime(model, "rf")
-        assert rf.iterations == full.iterations
-        assert rf.block_size == pytest.approx(math.log(512))
-
-    def test_nystrom_needs_gamma_and_p(self):
-        model = SpectrumModel("exponential", 1.0, 64)
-        with pytest.raises(ConfigError):
-            table1_regime(model, "nystrom", gamma=None, p=8)
-        with pytest.raises(ConfigError):
-            table1_regime(model, "nystrom", gamma=0.5, p=None)
-
-
-class TestSyntheticSpectrum:
-    def test_exponential_eigenvalues(self):
-        model = SpectrumModel("exponential", math.log(2.0), 8)
-        k = synthetic_spectrum_kernel(model, seed=35)
-        vals = np.sort(np.linalg.eigvalsh(k))[::-1]
-        expected = 8.0 * 0.5 ** np.arange(1, 9)
-        assert np.allclose(vals, expected, rtol=1e-8)
-
-    def test_trace_identity(self):
-        model = SpectrumModel("polynomial", 1.0, 12)
-        k = synthetic_spectrum_kernel(model, seed=36)
-        assert np.trace(k) == pytest.approx(model.eigenvalues().sum(), rel=1e-10)
-
-    def test_seeded_and_symmetric(self):
-        model = SpectrumModel("exponential", 0.7, 10)
-        k1 = synthetic_spectrum_kernel(model, seed=37)
-        k2 = synthetic_spectrum_kernel(model, seed=37)
-        assert np.array_equal(k1, k2)
-        assert np.array_equal(k1, k1.T)
-
-
 class TestConditioning:
     def test_single_feature_is_trivial(self):
         data = gaussian_blobs(32, 2, 2, seed=38)
@@ -529,6 +475,66 @@ _PROB4 = QuadraticProblem(random_spd(4, 3), np.ones(4))
 def test_degenerate_rates_inputs_raise_config_error(call):
     with pytest.raises(ConfigError):
         call()
+
+
+_H2 = 2.0 * np.eye(4)
+_PROB2 = QuadraticProblem(_H2, np.ones(4))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: run_bcd_quadratic(_PROB2, 0, 2, 3),
+        lambda: run_bcd_quadratic(_PROB2, 5, 2, 3),
+        lambda: run_bcd_quadratic(_PROB2, 2.0, 2, 3),
+        lambda: run_bcd_quadratic(_PROB2, 2, 1.5, 3),
+        lambda: run_bcd_quadratic(_PROB2, 2, 2, 2.5),
+        lambda: bcd_iterations_to_tolerance(_PROB2, 0, 0.1, seeds=2, max_iters=5),
+        lambda: bcd_iterations_to_tolerance(_PROB2, 2, 0.1, seeds=2, max_iters=2.5),
+        lambda: l_max_b(_H2, 1.5),
+        lambda: l_eff(_H2, 1.5),
+        lambda: improved_bound(_H2, 2, 1, 1, tau=2.5),
+        lambda: classical_bound(_H2, 2, 1, 1, tau=2.5),
+        lambda: chernoff_violation_rate(_H2, 1.5, 0.1, trials=5),
+        lambda: chernoff_violation_rate(_H2, 2, 0.1, trials=2.5),
+        lambda: bernstein_lower_rate(_H2, 1.5, 0.1, trials=5),
+        lambda: monte_carlo_slack(0.1, 2.5),
+        lambda: check_subset_cap(4, 0),
+        lambda: check_subset_cap(4, 1.5),
+        lambda: adversarial_hessian(16.0, 1.0),
+        lambda: run_bcd_quadratic(_PROB2, 2, 2, 3, base_seed=-1),
+        lambda: chernoff_violation_rate(_H2, 2, 0.1, trials=5, seed=1.5),
+    ],
+    ids=[
+        "run-b0", "run-b5", "run-b-float", "run-seeds-float", "run-tau-float",
+        "iterations-b0", "iterations-max_iters-float", "l_max_b-b-float",
+        "l_eff-b-float", "improved_bound-tau-float", "classical_bound-tau-float",
+        "chernoff-b-float", "chernoff-trials-float", "bernstein-p-float",
+        "slack-trials-float", "subset_cap-b0", "subset_cap-b-float",
+        "adversarial-d-float", "run-base_seed-negative", "chernoff-seed-float",
+    ],
+)
+def test_sizes_and_counts_must_be_integers_in_range(call):
+    # one rule for every block size, sketch size, count and seed: an int,
+    # in [1, d] for a size, checked once per call and before the first step
+    with pytest.raises(ConfigError):
+        call()
+
+
+@pytest.mark.parametrize("delta", [-0.1, 0.0, math.nan, 2.0])
+@pytest.mark.parametrize(
+    "rate",
+    [
+        lambda delta: monte_carlo_slack(delta, 10),
+        lambda delta: chernoff_violation_rate(_H2, 2, delta, trials=5),
+        lambda delta: bernstein_lower_rate(_H2, 2, delta, trials=5),
+        lambda delta: rf_required_features(np.eye(3), 1.0, 0.5, delta),
+    ],
+    ids=["monte_carlo_slack", "chernoff", "bernstein", "rf_required_features"],
+)
+def test_delta_outside_the_unit_interval_raises_config_error(rate, delta):
+    with pytest.raises(ConfigError, match="delta must lie in"):
+        rate(delta)
 
 
 # The batched ensemble solves each block by LU on the stacked blocks, where
