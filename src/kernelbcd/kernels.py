@@ -13,15 +13,20 @@ has.  Random-feature columns are a pure function of
 ``SeedSequence(master_seed, spawn_key=(m,))``, but a block draws all its
 columns in one array pass (``_block_params``) rather than one generator
 per column, and maps the uniforms to normals with a port of Cephes'
-``ndtri`` (``_ndtri``).  The seed's entropy pool is numpy's own
-``SeedSequence(master_seed).pool``; the pass restates only what numpy
-does not vectorise: mixing in each column's spawn word,
+``ndtri`` (``_ndtri``).  Each column of the pass carries its own master
+seed: the entropy pool, numpy's own ``SeedSequence(master_seed).pool``,
+and the hash constants its spawn words start from (``_seed_words``).  So
+one pass also draws the blocks of several master seeds side by side
+(``random_features_stack``, a Monte-Carlo ensemble of feature maps), and
+``random_features_block`` is its one-seed case.  The pass restates only
+what numpy does not vectorise: mixing in each column's spawn word,
 ``generate_state`` and Philox (``_philox_keys``, ``_philox4x64``).
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import locale
 import math
 import numbers
@@ -88,6 +93,18 @@ class KernelSpec:
             )
 
 
+def _master_seed(seed) -> int:
+    """A feature map's master seed as a Python int >= 0; anything else
+    raises ``ConfigError``."""
+    try:
+        seed = operator.index(seed)
+    except TypeError:
+        raise ConfigError(f"master_seed must be an integer; got {seed!r}") from None
+    if seed < 0:
+        raise ConfigError(f"master_seed must be >= 0, got {seed}")
+    return seed
+
+
 @dataclass(frozen=True)
 class FeatureMapSpec:
     """Random cosine feature map targeting the rbf kernel.
@@ -106,18 +123,13 @@ class FeatureMapSpec:
 
     def __post_init__(self):
         try:
-            p, seed = operator.index(self.p), operator.index(self.master_seed)
+            p = operator.index(self.p)
         except TypeError:
-            raise ConfigError(
-                "feature count p and master_seed must be integers; got "
-                f"{self.p!r} and {self.master_seed!r}"
-            ) from None
+            raise ConfigError(f"feature count p must be an integer; got {self.p!r}") from None
         if p < 1:
             raise ConfigError("feature count p must be >= 1")
-        if seed < 0:
-            raise ConfigError(f"master_seed must be >= 0, got {seed}")
         object.__setattr__(self, "p", p)
-        object.__setattr__(self, "master_seed", seed)
+        object.__setattr__(self, "master_seed", _master_seed(self.master_seed))
         object.__setattr__(self, "sigma", _bandwidth(self.sigma))
         # a frequency is a standard normal draw times 1/sigma, and a draw
         # reaches MAX_NORMAL_DRAW / sigma
@@ -267,13 +279,31 @@ def random_features_block(X: np.ndarray, indices, spec: FeatureMapSpec) -> np.nd
 
     Column j is sqrt(2/p) * cos(X omega_I(j) + b_I(j)); every entry is
     bounded by sqrt(2/p) in magnitude and every full row has squared norm
-    at most 2.  The GEMM is one call; the phase, cosine and scale passes
-    run over the row ranges of ``for_rows``.
+    at most 2.  The one-seed case of ``random_features_stack``.
+    """
+    return random_features_stack(X, indices, spec, (spec.master_seed,))[:, 0]
+
+
+def random_features_stack(X: np.ndarray, indices, spec: FeatureMapSpec, seeds) -> np.ndarray:
+    """The blocks Z([n], I) of several master seeds, shape (n, len(seeds), |I|):
+    ``[:, t]`` is byte for byte ``random_features_block(X, indices,
+    FeatureMapSpec(spec.p, spec.sigma, seeds[t]))``.  A seed that is not an
+    int >= 0 raises ``ConfigError``, as in ``FeatureMapSpec``.
+
+    The seeds' blocks stand side by side along the column axis of one
+    n x len(seeds) |I| array: one ``_block_params`` pass draws every
+    (seed, column) pair, and the phase, cosine and scale passes run over
+    the row ranges of ``for_rows``, while each seed's block keeps its own
+    GEMM, so its bits are those of its own call.
     """
     X = np.asarray(X, dtype=np.float64)
     idx = validate_indices(indices, spec.p)
-    freqs, phases = _block_params(spec, idx, X.shape[1])
-    z = X @ freqs
+    seeds = [_master_seed(seed) for seed in seeds]
+    freqs, phases = _block_params(spec, idx, X.shape[1], seeds)
+    z = np.empty((X.shape[0], freqs.shape[1]))
+    for first in range(0, freqs.shape[1], max(1, idx.size)):
+        cols = slice(first, first + idx.size)
+        np.matmul(X, freqs[:, cols], out=z[:, cols])
     scale = np.sqrt(2.0 / spec.p)
 
     def rows(lo, hi):
@@ -283,7 +313,7 @@ def random_features_block(X: np.ndarray, indices, spec: FeatureMapSpec) -> np.nd
         zr *= scale
 
     for_rows(z, rows)
-    return z
+    return z.reshape(X.shape[0], len(seeds), idx.size)
 
 
 # numpy's SeedSequence mixing constants (numpy/random/bit_generator.pyx)
@@ -300,36 +330,46 @@ _PHILOX_M = np.array([[[0xD2E7470EE14C6C93]], [[0xCA5A826395121157]]], dtype=np.
 _PHILOX_W = np.array([[[0x9E3779B97F4A7C15]], [[0xBB67AE8584CAA73B]]], dtype=np.uint64)
 _PHILOX_ROUNDS = 10
 _U32, _LO32 = np.uint64(32), np.uint64(_MASK32)
-# Philox output words per column chunk of a block draw (512 KB of uint64)
+# Philox output words per column chunk of a block draw (512 KB of uint64);
+# rates also bounds the entries of a chunk of feature trials by it
 _DRAW_WORDS = 1 << 16
 
 
-def _block_params(spec: FeatureMapSpec, idx: np.ndarray, d: int):
-    """Frequencies (d x |idx|, C-contiguous) and phases of the columns idx.
+def _block_params(spec: FeatureMapSpec, idx: np.ndarray, d: int, seeds=None):
+    """Frequencies (d x len(seeds) |idx|, C-contiguous) and phases of the
+    columns (s, m), s in ``seeds`` (by default ``spec.master_seed`` alone)
+    and m in idx, seed by seed.
 
-    Column m gets exactly the draw of numpy's
-    ``Generator(Philox(SeedSequence(master_seed, spawn_key=(m,)))).random(d + 1)``
+    Column (s, m) gets exactly the draw of numpy's
+    ``Generator(Philox(SeedSequence(s, spawn_key=(m,)))).random(d + 1)``
     -- d inverse-CDF Gaussian frequencies, then the phase -- but every column
     is drawn in one array pass: Philox is counter based, so its key and its
-    d + 1 outputs are plain functions of (master_seed, m).  Columns are
-    drawn ``_DRAW_WORDS // (d + 1)`` at a time, which bounds the Philox
-    temporaries however wide the block is.
+    d + 1 outputs are plain functions of (s, m).  A pass covers whole seeds,
+    ``_DRAW_WORDS // (d + 1)`` columns at most, or a run of one seed's
+    columns when a seed alone has more, which bounds the Philox temporaries
+    however wide the block or however many the seeds.
     """
-    freqs = np.empty((d, idx.size))
-    phases = np.empty(idx.size)
+    seeds = (spec.master_seed,) if seeds is None else seeds
+    words = _seed_words(seeds)
+    freqs = np.empty((d, len(seeds), idx.size))
+    phases = np.empty((len(seeds), idx.size))
     step = max(1, _DRAW_WORDS // (d + 1))
-    for start in range(0, idx.size, step):
-        cols = slice(start, start + step)
-        key = _philox_keys(spec.master_seed, idx[cols])
-        raw = _philox4x64(key, -(-(d + 1) // 4))[: d + 1]
-        # Generator.random: the top 53 bits of each word, times 2**-53
-        u = (raw >> np.uint64(11)) * (1.0 / 9007199254740992.0)
-        # random() can return 0.0, which ndtri maps to -inf
-        np.maximum(u[:d], 5e-324, out=freqs[:, cols])
-        phases[cols] = TWO_PI * u[d]
-    freqs = _ndtri(freqs)
+    per = max(1, step // max(1, idx.size))
+    for first in range(0, len(seeds), per):
+        own = slice(first, first + per)
+        for start in range(0, idx.size, step):
+            cols = slice(start, start + step)
+            key = _philox_keys(words[:, own], idx[cols])
+            raw = _philox4x64(key, -(-(d + 1) // 4))[: d + 1]
+            # Generator.random: the top 53 bits of each word, times 2**-53
+            u = (raw >> np.uint64(11)) * (1.0 / 9007199254740992.0)
+            u = u.reshape(d + 1, -1, min(idx.size - start, step))
+            # random() can return 0.0, which ndtri maps to -inf
+            np.maximum(u[:d], 5e-324, out=freqs[:, own, cols])
+            phases[own, cols] = TWO_PI * u[d]
+    freqs = _ndtri(freqs.reshape(d, len(seeds) * idx.size))
     freqs /= spec.sigma
-    return freqs, phases
+    return freqs, phases.ravel()
 
 
 # Cephes ndtri (S. L. Moshier, Cephes Math Library, ndtri.c): the inverse
@@ -437,32 +477,55 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return r ^ (r >> 16)
 
 
-def _philox_keys(master_seed: int, idx: np.ndarray):
-    """The uint64 Philox key words of ``SeedSequence(master_seed,
-    spawn_key=(m,))`` for every m in idx, shape (2, len(idx)).  The seed is
-    the non-negative int that ``FeatureMapSpec`` checked.
+@functools.cache
+def _spawn_consts(padded: int) -> np.ndarray:
+    """The hash constants the spawn words of a seed of ``padded`` 32-bit
+    words are mixed with, as a read-only (9, 1) column: mixing the seed
+    took ``_POOL_SIZE`` hashmix calls per padded word -- one per pool word
+    and twelve to cross-mix the pool for the first four, four for each word
+    past them."""
+    consts = _hash_consts(_INIT_A, _MULT_A, _POOL_SIZE * padded, 2 * _POOL_SIZE)
+    consts.flags.writeable = False
+    return consts
+
+
+def _seed_words(seeds) -> np.ndarray:
+    """Each master seed's words for ``_philox_keys``, shape (13, len(seeds),
+    1): its entropy pool, numpy's own ``SeedSequence(seed).pool``, over the
+    nine hash constants its spawn words are mixed with.  The seeds are
+    non-negative ints, as ``FeatureMapSpec`` checks them.
 
     The entropy is the seed's 32-bit words, zero-padded to the pool size
-    (numpy pads when a spawn key is given), then m's words.  Everything up
-    to m's words is shared, and numpy gives it as ``SeedSequence(
-    master_seed).pool``.  Mixing it took ``_POOL_SIZE`` hashmix calls per
-    padded seed word -- one per pool word and twelve to cross-mix the pool
-    for the first four, four for each word past them -- so m's words start
-    from the hash constant after that many calls.  Each of m's words is
-    mixed into the four pool words at once, as a (4, len(idx)) array, and
-    ``generate_state`` hashes those rows.  The arrays hold 32-bit words in
-    uint64, the dtype Philox needs anyway: a product of two words is exact
-    there, and every step masks back to 32 bits.
+    (numpy pads when a spawn key is given), so a seed of more words -- one
+    of 2**128 or more -- starts its spawn words from a later constant.
     """
-    pool = np.random.SeedSequence(master_seed).pool.astype(np.uint64)[:, None]
-    padded = max(_POOL_SIZE, -(-master_seed.bit_length() // 32))
-    consts = _hash_consts(_INIT_A, _MULT_A, _POOL_SIZE * padded, 2 * _POOL_SIZE)
+    words = np.empty((3 * _POOL_SIZE + 1, len(seeds), 1), np.uint64)
+    for j, seed in enumerate(seeds):
+        words[:_POOL_SIZE, j] = np.random.SeedSequence(seed).pool[:, None]
+        words[_POOL_SIZE:, j] = _spawn_consts(max(_POOL_SIZE, -(-seed.bit_length() // 32)))
+    return words
+
+
+def _philox_keys(words: np.ndarray, idx: np.ndarray):
+    """The uint64 Philox key words of ``SeedSequence(seed, spawn_key=(m,))``
+    for every seed of ``words`` (its ``_seed_words``) and every m in idx,
+    shape (2, seeds x len(idx)), seed by seed.
+
+    The entropy is the seed's padded words, then m's words.  Everything up
+    to m's words is shared, and numpy gives it as the seed's pool.  Each of
+    m's words is mixed into the four pool words of every seed at once, as
+    a (4, seeds, len(idx)) array, and ``generate_state`` hashes those rows.
+    The arrays hold 32-bit words in uint64, the dtype Philox needs anyway:
+    a product of two words is exact there, and every step masks back to 32
+    bits.
+    """
+    pool, consts = words[:_POOL_SIZE], words[_POOL_SIZE:]
     low, high = (idx & _MASK32).astype(np.uint64), (idx >> 32).astype(np.uint64)
     pool = _mix(pool, _hashmix(low, consts[: _POOL_SIZE + 1]))
     if high.any():  # m >= 2**32 is a second spawn-key word
         pool = np.where(high > 0, _mix(pool, _hashmix(high, consts[_POOL_SIZE:])), pool)
     # generate_state(2, uint64): four hashed pool words, little-endian pairs
-    state = _hashmix(pool, _STATE_CONSTS)
+    state = _hashmix(pool.reshape(_POOL_SIZE, -1), _STATE_CONSTS)
     return np.stack([state[0] | (state[1] << _U32), state[2] | (state[3] << _U32)])
 
 

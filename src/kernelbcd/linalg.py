@@ -55,11 +55,18 @@ def is_symmetric(a: np.ndarray) -> np.ndarray:
     """Whether ``a``, or each matrix of a stack (..., m, m), equals its
     transpose within SYMMETRY_RTOL of its own largest entry; a matrix with a
     non-finite entry is not symmetric.  A bool array of the stack's shape,
-    0-d for one matrix."""
-    scale = np.abs(a).max(axis=(-2, -1), initial=0.0)
-    with np.errstate(invalid="ignore"):  # inf - inf, in a matrix that fails
-        skew = np.abs(a - np.swapaxes(a, -2, -1)).max(axis=(-2, -1), initial=0.0)
-    return (scale < np.inf) & (skew <= SYMMETRY_RTOL * np.maximum(1.0, scale))
+    0-d for one matrix.
+
+    It takes two reductions and a division: the scale is max(1, largest
+    |entry|), and the skew needs no absolute value, since a - a^T is
+    antisymmetric, so its largest entry is its largest magnitude.  A matrix
+    with an inf entry has an inf or NaN skew over an inf scale, and one
+    with a NaN entry a NaN skew, so the ratio is NaN and the test fails.
+    """
+    with np.errstate(invalid="ignore"):  # inf - inf and inf / inf, in a matrix that fails
+        scale = np.abs(a).max(axis=(-2, -1), initial=1.0)
+        skew = (a - a.swapaxes(-2, -1)).max(axis=(-2, -1), initial=0.0)
+        return skew / scale <= SYMMETRY_RTOL
 
 
 def _raise_if_not_finite(**arrays) -> None:

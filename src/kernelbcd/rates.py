@@ -22,19 +22,26 @@ partition each epoch, which the bound does not cover.
 The seeded runs of an ensemble step together: seed s draws its subsets from
 its own generator, SeedSequence(base_seed, spawn_key=(s,)), and a step of
 every run is one stacked gather, one stacked SPD solve and one stacked
-update.  The subset families behind ``l_max_b`` and the Monte-Carlo checks
-go through one stacked ``eigvalsh`` per chunk, so their lambda_max values are
-byte-equal to a per-subset loop.  The thresholds' single-matrix tops, the
-lambda_max of A^T A, psi^T psi and the kernel matrix of X, come from
-``lambda_extremes``, which refuses a matrix that is not finite, and
-``l_max_b`` refuses the same H through the same check
-(``checked_symmetric``).  The stacked solve is ``spd_solve``, the solvers'
-one: it refuses a block that is not symmetric within tolerance or whose
-Cholesky pivots are not positive to working precision (``NotSpdError``),
-and solves by LU, not Cholesky, so mean gaps agree with a per-seed loop to
-rounding (within 1e-14 of the first gap in the tests), and a run's gaps do
-not depend on how many runs step with it.  Chunks of at most
-``_STACK_WORDS`` words bound the memory whatever the seed or subset count.
+update.  Every random subset, a run's blocks or a Chernoff or Bernstein
+trial's, is drawn in bulk by ``_choices``, a chunk of steps or trials at a
+time from the generators' raw PCG64 words: byte for byte the subsets that
+the same generators' ``Generator.choice(d, b, replace=False)`` calls give
+one at a time.  The random-feature trials are drawn a chunk at a time as
+well, by one ``random_features_stack`` call, each trial byte for byte its
+own ``random_features_block``.  The subset families behind ``l_max_b`` and
+the Monte-Carlo checks go through one stacked ``eigvalsh`` per chunk, so
+their lambda_max values are byte-equal to a per-subset loop.  The
+thresholds' single-matrix tops, the lambda_max of A^T A, psi^T psi and the
+kernel matrix of X, come from ``lambda_extremes``, which refuses a matrix
+that is not finite, and ``l_max_b`` refuses the same H through the same
+check (``checked_symmetric``).  The stacked solve is ``spd_solve``, the
+solvers' one: it refuses a block that is not symmetric within tolerance or
+whose Cholesky pivots are not positive to working precision
+(``NotSpdError``), and solves by LU, not Cholesky, so mean gaps agree with
+a per-seed loop to rounding (within 1e-14 of the first gap in the tests),
+and a run's gaps do not depend on how many runs step with it.  Chunks of at most
+``_STACK_WORDS`` words (``_DRAW_WORDS`` for the feature trials) bound the
+memory whatever the seed, step, subset or trial count.
 
 Natural log throughout.
 """
@@ -56,7 +63,17 @@ from .errors import (
     NotPerfectSquareError,
     ThresholdNotMetError,
 )
-from .kernels import Dataset, FeatureMapSpec, KernelSpec, kernel_cross, random_features_block
+from .kernels import (
+    _DRAW_WORDS,
+    _LO32,
+    _U32,
+    Dataset,
+    FeatureMapSpec,
+    KernelSpec,
+    kernel_cross,
+    random_features_block,
+    random_features_stack,
+)
 from .linalg import (
     _raise_if_not_finite,
     checked_symmetric,
@@ -85,12 +102,128 @@ def _size(name: str, value, most: float = math.inf) -> int:
     return value
 
 
+def _check_level(name: str, value) -> None:
+    """A gap or a relative tolerance must be a finite real number >= 0;
+    anything else, NaN included, raises ``ConfigError``."""
+    _real(name, value)
+    if not 0 <= value < math.inf:
+        raise ConfigError(f"{name} must be a finite number >= 0, got {value!r}")
+
+
 def _check_delta(delta) -> None:
     """A failure probability must be a real number in (0, 1]; anything else,
     NaN included, raises ``ConfigError``."""
     _real("delta", delta)
     if not 0 < delta <= 1:
         raise ConfigError(f"delta must lie in (0, 1], got {delta!r}")
+
+
+# ---------------------------------------------------------------------------
+# uniform subsets, drawn in bulk
+
+# numpy's choice shuffles the tail of a whole arange(d) past this d
+_TAIL_SHUFFLE_D = 10000
+
+
+def _choices(rngs: list, d: int, size: int, count: int):
+    """Yield ``count`` arrays of shape (len(rngs), size): row i of the c-th
+    is, bit for bit, what the c-th of ``count`` consecutive
+    ``rngs[i].choice(d, size=size, replace=False)`` calls returns.
+
+    The generators must be fresh ``default_rng`` (PCG64) generators, used
+    for nothing else: the words are taken with ``bit_generator.random_raw``
+    and the generators are left past the last word drawn.  The draw
+    restates numpy's ``Generator.choice`` (numpy/random/_generator.pyx):
+
+    * the 32-bit stream is the low half, then the high half, of each raw
+      PCG64 word;
+    * each draw on [0, r] is Lemire's bounded draw: a word x is taken while
+      (x (r + 1)) mod 2**32 < 2**32 mod (r + 1), then (x (r + 1)) >> 32 is
+      returned.  A draw on [0, 0] takes no word;
+    * for d > 10000 and size > d // 50, a Fisher-Yates shuffle of the last
+      ``size`` places of arange(d), the draws on [0, d - 1] down to
+      [0, max(d - size, 1)];
+    * otherwise Floyd's selection, with draws on [0, d - size] up to
+      [0, d - 1], then a Fisher-Yates shuffle of the result, with draws on
+      [0, size - 1] down to [0, 1].
+
+    Every word of a chunk is first given to the draw it would serve were
+    nothing rejected; each pass then moves the first rejected draw of every
+    run, and every draw after it, one word on, until no draw is rejected.
+    Calls are drawn in chunks of at most ``_STACK_WORDS`` words over all
+    the runs (one call per chunk where a call alone needs more), so a
+    caller that stops early draws and holds no more than one chunk.  d is
+    at most 2**32, where every draw is a 32-bit one.
+    """
+    tail = d > _TAIL_SHUFFLE_D and size > d // 50
+    if tail:
+        ranges = np.arange(d - 1, max(d - size, 1) - 1, -1)
+    else:
+        ranges = np.concatenate([np.arange(d - size, d), np.arange(size - 1, 0, -1)])
+    drawn = ranges > 0
+    span = (ranges[drawn] + 1).astype(np.uint64)
+    floor = (1 << 32) % span
+    runs = len(rngs)
+    steps = max(1, _STACK_WORDS // (runs * (d if tail else 2 * size)))
+    pending = [np.empty(0, np.uint64)] * runs
+    for first in range(0, count, steps):
+        calls = min(steps, count - first)
+        draws = np.zeros((calls, runs, ranges.size), np.int64)
+        words = _bounded(rngs, pending, np.tile(span, calls), np.tile(floor, calls))
+        draws[:, :, drawn] = words.reshape(runs, calls, -1).transpose(1, 0, 2)
+        draws = draws.reshape(calls * runs, ranges.size)
+        rows = np.arange(calls * runs)
+        if tail:
+            out = np.tile(np.arange(d), (calls * runs, 1))
+            swaps = zip(range(d - 1, 0, -1), draws.T)
+        else:
+            out = draws[:, :size].copy()
+            for i in range(1, size):
+                seen = (out[:, :i] == out[:, i, None]).any(axis=1)
+                out[seen, i] = d - size + i
+            swaps = zip(range(size - 1, 0, -1), draws[:, size:].T)
+        for i, j in swaps:
+            out[rows, i], out[rows, j] = out[rows, j], out[rows, i]
+        yield from out[:, out.shape[1] - size :].reshape(calls, runs, size)
+
+
+def _bounded(rngs: list, pending: list, span: np.ndarray, floor: np.ndarray):
+    """(len(rngs), span.size) Lemire draws, draw k of a run on [0, span[k])
+    with rejection floor ``floor[k]``, from each run's 32-bit words:
+    ``pending[i]`` first, then fresh raw words of ``rngs[i]``.  Words left
+    over are put back in ``pending``."""
+    if not span.size:
+        return np.empty((len(rngs), 0), np.uint64)
+    words = _words(rngs, pending, span.size)
+    runs = np.arange(len(rngs))[:, None]
+    pos = np.broadcast_to(np.arange(span.size), words.shape).copy()
+    while True:
+        if pos[:, -1].max() >= words.shape[1]:
+            words = np.hstack([words, _words(rngs, pending, 1 + span.size // 8)])
+        scaled = words[runs, pos] * span
+        rejected = (scaled & _LO32) < floor
+        if not rejected.any():
+            break
+        first = np.where(rejected.any(axis=1), rejected.argmax(axis=1), span.size)
+        pos += np.arange(span.size) >= first[:, None]
+    for i, used in enumerate(pos[:, -1] + 1):
+        pending[i] = np.concatenate([words[i, used:], pending[i]])
+    return scaled >> _U32
+
+
+def _words(rngs: list, pending: list, width: int) -> np.ndarray:
+    """The next ``width`` 32-bit words of each run, as a (len(rngs), width)
+    uint64 array: ``pending[i]`` first, then the low and high halves of
+    fresh raw PCG64 words, whose unused halves stay in ``pending[i]``."""
+    rows = []
+    for i, rng in enumerate(rngs):
+        have = pending[i]
+        if have.size < width:
+            raw = rng.bit_generator.random_raw(-(-(width - have.size) // 2))
+            have = np.concatenate([have, np.stack([raw & _LO32, raw >> _U32], 1).ravel()])
+        rows.append(have[:width])
+        pending[i] = have[width:]
+    return np.stack(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -192,6 +325,7 @@ def improved_bound(
 ) -> np.ndarray:
     """Expected-gap envelope gap0 * (1 - m/(2 L_eff))^t for t = 0..tau."""
     tau = _count("tau", tau)
+    _check_level("gap0", gap0)
     factor = theorem_rate(H, b, m)
     return gap0 * factor ** np.arange(tau + 1)
 
@@ -202,6 +336,7 @@ def classical_bound(
     """Gap envelope from the classical analysis: per-step contraction
     (1 - b m / (d L_max_b)), with the exact ``l_max_b``."""
     tau = _count("tau", tau)
+    _check_level("gap0", gap0)
     H = np.asarray(H, dtype=np.float64)
     d = H.shape[0]
     rate = b * m / (d * l_max_b(H, b))
@@ -234,7 +369,9 @@ def _seed_chunks(prob: QuadraticProblem, b: int, seeds: int, base_seed: int):
 def _ensemble_gaps(prob: QuadraticProblem, b: int, rngs: list, tau: int):
     """Seeded runs stepping together: exact block minimization from w = 0,
     each run drawing I_t uniformly without replacement from its own
-    generator at every step.
+    generator at every step.  The blocks come from ``_choices``, a chunk of
+    steps of every run at a time, so a caller that stops early has drawn at
+    most one chunk past its last step.
 
     Yields the vector of the runs' gaps at t = 0..tau.  A step is one
     stacked gather of the b x b blocks, one stacked ``spd_solve`` and one
@@ -251,8 +388,7 @@ def _ensemble_gaps(prob: QuadraticProblem, b: int, rngs: list, tau: int):
     w = np.zeros((len(rngs), d))
     hw = np.zeros((len(rngs), d))  # H @ w of each run, maintained
     yield np.full(len(rngs), 0.0 - prob.f_star)
-    for _ in range(tau):
-        idx = np.array([rng.choice(d, size=b, replace=False) for rng in rngs])
+    for idx in _choices(rngs, d, b, tau):
         sub = H[idx[:, :, None], idx[:, None, :]]
         old = w[runs, idx]
         rhs = g[idx] - hw[runs, idx] + (sub @ old[:, :, None])[:, :, 0]
@@ -298,6 +434,7 @@ def bcd_iterations_to_tolerance(
     The seeds are those of ``run_bcd_quadratic``, with tau = max_iters; the
     runs stop stepping once every one of them has met the target."""
     max_iters = _count("max_iters", max_iters)
+    _check_level("rel_tol", rel_tol)
     target = rel_tol * (0.0 - prob.f_star)
     counts = []
     for rngs in _seed_chunks(prob, b, seeds, base_seed):
@@ -341,10 +478,12 @@ def monte_carlo_slack(delta: float, trials: int) -> float:
 
 def _subsets(d: int, size: int, trials: int, seed: int):
     """``trials`` uniform without-replacement size-``size`` subsets of
-    range(d), drawn in turn from ``default_rng(seed)``."""
+    range(d): those of ``trials`` consecutive ``choice(d, size,
+    replace=False)`` calls on ``default_rng(seed)``, drawn in bulk, a chunk
+    at a time, by ``_choices``."""
     trials = _size("trials", trials)
     rng = np.random.default_rng(_count("seed", seed))
-    return (rng.choice(d, size=size, replace=False) for _ in range(trials))
+    return (draw[0] for draw in _choices([rng], d, size, trials))
 
 
 def _tops(G: np.ndarray, subsets, size: int):
@@ -474,8 +613,16 @@ def rf_concentration_check(
     [(1 - alpha) ||K||, (1 + alpha) ||K||].  The lemma promises frequency
     at most delta once p clears ``rf_required_features``; a smaller p
     raises ThresholdNotMetError (callers should skip, not fail).
+
+    Trial t draws Z from master seed ``base_seed + t``.  The trials come in
+    chunks of at most ``_DRAW_WORDS`` entries of Z: one
+    ``random_features_stack`` call draws a chunk's features, each trial
+    keeps its own ``z @ z.T``, and one stacked ``eigvalsh`` gives the
+    norms, so every norm is byte for byte that of a loop over
+    ``random_features_block`` one trial at a time.
     """
     X = np.asarray(X, dtype=np.float64)
+    base_seed = _count("base seed", base_seed)
     required, norm_k = _rf_requirement(X, spec.sigma, alpha, delta)
     if spec.p < required:
         raise ThresholdNotMetError(
@@ -485,14 +632,13 @@ def rf_concentration_check(
     lo, hi = (1.0 - alpha) * norm_k, (1.0 + alpha) * norm_k
     hits = 0
     cols = np.arange(spec.p)
-    for t in range(trials):
-        draw = FeatureMapSpec(
-            p=spec.p, sigma=spec.sigma, master_seed=base_seed + t
-        )
-        z = random_features_block(X, cols, draw)
-        top = float(np.linalg.eigvalsh(z @ z.T)[-1])
-        if not lo <= top <= hi:
-            hits += 1
+    per = max(1, _DRAW_WORDS // (spec.p * X.shape[0]))
+    for first in range(0, trials, per):
+        seeds = range(base_seed + first, base_seed + min(first + per, trials))
+        z = random_features_stack(X, cols, spec, seeds)
+        grams = np.stack([zt @ zt.T for zt in z.transpose(1, 0, 2)])
+        tops = np.linalg.eigvalsh(grams)[:, -1]
+        hits += int(np.count_nonzero(~((lo <= tops) & (tops <= hi))))
     rate = hits / trials
     return RfConcentrationResult(rate, allowed, required, norm_k, rate <= allowed)
 

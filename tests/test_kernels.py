@@ -27,6 +27,7 @@ from kernelbcd.kernels import (
     load_csv,
     one_vs_all,
     random_features_block,
+    random_features_stack,
     _block_params,
     _ndtri,
 )
@@ -550,3 +551,29 @@ def test_spec_sigma_is_stored_as_a_python_float(sigma):
     for spec in (KernelSpec("rbf", sigma), KernelSpec("linear", sigma),
                  FeatureMapSpec(8, sigma)):
         assert type(spec.sigma) is float and spec.sigma == 2.0
+
+
+@pytest.mark.parametrize("words", [None, 40, 300])
+@pytest.mark.parametrize("base_seed", [0, 2**128 - 3])
+def test_stacked_seeds_give_each_seed_its_own_block(words, base_seed, monkeypatch):
+    # 2**128 - 3 .. 2**128 + 2: seeds of four and of five 32-bit words, whose
+    # spawn words start from different hash constants.  With 8 Philox words
+    # a column, 40 words make passes of 5 of one seed's 7 columns, and 300
+    # passes of 5 whole seeds and then 1
+    if words is not None:
+        monkeypatch.setattr("kernelbcd.kernels._DRAW_WORDS", words)
+    X = np.random.default_rng(3).standard_normal((9, 7))
+    cols = [11, 0, 5, 29, 17, 3, 8]
+    spec = FeatureMapSpec(p=30, sigma=0.8, master_seed=1)
+    stack = random_features_stack(X, cols, spec, range(base_seed, base_seed + 6))
+    assert stack.shape == (9, 6, 7)
+    for t in range(6):
+        one = random_features_block(X, cols, FeatureMapSpec(30, 0.8, base_seed + t))
+        assert stack[:, t].tobytes() == one.tobytes()
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, "3", None])
+def test_stacked_seeds_are_checked_like_a_master_seed(seed):
+    spec = FeatureMapSpec(p=4)
+    with pytest.raises(ConfigError, match="master_seed"):
+        random_features_stack(np.ones((2, 2)), [0, 1], spec, [0, seed])

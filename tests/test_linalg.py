@@ -98,6 +98,19 @@ class TestSpdSolve:
             assert not is_symmetric(np.full((2, 2), np.inf))
             assert not is_symmetric(one_sided)
             assert not is_symmetric(np.full((2, 2), np.nan))
+            one_sided[0, 1] = -np.inf
+            assert not is_symmetric(one_sided)
+            stack = np.stack([np.eye(2), one_sided, np.full((2, 2), np.nan)])
+            assert is_symmetric(stack).tolist() == [True, False, False]
+
+    def test_symmetry_tolerance_is_each_matrix_own(self):
+        # the skew may reach SYMMETRY_RTOL (1e-9) times max(1, largest |entry|)
+        big, small = 1e6 * np.eye(2), 0.5 * np.eye(2)
+        stack = np.stack([big, big, small, small])
+        stack[:, 0, 1] += [4e-4, 4e-3, 5e-10, 2e-9]
+        expected = [True, False, True, False]
+        assert is_symmetric(stack).tolist() == expected
+        assert [bool(is_symmetric(m)) for m in stack] == expected
 
 
 def _random_spd(rng, m):

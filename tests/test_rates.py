@@ -504,6 +504,9 @@ _PROB2 = QuadraticProblem(_H2, np.ones(4))
         lambda: adversarial_hessian(16.0, 1.0),
         lambda: run_bcd_quadratic(_PROB2, 2, 2, 3, base_seed=-1),
         lambda: chernoff_violation_rate(_H2, 2, 0.1, trials=5, seed=1.5),
+        lambda: rf_concentration_check(
+            FeatureMapSpec(p=4000, sigma=1.0), np.eye(3), 0.5, 0.1, trials=5, base_seed=-1
+        ),
     ],
     ids=[
         "run-b0", "run-b5", "run-b-float", "run-seeds-float", "run-tau-float",
@@ -512,6 +515,7 @@ _PROB2 = QuadraticProblem(_H2, np.ones(4))
         "chernoff-b-float", "chernoff-trials-float", "bernstein-p-float",
         "slack-trials-float", "subset_cap-b0", "subset_cap-b-float",
         "adversarial-d-float", "run-base_seed-negative", "chernoff-seed-float",
+        "rf-base_seed-negative",
     ],
 )
 def test_sizes_and_counts_must_be_integers_in_range(call):
@@ -724,3 +728,109 @@ def test_spectral_tops_refuse_non_finite_input(bad):
         bernstein_lower_rate(A, 2, 0.1, 5)
     with pytest.raises(DimensionMismatchError, match="not finite"):
         rf_required_features(A[:, :2], 1.0, 0.5, 0.1)
+
+
+def _fresh_generators(runs, seed=0):
+    return [
+        np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(s,)))
+        for s in range(runs)
+    ]
+
+
+@pytest.mark.parametrize(
+    "d, b, runs, count",
+    [
+        (16, 4, 3, 200),
+        (16, 16, 2, 50),  # b = d: Floyd's first draw is on [0, 0] and takes no word
+        (1, 1, 2, 20),  # d = 1: no draw takes a word
+        (5, 1, 3, 50),  # b = 1: no shuffle
+        (100, 10, 2, 50),
+        (10001, 201, 2, 2),  # numpy's tail-shuffle branch
+        (20000, 19999, 1, 1),
+        (2**31 + 2, 2, 3, 60),  # about half of Floyd's words are rejected
+    ],
+)
+def test_bulk_subsets_equal_a_loop_of_generator_choice(d, b, runs, count):
+    got = list(kernelbcd.rates._choices(_fresh_generators(runs), d, b, count))
+    loop = _fresh_generators(runs)
+    assert len(got) == count
+    for draw in got:
+        assert draw.shape == (runs, b)
+        for row, rng in zip(draw, loop):
+            assert np.array_equal(row, rng.choice(d, size=b, replace=False))
+
+
+@pytest.mark.parametrize("words", [1, 5, 7, 30])
+@pytest.mark.parametrize("d, b", [(16, 4), (6, 6), (2**31 + 2, 2)])
+def test_bulk_subsets_continue_across_chunks(monkeypatch, words, d, b):
+    # chunks of one call, or of a few calls that end inside a raw word (the
+    # high half of its last word waits for the next chunk) or past words a
+    # rejection pulled in
+    whole = list(kernelbcd.rates._choices(_fresh_generators(3, 7), d, b, 40))
+    monkeypatch.setattr(kernelbcd.rates, "_STACK_WORDS", words)
+    chunked = list(kernelbcd.rates._choices(_fresh_generators(3, 7), d, b, 40))
+    assert [c.tobytes() for c in chunked] == [w.tobytes() for w in whole]
+
+
+def test_a_run_that_stops_early_draws_one_chunk():
+    # at b = d every step is exact, so each run meets the target at its
+    # first step; a stepper that drew all max_iters steps up front would not
+    # return
+    prob = QuadraticProblem(random_spd(4, 3), np.ones(4))
+    counts = bcd_iterations_to_tolerance(prob, 4, 1e-6, seeds=3, max_iters=10**15)
+    assert counts.tolist() == [1, 1, 1]
+
+
+def _rf_rate_loop(spec, X, lo, hi, trials, base_seed):
+    """The operator-norm violation rate, one feature draw per trial."""
+    hits = 0
+    for t in range(trials):
+        draw = FeatureMapSpec(p=spec.p, sigma=spec.sigma, master_seed=base_seed + t)
+        z = random_features_block(X, np.arange(spec.p), draw)
+        top = float(np.linalg.eigvalsh(z @ z.T)[-1])
+        hits += not lo <= top <= hi
+    return hits / trials
+
+
+@pytest.mark.parametrize("draw_words", [None, 1, 700])
+def test_rf_concentration_rate_equals_a_per_trial_loop(monkeypatch, draw_words):
+    # a small p and a narrow interval, so that the rate lies inside (0, 1);
+    # the lemma's requirement is set aside to allow them.  700 words make
+    # chunks of 3 trials of 12 x 16 entries, and 1 word chunks of one
+    data = gaussian_blobs(12, 2, 2, seed=40, center_scale=1.0, noise=0.6)
+    spec = FeatureMapSpec(p=16, sigma=1.2, master_seed=41)
+    norm_k = float(np.linalg.eigvalsh(kernel_cross(data.X, data.X, KernelSpec("rbf", 1.2)))[-1])
+    monkeypatch.setattr(kernelbcd.rates, "_rf_requirement", lambda *args: (1, norm_k))
+    if draw_words is not None:
+        monkeypatch.setattr(kernelbcd.rates, "_DRAW_WORDS", draw_words)
+    alpha, trials, base_seed = 0.05, 40, 2**128 - 20
+    expected = _rf_rate_loop(
+        spec, data.X, (1 - alpha) * norm_k, (1 + alpha) * norm_k, trials, base_seed
+    )
+    assert 0.0 < expected < 1.0
+    result = rf_concentration_check(spec, data.X, alpha, 0.5, trials, base_seed)
+    assert result.violation_rate == expected
+
+
+_LEVELS = [math.nan, -1.0, -1e-300, math.inf, "0.1", None]
+
+
+@pytest.mark.parametrize("rel_tol", _LEVELS)
+def test_iterations_to_tolerance_refuse_a_bad_rel_tol(rel_tol):
+    # a NaN or negative target was never met: every seed reported max_iters
+    with pytest.raises(ConfigError, match="rel_tol"):
+        bcd_iterations_to_tolerance(_PROB2, 2, rel_tol, seeds=3, max_iters=5)
+
+
+@pytest.mark.parametrize("gap0", _LEVELS)
+@pytest.mark.parametrize("bound", [improved_bound, classical_bound])
+def test_bounds_refuse_a_bad_gap0(bound, gap0):
+    # a NaN gap0 gave an all-NaN envelope
+    with pytest.raises(ConfigError, match="gap0"):
+        bound(_H2, 2, 1.0, gap0, 3)
+
+
+def test_zero_rel_tol_and_gap0_are_allowed():
+    assert improved_bound(_H2, 2, 1.0, 0.0, 3).tolist() == [0.0] * 4
+    assert classical_bound(_H2, 2, 1.0, 0.0, 3).tolist() == [0.0] * 4
+    assert bcd_iterations_to_tolerance(_PROB2, 2, 0.0, seeds=2, max_iters=5).shape == (2,)
