@@ -42,6 +42,10 @@ from .errors import (
     DataFormatError,
     DivergenceError,
     KernelBcdError,
+    check_count,
+    check_delta,
+    check_level,
+    check_size,
 )
 from .files import write_rows
 from .kernels import Dataset, FeatureMapSpec, KernelSpec, load_csv
@@ -134,7 +138,20 @@ class RunConfig:
     delta: float = _option(0.1, float, "Monte-Carlo failure level", ("rates-check",))
 
     def validate(self) -> None:
-        """The one choice and range check, run before any file is touched."""
+        """The one choice and range check, run before any file is touched.
+        The scalar flags go through the package's own input rules, named by
+        the flag; the rows after them are the CLI's own."""
+        for flag, value in (("--epochs", self.epochs), ("--seed", self.seed),
+                            ("--tau", self.tau)):
+            check_count(flag, value)
+        for flag, value in (("--b", self.b), ("--workers", self.workers),
+                            ("--quadratics", self.quadratics),
+                            ("--ensemble", self.ensemble), ("--trials", self.trials)):
+            check_size(flag, value)
+        check_level("--gamma", self.gamma)
+        if self.grad_tol is not None:
+            check_level("--grad-tol", self.grad_tol)
+        check_delta("--delta", self.delta)
         cmd = self.command
         rates_check = cmd == "rates-check"
         one_model = cmd in ("solve", "path", "costs")  # compare sets method and p
@@ -155,13 +172,6 @@ class RunConfig:
              f"{cmd} takes a single --lambda; use the path command"),
             (not repeats,
              f"--lambda values must be distinct: {', '.join(map(repr, repeats))} repeated"),
-            (0 <= self.gamma < math.inf, "--gamma must be finite and >= 0"),
-            (self.grad_tol is None or 0 <= self.grad_tol < math.inf,
-             "--grad-tol must be finite and >= 0"),
-            (self.b >= 1, "--b must be positive"),
-            (self.epochs >= 0, "--epochs must be >= 0"),
-            (self.workers >= 1, "--workers must be >= 1"),
-            (self.seed >= 0, "--seed must be >= 0"),
             (rates_check or self.train, "--train is required for this command"),
             (cmd != "compare" or self.test, "compare needs --test"),
             (cmd != "compare" or self.p, "compare needs a --p list"),
@@ -174,10 +184,6 @@ class RunConfig:
             (all(p >= 1 for p in self.p), "--p values must be >= 1"),
             (not rates_check or 1 <= self.b <= self.dim,
              f"--b must lie in [1, --dim = {self.dim}], got {self.b}"),
-            (min(self.quadratics, self.ensemble, self.trials) >= 1,
-             "--quadratics, --ensemble and --trials must be >= 1"),
-            (self.tau >= 0, "--tau must be >= 0"),
-            (0 < self.delta <= 1, "--delta must lie in (0, 1]"),
             (self.dim * self.dim * 8 <= max_bytes,
              f"--dim {self.dim} is too large: its dim x dim matrix exceeds {max_bytes} B"),
             ((self.tau + 1) * 8 <= max_bytes,

@@ -37,7 +37,7 @@ from time import perf_counter
 
 import numpy as np
 
-from .errors import DimensionMismatchError
+from .errors import ConfigError, DimensionMismatchError, check_count, check_integer
 from .files import write_rows
 from .linalg import gram
 
@@ -64,6 +64,8 @@ class Partition:
 
 
 def make_partition(n_rows: int, workers: int) -> Partition:
+    n_rows = check_integer("row count", n_rows)
+    workers = check_integer("worker count", workers)
     if workers < 1:
         raise DimensionMismatchError("need at least one worker")
     if n_rows < 0:
@@ -251,9 +253,11 @@ def predict_costs(
     with the tree model.
     """
     if method not in ("full", "nystrom", "rf"):
-        raise ValueError(f"unknown method {method!r}")
+        raise ConfigError(f"unknown method {method!r}")
+    n, p, b, k, workers = (check_count(name, value) for name, value in (
+        ("n", n), ("p", p), ("b", b), ("k", k), ("workers", workers)))
     if min(n, b, k, workers) < 1 or (method != "full" and p < 1):
-        raise ValueError("cost parameters must be positive")
+        raise ConfigError("cost parameters must be positive")
     if method == "full":  # the block is a slice of K: no gram, one message
         blocks, parallel, rounds = n // b, n * b * k, 1
     else:

@@ -1,6 +1,24 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the input rules that
+raise them.
+
+Every module imports this one, and it imports nothing from the package, so
+each rule on a scalar argument is written here once: an integer
+(``check_integer``), a count ``>= 0`` (``check_count``), a size in
+``[1, most]`` (``check_size``), a real number (``check_real``), a finite
+level ``>= 0`` (``check_level``) and a failure probability in ``(0, 1]``
+(``check_delta``).  The solvers, the specs, the rates lab and the CLI's
+early checks call them with the argument's or the flag's name, and keep
+no copy.  So does the one rule on a data array, that it is 2-d
+(``check_matrix``).
+"""
 
 from __future__ import annotations
+
+import math
+import numbers
+import operator
+
+import numpy as np
 
 
 class KernelBcdError(Exception):
@@ -67,3 +85,62 @@ class DataFormatError(KernelBcdError):
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
+
+
+def check_matrix(name: str, value) -> np.ndarray:
+    """``value`` as a float64 array, which must be 2-d (one row per
+    example); any other rank raises ``DimensionMismatchError``."""
+    a = np.asarray(value, dtype=np.float64)
+    if a.ndim != 2:
+        raise DimensionMismatchError(f"{name} must be 2-d, got shape {a.shape}")
+    return a
+
+
+def check_integer(name: str, value) -> int:
+    """``value`` as a Python int (``operator.index``: a float such as 8.0 is
+    refused); anything else raises ``ConfigError``."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ConfigError(f"{name} must be an integer, got {value!r}") from None
+
+
+def check_count(name: str, value) -> int:
+    """``value`` as an int >= 0; anything else raises ``ConfigError``."""
+    value = check_integer(name, value)
+    if value < 0:
+        raise ConfigError(f"{name} must be >= 0, got {value}")
+    return value
+
+
+def check_size(name: str, value, most: float = math.inf) -> int:
+    """``value`` as an int in [1, most]: a block or sketch size, or a count of
+    seeds, trials or workers.  Anything else raises ``ConfigError``."""
+    value = check_count(name, value)
+    if not 1 <= value <= most:
+        bound = "be >= 1" if most == math.inf else f"lie in [1, {most}]"
+        raise ConfigError(f"{name} must {bound}, got {value}")
+    return value
+
+
+def check_real(name: str, value) -> None:
+    """Refuse a ``value`` that is not a real number (``numbers.Real``) with
+    ``ConfigError``, before a comparison would raise ``TypeError``."""
+    if not isinstance(value, numbers.Real):
+        raise ConfigError(f"{name} must be a real number, got {value!r}")
+
+
+def check_level(name: str, value) -> None:
+    """A tolerance, a gap or a ridge weight must be a finite real number
+    >= 0; anything else, NaN included, raises ``ConfigError``."""
+    check_real(name, value)
+    if not 0 <= value < math.inf:
+        raise ConfigError(f"{name} must be finite and >= 0, got {value!r}")
+
+
+def check_delta(name: str, value) -> None:
+    """A failure probability must be a real number in (0, 1]; anything else,
+    NaN included, raises ``ConfigError``."""
+    check_real(name, value)
+    if not 0 < value <= 1:
+        raise ConfigError(f"{name} must lie in (0, 1], got {value!r}")

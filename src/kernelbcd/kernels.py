@@ -29,8 +29,6 @@ import csv
 import functools
 import locale
 import math
-import numbers
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +38,11 @@ from .errors import (
     DataFormatError,
     DimensionMismatchError,
     IndexOutOfRangeError,
+    check_count,
+    check_integer,
+    check_matrix,
+    check_real,
+    check_size,
 )
 from .linalg import validate_indices
 from .threads import for_rows
@@ -56,14 +59,11 @@ _FAR_NORM = 2.0**1020
 def _bandwidth(sigma) -> float:
     """A spec's sigma as a Python float; ConfigError unless it is a real
     number that a float can hold."""
-    if isinstance(sigma, numbers.Real):
-        try:
-            return float(sigma)
-        except OverflowError:
-            pass
-    raise ConfigError(
-        f"bandwidth sigma must be a real number within float range; got {sigma!r}"
-    )
+    check_real("bandwidth sigma", sigma)
+    try:
+        return float(sigma)
+    except OverflowError:
+        raise ConfigError(f"bandwidth sigma {sigma!r} overflows a float") from None
 
 
 @dataclass(frozen=True)
@@ -93,18 +93,6 @@ class KernelSpec:
             )
 
 
-def _master_seed(seed) -> int:
-    """A feature map's master seed as a Python int >= 0; anything else
-    raises ``ConfigError``."""
-    try:
-        seed = operator.index(seed)
-    except TypeError:
-        raise ConfigError(f"master_seed must be an integer; got {seed!r}") from None
-    if seed < 0:
-        raise ConfigError(f"master_seed must be >= 0, got {seed}")
-    return seed
-
-
 @dataclass(frozen=True)
 class FeatureMapSpec:
     """Random cosine feature map targeting the rbf kernel.
@@ -122,14 +110,8 @@ class FeatureMapSpec:
     master_seed: int = 0
 
     def __post_init__(self):
-        try:
-            p = operator.index(self.p)
-        except TypeError:
-            raise ConfigError(f"feature count p must be an integer; got {self.p!r}") from None
-        if p < 1:
-            raise ConfigError("feature count p must be >= 1")
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "master_seed", _master_seed(self.master_seed))
+        object.__setattr__(self, "p", check_size("feature count p", self.p))
+        object.__setattr__(self, "master_seed", check_count("master_seed", self.master_seed))
         object.__setattr__(self, "sigma", _bandwidth(self.sigma))
         # a frequency is a standard normal draw times 1/sigma, and a draw
         # reaches MAX_NORMAL_DRAW / sigma
@@ -145,8 +127,9 @@ class Dataset:
     """Design matrix plus integer class labels in [0, k).
 
     Raises ``DimensionMismatchError`` unless X is 2-d with one label per
-    row, and ``ConfigError`` naming the first non-finite entry of X or the
-    first label outside [0, k).
+    row, and ``ConfigError`` unless k is an int >= 0, or naming the first
+    non-finite entry of X or the first label outside [0, k).  k is stored
+    as a Python int.
     """
 
     X: np.ndarray
@@ -154,10 +137,9 @@ class Dataset:
     k: int
 
     def __post_init__(self):
-        object.__setattr__(self, "X", np.ascontiguousarray(self.X, dtype=np.float64))
+        object.__setattr__(self, "X", np.ascontiguousarray(check_matrix("X", self.X)))
         object.__setattr__(self, "labels", np.asarray(self.labels, dtype=np.int64))
-        if self.X.ndim != 2:
-            raise DimensionMismatchError("X must be 2-d")
+        object.__setattr__(self, "k", check_count("class count k", self.k))
         if self.labels.shape != (self.X.shape[0],):
             raise DimensionMismatchError("labels length must match row count")
         finite = np.isfinite(self.X)
@@ -206,8 +188,7 @@ def kernel_cross(
     anchors there, and its |rows| x |rows| sub-block ``out[rows]`` is made
     exactly symmetric, with a unit diagonal for rbf.
     """
-    Xa = np.asarray(Xa, dtype=np.float64)
-    Xb = np.asarray(Xb, dtype=np.float64)
+    Xa, Xb = check_matrix("Xa", Xa), check_matrix("Xb", Xb)
     if Xa.shape[1] != Xb.shape[1]:
         raise DimensionMismatchError(
             f"feature dimensions {Xa.shape[1]} and {Xb.shape[1]} differ"
@@ -256,7 +237,7 @@ def kernel_block(X: np.ndarray, indices, spec: KernelSpec) -> np.ndarray:
     diagonal for rbf, and the full block (I = everything) is exactly
     symmetric.
     """
-    X = np.asarray(X, dtype=np.float64)
+    X = check_matrix("X", X)
     idx = validate_indices(indices, X.shape[0])
     return kernel_cross(X, X[idx], spec, rows=idx)
 
@@ -267,7 +248,7 @@ def feature_params(spec: FeatureMapSpec, m: int, d: int) -> tuple[np.ndarray, fl
     Pure function of (master_seed, m): column m of any block draw, so any
     block containing column m regenerates the same pair in any epoch.
     """
-    m = operator.index(m)
+    m, d = check_integer("feature index", m), check_count("input dimension d", d)
     if not 0 <= m < spec.p:
         raise IndexOutOfRangeError(f"feature index {m} outside [0, {spec.p})")
     freqs, phases = _block_params(spec, np.array([m], dtype=np.int64), d)
@@ -296,9 +277,9 @@ def random_features_stack(X: np.ndarray, indices, spec: FeatureMapSpec, seeds) -
     the row ranges of ``for_rows``, while each seed's block keeps its own
     GEMM, so its bits are those of its own call.
     """
-    X = np.asarray(X, dtype=np.float64)
+    X = check_matrix("X", X)
     idx = validate_indices(indices, spec.p)
-    seeds = [_master_seed(seed) for seed in seeds]
+    seeds = [check_count("master_seed", seed) for seed in seeds]
     freqs, phases = _block_params(spec, idx, X.shape[1], seeds)
     z = np.empty((X.shape[0], freqs.shape[1]))
     for first in range(0, freqs.shape[1], max(1, idx.size)):
@@ -590,7 +571,11 @@ def gaussian_blobs(
     center_scale: float = 4.0,
     noise: float = 1.0,
 ) -> Dataset:
-    """Synthetic k-class dataset: Gaussian clusters around seeded centers."""
+    """Synthetic k-class dataset: Gaussian clusters around seeded centers.
+    n, d and seed must be ints >= 0 and k an int >= 1; anything else raises
+    ``ConfigError``."""
+    n, d = check_count("row count n", n), check_count("dimension d", d)
+    k, seed = check_size("class count k", k), check_count("seed", seed)
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0xB10B,)))
     centers = center_scale * rng.standard_normal((k, d))
     labels = rng.permutation(np.arange(n) % k)

@@ -62,6 +62,11 @@ from .errors import (
     InvalidRateError,
     NotPerfectSquareError,
     ThresholdNotMetError,
+    check_count,
+    check_delta,
+    check_level,
+    check_matrix,
+    check_size,
 )
 from .kernels import (
     _DRAW_WORDS,
@@ -81,7 +86,7 @@ from .linalg import (
     spd_solve,
     sum_in_order,
 )
-from .solvers import _count, _real, draw_landmarks
+from .solvers import draw_landmarks
 
 EXACT_SUBSET_CAP = 10**6
 
@@ -91,31 +96,6 @@ COSINE_FEATURE_BOUND = math.sqrt(2.0)  # sup |sqrt(2) cos(.)|
 # the runs stepping together, or the blocks of one eigvalsh.  It bounds the
 # memory however many seeds or subsets a check asks for.
 _STACK_WORDS = 1 << 13
-
-
-def _size(name: str, value, most: float = math.inf) -> int:
-    """``value`` as an int in [1, most]: a block or sketch size, or a count of
-    seeds or trials.  Anything else raises ``ConfigError``."""
-    value = _count(name, value)
-    if not 1 <= value <= most:
-        raise ConfigError(f"{name} must lie in [1, {most}], got {value}")
-    return value
-
-
-def _check_level(name: str, value) -> None:
-    """A gap or a relative tolerance must be a finite real number >= 0;
-    anything else, NaN included, raises ``ConfigError``."""
-    _real(name, value)
-    if not 0 <= value < math.inf:
-        raise ConfigError(f"{name} must be a finite number >= 0, got {value!r}")
-
-
-def _check_delta(delta) -> None:
-    """A failure probability must be a real number in (0, 1]; anything else,
-    NaN included, raises ``ConfigError``."""
-    _real("delta", delta)
-    if not 0 < delta <= 1:
-        raise ConfigError(f"delta must lie in (0, 1], got {delta!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +242,7 @@ def l_eff(H: np.ndarray, b: int) -> float:
     """Effective smoothness e^2 L + (d log(2 d^2 / b) / b) * max_i H_ii."""
     H = np.asarray(H, dtype=np.float64)
     d = H.shape[0]
-    b = _size("block size", b, d)
+    b = check_size("block size", b, d)
     lmax = lambda_extremes(H).lmax
     return float(
         math.e**2 * lmax + (d * math.log(2.0 * d * d / b) / b) * np.diag(H).max()
@@ -274,7 +254,7 @@ def check_subset_cap(d: int, b: int) -> None:
     and ConfigError if b is not an integer in [1, d].  The count grows one
     factor at a time and stops once past the cap, so a huge d costs
     nothing."""
-    b = _size("block size", b, d)
+    b = check_size("block size", b, d)
     count = 1
     for i in range(min(b, d - b)):
         count = count * (d - i) // (i + 1)  # C(d, i + 1), exactly
@@ -324,8 +304,8 @@ def improved_bound(
     H: np.ndarray, b: int, m: float, gap0: float, tau: int
 ) -> np.ndarray:
     """Expected-gap envelope gap0 * (1 - m/(2 L_eff))^t for t = 0..tau."""
-    tau = _count("tau", tau)
-    _check_level("gap0", gap0)
+    tau = check_count("tau", tau)
+    check_level("gap0", gap0)
     factor = theorem_rate(H, b, m)
     return gap0 * factor ** np.arange(tau + 1)
 
@@ -335,8 +315,8 @@ def classical_bound(
 ) -> np.ndarray:
     """Gap envelope from the classical analysis: per-step contraction
     (1 - b m / (d L_max_b)), with the exact ``l_max_b``."""
-    tau = _count("tau", tau)
-    _check_level("gap0", gap0)
+    tau = check_count("tau", tau)
+    check_level("gap0", gap0)
     H = np.asarray(H, dtype=np.float64)
     d = H.shape[0]
     rate = b * m / (d * l_max_b(H, b))
@@ -354,8 +334,8 @@ def _seed_chunks(prob: QuadraticProblem, b: int, seeds: int, base_seed: int):
     in seed order, as lists of at most ``_STACK_WORDS // (b * dim)`` runs:
     the runs of one list step together.  ``b``, ``seeds`` and ``base_seed``
     are checked by the call, before any run is drawn."""
-    b, seeds = _size("block size", b, prob.dim), _size("seeds", seeds)
-    base_seed = _count("base seed", base_seed)
+    b, seeds = check_size("block size", b, prob.dim), check_size("seeds", seeds)
+    base_seed = check_count("base seed", base_seed)
     per = max(1, _STACK_WORDS // (b * prob.dim))
     return (
         [
@@ -413,7 +393,7 @@ def run_bcd_quadratic(
     (``sum_in_order``), so the output is reproducible for a fixed
     (prob, b, seeds, tau, base_seed).
     """
-    tau = _count("tau", tau)
+    tau = check_count("tau", tau)
     chunks = _seed_chunks(prob, b, seeds, base_seed)
     total = np.zeros(tau + 1)
     for rngs in chunks:
@@ -433,8 +413,8 @@ def bcd_iterations_to_tolerance(
     """Per-seed step counts until gap <= rel_tol * gap(0); max_iters if never.
     The seeds are those of ``run_bcd_quadratic``, with tau = max_iters; the
     runs stop stepping once every one of them has met the target."""
-    max_iters = _count("max_iters", max_iters)
-    _check_level("rel_tol", rel_tol)
+    max_iters = check_count("max_iters", max_iters)
+    check_level("rel_tol", rel_tol)
     target = rel_tol * (0.0 - prob.f_star)
     counts = []
     for rngs in _seed_chunks(prob, b, seeds, base_seed):
@@ -460,7 +440,7 @@ def adversarial_hessian(d: int, lam: float) -> np.ndarray:
     L_max_b = lam + sqrt(d), while a typical block straddles the all-ones
     blocks and sees a far smaller curvature.
     """
-    q = math.isqrt(_count("dimension", d))
+    q = math.isqrt(check_count("dimension", d))
     if q * q != d:
         raise NotPerfectSquareError(f"d = {d} is not a perfect square")
     return lam * np.eye(d) + np.kron(np.eye(q), np.ones((q, q)))
@@ -472,8 +452,8 @@ def adversarial_hessian(d: int, lam: float) -> np.ndarray:
 
 def monte_carlo_slack(delta: float, trials: int) -> float:
     """Three-sigma binomial allowance added to delta."""
-    _check_delta(delta)
-    return 3.0 * math.sqrt(delta / _size("trials", trials))
+    check_delta("delta", delta)
+    return 3.0 * math.sqrt(delta / check_size("trials", trials))
 
 
 def _subsets(d: int, size: int, trials: int, seed: int):
@@ -481,8 +461,8 @@ def _subsets(d: int, size: int, trials: int, seed: int):
     range(d): those of ``trials`` consecutive ``choice(d, size,
     replace=False)`` calls on ``default_rng(seed)``, drawn in bulk, a chunk
     at a time, by ``_choices``."""
-    trials = _size("trials", trials)
-    rng = np.random.default_rng(_count("seed", seed))
+    trials = check_size("trials", trials)
+    rng = np.random.default_rng(check_count("seed", seed))
     return (draw[0] for draw in _choices([rng], d, size, trials))
 
 
@@ -512,10 +492,10 @@ def chernoff_violation_rate(
     lambda_max(A^T A) comes from ``lambda_extremes``, so an A that is not
     finite raises ``DimensionMismatchError``.
     """
-    A = np.asarray(A, dtype=np.float64)
+    A = check_matrix("A", A)
     n, p = A.shape
-    b = _size("block size", b, p)
-    _check_delta(delta)
+    b = check_size("block size", b, p)
+    check_delta("delta", delta)
     G = A.T @ A
     threshold = (
         math.e**2 * (b / p) * lambda_extremes(G).lmax
@@ -542,10 +522,10 @@ def bernstein_lower_rate(
     most delta.  lambda_max(psi psi^T) comes from ``lambda_extremes``, so a
     psi that is not finite raises ``DimensionMismatchError``.
     """
-    psi = np.asarray(psi, dtype=np.float64)
+    psi = check_matrix("psi", psi)
     n, m = psi.shape
-    p = _size("sketch size", p, m)
-    _check_delta(delta)
+    p = check_size("sketch size", p, m)
+    check_delta("delta", delta)
     G = psi.T @ psi
     lmax = lambda_extremes(G).lmax  # = lambda_max(psi psi^T)
     col_b = float(np.diag(G).max())
@@ -575,10 +555,10 @@ def _rf_requirement(
     X: np.ndarray, sigma: float, alpha: float, delta: float
 ) -> tuple[int, float]:
     """``rf_required_features`` and the ||K|| it is computed from."""
-    _check_delta(delta)
+    check_delta("delta", delta)
     if not 0 < alpha < 1:
         raise ConfigError("alpha must lie in (0, 1)")
-    X = np.asarray(X, dtype=np.float64)
+    X = check_matrix("X", X)
     n = X.shape[0]
     K = kernel_cross(X, X, KernelSpec("rbf", sigma))
     norm_k = lambda_extremes(K).lmax
@@ -621,8 +601,8 @@ def rf_concentration_check(
     norms, so every norm is byte for byte that of a loop over
     ``random_features_block`` one trial at a time.
     """
-    X = np.asarray(X, dtype=np.float64)
-    base_seed = _count("base seed", base_seed)
+    X = check_matrix("X", X)
+    base_seed = check_count("base seed", base_seed)
     required, norm_k = _rf_requirement(X, spec.sigma, alpha, delta)
     if spec.p < required:
         raise ThresholdNotMetError(

@@ -58,8 +58,6 @@ import base64
 import dataclasses
 import json
 import math
-import numbers
-import operator
 from collections.abc import Callable
 from contextlib import closing
 from dataclasses import dataclass, field
@@ -74,7 +72,16 @@ from .distsim import (
     distributed_gram,
     partitioned_matvec,
 )
-from .errors import ConfigError, DimensionMismatchError, DivergenceError
+from .errors import (
+    ConfigError,
+    DimensionMismatchError,
+    DivergenceError,
+    check_count,
+    check_level,
+    check_matrix,
+    check_real,
+    check_size,
+)
 from .files import write_atomic
 from .kernels import (
     Dataset,
@@ -119,29 +126,10 @@ class BlockPlan:
         return self.universe // self.block_size
 
 
-def _count(name: str, value) -> int:
-    """``value`` as an int >= 0; anything else raises ``ConfigError``."""
-    try:
-        value = operator.index(value)
-    except TypeError:
-        raise ConfigError(f"{name} must be an integer, got {value!r}") from None
-    if value < 0:
-        raise ConfigError(f"{name} must be >= 0, got {value}")
-    return value
-
-
-def _real(name: str, value) -> None:
-    """Refuse a ``value`` that is not a real number (``numbers.Real``) with
-    ``ConfigError``, before a comparison would raise ``TypeError``."""
-    if not isinstance(value, numbers.Real):
-        raise ConfigError(f"{name} must be a real number, got {value!r}")
-
-
 def make_plan(universe: int, block_size: int, seed: int = 0) -> BlockPlan:
-    universe, block_size = _count("universe", universe), _count("block size", block_size)
-    seed = _count("plan seed", seed)
-    if block_size < 1 or universe < 1:
-        raise ConfigError("universe and block size must be positive")
+    universe = check_size("universe", universe)
+    block_size = check_size("block size", block_size)
+    seed = check_count("plan seed", seed)
     if universe % block_size != 0:
         raise ConfigError(
             f"block size {block_size} does not divide universe {universe}"
@@ -157,17 +145,15 @@ def epoch_blocks(plan: BlockPlan, epoch: int) -> np.ndarray:
     """Epoch ``epoch``'s blocks in visit order, one per row: a fresh
     permutation of the universe, drawn from ``SeedSequence(plan.seed,
     spawn_key=(epoch + 1,))`` and cut into size-b blocks."""
-    seq = np.random.SeedSequence(plan.seed, spawn_key=(_count("epoch", epoch) + 1,))
+    seq = np.random.SeedSequence(plan.seed, spawn_key=(check_count("epoch", epoch) + 1,))
     perm = np.random.default_rng(seq).permutation(plan.universe)
     return perm.reshape(plan.n_blocks, plan.block_size)
 
 
 def draw_landmarks(n: int, p: int, seed: int) -> np.ndarray:
     """Uniform without-replacement draw of p landmark rows out of n."""
-    n, p = _count("row count", n), _count("landmark count", p)
-    seed = _count("landmark seed", seed)
-    if not 1 <= p <= n:
-        raise ConfigError(f"landmark count must lie in [1, {n}], got {p}")
+    n = check_count("row count", n)
+    p, seed = check_size("landmark count", p, n), check_count("landmark seed", seed)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     return rng.choice(n, size=p, replace=False)
 
@@ -254,9 +240,7 @@ class Model:
         rows of (all of them for full, the landmarks for nystrom): the
         block's b x b sub-block at the anchors' own rows is then exactly
         symmetric (``kernel_cross``'s ``rows``)."""
-        X = np.asarray(X, dtype=np.float64)
-        if X.ndim != 2:
-            raise DimensionMismatchError("data must be 2-d")
+        X = check_matrix("data", X)
         width = self.dim if self.method == "rf" else self.anchors.shape[1]
         if width is not None and X.shape[1] != width:
             raise DimensionMismatchError(
@@ -348,7 +332,7 @@ def load_model(path) -> Model:
             landmarks=None
             if payload["landmarks"] is None
             else _unpack(payload["landmarks"], "<i8", 1),
-            dim=None if dim is None else operator.index(dim),
+            dim=None if dim is None else check_count("dim", dim),
         )
     except (ValueError, KeyError, TypeError, DimensionMismatchError) as exc:
         # ValueError covers bad JSON, bad base64 and bad spec values
@@ -375,9 +359,9 @@ def _unpack(entry, dtype: str, ndim: int) -> np.ndarray:
     else:
         if entry["dtype"] != dtype:
             raise ConfigError(f"array dtype {entry['dtype']!r}, expected {dtype!r}")
-        shape = [operator.index(s) for s in entry["shape"]]
+        shape = [check_count("array shape", s) for s in entry["shape"]]
         raw = base64.b64decode(entry["data"], validate=True)
-        if min(shape, default=0) < 0 or len(raw) != math.prod(shape) * native.itemsize:
+        if len(raw) != math.prod(shape) * native.itemsize:
             raise ConfigError(f"{len(raw)} array bytes do not fill shape {shape}")
         a = np.frombuffer(raw, dtype=dtype).reshape(shape).astype(native)
     if a.ndim != ndim:
@@ -495,7 +479,7 @@ def _check_lams(lams, n: int, gamma: float) -> None:
     if not lams:
         raise ConfigError("need at least one lambda")
     for lam in lams:
-        _real("every lambda", lam)
+        check_real("every lambda", lam)
     if any(not 0 < lam < np.inf for lam in lams):
         raise ConfigError("every lambda must be positive and finite")
     if len(set(lams)) != len(lams):
@@ -783,11 +767,9 @@ def _run(
     """
     n, k = system.Y.shape
     _check_lams(lams, n, system.gamma)
-    epochs = _count("epochs", epochs)
+    epochs = check_count("epochs", epochs)
     if grad_tol is not None:
-        _real("grad_tol", grad_tol)
-        if not 0 <= grad_tol < np.inf:
-            raise ConfigError("grad_tol must be finite and >= 0")
+        check_level("grad_tol", grad_tol)
     if exec_ctx is None:
         exec_ctx = ExecContext()
     part = exec_ctx.partition(n)
@@ -888,9 +870,7 @@ def _run_spec(
     elif p is None:
         model = Model("full", np.zeros((data.n, data.k)), kernel=spec, anchors=data.X)
     else:
-        _real("gamma", gamma)
-        if not 0 <= gamma < np.inf:
-            raise ConfigError("gamma must be finite and >= 0")
+        check_level("gamma", gamma)
         landmarks = draw_landmarks(data.n, p, landmark_seed)
         model = Model("nystrom", np.zeros((p, data.k)), kernel=spec,
                       anchors=data.X[landmarks], landmarks=landmarks)

@@ -663,6 +663,36 @@ def test_rates_check_rejects_knobs_out_of_range(tmp_path, flags):
     assert not out.exists()
 
 
+_SCALAR_FLAG_CASES = [
+    ("solve", "--epochs", "-1", "--epochs must be >= 0, got -1"),
+    ("solve", "--seed", "-1", "--seed must be >= 0, got -1"),
+    ("solve", "--b", "0", "--b must be >= 1, got 0"),
+    ("solve", "--workers", "0", "--workers must be >= 1, got 0"),
+    ("solve", "--gamma", "-1", "--gamma must be finite and >= 0, got -1.0"),
+    ("rates-check", "--tau", "-1", "--tau must be >= 0, got -1"),
+    ("rates-check", "--quadratics", "0", "--quadratics must be >= 1, got 0"),
+    ("rates-check", "--ensemble", "0", "--ensemble must be >= 1, got 0"),
+    ("rates-check", "--trials", "0", "--trials must be >= 1, got 0"),
+    ("rates-check", "--delta", "nan", "--delta must lie in (0, 1], got nan"),
+]
+
+
+@pytest.mark.parametrize("command, flag, value, message", _SCALAR_FLAG_CASES,
+                         ids=[case[1] for case in _SCALAR_FLAG_CASES])
+def test_scalar_flag_refusal_names_the_flag(tmp_path, command, flag, value, message, capsys):
+    # the package's input rules, called with the flag as the name, before
+    # any file is read
+    missing = str(tmp_path / "missing.csv")
+    own = (["--dim", "4", "--b", "2"] if command == "rates-check"
+           else ["--train", missing, "--p", "8", "--b", "4"])
+    out = tmp_path / "out"
+    assert main([command, *own, f"{flag}={value}", "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"error: {message}\n" in err
+    assert "cannot read data file" not in err
+    assert not out.exists()
+
+
 def test_missing_data_file_exits_2(tmp_path, blob_files, capsys):
     train, _ = blob_files
     code = main(

@@ -1,7 +1,8 @@
 """Importing the package loads numpy and no scipy: scipy's import costs
 more than the package itself, and maps a second OpenBLAS.  The package's
-modules factor and solve only through ``kernelbcd.linalg``, and a star
-import binds the package's public names, not its submodules."""
+modules factor and solve only through ``kernelbcd.linalg``, state the
+integer and real-number input rules only in ``kernelbcd.errors``, and a
+star import binds the package's public names, not its submodules."""
 
 import ast
 import os
@@ -50,6 +51,30 @@ def test_only_linalg_calls_cholesky_and_solve():
         if {"cholesky", "solve"} & _np_linalg_names(path)
     }
     assert users == {"linalg.py"}
+
+
+def _rule_names(path: Path) -> set[str]:
+    """The ``operator.index`` and ``numbers.Real`` a module's code uses, as
+    an attribute or imported by name."""
+    tree = ast.parse(path.read_text(), str(path))
+    used = {
+        f"{node.value.id}.{node.attr}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+    } | {
+        f"{node.module}.{alias.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    return used & {"operator.index", "numbers.Real"}
+
+
+def test_only_errors_states_the_integer_and_real_rules():
+    # the scalar input rules have one owner, beside the ConfigError they
+    # raise; every other module calls them instead of restating them
+    users = {path.name for path in (SRC / "kernelbcd").glob("*.py") if _rule_names(path)}
+    assert users == {"errors.py"}
 
 
 def test_all_names_no_submodule_and_no_table1_formula():
