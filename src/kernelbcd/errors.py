@@ -8,8 +8,8 @@ each rule on a scalar argument is written here once: an integer
 level ``>= 0`` (``check_level``) and a failure probability in ``(0, 1]``
 (``check_delta``).  The solvers, the specs, the rates lab and the CLI's
 early checks call them with the argument's or the flag's name, and keep
-no copy.  So does the one rule on a data array, that it is 2-d
-(``check_matrix``).
+no copy.  So do the two rules on a data array: a numeric 2-d array
+(``check_matrix``) and an array of whole numbers (``check_integer_array``).
 """
 
 from __future__ import annotations
@@ -89,11 +89,31 @@ class DataFormatError(KernelBcdError):
 
 def check_matrix(name: str, value) -> np.ndarray:
     """``value`` as a float64 array, which must be 2-d (one row per
-    example); any other rank raises ``DimensionMismatchError``."""
-    a = np.asarray(value, dtype=np.float64)
+    example); any other rank raises ``DimensionMismatchError``, and a value
+    numpy cannot convert to float64 ``ConfigError``."""
+    try:
+        a = np.asarray(value, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{name} must be a numeric array: {exc}") from None
     if a.ndim != 2:
         raise DimensionMismatchError(f"{name} must be 2-d, got shape {a.shape}")
     return a
+
+
+def check_integer_array(name: str, value) -> np.ndarray:
+    """``value`` as an int64 array.  Integer and boolean arrays pass as they
+    are, and a float array whose every entry is a whole number within the
+    int64 range (8.0, say); a fraction, a non-finite entry or a non-numeric
+    array raises ``ConfigError``."""
+    a = np.asarray(value)
+    if a.dtype.kind == "f":
+        whole = np.isfinite(a) & (a == np.round(a)) & (np.abs(a) < 2.0**63)
+        if not whole.all():
+            bad = a.flat[np.flatnonzero(~whole)[0]]
+            raise ConfigError(f"{name} must hold integers, got {bad}")
+    elif a.dtype.kind not in "biu":
+        raise ConfigError(f"{name} must be an integer array, got dtype {a.dtype}")
+    return a.astype(np.int64)
 
 
 def check_integer(name: str, value) -> int:

@@ -40,6 +40,7 @@ from .errors import (
     IndexOutOfRangeError,
     check_count,
     check_integer,
+    check_integer_array,
     check_matrix,
     check_real,
     check_size,
@@ -127,9 +128,10 @@ class Dataset:
     """Design matrix plus integer class labels in [0, k).
 
     Raises ``DimensionMismatchError`` unless X is 2-d with one label per
-    row, and ``ConfigError`` unless k is an int >= 0, or naming the first
-    non-finite entry of X or the first label outside [0, k).  k is stored
-    as a Python int.
+    row, and ``ConfigError`` unless k is an int >= 0 and every label a whole
+    number (``check_integer_array``), or naming the first non-finite entry
+    of X or the first label outside [0, k).  k is stored as a Python int,
+    the labels as int64.
     """
 
     X: np.ndarray
@@ -138,7 +140,7 @@ class Dataset:
 
     def __post_init__(self):
         object.__setattr__(self, "X", np.ascontiguousarray(check_matrix("X", self.X)))
-        object.__setattr__(self, "labels", np.asarray(self.labels, dtype=np.int64))
+        object.__setattr__(self, "labels", check_integer_array("labels", self.labels))
         object.__setattr__(self, "k", check_count("class count k", self.k))
         if self.labels.shape != (self.X.shape[0],):
             raise DimensionMismatchError("labels length must match row count")
@@ -573,9 +575,12 @@ def gaussian_blobs(
 ) -> Dataset:
     """Synthetic k-class dataset: Gaussian clusters around seeded centers.
     n, d and seed must be ints >= 0 and k an int >= 1; anything else raises
-    ``ConfigError``."""
+    ``ConfigError``, and so does a center_scale or noise that is not a real
+    number."""
     n, d = check_count("row count n", n), check_count("dimension d", d)
     k, seed = check_size("class count k", k), check_count("seed", seed)
+    check_real("center_scale", center_scale)
+    check_real("noise", noise)
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0xB10B,)))
     centers = center_scale * rng.standard_normal((k, d))
     labels = rng.permutation(np.arange(n) % k)

@@ -23,25 +23,26 @@ The seeded runs of an ensemble step together: seed s draws its subsets from
 its own generator, SeedSequence(base_seed, spawn_key=(s,)), and a step of
 every run is one stacked gather, one stacked SPD solve and one stacked
 update.  Every random subset, a run's blocks or a Chernoff or Bernstein
-trial's, is drawn in bulk by ``_choices``, a chunk of steps or trials at a
-time from the generators' raw PCG64 words: byte for byte the subsets that
-the same generators' ``Generator.choice(d, b, replace=False)`` calls give
-one at a time.  The random-feature trials are drawn a chunk at a time as
-well, by one ``random_features_stack`` call, each trial byte for byte its
-own ``random_features_block``.  The subset families behind ``l_max_b`` and
-the Monte-Carlo checks go through one stacked ``eigvalsh`` per chunk, so
-their lambda_max values are byte-equal to a per-subset loop.  The
-thresholds' single-matrix tops, the lambda_max of A^T A, psi^T psi and the
-kernel matrix of X, come from ``lambda_extremes``, which refuses a matrix
-that is not finite, and ``l_max_b`` refuses the same H through the same
-check (``checked_symmetric``).  The stacked solve is ``spd_solve``, the
-solvers' one: it refuses a block that is not symmetric within tolerance or
-whose Cholesky pivots are not positive to working precision
+trial's, is the indices of the b smallest of d uniform keys, drawn in bulk
+by ``_choices`` a chunk of steps or trials at a time: one
+``Generator.random((calls, d))`` call gives byte for byte the keys of
+``calls`` consecutive ``random(d)`` calls, so the subsets are those of a
+loop that draws one at a time.  The random-feature trials are drawn a chunk
+at a time as well, by one ``random_features_stack`` call, each trial byte
+for byte its own ``random_features_block``.  The subset families behind
+``l_max_b`` and the Monte-Carlo checks go through one stacked ``eigvalsh``
+per chunk, so their lambda_max values are byte-equal to a per-subset loop.
+The thresholds' single-matrix tops, the lambda_max of A^T A, psi^T psi and
+the kernel matrix of X, come from ``lambda_extremes``, which refuses a
+matrix that is not finite, and ``l_max_b`` refuses the same H through the
+same check (``checked_symmetric``).  The stacked solve is ``spd_solve``,
+the solvers' one: it refuses a block that is not symmetric within tolerance
+or whose Cholesky pivots are not positive to working precision
 (``NotSpdError``), and solves by LU, not Cholesky, so mean gaps agree with
 a per-seed loop to rounding (within 1e-14 of the first gap in the tests),
-and a run's gaps do not depend on how many runs step with it.  Chunks of at most
-``_STACK_WORDS`` words (``_DRAW_WORDS`` for the feature trials) bound the
-memory whatever the seed, step, subset or trial count.
+and a run's gaps do not depend on how many runs step with it.  Chunks of at
+most ``_STACK_WORDS`` words (``_DRAW_WORDS`` for the feature trials) bound
+the memory whatever the seed, step, subset or trial count.
 
 Natural log throughout.
 """
@@ -66,12 +67,11 @@ from .errors import (
     check_delta,
     check_level,
     check_matrix,
+    check_real,
     check_size,
 )
 from .kernels import (
     _DRAW_WORDS,
-    _LO32,
-    _U32,
     Dataset,
     FeatureMapSpec,
     KernelSpec,
@@ -93,117 +93,36 @@ EXACT_SUBSET_CAP = 10**6
 COSINE_FEATURE_BOUND = math.sqrt(2.0)  # sup |sqrt(2) cos(.)|
 
 # Float64 words a stacked call holds per chunk: the b x d column gathers of
-# the runs stepping together, or the blocks of one eigvalsh.  It bounds the
-# memory however many seeds or subsets a check asks for.
+# the runs stepping together, the blocks of one eigvalsh, or the keys of a
+# chunk of subset draws.  It bounds the memory however many seeds or
+# subsets a check asks for.
 _STACK_WORDS = 1 << 13
 
 
 # ---------------------------------------------------------------------------
 # uniform subsets, drawn in bulk
 
-# numpy's choice shuffles the tail of a whole arange(d) past this d
-_TAIL_SHUFFLE_D = 10000
-
 
 def _choices(rngs: list, d: int, size: int, count: int):
     """Yield ``count`` arrays of shape (len(rngs), size): row i of the c-th
-    is, bit for bit, what the c-th of ``count`` consecutive
-    ``rngs[i].choice(d, size=size, replace=False)`` calls returns.
+    holds, in ascending order, the indices of the ``size`` smallest of the d
+    keys that the c-th of ``count`` consecutive ``rngs[i].random(d)`` calls
+    returns.  The keys are independent and uniform, so every size-``size``
+    subset of range(d) is equally likely (up to ties among the 53-bit keys,
+    which come with probability below d**2 / 2**54).
 
-    The generators must be fresh ``default_rng`` (PCG64) generators, used
-    for nothing else: the words are taken with ``bit_generator.random_raw``
-    and the generators are left past the last word drawn.  The draw
-    restates numpy's ``Generator.choice`` (numpy/random/_generator.pyx):
-
-    * the 32-bit stream is the low half, then the high half, of each raw
-      PCG64 word;
-    * each draw on [0, r] is Lemire's bounded draw: a word x is taken while
-      (x (r + 1)) mod 2**32 < 2**32 mod (r + 1), then (x (r + 1)) >> 32 is
-      returned.  A draw on [0, 0] takes no word;
-    * for d > 10000 and size > d // 50, a Fisher-Yates shuffle of the last
-      ``size`` places of arange(d), the draws on [0, d - 1] down to
-      [0, max(d - size, 1)];
-    * otherwise Floyd's selection, with draws on [0, d - size] up to
-      [0, d - 1], then a Fisher-Yates shuffle of the result, with draws on
-      [0, size - 1] down to [0, 1].
-
-    Every word of a chunk is first given to the draw it would serve were
-    nothing rejected; each pass then moves the first rejected draw of every
-    run, and every draw after it, one word on, until no draw is rejected.
-    Calls are drawn in chunks of at most ``_STACK_WORDS`` words over all
-    the runs (one call per chunk where a call alone needs more), so a
-    caller that stops early draws and holds no more than one chunk.  d is
-    at most 2**32, where every draw is a 32-bit one.
+    Calls are drawn in chunks of at most ``_STACK_WORDS`` keys over all the
+    runs (one call per chunk where a call alone needs more), one
+    ``rng.random((calls, d))`` per generator, which returns exactly the keys
+    of ``calls`` consecutive ``random(d)`` calls.  So a chunk's subsets do
+    not depend on the chunk size or on the other generators, and a caller
+    that stops early draws and holds no more than one chunk past its stop.
     """
-    tail = d > _TAIL_SHUFFLE_D and size > d // 50
-    if tail:
-        ranges = np.arange(d - 1, max(d - size, 1) - 1, -1)
-    else:
-        ranges = np.concatenate([np.arange(d - size, d), np.arange(size - 1, 0, -1)])
-    drawn = ranges > 0
-    span = (ranges[drawn] + 1).astype(np.uint64)
-    floor = (1 << 32) % span
-    runs = len(rngs)
-    steps = max(1, _STACK_WORDS // (runs * (d if tail else 2 * size)))
-    pending = [np.empty(0, np.uint64)] * runs
+    steps = max(1, _STACK_WORDS // (len(rngs) * d))
     for first in range(0, count, steps):
         calls = min(steps, count - first)
-        draws = np.zeros((calls, runs, ranges.size), np.int64)
-        words = _bounded(rngs, pending, np.tile(span, calls), np.tile(floor, calls))
-        draws[:, :, drawn] = words.reshape(runs, calls, -1).transpose(1, 0, 2)
-        draws = draws.reshape(calls * runs, ranges.size)
-        rows = np.arange(calls * runs)
-        if tail:
-            out = np.tile(np.arange(d), (calls * runs, 1))
-            swaps = zip(range(d - 1, 0, -1), draws.T)
-        else:
-            out = draws[:, :size].copy()
-            for i in range(1, size):
-                seen = (out[:, :i] == out[:, i, None]).any(axis=1)
-                out[seen, i] = d - size + i
-            swaps = zip(range(size - 1, 0, -1), draws[:, size:].T)
-        for i, j in swaps:
-            out[rows, i], out[rows, j] = out[rows, j], out[rows, i]
-        yield from out[:, out.shape[1] - size :].reshape(calls, runs, size)
-
-
-def _bounded(rngs: list, pending: list, span: np.ndarray, floor: np.ndarray):
-    """(len(rngs), span.size) Lemire draws, draw k of a run on [0, span[k])
-    with rejection floor ``floor[k]``, from each run's 32-bit words:
-    ``pending[i]`` first, then fresh raw words of ``rngs[i]``.  Words left
-    over are put back in ``pending``."""
-    if not span.size:
-        return np.empty((len(rngs), 0), np.uint64)
-    words = _words(rngs, pending, span.size)
-    runs = np.arange(len(rngs))[:, None]
-    pos = np.broadcast_to(np.arange(span.size), words.shape).copy()
-    while True:
-        if pos[:, -1].max() >= words.shape[1]:
-            words = np.hstack([words, _words(rngs, pending, 1 + span.size // 8)])
-        scaled = words[runs, pos] * span
-        rejected = (scaled & _LO32) < floor
-        if not rejected.any():
-            break
-        first = np.where(rejected.any(axis=1), rejected.argmax(axis=1), span.size)
-        pos += np.arange(span.size) >= first[:, None]
-    for i, used in enumerate(pos[:, -1] + 1):
-        pending[i] = np.concatenate([words[i, used:], pending[i]])
-    return scaled >> _U32
-
-
-def _words(rngs: list, pending: list, width: int) -> np.ndarray:
-    """The next ``width`` 32-bit words of each run, as a (len(rngs), width)
-    uint64 array: ``pending[i]`` first, then the low and high halves of
-    fresh raw PCG64 words, whose unused halves stay in ``pending[i]``."""
-    rows = []
-    for i, rng in enumerate(rngs):
-        have = pending[i]
-        if have.size < width:
-            raw = rng.bit_generator.random_raw(-(-(width - have.size) // 2))
-            have = np.concatenate([have, np.stack([raw & _LO32, raw >> _U32], 1).ravel()])
-        rows.append(have[:width])
-        pending[i] = have[width:]
-    return np.stack(rows)
+        keys = np.stack([rng.random((calls, d)) for rng in rngs], axis=1)
+        yield from np.sort(np.argpartition(keys, size - 1)[..., :size])
 
 
 # ---------------------------------------------------------------------------
@@ -283,17 +202,18 @@ def l_max_b(H: np.ndarray, b: int) -> float:
 def standard_rate_iters(H: np.ndarray, b: int, m: float, eps: float) -> float:
     """Classical iteration count (d L_max_b / (b m)) log(1/eps), constant 1,
     for a target accuracy eps in (0, 1), with the exact ``l_max_b``."""
+    check_real("m", m)
+    check_real("eps", eps)
     if not m > 0:
         raise ConfigError("strong convexity constant m must be positive")
     if not 0 < eps < 1:
         raise ConfigError(f"accuracy eps must lie in (0, 1), got {eps!r}")
-    H = np.asarray(H, dtype=np.float64)
-    d = H.shape[0]
-    return float(d * l_max_b(H, b) / (b * m) * math.log(1.0 / eps))
+    return float(np.shape(H)[0] * l_max_b(H, b) / (b * m) * math.log(1.0 / eps))
 
 
 def theorem_rate(H: np.ndarray, b: int, m: float) -> float:
     """Per-step contraction factor 1 - m / (2 L_eff)."""
+    check_real("m", m)
     rate = m / (2.0 * l_eff(H, b))
     if not 0.0 < rate <= 1.0:
         raise InvalidRateError(f"m/(2 L_eff) = {rate} outside (0, 1]")
@@ -317,9 +237,8 @@ def classical_bound(
     (1 - b m / (d L_max_b)), with the exact ``l_max_b``."""
     tau = check_count("tau", tau)
     check_level("gap0", gap0)
-    H = np.asarray(H, dtype=np.float64)
-    d = H.shape[0]
-    rate = b * m / (d * l_max_b(H, b))
+    check_real("m", m)
+    rate = b * m / (np.shape(H)[0] * l_max_b(H, b))
     if not 0.0 < rate <= 1.0:
         raise InvalidRateError(f"b m/(d L_max_b) = {rate} outside (0, 1]")
     return gap0 * (1.0 - rate) ** np.arange(tau + 1)
@@ -440,6 +359,7 @@ def adversarial_hessian(d: int, lam: float) -> np.ndarray:
     L_max_b = lam + sqrt(d), while a typical block straddles the all-ones
     blocks and sees a far smaller curvature.
     """
+    check_real("lam", lam)
     q = math.isqrt(check_count("dimension", d))
     if q * q != d:
         raise NotPerfectSquareError(f"d = {d} is not a perfect square")
@@ -458,9 +378,8 @@ def monte_carlo_slack(delta: float, trials: int) -> float:
 
 def _subsets(d: int, size: int, trials: int, seed: int):
     """``trials`` uniform without-replacement size-``size`` subsets of
-    range(d): those of ``trials`` consecutive ``choice(d, size,
-    replace=False)`` calls on ``default_rng(seed)``, drawn in bulk, a chunk
-    at a time, by ``_choices``."""
+    range(d), those ``_choices`` draws from ``default_rng(seed)``: the
+    smallest ``size`` keys of ``trials`` consecutive ``random(d)`` calls."""
     trials = check_size("trials", trials)
     rng = np.random.default_rng(check_count("seed", seed))
     return (draw[0] for draw in _choices([rng], d, size, trials))
@@ -556,6 +475,7 @@ def _rf_requirement(
 ) -> tuple[int, float]:
     """``rf_required_features`` and the ||K|| it is computed from."""
     check_delta("delta", delta)
+    check_real("alpha", alpha)
     if not 0 < alpha < 1:
         raise ConfigError("alpha must lie in (0, 1)")
     X = check_matrix("X", X)
@@ -645,11 +565,12 @@ def conditioning_compare(
     the two p x p block systems at matched p:
     (K_J^T K_J + n lam K_JJ + n lam gamma I)  vs  (Z^T Z + n lam I).
     """
+    check_real("lam", lam)
+    check_real("gamma", gamma)
     if fspec.p != p:
         raise ConfigError("feature spec must carry the same p")
-    n = data.n
-    lam_eff = n * lam
-    landmarks = draw_landmarks(n, p, landmark_seed)
+    lam_eff = data.n * lam
+    landmarks = draw_landmarks(data.n, p, landmark_seed)
     kj = kernel_cross(data.X, data.X[landmarks], kspec)
     kjj = kj[landmarks]
     m_ny = kj.T @ kj + lam_eff * kjj + lam_eff * gamma * np.eye(p)

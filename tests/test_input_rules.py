@@ -20,12 +20,25 @@ from kernelbcd.kernels import (
     kernel_cross,
     random_features_block,
 )
-from kernelbcd.rates import bernstein_lower_rate, chernoff_violation_rate
+from kernelbcd.rates import (
+    adversarial_hessian,
+    bernstein_lower_rate,
+    chernoff_violation_rate,
+    classical_bound,
+    conditioning_compare,
+    improved_bound,
+    rf_concentration_check,
+    rf_required_features,
+    standard_rate_iters,
+    theorem_rate,
+)
 from kernelbcd.solvers import make_plan, solve_rf
 
 RBF = KernelSpec("rbf", 1.0)
 FSPEC = FeatureMapSpec(p=4, sigma=1.0, master_seed=0)
 CUBE = np.ones((2, 2, 2))
+H4 = 2 * np.eye(4)
+BLOBS = gaussian_blobs(8, 2, 2, seed=0)
 
 
 def _solve_rf_on_workers(workers):
@@ -61,6 +74,33 @@ REFUSALS = {
     "make_partition-workers-float": (lambda: make_partition(8, 2.0), ConfigError),
     "predict_costs-workers-fraction": (lambda: predict_costs("rf", 10, 8, 4, 2, 1.5),
                                        ConfigError),
+    # data arrays: the numeric rule and the whole-number rule
+    "Dataset-X-string": (lambda: Dataset([["a", "b"]], [0], 1), ConfigError),
+    "kernel_cross-ragged": (lambda: kernel_cross([[1.0, 2.0], [3.0]], np.ones((1, 2)), RBF),
+                            ConfigError),
+    "Dataset-labels-fraction": (lambda: Dataset(np.ones((2, 2)), [0.5, 1], 2), ConfigError),
+    "Dataset-labels-nan": (lambda: Dataset(np.ones((2, 2)), [np.nan, 1], 2), ConfigError),
+    "Dataset-labels-string": (lambda: Dataset(np.ones((2, 2)), ["a", "b"], 2), ConfigError),
+    # real numbers: the real rule
+    "gaussian_blobs-center_scale-string": (lambda: gaussian_blobs(4, 2, 2, center_scale="x"),
+                                           ConfigError),
+    "gaussian_blobs-noise-string": (lambda: gaussian_blobs(4, 2, 2, noise="x"), ConfigError),
+    "theorem_rate-m-string": (lambda: theorem_rate(H4, 2, "x"), ConfigError),
+    "improved_bound-m-string": (lambda: improved_bound(H4, 2, "x", 1.0, 3), ConfigError),
+    "classical_bound-m-string": (lambda: classical_bound(H4, 2, "x", 1.0, 3), ConfigError),
+    "standard_rate_iters-m-string": (lambda: standard_rate_iters(H4, 2, "x", 0.5),
+                                     ConfigError),
+    "standard_rate_iters-eps-string": (lambda: standard_rate_iters(H4, 2, 1.0, "x"),
+                                       ConfigError),
+    "rf_required_features-alpha-string": (lambda: rf_required_features(BLOBS.X, 1.0, "x", 0.1),
+                                          ConfigError),
+    "rf_concentration_check-alpha-string": (
+        lambda: rf_concentration_check(FSPEC, BLOBS.X, "x", 0.1, 10), ConfigError),
+    "adversarial_hessian-lam-string": (lambda: adversarial_hessian(4, "x"), ConfigError),
+    "conditioning_compare-lam-string": (
+        lambda: conditioning_compare(BLOBS, RBF, FSPEC, 4, "x", 0.1), ConfigError),
+    "conditioning_compare-gamma-string": (
+        lambda: conditioning_compare(BLOBS, RBF, FSPEC, 4, 0.1, "x"), ConfigError),
 }
 
 
@@ -80,6 +120,10 @@ def test_counts_keep_their_accepted_ranges():
     empty = Dataset(np.empty((0, 2)), [], 0)
     assert (empty.n, empty.k) == (0, 0)
     assert type(Dataset(np.ones((2, 2)), [0, 1], np.int64(2)).k) is int
+    # whole-number labels of any numeric dtype are stored as int64
+    for labels in ([0.0, 1.0], np.array([0, 1], np.uint8), [False, True]):
+        stored = Dataset(np.ones((2, 2)), labels, 2).labels
+        assert stored.dtype == np.int64 and stored.tolist() == [0, 1]
     # the pinned refusals of the partition and the cost closed forms stay
     for n_rows, workers in [(8, 0), (-1, 2)]:
         with pytest.raises(DimensionMismatchError):

@@ -1,5 +1,6 @@
 import inspect
 import math
+from collections import Counter
 from itertools import combinations
 
 import numpy as np
@@ -51,6 +52,13 @@ def random_spd(d, seed, shift=0.5):
     rng = np.random.default_rng(seed)
     raw = rng.standard_normal((d, d))
     return raw @ raw.T / d + shift * np.eye(d)
+
+
+def one_draw(rng, d, size):
+    """One uniform subset as the rates lab promises to draw it: the indices
+    of the ``size`` smallest of d keys from one ``rng.random(d)`` call, in
+    ascending order."""
+    return np.sort(np.argsort(rng.random(d), kind="stable")[:size])
 
 
 class TestLEff:
@@ -416,7 +424,7 @@ def _oracle_tops(G, d, size, trials, seed):
     rng = np.random.default_rng(seed)
     tops = []
     for _ in range(trials):
-        s = rng.choice(d, size=size, replace=False)
+        s = one_draw(rng, d, size)
         tops.append(float(np.linalg.eigvalsh(G[np.ix_(s, s)])[-1]))
     return tops
 
@@ -556,7 +564,7 @@ def _reference_gaps(prob, b, tau, base_seed, s):
     w = np.zeros(prob.dim)
     gaps = [0.0 - prob.f_star]
     for _ in range(tau):
-        idx = rng.choice(prob.dim, size=b, replace=False)
+        idx = one_draw(rng, prob.dim, b)
         w[idx] = 0.0
         w[idx] = np.linalg.solve(H[np.ix_(idx, idx)], g[idx] - H[idx] @ w)
         gaps.append(0.5 * w @ H @ w - g @ w - prob.f_star)
@@ -741,35 +749,45 @@ def _fresh_generators(runs, seed=0):
     "d, b, runs, count",
     [
         (16, 4, 3, 200),
-        (16, 16, 2, 50),  # b = d: Floyd's first draw is on [0, 0] and takes no word
-        (1, 1, 2, 20),  # d = 1: no draw takes a word
-        (5, 1, 3, 50),  # b = 1: no shuffle
+        (16, 16, 2, 50),  # b = d: argpartition at its last kth
+        (1, 1, 2, 20),
+        (5, 1, 3, 50),
         (100, 10, 2, 50),
-        (10001, 201, 2, 2),  # numpy's tail-shuffle branch
+        (10001, 201, 2, 2),  # one call alone outgrows a chunk
         (20000, 19999, 1, 1),
-        (2**31 + 2, 2, 3, 60),  # about half of Floyd's words are rejected
     ],
 )
 def test_bulk_subsets_equal_a_loop_of_generator_choice(d, b, runs, count):
+    # the loop, named for the Generator.choice it once called, is one_draw
     got = list(kernelbcd.rates._choices(_fresh_generators(runs), d, b, count))
     loop = _fresh_generators(runs)
     assert len(got) == count
     for draw in got:
         assert draw.shape == (runs, b)
         for row, rng in zip(draw, loop):
-            assert np.array_equal(row, rng.choice(d, size=b, replace=False))
+            assert np.array_equal(row, one_draw(rng, d, b))
 
 
 @pytest.mark.parametrize("words", [1, 5, 7, 30])
-@pytest.mark.parametrize("d, b", [(16, 4), (6, 6), (2**31 + 2, 2)])
+@pytest.mark.parametrize("d, b", [(16, 4), (6, 6), (1, 1)])
 def test_bulk_subsets_continue_across_chunks(monkeypatch, words, d, b):
-    # chunks of one call, or of a few calls that end inside a raw word (the
-    # high half of its last word waits for the next chunk) or past words a
-    # rejection pulled in
+    # fewer words than the 3 runs' d keys give chunks of one call; at d = 1,
+    # 7 and 30 words give chunks of 2 and 10 calls
     whole = list(kernelbcd.rates._choices(_fresh_generators(3, 7), d, b, 40))
     monkeypatch.setattr(kernelbcd.rates, "_STACK_WORDS", words)
     chunked = list(kernelbcd.rates._choices(_fresh_generators(3, 7), d, b, 40))
     assert [c.tobytes() for c in chunked] == [w.tobytes() for w in whole]
+
+
+def test_bulk_subsets_are_uniform():
+    # 30,000 size-2 subsets of range(6): each of the C(6, 2) = 15 subsets
+    # falls within five binomial sigmas of its expected count
+    draws = 30_000
+    got = kernelbcd.rates._choices(_fresh_generators(1, 3), 6, 2, draws)
+    counts = Counter(tuple(row) for draw in got for row in draw.tolist())
+    assert sorted(counts) == list(combinations(range(6), 2))
+    expected, sigma = draws / 15, math.sqrt(draws * (1 / 15) * (14 / 15))
+    assert all(abs(c - expected) <= 5 * sigma for c in counts.values())
 
 
 def test_a_run_that_stops_early_draws_one_chunk():
