@@ -37,9 +37,7 @@ from .kernels import (
     FeatureMapSpec,
     KernelSpec,
     gaussian_blobs,
-    kernel_block,
     kernel_cross,
-    kernel_eval,
     load_csv,
     one_vs_all,
     random_features_block,
@@ -79,7 +77,6 @@ from .solvers import (
     normal_equation_residual,
     objective_value,
     predict,
-    primal_dual_gap,
     save_model,
     solve_full,
     solve_nystrom,

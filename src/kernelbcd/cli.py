@@ -28,7 +28,6 @@ columns are wall-clock measurements and vary run to run.
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 from dataclasses import dataclass, field, fields, replace
@@ -36,19 +35,21 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from . import rates
-from .distsim import CostLedger, ExecContext, measured_vs_predicted, predict_costs
+from .distsim import METHODS, CostLedger, ExecContext, measured_vs_predicted, predict_costs
 from .errors import (
     ConfigError,
     DataFormatError,
     DivergenceError,
     KernelBcdError,
+    check_choice,
     check_count,
     check_delta,
+    check_lambdas,
     check_level,
     check_size,
 )
 from .files import write_rows
-from .kernels import Dataset, FeatureMapSpec, KernelSpec, load_csv
+from .kernels import KERNEL_FAMILIES, Dataset, FeatureMapSpec, KernelSpec, load_csv
 from .linalg import lambda_extremes
 from .solvers import evaluate, make_plan, save_model, solve_path
 
@@ -139,8 +140,9 @@ class RunConfig:
 
     def validate(self) -> None:
         """The one choice and range check, run before any file is touched.
-        The scalar flags go through the package's own input rules, named by
-        the flag; the rows after them are the CLI's own."""
+        The scalar flags, the method and kernel names and the lambda list go
+        through the package's own input rules, named by the flag; the rows
+        after them are the CLI's own."""
         for flag, value in (("--epochs", self.epochs), ("--seed", self.seed),
                             ("--tau", self.tau)):
             check_count(flag, value)
@@ -152,26 +154,20 @@ class RunConfig:
         if self.grad_tol is not None:
             check_level("--grad-tol", self.grad_tol)
         check_delta("--delta", self.delta)
+        check_choice("method", self.method, METHODS)
+        check_choice("kernel", self.kernel, KERNEL_FAMILIES)
+        check_lambdas("--lambda", self.lambdas)
         cmd = self.command
         rates_check = cmd == "rates-check"
         one_model = cmd in ("solve", "path", "costs")  # compare sets method and p
-        repeats = sorted({lam for lam in self.lambdas if self.lambdas.count(lam) > 1})
         p_repeats = sorted({p for p in self.p if self.p.count(p) > 1})
         max_bytes = np.iinfo(np.intp).max  # the largest array numpy can describe
         for ok, message in (
-            (self.method in ("full", "nystrom", "rf"),
-             f"unknown method {self.method!r}"),
-            (self.kernel in ("rbf", "linear"), f"unknown kernel {self.kernel!r}"),
             (self.kernel == "rbf" or one_model and self.method != "rf",
              "rf features approximate the rbf kernel; --kernel linear applies to "
              "full and nystrom"),
-            (self.lambdas, "need at least one --lambda"),
-            (all(0 < lam < math.inf for lam in self.lambdas),
-             "--lambda values must be positive and finite"),
             (cmd == "path" or len(self.lambdas) == 1,
              f"{cmd} takes a single --lambda; use the path command"),
-            (not repeats,
-             f"--lambda values must be distinct: {', '.join(map(repr, repeats))} repeated"),
             (rates_check or self.train, "--train is required for this command"),
             (cmd != "compare" or self.test, "compare needs --test"),
             (cmd != "compare" or self.p, "compare needs a --p list"),

@@ -37,13 +37,16 @@ from time import perf_counter
 
 import numpy as np
 
-from .errors import ConfigError, DimensionMismatchError, check_count, check_integer
+from .errors import ConfigError, DimensionMismatchError, check_choice, check_count, check_integer
 from .files import write_rows
 from .linalg import gram
 
 FLOAT_BYTES = 8
 
 PHASES = ("generation", "gram", "solve", "residual")
+
+# the solver methods; the solvers' models and the CLI read this tuple too
+METHODS = ("full", "nystrom", "rf")
 
 
 @dataclass(frozen=True)
@@ -252,8 +255,7 @@ def predict_costs(
     it is reproduced as the closed form states it rather than reconciled
     with the tree model.
     """
-    if method not in ("full", "nystrom", "rf"):
-        raise ConfigError(f"unknown method {method!r}")
+    check_choice("method", method, METHODS)
     n, p, b, k, workers = (check_count(name, value) for name, value in (
         ("n", n), ("p", p), ("b", b), ("k", k), ("workers", workers)))
     if min(n, b, k, workers) < 1 or (method != "full" and p < 1):

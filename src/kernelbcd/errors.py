@@ -6,7 +6,9 @@ each rule on a scalar argument is written here once: an integer
 (``check_integer``), a count ``>= 0`` (``check_count``), a size in
 ``[1, most]`` (``check_size``), a real number (``check_real``), a finite
 level ``>= 0`` (``check_level``) and a failure probability in ``(0, 1]``
-(``check_delta``).  The solvers, the specs, the rates lab and the CLI's
+(``check_delta``).  So is the rule on a list of regularization
+strengths (``check_lambdas``) and on a name picked from a fixed set
+(``check_choice``).  The solvers, the specs, the rates lab and the CLI's
 early checks call them with the argument's or the flag's name, and keep
 no copy.  So do the two rules on a data array: a numeric 2-d array
 (``check_matrix``) and an array of whole numbers (``check_integer_array``).
@@ -164,3 +166,26 @@ def check_delta(name: str, value) -> None:
     check_real(name, value)
     if not 0 < value <= 1:
         raise ConfigError(f"{name} must lie in (0, 1], got {value!r}")
+
+
+def check_lambdas(name: str, values: list) -> None:
+    """A list of regularization strengths: at least one, each a real number
+    that is positive and finite, and no two equal (the repeats are named).
+    The block systems are strongly convex only at n lam > 0.  Anything else
+    raises ``ConfigError``."""
+    if not values:
+        raise ConfigError(f"need at least one {name}")
+    for value in values:
+        check_real(name, value)
+        if not 0 < value < math.inf:
+            raise ConfigError(f"{name} values must be positive and finite")
+    repeats = ", ".join(str(v) for v in sorted(set(values)) if values.count(v) > 1)
+    if repeats:
+        raise ConfigError(f"{name} values must be distinct: {repeats} repeated")
+
+
+def check_choice(name: str, value, choices) -> None:
+    """Refuse a ``value`` that is not one of ``choices`` (a method or a
+    kernel family) with ``ConfigError``."""
+    if value not in choices:
+        raise ConfigError(f"unknown {name} {value!r}")

@@ -38,6 +38,7 @@ from .errors import (
     DataFormatError,
     DimensionMismatchError,
     IndexOutOfRangeError,
+    check_choice,
     check_count,
     check_integer,
     check_integer_array,
@@ -81,8 +82,7 @@ class KernelSpec:
     sigma: float = 1.0
 
     def __post_init__(self):
-        if self.family not in KERNEL_FAMILIES:
-            raise ConfigError(f"unknown kernel family {self.family!r}")
+        check_choice("kernel family", self.family, KERNEL_FAMILIES)
         object.__setattr__(self, "sigma", _bandwidth(self.sigma))
         # sigma*sigma, not sigma**2: float ** raises OverflowError, * gives inf
         if self.family == "rbf" and not (
@@ -162,18 +162,6 @@ class Dataset:
         return self.X.shape[1]
 
 
-def kernel_eval(spec: KernelSpec, x, y) -> float:
-    """Evaluate the kernel on a single pair of vectors."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.shape != y.shape:
-        raise DimensionMismatchError(f"shapes {x.shape} and {y.shape} differ")
-    if spec.family == "linear":
-        return float(x @ y)
-    sq = float(np.sum((x - y) ** 2))
-    return float(np.exp(-sq / (2.0 * spec.sigma**2)))
-
-
 def kernel_cross(
     Xa: np.ndarray, Xb: np.ndarray, spec: KernelSpec, rows=None
 ) -> np.ndarray:
@@ -229,19 +217,6 @@ def kernel_cross(
             np.fill_diagonal(own, 1.0)
         out[rows] = own
     return out
-
-
-def kernel_block(X: np.ndarray, indices, spec: KernelSpec) -> np.ndarray:
-    """Return the n x |I| column block K([n], I), entry (i, j) = k(x_i, x_I(j)).
-
-    Deterministic given the inputs.  The block meets its own anchors at the
-    rows I, so its |I| x |I| sub-block is exactly symmetric, with a unit
-    diagonal for rbf, and the full block (I = everything) is exactly
-    symmetric.
-    """
-    X = check_matrix("X", X)
-    idx = validate_indices(indices, X.shape[0])
-    return kernel_cross(X, X[idx], spec, rows=idx)
 
 
 def feature_params(spec: FeatureMapSpec, m: int, d: int) -> tuple[np.ndarray, float]:

@@ -65,6 +65,7 @@ from .errors import (
     ThresholdNotMetError,
     check_count,
     check_delta,
+    check_lambdas,
     check_level,
     check_matrix,
     check_real,
@@ -565,8 +566,8 @@ def conditioning_compare(
     the two p x p block systems at matched p:
     (K_J^T K_J + n lam K_JJ + n lam gamma I)  vs  (Z^T Z + n lam I).
     """
-    check_real("lam", lam)
-    check_real("gamma", gamma)
+    check_lambdas("lambda", [lam])
+    check_level("gamma", gamma)
     if fspec.p != p:
         raise ConfigError("feature spec must carry the same p")
     lam_eff = data.n * lam

@@ -67,6 +67,7 @@ import numpy as np
 
 from .distsim import (
     FLOAT_BYTES,
+    METHODS,
     NULL_LEDGER,
     ExecContext,
     distributed_gram,
@@ -76,10 +77,11 @@ from .errors import (
     ConfigError,
     DimensionMismatchError,
     DivergenceError,
+    check_choice,
     check_count,
+    check_lambdas,
     check_level,
     check_matrix,
-    check_real,
     check_size,
 )
 from .files import write_atomic
@@ -215,8 +217,7 @@ class Model:
     dim: int | None = None
 
     def __post_init__(self):
-        if self.method not in ("full", "nystrom", "rf"):
-            raise ConfigError(f"unknown method {self.method!r}")
+        check_choice("method", self.method, METHODS)
         if self.method == "rf":
             if self.features is None:
                 raise ConfigError("rf model needs a feature map spec")
@@ -413,13 +414,32 @@ def rf_objective(w: np.ndarray, Z: np.ndarray, Y: np.ndarray, lam: float) -> flo
     return _ip(r, r) / n + lam * _ip(w, w)
 
 
+def _check_diagnostic(model: Model, data: Dataset, lam, gamma) -> None:
+    """A dense diagnostic's inputs: ``lam`` passes ``check_lambdas`` and
+    ``gamma`` ``check_level`` (ConfigError), and ``data`` can be the
+    training set: a full model has one anchor per row, and a nystrom
+    model's landmarks are rows of it (DimensionMismatchError)."""
+    check_lambdas("lambda", [lam])
+    check_level("gamma", gamma)
+    if model.method == "full" and data.n != model.anchors.shape[0]:
+        raise DimensionMismatchError(
+            f"data has {data.n} rows, the full model {model.anchors.shape[0]} anchors"
+        )
+    if model.method == "nystrom" and np.any(model.landmarks >= data.n):
+        raise DimensionMismatchError(
+            f"landmark {model.landmarks.max()} lies past the data's last row {data.n - 1}"
+        )
+
+
 @solver_threads()
 def objective_value(
     model: Model, data: Dataset, lam: float, gamma: float = 0.0
 ) -> float:
     """The surrogate objective a solver of this method descends, evaluated
     densely at the model's coefficients (desk-scale diagnostic, inside
-    ``solver_threads``)."""
+    ``solver_threads``).  Refuses the inputs ``normal_equation_residual``
+    refuses."""
+    _check_diagnostic(model, data, lam, gamma)
     Y = one_vs_all(data)
     kj = model.columns(data.X)
     if model.method == "full":
@@ -427,18 +447,6 @@ def objective_value(
     if model.method == "nystrom":
         return nystrom_objective(model.coefficients, kj, model.landmarks, Y, lam, gamma)
     return rf_objective(model.coefficients, kj, Y, lam)
-
-
-def primal_dual_gap(Z: np.ndarray, w: np.ndarray, Y: np.ndarray, lam: float) -> float:
-    """||w - (1/(n lam)) Z^T (Y - Z w)||_F.
-
-    Zero (to rounding) exactly at the ridge optimum, where the primal
-    weights and the implied dual variables alpha = Y - Z w coincide
-    through w = (1/(n lam)) Z^T alpha.
-    """
-    n = Y.shape[0]
-    alpha_dual = Y - Z @ w
-    return float(np.linalg.norm(w - (Z.T @ alpha_dual) / (n * lam)))
 
 
 # ---------------------------------------------------------------------------
@@ -474,16 +482,9 @@ def _guard_descent(prev: float, obj: float) -> None:
 
 
 def _check_lams(lams, n: int, gamma: float) -> None:
-    """Positive, finite, distinct lambdas whose block-matrix terms n lam and
-    n lam gamma are finite too."""
-    if not lams:
-        raise ConfigError("need at least one lambda")
-    for lam in lams:
-        check_real("every lambda", lam)
-    if any(not 0 < lam < np.inf for lam in lams):
-        raise ConfigError("every lambda must be positive and finite")
-    if len(set(lams)) != len(lams):
-        raise ConfigError("lambda values must be distinct")
+    """Lambdas that pass ``check_lambdas`` and whose block-matrix terms
+    n lam and n lam gamma are finite too."""
+    check_lambdas("lambda", lams)
     for lam in lams:
         # python floats: an overflow gives inf without a numpy warning
         if not math.isfinite(n * float(lam) * max(float(gamma), 1.0)):
@@ -976,8 +977,13 @@ def normal_equation_residual(
     rf:       ||(Z^T Z + n lam I) w - Z^T Y|| / ||Z^T Y||
 
     Materializes the full n x p (or n x n) block, so desk scale only.  Runs
-    inside ``solver_threads``.
+    inside ``solver_threads``.  ``data`` must be the training set: a row
+    count other than a full model's anchor count, or a nystrom landmark
+    past the last row, raises ``DimensionMismatchError``, and a ``lam``
+    that ``check_lambdas`` refuses or a ``gamma`` that ``check_level``
+    refuses ``ConfigError``.
     """
+    _check_diagnostic(model, data, lam, gamma)
     Y = one_vs_all(data)
     lam_eff = data.n * lam
     c = model.coefficients

@@ -44,12 +44,12 @@ from kernelbcd.rates import (
 from kernelbcd.solvers import (
     make_plan,
     normal_equation_residual,
-    primal_dual_gap,
     solve_full,
     solve_nystrom,
     solve_path,
     solve_rf,
 )
+from oracles import primal_dual_gap
 
 LAM = 1e-3
 

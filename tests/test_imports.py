@@ -1,8 +1,9 @@
 """Importing the package loads numpy and no scipy: scipy's import costs
 more than the package itself, and maps a second OpenBLAS.  The package's
 modules factor and solve only through ``kernelbcd.linalg``, state the
-integer and real-number input rules only in ``kernelbcd.errors``, and a
-star import binds the package's public names, not its submodules."""
+integer and real-number input rules only in ``kernelbcd.errors``, write
+the method names and the kernel families once, and a star import binds the
+package's public names, not its submodules."""
 
 import ast
 import os
@@ -75,6 +76,19 @@ def test_only_errors_states_the_integer_and_real_rules():
     # raise; every other module calls them instead of restating them
     users = {path.name for path in (SRC / "kernelbcd").glob("*.py") if _rule_names(path)}
     assert users == {"errors.py"}
+
+
+def test_method_names_and_kernel_families_are_written_once():
+    # one tuple each, which every check reads through check_choice
+    found = [
+        ast.literal_eval(node)
+        for path in (SRC / "kernelbcd").glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Tuple) and node.elts
+        and all(isinstance(e, ast.Constant) for e in node.elts)
+    ]
+    assert found.count(("full", "nystrom", "rf")) == 1
+    assert found.count(("rbf", "linear")) == 1
 
 
 def test_all_names_no_submodule_and_no_table1_formula():

@@ -1,6 +1,7 @@
-"""Every public entry refuses a bad count or a data array of the wrong rank
-with the package's own error, through the shared input rules of
-``kernelbcd.errors``, and never with a raw Python or numpy exception."""
+"""Every public entry refuses a bad count, a bad lambda, an unknown name or a
+data array of the wrong rank with the package's own error, through the
+shared input rules of ``kernelbcd.errors``, and never with a raw Python or
+numpy exception."""
 
 import warnings
 
@@ -8,15 +9,20 @@ import numpy as np
 import pytest
 
 from kernelbcd import ExecContext
-from kernelbcd.distsim import make_partition, predict_costs
-from kernelbcd.errors import ConfigError, DimensionMismatchError, KernelBcdError
+from kernelbcd.distsim import METHODS, make_partition, predict_costs
+from kernelbcd.errors import (
+    ConfigError,
+    DimensionMismatchError,
+    KernelBcdError,
+    check_choice,
+    check_lambdas,
+)
 from kernelbcd.kernels import (
     Dataset,
     FeatureMapSpec,
     KernelSpec,
     feature_params,
     gaussian_blobs,
-    kernel_block,
     kernel_cross,
     random_features_block,
 )
@@ -32,13 +38,26 @@ from kernelbcd.rates import (
     standard_rate_iters,
     theorem_rate,
 )
-from kernelbcd.solvers import make_plan, solve_rf
+from kernelbcd.solvers import (
+    Model,
+    make_plan,
+    normal_equation_residual,
+    objective_value,
+    solve_rf,
+)
 
 RBF = KernelSpec("rbf", 1.0)
 FSPEC = FeatureMapSpec(p=4, sigma=1.0, master_seed=0)
 CUBE = np.ones((2, 2, 2))
 H4 = 2 * np.eye(4)
 BLOBS = gaussian_blobs(8, 2, 2, seed=0)
+# a full model on 32 rows and a nystrom model whose landmarks reach row 29,
+# for the dense diagnostics; their training set is TRAIN
+TRAIN = gaussian_blobs(32, 2, 2, seed=0)
+FULL = Model("full", np.zeros((32, 2)), kernel=RBF, anchors=TRAIN.X)
+NYSTROM = Model("nystrom", np.zeros((2, 2)), kernel=RBF, anchors=TRAIN.X[[3, 29]],
+                landmarks=np.array([3, 29]))
+DIAGNOSTICS = (normal_equation_residual, objective_value)
 
 
 def _solve_rf_on_workers(workers):
@@ -52,8 +71,6 @@ REFUSALS = {
     "kernel_cross-1d": (lambda: kernel_cross(np.ones(3), np.ones(3), RBF),
                         DimensionMismatchError),
     "kernel_cross-3d": (lambda: kernel_cross(CUBE, CUBE, RBF), DimensionMismatchError),
-    "kernel_block-1d": (lambda: kernel_block(np.ones(3), [0], RBF), DimensionMismatchError),
-    "kernel_block-3d": (lambda: kernel_block(CUBE, [0], RBF), DimensionMismatchError),
     "random_features_block-1d": (lambda: random_features_block(np.ones(3), [0, 1], FSPEC),
                                  DimensionMismatchError),
     "random_features_block-3d": (lambda: random_features_block(CUBE, [0, 1], FSPEC),
@@ -101,6 +118,29 @@ REFUSALS = {
         lambda: conditioning_compare(BLOBS, RBF, FSPEC, 4, "x", 0.1), ConfigError),
     "conditioning_compare-gamma-string": (
         lambda: conditioning_compare(BLOBS, RBF, FSPEC, 4, 0.1, "x"), ConfigError),
+    # lambdas: the lambda rule; gammas: the level rule
+    "conditioning_compare-lam-negative": (
+        lambda: conditioning_compare(BLOBS, RBF, FSPEC, 4, -1.0, 0.1), ConfigError),
+    "conditioning_compare-gamma-negative": (
+        lambda: conditioning_compare(BLOBS, RBF, FSPEC, 4, 0.1, -1.0), ConfigError),
+    **{f"{f.__name__}-lam-{value}": (lambda f=f, value=value: f(FULL, TRAIN, value), ConfigError)
+       for f in DIAGNOSTICS for value in ("x", None, -1.0, np.nan)},
+    **{f"{f.__name__}-gamma-negative": (lambda f=f: f(NYSTROM, TRAIN, 0.1, -1.0), ConfigError)
+       for f in DIAGNOSTICS},
+    "check_lambdas-empty": (lambda: check_lambdas("lambda", []), ConfigError),
+    "check_lambdas-string": (lambda: check_lambdas("lambda", [0.1, "x"]), ConfigError),
+    "check_lambdas-zero": (lambda: check_lambdas("lambda", [0.0]), ConfigError),
+    "check_lambdas-inf": (lambda: check_lambdas("lambda", [np.inf]), ConfigError),
+    "check_lambdas-nan": (lambda: check_lambdas("lambda", [np.nan]), ConfigError),
+    "check_lambdas-repeat": (lambda: check_lambdas("lambda", [0.1, 0.2, 0.1]), ConfigError),
+    "check_choice-method": (lambda: check_choice("method", "sgd", METHODS), ConfigError),
+    # the dense diagnostics take only a data set that can be the training set
+    **{f"{f.__name__}-full-40-rows": (
+        lambda f=f: f(FULL, gaussian_blobs(40, 2, 2, seed=1), 0.1), DimensionMismatchError)
+       for f in DIAGNOSTICS},
+    **{f"{f.__name__}-nystrom-20-rows": (
+        lambda f=f: f(NYSTROM, gaussian_blobs(20, 2, 2, seed=1), 0.1), DimensionMismatchError)
+       for f in DIAGNOSTICS},
 }
 
 
@@ -131,3 +171,26 @@ def test_counts_keep_their_accepted_ranges():
     with pytest.raises(ConfigError, match="cost parameters must be positive"):
         predict_costs("rf", 8, 0, 4, 2, 1)
     assert make_partition(np.int64(8), np.int64(3)).bounds == (0, 3, 6, 8)
+
+
+def test_the_shared_rules_keep_their_messages():
+    with pytest.raises(ConfigError, match="^need at least one --lambda$"):
+        check_lambdas("--lambda", [])
+    with pytest.raises(ConfigError, match="^lambda must be a real number, got 'x'$"):
+        check_lambdas("lambda", ["x"])
+    with pytest.raises(ConfigError, match="^lambda values must be positive and finite$"):
+        check_lambdas("lambda", [0.1, -1.0])
+    with pytest.raises(ConfigError, match="^--lambda values must be distinct: 0.001 repeated$"):
+        check_lambdas("--lambda", [1e-3, 0.1, 0.001])
+    with pytest.raises(ConfigError, match="^unknown method 'sgd'$"):
+        check_choice("method", "sgd", METHODS)
+    check_lambdas("lambda", [0.1, np.float64(1e-3), 2])
+    check_choice("method", "rf", METHODS)
+
+
+def test_diagnostics_take_the_training_set():
+    # a full model on its 32 rows and a nystrom model whose landmarks are
+    # rows of the set give a number, as on every solver's training set
+    for model in (FULL, NYSTROM):
+        for f in DIAGNOSTICS:
+            assert np.isfinite(f(model, TRAIN, 0.1, 1e-3))

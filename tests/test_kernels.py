@@ -21,9 +21,7 @@ from kernelbcd.kernels import (
     KernelSpec,
     feature_params,
     gaussian_blobs,
-    kernel_block,
     kernel_cross,
-    kernel_eval,
     load_csv,
     one_vs_all,
     random_features_block,
@@ -31,6 +29,7 @@ from kernelbcd.kernels import (
     _block_params,
     _ndtri,
 )
+from oracles import kernel_eval
 
 RBF = KernelSpec("rbf", sigma=1.0)
 
@@ -86,17 +85,20 @@ class TestKernelEval:
 
 
 class TestKernelBlock:
+    # a column block K([n], I) meets its own anchors at the rows I: the
+    # solvers make it as kernel_cross(X, X[I], spec, rows=I)
+
     def test_full_block_symmetric(self):
         rng = np.random.default_rng(0)
         x = rng.standard_normal((12, 3))
-        k = kernel_block(x, np.arange(12), RBF)
+        k = kernel_cross(x, x, RBF, rows=np.arange(12))
         assert np.array_equal(k, k.T)
         assert np.allclose(np.diag(k), 1.0)
 
     def test_tiny_bandwidth_is_near_identity(self):
         # unit-separated points with sigma = 1e-3: off-diagonal underflows
         x = np.arange(6.0)[:, None]
-        k = kernel_block(x, np.arange(6), KernelSpec("rbf", sigma=1e-3))
+        k = kernel_cross(x, x, KernelSpec("rbf", sigma=1e-3), rows=np.arange(6))
         off = k - np.diag(np.diag(k))
         assert np.abs(off).max() < 1e-10
         assert np.array_equal(np.diag(k), np.ones(6))
@@ -107,7 +109,7 @@ class TestKernelBlock:
         x = np.array([[1e300, 0.0], [0.0, 1e300], [1e154, 1.0], [0.5, 0.0]])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            k = kernel_block(x, np.arange(4), RBF)
+            k = kernel_cross(x, x, RBF, rows=np.arange(4))
             cross = kernel_cross(x, x[[3]], RBF)
         expected = np.eye(4)
         assert np.array_equal(k, expected)
@@ -118,7 +120,7 @@ class TestKernelBlock:
         x = rng.standard_normal((6, 4))
         idx = [2, 4]
         for spec in (RBF, KernelSpec("linear")):
-            block = kernel_block(x, idx, spec)
+            block = kernel_cross(x, x[idx], spec, rows=idx)
             for i in range(6):
                 for j, col in enumerate(idx):
                     assert block[i, j] == pytest.approx(
@@ -128,16 +130,13 @@ class TestKernelBlock:
     def test_block_is_column_subselection(self):
         rng = np.random.default_rng(2)
         x = rng.standard_normal((50, 3))
-        full = kernel_block(x, np.arange(50), RBF)
+        full = kernel_cross(x, x, RBF, rows=np.arange(50))
         for seed in range(5):
             idx = np.random.default_rng(seed).choice(50, size=7, replace=False)
             np.testing.assert_allclose(
-                kernel_block(x, idx, RBF), full[:, idx], rtol=0, atol=SHARED_COLUMN_ATOL
+                kernel_cross(x, x[idx], RBF, rows=idx), full[:, idx],
+                rtol=0, atol=SHARED_COLUMN_ATOL,
             )
-
-    def test_out_of_range(self):
-        with pytest.raises(IndexOutOfRangeError):
-            kernel_block(np.ones((3, 2)), [3], RBF)
 
 
 class TestRandomFeatures:
@@ -325,8 +324,6 @@ def test_blocks_refuse_bad_index_sets(indices, message):
     spec = FeatureMapSpec(p=4, sigma=1.0, master_seed=0)
     with pytest.raises(IndexOutOfRangeError, match=message):
         random_features_block(X, indices, spec)
-    with pytest.raises(IndexOutOfRangeError, match=message):
-        kernel_block(X, indices, RBF)
 
 
 def test_feature_params_refuses_an_index_past_p():
@@ -392,7 +389,8 @@ def test_kernel_cross_matches_block():
     rng = np.random.default_rng(10)
     x = rng.standard_normal((8, 3))
     idx = [1, 5]
-    assert np.array_equal(kernel_cross(x, x[idx], RBF), kernel_block(x, idx, RBF))
+    block = kernel_cross(x, x[idx], RBF, rows=idx)
+    assert np.array_equal(kernel_cross(x, x[idx], RBF), block)
 
 
 def _numpy_column_draw(master, m, d):

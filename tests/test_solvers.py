@@ -35,7 +35,6 @@ from kernelbcd.solvers import (
     nystrom_objective,
     objective_value,
     predict,
-    primal_dual_gap,
     rf_objective,
     save_model,
     solve_full,
@@ -46,6 +45,7 @@ from kernelbcd.solvers import (
     _run,
     _run_spec,
 )
+from oracles import primal_dual_gap
 
 
 def separated_points_dataset(n, k=2):

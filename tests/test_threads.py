@@ -22,7 +22,6 @@ from kernelbcd.kernels import (
     FeatureMapSpec,
     KernelSpec,
     gaussian_blobs,
-    kernel_block,
     kernel_cross,
     random_features_block,
 )
@@ -96,7 +95,7 @@ def test_full_kernel_block_stays_exactly_symmetric(n, d, seed, family):
     spec = KernelSpec(family, sigma=1.3)
     for workers in (2, 3):
         with row_ranges(workers):
-            k = kernel_block(x, np.arange(n), spec)
+            k = kernel_cross(x, x, spec, rows=np.arange(n))
         assert np.array_equal(k, k.T)
 
 
