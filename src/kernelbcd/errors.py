@@ -170,14 +170,19 @@ def check_delta(name: str, value) -> None:
 
 def check_lambdas(name: str, values: list) -> None:
     """A list of regularization strengths: at least one, each a real number
-    that is positive and finite, and no two equal (the repeats are named).
-    The block systems are strongly convex only at n lam > 0.  Anything else
-    raises ``ConfigError``."""
+    that is positive and finite as a float, and no two equal (the repeats
+    are named).  The block systems are strongly convex only at n lam > 0.
+    Anything else, an int past the float range included, raises
+    ``ConfigError``."""
     if not values:
         raise ConfigError(f"need at least one {name}")
     for value in values:
         check_real(name, value)
-        if not 0 < value < math.inf:
+        try:
+            finite = 0 < float(value) < math.inf
+        except OverflowError:  # an int past the float range
+            finite = False
+        if not finite:
             raise ConfigError(f"{name} values must be positive and finite")
     repeats = ", ".join(str(v) for v in sorted(set(values)) if values.count(v) > 1)
     if repeats:

@@ -9,24 +9,21 @@ makes epoch-over-epoch regeneration equivalent to storing Z.  A column
 that two different blocks share agrees only to rounding: each block's
 products are one GEMM, whose kernels depend on how many columns the block
 has.  Random-feature columns are a pure function of
-``(master_seed, column index)``: column m is numpy's Philox stream keyed by
-``SeedSequence(master_seed, spawn_key=(m,))``, but a block draws all its
-columns in one array pass (``_block_params``) rather than one generator
-per column, and maps the uniforms to normals with a port of Cephes'
-``ndtri`` (``_ndtri``).  Each column of the pass carries its own master
-seed: the entropy pool, numpy's own ``SeedSequence(master_seed).pool``,
-and the hash constants its spawn words start from (``_seed_words``).  So
-one pass also draws the blocks of several master seeds side by side
+``(master_seed, column index)``: column m is numpy's public Philox stream
+keyed by the seed, ``Philox(key=SeedSequence(master_seed).generate_state(2,
+np.uint64), counter=[0, m, 0, 0])``, but a block draws all its columns in
+one array pass (``_block_params``) rather than one generator per column,
+and maps the uniforms to normals with a port of Cephes' ``ndtri``
+(``_ndtri``).  Each column of the pass carries its own master seed's key,
+so one pass also draws the blocks of several master seeds side by side
 (``random_features_stack``, a Monte-Carlo ensemble of feature maps), and
 ``random_features_block`` is its one-seed case.  The pass restates only
-what numpy does not vectorise: mixing in each column's spawn word,
-``generate_state`` and Philox (``_philox_keys``, ``_philox4x64``).
+what numpy does not vectorise: Philox itself (``_philox4x64``).
 """
 
 from __future__ import annotations
 
 import csv
-import functools
 import locale
 import math
 from dataclasses import dataclass
@@ -274,20 +271,13 @@ def random_features_stack(X: np.ndarray, indices, spec: FeatureMapSpec, seeds) -
     return z.reshape(X.shape[0], len(seeds), idx.size)
 
 
-# numpy's SeedSequence mixing constants (numpy/random/bit_generator.pyx)
-_MASK32 = 0xFFFFFFFF
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-_POOL_SIZE = 4
-
 # Philox4x64-10 multipliers and key increments (Random123; Salmon et al.,
 # "Parallel random numbers: as easy as 1, 2, 3", SC'11), shaped to act on
 # the word pairs (x0, x2) and (key0, key1)
 _PHILOX_M = np.array([[[0xD2E7470EE14C6C93]], [[0xCA5A826395121157]]], dtype=np.uint64)
 _PHILOX_W = np.array([[[0x9E3779B97F4A7C15]], [[0xBB67AE8584CAA73B]]], dtype=np.uint64)
 _PHILOX_ROUNDS = 10
-_U32, _LO32 = np.uint64(32), np.uint64(_MASK32)
+_U32, _LO32 = np.uint64(32), np.uint64(0xFFFFFFFF)
 # Philox output words per column chunk of a block draw (512 KB of uint64);
 # rates also bounds the entries of a chunk of feature trials by it
 _DRAW_WORDS = 1 << 16
@@ -298,17 +288,23 @@ def _block_params(spec: FeatureMapSpec, idx: np.ndarray, d: int, seeds=None):
     columns (s, m), s in ``seeds`` (by default ``spec.master_seed`` alone)
     and m in idx, seed by seed.
 
-    Column (s, m) gets exactly the draw of numpy's
-    ``Generator(Philox(SeedSequence(s, spawn_key=(m,)))).random(d + 1)``
-    -- d inverse-CDF Gaussian frequencies, then the phase -- but every column
-    is drawn in one array pass: Philox is counter based, so its key and its
-    d + 1 outputs are plain functions of (s, m).  A pass covers whole seeds,
+    Column (s, m) gets exactly the draw of numpy's public
+    ``Generator(Philox(key=SeedSequence(s).generate_state(2, np.uint64),
+    counter=[0, m, 0, 0])).random(d + 1)`` -- d inverse-CDF Gaussian
+    frequencies, then the phase -- but every column is drawn in one array
+    pass: Philox is counter based, so its d + 1 outputs are plain functions
+    of the seed's key and of m.  A pass covers whole seeds,
     ``_DRAW_WORDS // (d + 1)`` columns at most, or a run of one seed's
     columns when a seed alone has more, which bounds the Philox temporaries
     however wide the block or however many the seeds.
     """
     seeds = (spec.master_seed,) if seeds is None else seeds
-    words = _seed_words(seeds)
+    # one key pair per seed, (2, len(seeds)); the seeds are ints >= 0
+    keys = np.array(
+        [np.random.SeedSequence(s).generate_state(2, np.uint64) for s in seeds],
+        dtype=np.uint64,
+    ).reshape(-1, 2).T
+    ms = idx.astype(np.uint64)
     freqs = np.empty((d, len(seeds), idx.size))
     phases = np.empty((len(seeds), idx.size))
     step = max(1, _DRAW_WORDS // (d + 1))
@@ -317,8 +313,7 @@ def _block_params(spec: FeatureMapSpec, idx: np.ndarray, d: int, seeds=None):
         own = slice(first, first + per)
         for start in range(0, idx.size, step):
             cols = slice(start, start + step)
-            key = _philox_keys(words[:, own], idx[cols])
-            raw = _philox4x64(key, -(-(d + 1) // 4))[: d + 1]
+            raw = _philox4x64(keys[:, own], ms[cols], -(-(d + 1) // 4))[: d + 1]
             # Generator.random: the top 53 bits of each word, times 2**-53
             u = (raw >> np.uint64(11)) * (1.0 / 9007199254740992.0)
             u = u.reshape(d + 1, -1, min(idx.size - start, step))
@@ -409,84 +404,6 @@ def _ndtri(u: np.ndarray) -> np.ndarray:
     return out.reshape(shape)
 
 
-def _hash_consts(init: int, mult: int, calls: int, count: int) -> np.ndarray:
-    """numpy's SeedSequence hash constant after each of ``calls`` to
-    ``calls + count`` hashmix calls, init * mult**k mod 2**32, as a
-    (count + 1, 1) uint64 column."""
-    steps = range(calls, calls + count + 1)
-    return np.array([[(init * pow(mult, k, 1 << 32)) & _MASK32] for k in steps], np.uint64)
-
-
-# generate_state's hash constants: it hashes the pool words in turn from _INIT_B
-_STATE_CONSTS = _hash_consts(_INIT_B, _MULT_B, 0, _POOL_SIZE)
-
-
-def _hashmix(value: np.ndarray, consts: np.ndarray) -> np.ndarray:
-    """numpy's SeedSequence ``hashmix`` on uint64 arrays of 32-bit words,
-    one call per row: row i takes the hash constant ``consts[i]`` and
-    steps it to ``consts[i + 1]``."""
-    value = ((value ^ consts[:-1]) * consts[1:]) & _MASK32
-    return value ^ (value >> 16)
-
-
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """numpy's SeedSequence ``mix`` on uint64 arrays of 32-bit words."""
-    r = (((_MIX_L * x) & _MASK32) - ((_MIX_R * y) & _MASK32)) & _MASK32
-    return r ^ (r >> 16)
-
-
-@functools.cache
-def _spawn_consts(padded: int) -> np.ndarray:
-    """The hash constants the spawn words of a seed of ``padded`` 32-bit
-    words are mixed with, as a read-only (9, 1) column: mixing the seed
-    took ``_POOL_SIZE`` hashmix calls per padded word -- one per pool word
-    and twelve to cross-mix the pool for the first four, four for each word
-    past them."""
-    consts = _hash_consts(_INIT_A, _MULT_A, _POOL_SIZE * padded, 2 * _POOL_SIZE)
-    consts.flags.writeable = False
-    return consts
-
-
-def _seed_words(seeds) -> np.ndarray:
-    """Each master seed's words for ``_philox_keys``, shape (13, len(seeds),
-    1): its entropy pool, numpy's own ``SeedSequence(seed).pool``, over the
-    nine hash constants its spawn words are mixed with.  The seeds are
-    non-negative ints, as ``FeatureMapSpec`` checks them.
-
-    The entropy is the seed's 32-bit words, zero-padded to the pool size
-    (numpy pads when a spawn key is given), so a seed of more words -- one
-    of 2**128 or more -- starts its spawn words from a later constant.
-    """
-    words = np.empty((3 * _POOL_SIZE + 1, len(seeds), 1), np.uint64)
-    for j, seed in enumerate(seeds):
-        words[:_POOL_SIZE, j] = np.random.SeedSequence(seed).pool[:, None]
-        words[_POOL_SIZE:, j] = _spawn_consts(max(_POOL_SIZE, -(-seed.bit_length() // 32)))
-    return words
-
-
-def _philox_keys(words: np.ndarray, idx: np.ndarray):
-    """The uint64 Philox key words of ``SeedSequence(seed, spawn_key=(m,))``
-    for every seed of ``words`` (its ``_seed_words``) and every m in idx,
-    shape (2, seeds x len(idx)), seed by seed.
-
-    The entropy is the seed's padded words, then m's words.  Everything up
-    to m's words is shared, and numpy gives it as the seed's pool.  Each of
-    m's words is mixed into the four pool words of every seed at once, as
-    a (4, seeds, len(idx)) array, and ``generate_state`` hashes those rows.
-    The arrays hold 32-bit words in uint64, the dtype Philox needs anyway:
-    a product of two words is exact there, and every step masks back to 32
-    bits.
-    """
-    pool, consts = words[:_POOL_SIZE], words[_POOL_SIZE:]
-    low, high = (idx & _MASK32).astype(np.uint64), (idx >> 32).astype(np.uint64)
-    pool = _mix(pool, _hashmix(low, consts[: _POOL_SIZE + 1]))
-    if high.any():  # m >= 2**32 is a second spawn-key word
-        pool = np.where(high > 0, _mix(pool, _hashmix(high, consts[_POOL_SIZE:])), pool)
-    # generate_state(2, uint64): four hashed pool words, little-endian pairs
-    state = _hashmix(pool.reshape(_POOL_SIZE, -1), _STATE_CONSTS)
-    return np.stack([state[0] | (state[1] << _U32), state[2] | (state[3] << _U32)])
-
-
 def _mulhilo(a: np.ndarray, x: np.ndarray):
     """High and low uint64 words of the 128-bit products a * x, the high
     word formed from 32-bit halves."""
@@ -497,21 +414,24 @@ def _mulhilo(a: np.ndarray, x: np.ndarray):
     return a_hi * x_hi + (t >> _U32) + (u >> _U32), a * x
 
 
-def _philox4x64(key: np.ndarray, n_counters: int) -> np.ndarray:
-    """Philox4x64-10 output words for counters 1..n_counters (a fresh
-    numpy ``Philox`` steps its counter before its first block) under each
-    column's key pair ``key[:, j]``, in stream order: shape
-    (4 n_counters, key.shape[1]).
+def _philox4x64(key: np.ndarray, cols: np.ndarray, n_counters: int) -> np.ndarray:
+    """Philox4x64-10 output words for the counters (c, m, 0, 0), c =
+    1..n_counters (numpy's ``Philox`` steps its counter before its first
+    block) and m in the uint64 array ``cols``, under each seed's key pair
+    ``key[:, s]``, in stream order: shape (4 n_counters, seeds x len(cols)),
+    seed by seed.  Column (s, m) is the stream of numpy's
+    ``Philox(key=key[:, s], counter=[0, m, 0, 0])``.
 
     The four counter words are held as the pairs (x0, x2) and (x1, x3), so
     a round is one multiply of the first pair:
     (x0, x1, x2, x3) <- (hi1 ^ x1 ^ k0, lo1, hi0 ^ x3 ^ k1, lo0).
     """
-    shape = (2, n_counters, key.shape[1])
+    shape = (2, n_counters, key.shape[1] * cols.size)
     even = np.zeros(shape, dtype=np.uint64)
     even[0] = np.arange(1, n_counters + 1, dtype=np.uint64)[:, None]
     odd = np.zeros(shape, dtype=np.uint64)
-    key = key[:, None, :]
+    odd[0] = np.tile(cols, key.shape[1])
+    key = np.repeat(key, cols.size, axis=1)[:, None, :]
     for _ in range(_PHILOX_ROUNDS):
         hi, lo = _mulhilo(_PHILOX_M, even)
         even = hi[::-1] ^ odd ^ key

@@ -102,8 +102,11 @@ from .linalg import gram  # noqa: F401
 
 DESCENT_TOL = 1e-9
 
-MODEL_MAGIC = "kernelbcd-model-v2"
-# still read by load_model: the same header with arrays as JSON lists
+MODEL_MAGIC = "kernelbcd-model-v3"
+# still read by load_model, except for rf models, whose features were drawn
+# by an older rule: v2 is v3's layout, v1 the same header with arrays as
+# JSON lists
+MODEL_MAGIC_V2 = "kernelbcd-model-v2"
 MODEL_MAGIC_V1 = "kernelbcd-model-v1"
 
 
@@ -204,8 +207,9 @@ class Model:
     rf:       scores(x) = z(x) @ coefficients
 
     ``dim`` is an rf model's input width; anchors give it for the others.
-    Models saved before it was recorded load with ``dim`` None and are
-    not checked.
+    An rf model without it, built so or read from a file without the key,
+    is not checked.  A nystrom model needs its landmarks, the indices of
+    the training rows its anchors are.
     """
 
     method: str
@@ -226,6 +230,8 @@ class Model:
         else:
             if self.kernel is None or self.anchors is None:
                 raise ConfigError(f"{self.method} model needs kernel and anchors")
+            if self.method == "nystrom" and self.landmarks is None:
+                raise ConfigError("nystrom model needs landmarks")
             if self.coefficients.shape[0] != self.anchors.shape[0]:
                 raise DimensionMismatchError(
                     "coefficient rows must match anchor rows"
@@ -286,7 +292,7 @@ def _test_error(scores: np.ndarray, labels, rmse: bool) -> float:
 
 
 def save_model(model: Model, path) -> None:
-    """Write a model file: the magic line ``kernelbcd-model-v2``, then one
+    """Write a model file: the magic line ``kernelbcd-model-v3``, then one
     JSON header holding each spec's fields (``dataclasses.asdict``, which
     ``load_model`` passes back to the spec), ``dim`` and each array as its
     dtype, shape and the base64 of its little-endian bytes (``_pack``).
@@ -310,19 +316,21 @@ def save_model(model: Model, path) -> None:
 
 
 def load_model(path) -> Model:
-    """Read a model file of either format: v2 (``save_model``) or v1, whose
-    arrays are JSON lists.  Any malformed file raises ``ConfigError``."""
+    """Read a model file: v3 (``save_model``), or a full or nystrom model
+    of v2, the same layout, or of v1, whose arrays are JSON lists.  An rf
+    model of v1 or v2 names features drawn by an older rule, so it is
+    refused.  Any malformed file raises ``ConfigError``."""
     with open(path, "rb") as fh:
         magic = fh.readline().strip().decode("utf-8", "replace")
         body = fh.read()
-    if magic not in (MODEL_MAGIC_V1, MODEL_MAGIC):
+    if magic not in (MODEL_MAGIC_V1, MODEL_MAGIC_V2, MODEL_MAGIC):
         raise ConfigError(f"not a model file (magic {magic!r})")
     try:
         payload = json.loads(body)
         kernel = payload["kernel"]
         features = payload["features"]
         dim = payload.get("dim")
-        return Model(
+        model = Model(
             method=payload["method"],
             coefficients=_unpack(payload["coefficients"], "<f8", 2),
             kernel=None if kernel is None else KernelSpec(**kernel),
@@ -338,10 +346,16 @@ def load_model(path) -> Model:
     except (ValueError, KeyError, TypeError, DimensionMismatchError) as exc:
         # ValueError covers bad JSON, bad base64 and bad spec values
         raise ConfigError(f"malformed model file {path}: {exc!r}") from None
+    if model.method == "rf" and magic != MODEL_MAGIC:
+        raise ConfigError(
+            f"{path} is a {magic} rf model: its random features were drawn by "
+            "a rule this version no longer has; retrain it"
+        )
+    return model
 
 
 def _pack(a: np.ndarray, dtype: str) -> dict:
-    """A v2 array entry: dtype, shape and the base64 of the array's bytes
+    """A v2 or v3 array entry: dtype, shape and the base64 of the array's bytes
     in that little-endian dtype."""
     a = np.ascontiguousarray(a, dtype=dtype)
     return {
@@ -352,8 +366,8 @@ def _pack(a: np.ndarray, dtype: str) -> dict:
 
 
 def _unpack(entry, dtype: str, ndim: int) -> np.ndarray:
-    """The native array of a v1 JSON list or of a v2 ``_pack`` entry, which
-    must hold ``dtype`` at rank ``ndim``."""
+    """The native array of a v1 JSON list or of a v2 or v3 ``_pack``
+    entry, which must hold ``dtype`` at rank ``ndim``."""
     native = np.dtype(dtype).newbyteorder("=")
     if not isinstance(entry, dict):
         a = np.asarray(entry, dtype=native)

@@ -133,6 +133,16 @@ REFUSALS = {
     "check_lambdas-inf": (lambda: check_lambdas("lambda", [np.inf]), ConfigError),
     "check_lambdas-nan": (lambda: check_lambdas("lambda", [np.nan]), ConfigError),
     "check_lambdas-repeat": (lambda: check_lambdas("lambda", [0.1, 0.2, 0.1]), ConfigError),
+    # an int past the float range, which 0 < value < inf lets through
+    "check_lambdas-huge-int": (lambda: check_lambdas("lambda", [10**400]), ConfigError),
+    "solve_rf-lam-huge-int": (
+        lambda: solve_rf(BLOBS, FSPEC, 10**400, make_plan(4, 2), 1), ConfigError),
+    **{f"{f.__name__}-lam-huge-int": (lambda f=f: f(FULL, TRAIN, 10**400), ConfigError)
+       for f in DIAGNOSTICS},
+    # models: a nystrom model's diagnostics test its landmarks against the rows
+    "Model-nystrom-without-landmarks": (
+        lambda: Model("nystrom", np.zeros((2, 2)), kernel=RBF, anchors=TRAIN.X[[3, 29]]),
+        ConfigError),
     "check_choice-method": (lambda: check_choice("method", "sgd", METHODS), ConfigError),
     # the dense diagnostics take only a data set that can be the training set
     **{f"{f.__name__}-full-40-rows": (
@@ -180,11 +190,16 @@ def test_the_shared_rules_keep_their_messages():
         check_lambdas("lambda", ["x"])
     with pytest.raises(ConfigError, match="^lambda values must be positive and finite$"):
         check_lambdas("lambda", [0.1, -1.0])
+    with pytest.raises(ConfigError, match="^lambda values must be positive and finite$"):
+        check_lambdas("lambda", [0.1, 10**400])
     with pytest.raises(ConfigError, match="^--lambda values must be distinct: 0.001 repeated$"):
         check_lambdas("--lambda", [1e-3, 0.1, 0.001])
     with pytest.raises(ConfigError, match="^unknown method 'sgd'$"):
         check_choice("method", "sgd", METHODS)
-    check_lambdas("lambda", [0.1, np.float64(1e-3), 2])
+    check_lambdas("lambda", [0.1, np.float64(1e-3), 2, np.float32(3.0)])
+    check_lambdas("lambda", [0.1, 10**300])
+    with pytest.raises(ConfigError, match="^nystrom model needs landmarks$"):
+        Model("nystrom", np.zeros((2, 2)), kernel=RBF, anchors=TRAIN.X[[3, 29]])
     check_choice("method", "rf", METHODS)
 
 

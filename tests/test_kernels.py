@@ -394,9 +394,11 @@ def test_kernel_cross_matches_block():
 
 
 def _numpy_column_draw(master, m, d):
-    """Feature m's d + 1 uniforms, drawn the way each column once was."""
-    seq = np.random.SeedSequence(master, spawn_key=(m,))
-    return np.random.Generator(np.random.Philox(seq)).random(d + 1)
+    """Feature m's d + 1 uniforms from numpy's public Philox: the master
+    seed's key, m in counter word 1."""
+    key = np.random.SeedSequence(master).generate_state(2, np.uint64)
+    bits = np.random.Philox(key=key, counter=[0, m, 0, 0])
+    return np.random.Generator(bits).random(d + 1)
 
 
 @settings(max_examples=150, deadline=None)
@@ -413,14 +415,14 @@ def _numpy_column_draw(master, m, d):
 @example(master=0, d=4, cols=[0])
 @example(master=2**130 + 5, d=6, cols=[2**32 - 1, 0, 7])
 @example(master=2**64 + 3, d=17, cols=[2**32 - 1])
-# the seed's word count (1, 4, 5, 6) sets the hashmix calls before m's words
 @example(master=0, d=3, cols=[0, 2**32 + 1])
+# seeds of four and of five 32-bit words, and one past 2**128
 @example(master=2**128 - 1, d=3, cols=[5, 2**32])
 @example(master=2**128, d=3, cols=[5, 2**32])
 @example(master=2**160 + 1, d=3, cols=[5, 2**33 + 7])
 def test_block_draw_matches_numpy_philox_per_column(master, d, cols):
-    # one array pass over a block gives each column numpy's own per-column
-    # Philox draw, bit for bit, and so does feature_params
+    # one array pass over a block gives each column numpy's public Philox
+    # draw at counter [0, m, 0, 0], bit for bit, and so does feature_params
     spec = FeatureMapSpec(p=2**41, sigma=1.5, master_seed=master)
     freqs, phases = _block_params(spec, np.array(cols, dtype=np.int64), d)
     assert freqs.shape == (d, len(cols)) and freqs.flags.c_contiguous
@@ -554,10 +556,9 @@ def test_spec_sigma_is_stored_as_a_python_float(sigma):
 @pytest.mark.parametrize("words", [None, 40, 300])
 @pytest.mark.parametrize("base_seed", [0, 2**128 - 3])
 def test_stacked_seeds_give_each_seed_its_own_block(words, base_seed, monkeypatch):
-    # 2**128 - 3 .. 2**128 + 2: seeds of four and of five 32-bit words, whose
-    # spawn words start from different hash constants.  With 8 Philox words
-    # a column, 40 words make passes of 5 of one seed's 7 columns, and 300
-    # passes of 5 whole seeds and then 1
+    # 2**128 - 3 .. 2**128 + 2: seeds of four and of five 32-bit words.
+    # With 8 Philox words a column, 40 words make passes of 5 of one seed's
+    # 7 columns, and 300 passes of 5 whole seeds and then 1
     if words is not None:
         monkeypatch.setattr("kernelbcd.kernels._DRAW_WORDS", words)
     X = np.random.default_rng(3).standard_normal((9, 7))

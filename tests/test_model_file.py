@@ -1,5 +1,6 @@
-"""The model file: v2 round trips, v1 files still read, and every malformed
-file raising ConfigError."""
+"""The model file: v3 round trips, full and nystrom files of v1 and v2 still
+read, rf files of v1 and v2 refused, and every malformed file raising
+ConfigError."""
 
 import base64
 import json
@@ -21,11 +22,12 @@ METHODS = ("full", "nystrom", "rf")
 
 
 def fixture_model(method: str) -> Model:
-    """The model each checked-in v1 file holds.  Its values come from exact
-    arithmetic, so every numpy builds them bit for bit; they include -0.0,
-    a subnormal, a huge value and fractions with no short decimal form.
-    The files ``data/model_v1_<method>.kbcd`` were written from these
-    models by the v1 ``save_model``, whose arrays are JSON lists."""
+    """The model each checked-in v1 and v2 file holds.  Its values come
+    from exact arithmetic, so every numpy builds them bit for bit; they
+    include -0.0, a subnormal, a huge value and fractions with no short
+    decimal form.  The files ``data/model_v1_<method>.kbcd`` were written
+    from these models by the v1 ``save_model``, whose arrays are JSON
+    lists, and ``data/model_v2_<method>.kbcd`` by the v2 one."""
     coefficients = (np.arange(18.0).reshape(6, 3) - 7.5) / 7.0
     coefficients[0, 0] = -0.0
     coefficients[1, 1] = 5e-324
@@ -55,31 +57,49 @@ def assert_same_model(a: Model, b: Model) -> None:
             assert x.tobytes() == y.tobytes(), name
 
 
-@pytest.mark.parametrize("method", METHODS)
-def test_v1_fixture_loads_bit_for_bit(method):
-    path = os.path.join(FIXTURES, f"model_v1_{method}.kbcd")
+def assert_fixture_loads_bit_for_bit(method, version):
+    path = os.path.join(FIXTURES, f"model_v{version}_{method}.kbcd")
     with open(path) as fh:
-        assert fh.readline() == "kernelbcd-model-v1\n"
+        assert fh.readline() == f"kernelbcd-model-v{version}\n"
     loaded, written = load_model(path), fixture_model(method)
     assert_same_model(loaded, written)
     probe = np.arange(20.0).reshape(5, 4) / 11.0 - 0.7
     assert np.array_equal(predict(loaded, probe), predict(written, probe))
 
 
+@pytest.mark.parametrize("method", ["full", "nystrom"])
+def test_v1_fixture_loads_bit_for_bit(method):
+    assert_fixture_loads_bit_for_bit(method, 1)
+
+
+@pytest.mark.parametrize("method", ["full", "nystrom"])
+def test_v2_fixture_loads_bit_for_bit(method):
+    assert_fixture_loads_bit_for_bit(method, 2)
+
+
+@pytest.mark.parametrize("version", [1, 2])
+def test_old_rf_fixture_is_refused(version):
+    # its features were drawn by a rule the package no longer has, so it
+    # must not predict with other features than it was trained on
+    path = os.path.join(FIXTURES, f"model_v{version}_rf.kbcd")
+    with pytest.raises(ConfigError, match=f"kernelbcd-model-v{version} rf model: .*retrain"):
+        load_model(path)
+
+
 @pytest.mark.parametrize("method", METHODS)
-def test_v2_file_is_stable(method, tmp_path):
+def test_v3_file_is_stable(method, tmp_path):
     model = fixture_model(method)
     first, second, again = (tmp_path / name for name in ("a", "b", "c"))
     save_model(model, first)
     save_model(model, second)
     assert first.read_bytes() == second.read_bytes()
-    assert first.read_bytes().startswith(b"kernelbcd-model-v2\n")
+    assert first.read_bytes().startswith(b"kernelbcd-model-v3\n")
     save_model(load_model(first), again)
     assert again.read_bytes() == first.read_bytes()
-    # the v1 file of the same model holds the same values
-    assert_same_model(
-        load_model(first), load_model(os.path.join(FIXTURES, f"model_v1_{method}.kbcd"))
-    )
+    assert_same_model(load_model(first), model)
+    # v3 keeps the v2 layout: only the magic line differs
+    with open(os.path.join(FIXTURES, f"model_v2_{method}.kbcd"), "rb") as fh:
+        assert fh.read().replace(b"-v2\n", b"-v3\n", 1) == first.read_bytes()
 
 
 def float_arrays(shape):
@@ -108,6 +128,8 @@ def models(draw):
 @settings(max_examples=150, deadline=None)
 @given(model=models())
 def test_v2_roundtrip_is_exact(model):
+    # the v3 file round trips; the same bytes under the v2 magic line, the
+    # layout v3 keeps, read back the same model, unless it is an rf model
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "model.kbcd")
         save_model(model, path)
@@ -121,6 +143,13 @@ def test_v2_roundtrip_is_exact(model):
         save_model(loaded, path)
         with open(path, "rb") as fh:
             assert fh.read() == written
+        with open(path, "wb") as fh:
+            fh.write(written.replace(b"kernelbcd-model-v3\n", b"kernelbcd-model-v2\n", 1))
+        if model.method == "rf":
+            with pytest.raises(ConfigError, match="retrain"):
+                load_model(path)
+        else:
+            assert_same_model(load_model(path), model)
 
 
 def rewrite(path, edit):
@@ -161,6 +190,7 @@ BAD_EDITS = {
     "ragged v1 list": lambda payload: payload.update(coefficients=[[1.0], [1.0, 2.0]]),
     "rows mismatch": lambda payload: payload.update(coefficients=[[1.0]]),
     "bad dim": lambda payload: payload.update(dim="four"),
+    "nystrom without landmarks": lambda payload: payload.update(landmarks=None),
 }
 
 
@@ -192,6 +222,8 @@ def test_bad_feature_integers_are_config_error(key, value, tmp_path):
         b"kernelbcd-model-v2\n",
         b"kernelbcd-model-v2\n[1, 2]\n",
         b"kernelbcd-model-v2\n\xff\xfe\n",
+        b"kernelbcd-model-v3\n{}\n",
+        b"kernelbcd-model-v4\n{}\n",
         b"\xff\xfe\x00garbage\n{}\n",
         b"",
     ],
