@@ -184,7 +184,11 @@ def check_lambdas(name: str, values: list) -> None:
             finite = False
         if not finite:
             raise ConfigError(f"{name} values must be positive and finite")
-    repeats = ", ".join(str(v) for v in sorted(set(values)) if values.count(v) > 1)
+    # as Python floats: numpy would cast an int to the float32 beside it
+    floats = [float(value) for value in values]
+    repeats = ", ".join(
+        str(values[floats.index(f)]) for f in sorted(set(floats)) if floats.count(f) > 1
+    )
     if repeats:
         raise ConfigError(f"{name} values must be distinct: {repeats} repeated")
 

@@ -9,8 +9,9 @@ one width check: K([n], J) for ``full``, K([n], landmarks[J]) for
 ``nystrom`` and Z([n], J) for ``rf``; the test set's block, ``predict``
 and the dense diagnostics read it too.  A per-method system states only
 its math: the products every lambda shares, its b x b block matrix A,
-its block of the normal-equation residual ``grad`` and the rows its
-scatter S_J writes.  One block step
+its block of the normal-equation residual ``grad``, its block's share
+``rhs_term`` of the squared right-hand side and the rows its scatter S_J
+writes.  One builder, ``_system``, picks a model's system.  One block step
 serves every system: solve A d = -grad, add d to the block's coefficients
 and (K_J + n*lam*S_J)[:, block] d to the maintained fit error
 E = (K_J + n*lam*S_J) alpha - Y, which starts at -Y.  The step serves
@@ -18,8 +19,8 @@ every lambda at once: their coefficients and E sit side by side, and only
 there (``_Batch``), so a visit makes one gradient product and one update
 product for all lambdas, with one stacked ``spd_solve`` of every lambda's
 b x b system in between.  The
-``grad_tol`` check and the residual check read the same ``grad`` and the
-same columns.
+``grad_tol`` check, the residual check and ``normal_equation_residual``
+read the same ``grad`` and the same columns.
 
 * ``_FullSystem``: block Gauss-Seidel on (K + n*lam*I) alpha = Y, exact
   blockwise minimization of 0.5<alpha, K alpha> + (n*lam/2)||alpha||^2 - <Y, alpha>;
@@ -37,13 +38,17 @@ pair of block products as wide as every lambda's right-hand sides together,
 and one stacked call of b x b solves, one per lambda.
 Public APIs take the statistical lambda; systems use lam_eff = n * lambda.
 
-The ``grad_tol`` stop is exact.  ``full`` maintains K alpha - Y and checks at
-each epoch end with no blocks.  The nystrom/rf normal-equation residual
-needs every column block, so an epoch end's check is summed on the blocks
-the next sweep generates anyway; if it passes, that sweep is discarded and
+The ``grad_tol`` stop is exact, and there is one check (``_PendingCheck``):
+at an epoch end, each lambda's ||grad|| against tol times the square root
+of the summed ``rhs_term``, both summed block by block over a partition.
+``full`` reads grad off its maintained E, so it sums the check at once on
+the epoch's own blocks and generates none.  The nystrom/rf gradient needs
+every column block, so an epoch end's check is summed on the blocks the
+next sweep generates anyway; if it passes, that sweep is discarded and
 the run ends on the batch copied at the epoch end, coefficients and E
 together.  A run stopped after T epochs thus generates each block T + 1
-times, not 2T.
+times, not 2T.  ``normal_equation_residual`` is that check's ratio on
+the model's one block of every column.
 ``check_residual`` recomputes every lambda's E in one more sweep per epoch.
 
 Within a sweep the next block is generated while the current one is
@@ -428,13 +433,19 @@ def rf_objective(w: np.ndarray, Z: np.ndarray, Y: np.ndarray, lam: float) -> flo
     return _ip(r, r) / n + lam * _ip(w, w)
 
 
-def _check_diagnostic(model: Model, data: Dataset, lam, gamma) -> None:
-    """A dense diagnostic's inputs: ``lam`` passes ``check_lambdas`` and
-    ``gamma`` ``check_level`` (ConfigError), and ``data`` can be the
-    training set: a full model has one anchor per row, and a nystrom
+def _diagnostic_system(model: Model, data: Dataset, lam, gamma) -> _BlockSystem:
+    """A dense diagnostic's system: ``model``'s, on ``data`` as one block
+    of every column, once the inputs pass.  ``gamma`` passes
+    ``check_level`` and ``lam`` the lambda rule of a solve at the system's
+    gamma, ``_check_lams`` (ConfigError), and ``data`` can be the training
+    set: it has rows, a full model has one anchor per row, and a nystrom
     model's landmarks are rows of it (DimensionMismatchError)."""
-    check_lambdas("lambda", [lam])
     check_level("gamma", gamma)
+    # no block source: the diagnostic generates its one block itself
+    system = _system(model, one_vs_all(data), model.coefficients.shape[0], gamma, None)
+    _check_lams([lam], data.n, system.gamma)
+    if data.n == 0:
+        raise DimensionMismatchError("data has no rows, so it is no model's training set")
     if model.method == "full" and data.n != model.anchors.shape[0]:
         raise DimensionMismatchError(
             f"data has {data.n} rows, the full model {model.anchors.shape[0]} anchors"
@@ -443,6 +454,7 @@ def _check_diagnostic(model: Model, data: Dataset, lam, gamma) -> None:
         raise DimensionMismatchError(
             f"landmark {model.landmarks.max()} lies past the data's last row {data.n - 1}"
         )
+    return system
 
 
 @solver_threads()
@@ -453,8 +465,7 @@ def objective_value(
     densely at the model's coefficients (desk-scale diagnostic, inside
     ``solver_threads``).  Refuses the inputs ``normal_equation_residual``
     refuses."""
-    _check_diagnostic(model, data, lam, gamma)
-    Y = one_vs_all(data)
+    Y = _diagnostic_system(model, data, lam, gamma).Y
     kj = model.columns(data.X)
     if model.method == "full":
         return full_surrogate(model.coefficients, kj, Y, lam)
@@ -524,7 +535,9 @@ class _BlockSystem:
     onto its ``rows``; it starts at -Y.  A system states ``visit`` (the
     products every lambda shares), ``matrix`` (its b x b block A),
     ``gradients`` (its block of the normal-equation residual for every
-    lambda of a ``_Batch``, side by side) and ``rows``.
+    lambda of a ``_Batch``, side by side), ``rhs_term`` (its block's squared
+    norm of the right-hand side) and ``rows``.  ``rhs_norm``, the whole
+    right-hand side's norm, is kept from a run's first ``grad_tol`` check.
     """
 
     Y: np.ndarray
@@ -534,7 +547,7 @@ class _BlockSystem:
 
     def __post_init__(self):
         self.n = self.Y.shape[0]
-        self.eye_b = np.eye(self.b)
+        self.rhs_norm: float | None = None
 
     def rows(self, pos):
         """The training rows S_J scatters block ``pos`` onto, or None."""
@@ -580,13 +593,13 @@ class _FullSystem(_BlockSystem):
 
     ``resid`` holds E = K alpha - Y.  K is symmetric, so block idx of the
     normal-equation residual is E[idx] + n lam alpha[idx], read off
-    ``resid`` with no product; the block matrix is K_bb + n lam I.
+    ``resid`` with no product; the block matrix is K_bb + n lam I and the
+    right-hand side is Y.
     """
 
     def __post_init__(self):
         super().__post_init__()
         self.residual_flops = self.n * self.b * self.Y.shape[1]  # kb @ delta
-        self.y_norm = np.linalg.norm(self.Y)
 
     def visit(self, idx, kb, part, ledger):
         """Per-visit products shared by every lambda: the diagonal block."""
@@ -596,7 +609,7 @@ class _FullSystem(_BlockSystem):
         return kb[idx]
 
     def matrix(self, kbb, lam_eff):
-        return kbb + lam_eff * self.eye_b
+        return kbb + lam_eff * np.eye(self.b)
 
     def gradients(self, batch, idx, kb, part):
         return batch.resid[idx] + batch.lam_eff * batch.coeffs[idx]
@@ -607,11 +620,9 @@ class _FullSystem(_BlockSystem):
 
     check_needs_blocks = False  # E is maintained, so check at once
 
-    def converged(self, batch, tol):
-        """Every lambda's gradient over every row is within tol of ||Y||."""
-        grads = self.gradients(batch, slice(None), None, None)
-        bound = tol * max(self.y_norm, 1e-30)
-        return all(np.linalg.norm(grads[:, cols]) <= bound for cols in batch.cols)
+    def rhs_term(self, idx, kb):
+        """||Y[idx]||^2, read with no block."""
+        return _ip(self.Y[idx], self.Y[idx])
 
 
 @dataclass
@@ -633,7 +644,6 @@ class _GramSystem(_BlockSystem):
         super().__post_init__()
         # kb^T E and kb @ delta
         self.residual_flops = 2 * self.n * self.b * self.Y.shape[1]
-        self.rhs_norm: float | None = None  # ||K_J^T Y||, from the first check
 
     def rows(self, pos):
         return None if self.landmarks is None else self.landmarks[pos]
@@ -648,7 +658,7 @@ class _GramSystem(_BlockSystem):
     def matrix(self, products, lam_eff):
         g, kbb = products
         system = g if kbb is None else g + lam_eff * kbb
-        return system + (lam_eff * self.gamma) * self.eye_b
+        return system + (lam_eff * self.gamma) * np.eye(self.b)
 
     def gradients(self, batch, pos, kb, part):
         return (
@@ -670,48 +680,56 @@ class _GramSystem(_BlockSystem):
     # sums it over the next sweep's blocks
     check_needs_blocks = True
 
-    def rhs_term(self, kb):
+    def rhs_term(self, pos, kb):
         """||block of K_J^T Y||^2, the scale of the relative residual."""
         rhs_b = kb.T @ self.Y
         return _ip(rhs_b, rhs_b)
 
 
 class _PendingCheck:
-    """An epoch end's ``grad_tol`` check, made on the next sweep's blocks.
+    """An epoch end's ``grad_tol`` check, the one the run makes.
 
-    It keeps a copy of the batch at the epoch end.  Each visit adds, for
-    every lambda, the squared norm of its columns of ``system.gradients``
-    at that copy for its block, one product for all lambdas; ``passed``
-    sums them in sweep order.  The sweep's blocks are a partition, though
-    not the previous epoch's, so the sum is the whole gradient.
-    ``restore`` returns the run to the epoch end: it cuts each lambda's
-    trace and the ledger back to their lengths there, sets the ledger's
-    position back, and returns the copied batch, which holds every
-    lambda's coefficients and E at the epoch end.
+    Each block of a partition adds, for every lambda, the squared norm of
+    its columns of ``system.gradients`` at the epoch end's batch for that
+    block, one product for all lambdas, and the run's first check adds
+    ``system.rhs_term`` too; ``passed`` sums them in block order.  A system
+    that reads its gradient off E (``check_needs_blocks`` false, full) is
+    summed at once, on the live batch and the epoch's own blocks, with no
+    block generated.  Otherwise the check keeps a copy of the batch and
+    each visit of the next sweep adds its block; that sweep's blocks are a
+    partition too, though not the previous epoch's, so the sum is the
+    whole gradient.  ``restore`` returns the run to the epoch end: it cuts
+    each lambda's trace and the ledger back to their lengths there, sets
+    the ledger's position back, and returns the copied batch, which holds
+    every lambda's coefficients and E at the epoch end.
     """
 
-    def __init__(self, system, batch, traces, epoch, block, ledger, n_blocks):
+    def __init__(self, system, batch, traces, epoch, blocks, ledger):
         self.system = system
-        self.epoch, self.block = epoch, block
-        self.snapshot = batch.copy()
+        self.epoch, self.block = epoch, len(blocks) - 1
         self.n_records = [len(trace.records) for trace in traces]
         self.n_ledger = len(ledger.records)
-        self.terms = [[0.0] * n_blocks for _ in batch.cols]
-        self.rhs_terms = [0.0] * n_blocks if system.rhs_norm is None else None
+        self.terms = [[0.0] * len(blocks) for _ in batch.cols]
+        self.rhs_terms = [0.0] * len(blocks) if system.rhs_norm is None else None
+        self.snapshot = batch.copy() if system.check_needs_blocks else batch
+        if not system.check_needs_blocks:
+            for blk, pos in enumerate(blocks):
+                self.add(blk, pos, None, None)
 
     def add(self, blk, pos, kb, part) -> None:
         grads = self.system.gradients(self.snapshot, pos, kb, part)
         for terms, cols in zip(self.terms, self.snapshot.cols):
             terms[blk] = _ip(grads[:, cols], grads[:, cols])
         if self.rhs_terms is not None:
-            self.rhs_terms[blk] = self.system.rhs_term(kb)
+            self.rhs_terms[blk] = self.system.rhs_term(pos, kb)
 
     def passed(self, tol: float) -> bool:
-        """Every lambda's residual is within tol of ||K_J^T Y||."""
+        """Every lambda's residual is within tol of the right-hand side's
+        norm; a NaN residual never is."""
         if self.rhs_terms is not None:
             self.system.rhs_norm = max(np.sqrt(sum_in_order(self.rhs_terms)), 1e-30)
         bound = tol * self.system.rhs_norm
-        return not any(np.sqrt(sum_in_order(t)) > bound for t in self.terms)
+        return all(np.sqrt(sum_in_order(t)) <= bound for t in self.terms)
 
     def restore(self, traces, ledger) -> _Batch:
         for trace, n_records in zip(traces, self.n_records):
@@ -758,11 +776,13 @@ def _run(
     charged; otherwise every lambda is stepped and then guarded in lambda
     order, and the first guard that fails raises.
 
-    A system whose ``grad_tol`` check needs every column block has it
-    summed on the next sweep's blocks (``_PendingCheck``).  If the check
-    passes, that sweep is discarded and the run ends on the epoch end's
-    batch; an error raised by that sweep's updates counts only if the
-    check fails.  No check follows the last epoch: it could not change
+    The ``grad_tol`` check is one ``_PendingCheck`` per epoch end, summed
+    per block from ``system.gradients`` and ``system.rhs_term``.  ``full``
+    sums it at the epoch end on that epoch's blocks, from E, and stops
+    there if it passes.  Nystrom and rf sum it on the next sweep's blocks;
+    if it passes, that sweep is discarded and the run ends on the epoch
+    end's batch; an error raised by that sweep's updates counts only if
+    the check fails.  No check follows the last epoch: it could not change
     the result.  No ``exec_ctx`` means one worker, and no ledger means
     ``NULL_LEDGER``, which keeps nothing.
 
@@ -858,14 +878,24 @@ def _run(
                     _assert_residual(fresh[:, cols], batch.resid[:, cols], system.Y)
             if grad_tol is None or epoch == epochs - 1:
                 continue
+            check = _PendingCheck(system, batch, traces, epoch, blocks, ledger)
             if system.check_needs_blocks:
-                pending = _PendingCheck(
-                    system, batch, traces, epoch, blk, ledger, plan.n_blocks
-                )
-            elif system.converged(batch, grad_tol):
+                pending = check
+            elif check.passed(grad_tol):  # summed already, from E
                 break
     return [(dataclasses.replace(model, coefficients=batch.coeffs[:, cols].copy()), trace)
             for cols, trace in zip(batch.cols, traces)]
+
+
+def _system(model: Model, Y: np.ndarray, b: int, gamma: float, block) -> _BlockSystem:
+    """The one place a model's method picks its block system, on targets
+    ``Y``, block size ``b`` and column source ``block``: full's, or the
+    gram system on the model's landmarks.  rf is the nystrom system with no
+    landmarks and gamma = 1, whatever ``gamma`` is given."""
+    if model.method == "full":
+        return _FullSystem(Y, b, block)
+    gamma = 1.0 if model.method == "rf" else gamma
+    return _GramSystem(Y, b, block, landmarks=model.landmarks, gamma=gamma)
 
 
 def _run_spec(
@@ -874,12 +904,11 @@ def _run_spec(
     block_fn=None, **kwargs,
 ) -> list[tuple[Model, ConvergenceTrace]]:
     """The one place a spec (plus ``p``) picks a method: build a
-    zero-coefficient model of it, then run its system on the model's
-    column map, or on ``block_fn`` when given."""
+    zero-coefficient model of it, then run its system (``_system``) on the
+    model's column map, or on ``block_fn`` when given."""
     Y = one_vs_all(data)
     if isinstance(spec, FeatureMapSpec):
         model = Model("rf", np.zeros((spec.p, data.k)), features=spec, dim=data.d)
-        gamma = 1.0  # rf is the nystrom system with no landmarks and gamma = 1
     elif not isinstance(spec, KernelSpec):
         raise ConfigError(f"unsupported spec type {type(spec).__name__}")
     elif p is None:
@@ -892,12 +921,8 @@ def _run_spec(
     rows = model.coefficients.shape[0]
     if plan.universe != rows:
         raise ConfigError(f"plan universe {plan.universe} != {rows} coefficient rows")
-    args = (Y, plan.block_size,
-            block_fn or (lambda pos: model.columns(data.X, pos, at_anchors=True)))
-    if model.method == "full":
-        system = _FullSystem(*args)
-    else:
-        system = _GramSystem(*args, landmarks=model.landmarks, gamma=gamma)
+    block = block_fn or (lambda pos: model.columns(data.X, pos, at_anchors=True))
+    system = _system(model, Y, plan.block_size, gamma, block)
     return _run(data, system, model, lams, plan, epochs, **kwargs)
 
 
@@ -984,32 +1009,27 @@ def solve_path(
 def normal_equation_residual(
     model: Model, data: Dataset, lam: float, gamma: float = 0.0
 ) -> float:
-    """Relative residual of the method's normal equation at the model.
+    """Relative residual of the method's normal equation at the model:
+    ||grad|| / ||rhs|| for the system a solve of the method runs, that is
 
     full:     ||(K + n lam I) a - Y|| / ||Y||
     nystrom:  ||(K_J^T K_J + n lam K_JJ + n lam gamma I) a - K_J^T Y|| / ||K_J^T Y||
     rf:       ||(Z^T Z + n lam I) w - Z^T Y|| / ||Z^T Y||
 
-    Materializes the full n x p (or n x n) block, so desk scale only.  Runs
-    inside ``solver_threads``.  ``data`` must be the training set: a row
-    count other than a full model's anchor count, or a nystrom landmark
-    past the last row, raises ``DimensionMismatchError``, and a ``lam``
-    that ``check_lambdas`` refuses or a ``gamma`` that ``check_level``
-    refuses ``ConfigError``.
+    It is the ``grad_tol`` check on one block of every column,
+    ``model.columns(data.X, at_anchors=True)``: E accumulated from -Y, then
+    the system's ``gradients`` and ``rhs_term``.  Materializes the whole
+    n x p (or n x n) block, so desk scale only.  Runs inside
+    ``solver_threads``.  ``data`` must be the training set: one with no
+    rows, a row count other than a full model's anchor count, or a nystrom
+    landmark past the last row raises ``DimensionMismatchError``; a
+    ``gamma`` that ``check_level`` refuses, or a ``lam`` that a solve of
+    the method refuses (``check_lambdas``, or n lam or, for nystrom,
+    n lam gamma not finite) raises ``ConfigError``.
     """
-    _check_diagnostic(model, data, lam, gamma)
-    Y = one_vs_all(data)
-    lam_eff = data.n * lam
-    c = model.coefficients
-    kj = model.columns(data.X)
-    if model.method == "full":
-        lhs = kj @ c + lam_eff * c
-        return float(np.linalg.norm(lhs - Y) / np.linalg.norm(Y))
-    rhs = kj.T @ Y
-    lhs = kj.T @ (kj @ c)
-    if model.method == "nystrom":
-        lhs += lam_eff * (kj[model.landmarks] @ c)
-    else:
-        gamma = 1.0  # rf: no K_JJ term and a ridge of 1
-    lhs += lam_eff * gamma * c
-    return float(np.linalg.norm(lhs - rhs) / np.linalg.norm(rhs))
+    system = _diagnostic_system(model, data, lam, gamma)
+    kb = model.columns(data.X, at_anchors=True)
+    batch = _Batch([lam], model.coefficients, -system.Y, data.n)
+    system.accumulate(batch.resid, slice(None), kb, batch.coeffs, batch.lam_eff)
+    grads = system.gradients(batch, slice(None), kb, ExecContext().partition(data.n))
+    return float(np.linalg.norm(grads) / np.sqrt(system.rhs_term(slice(None), kb)))

@@ -5,6 +5,7 @@ time, with none of the package's block code."""
 import numpy as np
 
 from kernelbcd.errors import DimensionMismatchError
+from kernelbcd.kernels import kernel_cross, one_vs_all, random_features_block
 
 
 def kernel_eval(spec, x, y) -> float:
@@ -29,3 +30,29 @@ def primal_dual_gap(Z: np.ndarray, w: np.ndarray, Y: np.ndarray, lam: float) -> 
     n = Y.shape[0]
     alpha_dual = Y - Z @ w
     return float(np.linalg.norm(w - (Z.T @ alpha_dual) / (n * lam)))
+
+
+def dense_normal_equation_residual(model, data, lam: float, gamma: float) -> float:
+    """The relative residual of ``model``'s normal equation on its training
+    set ``data``, from the dense formulas:
+
+    full:     ||(K + n lam I) a - Y|| / ||Y||
+    nystrom:  ||(K_J^T K_J + n lam K_JJ + n lam gamma I) a - K_J^T Y|| / ||K_J^T Y||
+    rf:       ||(Z^T Z + n lam I) w - Z^T Y|| / ||Z^T Y||
+
+    K_J is ``kernel_cross`` of the data and the anchors, K_JJ its rows at
+    the landmarks and Z ``random_features_block`` of every feature.
+    """
+    Y = one_vs_all(data)
+    lam_eff, c = data.n * lam, model.coefficients
+    if model.method == "full":
+        K = kernel_cross(data.X, model.anchors, model.kernel)
+        return float(np.linalg.norm(K @ c + lam_eff * c - Y) / np.linalg.norm(Y))
+    if model.method == "nystrom":
+        kj = kernel_cross(data.X, model.anchors, model.kernel)
+        lhs = kj.T @ (kj @ c) + lam_eff * (kj[model.landmarks] @ c) + lam_eff * gamma * c
+    else:
+        kj = random_features_block(data.X, np.arange(model.features.p), model.features)
+        lhs = kj.T @ (kj @ c) + lam_eff * c
+    rhs = kj.T @ Y
+    return float(np.linalg.norm(lhs - rhs) / np.linalg.norm(rhs))

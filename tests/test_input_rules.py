@@ -57,7 +57,9 @@ TRAIN = gaussian_blobs(32, 2, 2, seed=0)
 FULL = Model("full", np.zeros((32, 2)), kernel=RBF, anchors=TRAIN.X)
 NYSTROM = Model("nystrom", np.zeros((2, 2)), kernel=RBF, anchors=TRAIN.X[[3, 29]],
                 landmarks=np.array([3, 29]))
+RF = Model("rf", np.zeros((4, 2)), features=FSPEC, dim=2)
 DIAGNOSTICS = (normal_equation_residual, objective_value)
+NO_ROWS = Dataset(np.empty((0, 2)), [], 2)
 
 
 def _solve_rf_on_workers(workers):
@@ -139,6 +141,13 @@ REFUSALS = {
         lambda: solve_rf(BLOBS, FSPEC, 10**400, make_plan(4, 2), 1), ConfigError),
     **{f"{f.__name__}-lam-huge-int": (lambda f=f: f(FULL, TRAIN, 10**400), ConfigError)
        for f in DIAGNOSTICS},
+    # n lam, and for nystrom n lam gamma, must be finite, as a solve needs
+    **{f"{f.__name__}-{model.method}-n-lam-overflows": (
+        lambda f=f, model=model: f(model, TRAIN, 1e308, 1e-3), ConfigError)
+       for f in DIAGNOSTICS for model in (FULL, NYSTROM, RF)},
+    **{f"{f.__name__}-nystrom-n-lam-gamma-overflows": (
+        lambda f=f: f(NYSTROM, TRAIN, 0.1, 1e308), ConfigError)
+       for f in DIAGNOSTICS},
     # models: a nystrom model's diagnostics test its landmarks against the rows
     "Model-nystrom-without-landmarks": (
         lambda: Model("nystrom", np.zeros((2, 2)), kernel=RBF, anchors=TRAIN.X[[3, 29]]),
@@ -151,6 +160,9 @@ REFUSALS = {
     **{f"{f.__name__}-nystrom-20-rows": (
         lambda f=f: f(NYSTROM, gaussian_blobs(20, 2, 2, seed=1), 0.1), DimensionMismatchError)
        for f in DIAGNOSTICS},
+    **{f"{f.__name__}-{model.method}-no-rows": (
+        lambda f=f, model=model: f(model, NO_ROWS, 0.1), DimensionMismatchError)
+       for f in DIAGNOSTICS for model in (FULL, NYSTROM, RF)},
 }
 
 
@@ -198,6 +210,8 @@ def test_the_shared_rules_keep_their_messages():
         check_choice("method", "sgd", METHODS)
     check_lambdas("lambda", [0.1, np.float64(1e-3), 2, np.float32(3.0)])
     check_lambdas("lambda", [0.1, 10**300])
+    # the repeat test compares Python floats, so numpy casts nothing
+    check_lambdas("lambda", [np.float32(3.0), 10**300])
     with pytest.raises(ConfigError, match="^nystrom model needs landmarks$"):
         Model("nystrom", np.zeros((2, 2)), kernel=RBF, anchors=TRAIN.X[[3, 29]])
     check_choice("method", "rf", METHODS)
@@ -209,3 +223,7 @@ def test_diagnostics_take_the_training_set():
     for model in (FULL, NYSTROM):
         for f in DIAGNOSTICS:
             assert np.isfinite(f(model, TRAIN, 0.1, 1e-3))
+    # a full or rf solve ignores gamma, so n lam gamma may overflow there
+    for model in (FULL, RF):
+        for f in DIAGNOSTICS:
+            assert np.isfinite(f(model, TRAIN, 0.1, 1e308))

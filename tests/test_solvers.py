@@ -45,7 +45,7 @@ from kernelbcd.solvers import (
     _run,
     _run_spec,
 )
-from oracles import primal_dual_gap
+from oracles import dense_normal_equation_residual, primal_dual_gap
 
 
 def separated_points_dataset(n, k=2):
@@ -814,6 +814,34 @@ def test_engine_residual_check_and_grad_tol_stop(method):
 
     with pytest.raises(DivergenceError):
         run(block_fn=rescaled_source, check_residual=True)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    method=st.sampled_from(["full", "nystrom", "rf"]),
+    family=st.sampled_from(["rbf", "linear"]),
+    lam=st.floats(1e-6, 10.0),
+    gamma=st.floats(0.0, 10.0),
+    seed=st.integers(0, 2**16),
+)
+def test_normal_equation_residual_matches_the_dense_oracle(method, family, lam, gamma, seed):
+    # the diagnostic reads the block systems; the oracle restates each
+    # method's normal equation densely, at coefficients far from converged
+    data = gaussian_blobs(24, 3, 3, seed=seed % 97)
+    rng = np.random.default_rng(seed)
+    kspec = KernelSpec(family, 2.0)
+    if method == "full":
+        model = Model("full", rng.standard_normal((24, 3)), kernel=kspec, anchors=data.X)
+    elif method == "nystrom":
+        landmarks = draw_landmarks(24, 8, seed)
+        model = Model("nystrom", rng.standard_normal((8, 3)), kernel=kspec,
+                      anchors=data.X[landmarks], landmarks=landmarks)
+    else:
+        model = Model("rf", rng.standard_normal((8, 3)),
+                      features=FeatureMapSpec(8, 2.0, master_seed=seed), dim=3)
+    got = normal_equation_residual(model, data, lam, gamma)
+    assert got == pytest.approx(dense_normal_equation_residual(model, data, lam, gamma),
+                                rel=1e-10)
 
 
 @pytest.mark.parametrize("lam", [np.inf, np.nan])
