@@ -8,7 +8,11 @@ row-worker count and whether or not it was generated ahead.  That is what
 makes epoch-over-epoch regeneration equivalent to storing Z.  A column
 that two different blocks share agrees only to rounding: each block's
 products are one GEMM, whose kernels depend on how many columns the block
-has.  Random-feature columns are a pure function of
+has.  A random-feature entry is sqrt(2/p) cos(t), t = x . omega + b, with
+the cosine taken in float32 of t reduced mod 2 pi in float64
+(``_scaled_cos``): within 2**-22 sqrt(2/p) of the float64 formula, and a
+shared column's rounding can reach 2**-21 sqrt(2/p).  Random-feature
+columns are a pure function of
 ``(master_seed, column index)``: column m is numpy's public Philox stream
 keyed by the seed, ``Philox(key=SeedSequence(master_seed).generate_state(2,
 np.uint64), counter=[0, m, 0, 0])``, but a block draws all its columns in
@@ -49,6 +53,15 @@ from .threads import for_rows
 TWO_PI = 2.0 * np.pi
 # above the largest standard normal draw of a feature, |ndtri(5e-324)| = 38.47
 MAX_NORMAL_DRAW = 38.5
+# 2 pi as hi + lo (Cody and Waite): hi is 4 * fdlibm's pio2_1, 31
+# significant bits, so k * hi is exact for |k| <= _MAX_TURNS = 2**22; lo is
+# the float nearest 2 pi - hi (4 * pio2_1t), and hi + lo is within 1.5e-26
+# of 2 pi
+_TWO_PI_HI = 6.2831853069365025
+_TWO_PI_LO = 2.430840202602477e-10
+_MAX_TURNS = 2.0**22
+# entries per row chunk of the cosine pass: its scratch stays in cache
+_COS_CHUNK_ENTRIES = 1 << 14
 
 KERNEL_FAMILIES = ("rbf", "linear")
 # rbf inputs up to this squared norm keep ||x||^2 + ||y||^2 - 2 x.y finite
@@ -101,6 +114,12 @@ class FeatureMapSpec:
     z(x) = (1/sqrt(p)) * (phi_1(x), ..., phi_p(x)), so
     E[z(x) . z(y)] equals the rbf kernel with the same sigma.  p and
     master_seed are stored as Python ints, sigma as a Python float.
+
+    As computed, entry m of z(x) is sqrt(2/p) * cos32(float32(r)), where
+    r is the float64 argument t = x . omega_m + b_m less 2 pi rint(t / 2 pi)
+    and cos32 numpy's float32 cosine: within 2**-22 sqrt(2/p) of
+    sqrt(2/p) * cos(t) in float64.  An argument past 2**22 turns of 2 pi,
+    or not finite, takes sqrt(2/p) * cos(t) in float64.
     """
 
     p: int
@@ -232,9 +251,11 @@ def feature_params(spec: FeatureMapSpec, m: int, d: int) -> tuple[np.ndarray, fl
 def random_features_block(X: np.ndarray, indices, spec: FeatureMapSpec) -> np.ndarray:
     """Return the n x |I| block Z([n], I) of the random cosine feature matrix.
 
-    Column j is sqrt(2/p) * cos(X omega_I(j) + b_I(j)); every entry is
-    bounded by sqrt(2/p) in magnitude and every full row has squared norm
-    at most 2.  The one-seed case of ``random_features_stack``.
+    Column j is sqrt(2/p) * cos(X omega_I(j) + b_I(j)), the cosine taken
+    in float32 after a float64 reduction mod 2 pi, as ``FeatureMapSpec``
+    states.  Every entry of a finite argument is finite and bounded by
+    sqrt(2/p) in magnitude, and every full row has squared norm at most 2.
+    The one-seed case of ``random_features_stack``.
     """
     return random_features_stack(X, indices, spec, (spec.master_seed,))[:, 0]
 
@@ -247,9 +268,12 @@ def random_features_stack(X: np.ndarray, indices, spec: FeatureMapSpec, seeds) -
 
     The seeds' blocks stand side by side along the column axis of one
     n x len(seeds) |I| array: one ``_block_params`` pass draws every
-    (seed, column) pair, and the phase, cosine and scale passes run over
-    the row ranges of ``for_rows``, while each seed's block keeps its own
-    GEMM, so its bits are those of its own call.
+    (seed, column) pair, and each seed's block keeps its own GEMM, so its
+    bits are those of its own call.  The entries are then made in one pass
+    over the row ranges of ``for_rows``, in chunks of about
+    ``_COS_CHUNK_ENTRIES`` entries: add the phases, then ``_scaled_cos``.
+    Every step acts entry by entry, so the bytes do not depend on the
+    ranges or the chunks.  A range allocates its scratch once.
     """
     X = check_matrix("X", X)
     idx = validate_indices(indices, spec.p)
@@ -260,15 +284,52 @@ def random_features_stack(X: np.ndarray, indices, spec: FeatureMapSpec, seeds) -
         cols = slice(first, first + idx.size)
         np.matmul(X, freqs[:, cols], out=z[:, cols])
     scale = np.sqrt(2.0 / spec.p)
+    step = max(1, _COS_CHUNK_ENTRIES // max(1, z.shape[1]))
 
     def rows(lo, hi):
-        zr = z[lo:hi]
-        zr += phases
-        np.cos(zr, out=zr)
-        zr *= scale
+        shape = (min(step, hi - lo), z.shape[1])
+        k, r, r32 = np.empty(shape), np.empty(shape), np.empty(shape, np.float32)
+        for start in range(lo, hi, step):
+            t = z[start:min(start + step, hi)]
+            t += phases
+            m = t.shape[0]
+            _scaled_cos(t, scale, k[:m], r[:m], r32[:m])
 
     for_rows(z, rows)
     return z.reshape(X.shape[0], len(seeds), idx.size)
+
+
+def _scaled_cos(t: np.ndarray, scale: float, k, r, r32) -> None:
+    """t <- scale * cos(t) in place, through a float32 cosine, on C-contiguous
+    rows t with scratch k, r (float64) and r32 (float32) of t's shape.
+
+    Each argument is reduced to r = t - 2 pi k, k = rint(t / 2 pi), as
+    (t - k hi) - k lo.  For |k| <= _MAX_TURNS, k hi is exact, and so is
+    t - k hi, k hi being within a factor 2 of t (Sterbenz), so r is within
+    a few float64 ulps of t less 2 pi k, and |r| <= pi to rounding.  The
+    entry is scale * cos32(float32(r)), the product taken in float64.  An
+    argument past that range, or not finite, takes scale * cos(t) in
+    float64; a finite one then gives a finite entry and raises no overflow,
+    so every finite argument does.
+    """
+    np.multiply(t, 1.0 / TWO_PI, out=k)
+    np.rint(k, out=k)
+    far = None
+    # the comparisons are False for a NaN, so a NaN argument goes far too
+    if k.size and not (-_MAX_TURNS <= k.min() and k.max() <= _MAX_TURNS):
+        flat_t, flat_k = t.reshape(-1), k.reshape(-1)
+        far = np.flatnonzero(~(np.abs(flat_k) <= _MAX_TURNS))
+        wide = flat_t[far]
+        flat_t[far] = flat_k[far] = 0.0
+    np.multiply(k, _TWO_PI_HI, out=r)
+    np.subtract(t, r, out=r)
+    k *= _TWO_PI_LO
+    r -= k
+    np.copyto(r32, r, casting="same_kind")
+    np.cos(r32, out=r32)
+    np.multiply(r32, scale, out=t, dtype=np.float64)
+    if far is not None:
+        flat_t[far] = scale * np.cos(wide)
 
 
 # Philox4x64-10 multipliers and key increments (Random123; Salmon et al.,

@@ -438,14 +438,20 @@ def _diagnostic_system(model: Model, data: Dataset, lam, gamma) -> _BlockSystem:
     of every column, once the inputs pass.  ``gamma`` passes
     ``check_level`` and ``lam`` the lambda rule of a solve at the system's
     gamma, ``_check_lams`` (ConfigError), and ``data`` can be the training
-    set: it has rows, a full model has one anchor per row, and a nystrom
-    model's landmarks are rows of it (DimensionMismatchError)."""
+    set: it has rows, one class per coefficient column, a full model has
+    one anchor per row, and a nystrom model's landmarks are rows of it
+    (DimensionMismatchError)."""
     check_level("gamma", gamma)
     # no block source: the diagnostic generates its one block itself
     system = _system(model, one_vs_all(data), model.coefficients.shape[0], gamma, None)
     _check_lams([lam], data.n, system.gamma)
     if data.n == 0:
         raise DimensionMismatchError("data has no rows, so it is no model's training set")
+    if data.k != model.coefficients.shape[1]:
+        raise DimensionMismatchError(
+            f"data has {data.k} classes, the model {model.coefficients.shape[1]} "
+            "coefficient columns"
+        )
     if model.method == "full" and data.n != model.anchors.shape[0]:
         raise DimensionMismatchError(
             f"data has {data.n} rows, the full model {model.anchors.shape[0]} anchors"

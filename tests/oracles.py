@@ -2,6 +2,10 @@
 written from its formula, one pair of points or one dense product at a
 time, with none of the package's block code."""
 
+import math
+import struct
+from fractions import Fraction
+
 import numpy as np
 
 from kernelbcd.errors import DimensionMismatchError
@@ -18,6 +22,37 @@ def kernel_eval(spec, x, y) -> float:
         return float(x @ y)
     sq = float(np.sum((x - y) ** 2))
     return float(np.exp(-sq / (2.0 * spec.sigma**2)))
+
+
+# 2 pi to 40 significant digits
+_TWO_PI = Fraction("6.283185307179586476925286766559005768394")
+
+
+def two_pi_split() -> tuple[float, float]:
+    """2 pi as hi + lo: hi is the float 2 pi cut to its first 31
+    significant bits, lo the float nearest 2 pi - hi."""
+    word = struct.unpack("<Q", struct.pack("<d", 2.0 * math.pi))[0]
+    hi = struct.unpack("<d", struct.pack("<Q", word & ~((1 << 22) - 1)))[0]
+    return hi, float(_TWO_PI - Fraction(hi))
+
+
+def random_feature_entries(t, p: int) -> np.ndarray:
+    """The feature map's entries sqrt(2/p) cos(t) for the float64 arguments
+    t = x . omega + b: t less 2 pi k, k = rint(t / 2 pi), taken as
+    (t - k hi) - k lo, rounded to float32, then numpy's float32 cos, scaled
+    in float64.  An argument with |k| past 2**22, or not finite, takes the
+    float64 cos of t."""
+    t = np.array(t, dtype=np.float64)
+    hi, lo = two_pi_split()
+    k = np.rint(t * (1.0 / (2.0 * math.pi)))
+    far = ~(np.abs(k) <= 2.0**22)
+    k[far] = 0.0
+    near = np.where(far, 0.0, t)
+    reduced = ((near - k * hi) - k * lo).astype(np.float32)
+    scale = math.sqrt(2.0 / p)
+    out = scale * np.cos(reduced).astype(np.float64)
+    out[far] = scale * np.cos(t[far])
+    return out
 
 
 def primal_dual_gap(Z: np.ndarray, w: np.ndarray, Y: np.ndarray, lam: float) -> float:

@@ -830,6 +830,24 @@ def test_overflowing_features_diverge_without_numpy_warnings(tmp_path):
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
+def test_huge_finite_features_give_finite_random_features(tmp_path, capsys):
+    # the same +-1e300 features: their random-feature arguments are finite
+    # and far past the float32 cosine's exact range, so they take the
+    # float64 cosine, and rf trains without a non-finite entry or warning
+    rng = np.random.default_rng(0)
+    huge = Dataset(X=rng.choice([-1e300, 1e300], size=(64, 3)),
+                   labels=np.arange(64) % 2, k=2)
+    train = write_dataset(tmp_path / "huge.csv", huge)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(
+            ["solve", "--train", train, "--method", "rf", "--p", "16", "--b", "8",
+             "--out", str(tmp_path / "out")]
+        )
+    assert code == EXIT_OK, capsys.readouterr().err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
 def test_allocation_failure_exits_2(tmp_path, blob_files, monkeypatch, capsys):
     # a huge --p fails allocating the run's coefficients or a sweep's
     # permutation; raise as numpy would, without attempting the allocation

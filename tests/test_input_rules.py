@@ -60,6 +60,8 @@ NYSTROM = Model("nystrom", np.zeros((2, 2)), kernel=RBF, anchors=TRAIN.X[[3, 29]
 RF = Model("rf", np.zeros((4, 2)), features=FSPEC, dim=2)
 DIAGNOSTICS = (normal_equation_residual, objective_value)
 NO_ROWS = Dataset(np.empty((0, 2)), [], 2)
+# TRAIN's rows with a third class: no training set of the 2-column models
+THREE_CLASSES = Dataset(TRAIN.X, np.arange(32) % 3, 3)
 
 
 def _solve_rf_on_workers(workers):
@@ -163,6 +165,9 @@ REFUSALS = {
     **{f"{f.__name__}-{model.method}-no-rows": (
         lambda f=f, model=model: f(model, NO_ROWS, 0.1), DimensionMismatchError)
        for f in DIAGNOSTICS for model in (FULL, NYSTROM, RF)},
+    **{f"{f.__name__}-{model.method}-3-classes": (
+        lambda f=f, model=model: f(model, THREE_CLASSES, 0.1), DimensionMismatchError)
+       for f in DIAGNOSTICS for model in (FULL, NYSTROM, RF)},
 }
 
 
@@ -223,6 +228,12 @@ def test_diagnostics_take_the_training_set():
     for model in (FULL, NYSTROM):
         for f in DIAGNOSTICS:
             assert np.isfinite(f(model, TRAIN, 0.1, 1e-3))
+    # a data set of another class count is refused naming both counts
+    for model in (FULL, NYSTROM, RF):
+        for f in DIAGNOSTICS:
+            with pytest.raises(DimensionMismatchError,
+                               match="^data has 3 classes, the model 2 coefficient columns$"):
+                f(model, THREE_CLASSES, 0.1)
     # a full or rf solve ignores gamma, so n lam gamma may overflow there
     for model in (FULL, RF):
         for f in DIAGNOSTICS:

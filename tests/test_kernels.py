@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtri
 
+from kernelbcd import kernels
 from kernelbcd.errors import (
     ConfigError,
     DataFormatError,
@@ -28,17 +29,35 @@ from kernelbcd.kernels import (
     random_features_stack,
     _block_params,
     _ndtri,
+    _scaled_cos,
 )
-from oracles import kernel_eval
+from oracles import kernel_eval, random_feature_entries
 
 RBF = KernelSpec("rbf", sigma=1.0)
 
 # A column that two different blocks share agrees only to rounding: each
 # block's products are one GEMM, whose kernels depend on the block's column
-# count.  The bound is this fraction of the entries' bound (1 for rbf,
-# sqrt(2/p) for rf); on standard normal inputs of up to 32 features the
-# largest difference seen was about 1e-14 of it.
+# count.  For kernel_cross the bound is this fraction of the entries' bound
+# 1; on standard normal inputs of up to 32 features the largest difference
+# seen was about 1e-14 of it.
 SHARED_COLUMN_ATOL = 1e-12
+
+# The random-feature bounds, as fractions of the entry bound sqrt(2/p).  An
+# entry is sqrt(2/p) cos32(float32(r)), r the argument t = x . omega + b
+# reduced mod 2 pi in float64 to within a few float64 ulps, |r| <= pi < 4.
+# COS32_ERR bounds numpy's float32 cos: over every float32 in [0, 4) numpy
+# 2.4.6 (x86_64, AVX512) was within 1.2 * 2**-24 of the float64 cos of the
+# same input.
+COS32_ERR = 2.0**-23
+# Against sqrt(2/p) cos(t) in float64: rounding r to float32 moves it by at
+# most half a float32 ulp, 2**-23 for |r| < 4, and the cosine adds
+# COS32_ERR; the float64 reduction and scale round far inside the slack
+# COS32_ERR leaves above the measured error.
+RF_ENTRY_ATOL = 2.0**-23 + COS32_ERR
+# A shared column: a last-bit GEMM difference in t can round r to the
+# neighbouring float32, 1 float32 ulp (2**-22) apart, and each of the two
+# cosines adds COS32_ERR.
+RF_SHARED_COLUMN_ATOL = 2.0**-22 + 2 * COS32_ERR
 
 
 class TestKernelEval:
@@ -216,7 +235,7 @@ class TestRandomFeatures:
         shared = min(wa, wb)
         np.testing.assert_allclose(
             za[:, :shared], zb[:, ::-1][:, :shared],
-            rtol=0, atol=SHARED_COLUMN_ATOL * np.sqrt(2.0 / p),
+            rtol=0, atol=RF_SHARED_COLUMN_ATOL * np.sqrt(2.0 / p),
         )
 
     def test_feature_params_pure(self):
@@ -437,8 +456,13 @@ def test_block_draw_matches_numpy_philox_per_column(master, d, cols):
     assert np.array_equal(freqs, ref_freqs)
     assert np.array_equal(phases, ref_phases)
     X = np.random.default_rng(d).standard_normal((5, d))
-    expected = np.sqrt(2.0 / spec.p) * np.cos(X @ ref_freqs + ref_phases)
-    assert np.array_equal(random_features_block(X, cols, spec), expected)
+    block = random_features_block(X, cols, spec)
+    t = X @ ref_freqs + ref_phases
+    assert block.tobytes() == random_feature_entries(t, spec.p).tobytes()
+    np.testing.assert_allclose(
+        block, np.sqrt(2.0 / spec.p) * np.cos(t),
+        rtol=0, atol=RF_ENTRY_ATOL * np.sqrt(2.0 / spec.p),
+    )
 
 
 def test_ndtri_port_matches_scipy_bit_for_bit():
@@ -576,3 +600,51 @@ def test_stacked_seeds_are_checked_like_a_master_seed(seed):
     spec = FeatureMapSpec(p=4)
     with pytest.raises(ConfigError, match="master_seed"):
         random_features_stack(np.ones((2, 2)), [0, 1], spec, [0, seed])
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 40), d=st.integers(1, 8), p=st.integers(1, 64),
+       log_scale=st.floats(-3.0, 12.0), seed=st.integers(0, 2**32 - 1))
+@example(n=64, d=4, p=64, log_scale=0.0, seed=0)
+def test_feature_entries_within_the_derived_bound_of_float64_cos(n, d, p, log_scale, seed):
+    # arguments from about 1e-3 to past the exact range, 2**22 turns
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, d)) * 10.0**log_scale
+    spec = FeatureMapSpec(p=p, sigma=float(rng.uniform(0.5, 3.0)), master_seed=seed)
+    freqs, phases = _block_params(spec, np.arange(p), d)
+    t = x @ freqs + phases
+    z = random_features_block(x, np.arange(p), spec)
+    assert z.tobytes() == random_feature_entries(t, p).tobytes()
+    scale = np.sqrt(2.0 / p)
+    np.testing.assert_allclose(z, scale * np.cos(t), rtol=0, atol=RF_ENTRY_ATOL * scale)
+    assert np.abs(z).max() <= scale
+
+
+def test_arguments_past_the_exact_range_take_the_float64_cosine():
+    # k = 2**22 is the last exact turn; 2**22 + 1 and the far finite
+    # arguments take cos(t) in float64, in place, beside reduced ones
+    edge = 2.0**22 * kernels.TWO_PI
+    t = np.array([[edge, np.nextafter(edge + np.pi, 0), edge + 4.0, -edge - 4.0],
+                  [1e300, -1.7e308, 0.5, 1e7 * kernels.TWO_PI]])
+    k, r, r32 = np.empty_like(t), np.empty_like(t), np.empty(t.shape, np.float32)
+    z = t.copy()
+    _scaled_cos(z, 0.5, k, r, r32)
+    assert z.tobytes() == random_feature_entries(t, 8).tobytes()
+    far = np.array([[False, False, True, True], [True, True, False, True]])
+    assert np.array_equal(z[far], 0.5 * np.cos(t[far]))
+    np.testing.assert_allclose(z, 0.5 * np.cos(t), rtol=0, atol=RF_ENTRY_ATOL * 0.5)
+
+
+def test_features_at_the_sigma_edge_stay_finite_and_bounded():
+    # sigma = 2.2e-307 draws frequencies up to 1.7e308: every finite
+    # argument gives a finite entry within sqrt(2/p), with no RuntimeWarning
+    spec = FeatureMapSpec(p=16, sigma=2.2e-307, master_seed=3)
+    x = np.random.default_rng(11).standard_normal((64, 3)) * 1e-2
+    freqs, phases = _block_params(spec, np.arange(16), 3)
+    t = x @ freqs + phases
+    assert np.isfinite(t).all() and np.abs(t).max() > 1e300
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        z = random_features_block(x, np.arange(16), spec)
+    assert np.isfinite(z).all() and np.abs(z).max() <= np.sqrt(2.0 / 16)
+    assert z.tobytes() == random_feature_entries(t, 16).tobytes()

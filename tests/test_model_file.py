@@ -1,6 +1,6 @@
 """The model file: v3 round trips, full and nystrom files of v1 and v2 still
-read, rf files of v1 and v2 refused, and every malformed file raising
-ConfigError."""
+read, rf files of v1 and v2 refused, v3 rf files of the float64 feature
+cosine read, and every malformed file raising ConfigError."""
 
 import base64
 import json
@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from kernelbcd.errors import ConfigError
-from kernelbcd.kernels import FeatureMapSpec, KernelSpec
+from kernelbcd.kernels import FeatureMapSpec, KernelSpec, _block_params
 from kernelbcd.solvers import Model, load_model, predict, save_model
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "data")
@@ -100,6 +100,26 @@ def test_v3_file_is_stable(method, tmp_path):
     # v3 keeps the v2 layout: only the magic line differs
     with open(os.path.join(FIXTURES, f"model_v2_{method}.kbcd"), "rb") as fh:
         assert fh.read().replace(b"-v2\n", b"-v3\n", 1) == first.read_bytes()
+
+
+def test_v3_rf_file_predicts_within_the_cosine_bound_of_float64(tmp_path):
+    # an rf file stores the feature spec, not the features, so a v3 file
+    # written while the features took the float64 cosine loads as is; each
+    # feature moves by at most 2**-22 sqrt(2/p), so a class score by at most
+    # that times the 1-norm of the class's coefficient column
+    path = tmp_path / "model.kbcd"
+    with open(os.path.join(FIXTURES, "model_v2_rf.kbcd"), "rb") as fh:
+        path.write_bytes(fh.read().replace(b"-v2\n", b"-v3\n", 1))
+    model = load_model(path)
+    assert_same_model(model, fixture_model("rf"))
+    probe = np.arange(20.0).reshape(5, 4) / 11.0 - 0.7
+    spec, w = model.features, model.coefficients
+    freqs, phases = _block_params(spec, np.arange(spec.p), 4)
+    scale = np.sqrt(2.0 / spec.p)
+    float64_scores = (scale * np.cos(probe @ freqs + phases)) @ w
+    # the 1e-12 covers the two score GEMMs' own rounding
+    bound = (2.0**-22 + 1e-12) * scale * np.abs(w).sum(axis=0)
+    assert np.all(np.abs(predict(model, probe) - float64_scores) <= bound)
 
 
 def float_arrays(shape):

@@ -87,6 +87,61 @@ def test_random_features_block_byte_equal_at_any_row_workers(shape, seed):
     assert_byte_equal(at_each_worker_count(lambda: random_features_block(x, cols, spec)))
 
 
+@contextlib.contextmanager
+def cosine_chunks(entries):
+    """Run the feature cosine over row chunks of ``entries // width`` rows,
+    at least one."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernels, "_COS_CHUNK_ENTRIES", entries)
+        yield
+
+
+@settings(max_examples=40, deadline=None)
+@given(shape=shapes, seed=st.integers(0, 2**32 - 1), seeds=st.integers(1, 4))
+@example(shape=(23, 9, 3), seed=0, seeds=3)
+@example(shape=(1, 5, 2), seed=1, seeds=1)
+def test_feature_cosine_byte_equal_at_any_chunk_and_row_workers(shape, seed, seeds):
+    # row chunks of one row, and of three rows, which leave an uneven last
+    # chunk in most row ranges, give the bytes of the default chunks; each
+    # seed's slice of a stack is its own block, whose chunks are wider
+    n, b, d = shape
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, d)) * 4.0
+    spec = FeatureMapSpec(p=b + 3, sigma=float(rng.uniform(0.3, 3.0)), master_seed=seed)
+    cols = rng.permutation(spec.p)[:b]
+    masters = [seed + i for i in range(seeds)]
+    stack = kernels.random_features_stack(x, cols, spec, masters)
+    ones = [random_features_block(x, cols, FeatureMapSpec(spec.p, spec.sigma, m))
+            for m in masters]
+    for t, one in enumerate(ones):
+        assert stack[:, t].tobytes() == one.tobytes()
+    for entries in (1, 3 * b * seeds):
+        with cosine_chunks(entries):
+            chunked = at_each_worker_count(
+                lambda: kernels.random_features_stack(x, cols, spec, masters)
+            )
+            per_seed = [at_each_worker_count(lambda: random_features_block(
+                x, cols, FeatureMapSpec(spec.p, spec.sigma, m))) for m in masters]
+        assert_byte_equal([stack] + chunked)
+        for one, runs in zip(ones, per_seed):
+            assert_byte_equal([one] + runs)
+
+
+def test_stacked_seeds_byte_equal_to_their_blocks_over_default_chunks():
+    # 600 rows: the 128-column stack runs in chunks of 128 rows, each
+    # seed's 64-column block in chunks of 256, at one to three row ranges
+    x = np.random.default_rng(4).standard_normal((600, 5)) * 3.0
+    spec = FeatureMapSpec(p=100, sigma=1.2)
+    cols = np.random.default_rng(5).permutation(100)[:64]
+    stacks = at_each_worker_count(lambda: kernels.random_features_stack(x, cols, spec, [7, 8]))
+    assert_byte_equal(stacks)
+    for t, master in enumerate([7, 8]):
+        blocks = at_each_worker_count(
+            lambda: random_features_block(x, cols, FeatureMapSpec(100, 1.2, master))
+        )
+        assert_byte_equal([stacks[0][:, t].copy()] + blocks)
+
+
 @settings(max_examples=30, deadline=None)
 @given(n=st.integers(1, 24), d=st.integers(1, 4), seed=st.integers(0, 2**32 - 1),
        family=st.sampled_from(["rbf", "linear"]))
