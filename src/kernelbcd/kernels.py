@@ -3,9 +3,9 @@
 The solvers never materialize the full kernel matrix K or feature matrix Z;
 they ask this module for one column block at a time and may discard it after
 the update.  A block is a pure function of its inputs: regenerated from the
-same index list it is byte-equal within a build, in any epoch, at any
-row-worker count and whether or not it was generated ahead.  That is what
-makes epoch-over-epoch regeneration equivalent to storing Z.  A column
+same index list it is byte-equal within a build, in any epoch and whether
+or not it was generated ahead.  That is what makes epoch-over-epoch
+regeneration equivalent to storing Z.  A column
 that two different blocks share agrees only to rounding: each block's
 products are one GEMM, whose kernels depend on how many columns the block
 has.  A random-feature entry is sqrt(2/p) cos(t), t = x . omega + b, with
@@ -48,7 +48,6 @@ from .errors import (
     check_size,
 )
 from .linalg import validate_indices
-from .threads import for_rows
 
 TWO_PI = 2.0 * np.pi
 # above the largest standard normal draw of a feature, |ndtri(5e-324)| = 38.47
@@ -184,11 +183,9 @@ def kernel_cross(
     """Pairwise kernel matrix, entry (i, j) = k(Xa_i, Xb_j).
 
     An rbf entry is exp(-(||x||^2 + ||y||^2 - 2 x.y) / (2 sigma^2)), the
-    squared distance clamped at 0.  The products are one GEMM, made before
-    the row ranges of ``for_rows``: OpenBLAS sums a row range's last rows in
-    other kernels, which changes their last bits.  The norm adds, the
-    clamp, the scale and the ``exp`` run over the row ranges, each entry
-    exactly as in one pass.
+    squared distance clamped at 0.  The products are one GEMM; the norm
+    adds, the clamp, the scale and the ``exp`` then run in place over the
+    whole block, entry by entry.
 
     ``rows``, when given, says that Xb is Xa[rows]: the block meets its own
     anchors there, and its |rows| x |rows| sub-block ``out[rows]`` is made
@@ -203,16 +200,6 @@ def kernel_cross(
         out = Xa @ Xb.T
     else:
         scale = -2.0 * spec.sigma**2
-
-        def rbf_rows(lo, hi):
-            sq = out[lo:hi]
-            sq += norms_a[lo:hi]
-            sq += norms_b
-            np.maximum(sq, 0.0, out=sq)
-            # a subnormal sigma**2 sends off-diagonal entries to -inf: the limit 0
-            sq /= scale
-            np.exp(sq, out=sq)
-
         # an input whose squared norm passes _FAR_NORM can overflow the sum;
         # its row or column is overwritten with distances taken directly,
         # whose overflow to inf is the limit 0
@@ -221,7 +208,12 @@ def kernel_cross(
             out = Xa @ (-2.0 * Xb).T
             norms_a = np.einsum("ij,ij->i", Xa, Xa)[:, None]
             norms_b = np.einsum("ij,ij->i", Xb, Xb)
-            for_rows(out, rbf_rows)
+            out += norms_a
+            out += norms_b
+            np.maximum(out, 0.0, out=out)
+            # a subnormal sigma**2 sends off-diagonal entries to -inf: the limit 0
+            out /= scale
+            np.exp(out, out=out)
             for i in np.flatnonzero(~(norms_a[:, 0] <= _FAR_NORM)):
                 out[i] = np.exp(((Xa[i] - Xb) ** 2).sum(axis=1) / scale)
             for j in np.flatnonzero(~(norms_b <= _FAR_NORM)):
@@ -270,10 +262,9 @@ def random_features_stack(X: np.ndarray, indices, spec: FeatureMapSpec, seeds) -
     n x len(seeds) |I| array: one ``_block_params`` pass draws every
     (seed, column) pair, and each seed's block keeps its own GEMM, so its
     bits are those of its own call.  The entries are then made in one pass
-    over the row ranges of ``for_rows``, in chunks of about
-    ``_COS_CHUNK_ENTRIES`` entries: add the phases, then ``_scaled_cos``.
-    Every step acts entry by entry, so the bytes do not depend on the
-    ranges or the chunks.  A range allocates its scratch once.
+    over row chunks of about ``_COS_CHUNK_ENTRIES`` entries: add the
+    phases, then ``_scaled_cos``.  Every step acts entry by entry, so the
+    bytes do not depend on the chunks.  The scratch is allocated once.
     """
     X = check_matrix("X", X)
     idx = validate_indices(indices, spec.p)
@@ -285,17 +276,13 @@ def random_features_stack(X: np.ndarray, indices, spec: FeatureMapSpec, seeds) -
         np.matmul(X, freqs[:, cols], out=z[:, cols])
     scale = np.sqrt(2.0 / spec.p)
     step = max(1, _COS_CHUNK_ENTRIES // max(1, z.shape[1]))
-
-    def rows(lo, hi):
-        shape = (min(step, hi - lo), z.shape[1])
-        k, r, r32 = np.empty(shape), np.empty(shape), np.empty(shape, np.float32)
-        for start in range(lo, hi, step):
-            t = z[start:min(start + step, hi)]
-            t += phases
-            m = t.shape[0]
-            _scaled_cos(t, scale, k[:m], r[:m], r32[:m])
-
-    for_rows(z, rows)
+    shape = (min(step, z.shape[0]), z.shape[1])
+    k, r, r32 = np.empty(shape), np.empty(shape), np.empty(shape, np.float32)
+    for start in range(0, z.shape[0], step):
+        t = z[start:start + step]
+        t += phases
+        m = t.shape[0]
+        _scaled_cos(t, scale, k[:m], r[:m], r32[:m])
     return z.reshape(X.shape[0], len(seeds), idx.size)
 
 

@@ -792,10 +792,9 @@ def _run(
     the result.  No ``exec_ctx`` means one worker, and no ledger means
     ``NULL_LEDGER``, which keeps nothing.
 
-    The sweeps run inside ``solver_threads``: OpenBLAS on one thread,
-    blocks generated over row ranges on a pool, and each sweep's blocks
-    taken from ``threads.ahead``, which generates block i + 1 on a
-    background thread while visit i runs for every lambda.  The first
+    The sweeps run inside ``solver_threads``: OpenBLAS on one thread, and
+    each sweep's blocks taken from ``threads.ahead``, which generates block
+    i + 1 on a background thread while visit i runs for every lambda.  The first
     block of a sweep is generated after the previous epoch end's stop
     decision, so no block is generated that the run does not use.  A
     generation error is raised when its block is taken; a visit error

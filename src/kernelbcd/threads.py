@@ -1,5 +1,5 @@
-"""Threads during a solver run: one per OpenBLAS, block rows on a pool,
-the next block generated while the current one is applied.
+"""Threads during a solver run: one per OpenBLAS, and the next block
+generated while the current one is applied.
 
 numpy bundles an OpenBLAS with its own thread pool, and so does scipy,
 which this package does not import but a caller may.  On a host with few
@@ -7,11 +7,11 @@ CPUs an idle pool's workers spin on the cores that another pool, or a
 second thread of this process, needs.  ``solver_threads`` is the
 scope the block-descent engine, ``predict`` and the dense diagnostics run
 in.  While any thread is inside it, every loaded OpenBLAS runs with one
-thread, ``for_rows`` splits the rows of a generated block into one range
-per usable CPU, run on a persistent thread pool, and ``ahead`` generates
-the next block of a sweep on a persistent background thread while the
-caller uses the current one.  Outside it, and where no OpenBLAS thread
-control is found (MKL, a system BLAS), both run on the calling thread.
+thread, and ``ahead`` generates the next block of a sweep on a persistent
+background thread while the caller uses the current one, if the process
+may use more than one CPU.  Outside it, and where no OpenBLAS thread
+control is found (MKL, a system BLAS), every block is generated on the
+calling thread.
 
 The libraries are found the way ``threadpoolctl`` does, which is not a
 dependency: read ``/proc/self/maps`` and look their thread controls up
@@ -42,18 +42,9 @@ _CONTROL_SYMBOLS = (
 _lock = threading.Lock()
 _depth = 0  # scopes entered and not yet left, over every thread
 _saved: list[tuple] = []  # (set, thread count) of each OpenBLAS pinned
-_pool: ThreadPoolExecutor | None = None
-_pool_size = 0
 _ahead_pool: ThreadPoolExecutor | None = None  # the one lookahead thread
-# The fewest entries a row range gets, and a block needs to be generated
-# ahead.  On a 2-vCPU x86_64 host, with the float32 feature cosine, a
-# 64-column random-feature block (d 32) split in two was slower than whole
-# at 32k entries (median 1.31 against 0.95 ms, faster in 2 of 10 pairs) and
-# at 64k (1.29 against 1.00 ms, 3 of 10), and still at 256k (0 of 10); an
-# rf solve of n 8192, p 1024, b 64 took 0.38 s either way (5 of 10 pairs).
-# A larger value would keep such blocks whole but also stop generating
-# them ahead, and no pair set above won 9 of 10 for it, so the value stays.
-_MIN_RANGE_ENTRIES = 1 << 15
+# The fewest entries a block needs to be generated ahead
+_AHEAD_MIN_ENTRIES = 1 << 15
 
 
 @functools.cache
@@ -90,7 +81,7 @@ def openblas_controls() -> list[tuple]:
 
 @contextlib.contextmanager
 def solver_threads():
-    """Pin every OpenBLAS to one thread and let ``for_rows`` use the pool.
+    """Pin every OpenBLAS to one thread and let ``ahead`` use its thread.
 
     The first entry saves each library's thread count and the last exit
     restores it, so scopes may nest and run from several threads at once.
@@ -120,56 +111,10 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-def row_workers() -> int:
-    """How many row ranges ``for_rows`` makes: one per usable CPU while a
-    scope has pinned an OpenBLAS, otherwise one.  ``ahead`` looks ahead
-    only when this is more than one."""
-    return _cpu_count() if _depth and _saved else 1
-
-
-def _executor(size: int) -> ThreadPoolExecutor:
-    """The persistent pool, replaced by a larger one when it has fewer than
-    ``size`` threads; a replaced pool's threads exit once it is unused."""
-    global _pool, _pool_size
-    with _lock:
-        if _pool_size < size:
-            _pool = ThreadPoolExecutor(size, thread_name_prefix="kernelbcd-rows")
-            _pool_size = size
-        return _pool
-
-
-def for_rows(out: np.ndarray, fn) -> None:
-    """Call ``fn(lo, hi)`` on disjoint ranges that cover the rows of ``out``.
-
-    Up to ``row_workers()`` ranges are made, none with fewer than
-    ``_MIN_RANGE_ENTRIES`` entries of ``out``.  One range is ``fn(0, n)``
-    on the calling thread.  Otherwise the calling thread runs the last
-    range and the pool the others, each under the calling thread's
-    ``np.geterr()`` (numpy's error state is per thread).  Every range
-    finishes before this returns or raises; a failed range raises its
-    exception, the calling thread's first, then the pool's in row order.
-    """
-    n = out.shape[0]
-    workers = min(row_workers(), n, out.size // _MIN_RANGE_ENTRIES)
-    if workers <= 1:
-        fn(0, n)
-        return
-    bounds = [n * i // workers for i in range(workers + 1)]
-    err = np.geterr()
-
-    def task(lo, hi):
-        with np.errstate(**err):
-            fn(lo, hi)
-
-    pool = _executor(workers - 1)
-    futures = [pool.submit(task, lo, hi) for lo, hi in zip(bounds[:-2], bounds[1:-1])]
-    try:
-        fn(bounds[-2], n)
-    finally:
-        for future in futures:
-            future.exception()  # waits for the range, raises nothing
-    for future in futures:
-        future.result()
+def _may_look_ahead() -> bool:
+    """Whether ``ahead`` may generate blocks on its thread: a scope has
+    pinned an OpenBLAS, and the process may use more than one CPU."""
+    return bool(_depth and _saved) and _cpu_count() > 1
 
 
 def _timed(fn, item):
@@ -179,9 +124,7 @@ def _timed(fn, item):
 
 
 def _lookahead_thread() -> ThreadPoolExecutor:
-    """The persistent single-thread pool ``ahead`` runs on.  It is not the
-    row pool: a generation there splits its rows onto the row pool, and
-    waiting on a pool from one of its own threads could deadlock it."""
+    """The persistent single-thread pool ``ahead`` runs on."""
     global _ahead_pool
     with _lock:
         if _ahead_pool is None:
@@ -194,8 +137,8 @@ def ahead(fn, items):
     ``seconds`` is the call's own duration.
 
     The first call runs on the calling thread when the first pair is asked
-    for.  If its result has at least ``_MIN_RANGE_ENTRIES`` entries and
-    ``row_workers() > 1`` (a solver scope has pinned an OpenBLAS and the
+    for.  If its result has at least ``_AHEAD_MIN_ENTRIES`` entries and
+    ``_may_look_ahead()`` (a solver scope has pinned an OpenBLAS and the
     process may use several CPUs), each later call is started on the
     lookahead thread as soon as the previous pair is handed out, under the
     calling thread's ``np.geterr()``; otherwise every call runs on the
@@ -213,7 +156,7 @@ def ahead(fn, items):
         break
     else:
         return
-    if row_workers() <= 1 or out[0].size < _MIN_RANGE_ENTRIES:
+    if not _may_look_ahead() or out[0].size < _AHEAD_MIN_ENTRIES:
         yield out
         for item in items:
             yield _timed(fn, item)

@@ -1,7 +1,6 @@
 """The solver thread scope: OpenBLAS pinned to one thread during a run,
-block rows generated over ranges on a pool, byte-equal to one range, and
-the next block generated ahead, byte-equal to a run on the calling
-thread."""
+feature blocks byte-equal however their cosine pass is chunked, and the
+next block generated ahead, byte-equal to a run on the calling thread."""
 
 import contextlib
 import sys
@@ -28,24 +27,6 @@ from kernelbcd.kernels import (
 from kernelbcd.solvers import make_plan, solve_full, solve_nystrom, solve_rf
 
 
-@contextlib.contextmanager
-def row_ranges(workers):
-    """Split every block into ``workers`` row ranges, however small."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(threads, "row_workers", lambda: workers)
-        mp.setattr(threads, "_MIN_RANGE_ENTRIES", 1)
-        yield
-
-
-def at_each_worker_count(fn):
-    """``fn()`` with one, two and three row ranges per block."""
-    out = []
-    for workers in (1, 2, 3):
-        with row_ranges(workers):
-            out.append(fn())
-    return out
-
-
 def assert_byte_equal(arrays):
     first = arrays[0]
     for a in arrays[1:]:
@@ -54,37 +35,10 @@ def assert_byte_equal(arrays):
 
 
 shapes = st.tuples(
-    st.integers(0, 23),  # rows, including n < workers and n = 1
+    st.integers(0, 23),  # rows, including none and n = 1
     st.integers(0, 9),  # columns, including none
     st.integers(1, 5),  # features
 )
-
-
-@settings(max_examples=60, deadline=None)
-@given(shape=shapes, seed=st.integers(0, 2**32 - 1),
-       family=st.sampled_from(["rbf", "linear"]))
-@example(shape=(1, 4, 2), seed=0, family="rbf")
-@example(shape=(2, 3, 1), seed=1, family="rbf")
-@example(shape=(7, 0, 3), seed=2, family="linear")
-def test_kernel_cross_byte_equal_at_any_row_workers(shape, seed, family):
-    n, m, d = shape
-    rng = np.random.default_rng(seed)
-    xa, xb = rng.standard_normal((n, d)), rng.standard_normal((m, d))
-    spec = KernelSpec(family, sigma=float(rng.uniform(0.3, 3.0)))
-    assert_byte_equal(at_each_worker_count(lambda: kernel_cross(xa, xb, spec)))
-
-
-@settings(max_examples=60, deadline=None)
-@given(shape=shapes, seed=st.integers(0, 2**32 - 1))
-@example(shape=(1, 5, 3), seed=0)
-@example(shape=(2, 0, 2), seed=1)
-def test_random_features_block_byte_equal_at_any_row_workers(shape, seed):
-    n, b, d = shape
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal((n, d))
-    spec = FeatureMapSpec(p=b + 3, sigma=float(rng.uniform(0.3, 3.0)), master_seed=seed)
-    cols = rng.permutation(spec.p)[:b]
-    assert_byte_equal(at_each_worker_count(lambda: random_features_block(x, cols, spec)))
 
 
 @contextlib.contextmanager
@@ -100,10 +54,11 @@ def cosine_chunks(entries):
 @given(shape=shapes, seed=st.integers(0, 2**32 - 1), seeds=st.integers(1, 4))
 @example(shape=(23, 9, 3), seed=0, seeds=3)
 @example(shape=(1, 5, 2), seed=1, seeds=1)
-def test_feature_cosine_byte_equal_at_any_chunk_and_row_workers(shape, seed, seeds):
+def test_feature_cosine_byte_equal_at_any_chunk(shape, seed, seeds):
     # row chunks of one row, and of three rows, which leave an uneven last
-    # chunk in most row ranges, give the bytes of the default chunks; each
-    # seed's slice of a stack is its own block, whose chunks are wider
+    # chunk unless the row count is a multiple of three, give the bytes of
+    # the default chunks; each seed's slice of a stack is its own block,
+    # whose chunks are wider
     n, b, d = shape
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((n, d)) * 4.0
@@ -117,29 +72,24 @@ def test_feature_cosine_byte_equal_at_any_chunk_and_row_workers(shape, seed, see
         assert stack[:, t].tobytes() == one.tobytes()
     for entries in (1, 3 * b * seeds):
         with cosine_chunks(entries):
-            chunked = at_each_worker_count(
-                lambda: kernels.random_features_stack(x, cols, spec, masters)
-            )
-            per_seed = [at_each_worker_count(lambda: random_features_block(
-                x, cols, FeatureMapSpec(spec.p, spec.sigma, m))) for m in masters]
-        assert_byte_equal([stack] + chunked)
-        for one, runs in zip(ones, per_seed):
-            assert_byte_equal([one] + runs)
+            chunked = kernels.random_features_stack(x, cols, spec, masters)
+            per_seed = [random_features_block(x, cols, FeatureMapSpec(spec.p, spec.sigma, m))
+                        for m in masters]
+        assert_byte_equal([stack, chunked])
+        for one, chunked_one in zip(ones, per_seed):
+            assert_byte_equal([one, chunked_one])
 
 
 def test_stacked_seeds_byte_equal_to_their_blocks_over_default_chunks():
     # 600 rows: the 128-column stack runs in chunks of 128 rows, each
-    # seed's 64-column block in chunks of 256, at one to three row ranges
+    # seed's 64-column block in chunks of 256
     x = np.random.default_rng(4).standard_normal((600, 5)) * 3.0
     spec = FeatureMapSpec(p=100, sigma=1.2)
     cols = np.random.default_rng(5).permutation(100)[:64]
-    stacks = at_each_worker_count(lambda: kernels.random_features_stack(x, cols, spec, [7, 8]))
-    assert_byte_equal(stacks)
+    stack = kernels.random_features_stack(x, cols, spec, [7, 8])
     for t, master in enumerate([7, 8]):
-        blocks = at_each_worker_count(
-            lambda: random_features_block(x, cols, FeatureMapSpec(100, 1.2, master))
-        )
-        assert_byte_equal([stacks[0][:, t].copy()] + blocks)
+        block = random_features_block(x, cols, FeatureMapSpec(100, 1.2, master))
+        assert_byte_equal([stack[:, t].copy(), block])
 
 
 @settings(max_examples=30, deadline=None)
@@ -147,67 +97,8 @@ def test_stacked_seeds_byte_equal_to_their_blocks_over_default_chunks():
        family=st.sampled_from(["rbf", "linear"]))
 def test_full_kernel_block_stays_exactly_symmetric(n, d, seed, family):
     x = np.random.default_rng(seed).standard_normal((n, d))
-    spec = KernelSpec(family, sigma=1.3)
-    for workers in (2, 3):
-        with row_ranges(workers):
-            k = kernel_cross(x, x, spec, rows=np.arange(n))
-        assert np.array_equal(k, k.T)
-
-
-def test_ranges_tile_the_rows_on_several_threads():
-    seen = []
-
-    def record(lo, hi):
-        seen.append((lo, hi, threading.get_ident()))
-
-    for n in (0, 1, 2, 3, 10):
-        seen.clear()
-        with row_ranges(3):
-            threads.for_rows(np.empty((n, 2)), record)
-        ranges = sorted((lo, hi) for lo, hi, _ in seen)
-        assert ranges[0][0] == 0 and ranges[-1][1] == n
-        assert all(a[1] == b[0] < b[1] for a, b in zip(ranges, ranges[1:]))
-        assert len(ranges) == max(1, min(3, n))
-        idents = {ident for *_, ident in seen}
-        assert threading.get_ident() in idents
-        assert len(idents) >= min(2, len(ranges))  # a pool thread may take two
-
-
-def test_small_blocks_stay_on_the_calling_thread():
-    seen = []
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(threads, "row_workers", lambda: 4)
-        threads.for_rows(np.empty((64, 8)), lambda lo, hi: seen.append((lo, hi)))
-    assert seen == [(0, 64)]
-
-
-@pytest.mark.parametrize("failing", [0, 2])  # a pool range, the caller's range
-def test_a_failing_range_raises_after_every_range_finished(failing):
-    finished = []
-
-    def fn(lo, hi):
-        if lo == failing:
-            raise ValueError(f"range at {lo}")
-        time.sleep(0.05)
-        finished.append(lo)
-
-    with row_ranges(3), pytest.raises(ValueError, match=f"range at {failing}"):
-        threads.for_rows(np.empty((3, 1)), fn)
-    assert sorted(finished) == sorted({0, 1, 2} - {failing})
-
-
-def test_pool_ranges_run_under_the_callers_error_state():
-    def overflow(lo, hi):
-        np.full(hi - lo, 1e300) * 1e300
-
-    with row_ranges(3):
-        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
-            threads.for_rows(np.empty((3, 1)), overflow)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            with np.errstate(over="ignore"):
-                threads.for_rows(np.empty((3, 1)), overflow)
-    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    k = kernel_cross(x, x, KernelSpec(family, sigma=1.3), rows=np.arange(n))
+    assert np.array_equal(k, k.T)
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +150,7 @@ def test_counts_pinned_inside_a_run_and_restored_after(blas_at_three, monkeypatc
     rf_run()
     assert seen and all(c == [1] * len(blas_at_three) for c in seen)
     assert counts(blas_at_three) == [3] * len(blas_at_three)
-    assert threads.row_workers() == 1
+    assert threads._depth == 0
 
 
 def test_counts_restored_after_a_divergence(blas_at_three):
@@ -317,38 +208,43 @@ def nystrom_run():
                          make_plan(64, 32, seed=8), 3, landmark_seed=9)
 
 
-def rbf_row_threads(monkeypatch):
-    """Record the thread of every row range of an rbf block in kernel_cross."""
-    idents = set()
-    real = kernels.for_rows
+def source_threads(monkeypatch):
+    """Record, sweep by sweep, the thread of every block-source call the
+    engine makes through ``threads.ahead``."""
+    sweeps = []
 
-    def for_rows(out, fn):
-        def rows(lo, hi):
-            idents.add(threading.get_ident())
-            fn(lo, hi)
+    def ahead(fn, items):
+        calls = []
+        sweeps.append(calls)
 
-        real(out, rows)
+        def recorded(item):
+            calls.append(threading.get_ident())
+            return fn(item)
 
-    monkeypatch.setattr(kernels, "for_rows", for_rows)
-    return idents
+        return threads.ahead(recorded, items)
+
+    monkeypatch.setattr(solvers, "ahead", ahead)
+    return sweeps
 
 
 def test_without_openblas_controls_rows_stay_on_the_calling_thread(monkeypatch):
-    pooled_ids = rbf_row_threads(monkeypatch)
-    monkeypatch.setattr(threads, "_MIN_RANGE_ENTRIES", 1)
+    me = threading.get_ident()
+    monkeypatch.setattr(threads, "_AHEAD_MIN_ENTRIES", 1)
     monkeypatch.setattr(threads, "_cpu_count", lambda: 2)
     if threads.openblas_controls():
-        pooled = nystrom_run()
-        assert threading.get_ident() in pooled_ids and len(pooled_ids) > 1
+        sweeps = source_threads(monkeypatch)
+        ahead_run = nystrom_run()
+        assert sweeps and all(s[0] == me and me not in s[1:] for s in sweeps)
+        assert any(len(s) > 1 for s in sweeps)
     else:
-        pooled = None
+        ahead_run = None
     monkeypatch.setattr(threads, "openblas_controls", lambda: [])
-    alone_ids = rbf_row_threads(monkeypatch)
+    sweeps = source_threads(monkeypatch)
     alone = nystrom_run()
-    assert alone_ids == {threading.get_ident()}
-    if pooled is not None:
-        assert np.array_equal(pooled[0].coefficients, alone[0].coefficients)
-        assert pooled[1].objectives().tobytes() == alone[1].objectives().tobytes()
+    assert sweeps and all(s == [me] * len(s) for s in sweeps)
+    if ahead_run is not None:
+        assert np.array_equal(ahead_run[0].coefficients, alone[0].coefficients)
+        assert ahead_run[1].objectives().tobytes() == alone[1].objectives().tobytes()
 
 
 def test_scope_depth_survives_many_threads_entering_at_once(blas_at_three):
@@ -375,7 +271,7 @@ def test_scope_depth_survives_many_threads_entering_at_once(blas_at_three):
         sys.setswitchinterval(interval)
     assert not any(w.is_alive() for w in workers)
     assert not errors
-    assert threads.row_workers() == 1
+    assert threads._depth == 0
     assert counts(blas_at_three) == [3] * len(blas_at_three)
 
 
@@ -422,7 +318,7 @@ def lookahead(on):
     every block is generated on the calling thread."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(threads, "_cpu_count", lambda: 2)
-        mp.setattr(threads, "_MIN_RANGE_ENTRIES", 1)
+        mp.setattr(threads, "_AHEAD_MIN_ENTRIES", 1)
         if not on:
             mp.setattr(threads, "openblas_controls", lambda: [])
         yield
@@ -435,9 +331,9 @@ def test_ahead_generates_large_blocks_ahead_and_small_ones_in_place():
         callers.append(threading.get_ident())
         return np.zeros((rows, 1))
 
-    large = threads._MIN_RANGE_ENTRIES
+    large = threads._AHEAD_MIN_ENTRIES
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(threads, "row_workers", lambda: 2)
+        mp.setattr(threads, "_may_look_ahead", lambda: True)
         for rows, ahead_of_caller in ((large - 1, False), (large, True)):
             callers.clear()
             pairs = list(threads.ahead(source, [rows] * 4))
@@ -449,10 +345,10 @@ def test_ahead_generates_large_blocks_ahead_and_small_ones_in_place():
 
 def test_ahead_runs_under_the_callers_error_state():
     def overflow(i):  # the first call, on the calling thread, does not
-        return np.full((threads._MIN_RANGE_ENTRIES, 1), 1e300) * (1e300 if i else 1.0)
+        return np.full((threads._AHEAD_MIN_ENTRIES, 1), 1e300) * (1e300 if i else 1.0)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(threads, "row_workers", lambda: 2)
+        mp.setattr(threads, "_may_look_ahead", lambda: True)
         with np.errstate(over="raise"), pytest.raises(FloatingPointError):
             list(threads.ahead(overflow, range(3)))
         with warnings.catch_warnings(record=True) as caught:
@@ -574,6 +470,23 @@ def test_lookahead_calls_the_source_in_order_one_at_a_time(method):
         assert not source.overlapped
         seen.append(source.positions())
     assert seen[0] == seen[1]
+
+
+@needs_openblas
+@pytest.mark.parametrize("method", ["full", "nystrom", "rf"])
+def test_a_solve_starts_no_thread_but_the_lookahead(method):
+    source, run = lookahead_case(method, [1e-2])
+    with lookahead(True):
+        run(grad_tol=1e-3, check_residual=True)
+    assert len({ident for _, ident in source.calls}) > 1
+    live = {t.name.rsplit("_", 1)[0] for t in threading.enumerate()
+            if t.name.startswith("kernelbcd-")}
+    assert live == {"kernelbcd-ahead"}
+    source, run = lookahead_case(method, [1e-2])
+    with lookahead(True), pytest.MonkeyPatch.context() as mp:
+        mp.setattr(threads, "_cpu_count", lambda: 1)
+        run(grad_tol=1e-3, check_residual=True)
+    assert {ident for _, ident in source.calls} == {threading.get_ident()}
 
 
 @needs_openblas
