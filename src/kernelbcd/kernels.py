@@ -21,8 +21,12 @@ and maps the uniforms to normals with a port of Cephes' ``ndtri``
 (``_ndtri``).  Each column of the pass carries its own master seed's key,
 so one pass also draws the blocks of several master seeds side by side
 (``random_features_stack``, a Monte-Carlo ensemble of feature maps), and
-``random_features_block`` is its one-seed case.  The pass restates only
-what numpy does not vectorise: Philox itself (``_philox4x64``).
+``random_features_block`` on a bare spec is its one-seed case.  The pass
+restates only what numpy does not vectorise: Philox itself
+(``_philox4x64``).  A caller that makes many blocks of one spec, an rf
+``Model``, draws every column once (``feature_draw``, (d + 1) p floats)
+and hands the draw to ``random_features_block``, which gathers the
+block's columns from it, byte for byte the columns it would draw.
 """
 
 from __future__ import annotations
@@ -240,16 +244,42 @@ def feature_params(spec: FeatureMapSpec, m: int, d: int) -> tuple[np.ndarray, fl
     return freqs[:, 0], phases[0]
 
 
-def random_features_block(X: np.ndarray, indices, spec: FeatureMapSpec) -> np.ndarray:
+def random_features_block(
+    X: np.ndarray, indices, spec: FeatureMapSpec, draw=None
+) -> np.ndarray:
     """Return the n x |I| block Z([n], I) of the random cosine feature matrix.
 
     Column j is sqrt(2/p) * cos(X omega_I(j) + b_I(j)), the cosine taken
     in float32 after a float64 reduction mod 2 pi, as ``FeatureMapSpec``
     states.  Every entry of a finite argument is finite and bounded by
     sqrt(2/p) in magnitude, and every full row has squared norm at most 2.
-    The one-seed case of ``random_features_stack``.
+
+    With no ``draw`` the block draws its own columns, the one-seed case of
+    ``random_features_stack``.  ``draw`` is ``feature_draw(spec, d)`` for
+    X's width d: the block then gathers its columns from it, byte for byte
+    the columns it would draw.
     """
-    return random_features_stack(X, indices, spec, (spec.master_seed,))[:, 0]
+    if draw is None:
+        return random_features_stack(X, indices, spec, (spec.master_seed,))[:, 0]
+    X = check_matrix("X", X)
+    idx = validate_indices(indices, spec.p)
+    freqs, phases = draw
+    if freqs.shape != (X.shape[1], spec.p) or phases.shape != (spec.p,):
+        raise DimensionMismatchError(
+            f"a draw of shape {freqs.shape} is not the draw of {spec.p} columns "
+            f"for {X.shape[1]} features"
+        )
+    # take, not freqs[:, idx]: a fancy-index gather can come out F-ordered,
+    # and the GEMM then rounds differently from the block's own draw
+    return _entries(X, freqs.take(idx, axis=1), phases[idx], idx.size, spec.p)
+
+
+def feature_draw(spec: FeatureMapSpec, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every column's frequencies (d x p, C-contiguous) and phases (p) for
+    d-dim inputs, (d + 1) p floats in one ``_block_params`` pass: the draw
+    ``random_features_block`` gathers a block's columns from."""
+    d = check_count("input dimension d", d)
+    return _block_params(spec, np.arange(spec.p, dtype=np.int64), d)
 
 
 def random_features_stack(X: np.ndarray, indices, spec: FeatureMapSpec, seeds) -> np.ndarray:
@@ -260,21 +290,29 @@ def random_features_stack(X: np.ndarray, indices, spec: FeatureMapSpec, seeds) -
 
     The seeds' blocks stand side by side along the column axis of one
     n x len(seeds) |I| array: one ``_block_params`` pass draws every
-    (seed, column) pair, and each seed's block keeps its own GEMM, so its
-    bits are those of its own call.  The entries are then made in one pass
-    over row chunks of about ``_COS_CHUNK_ENTRIES`` entries: add the
-    phases, then ``_scaled_cos``.  Every step acts entry by entry, so the
-    bytes do not depend on the chunks.  The scratch is allocated once.
+    (seed, column) pair, and ``_entries`` makes them.
     """
     X = check_matrix("X", X)
     idx = validate_indices(indices, spec.p)
     seeds = [check_count("master_seed", seed) for seed in seeds]
     freqs, phases = _block_params(spec, idx, X.shape[1], seeds)
+    z = _entries(X, freqs, phases, idx.size, spec.p)
+    return z.reshape(X.shape[0], len(seeds), idx.size)
+
+
+def _entries(X, freqs, phases, width: int, p: int) -> np.ndarray:
+    """The feature entries sqrt(2/p) cos(X freqs + phases), the columns of
+    C-contiguous ``freqs`` taken ``width`` at a time: each block keeps its
+    own GEMM, so its bits are those of its own call.  The entries are then
+    made in one pass over row chunks of about ``_COS_CHUNK_ENTRIES``
+    entries: add the phases, then ``_scaled_cos``.  Every step acts entry
+    by entry, so the bytes do not depend on the chunks.  The scratch is
+    allocated once."""
     z = np.empty((X.shape[0], freqs.shape[1]))
-    for first in range(0, freqs.shape[1], max(1, idx.size)):
-        cols = slice(first, first + idx.size)
+    for first in range(0, freqs.shape[1], max(1, width)):
+        cols = slice(first, first + width)
         np.matmul(X, freqs[:, cols], out=z[:, cols])
-    scale = np.sqrt(2.0 / spec.p)
+    scale = np.sqrt(2.0 / p)
     step = max(1, _COS_CHUNK_ENTRIES // max(1, z.shape[1]))
     shape = (min(step, z.shape[0]), z.shape[1])
     k, r, r32 = np.empty(shape), np.empty(shape), np.empty(shape, np.float32)
@@ -283,7 +321,7 @@ def random_features_stack(X: np.ndarray, indices, spec: FeatureMapSpec, seeds) -
         t += phases
         m = t.shape[0]
         _scaled_cos(t, scale, k[:m], r[:m], r32[:m])
-    return z.reshape(X.shape[0], len(seeds), idx.size)
+    return z
 
 
 def _scaled_cos(t: np.ndarray, scale: float, k, r, r32) -> None:

@@ -5,15 +5,18 @@ a fresh random block partition (``epoch_blocks``), generates each column
 block once per visit, and owns the ledger, the descent guard, test
 evaluation, traces, the residual check and the ``grad_tol`` stop.  The
 model's column map, ``Model.columns``, is the one block source and the
-one width check: K([n], J) for ``full``, K([n], landmarks[J]) for
-``nystrom`` and Z([n], J) for ``rf``; the test set's block, ``predict``
-and the dense diagnostics read it too.  A per-method system states only
-its math: the products every lambda shares, its b x b block matrix A,
-its block of the normal-equation residual ``grad``, its block's share
-``rhs_term`` of the squared right-hand side and the rows its scatter S_J
-writes.  One builder, ``_system``, picks a model's system.  One block step
-serves every system: solve A d = -grad, add d to the block's coefficients
-and (K_J + n*lam*S_J)[:, block] d to the maintained fit error
+one width and column-set check: K([n], J) for ``full``, K([n],
+landmarks[J]) for ``nystrom`` and Z([n], J) for ``rf``, gathered from the
+model's one feature draw; the test set's block, ``predict`` and the dense
+diagnostics read it too.  A per-method system states only its math: the
+products every lambda shares, its b x b block matrix A, its block of the
+normal-equation residual ``grad``, its block's share ``rhs_term`` of the
+squared right-hand side, the rows its scatter S_J writes and
+``objectives``, every lambda's objective at once, each inner product
+summed column by column over the whole batch.  One builder, ``_system``,
+picks a model's system.  One block step serves every system: solve
+A d = -grad, add d to the block's coefficients and
+(K_J + n*lam*S_J)[:, block] d to the maintained fit error
 E = (K_J + n*lam*S_J) alpha - Y, which starts at -Y.  The step serves
 every lambda at once: their coefficients and E sit side by side, and only
 there (``_Batch``), so a visit makes one gradient product and one update
@@ -63,9 +66,11 @@ import base64
 import dataclasses
 import json
 import math
+import threading
 from collections.abc import Callable
 from contextlib import closing
 from dataclasses import dataclass, field
+from functools import cached_property
 from time import perf_counter
 
 import numpy as np
@@ -94,11 +99,12 @@ from .kernels import (
     Dataset,
     FeatureMapSpec,
     KernelSpec,
+    feature_draw,
     kernel_cross,
     one_vs_all,
     random_features_block,
 )
-from .linalg import spd_solve, sum_in_order
+from .linalg import spd_solve, sum_in_order, validate_indices
 from .threads import ahead, solver_threads
 
 # The solvers call gram only through distributed_gram.  It stays bound here
@@ -113,6 +119,9 @@ MODEL_MAGIC = "kernelbcd-model-v3"
 # JSON lists
 MODEL_MAGIC_V2 = "kernelbcd-model-v2"
 MODEL_MAGIC_V1 = "kernelbcd-model-v1"
+
+# held while an rf model makes a feature draw, so each is made once
+_DRAW_LOCK = threading.Lock()
 
 
 # ---------------------------------------------------------------------------
@@ -215,6 +224,11 @@ class Model:
     An rf model without it, built so or read from a file without the key,
     is not checked.  A nystrom model needs its landmarks, the indices of
     the training rows its anchors are.
+
+    An rf model draws its features (``feature_draw``) once per input
+    width, on first use, and keeps the draw on the instance: it is not a
+    field, so it is in neither the model's file, its repr nor its
+    equality.
     """
 
     method: str
@@ -227,6 +241,7 @@ class Model:
 
     def __post_init__(self):
         check_choice("method", self.method, METHODS)
+        self._draws: dict[tuple, tuple] = {}  # (spec, width) -> feature_draw
         if self.method == "rf":
             if self.features is None:
                 raise ConfigError("rf model needs a feature map spec")
@@ -246,7 +261,13 @@ class Model:
         """The column block at the rows of ``X``: k(X, anchors[cols]) for
         full/nystrom, z(X)[:, cols] for rf; every column when ``cols`` is
         None.  Coefficient row j weights column j.  ``X`` must be 2-d and,
-        unless ``dim`` is None, as wide as the model's input.
+        unless ``dim`` is None, as wide as the model's input.  ``cols``
+        must be distinct coefficient rows, a 1-d integer array or list
+        (``validate_indices``), or it raises ``IndexOutOfRangeError``.
+
+        An rf block gathers its columns from the model's feature draw for
+        X's width (``random_features_block``'s ``draw``), byte for byte
+        the columns a bare spec draws.
 
         ``at_anchors`` says that ``X`` is the training data the anchors are
         rows of (all of them for full, the landmarks for nystrom): the
@@ -258,16 +279,27 @@ class Model:
             raise DimensionMismatchError(
                 f"data has {X.shape[1]} features, model expects {width}"
             )
+        if cols is not None:
+            cols = validate_indices(cols, self.coefficients.shape[0])
         if self.method == "rf":
             if cols is None:
                 cols = np.arange(self.features.p)
-            return random_features_block(X, cols, self.features)
+            return random_features_block(X, cols, self.features, self._draw(X.shape[1]))
         anchors = self.anchors if cols is None else self.anchors[cols]
         rows = None
         if at_anchors:
             rows = np.arange(X.shape[0]) if self.landmarks is None else self.landmarks
             rows = rows if cols is None else rows[cols]
         return kernel_cross(X, anchors, self.kernel, rows)
+
+    def _draw(self, d: int) -> tuple[np.ndarray, np.ndarray]:
+        """The rf feature draw for d-dim inputs, made on first use; two
+        threads that ask at once get one draw."""
+        key = (self.features, d)
+        with _DRAW_LOCK:
+            if key not in self._draws:
+                self._draws[key] = feature_draw(self.features, d)
+            return self._draws[key]
 
 
 @solver_threads()
@@ -502,6 +534,17 @@ class _Batch:
         return _Batch(self.lams, self.coeffs.copy(), self.resid.copy(), self.n)
 
 
+def _column_ips(a: np.ndarray, b: np.ndarray, lams: int, weight=None) -> np.ndarray:
+    """Each lambda's <A, B> over its k columns of two side-by-side arrays,
+    with rows weighted by ``weight`` when given, summed column by column in
+    one pass over both."""
+    if weight is None:
+        sums = np.einsum("ij,ij->j", a, b)
+    else:
+        sums = np.einsum("i,ij,ij->j", weight, a, b)
+    return sums.reshape(lams, -1).sum(axis=1)
+
+
 def _guard_descent(prev: float, obj: float) -> None:
     if not np.isfinite(obj):
         raise DivergenceError(f"objective became non-finite ({obj})")
@@ -542,7 +585,8 @@ class _BlockSystem:
     products every lambda shares), ``matrix`` (its b x b block A),
     ``gradients`` (its block of the normal-equation residual for every
     lambda of a ``_Batch``, side by side), ``rhs_term`` (its block's squared
-    norm of the right-hand side) and ``rows``.  ``rhs_norm``, the whole
+    norm of the right-hand side), ``rows`` and ``objectives`` (every
+    lambda's objective at a batch, from one pass).  ``rhs_norm``, the whole
     right-hand side's norm, is kept from a run's first ``grad_tol`` check.
     """
 
@@ -620,9 +664,15 @@ class _FullSystem(_BlockSystem):
     def gradients(self, batch, idx, kb, part):
         return batch.resid[idx] + batch.lam_eff * batch.coeffs[idx]
 
-    def objective(self, lam, c, e):
-        """The surrogate, with <a, K a> = <a, E> + <a, Y>."""
-        return 0.5 * _ip(c, e) + 0.5 * self.n * lam * _ip(c, c) - 0.5 * _ip(c, self.Y)
+    def objectives(self, batch) -> list[float]:
+        """Every lambda's surrogate, with <a, K a> = <a, E> + <a, Y>:
+        0.5<a, E> + (n lam / 2)||a||^2 - 0.5<a, Y>, each inner product
+        summed column by column over the whole batch."""
+        c, lams = batch.coeffs, len(batch.lams)
+        ce = _column_ips(c, batch.resid, lams)
+        cc = _column_ips(c, c, lams)
+        cy = np.einsum("ilj,ij->lj", c.reshape(self.n, lams, batch.k), self.Y).sum(axis=1)
+        return (0.5 * ce + 0.5 * batch.lam_eff[:: batch.k] * cc - 0.5 * cy).tolist()
 
     check_needs_blocks = False  # E is maintained, so check at once
 
@@ -672,15 +722,32 @@ class _GramSystem(_BlockSystem):
             + (batch.lam_eff * self.gamma) * batch.coeffs[pos]
         )
 
-    def objective(self, lam, c, e):
-        """(1/n)||K_J a - Y||^2 + lam <a, K_JJ a> + lam gamma ||a||^2."""
-        r, kjj_term = e, 0.0
-        if self.landmarks is not None:  # K_J a - Y: E without the scatter
-            r = r.copy()
-            r[self.landmarks] -= self.n * lam * c
-            # K_JJ a is K_J a at the landmark rows
-            kjj_term = lam * _ip(c, r[self.landmarks] + self.Y[self.landmarks])
-        return _ip(r, r) / self.n + kjj_term + lam * self.gamma * _ip(c, c)
+    def objectives(self, batch) -> list[float]:
+        """Every lambda's (1/n)||K_J a - Y||^2 + lam <a, K_JJ a> +
+        lam gamma ||a||^2, from one pass over E and p x Lk terms, each
+        inner product summed column by column.  K_J a - Y is E without the
+        scatter: E itself off the landmarks, whose rows the pass weighs 0,
+        and E - n lam a at them; K_JJ a is K_J a at the landmark rows."""
+        c, e, lams = batch.coeffs, batch.resid, len(batch.lams)
+        lam = np.array(batch.lams, dtype=np.float64)
+        kjj = 0.0
+        if self.landmarks is None:
+            fit = _column_ips(e, e, lams)
+        else:
+            fit = _column_ips(e, e, lams, self._off_landmarks)
+            r = e[self.landmarks] - batch.lam_eff * c  # K_J a - Y at the landmarks
+            fit += _column_ips(r, r, lams)
+            r += np.tile(self.Y[self.landmarks], lams)
+            kjj = lam * _column_ips(c, r, lams)
+        return (fit / self.n + kjj + lam * self.gamma * _column_ips(c, c, lams)).tolist()
+
+    @cached_property
+    def _off_landmarks(self) -> np.ndarray:
+        """The objective pass's row weight: 0 at the landmarks, 1 elsewhere,
+        made at the first pass, once the inputs are checked."""
+        weight = np.ones(self.n)
+        weight[self.landmarks] = 0.0
+        return weight
 
     # the normal-equation residual needs every column block, so the engine
     # sums it over the next sweep's blocks
@@ -767,7 +834,11 @@ def _run(
     Each visit generates the column block once, times ``system.visit``
     forming the products every lambda shares, then ``system.update`` makes
     one exact b x b update per lambda with one gradient product, one
-    stacked solve and one update product for all of them.  The ledger, the descent guard, test
+    stacked solve and one update product for all of them, and
+    ``system.objectives`` gives every lambda's objective from one pass
+    over the batch.  An rf block gathers its columns from the model's
+    feature draw, made at the run's first block, or at its test set's
+    block.  The ledger, the descent guard, test
     evaluation, traces, the residual check and the ``grad_tol`` stop live
     here.  The test set's block ``model.columns(test_data.X)`` is generated
     once per run, before the first visit, so a test set of the wrong width
@@ -777,10 +848,12 @@ def _run(
     each lambda its residual and solve flops and an equal share of the
     step's residual seconds and of the stacked solve's seconds; a trace
     row's seconds count that solve share and the row's own checks, and the
-    first lambda's row also the rest of the visit.  A solve that fails, for
+    first lambda's row also the rest of the visit, the objective pass
+    included.  A solve that fails, for
     any lambda, raises before any lambda is stepped, guarded, traced or
-    charged; otherwise every lambda is stepped and then guarded in lambda
-    order, and the first guard that fails raises.
+    charged; otherwise every lambda is stepped, the objective pass made,
+    and each lambda guarded in lambda order, and the first guard that
+    fails raises.
 
     The ``grad_tol`` check is one ``_PendingCheck`` per epoch end, summed
     per block from ``system.gradients`` and ``system.rhs_term``.  ``full``
@@ -827,14 +900,14 @@ def _run(
         t_visit = perf_counter()
         products = system.visit(pos, kb, part, ledger)
         res_s, solve_s = system.update(batch, pos, kb, products, part)
+        objs = system.objectives(batch)
         shared = wait_s + perf_counter() - t_visit - solve_s
         lam_solve_s = solve_s / len(lams)
-        for i, (lam, cols) in enumerate(zip(lams, batch.cols)):
+        for i, (obj, cols) in enumerate(zip(objs, batch.cols)):
             t0 = perf_counter()
             ledger.add("residual", flops=system.residual_flops, seconds=res_s / len(lams))
             ledger.add("solve", flops=system.b**3, seconds=lam_solve_s)
             c = batch.coeffs[:, cols]
-            obj = system.objective(lam, c, batch.resid[:, cols])
             _guard_descent(prev_objs[i], obj)
             prev_objs[i] = obj
             terr = None

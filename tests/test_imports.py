@@ -1,5 +1,6 @@
 """Importing the package loads numpy and no scipy: scipy's import costs
-more than the package itself, and maps a second OpenBLAS.  The package's
+more than the package itself, and maps a second OpenBLAS; a solve imports
+nothing more.  The package's
 modules factor and solve only through ``kernelbcd.linalg``, state the
 integer and real-number input rules only in ``kernelbcd.errors``, write
 the method names and the kernel families once, and a star import binds the
@@ -22,6 +23,27 @@ def test_package_and_cli_import_no_scipy():
     code = (
         "import sys, kernelbcd, kernelbcd.cli\n"
         "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_a_solve_imports_no_module():
+    # numpy 2's np.unique imports numpy.ma on its first call, about 1 MB
+    # that a process's peak memory pays; the index checks sort instead
+    code = (
+        "import sys, kernelbcd as kb\n"
+        "data = kb.gaussian_blobs(32, 3, 2)\n"
+        "before = set(sys.modules)\n"
+        "kb.solve_full(data, kb.KernelSpec('rbf', 2.0), 0.1, kb.make_plan(32, 4), 2)\n"
+        "kb.solve_nystrom(data, kb.KernelSpec('rbf', 2.0), 8, 0.1, 1e-3, kb.make_plan(8, 4), 2)\n"
+        "model, _ = kb.solve_rf(data, kb.FeatureMapSpec(8, 2.0), 0.1, kb.make_plan(8, 4), 2)\n"
+        "kb.evaluate(model, data)\n"
+        "print(sorted(set(sys.modules) - before))\n"
     )
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     proc = subprocess.run(

@@ -13,6 +13,7 @@ from kernelbcd.distsim import METHODS, make_partition, predict_costs
 from kernelbcd.errors import (
     ConfigError,
     DimensionMismatchError,
+    IndexOutOfRangeError,
     KernelBcdError,
     check_choice,
     check_lambdas,
@@ -62,6 +63,15 @@ DIAGNOSTICS = (normal_equation_residual, objective_value)
 NO_ROWS = Dataset(np.empty((0, 2)), [], 2)
 # TRAIN's rows with a third class: no training set of the 2-column models
 THREE_CLASSES = Dataset(TRAIN.X, np.arange(32) % 3, 3)
+# column sets that are no model's: each a function of the coefficient rows
+BAD_COLUMNS = {
+    "negative": lambda rows: [-1],
+    "out-of-range": lambda rows: [0, rows],
+    "duplicate": lambda rows: [1, 1],
+    "fractional": lambda rows: [0.5],
+    "boolean": lambda rows: [True, False],
+    "2-d": lambda rows: [[0, 1]],
+}
 
 
 def _solve_rf_on_workers(workers):
@@ -168,6 +178,14 @@ REFUSALS = {
     **{f"{f.__name__}-{model.method}-3-classes": (
         lambda f=f, model=model: f(model, THREE_CLASSES, 0.1), DimensionMismatchError)
        for f in DIAGNOSTICS for model in (FULL, NYSTROM, RF)},
+    # column sets: one index rule for every method's column map, at the
+    # anchors or not
+    **{f"Model.columns-{model.method}-{name}{'-at-anchors' * at_anchors}": (
+        lambda model=model, cols=cols, at_anchors=at_anchors: model.columns(
+            TRAIN.X, cols(model.coefficients.shape[0]), at_anchors=at_anchors),
+        IndexOutOfRangeError)
+       for model in (FULL, NYSTROM, RF) for name, cols in BAD_COLUMNS.items()
+       for at_anchors in (False, True)},
 }
 
 

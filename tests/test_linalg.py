@@ -204,6 +204,12 @@ class TestValidateIndices:
         with pytest.raises(IndexOutOfRangeError):
             validate_indices([-1], 5)
 
+    def test_rejects_a_boolean_mask(self):
+        # numpy would read [True, False] as a mask, and a cast as [1, 0]
+        for mask in ([True, False], np.ones(3, dtype=bool)):
+            with pytest.raises(IndexOutOfRangeError, match="not booleans"):
+                validate_indices(mask, 5)
+
 
 class TestLambdaExtremes:
     def test_diagonal(self):

@@ -1,11 +1,15 @@
+import dataclasses
 import json
+import sys
+import threading
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from kernelbcd import solvers
+from kernelbcd import kernels, solvers
 from kernelbcd.distsim import CostLedger, ExecContext
 from kernelbcd.errors import (
     ConfigError,
@@ -41,7 +45,9 @@ from kernelbcd.solvers import (
     solve_nystrom,
     solve_path,
     solve_rf,
+    _Batch,
     _GramSystem,
+    _guard_descent,
     _run,
     _run_spec,
 )
@@ -1199,3 +1205,190 @@ def test_last_test_error_is_evaluate(method, lams, rmse):
     for model, trace in results:
         assert trace.records[-1].epoch < 199  # the stop fired
         assert trace.records[-1].test_error == evaluate(model, test, rmse=rmse)
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(1, 6), d=st.integers(1, 3), p=st.integers(1, 8),
+       log_scale=st.floats(-3.0, 8.0), seed=st.integers(0, 2**32 - 1))
+@example(n=1, d=2, p=2, log_scale=8.0, seed=1)
+@example(n=1, d=1, p=1, log_scale=8.0, seed=0)
+def test_rf_columns_gathered_from_the_draw_equal_a_fresh_draw(n, d, p, log_scale, seed):
+    # any column subset, in any order, gathered from the model's one draw is
+    # byte for byte the block a bare spec draws for those columns, also for
+    # arguments past 2**22 turns; the gathered frequencies reach the GEMM
+    # C-contiguous, as a block's own draw does
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((n, d)) * 10.0**log_scale
+    spec = FeatureMapSpec(p=p, sigma=float(rng.uniform(0.5, 3.0)), master_seed=seed)
+    model = Model("rf", np.zeros((p, 1)), features=spec, dim=d)
+    cols = rng.permutation(p)[: rng.integers(0, p + 1)]
+    handed = []
+    entries = kernels._entries
+
+    def recording(X, freqs, *args):
+        handed.append(freqs)
+        return entries(X, freqs, *args)
+
+    with mock.patch.object(kernels, "_entries", recording):
+        gathered = model.columns(X, cols)
+        fresh = random_features_block(X, cols, spec)
+    assert gathered.shape == fresh.shape == (n, cols.size)
+    assert gathered.tobytes() == fresh.tobytes()
+    assert len(handed) == 2 and all(f.flags.c_contiguous for f in handed)
+    assert handed[0].tobytes() == handed[1].tobytes()
+
+
+def _counting_draws():
+    """A patch of ``kernels._block_params`` that counts its calls."""
+    calls = []
+    draw = kernels._block_params
+
+    def counted(*args, **kwargs):
+        calls.append(args[1].size)
+        return draw(*args, **kwargs)
+
+    return mock.patch.object(kernels, "_block_params", counted), calls
+
+
+class TestOneFeatureDraw:
+    def test_a_run_draws_its_features_once(self):
+        # the rf_to_tol shape at a smaller n: 16 blocks of 64 columns a
+        # sweep, stopped by grad_tol after several sweeps, draw once
+        data = gaussian_blobs(512, 32, 10, seed=1)
+        spec = FeatureMapSpec(p=1024, sigma=4.0, master_seed=22)
+        patch, calls = _counting_draws()
+        with patch:
+            _, trace = solve_rf(data, spec, 1e-3, make_plan(1024, 64, seed=21), 40,
+                                grad_tol=1e-2)
+        assert trace.records[-1].epoch >= 1
+        assert calls == [1024]
+
+    def test_zero_epochs_draw_nothing(self):
+        data = gaussian_blobs(32, 3, 2, seed=1)
+        patch, calls = _counting_draws()
+        with patch:
+            solve_rf(data, FeatureMapSpec(16, 2.0), 0.1, make_plan(16, 4), 0)
+        assert calls == []
+
+    def test_the_draw_is_in_no_file_repr_or_equality(self, tmp_path):
+        data = gaussian_blobs(24, 3, 2, seed=78)
+        model, _ = solve_rf(data, FeatureMapSpec(8, 2.0, 79), 1e-2, make_plan(8, 4, 80), 3)
+        undrawn = dataclasses.replace(model)
+        predict(model, data.X)  # draws
+        assert model._draws and not undrawn._draws
+        assert repr(model) == repr(undrawn) and model == undrawn
+        save_model(model, tmp_path / "drawn.kbcd")
+        save_model(undrawn, tmp_path / "undrawn.kbcd")
+        assert (tmp_path / "drawn.kbcd").read_bytes() == (tmp_path / "undrawn.kbcd").read_bytes()
+
+    def test_a_loaded_model_draws_on_its_first_predict(self, tmp_path):
+        data = gaussian_blobs(24, 3, 2, seed=78)
+        model, _ = solve_rf(data, FeatureMapSpec(8, 2.0, 79), 1e-2, make_plan(8, 4, 80), 3)
+        save_model(model, tmp_path / "model.kbcd")
+        patch, calls = _counting_draws()
+        with patch:
+            loaded = load_model(tmp_path / "model.kbcd")
+            assert calls == []
+            first = predict(loaded, data.X)
+            assert calls == [8]
+            assert predict(loaded, data.X).tobytes() == first.tobytes()
+            assert calls == [8]
+        assert first.tobytes() == predict(model, data.X).tobytes()
+
+    def test_threads_that_ask_at_once_share_one_draw(self):
+        # more threads than cores ask an undrawn model for columns at once,
+        # with a short switch interval: one draw, and every block equal
+        model = Model("rf", np.zeros((64, 2)), features=FeatureMapSpec(64, 1.5, 5), dim=3)
+        x = np.random.default_rng(0).standard_normal((16, 3))
+        patch, calls = _counting_draws()
+        start = threading.Barrier(8)
+        blocks = []
+
+        def ask():
+            start.wait(timeout=10)
+            blocks.append(model.columns(x, np.arange(64)[::-1]))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with patch:
+                threads = [threading.Thread(target=ask) for _ in range(8)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert calls == [64] and len(blocks) == 8
+        assert all(b.tobytes() == blocks[0].tobytes() for b in blocks)
+
+
+def _dense_objective_case(method, n, d, k, lams, seed):
+    """A random batch of ``lams`` with its E formed densely, the system it
+    belongs to and, per lambda, the dense formula's value and the sum of
+    its terms' magnitudes."""
+    rng = np.random.default_rng(seed)
+    data = Dataset(rng.standard_normal((n, d)), rng.integers(0, k, n), k)
+    Y = one_vs_all(data)
+    kspec = KernelSpec("rbf", float(rng.uniform(0.5, 3.0)))
+    gamma = float(rng.uniform(1e-6, 1.0))
+    if method == "full":
+        rows = n
+        model = Model("full", np.zeros((n, k)), kernel=kspec, anchors=data.X)
+    elif method == "nystrom":
+        rows = int(rng.integers(1, n + 1))
+        landmarks = draw_landmarks(n, rows, seed)
+        model = Model("nystrom", np.zeros((rows, k)), kernel=kspec,
+                      anchors=data.X[landmarks], landmarks=landmarks)
+    else:
+        rows = int(rng.integers(1, 12))
+        model = Model("rf", np.zeros((rows, k)), features=FeatureMapSpec(rows, 1.5, seed), dim=d)
+    kb = model.columns(data.X, at_anchors=True)
+    coeffs = rng.standard_normal((rows, len(lams) * k)) * 10.0 ** rng.uniform(-3, 1)
+    resid = kb @ coeffs - np.tile(Y, len(lams))
+    if method == "nystrom":
+        resid[model.landmarks] += np.repeat([n * lam for lam in lams], k) * coeffs
+    batch = _Batch(lams, coeffs, resid, n)
+    system = solvers._system(model, Y, 1, gamma, None)
+    expected, scales = [], []
+    for lam, cols in zip(lams, batch.cols):
+        c = coeffs[:, cols]
+        if method == "full":
+            terms = [0.5 * np.sum(c * (kb @ c)), 0.5 * n * lam * np.sum(c * c), -np.sum(Y * c)]
+            expected.append(full_surrogate(c, kb, Y, lam))
+        elif method == "nystrom":
+            r = kb @ c - Y
+            terms = [np.sum(r * r) / n, lam * np.sum(c * (kb @ c)[model.landmarks]),
+                     lam * gamma * np.sum(c * c)]
+            expected.append(nystrom_objective(c, kb, model.landmarks, Y, lam, gamma))
+        else:
+            terms = [np.sum((kb @ c - Y) ** 2) / n, lam * np.sum(c * c)]
+            expected.append(rf_objective(c, kb, Y, lam))
+        scales.append(sum(abs(t) for t in terms))
+    return system, batch, expected, scales
+
+
+@settings(max_examples=120, deadline=None)
+@given(method=st.sampled_from(["full", "nystrom", "rf"]), n=st.integers(1, 40),
+       d=st.integers(1, 4), k=st.integers(1, 3),
+       lams=st.lists(st.floats(1e-4, 1.0), min_size=1, max_size=4, unique=True),
+       seed=st.integers(0, 2**32 - 1))
+def test_objectives_match_the_dense_formulas(method, n, d, k, lams, seed):
+    # one pass over the batch gives each lambda's objective within 1e-12 of
+    # the dense formula, relative to the sum of its terms' magnitudes: the
+    # objective itself for nystrom and rf, whose terms are non-negative
+    system, batch, expected, scales = _dense_objective_case(method, n, d, k, lams, seed)
+    objs = system.objectives(batch)
+    assert len(objs) == len(lams) and all(type(o) is float for o in objs)
+    for obj, want, scale in zip(objs, expected, scales):
+        assert abs(obj - want) <= 1e-12 * scale
+    # a non-finite entry of one lambda's E makes its objective non-finite,
+    # which the descent guard refuses; the other lambdas' stay finite
+    last = batch.cols[-1]
+    batch.resid[int(seed % n), last.start] = np.inf
+    with np.errstate(invalid="ignore", over="ignore"):
+        poisoned = system.objectives(batch)
+    assert all(np.isfinite(poisoned[:-1]))
+    with pytest.raises(DivergenceError, match="non-finite"):
+        _guard_descent(np.inf, poisoned[-1])
