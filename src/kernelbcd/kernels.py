@@ -182,7 +182,7 @@ class Dataset:
 
 
 def kernel_cross(
-    Xa: np.ndarray, Xb: np.ndarray, spec: KernelSpec, rows=None
+    Xa: np.ndarray, Xb: np.ndarray, spec: KernelSpec, rows=None, *, out=None
 ) -> np.ndarray:
     """Pairwise kernel matrix, entry (i, j) = k(Xa_i, Xb_j).
 
@@ -194,14 +194,18 @@ def kernel_cross(
     ``rows``, when given, says that Xb is Xa[rows]: the block meets its own
     anchors there, and its |rows| x |rows| sub-block ``out[rows]`` is made
     exactly symmetric, with a unit diagonal for rbf.
+
+    ``out``, when given, is the array the block is written into and
+    returned as (``_block_out``); the GEMM writes it directly.
     """
     Xa, Xb = check_matrix("Xa", Xa), check_matrix("Xb", Xb)
     if Xa.shape[1] != Xb.shape[1]:
         raise DimensionMismatchError(
             f"feature dimensions {Xa.shape[1]} and {Xb.shape[1]} differ"
         )
+    out = _block_out(out, (Xa.shape[0], Xb.shape[0]))
     if spec.family == "linear":
-        out = Xa @ Xb.T
+        np.matmul(Xa, Xb.T, out=out)
     else:
         scale = -2.0 * spec.sigma**2
         # an input whose squared norm passes _FAR_NORM can overflow the sum;
@@ -209,7 +213,7 @@ def kernel_cross(
         # whose overflow to inf is the limit 0
         with np.errstate(over="ignore", invalid="ignore"):
             # -2 Xb is exact, so the GEMM gives -2 x.y with the bits of x.y
-            out = Xa @ (-2.0 * Xb).T
+            np.matmul(Xa, (-2.0 * Xb).T, out=out)
             norms_a = np.einsum("ij,ij->i", Xa, Xa)[:, None]
             norms_b = np.einsum("ij,ij->i", Xb, Xb)
             out += norms_a
@@ -231,6 +235,21 @@ def kernel_cross(
     return out
 
 
+def _block_out(out, shape) -> np.ndarray:
+    """The array a block is made in: a new one when ``out`` is None, else
+    ``out``, which must be a C-contiguous float64 array of the block's
+    ``shape`` (DimensionMismatchError otherwise): the passes after the
+    GEMM run over it in place, row by row."""
+    if out is None:
+        return np.empty(shape)
+    if out.shape != shape or out.dtype != np.float64 or not out.flags.c_contiguous:
+        raise DimensionMismatchError(
+            f"a block of shape {shape} needs a C-contiguous float64 array of that "
+            f"shape, got {out.dtype} {out.shape}"
+        )
+    return out
+
+
 def feature_params(spec: FeatureMapSpec, m: int, d: int) -> tuple[np.ndarray, float]:
     """Frequency/phase pair (omega_m, b_m) for feature m of a d-dim input.
 
@@ -245,7 +264,7 @@ def feature_params(spec: FeatureMapSpec, m: int, d: int) -> tuple[np.ndarray, fl
 
 
 def random_features_block(
-    X: np.ndarray, indices, spec: FeatureMapSpec, draw=None
+    X: np.ndarray, indices, spec: FeatureMapSpec, draw=None, *, out=None
 ) -> np.ndarray:
     """Return the n x |I| block Z([n], I) of the random cosine feature matrix.
 
@@ -258,20 +277,26 @@ def random_features_block(
     ``random_features_stack``.  ``draw`` is ``feature_draw(spec, d)`` for
     X's width d: the block then gathers its columns from it, byte for byte
     the columns it would draw.
+
+    ``out``, when given, is the array the block is written into and
+    returned as (``_block_out``): ``_entries`` makes its GEMM and cosine
+    there in place.
     """
-    if draw is None:
-        return random_features_stack(X, indices, spec, (spec.master_seed,))[:, 0]
     X = check_matrix("X", X)
     idx = validate_indices(indices, spec.p)
-    freqs, phases = draw
-    if freqs.shape != (X.shape[1], spec.p) or phases.shape != (spec.p,):
-        raise DimensionMismatchError(
-            f"a draw of shape {freqs.shape} is not the draw of {spec.p} columns "
-            f"for {X.shape[1]} features"
-        )
-    # take, not freqs[:, idx]: a fancy-index gather can come out F-ordered,
-    # and the GEMM then rounds differently from the block's own draw
-    return _entries(X, freqs.take(idx, axis=1), phases[idx], idx.size, spec.p)
+    if draw is None:
+        freqs, phases = _block_params(spec, idx, X.shape[1])
+    else:
+        freqs, phases = draw
+        if freqs.shape != (X.shape[1], spec.p) or phases.shape != (spec.p,):
+            raise DimensionMismatchError(
+                f"a draw of shape {freqs.shape} is not the draw of {spec.p} columns "
+                f"for {X.shape[1]} features"
+            )
+        # take, not freqs[:, idx]: a fancy-index gather can come out F-ordered,
+        # and the GEMM then rounds differently from the block's own draw
+        freqs, phases = freqs.take(idx, axis=1), phases[idx]
+    return _entries(X, freqs, phases, idx.size, spec.p, out)
 
 
 def feature_draw(spec: FeatureMapSpec, d: int) -> tuple[np.ndarray, np.ndarray]:
@@ -300,15 +325,15 @@ def random_features_stack(X: np.ndarray, indices, spec: FeatureMapSpec, seeds) -
     return z.reshape(X.shape[0], len(seeds), idx.size)
 
 
-def _entries(X, freqs, phases, width: int, p: int) -> np.ndarray:
+def _entries(X, freqs, phases, width: int, p: int, out=None) -> np.ndarray:
     """The feature entries sqrt(2/p) cos(X freqs + phases), the columns of
     C-contiguous ``freqs`` taken ``width`` at a time: each block keeps its
     own GEMM, so its bits are those of its own call.  The entries are then
     made in one pass over row chunks of about ``_COS_CHUNK_ENTRIES``
     entries: add the phases, then ``_scaled_cos``.  Every step acts entry
     by entry, so the bytes do not depend on the chunks.  The scratch is
-    allocated once."""
-    z = np.empty((X.shape[0], freqs.shape[1]))
+    allocated once, the entries made in ``out`` (``_block_out``)."""
+    z = _block_out(out, (X.shape[0], freqs.shape[1]))
     for first in range(0, freqs.shape[1], max(1, width)):
         cols = slice(first, first + width)
         np.matmul(X, freqs[:, cols], out=z[:, cols])

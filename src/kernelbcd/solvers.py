@@ -57,7 +57,10 @@ the model's one block of every column.
 Within a sweep the next block is generated while the current one is
 applied (``threads.ahead``): a block source is called one call at a time,
 in sweep order, possibly from a worker thread, and never for a block past
-the sweep's last.
+the sweep's last.  A block source writes its n x b block into the array
+it is handed (``Model.columns``' ``out=``): a run allocates two such
+buffers, on the calling thread, and every sweep of the run, the
+``check_residual`` pass included, alternates between them.
 """
 
 from __future__ import annotations
@@ -228,7 +231,7 @@ class Model:
     An rf model draws its features (``feature_draw``) once per input
     width, on first use, and keeps the draw on the instance: it is not a
     field, so it is in neither the model's file, its repr nor its
-    equality.
+    equality.  The models a solve returns share the draw of their run.
     """
 
     method: str
@@ -257,7 +260,9 @@ class Model:
                     "coefficient rows must match anchor rows"
                 )
 
-    def columns(self, X: np.ndarray, cols=None, at_anchors: bool = False) -> np.ndarray:
+    def columns(
+        self, X: np.ndarray, cols=None, at_anchors: bool = False, *, out=None
+    ) -> np.ndarray:
         """The column block at the rows of ``X``: k(X, anchors[cols]) for
         full/nystrom, z(X)[:, cols] for rf; every column when ``cols`` is
         None.  Coefficient row j weights column j.  ``X`` must be 2-d and,
@@ -272,7 +277,11 @@ class Model:
         ``at_anchors`` says that ``X`` is the training data the anchors are
         rows of (all of them for full, the landmarks for nystrom): the
         block's b x b sub-block at the anchors' own rows is then exactly
-        symmetric (``kernel_cross``'s ``rows``)."""
+        symmetric (``kernel_cross``'s ``rows``).
+
+        ``out``, when given, is a C-contiguous float64 array of the block's
+        shape: the block is written into it and it is returned, byte for
+        byte the block made without it."""
         X = check_matrix("data", X)
         width = self.dim if self.method == "rf" else self.anchors.shape[1]
         if width is not None and X.shape[1] != width:
@@ -284,13 +293,15 @@ class Model:
         if self.method == "rf":
             if cols is None:
                 cols = np.arange(self.features.p)
-            return random_features_block(X, cols, self.features, self._draw(X.shape[1]))
+            return random_features_block(
+                X, cols, self.features, self._draw(X.shape[1]), out=out
+            )
         anchors = self.anchors if cols is None else self.anchors[cols]
         rows = None
         if at_anchors:
             rows = np.arange(X.shape[0]) if self.landmarks is None else self.landmarks
             rows = rows if cols is None else rows[cols]
-        return kernel_cross(X, anchors, self.kernel, rows)
+        return kernel_cross(X, anchors, self.kernel, rows, out=out)
 
     def _draw(self, d: int) -> tuple[np.ndarray, np.ndarray]:
         """The rf feature draw for d-dim inputs, made on first use; two
@@ -592,7 +603,7 @@ class _BlockSystem:
 
     Y: np.ndarray
     b: int
-    block: Callable[[np.ndarray], np.ndarray]  # coefficient rows -> n x b
+    block: Callable[[np.ndarray, np.ndarray], np.ndarray]  # (rows, out) -> out
     gamma = 1.0  # A adds n lam gamma I
 
     def __post_init__(self):
@@ -812,12 +823,13 @@ class _PendingCheck:
         return self.snapshot
 
 
-def _recomputed_resids(system, batch, blocks) -> np.ndarray:
+def _recomputed_resids(system, batch, blocks, buffers) -> np.ndarray:
     """Every lambda's E, side by side, recomputed from its coefficients in
-    one pass over ``blocks`` starting from -Y, each block generated once
-    and applied to every lambda in one product."""
+    one pass over ``blocks`` starting from -Y, each block generated once,
+    into the run's ``buffers``, and applied to every lambda in one
+    product."""
     fresh = np.tile(-system.Y, len(batch.lams))
-    with closing(ahead(system.block, blocks)) as kbs:
+    with closing(ahead(system.block, blocks, buffers)) as kbs:
         for pos, (kb, _) in zip(blocks, kbs):
             system.accumulate(fresh, pos, kb, batch.coeffs[pos], batch.lam_eff)
     return fresh
@@ -829,7 +841,8 @@ def _run(
     grad_tol: float | None = None, check_residual: bool = False, rmse: bool = False,
 ) -> list[tuple[Model, ConvergenceTrace]]:
     """Sweep ``plan`` for ``epochs`` epochs, carrying every lambda, and
-    return one copy of ``model`` per lambda with its coefficients.
+    return one copy of ``model`` per lambda with its coefficients, sharing
+    ``model``'s feature draw.
 
     Each visit generates the column block once, times ``system.visit``
     forming the products every lambda shares, then ``system.update`` makes
@@ -867,7 +880,10 @@ def _run(
 
     The sweeps run inside ``solver_threads``: OpenBLAS on one thread, and
     each sweep's blocks taken from ``threads.ahead``, which generates block
-    i + 1 on a background thread while visit i runs for every lambda.  The first
+    i + 1 on a background thread while visit i runs for every lambda.
+    Every block of the run is written into one of two n x b buffers
+    allocated here, on the calling thread: block i of a sweep into
+    ``buffers[i % 2]``.  The first
     block of a sweep is generated after the previous epoch end's stop
     decision, so no block is generated that the run does not use.  A
     generation error is raised when its block is taken; a visit error
@@ -893,6 +909,7 @@ def _run(
     traces = [ConvergenceTrace() for _ in lams]
     prev_objs = [np.inf] * len(lams)
     caller_err = np.geterr()
+    buffers = (np.empty((n, plan.block_size)), np.empty((n, plan.block_size)))
 
     def visit(epoch, blk, pos, kb, gen_s, wait_s):
         ledger.set_position(epoch, blk)
@@ -928,7 +945,7 @@ def _run(
         for epoch in range(epochs):
             failure = None
             blocks = epoch_blocks(plan, epoch)
-            with closing(ahead(system.block, blocks)) as sweep:
+            with closing(ahead(system.block, blocks, buffers)) as sweep:
                 for blk, pos in enumerate(blocks):
                     t_take = perf_counter()
                     kb, gen_s = next(sweep)
@@ -951,7 +968,7 @@ def _run(
                     raise failure
                 pending = None
             if check_residual:
-                fresh = _recomputed_resids(system, batch, blocks)
+                fresh = _recomputed_resids(system, batch, blocks, buffers)
                 for cols in batch.cols:
                     _assert_residual(fresh[:, cols], batch.resid[:, cols], system.Y)
             if grad_tol is None or epoch == epochs - 1:
@@ -961,8 +978,12 @@ def _run(
                 pending = check
             elif check.passed(grad_tol):  # summed already, from E
                 break
-    return [(dataclasses.replace(model, coefficients=batch.coeffs[:, cols].copy()), trace)
-            for cols, trace in zip(batch.cols, traces)]
+    results = []
+    for cols, trace in zip(batch.cols, traces):
+        fitted = dataclasses.replace(model, coefficients=batch.coeffs[:, cols].copy())
+        fitted._draws = model._draws  # the run's feature draw, made once
+        results.append((fitted, trace))
+    return results
 
 
 def _system(model: Model, Y: np.ndarray, b: int, gamma: float, block) -> _BlockSystem:
@@ -983,7 +1004,8 @@ def _run_spec(
 ) -> list[tuple[Model, ConvergenceTrace]]:
     """The one place a spec (plus ``p``) picks a method: build a
     zero-coefficient model of it, then run its system (``_system``) on the
-    model's column map, or on ``block_fn`` when given."""
+    model's column map, or on ``block_fn`` when given.  ``block_fn(pos)``
+    returns its block, which is copied into the run's buffer."""
     Y = one_vs_all(data)
     if isinstance(spec, FeatureMapSpec):
         model = Model("rf", np.zeros((spec.p, data.k)), features=spec, dim=data.d)
@@ -999,7 +1021,13 @@ def _run_spec(
     rows = model.coefficients.shape[0]
     if plan.universe != rows:
         raise ConfigError(f"plan universe {plan.universe} != {rows} coefficient rows")
-    block = block_fn or (lambda pos: model.columns(data.X, pos, at_anchors=True))
+    if block_fn is None:
+        def block(pos, out):
+            return model.columns(data.X, pos, at_anchors=True, out=out)
+    else:
+        def block(pos, out):
+            np.copyto(out, block_fn(pos))
+            return out
     system = _system(model, Y, plan.block_size, gamma, block)
     return _run(data, system, model, lams, plan, epochs, **kwargs)
 

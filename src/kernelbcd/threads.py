@@ -11,7 +11,9 @@ thread, and ``ahead`` generates the next block of a sweep on a persistent
 background thread while the caller uses the current one, if the process
 may use more than one CPU.  Outside it, and where no OpenBLAS thread
 control is found (MKL, a system BLAS), every block is generated on the
-calling thread.
+calling thread.  Either way ``ahead`` writes the blocks into two buffers
+its caller owns, block i into ``buffers[i % 2]`` (the block source's
+``out=``), so a sweep allocates no block, on any thread.
 
 The libraries are found the way ``threadpoolctl`` does, which is not a
 dependency: read ``/proc/self/maps`` and look their thread controls up
@@ -117,10 +119,10 @@ def _may_look_ahead() -> bool:
     return bool(_depth and _saved) and _cpu_count() > 1
 
 
-def _timed(fn, item):
+def _timed(fn, item, out):
     start = perf_counter()
-    out = fn(item)
-    return out, perf_counter() - start
+    block = fn(item, out)
+    return block, perf_counter() - start
 
 
 def _lookahead_thread() -> ThreadPoolExecutor:
@@ -132,46 +134,49 @@ def _lookahead_thread() -> ThreadPoolExecutor:
         return _ahead_pool
 
 
-def ahead(fn, items):
-    """Yield ``(fn(item), seconds)`` for each of ``items`` in order, where
-    ``seconds`` is the call's own duration.
+def ahead(fn, items, buffers):
+    """Yield ``(fn(item, out), seconds)`` for each of ``items`` in order,
+    where ``out`` is ``buffers[i % 2]`` for item i and ``seconds`` is the
+    call's own duration.  ``fn`` writes its block into ``out``; a yielded
+    block is valid until the consumer asks for the next one.
 
     The first call runs on the calling thread when the first pair is asked
     for.  If its result has at least ``_AHEAD_MIN_ENTRIES`` entries and
     ``_may_look_ahead()`` (a solver scope has pinned an OpenBLAS and the
     process may use several CPUs), each later call is started on the
     lookahead thread as soon as the previous pair is handed out, under the
-    calling thread's ``np.geterr()``; otherwise every call runs on the
-    calling thread when its pair is asked for.  Either way ``fn`` is called
-    once per item, in order, one call at a time, and never for an item
-    past the last.  A failed call raises its exception when its pair is
-    asked for.
+    calling thread's ``np.geterr()``, writing into the buffer the consumer
+    no longer holds; otherwise every call runs on the calling thread when
+    its pair is asked for.  Either way ``fn`` is called once per item, in
+    order, one call at a time, and never for an item past the last.  A
+    failed call raises its exception when its pair is asked for.
 
     Close the generator (``contextlib.closing``) when the consumer may stop
-    early: closing waits for a call in flight and drops its exception.
+    early: closing waits for a call in flight and drops its exception, so
+    no call writes into ``buffers`` once the generator is closed.
     """
-    items = iter(items)
-    for item in items:
-        out = _timed(fn, item)
+    calls = ((item, buffers[i % 2]) for i, item in enumerate(items))
+    for call in calls:
+        out = _timed(fn, *call)
         break
     else:
         return
     if not _may_look_ahead() or out[0].size < _AHEAD_MIN_ENTRIES:
         yield out
-        for item in items:
-            yield _timed(fn, item)
+        for call in calls:
+            yield _timed(fn, *call)
         return
     err = np.geterr()
 
-    def task(item):
+    def task(call):
         with np.errstate(**err):
-            return _timed(fn, item)
+            return _timed(fn, *call)
 
     pool = _lookahead_thread()
     future = None
     try:
-        for item in items:
-            future = pool.submit(task, item)
+        for call in calls:
+            future = pool.submit(task, call)
             yield out
             out = future.result()
         yield out

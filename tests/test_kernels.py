@@ -648,3 +648,29 @@ def test_features_at_the_sigma_edge_stay_finite_and_bounded():
         z = random_features_block(x, np.arange(16), spec)
     assert np.isfinite(z).all() and np.abs(z).max() <= np.sqrt(2.0 / 16)
     assert z.tobytes() == random_feature_entries(t, 16).tobytes()
+
+
+@pytest.mark.parametrize("source", ["rbf", "linear", "rf", "rf-draw"])
+def test_a_block_written_into_out_is_the_block_made_without_it(source):
+    # out is filled in place, byte for byte the new block, and must be a
+    # C-contiguous float64 array of the block's shape
+    X = np.random.default_rng(3).standard_normal((12, 3))
+    cols = np.array([5, 1, 4])
+    if source.startswith("rf"):
+        spec = FeatureMapSpec(8, 1.5, master_seed=4)
+        draw = kernels.feature_draw(spec, 3) if source == "rf-draw" else None
+
+        def block(out=None):
+            return random_features_block(X, cols, spec, draw, out=out)
+    else:
+        def block(out=None):
+            return kernel_cross(X, X[cols], KernelSpec(source, 1.5), cols, out=out)
+
+    fresh = block()
+    out = np.full((12, 3), np.nan)
+    assert block(out) is out
+    assert out.tobytes() == fresh.tobytes()
+    for bad in (np.empty((12, 4)), np.empty((12, 3), order="F"),
+                np.empty((12, 3), np.float32)):
+        with pytest.raises(DimensionMismatchError, match="C-contiguous float64"):
+            block(bad)

@@ -47,6 +47,7 @@ from kernelbcd.solvers import (
     solve_rf,
     _Batch,
     _GramSystem,
+    _assert_residual,
     _guard_descent,
     _run,
     _run_spec,
@@ -976,10 +977,13 @@ def test_fault_in_discarded_sweep_does_not_raise(method, fault):
     def system():
         if method == "nystrom":
             return _GramSystem(
-                Y, 4, lambda pos: kernel_cross(data.X, data.X[landmarks[pos]], kspec),
+                Y, 4,
+                lambda pos, out: kernel_cross(data.X, data.X[landmarks[pos]], kspec, out=out),
                 landmarks=landmarks, gamma=1.0,
             )
-        return _GramSystem(Y, 4, lambda pos: random_features_block(data.X, pos, fspec))
+        return _GramSystem(
+            Y, 4, lambda pos, out: random_features_block(data.X, pos, fspec, out=out)
+        )
 
     def run(sys_):
         ledger = CostLedger()
@@ -1005,6 +1009,32 @@ def test_descent_guard_scales_with_objective():
         data, KernelSpec("linear"), 1e-12, make_plan(64, 32, seed=1), 400
     )
     assert len(trace.records) == 800
+
+
+@pytest.mark.parametrize("prev", [5.0, -3.0, 0.25, 0.0])
+def test_descent_guard_raises_just_past_its_tolerance(prev):
+    # README: a rise beyond 1e-9 times max(1, |objective|) raises; the
+    # literal, not DESCENT_TOL, so a loosened constant fails here
+    allowed = 1e-9 * max(1.0, abs(prev))
+    _guard_descent(prev, prev + 0.99 * allowed)
+    with pytest.raises(DivergenceError, match="increased"):
+        _guard_descent(prev, prev + 1.01 * allowed)
+
+
+@pytest.mark.parametrize("scale", [1e3, 1.0, 1e-3])
+def test_residual_check_raises_just_past_its_drift_limit(scale):
+    # README: check_residual raises once the maintained E drifts more than
+    # 1e-8 from its recomputation, relative to (K_J + n lam S_J) a = E + Y
+    Y = np.array([[1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]])
+    fresh = np.array([[0.6, 0.0], [0.8, 0.0], [0.0, 0.0]]) * scale - Y
+    for factor, raises in ((0.99, False), (1.01, True)):
+        maintained = fresh.copy()
+        maintained[2, 1] += factor * 1e-8 * scale
+        if raises:
+            with pytest.raises(DivergenceError, match="drifted"):
+                _assert_residual(fresh, maintained, Y)
+        else:
+            _assert_residual(fresh, maintained, Y)
 
 
 def test_rf_model_records_input_width(tmp_path):
@@ -1181,10 +1211,10 @@ def test_run_generates_the_test_block_once(method, epochs, monkeypatch):
     test = gaussian_blobs(11, 3, 2, seed=111)
     counts = []
     for name in ("kernel_cross", "random_features_block"):
-        def counted(X, *args, real=getattr(solvers, name)):
+        def counted(X, *args, real=getattr(solvers, name), **kwargs):
             if len(X) == test.n:
                 counts.append(name)
-            return real(X, *args)
+            return real(X, *args, **kwargs)
 
         monkeypatch.setattr(solvers, name, counted)
     _, _, run = _stop_case(method)
@@ -1280,6 +1310,21 @@ class TestOneFeatureDraw:
         save_model(model, tmp_path / "drawn.kbcd")
         save_model(undrawn, tmp_path / "undrawn.kbcd")
         assert (tmp_path / "drawn.kbcd").read_bytes() == (tmp_path / "undrawn.kbcd").read_bytes()
+
+    @pytest.mark.parametrize("n_lams", [1, 3])
+    def test_a_solve_result_keeps_the_runs_draw(self, n_lams):
+        # every model a run returns shares the draw the run made, so its
+        # first predict draws nothing, and scores as a model that draws
+        data = gaussian_blobs(24, 3, 2, seed=78)
+        spec = FeatureMapSpec(8, 2.0, 79)
+        lams = [1e-2, 1e-1, 1.0][:n_lams]
+        results = solve_path(data, spec, lams, make_plan(8, 4, 80), 3)
+        patch, calls = _counting_draws()
+        with patch:
+            scores = [predict(model, data.X) for model, _ in results.values()]
+        assert calls == []
+        for (model, _), got in zip(results.values(), scores):
+            assert got.tobytes() == predict(dataclasses.replace(model), data.X).tobytes()
 
     def test_a_loaded_model_draws_on_its_first_predict(self, tmp_path):
         data = gaussian_blobs(24, 3, 2, seed=78)

@@ -213,15 +213,15 @@ def source_threads(monkeypatch):
     engine makes through ``threads.ahead``."""
     sweeps = []
 
-    def ahead(fn, items):
+    def ahead(fn, items, buffers):
         calls = []
         sweeps.append(calls)
 
-        def recorded(item):
+        def recorded(item, out):
             calls.append(threading.get_ident())
-            return fn(item)
+            return fn(item, out)
 
-        return threads.ahead(recorded, items)
+        return threads.ahead(recorded, items, buffers)
 
     monkeypatch.setattr(solvers, "ahead", ahead)
     return sweeps
@@ -288,9 +288,9 @@ def test_predict_and_the_dense_diagnostics_run_in_the_scope(blas_at_three, monke
     seen = []
     real = solvers.kernel_cross
 
-    def kernel_cross_counted(*args):
+    def kernel_cross_counted(*args, **kwargs):
         seen.append(counts(blas_at_three))
-        return real(*args)
+        return real(*args, **kwargs)
 
     monkeypatch.setattr(solvers, "kernel_cross", kernel_cross_counted)
     assert solvers.predict(model, x).tobytes() == inside.tobytes()
@@ -327,34 +327,42 @@ def lookahead(on):
 def test_ahead_generates_large_blocks_ahead_and_small_ones_in_place():
     callers = []
 
-    def source(rows):
+    def source(rows, out):
         callers.append(threading.get_ident())
-        return np.zeros((rows, 1))
+        out[:rows] = 0.0
+        return out[:rows]
 
     large = threads._AHEAD_MIN_ENTRIES
+    buffers = (np.empty((large, 1)), np.empty((large, 1)))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(threads, "_may_look_ahead", lambda: True)
         for rows, ahead_of_caller in ((large - 1, False), (large, True)):
             callers.clear()
-            pairs = list(threads.ahead(source, [rows] * 4))
+            pairs = list(threads.ahead(source, [rows] * 4, buffers))
             assert [block.shape for block, _ in pairs] == [(rows, 1)] * 4
+            # block i is written into buffers[i % 2]
+            assert all(np.shares_memory(block, buffers[i % 2])
+                       for i, (block, _) in enumerate(pairs))
             assert all(seconds >= 0 for _, seconds in pairs)
             assert callers[0] == threading.get_ident()
             assert (threading.get_ident() not in callers[1:]) == ahead_of_caller
 
 
 def test_ahead_runs_under_the_callers_error_state():
-    def overflow(i):  # the first call, on the calling thread, does not
-        return np.full((threads._AHEAD_MIN_ENTRIES, 1), 1e300) * (1e300 if i else 1.0)
+    def overflow(i, out):  # the first call, on the calling thread, does not
+        out[:] = 1e300
+        out *= 1e300 if i else 1.0
+        return out
 
+    buffers = tuple(np.empty((threads._AHEAD_MIN_ENTRIES, 1)) for _ in range(2))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(threads, "_may_look_ahead", lambda: True)
         with np.errstate(over="raise"), pytest.raises(FloatingPointError):
-            list(threads.ahead(overflow, range(3)))
+            list(threads.ahead(overflow, range(3), buffers))
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             with np.errstate(over="ignore"):
-                assert len(list(threads.ahead(overflow, range(3)))) == 3
+                assert len(list(threads.ahead(overflow, range(3), buffers))) == 3
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
@@ -392,8 +400,9 @@ class Source:
 
 def lookahead_case(method, lams, **source_kw):
     """A small problem of ``method``: its recording source, and
-    ``run(workers, **kw)``, which runs the engine on that source for six
-    epochs with a fresh ledger and returns the results and the ledger."""
+    ``run(workers, **kw)``, which runs the engine on that source, or on the
+    model's own column map given ``block_fn=None``, for six epochs with a
+    fresh ledger and returns the results and the ledger."""
     data = gaussian_blobs(48, 3, 3, seed=11)
     kspec = KernelSpec("rbf", sigma=1.7)
     fspec = FeatureMapSpec(24, 1.7, master_seed=12)
@@ -410,10 +419,10 @@ def lookahead_case(method, lams, **source_kw):
         fn = lambda pos: random_features_block(data.X, pos, fspec)  # noqa: E731
     source = Source(fn, **source_kw)
 
-    def run(workers=1, **kw):
+    def run(workers=1, block_fn=source, **kw):
         ledger = CostLedger()
         results = solvers._run_spec(
-            data, spec, lams, plan, 6, block_fn=source,
+            data, spec, lams, plan, 6, block_fn=block_fn,
             exec_ctx=ExecContext(workers, ledger), **extra, **kw,
         )
         return results, ledger
@@ -536,3 +545,74 @@ def test_a_failing_visit_waits_for_the_generation_in_flight(blas_at_three, monke
         run()
     assert len(source.calls) == 3 and source.active == 0
     assert counts(blas_at_three) == [3] * len(blas_at_three)
+
+
+# ---------------------------------------------------------------------------
+# the run's two block buffers
+
+
+def poisoned_ahead(callers):
+    """``threads.ahead`` that fills each block it yields with NaN as soon as
+    the next one is asked for, and adds the thread of each block-source call
+    to ``callers``."""
+
+    def ahead(fn, items, buffers):
+        def recorded(item, out):
+            callers.add(threading.get_ident())
+            return fn(item, out)
+
+        with contextlib.closing(threads.ahead(recorded, items, buffers)) as blocks:
+            for kb, seconds in blocks:
+                yield kb, seconds
+                kb.fill(np.nan)
+
+    return ahead
+
+
+@pytest.mark.parametrize("check_residual", [False, True])
+@pytest.mark.parametrize("grad_tol", [None, 1e-2])
+@pytest.mark.parametrize("n_lams", [1, 3])
+@pytest.mark.parametrize("method", ["full", "nystrom", "rf"])
+def test_no_block_is_read_once_the_next_is_asked_for(method, n_lams, grad_tol,
+                                                     check_residual):
+    # a yielded block is valid only until the next is asked for: a run
+    # whose blocks are poisoned from then on is byte-equal to a clean one
+    lams = [1e-3, 1e-2, 1e-1][:n_lams]
+    kw = dict(block_fn=None, grad_tol=grad_tol, check_residual=check_residual)
+    for on in (True, False):
+        values, callers = [], set()
+        for ahead in (threads.ahead, poisoned_ahead(callers)):
+            _, run = lookahead_case(method, lams)
+            with lookahead(on), pytest.MonkeyPatch.context() as mp:
+                mp.setattr(solvers, "ahead", ahead)
+                values.append(run_values(*run(**kw)))
+        assert values[0] == values[1]
+        if on and threads.openblas_controls():
+            assert len(callers) > 1  # the lookahead did run
+        if not on:
+            assert callers == {threading.get_ident()}
+
+
+@pytest.mark.parametrize("on", [True, False])
+@pytest.mark.parametrize("method", ["full", "nystrom", "rf"])
+def test_a_run_hands_its_block_source_two_buffers(method, on, monkeypatch):
+    # every sweep, the check sweeps and the check_residual pass included,
+    # writes into the same two n x b buffers; the test set's block, made
+    # once, is not one of them
+    handed = []
+    real = solvers.Model.columns
+
+    def columns(self, X, *args, out=None, **kwargs):
+        handed.append(out)
+        return real(self, X, *args, out=out, **kwargs)
+
+    monkeypatch.setattr(solvers.Model, "columns", columns)
+    _, run = lookahead_case(method, [1e-2, 1e-1])
+    with lookahead(on):
+        run(block_fn=None, grad_tol=1e-2, check_residual=True,
+            test_data=gaussian_blobs(16, 3, 3, seed=15))
+    assert handed[0] is None  # the test set's block
+    buffers = handed[1:]
+    assert len(buffers) > 2 and len({id(out) for out in buffers}) == 2
+    assert all(out.shape == (48, 8) and out.dtype == np.float64
+               and out.flags.c_contiguous for out in buffers)
