@@ -20,6 +20,11 @@ Every run charges a ledger, the caller's or ``NULL_LEDGER``, which keeps
 nothing.  ``distributed_gram`` is the one gram charge, seconds included; the
 per-block right-hand-side partials ride in its aggregation message, and only
 the b x b payload is charged, as in the closed-form communication column.
+Its worker partials go into a ``GramPartials`` slot, and any of them may
+have been made before the call, on another thread (the solvers' lookahead
+makes a share of them with the block): the call makes the rest, reduces
+all M in the same order, and charges the one ``gram`` row with every
+partial's seconds.
 ``partitioned_matvec`` computes values only; the solvers charge their block
 step's products in the ``residual`` phase.
 
@@ -188,24 +193,60 @@ def _check_partition(part: Partition, n_rows: int) -> None:
         )
 
 
+class GramPartials:
+    """A slot for one block's worker partials of its gram: ``out`` is an
+    M x b x b array, and its first ``made`` entries hold workers 0 ..
+    made - 1's partials, made in ``seconds``, on whichever thread made
+    them.  Each partial is the module's ``gram`` of its worker's rows,
+    written into its entry, so it is byte for byte the same on any thread
+    and in any split of the workers between calls."""
+
+    def __init__(self, workers: int, b: int):
+        self.out = np.empty((workers, b, b))
+        self.reset()
+
+    def reset(self) -> None:
+        """Forget the partials made: the slot serves a new block."""
+        self.made, self.seconds = 0, 0.0
+
+    def make(self, zb: np.ndarray, part: Partition, upto: int) -> None:
+        """Make the partials of workers ``made`` .. ``upto`` - 1 of ``zb``."""
+        start = perf_counter()
+        ranges = part.ranges()
+        for w in range(self.made, upto):
+            lo, hi = ranges[w]
+            gram(zb[lo:hi], out=self.out[w])
+        self.made = max(self.made, upto)
+        self.seconds += perf_counter() - start
+
+
 def distributed_gram(
-    zb: np.ndarray, part: Partition, ledger: CostLedger = NULL_LEDGER
+    zb: np.ndarray, part: Partition, ledger: CostLedger = NULL_LEDGER,
+    partials: GramPartials | None = None,
 ) -> np.ndarray:
     """Row-partitioned Zb^T Zb with tree aggregation.
 
-    Matches the serial ``gram`` to ~1e-10 relative (bit-identical for
-    M = 1).  Ledger: n*b^2 flops, ceil(log2(M)) * b^2 * 8 bytes and its seconds.
+    Makes the worker partials ``partials`` does not hold yet, into it (a
+    new slot when None), and reduces all M of them in worker order.  The
+    result is the same whoever made which partial; it may be a view of the
+    slot.  Matches the serial ``gram`` to ~1e-10 relative (bit-identical
+    for M = 1).  Ledger: one row of n*b^2 flops, ceil(log2(M)) * b^2 * 8
+    bytes, and seconds: every partial's own, on whichever thread made it,
+    plus this call's.
     """
     start = perf_counter()
     zb = np.asarray(zb, dtype=np.float64)
     _check_partition(part, zb.shape[0])
-    parts = [gram(zb[lo:hi]) for lo, hi in part.ranges()]
-    out = _tree_reduce(parts)
+    if partials is None:
+        partials = GramPartials(part.workers, zb.shape[1])
+    made_seconds = partials.seconds
+    partials.make(zb, part, part.workers)
+    out = _tree_reduce(list(partials.out))
     ledger.add(  # out holds the b^2 entries
         "gram",
         flops=part.n_rows * out.size,
         nbytes=tree_rounds(part.workers) * out.size * FLOAT_BYTES,
-        seconds=perf_counter() - start,
+        seconds=made_seconds + perf_counter() - start,
     )
     return out
 

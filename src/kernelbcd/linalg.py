@@ -145,10 +145,12 @@ def sum_in_order(terms) -> float:
     return total
 
 
-def gram(zb: np.ndarray) -> np.ndarray:
-    """Return Zb^T Zb, symmetrized so the result is exactly symmetric."""
+def gram(zb: np.ndarray, *, out=None) -> np.ndarray:
+    """Return Zb^T Zb, symmetrized so the result is exactly symmetric;
+    written into ``out`` and returned when given, byte for byte the gram
+    made without it."""
     g = zb.T @ zb
-    return (g + g.T) * 0.5
+    return np.multiply(np.add(g, g.T, out=out), 0.5, out=out)
 
 
 class SpectralEstimate(NamedTuple):

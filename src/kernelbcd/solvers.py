@@ -60,7 +60,12 @@ in sweep order, possibly from a worker thread, and never for a block past
 the sweep's last.  A block source writes its n x b block into the array
 it is handed (``Model.columns``' ``out=``): a run allocates two such
 buffers, on the calling thread, and every sweep of the run, the
-``check_residual`` pass included, alternates between them.
+``check_residual`` pass included, alternates between them.  The task that
+generates block i + 1 also makes the first m of its M gram partials, into
+a slot beside its buffer (``distsim.GramPartials``), and the visit's
+``distributed_gram`` makes the rest; ``_ahead_share`` picks m from the
+run's running means, so that the two threads' stages balance.  No byte
+depends on m.
 """
 
 from __future__ import annotations
@@ -83,6 +88,7 @@ from .distsim import (
     METHODS,
     NULL_LEDGER,
     ExecContext,
+    GramPartials,
     distributed_gram,
     partitioned_matvec,
 )
@@ -662,7 +668,7 @@ class _FullSystem(_BlockSystem):
         super().__post_init__()
         self.residual_flops = self.n * self.b * self.Y.shape[1]  # kb @ delta
 
-    def visit(self, idx, kb, part, ledger):
+    def visit(self, idx, kb, part, ledger, partials):
         """Per-visit products shared by every lambda: the diagonal block."""
         # the b x b diagonal block ships to the solving node once per
         # visit; the closed form charges it with no worker dependence
@@ -686,6 +692,7 @@ class _FullSystem(_BlockSystem):
         return (0.5 * ce + 0.5 * batch.lam_eff[:: batch.k] * cc - 0.5 * cy).tolist()
 
     check_needs_blocks = False  # E is maintained, so check at once
+    makes_gram = False
 
     def rhs_term(self, idx, kb):
         """||Y[idx]||^2, read with no block."""
@@ -715,12 +722,14 @@ class _GramSystem(_BlockSystem):
     def rows(self, pos):
         return None if self.landmarks is None else self.landmarks[pos]
 
-    def visit(self, pos, kb, part, ledger):
-        """Per-visit products shared by every lambda: the gram and, with
-        landmarks, the block's b x b block of K_JJ.  The gram charges
-        itself; the rhs partials ride in its message."""
+    def visit(self, pos, kb, part, ledger, partials):
+        """Per-visit products shared by every lambda: the gram, reduced from
+        the worker partials in ``partials`` (the ones not made yet are made
+        here), and, with landmarks, the block's b x b block of K_JJ.  The
+        gram charges itself; the rhs partials ride in its message."""
         rows = self.rows(pos)
-        return distributed_gram(kb, part, ledger), None if rows is None else kb[rows]
+        g = distributed_gram(kb, part, ledger, partials)
+        return g, None if rows is None else kb[rows]
 
     def matrix(self, products, lam_eff):
         g, kbb = products
@@ -748,7 +757,8 @@ class _GramSystem(_BlockSystem):
             fit = _column_ips(e, e, lams, self._off_landmarks)
             r = e[self.landmarks] - batch.lam_eff * c  # K_J a - Y at the landmarks
             fit += _column_ips(r, r, lams)
-            r += np.tile(self.Y[self.landmarks], lams)
+            per_lam = r.reshape(-1, lams, batch.k)  # a view: lambda l's columns
+            per_lam += self._landmark_targets  # K_JJ a at the landmarks
             kjj = lam * _column_ips(c, r, lams)
         return (fit / self.n + kjj + lam * self.gamma * _column_ips(c, c, lams)).tolist()
 
@@ -760,9 +770,16 @@ class _GramSystem(_BlockSystem):
         weight[self.landmarks] = 0.0
         return weight
 
+    @cached_property
+    def _landmark_targets(self) -> np.ndarray:
+        """Y at the landmark rows, p x 1 x k, which the objective pass adds
+        to every lambda's K_J a - Y there; made at the first pass."""
+        return self.Y[self.landmarks][:, None, :]
+
     # the normal-equation residual needs every column block, so the engine
     # sums it over the next sweep's blocks
     check_needs_blocks = True
+    makes_gram = True
 
     def rhs_term(self, pos, kb):
         """||block of K_J^T Y||^2, the scale of the relative residual."""
@@ -811,7 +828,7 @@ class _PendingCheck:
         """Every lambda's residual is within tol of the right-hand side's
         norm; a NaN residual never is."""
         if self.rhs_terms is not None:
-            self.system.rhs_norm = max(np.sqrt(sum_in_order(self.rhs_terms)), 1e-30)
+            self.system.rhs_norm = np.sqrt(sum_in_order(self.rhs_terms))
         bound = tol * self.system.rhs_norm
         return all(np.sqrt(sum_in_order(t)) <= bound for t in self.terms)
 
@@ -833,6 +850,42 @@ def _recomputed_resids(system, batch, blocks, buffers) -> np.ndarray:
         for pos, (kb, _) in zip(blocks, kbs):
             system.accumulate(fresh, pos, kb, batch.coeffs[pos], batch.lam_eff)
     return fresh
+
+
+def _ahead_share(means, partials: int) -> int:
+    """How many of a block's ``partials`` gram partials the lookahead makes
+    with the block: the m in 0 .. partials that minimizes
+    max(gen + m * part, rest + (partials - m) * part), the smaller m on a
+    tie, where ``means`` holds a run's running means (gen, part, rest):
+    the block source's seconds per block, the seconds per partial, and the
+    visit's other calling-thread seconds per block.  0 while ``means`` is
+    None, before a visit has been measured."""
+    if means is None:
+        return 0
+    gen, part, rest = means
+    return min(range(partials + 1),
+               key=lambda m: max(gen + m * part, rest + (partials - m) * part))
+
+
+class _Pace:
+    """A run's running sums over its visited blocks, for ``_ahead_share``."""
+
+    def __init__(self):
+        self.blocks = self.partials = 0
+        self.gen = self.gram = self.rest = 0.0
+
+    def add(self, gen: float, slot: GramPartials, rest: float) -> None:
+        self.blocks += 1
+        self.partials += slot.made
+        self.gen += gen
+        self.gram += slot.seconds
+        self.rest += rest
+
+    def means(self):
+        if not self.blocks:
+            return None
+        return (self.gen / self.blocks, self.gram / max(self.partials, 1),
+                self.rest / self.blocks)
 
 
 def _run(
@@ -883,13 +936,21 @@ def _run(
     i + 1 on a background thread while visit i runs for every lambda.
     Every block of the run is written into one of two n x b buffers
     allocated here, on the calling thread: block i of a sweep into
-    ``buffers[i % 2]``.  The first
+    ``buffers[i % 2]``.  Beside each buffer is a ``GramPartials`` slot for
+    the block's M worker partials of its gram, also allocated here, with
+    the buffer's validity: block i+1's task makes the first m of them with
+    the block, where the calling thread picks m when it asks for block i,
+    by ``_ahead_share`` over the run's running means (``_Pace``), and the
+    visit's ``distributed_gram`` makes the rest and reduces all M.  Where
+    m is, and whether a thread looks ahead, changes no byte; ``full`` has
+    no gram, so m is 0.  The first
     block of a sweep is generated after the previous epoch end's stop
     decision, so no block is generated that the run does not use.  A
     generation error is raised when its block is taken; a visit error
     closes the sweep, which waits for the generation in flight.  A trace
     row's seconds count the wait for the block, a ledger generation row
-    the generation's own time.  The sweeps' arithmetic ignores numpy's
+    the generation's own time, and the gram row every partial's own time,
+    on whichever thread made it.  The sweeps' arithmetic ignores numpy's
     overflow and invalid-value warnings, as a non-finite value there raises
     ``DivergenceError`` anyway; the lookahead thread runs under the same
     error state, and the test set's block and errors keep the caller's.
@@ -909,13 +970,26 @@ def _run(
     traces = [ConvergenceTrace() for _ in lams]
     prev_objs = [np.inf] * len(lams)
     caller_err = np.geterr()
-    buffers = (np.empty((n, plan.block_size)), np.empty((n, plan.block_size)))
+    b = plan.block_size
+    buffers = (np.empty((n, b)), np.empty((n, b)))
+    partials = part.workers if system.makes_gram else 0
+    slots = (GramPartials(partials, b), GramPartials(partials, b))
+    pace = _Pace()
 
-    def visit(epoch, blk, pos, kb, gen_s, wait_s):
+    def generate(item, out):
+        """Block ``pos`` into its buffer, and its first m gram partials
+        into the buffer's slot."""
+        (pos, m), (cols, slot) = item, out
+        kb = system.block(pos, cols)
+        slot.reset()
+        slot.make(kb, part, m)
+        return kb
+
+    def visit(epoch, blk, pos, kb, slot, gen_s, wait_s):
         ledger.set_position(epoch, blk)
         ledger.add("generation", flops=n * system.b * data.d, seconds=gen_s)
         t_visit = perf_counter()
-        products = system.visit(pos, kb, part, ledger)
+        products = system.visit(pos, kb, part, ledger, slot)
         res_s, solve_s = system.update(batch, pos, kb, products, part)
         objs = system.objectives(batch)
         shared = wait_s + perf_counter() - t_visit - solve_s
@@ -945,21 +1019,28 @@ def _run(
         for epoch in range(epochs):
             failure = None
             blocks = epoch_blocks(plan, epoch)
-            with closing(ahead(system.block, blocks, buffers)) as sweep:
+            items = ((pos, _ahead_share(pace.means(), partials)) for pos in blocks)
+            with closing(ahead(generate, items, tuple(zip(buffers, slots)))) as sweep:
                 for blk, pos in enumerate(blocks):
                     t_take = perf_counter()
-                    kb, gen_s = next(sweep)
-                    wait_s = perf_counter() - t_take
+                    kb, seconds = next(sweep)
+                    t_got = perf_counter()
+                    slot = slots[blk % 2]
+                    made_s = slot.seconds  # the partials made with the block
+                    gen_s = seconds - made_s
                     if pending is not None:
                         pending.add(blk, pos, kb, part)
                     if failure is not None:
                         continue  # the sweep now only finishes the check
                     try:
-                        visit(epoch, blk, pos, kb, gen_s, wait_s)
+                        visit(epoch, blk, pos, kb, slot, gen_s, t_got - t_take)
                     except Exception as exc:
                         if pending is None:
                             raise
                         failure = exc
+                    else:
+                        rest = perf_counter() - t_got - (slot.seconds - made_s)
+                        pace.add(gen_s, slot, rest)
             if pending is not None:
                 if pending.passed(grad_tol):
                     batch = pending.restore(traces, ledger)

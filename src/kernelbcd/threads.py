@@ -13,7 +13,11 @@ may use more than one CPU.  Outside it, and where no OpenBLAS thread
 control is found (MKL, a system BLAS), every block is generated on the
 calling thread.  Either way ``ahead`` writes the blocks into two buffers
 its caller owns, block i into ``buffers[i % 2]`` (the block source's
-``out=``), so a sweep allocates no block, on any thread.
+``out=``), so a sweep allocates no block, on any thread.  A buffer may be
+a tuple: the solvers pair each n x b block buffer with a slot for the
+block's gram partials, and their block task makes a share of those
+partials with the block, the share named in the task's item, which
+``ahead`` reads lazily so that the caller picks it as late as it can.
 
 The libraries are found the way ``threadpoolctl`` does, which is not a
 dependency: read ``/proc/self/maps`` and look their thread controls up
@@ -138,7 +142,10 @@ def ahead(fn, items, buffers):
     """Yield ``(fn(item, out), seconds)`` for each of ``items`` in order,
     where ``out`` is ``buffers[i % 2]`` for item i and ``seconds`` is the
     call's own duration.  ``fn`` writes its block into ``out``; a yielded
-    block is valid until the consumer asks for the next one.
+    block, and whatever else ``fn`` wrote into ``out``, is valid until the
+    consumer asks for the next one.  ``items`` is read lazily, on the
+    calling thread: item i + 1 is taken no earlier than when pair i is
+    asked for.
 
     The first call runs on the calling thread when the first pair is asked
     for.  If its result has at least ``_AHEAD_MIN_ENTRIES`` entries and

@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from kernelbcd.distsim import (
     NULL_LEDGER,
     CostLedger,
     ExecContext,
+    GramPartials,
     distributed_gram,
     make_partition,
     measured_vs_predicted,
@@ -65,6 +68,34 @@ class TestDistributedGram:
         for m in (1, 2, 4, 8, 16):
             out = distributed_gram(z, make_partition(64, m))
             assert np.abs(out - serial).max() <= 1e-10 * scale
+
+    def test_gram_into_out_is_byte_equal(self):
+        z = np.random.default_rng(6).standard_normal((37, 5))
+        out = np.empty((5, 5))
+        assert gram(z, out=out) is out
+        assert out.tobytes() == gram(z).tobytes()
+
+    @pytest.mark.parametrize("workers", [1, 3, 4])
+    def test_partials_made_ahead_on_another_thread_change_no_byte(self, workers):
+        # any first m partials made beforehand, on another thread, into a
+        # slot: the same gram and one ledger row, whose seconds count them
+        z = np.random.default_rng(7).standard_normal((50, 6))
+        part = make_partition(50, workers)
+        whole = distributed_gram(z, part)
+        for m in range(workers + 1):
+            slot = GramPartials(workers, 6)
+            worker = threading.Thread(target=slot.make, args=(z, part, m))
+            worker.start()
+            worker.join()
+            assert slot.made == m
+            made_seconds = slot.seconds
+            ledger = CostLedger()
+            out = distributed_gram(z, part, ledger, slot)
+            assert out.tobytes() == whole.tobytes()
+            assert slot.made == workers
+            [row] = ledger.records
+            assert (row.phase, row.flops) == ("gram", 50 * 36)
+            assert row.seconds >= made_seconds
 
     def test_fixed_tree_is_bit_stable(self):
         rng = np.random.default_rng(4)

@@ -27,6 +27,7 @@ from kernelbcd.kernels import (
     random_features_block,
 )
 from kernelbcd.solvers import (
+    ConvergenceTrace,
     Model,
     classify,
     draw_landmarks,
@@ -46,7 +47,9 @@ from kernelbcd.solvers import (
     solve_path,
     solve_rf,
     _Batch,
+    _FullSystem,
     _GramSystem,
+    _PendingCheck,
     _assert_residual,
     _guard_descent,
     _run,
@@ -1035,6 +1038,40 @@ def test_residual_check_raises_just_past_its_drift_limit(scale):
                 _assert_residual(fresh, maintained, Y)
         else:
             _assert_residual(fresh, maintained, Y)
+
+
+def test_grad_tol_check_passes_a_residual_exactly_at_its_bound():
+    # README: the check passes once the relative residual is at most T, so
+    # a residual norm of exactly T ||rhs|| passes and one a hair over fails:
+    # ||grad|| = ||(3, 4)|| = 5 against T ||Y|| = 2.5 * 2, all exact
+    Y = np.array([[1.0], [-1.0], [1.0], [-1.0]])
+    system = _FullSystem(Y, 2, None)
+    batch = _Batch([0.5], np.zeros((4, 1)), np.array([[3.0], [4.0], [0.0], [0.0]]), 4)
+    check = _PendingCheck(system, batch, [ConvergenceTrace()], 0,
+                          np.array([[0, 1], [2, 3]]), CostLedger())
+    assert check.passed(2.5)
+    assert system.rhs_norm == 2.0
+    assert not check.passed(np.nextafter(2.5, 0.0))
+
+
+def test_grad_tol_check_is_relative_at_every_scale():
+    # a linear-kernel nystrom problem with X scaled by 2**-60 and lambda and
+    # gamma by 2**-120 is the same problem, every product scaled by a power
+    # of two: coefficients scale by 2**120 exactly, objectives are equal,
+    # and the relative check stops at the same epoch although the
+    # right-hand side's norm is below 1e-30
+    data = gaussian_blobs(64, 8, 3, seed=5)
+    small = Dataset(X=data.X * 2.0**-60, labels=data.labels, k=data.k)
+    kspec, plan, t = KernelSpec("linear"), make_plan(16, 4, seed=6), 2.0**-120
+    base = solve_nystrom(data, kspec, 16, 1e-2, 1e-3, plan, 60, grad_tol=1e-6)
+    scaled = solve_nystrom(small, kspec, 16, 1e-2 * t, 1e-3 * t, plan, 60, grad_tol=1e-6)
+    epochs = base[1].records[-1].epoch + 1
+    assert 2 <= epochs < 60  # several checks fail before one passes
+    assert scaled[1].records[-1].epoch + 1 == epochs
+    assert np.array_equal(scaled[0].coefficients * t, base[0].coefficients)
+    assert scaled[1].objectives().tobytes() == base[1].objectives().tobytes()
+    kj = scaled[0].columns(small.X)
+    assert np.linalg.norm(kj.T @ one_vs_all(small)) < 1e-30
 
 
 def test_rf_model_records_input_width(tmp_path):

@@ -1,8 +1,10 @@
 """The solver thread scope: OpenBLAS pinned to one thread during a run,
 feature blocks byte-equal however their cosine pass is chunked, and the
-next block generated ahead, byte-equal to a run on the calling thread."""
+next block generated ahead, with any share of its gram partials,
+byte-equal to a run on the calling thread."""
 
 import contextlib
+import itertools
 import sys
 import threading
 import time
@@ -13,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from kernelbcd import kernels, solvers, threads
+from kernelbcd import distsim, kernels, solvers, threads
 from kernelbcd.distsim import CostLedger, ExecContext
 from kernelbcd.errors import DivergenceError
 from kernelbcd.kernels import (
@@ -552,9 +554,10 @@ def test_a_failing_visit_waits_for_the_generation_in_flight(blas_at_three, monke
 
 
 def poisoned_ahead(callers):
-    """``threads.ahead`` that fills each block it yields with NaN as soon as
-    the next one is asked for, and adds the thread of each block-source call
-    to ``callers``."""
+    """``threads.ahead`` that fills each block it yields, and the gram
+    partial slot beside the block's buffer, with NaN as soon as the next
+    block is asked for, and adds the thread of each block-source call to
+    ``callers``."""
 
     def ahead(fn, items, buffers):
         def recorded(item, out):
@@ -562,11 +565,23 @@ def poisoned_ahead(callers):
             return fn(item, out)
 
         with contextlib.closing(threads.ahead(recorded, items, buffers)) as blocks:
-            for kb, seconds in blocks:
+            for i, (kb, seconds) in enumerate(blocks):
                 yield kb, seconds
                 kb.fill(np.nan)
+                out = buffers[i % 2]
+                if isinstance(out, tuple):  # a sweep's buffer and its slot
+                    out[1].out.fill(np.nan)
 
     return ahead
+
+
+@contextlib.contextmanager
+def forced_share(m):
+    """Every block's task makes min(m, M) of the block's M gram partials,
+    whatever the run's pace."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solvers, "_ahead_share", lambda means, partials: min(m, partials))
+        yield
 
 
 @pytest.mark.parametrize("check_residual", [False, True])
@@ -575,17 +590,19 @@ def poisoned_ahead(callers):
 @pytest.mark.parametrize("method", ["full", "nystrom", "rf"])
 def test_no_block_is_read_once_the_next_is_asked_for(method, n_lams, grad_tol,
                                                      check_residual):
-    # a yielded block is valid only until the next is asked for: a run
-    # whose blocks are poisoned from then on is byte-equal to a clean one
+    # a yielded block and its gram partial slot are valid only until the
+    # next block is asked for: a run whose blocks and slots are poisoned
+    # from then on is byte-equal to a clean one, with its one partial made
+    # ahead, and with two of four made ahead and two in the visit
     lams = [1e-3, 1e-2, 1e-1][:n_lams]
     kw = dict(block_fn=None, grad_tol=grad_tol, check_residual=check_residual)
-    for on in (True, False):
+    for (workers, share), on in itertools.product(((1, 1), (4, 2)), (True, False)):
         values, callers = [], set()
         for ahead in (threads.ahead, poisoned_ahead(callers)):
             _, run = lookahead_case(method, lams)
-            with lookahead(on), pytest.MonkeyPatch.context() as mp:
+            with lookahead(on), forced_share(share), pytest.MonkeyPatch.context() as mp:
                 mp.setattr(solvers, "ahead", ahead)
-                values.append(run_values(*run(**kw)))
+                values.append(run_values(*run(workers, **kw)))
         assert values[0] == values[1]
         if on and threads.openblas_controls():
             assert len(callers) > 1  # the lookahead did run
@@ -616,3 +633,73 @@ def test_a_run_hands_its_block_source_two_buffers(method, on, monkeypatch):
     assert len(buffers) > 2 and len({id(out) for out in buffers}) == 2
     assert all(out.shape == (48, 8) and out.dtype == np.float64
                and out.flags.c_contiguous for out in buffers)
+
+
+# ---------------------------------------------------------------------------
+# the lookahead's share of the next block's gram partials
+
+
+@pytest.mark.parametrize("check_residual", [False, True])
+@pytest.mark.parametrize("grad_tol", [None, 1e-2])
+@pytest.mark.parametrize("n_lams", [1, 3])
+@pytest.mark.parametrize("workers", [1, 4])
+@pytest.mark.parametrize("method", ["nystrom", "rf"])
+def test_any_share_of_the_gram_partials_gives_the_same_bytes(
+    method, workers, n_lams, grad_tol, check_residual, monkeypatch
+):
+    # every m in 0..M, with the lookahead and on the calling thread, gives
+    # the coefficients, trace values and ordered ledger of m = 0, and makes
+    # the same M partials per visit, on the lookahead thread only there
+    lams = [1e-3, 1e-2, 1e-1][:n_lams]
+    kw = dict(block_fn=None, grad_tol=grad_tol, check_residual=check_residual)
+    me, made_on = threading.get_ident(), []
+    real = distsim.gram
+
+    def gram(zb, **kwargs):
+        made_on.append(threading.get_ident())
+        return real(zb, **kwargs)
+
+    monkeypatch.setattr(distsim, "gram", gram)
+    values, counts = [], set()
+    for on in (True, False):
+        for m in range(workers + 1):
+            made_on.clear()
+            _, run = lookahead_case(method, lams)
+            with lookahead(on), forced_share(m):
+                values.append(run_values(*run(workers, **kw)))
+            counts.add(len(made_on))
+            ahead_made = [ident for ident in made_on if ident != me]
+            if on and m and threads.openblas_controls():
+                assert ahead_made  # the lookahead made partials
+            if not on or not m:
+                assert not ahead_made
+    assert all(v == values[0] for v in values[1:])
+    assert len(counts) == 1
+
+
+def test_ahead_share_rule():
+    share = solvers._ahead_share
+    assert share(None, 4) == 0  # no visit measured yet
+    # rf_to_tol-like: generation alone outlasts the visit's other work
+    assert share((3.4, 1.4, 2.3), 1) == 0
+    # nystrom_path-like: the visit waits, so most partials move ahead
+    assert share((2.8, 0.34, 3.25), 4) == 3
+    assert share((0.0, 1.0, 0.0), 3) == 1  # m = 1 and m = 2 tie
+    assert share((1.0, 0.0, 5.0), 4) == 0  # every m ties
+    assert share((0.0, 1.0, 9.0), 0) == 0  # no gram, as for full
+
+
+times = st.floats(0.0, 1e3, allow_nan=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(gen=times, part=times, rest=times, partials=st.integers(0, 16))
+def test_ahead_share_is_the_smallest_best_m(gen, part, rest, partials):
+    m = solvers._ahead_share((gen, part, rest), partials)
+    assert 0 <= m <= partials
+
+    def cost(j):
+        return max(gen + j * part, rest + (partials - j) * part)
+
+    assert all(cost(j) > cost(m) for j in range(m))
+    assert all(cost(j) >= cost(m) for j in range(m, partials + 1))
