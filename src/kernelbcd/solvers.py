@@ -46,21 +46,31 @@ at an epoch end, each lambda's ||grad|| against tol times the square root
 of the summed ``rhs_term``, both summed block by block over a partition.
 ``full`` reads grad off its maintained E, so it sums the check at once on
 the epoch's own blocks and generates none.  The nystrom/rf gradient needs
-every column block, so an epoch end's check is summed on the blocks the
-next sweep generates anyway; if it passes, that sweep is discarded and
-the run ends on the batch copied at the epoch end, coefficients and E
-together.  A run stopped after T epochs thus generates each block T + 1
-times, not 2T.  ``normal_equation_residual`` is that check's ratio on
-the model's one block of every column.
+every column block, so an epoch end's check is summed on the next
+epoch's blocks.  Block descent converges linearly, so once two checks have
+failed the last contraction predicts the next verdict (``_predicts_pass``).
+Without a predicted pass the check is summed on the blocks the next sweep
+generates anyway; if it passes, that sweep is discarded and the run ends
+on the batch copied at the epoch end, coefficients and E together.  With
+one, a check-only sweep generates the next epoch's blocks on both threads
+and sums the check on the live batch, with no visit: a pass ends the run
+there, and a miss is followed by that epoch's own sweep with no check
+pending.  A run stopped after T epochs thus generates each block T + 1
+times, not 2T, plus once for each check-only sweep that failed; no byte
+depends on the prediction.  ``normal_equation_residual`` is that check's
+ratio on the model's one block of every column.
 ``check_residual`` recomputes every lambda's E in one more sweep per epoch.
 
 Within a sweep the next block is generated while the current one is
 applied (``threads.ahead``): a block source is called one call at a time,
 in sweep order, possibly from a worker thread, and never for a block past
-the sweep's last.  A block source writes its n x b block into the array
-it is handed (``Model.columns``' ``out=``): a run allocates two such
-buffers, on the calling thread, and every sweep of the run, the
-``check_residual`` pass included, alternates between them.  The task that
+the sweep's last.  A check-only sweep (``threads.split``) calls it from
+both threads at once, the lookahead thread on the even blocks and the
+calling thread on the odd ones.  A block source writes its n x b block
+into the array it is handed (``Model.columns``' ``out=``): a run allocates
+two such buffers, on the calling thread, and every sweep of the run, the
+``check_residual`` pass and the check-only sweep included, alternates
+between them.  The task that
 generates block i + 1 also makes the first m of its M gram partials, into
 a slot beside its buffer (``distsim.GramPartials``), and the visit's
 ``distributed_gram`` makes the rest; ``_ahead_share`` picks m from the
@@ -114,7 +124,7 @@ from .kernels import (
     random_features_block,
 )
 from .linalg import spd_solve, sum_in_order, validate_indices
-from .threads import ahead, solver_threads
+from .threads import ahead, solver_threads, split
 
 # The solvers call gram only through distributed_gram.  It stays bound here
 # because perfbench/tracing.py rebinds it in this module's namespace.
@@ -791,53 +801,72 @@ class _PendingCheck:
     """An epoch end's ``grad_tol`` check, the one the run makes.
 
     Each block of a partition adds, for every lambda, the squared norm of
-    its columns of ``system.gradients`` at the epoch end's batch for that
-    block, one product for all lambdas, and the run's first check adds
+    its columns of ``system.gradients`` at ``batch``, the epoch end's, for
+    that block, one product for all lambdas, and the run's first check adds
     ``system.rhs_term`` too; ``passed`` sums them in block order.  A system
     that reads its gradient off E (``check_needs_blocks`` false, full) is
     summed at once, on the live batch and the epoch's own blocks, with no
-    block generated.  Otherwise the check keeps a copy of the batch and
-    each visit of the next sweep adds its block; that sweep's blocks are a
+    block generated.  Otherwise the next sweep's blocks are summed, a
     partition too, though not the previous epoch's, so the sum is the
-    whole gradient.  ``restore`` returns the run to the epoch end: it cuts
-    each lambda's trace and the ledger back to their lengths there, sets
-    the ledger's position back, and returns the copied batch, which holds
-    every lambda's coefficients and E at the epoch end.
+    whole gradient: either each visit of that sweep adds its block, the
+    check holding a copy of the batch (a pending check), or a check-only
+    sweep adds every block as it is made, with no visit, on the live
+    batch.  ``restore`` returns the run to the epoch end after a pending
+    check's sweep: it cuts each lambda's trace and the ledger back to their
+    lengths there, sets the ledger's position back, and returns ``batch``,
+    which holds every lambda's coefficients and E at the epoch end.
     """
 
     def __init__(self, system, batch, traces, epoch, blocks, ledger):
-        self.system = system
+        self.system, self.batch = system, batch
         self.epoch, self.block = epoch, len(blocks) - 1
         self.n_records = [len(trace.records) for trace in traces]
         self.n_ledger = len(ledger.records)
         self.terms = [[0.0] * len(blocks) for _ in batch.cols]
         self.rhs_terms = [0.0] * len(blocks) if system.rhs_norm is None else None
-        self.snapshot = batch.copy() if system.check_needs_blocks else batch
+        self.worst = None  # the largest residual norm over the lambdas
         if not system.check_needs_blocks:
             for blk, pos in enumerate(blocks):
                 self.add(blk, pos, None, None)
 
     def add(self, blk, pos, kb, part) -> None:
-        grads = self.system.gradients(self.snapshot, pos, kb, part)
-        for terms, cols in zip(self.terms, self.snapshot.cols):
+        grads = self.system.gradients(self.batch, pos, kb, part)
+        for terms, cols in zip(self.terms, self.batch.cols):
             terms[blk] = _ip(grads[:, cols], grads[:, cols])
         if self.rhs_terms is not None:
             self.rhs_terms[blk] = self.system.rhs_term(pos, kb)
 
     def passed(self, tol: float) -> bool:
         """Every lambda's residual is within tol of the right-hand side's
-        norm; a NaN residual never is."""
+        norm; a NaN residual never is.  Keeps the largest residual norm,
+        NaN if any is, in ``worst``."""
         if self.rhs_terms is not None:
-            self.system.rhs_norm = np.sqrt(sum_in_order(self.rhs_terms))
-        bound = tol * self.system.rhs_norm
-        return all(np.sqrt(sum_in_order(t)) <= bound for t in self.terms)
+            self.system.rhs_norm = float(np.sqrt(sum_in_order(self.rhs_terms)))
+        norms = [np.sqrt(sum_in_order(t)) for t in self.terms]
+        self.worst = float(np.max(norms))
+        return self.worst <= tol * self.system.rhs_norm
 
     def restore(self, traces, ledger) -> _Batch:
         for trace, n_records in zip(traces, self.n_records):
             del trace.records[n_records:]
         del ledger.records[self.n_ledger:]
         ledger.set_position(self.epoch, self.block)
-        return self.snapshot
+        return self.batch
+
+
+def _predicts_pass(worst, tol: float, rhs_norm) -> bool:
+    """Whether the run's failed checks so far, ``worst`` (each check's
+    largest residual norm, in epoch order), predict that the next check
+    passes: the last contraction n1 / n2, carried one epoch forward, clears
+    the bound, n1 * n1 <= tol * n2 * rhs_norm.  No division, so a zero
+    ``rhs_norm`` raises nothing, and a NaN predicts no pass.  Block descent
+    converges linearly (Theorem bcdrate), which is what makes the last
+    contraction a forecast; a wrong one costs a sweep of generation, and
+    no byte."""
+    if len(worst) < 2:
+        return False
+    n2, n1 = worst[-2:]
+    return n1 * n1 <= tol * n2 * rhs_norm
 
 
 def _recomputed_resids(system, batch, blocks, buffers) -> np.ndarray:
@@ -924,16 +953,29 @@ def _run(
     The ``grad_tol`` check is one ``_PendingCheck`` per epoch end, summed
     per block from ``system.gradients`` and ``system.rhs_term``.  ``full``
     sums it at the epoch end on that epoch's blocks, from E, and stops
-    there if it passes.  Nystrom and rf sum it on the next sweep's blocks;
-    if it passes, that sweep is discarded and the run ends on the epoch
-    end's batch; an error raised by that sweep's updates counts only if
-    the check fails.  No check follows the last epoch: it could not change
-    the result.  No ``exec_ctx`` means one worker, and no ledger means
-    ``NULL_LEDGER``, which keeps nothing.
+    there if it passes.  Nystrom and rf sum it on the next epoch's blocks,
+    in one of two ways.  At an epoch end after two failed checks whose
+    largest residual norms, n2 then n1, predict a pass (``_predicts_pass``:
+    n1 * n1 <= tol * n2 * ``rhs_norm``), a check-only sweep makes those
+    blocks on both threads (``threads.split``), each adding its terms as
+    soon as it is made, with no visit, no ledger row and no batch copy; a
+    pass ends the run on the live batch, the epoch end's, and a miss runs
+    the next sweep as a plain one, with no check pending.  Otherwise the
+    check is pending: the next sweep's visits add their blocks, and if it
+    passes that sweep is discarded and the run ends on the epoch end's
+    batch, copied; an error raised by that sweep's updates counts only if
+    the check fails.  Either way the verdicts, the coefficients, the traces
+    and the ledger are the same; only the number of blocks generated
+    depends on the prediction.  No check follows the last epoch: it could
+    not change the result.  No ``exec_ctx`` means one worker, and no
+    ledger means ``NULL_LEDGER``, which keeps nothing.
 
     The sweeps run inside ``solver_threads``: OpenBLAS on one thread, and
     each sweep's blocks taken from ``threads.ahead``, which generates block
-    i + 1 on a background thread while visit i runs for every lambda.
+    i + 1 on a background thread while visit i runs for every lambda; a
+    check-only sweep's are made by ``threads.split``, the even ones on
+    that thread and the odd ones on the calling thread, at once, and the
+    first error in block order is raised once both are done.
     Every block of the run is written into one of two n x b buffers
     allocated here, on the calling thread: block i of a sweep into
     ``buffers[i % 2]``.  Beside each buffer is a ``GramPartials`` slot for
@@ -945,7 +987,8 @@ def _run(
     m is, and whether a thread looks ahead, changes no byte; ``full`` has
     no gram, so m is 0.  The first
     block of a sweep is generated after the previous epoch end's stop
-    decision, so no block is generated that the run does not use.  A
+    decision, so no block is generated that the run does not use, but
+    for the blocks of a check-only sweep whose predicted pass failed.  A
     generation error is raised when its block is taken; a visit error
     closes the sweep, which waits for the generation in flight.  A trace
     row's seconds count the wait for the block, a ledger generation row
@@ -1010,12 +1053,22 @@ def _run(
             traces[i].append(TraceRecord(epoch, blk, seconds, obj, terr))
             shared = 0.0
 
+    def check_only(check, blocks):
+        """Sum ``check`` on ``blocks`` with no visit: each block adds its
+        terms as soon as it is made, on either thread (``split``)."""
+        def add(item, out):
+            blk, pos = item
+            check.add(blk, pos, system.block(pos, out), part)
+
+        split(add, enumerate(blocks), buffers)
+
     with solver_threads(), np.errstate(over="ignore", invalid="ignore"):
         test_cols = None
         if test_data is not None:
             with np.errstate(**caller_err):
                 test_cols = model.columns(test_data.X)
         pending = None  # the last epoch end's check, summed on this sweep
+        worst = []  # each failed check's largest residual norm
         for epoch in range(epochs):
             failure = None
             blocks = epoch_blocks(plan, epoch)
@@ -1047,6 +1100,7 @@ def _run(
                     break
                 if failure is not None:
                     raise failure
+                worst.append(pending.worst)
                 pending = None
             if check_residual:
                 fresh = _recomputed_resids(system, batch, blocks, buffers)
@@ -1054,11 +1108,17 @@ def _run(
                     _assert_residual(fresh[:, cols], batch.resid[:, cols], system.Y)
             if grad_tol is None or epoch == epochs - 1:
                 continue
+            if system.check_needs_blocks and not _predicts_pass(
+                worst, grad_tol, system.rhs_norm
+            ):
+                pending = _PendingCheck(system, batch.copy(), traces, epoch, blocks, ledger)
+                continue
             check = _PendingCheck(system, batch, traces, epoch, blocks, ledger)
-            if system.check_needs_blocks:
-                pending = check
-            elif check.passed(grad_tol):  # summed already, from E
+            if system.check_needs_blocks:  # a predicted pass
+                check_only(check, epoch_blocks(plan, epoch + 1))
+            if check.passed(grad_tol):  # summed already: from E, or check-only
                 break
+            worst.append(check.worst)
     results = []
     for cols, trace in zip(batch.cols, traces):
         fitted = dataclasses.replace(model, coefficients=batch.coeffs[:, cols].copy())

@@ -18,6 +18,10 @@ a tuple: the solvers pair each n x b block buffer with a slot for the
 block's gram partials, and their block task makes a share of those
 partials with the block, the share named in the task's item, which
 ``ahead`` reads lazily so that the caller picks it as late as it can.
+``split``, under the same gates, makes a sweep whose blocks are read
+where they are made, a check with no visits: the lookahead thread takes
+the even blocks, into ``buffers[0]``, and the calling thread the odd
+ones, into ``buffers[1]``, both at once.
 
 The libraries are found the way ``threadpoolctl`` does, which is not a
 dependency: read ``/proc/self/maps`` and look their thread controls up
@@ -190,3 +194,49 @@ def ahead(fn, items, buffers):
     finally:
         if future is not None:
             future.exception()  # waits for the call, raises nothing
+
+
+def split(fn, items, buffers) -> None:
+    """Call ``fn(item, buffers[i % 2])`` once for each of ``items``, item i
+    being the i-th, and return when every call has returned.  ``fn`` uses
+    its block where it makes it: nothing is handed back.
+
+    If ``buffers[0]`` has at least ``_AHEAD_MIN_ENTRIES`` entries and
+    ``_may_look_ahead()``, the even items run in order on the lookahead
+    thread, under the calling thread's ``np.geterr()``, while the odd ones
+    run in order on the calling thread, so ``fn`` is called from two
+    threads at once; otherwise every item runs on the calling thread, in
+    order.  A thread makes no call past one that raised, and the exception
+    of the first item in item order that raised is raised once both
+    threads are done, so no call writes into ``buffers`` after ``split``
+    returns or raises.
+    """
+    items = list(items)
+    if len(items) < 2 or buffers[0].size < _AHEAD_MIN_ENTRIES or not _may_look_ahead():
+        for i, item in enumerate(items):
+            fn(item, buffers[i % 2])
+        return
+    err = np.geterr()
+
+    def share(first):
+        """Items first, first + 2, ...: the index and exception of the
+        first that raises, or None."""
+        for i in range(first, len(items), 2):
+            try:
+                fn(items[i], buffers[first])
+            except Exception as exc:  # re-raised below, in item order
+                return i, exc
+        return None
+
+    def evens():
+        with np.errstate(**err):
+            return share(0)
+
+    future = _lookahead_thread().submit(evens)
+    try:
+        odd = share(1)
+    finally:
+        even = future.result()
+    failed = [f for f in (even, odd) if f is not None]
+    if failed:
+        raise min(failed, key=lambda f: f[0])[1]

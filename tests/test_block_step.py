@@ -163,25 +163,32 @@ def test_grad_tol_stop_restores_coefficients_and_fit_error_together(
     monkeypatch, method, n_lams
 ):
     # a passing check ends the run on the epoch end's batch, so every
-    # lambda's E there is the fit error of the coefficients it returns,
-    # not of the discarded sweep's
-    restored = []
-    real = solvers._PendingCheck.restore
-    monkeypatch.setattr(
-        solvers._PendingCheck, "restore",
-        lambda self, *a: (restored.append(real(self, *a)), restored[-1])[1],
-    )
-    _, _, run = _case(method)
-    lams = [0.1, 0.03, 0.3][:n_lams]
-    results = run(lams, 200, grad_tol=1e-3)
-    [batch] = restored
+    # lambda's E there is the fit error of the coefficients it returns:
+    # after a pending check the batch it copied, not the discarded sweep's,
+    # and after a check-only sweep the live batch, which no visit moved
     data = gaussian_blobs(32, 3, 2, seed=95)  # _case's data
     Y = one_vs_all(data)
-    for lam, cols, (model, _) in zip(lams, batch.cols, results):
-        assert np.array_equal(batch.coeffs[:, cols], model.coefficients)
-        dense = dense_resid(model, data, lam)
-        drift = np.linalg.norm(batch.resid[:, cols] - (dense - Y))
-        assert drift <= 1e-10 * max(np.linalg.norm(dense), 1e-30)
+    lams = [0.1, 0.03, 0.3][:n_lams]
+    real = solvers._PendingCheck.passed
+    for predicted in (False, True):
+        passed = []
+
+        def record(self, tol):
+            if real(self, tol):
+                passed.append(self.batch)
+                return True
+            return False
+
+        monkeypatch.setattr(solvers._PendingCheck, "passed", record)
+        monkeypatch.setattr(solvers, "_predicts_pass", lambda *a: predicted)
+        _, _, run = _case(method)
+        results = run(lams, 200, grad_tol=1e-3)
+        [batch] = passed
+        for lam, cols, (model, _) in zip(lams, batch.cols, results):
+            assert np.array_equal(batch.coeffs[:, cols], model.coefficients)
+            dense = dense_resid(model, data, lam)
+            drift = np.linalg.norm(batch.resid[:, cols] - (dense - Y))
+            assert drift <= 1e-10 * max(np.linalg.norm(dense), 1e-30)
 
 
 @pytest.mark.parametrize("method", METHODS)

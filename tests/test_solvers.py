@@ -909,11 +909,16 @@ def _values(results, ledger):
 @pytest.mark.parametrize("with_ledger", [False, True], ids=["plain", "ledger"])
 @pytest.mark.parametrize("lams", [[0.1], [0.1, 0.03, 0.3]], ids=["1lam", "3lam"])
 @pytest.mark.parametrize("method", ["full", "nystrom", "rf"])
-def test_grad_tol_stop_equals_fixed_epoch_run(method, lams, with_ledger):
+def test_grad_tol_stop_equals_fixed_epoch_run(method, lams, with_ledger, monkeypatch):
     # a grad_tol run returns exactly what a run of epochs_run epochs
     # returns; nystrom and rf check on the next sweep's blocks, so a stop
-    # costs one sweep of generation, and full checks with no blocks
+    # costs one sweep of generation, plus one for each predicted stop whose
+    # check-only sweep failed, and full checks with no blocks
     plan, calls, run = _stop_case(method)
+    predictions = []
+    real = solvers._predicts_pass
+    monkeypatch.setattr(solvers, "_predicts_pass",
+                        lambda *a: predictions.append(real(*a)) or predictions[-1])
 
     def ctx():
         return ExecContext(3, CostLedger()) if with_ledger else None
@@ -923,7 +928,10 @@ def test_grad_tol_stop_equals_fixed_epoch_run(method, lams, with_ledger):
     epochs_run = stopped[0][1].records[-1].epoch + 1
     assert epochs_run < 200  # the stop fired
     generated = len(calls)
-    extra_sweeps = 0 if method == "full" else 1
+    # one prediction per check, the last check the one that passed
+    assert len(predictions) == (0 if method == "full" else epochs_run)
+    failed_check_only = sum(predictions[:-1])
+    extra_sweeps = 0 if method == "full" else 1 + failed_check_only
     assert generated == (epochs_run + extra_sweeps) * plan.n_blocks
 
     fixed_ctx = ctx()
@@ -1054,6 +1062,25 @@ def test_grad_tol_check_passes_a_residual_exactly_at_its_bound():
     assert not check.passed(np.nextafter(2.5, 0.0))
 
 
+def test_grad_tol_check_keeps_the_largest_residual_norm():
+    # two lambdas side by side, full's gradient read off E: residual norms
+    # 5 and 13 keep 13, and a NaN in either keeps NaN, which fails
+    Y = np.array([[1.0], [-1.0], [1.0], [-1.0]])
+    resid = np.array([[3.0, 5.0], [4.0, 12.0], [0.0, 0.0], [0.0, 0.0]])
+    for flip in (False, True):
+        r = (resid[:, ::-1] if flip else resid).copy()
+        batch = _Batch([0.5, 0.25], np.zeros((4, 2)), r.copy(), 4)
+        check = _PendingCheck(_FullSystem(Y, 2, None), batch, [ConvergenceTrace()] * 2, 0,
+                              np.array([[0, 1], [2, 3]]), CostLedger())
+        assert check.passed(6.5) and check.worst == 13.0
+        assert not check.passed(np.nextafter(6.5, 0.0))
+        r[2, 1] = np.nan
+        batch = _Batch([0.5, 0.25], np.zeros((4, 2)), r.copy(), 4)
+        check = _PendingCheck(_FullSystem(Y, 2, None), batch, [ConvergenceTrace()] * 2, 0,
+                              np.array([[0, 1], [2, 3]]), CostLedger())
+        assert not check.passed(1e300) and np.isnan(check.worst)
+
+
 def test_grad_tol_check_is_relative_at_every_scale():
     # a linear-kernel nystrom problem with X scaled by 2**-60 and lambda and
     # gamma by 2**-120 is the same problem, every product scaled by a power
@@ -1072,6 +1099,52 @@ def test_grad_tol_check_is_relative_at_every_scale():
     assert scaled[1].objectives().tobytes() == base[1].objectives().tobytes()
     kj = scaled[0].columns(small.X)
     assert np.linalg.norm(kj.T @ one_vs_all(small)) < 1e-30
+
+
+def test_a_zero_right_hand_side_stops_at_the_first_check_without_a_warning():
+    # a linear kernel on all-zero X gives K_J = 0, so ||K_J^T Y|| = 0 and
+    # every gradient is 0: the first check passes (0 <= tol * 0) with no
+    # ZeroDivisionError and no warning, which the test settings make errors
+    data = Dataset(X=np.zeros((32, 3)), labels=np.arange(32) % 2, k=2)
+    model, trace = solve_nystrom(data, KernelSpec("linear"), 16, 1e-2, 1e-3,
+                                 make_plan(16, 4, seed=1), 10, grad_tol=1e-3)
+    assert trace.records[-1].epoch == 0
+    assert not model.coefficients.any()
+
+
+def test_stop_prediction_needs_two_checks_and_no_division():
+    predicts = solvers._predicts_pass
+    assert not predicts([], 0.5, 1.0)
+    assert not predicts([0.0], 0.5, 1.0)
+    assert predicts([4.0, 2.0], 1.0, 1.0)  # 2 * 2 <= 1 * 4 * 1, exactly at the bound
+    assert not predicts([4.0, 2.0], np.nextafter(1.0, 0.0), 1.0)
+    # a zero right-hand side predicts nothing unless the last norm is 0
+    assert not predicts([4.0, 2.0], 0.5, 0.0)
+    assert not predicts([0.0, 1.0], 0.5, 3.0)
+    nan = float("nan")
+    for worst, rhs in (([nan, 1.0], 1.0), ([4.0, nan], 1.0), ([4.0, 1.0], nan)):
+        assert not predicts(worst, 0.5, rhs)
+    # only the last two failed checks count
+    assert predicts([1.0, 1e-9, 4.0, 2.0], 1.0, 1.0)
+    assert not predicts([4.0, 2.0, 1.0, 1.0], 0.5, 1.0)
+
+
+def test_grad_tol_prediction_is_relative_at_every_scale(monkeypatch):
+    # the scaled problem above predicts exactly the unscaled one's stops:
+    # its norms are the unscaled ones times powers of two, and so is the
+    # predictor's each side, with no division
+    data = gaussian_blobs(64, 8, 3, seed=5)
+    small = Dataset(X=data.X * 2.0**-60, labels=data.labels, k=data.k)
+    kspec, plan, t = KernelSpec("linear"), make_plan(16, 4, seed=6), 2.0**-120
+    real = solvers._predicts_pass
+    made = {}
+    for name, d, scale in (("base", data, 1.0), ("scaled", small, t)):
+        made[name] = []
+        monkeypatch.setattr(solvers, "_predicts_pass",
+                            lambda *a: made[name].append(real(*a)) or made[name][-1])
+        solve_nystrom(d, kspec, 16, 1e-2 * scale, 1e-3 * scale, plan, 60, grad_tol=1e-6)
+    assert made["scaled"] == made["base"]
+    assert any(made["base"])
 
 
 def test_rf_model_records_input_width(tmp_path):

@@ -26,7 +26,13 @@ from kernelbcd.kernels import (
     kernel_cross,
     random_features_block,
 )
-from kernelbcd.solvers import make_plan, solve_full, solve_nystrom, solve_rf
+from kernelbcd.solvers import (
+    make_plan,
+    normal_equation_residual,
+    solve_full,
+    solve_nystrom,
+    solve_rf,
+)
 
 
 def assert_byte_equal(arrays):
@@ -703,3 +709,180 @@ def test_ahead_share_is_the_smallest_best_m(gen, part, rest, partials):
 
     assert all(cost(j) > cost(m) for j in range(m))
     assert all(cost(j) >= cost(m) for j in range(m, partials + 1))
+
+
+# ---------------------------------------------------------------------------
+# the check-only sweep: a predicted stop's check on both threads
+
+
+def test_split_makes_even_items_ahead_and_odd_ones_in_place():
+    me = threading.get_ident()
+    calls, lock = [], threading.Lock()
+
+    def fn(item, out):
+        with lock:
+            calls.append((item, threading.get_ident(), id(out)))
+
+    large = threads._AHEAD_MIN_ENTRIES
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(threads, "_may_look_ahead", lambda: True)
+        for rows, split in ((large - 1, False), (large, True)):
+            buffers = (np.empty((rows, 1)), np.empty((rows, 1)))
+            calls.clear()
+            threads.split(fn, range(7), buffers)
+            assert sorted(item for item, _, _ in calls) == list(range(7))
+            for item, ident, out in calls:
+                assert out == id(buffers[item % 2])
+                assert (ident == me) == (item % 2 == 1 or not split)
+            # each thread takes its items in order
+            for parity in (0, 1):
+                mine = [item for item, _, _ in calls if item % 2 == parity]
+                assert mine == sorted(mine)
+            if not split:
+                assert [item for item, _, _ in calls] == list(range(7))
+        calls.clear()
+        threads.split(fn, [5], buffers)  # one item: on the calling thread
+        assert calls == [(5, me, id(buffers[0]))]
+        mp.setattr(threads, "_may_look_ahead", lambda: False)
+        calls.clear()
+        threads.split(fn, range(4), buffers)
+        assert [(item, ident) for item, ident, _ in calls] == [(i, me) for i in range(4)]
+
+
+@pytest.mark.parametrize("split", [True, False])
+@pytest.mark.parametrize("failing, first", [((3, 4), 3), ((2, 5), 2), ((6,), 6), ((1, 2), 1)])
+def test_split_raises_the_first_failure_in_item_order(failing, first, split):
+    # a failing item on either thread, the other thread's item slow to
+    # fail or to finish: the first failing item's error is raised, once
+    # neither thread is in a call
+    active, finished = [0], []
+    lock = threading.Lock()
+
+    def fn(item, out):
+        with lock:
+            active[0] += 1
+        try:
+            if item % 2 == 0:
+                time.sleep(0.01)
+            if item in failing:
+                raise KeyError(f"item {item}")
+            finished.append(item)
+        finally:
+            with lock:
+                active[0] -= 1
+
+    buffers = tuple(np.empty((threads._AHEAD_MIN_ENTRIES, 1)) for _ in range(2))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(threads, "_may_look_ahead", lambda: split)
+        with pytest.raises(KeyError, match=f"item {first}"):
+            threads.split(fn, range(8), buffers)
+    assert active[0] == 0
+    # no call on a thread past its own failing item
+    for parity in (0, 1):
+        stop = min([i for i in failing if i % 2 == parity], default=8)
+        assert all(i < stop for i in finished if i % 2 == parity)
+
+
+def test_split_runs_under_the_callers_error_state():
+    def overflow(i, out):
+        out[:] = 1e300
+        out *= 1e300
+        return out
+
+    buffers = tuple(np.empty((threads._AHEAD_MIN_ENTRIES, 1)) for _ in range(2))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(threads, "_may_look_ahead", lambda: True)
+        for item in (0, 1):  # on the lookahead thread, on the calling thread
+            with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+                threads.split(lambda i, out: i == item and overflow(i, out), range(2),
+                              buffers)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with np.errstate(over="ignore"):
+                threads.split(overflow, range(4), buffers)
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+@contextlib.contextmanager
+def forced_prediction(predicted):
+    """Every nystrom/rf epoch end's check is predicted to pass (a
+    check-only sweep) when ``predicted`` is True, never when False, and as
+    the run's norms say when None; yields the list of predictions made."""
+    made = []
+    real = solvers._predicts_pass
+
+    def predict(*args):
+        made.append(real(*args) if predicted is None else predicted)
+        return made[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solvers, "_predicts_pass", predict)
+        yield made
+
+
+@pytest.mark.parametrize("on", [True, False], ids=["ahead", "caller"])
+@pytest.mark.parametrize("check_residual", [False, True])
+@pytest.mark.parametrize("workers", [1, 4])
+@pytest.mark.parametrize("n_lams", [1, 3])
+@pytest.mark.parametrize("method", ["nystrom", "rf"])
+def test_a_predicted_stop_changes_no_byte(method, n_lams, workers, check_residual, on):
+    # the predictor forced off, forced on at every check, and as shipped:
+    # the same coefficients, trace values, ordered ledger and normal-equation
+    # residuals, and every check the same verdict from the same norms; each
+    # check-only sweep that fails costs exactly one more sweep of
+    # generation, and leaves no trace or ledger row
+    lams = [1e-3, 1e-2, 1e-1][:n_lams]
+    data = gaussian_blobs(48, 3, 3, seed=11)  # lookahead_case's data
+    gamma = 1e-3 if method == "nystrom" else 0.0
+    outcomes, checks = {}, {}
+    real_passed = solvers._PendingCheck.passed
+
+    def passed(self, tol):
+        verdict = real_passed(self, tol)
+        checks[predicted].append((verdict, self.worst, self.system.rhs_norm))
+        return verdict
+
+    for predicted in (False, True, None):
+        checks[predicted] = []
+        source, run = lookahead_case(method, lams)
+        with lookahead(on), forced_prediction(predicted) as made, \
+                pytest.MonkeyPatch.context() as mp:
+            mp.setattr(solvers._PendingCheck, "passed", passed)
+            results, ledger = run(workers, grad_tol=3e-2, check_residual=check_residual)
+        residuals = [normal_equation_residual(model, data, lam, gamma)
+                     for lam, (model, _) in zip(lams, results)]
+        epochs_run = results[0][1].records[-1].epoch + 1
+        stopped = epochs_run < 6
+        failed = sum(made[:-1]) + (made[-1] and not stopped)
+        outcomes[predicted] = (run_values(results, ledger), residuals, epochs_run,
+                               len(source.calls), failed)
+    values, residuals, epochs_run, generated, _ = outcomes[False]
+    plan_blocks = 3
+    for predicted in (True, None):
+        assert outcomes[predicted][:3] == (values, residuals, epochs_run)
+        failed = outcomes[predicted][4]
+        assert outcomes[predicted][3] == generated + failed * plan_blocks
+    assert outcomes[True][4] == epochs_run - 1  # every check but a pass
+    assert checks[True] == checks[False] == checks[None]
+    assert len(checks[False]) == min(epochs_run, 5)  # one per epoch end but the last
+
+
+@needs_openblas
+@pytest.mark.parametrize("method", ["nystrom", "rf"])
+def test_a_check_only_sweep_makes_even_blocks_ahead_and_odd_ones_in_place(method):
+    # epoch 0's check, forced to be predicted, passes on epoch 1's blocks:
+    # each made once, block 0 and 2 on the lookahead thread, block 1 on the
+    # calling thread, and the run ends on epoch 0
+    me = threading.get_ident()
+    source, run = lookahead_case(method, [1e-3])
+    with lookahead(True), forced_prediction(True) as made:
+        results, _ = run(grad_tol=0.5)
+    assert made == [True]
+    assert results[0][1].records[-1].epoch == 0
+    plan = make_plan(24, 8, seed=14)  # lookahead_case's plan
+    check_calls = source.calls[plan.n_blocks:]
+    assert sorted(pos for pos, _ in check_calls) == sorted(
+        tuple(block) for block in solvers.epoch_blocks(plan, 1))
+    for blk, block in enumerate(solvers.epoch_blocks(plan, 1)):
+        [ident] = [ident for pos, ident in check_calls if pos == tuple(block)]
+        assert (ident == me) == (blk % 2 == 1)
