@@ -65,7 +65,6 @@ from .errors import (
     ThresholdNotMetError,
     check_count,
     check_delta,
-    check_lambdas,
     check_level,
     check_matrix,
     check_real,
@@ -77,7 +76,6 @@ from .kernels import (
     FeatureMapSpec,
     KernelSpec,
     kernel_cross,
-    random_features_block,
     random_features_stack,
 )
 from .linalg import (
@@ -87,7 +85,12 @@ from .linalg import (
     spd_solve,
     sum_in_order,
 )
-from .solvers import draw_landmarks
+from .solvers import _expect_spec, system_matrix, template_model
+
+# The lab's features come from random_features_stack and the solvers' column
+# map.  random_features_block stays bound here because perfbench/tracing.py
+# rebinds it in this module's namespace.
+from .kernels import random_features_block  # noqa: F401
 
 EXACT_SUBSET_CAP = 10**6
 
@@ -564,23 +567,24 @@ def conditioning_compare(
 ) -> ConditioningPair:
     """Exact condition numbers lmax / lmin (from ``lambda_extremes``) of
     the two p x p block systems at matched p:
-    (K_J^T K_J + n lam K_JJ + n lam gamma I)  vs  (Z^T Z + n lam I).
+    (K_J^T K_J + n lam K_JJ + n lam gamma I)  vs  (Z^T Z + n lam I),
+    each the system a solve runs, read from the solvers' own
+    (``system_matrix``) on the model ``template_model`` builds: nystrom on
+    p landmark rows drawn with ``landmark_seed``, and rf.  A system whose
+    smallest eigenvalue is not positive is singular to working precision,
+    and its condition number is ``math.inf``.  ``lam``, ``gamma`` and
+    ``data`` must pass the dense diagnostics' rules
+    (``normal_equation_residual``); in particular an n lam or n lam gamma
+    that overflows raises ``ConfigError``, and so does a ``kspec`` that is
+    not a ``KernelSpec`` or an ``fspec`` that is not a ``FeatureMapSpec``.
     """
-    check_lambdas("lambda", [lam])
-    check_level("gamma", gamma)
+    _expect_spec(kspec, KernelSpec)
+    _expect_spec(fspec, FeatureMapSpec)
     if fspec.p != p:
         raise ConfigError("feature spec must carry the same p")
-    lam_eff = data.n * lam
-    landmarks = draw_landmarks(data.n, p, landmark_seed)
-    kj = kernel_cross(data.X, data.X[landmarks], kspec)
-    kjj = kj[landmarks]
-    m_ny = kj.T @ kj + lam_eff * kjj + lam_eff * gamma * np.eye(p)
-    m_ny = (m_ny + m_ny.T) * 0.5
-    z = random_features_block(data.X, np.arange(p), fspec)
-    m_rf = z.T @ z + lam_eff * np.eye(p)
-    m_rf = (m_rf + m_rf.T) * 0.5
-    est_ny = lambda_extremes(m_ny)
-    est_rf = lambda_extremes(m_rf)
-    return ConditioningPair(
-        nystrom=est_ny.lmax / est_ny.lmin, rf=est_rf.lmax / est_rf.lmin
-    )
+    conds = []
+    for model in (template_model(data, kspec, p, gamma, landmark_seed),
+                  template_model(data, fspec)):
+        est = lambda_extremes(system_matrix(model, data, lam, gamma))
+        conds.append(est.lmax / est.lmin if est.lmin > 0 else math.inf)
+    return ConditioningPair(*conds)

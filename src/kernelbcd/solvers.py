@@ -13,8 +13,9 @@ products every lambda shares, its b x b block matrix A, its block of the
 normal-equation residual ``grad``, its block's share ``rhs_term`` of the
 squared right-hand side, the rows its scatter S_J writes and
 ``objectives``, every lambda's objective at once, each inner product
-summed column by column over the whole batch.  One builder, ``_system``,
-picks a model's system.  One block step serves every system: solve
+summed column by column over the whole batch.  One builder,
+``template_model``, picks the model a spec names, and one, ``_system``,
+a model's system.  One block step serves every system: solve
 A d = -grad, add d to the block's coefficients and
 (K_J + n*lam*S_J)[:, block] d to the maintained fit error
 E = (K_J + n*lam*S_J) alpha - Y, which starts at -Y.  The step serves
@@ -57,9 +58,15 @@ and sums the check on the live batch, with no visit: a pass ends the run
 there, and a miss is followed by that epoch's own sweep with no check
 pending.  A run stopped after T epochs thus generates each block T + 1
 times, not 2T, plus once for each check-only sweep that failed; no byte
-depends on the prediction.  ``normal_equation_residual`` is that check's
-ratio on the model's one block of every column.
+depends on the prediction.
 ``check_residual`` recomputes every lambda's E in one more sweep per epoch.
+
+The dense view (``_dense``) is a model's system on one block of every
+column, with E accumulated from -Y: ``normal_equation_residual`` is the
+``grad_tol`` check's ratio on it, ``objective_value`` the system's own
+objective pass and ``system_matrix`` its block matrix A, which the rates
+lab's ``conditioning_compare`` reads.  No formula of a system is stated
+twice.
 
 Within a sweep the next block is generated while the current one is
 applied (``threads.ahead``): a block source is called one call at a time,
@@ -449,97 +456,6 @@ def _unpack(entry, dtype: str, ndim: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# objectives (dense reference forms; the engines maintain these incrementally)
-
-
-def _ip(a: np.ndarray, b: np.ndarray) -> float:
-    """Trace inner product <A, B> = tr(A^T B)."""
-    return float(np.sum(a * b))
-
-
-def full_surrogate(alpha: np.ndarray, K: np.ndarray, Y: np.ndarray, lam: float) -> float:
-    """Gauss-Seidel surrogate 0.5<a, Ka> + (n lam / 2)||a||^2 - <Y, a>."""
-    n = Y.shape[0]
-    ka = K @ alpha
-    return 0.5 * _ip(alpha, ka) + 0.5 * n * lam * _ip(alpha, alpha) - _ip(Y, alpha)
-
-
-def nystrom_objective(
-    alpha: np.ndarray,
-    k_block: np.ndarray,
-    landmarks: np.ndarray,
-    Y: np.ndarray,
-    lam: float,
-    gamma: float,
-) -> float:
-    """(1/n)||K_J a - Y||^2 + lam <a, K_JJ a> + lam gamma ||a||^2.
-
-    ``k_block`` is the n x p column block K([n], J).
-    """
-    n = Y.shape[0]
-    ka = k_block @ alpha
-    return (
-        _ip(ka - Y, ka - Y) / n
-        + lam * _ip(alpha, ka[landmarks])
-        + lam * gamma * _ip(alpha, alpha)
-    )
-
-
-def rf_objective(w: np.ndarray, Z: np.ndarray, Y: np.ndarray, lam: float) -> float:
-    """(1/n)||Z w - Y||^2 + lam ||w||^2."""
-    n = Y.shape[0]
-    r = Z @ w - Y
-    return _ip(r, r) / n + lam * _ip(w, w)
-
-
-def _diagnostic_system(model: Model, data: Dataset, lam, gamma) -> _BlockSystem:
-    """A dense diagnostic's system: ``model``'s, on ``data`` as one block
-    of every column, once the inputs pass.  ``gamma`` passes
-    ``check_level`` and ``lam`` the lambda rule of a solve at the system's
-    gamma, ``_check_lams`` (ConfigError), and ``data`` can be the training
-    set: it has rows, one class per coefficient column, a full model has
-    one anchor per row, and a nystrom model's landmarks are rows of it
-    (DimensionMismatchError)."""
-    check_level("gamma", gamma)
-    # no block source: the diagnostic generates its one block itself
-    system = _system(model, one_vs_all(data), model.coefficients.shape[0], gamma, None)
-    _check_lams([lam], data.n, system.gamma)
-    if data.n == 0:
-        raise DimensionMismatchError("data has no rows, so it is no model's training set")
-    if data.k != model.coefficients.shape[1]:
-        raise DimensionMismatchError(
-            f"data has {data.k} classes, the model {model.coefficients.shape[1]} "
-            "coefficient columns"
-        )
-    if model.method == "full" and data.n != model.anchors.shape[0]:
-        raise DimensionMismatchError(
-            f"data has {data.n} rows, the full model {model.anchors.shape[0]} anchors"
-        )
-    if model.method == "nystrom" and np.any(model.landmarks >= data.n):
-        raise DimensionMismatchError(
-            f"landmark {model.landmarks.max()} lies past the data's last row {data.n - 1}"
-        )
-    return system
-
-
-@solver_threads()
-def objective_value(
-    model: Model, data: Dataset, lam: float, gamma: float = 0.0
-) -> float:
-    """The surrogate objective a solver of this method descends, evaluated
-    densely at the model's coefficients (desk-scale diagnostic, inside
-    ``solver_threads``).  Refuses the inputs ``normal_equation_residual``
-    refuses."""
-    Y = _diagnostic_system(model, data, lam, gamma).Y
-    kj = model.columns(data.X)
-    if model.method == "full":
-        return full_surrogate(model.coefficients, kj, Y, lam)
-    if model.method == "nystrom":
-        return nystrom_objective(model.coefficients, kj, model.landmarks, Y, lam, gamma)
-    return rf_objective(model.coefficients, kj, Y, lam)
-
-
-# ---------------------------------------------------------------------------
 # the block-descent engine
 
 
@@ -559,6 +475,11 @@ class _Batch:
 
     def copy(self) -> _Batch:
         return _Batch(self.lams, self.coeffs.copy(), self.resid.copy(), self.n)
+
+
+def _ip(a: np.ndarray, b: np.ndarray) -> float:
+    """Trace inner product <A, B> = tr(A^T B)."""
+    return float(np.sum(a * b))
 
 
 def _column_ips(a: np.ndarray, b: np.ndarray, lams: int, weight=None) -> np.ndarray:
@@ -1138,27 +1059,37 @@ def _system(model: Model, Y: np.ndarray, b: int, gamma: float, block) -> _BlockS
     return _GramSystem(Y, b, block, landmarks=model.landmarks, gamma=gamma)
 
 
+def template_model(
+    data: Dataset, spec, p: int | None = None, gamma: float = 0.0,
+    landmark_seed: int = 0,
+) -> Model:
+    """The one place a spec (plus ``p``) picks a method: a zero-coefficient
+    model of it on ``data``.  A ``FeatureMapSpec`` gives rf; a
+    ``KernelSpec`` gives full when ``p`` is None, and otherwise nystrom on
+    ``p`` landmark rows drawn with ``landmark_seed``, once ``gamma`` passes
+    ``check_level``.  Any other spec raises ``ConfigError``."""
+    if isinstance(spec, FeatureMapSpec):
+        return Model("rf", np.zeros((spec.p, data.k)), features=spec, dim=data.d)
+    if not isinstance(spec, KernelSpec):
+        raise ConfigError(f"unsupported spec type {type(spec).__name__}")
+    if p is None:
+        return Model("full", np.zeros((data.n, data.k)), kernel=spec, anchors=data.X)
+    check_level("gamma", gamma)
+    landmarks = draw_landmarks(data.n, p, landmark_seed)
+    return Model("nystrom", np.zeros((p, data.k)), kernel=spec,
+                 anchors=data.X[landmarks], landmarks=landmarks)
+
+
 def _run_spec(
     data: Dataset, spec, lams, plan: BlockPlan, epochs: int, *,
     p: int | None = None, gamma: float = 0.0, landmark_seed: int = 0,
     block_fn=None, **kwargs,
 ) -> list[tuple[Model, ConvergenceTrace]]:
-    """The one place a spec (plus ``p``) picks a method: build a
-    zero-coefficient model of it, then run its system (``_system``) on the
+    """Run the system (``_system``) of ``template_model``'s model on the
     model's column map, or on ``block_fn`` when given.  ``block_fn(pos)``
     returns its block, which is copied into the run's buffer."""
     Y = one_vs_all(data)
-    if isinstance(spec, FeatureMapSpec):
-        model = Model("rf", np.zeros((spec.p, data.k)), features=spec, dim=data.d)
-    elif not isinstance(spec, KernelSpec):
-        raise ConfigError(f"unsupported spec type {type(spec).__name__}")
-    elif p is None:
-        model = Model("full", np.zeros((data.n, data.k)), kernel=spec, anchors=data.X)
-    else:
-        check_level("gamma", gamma)
-        landmarks = draw_landmarks(data.n, p, landmark_seed)
-        model = Model("nystrom", np.zeros((p, data.k)), kernel=spec,
-                      anchors=data.X[landmarks], landmarks=landmarks)
+    model = template_model(data, spec, p, gamma, landmark_seed)
     rows = model.coefficients.shape[0]
     if plan.universe != rows:
         raise ConfigError(f"plan universe {plan.universe} != {rows} coefficient rows")
@@ -1249,7 +1180,58 @@ def solve_path(
 
 
 # ---------------------------------------------------------------------------
-# fixed-point residuals (dense diagnostics used by tests and the CLI)
+# the dense view: a model's system on one block of every column (desk-scale
+# diagnostics, and the rates lab's block systems)
+
+
+def _dense(model: Model, data: Dataset, lam, gamma):
+    """``model``'s system on ``data`` as one block of every column, once
+    the inputs pass, with that block, ``model.columns(data.X,
+    at_anchors=True)``, and a one-lambda ``_Batch`` at the model's
+    coefficients whose E is accumulated from -Y.  Materializes the whole
+    n x p (or n x n) block, so desk scale only.
+
+    ``gamma`` passes ``check_level`` and ``lam`` the lambda rule of a
+    solve at the system's gamma, ``_check_lams`` (ConfigError), and
+    ``data`` can be the training set: it has rows, one class per
+    coefficient column, a full model has one anchor per row, and a nystrom
+    model's landmarks are rows of it (DimensionMismatchError)."""
+    check_level("gamma", gamma)
+    # no block source: the view generates its one block itself
+    system = _system(model, one_vs_all(data), model.coefficients.shape[0], gamma, None)
+    _check_lams([lam], data.n, system.gamma)
+    if data.n == 0:
+        raise DimensionMismatchError("data has no rows, so it is no model's training set")
+    if data.k != model.coefficients.shape[1]:
+        raise DimensionMismatchError(
+            f"data has {data.k} classes, the model {model.coefficients.shape[1]} "
+            "coefficient columns"
+        )
+    if model.method == "full" and data.n != model.anchors.shape[0]:
+        raise DimensionMismatchError(
+            f"data has {data.n} rows, the full model {model.anchors.shape[0]} anchors"
+        )
+    if model.method == "nystrom" and np.any(model.landmarks >= data.n):
+        raise DimensionMismatchError(
+            f"landmark {model.landmarks.max()} lies past the data's last row {data.n - 1}"
+        )
+    kb = model.columns(data.X, at_anchors=True)
+    batch = _Batch([lam], model.coefficients, -system.Y, data.n)
+    system.accumulate(batch.resid, slice(None), kb, batch.coeffs, batch.lam_eff)
+    return system, batch, kb
+
+
+@solver_threads()
+def objective_value(
+    model: Model, data: Dataset, lam: float, gamma: float = 0.0
+) -> float:
+    """The surrogate objective a solver of this method descends, at the
+    model's coefficients: the system's own objective pass (``objectives``)
+    on the dense view, so a run's trace objective is this value up to
+    rounding.  Runs inside ``solver_threads`` and refuses the inputs
+    ``normal_equation_residual`` refuses."""
+    system, batch, _ = _dense(model, data, lam, gamma)
+    return system.objectives(batch)[0]
 
 
 @solver_threads()
@@ -1263,20 +1245,35 @@ def normal_equation_residual(
     nystrom:  ||(K_J^T K_J + n lam K_JJ + n lam gamma I) a - K_J^T Y|| / ||K_J^T Y||
     rf:       ||(Z^T Z + n lam I) w - Z^T Y|| / ||Z^T Y||
 
-    It is the ``grad_tol`` check on one block of every column,
-    ``model.columns(data.X, at_anchors=True)``: E accumulated from -Y, then
-    the system's ``gradients`` and ``rhs_term``.  Materializes the whole
-    n x p (or n x n) block, so desk scale only.  Runs inside
-    ``solver_threads``.  ``data`` must be the training set: one with no
-    rows, a row count other than a full model's anchor count, or a nystrom
-    landmark past the last row raises ``DimensionMismatchError``; a
+    It is the ``grad_tol`` check on the dense view's one block of every
+    column: the system's ``gradients`` and ``rhs_term``.  Desk scale only.
+    Runs inside ``solver_threads``.  ``data`` must be the training set: one
+    with no rows, a row count other than a full model's anchor count, or a
+    nystrom landmark past the last row raises ``DimensionMismatchError``; a
     ``gamma`` that ``check_level`` refuses, or a ``lam`` that a solve of
     the method refuses (``check_lambdas``, or n lam or, for nystrom,
     n lam gamma not finite) raises ``ConfigError``.
     """
-    system = _diagnostic_system(model, data, lam, gamma)
-    kb = model.columns(data.X, at_anchors=True)
-    batch = _Batch([lam], model.coefficients, -system.Y, data.n)
-    system.accumulate(batch.resid, slice(None), kb, batch.coeffs, batch.lam_eff)
+    system, batch, kb = _dense(model, data, lam, gamma)
     grads = system.gradients(batch, slice(None), kb, ExecContext().partition(data.n))
     return float(np.linalg.norm(grads) / np.sqrt(system.rhs_term(slice(None), kb)))
+
+
+@solver_threads()
+def system_matrix(
+    model: Model, data: Dataset, lam: float, gamma: float = 0.0
+) -> np.ndarray:
+    """The block matrix A of the system a solve of ``model``'s method runs,
+    with every column one block: ``visit``'s products on one worker, then
+    ``matrix`` at n lam, so
+
+    full:     K + n lam I
+    nystrom:  K_J^T K_J + n lam K_JJ + n lam gamma I
+    rf:       Z^T Z + n lam I
+
+    K_JJ and full's K are exactly symmetric (``Model.columns``'
+    ``at_anchors``), and so is the gram.  Runs inside ``solver_threads``
+    and refuses the inputs ``normal_equation_residual`` refuses."""
+    system, _, kb = _dense(model, data, lam, gamma)
+    part = ExecContext().partition(data.n)
+    return system.matrix(system.visit(slice(None), kb, part, NULL_LEDGER, None), data.n * lam)

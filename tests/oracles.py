@@ -55,6 +55,46 @@ def random_feature_entries(t, p: int) -> np.ndarray:
     return out
 
 
+def _ip(a: np.ndarray, b: np.ndarray) -> float:
+    """Trace inner product <A, B> = tr(A^T B)."""
+    return float(np.sum(a * b))
+
+
+def full_surrogate(alpha: np.ndarray, K: np.ndarray, Y: np.ndarray, lam: float) -> float:
+    """Gauss-Seidel surrogate 0.5<a, Ka> + (n lam / 2)||a||^2 - <Y, a>."""
+    n = Y.shape[0]
+    ka = K @ alpha
+    return 0.5 * _ip(alpha, ka) + 0.5 * n * lam * _ip(alpha, alpha) - _ip(Y, alpha)
+
+
+def nystrom_objective(
+    alpha: np.ndarray,
+    k_block: np.ndarray,
+    landmarks: np.ndarray,
+    Y: np.ndarray,
+    lam: float,
+    gamma: float,
+) -> float:
+    """(1/n)||K_J a - Y||^2 + lam <a, K_JJ a> + lam gamma ||a||^2.
+
+    ``k_block`` is the n x p column block K([n], J).
+    """
+    n = Y.shape[0]
+    ka = k_block @ alpha
+    return (
+        _ip(ka - Y, ka - Y) / n
+        + lam * _ip(alpha, ka[landmarks])
+        + lam * gamma * _ip(alpha, alpha)
+    )
+
+
+def rf_objective(w: np.ndarray, Z: np.ndarray, Y: np.ndarray, lam: float) -> float:
+    """(1/n)||Z w - Y||^2 + lam ||w||^2."""
+    n = Y.shape[0]
+    r = Z @ w - Y
+    return _ip(r, r) / n + lam * _ip(w, w)
+
+
 def primal_dual_gap(Z: np.ndarray, w: np.ndarray, Y: np.ndarray, lam: float) -> float:
     """||w - (1/(n lam)) Z^T (Y - Z w)||_F.
 

@@ -137,6 +137,19 @@ REFUSALS = {
         lambda: conditioning_compare(BLOBS, RBF, FSPEC, 4, -1.0, 0.1), ConfigError),
     "conditioning_compare-gamma-negative": (
         lambda: conditioning_compare(BLOBS, RBF, FSPEC, 4, 0.1, -1.0), ConfigError),
+    # n lam, and n lam gamma for the nystrom system, must be finite, as the
+    # dense diagnostics need
+    **{f"conditioning_compare-lam-{lam}-gamma-{gamma}-overflows": (
+        lambda lam=lam, gamma=gamma: conditioning_compare(
+            gaussian_blobs(32, 2, 2, seed=1), KernelSpec("rbf", 1.5),
+            FeatureMapSpec(8, 1.5, 3), 8, lam, gamma),
+        ConfigError)
+       for lam, gamma in [(1e308, 0.1), (0.1, 1e308), (1e300, 1e10)]},
+    # each system from its own spec type, as the single-method solves take
+    "conditioning_compare-kspec-feature-map": (
+        lambda: conditioning_compare(BLOBS, FSPEC, FSPEC, 4, 0.1, 0.1), ConfigError),
+    "conditioning_compare-fspec-kernel": (
+        lambda: conditioning_compare(BLOBS, RBF, RBF, 4, 0.1, 0.1), ConfigError),
     **{f"{f.__name__}-lam-{value}": (lambda f=f, value=value: f(FULL, TRAIN, value), ConfigError)
        for f in DIAGNOSTICS for value in ("x", None, -1.0, np.nan)},
     **{f"{f.__name__}-gamma-negative": (lambda f=f: f(NYSTROM, TRAIN, 0.1, -1.0), ConfigError)

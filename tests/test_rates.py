@@ -20,6 +20,7 @@ from kernelbcd.errors import (
     ThresholdNotMetError,
 )
 from kernelbcd.kernels import (
+    Dataset,
     FeatureMapSpec,
     KernelSpec,
     gaussian_blobs,
@@ -380,6 +381,19 @@ class TestConditioning:
         for got, m in ((pair.nystrom, m_ny), (pair.rf, m_rf)):
             vals = np.linalg.eigvalsh((m + m.T) * 0.5)
             assert got == pytest.approx(vals[-1] / vals[0], rel=1e-10)
+
+    def test_a_singular_system_reads_infinity(self):
+        # a linear kernel on 2-d data makes K_J of rank 2, so at gamma 0 the
+        # 8 x 8 nystrom system is singular: its smallest eigenvalue rounds to
+        # zero or below, and its condition number is infinite, not negative
+        linear = KernelSpec("linear", 1.0)
+        data = gaussian_blobs(32, 2, 2, seed=1)
+        pair = conditioning_compare(data, linear, FeatureMapSpec(8, 1.5, 3), 8, 0.1, 0.0)
+        assert pair.nystrom == math.inf and math.isfinite(pair.rf)
+        # on all-zero data the linear nystrom system is the zero matrix
+        zero = Dataset(np.zeros((16, 2)), np.arange(16) % 2, 2)
+        pair = conditioning_compare(zero, linear, FeatureMapSpec(4, 1.5, 3), 4, 0.1, 0.0)
+        assert pair.nystrom == math.inf and math.isfinite(pair.rf)
 
     def test_gamma_tames_nystrom_conditioning(self):
         data = gaussian_blobs(64, 3, 2, seed=41, center_scale=2.0, noise=0.8)

@@ -33,14 +33,11 @@ from kernelbcd.solvers import (
     draw_landmarks,
     epoch_blocks,
     evaluate,
-    full_surrogate,
     load_model,
     make_plan,
     normal_equation_residual,
-    nystrom_objective,
     objective_value,
     predict,
-    rf_objective,
     save_model,
     solve_full,
     solve_nystrom,
@@ -55,7 +52,13 @@ from kernelbcd.solvers import (
     _run,
     _run_spec,
 )
-from oracles import dense_normal_equation_residual, primal_dual_gap
+from oracles import (
+    dense_normal_equation_residual,
+    full_surrogate,
+    nystrom_objective,
+    primal_dual_gap,
+    rf_objective,
+)
 
 
 def separated_points_dataset(n, k=2):
@@ -507,8 +510,13 @@ class TestObjectives:
             model.coefficients, kj, model.landmarks, y, lam, gamma
         )
         assert trace.records[-1].objective == pytest.approx(expected, rel=1e-9)
-        # the dispatcher's nystrom branch: the model's own column map
-        assert objective_value(model, data, lam, gamma) == expected
+        # objective_value is the system's own objective pass, which reads E:
+        # the dense formula within 1e-12 of the sum of its terms' magnitudes
+        c = model.coefficients
+        terms = [np.sum((kj @ c - y) ** 2) / data.n,
+                 lam * np.sum(c * (kj @ c)[model.landmarks]), lam * gamma * np.sum(c * c)]
+        got = objective_value(model, data, lam, gamma)
+        assert abs(got - expected) <= 1e-12 * sum(abs(t) for t in terms)
 
 
 class TestPrimalDual:
@@ -1482,7 +1490,7 @@ class TestOneFeatureDraw:
 def _dense_objective_case(method, n, d, k, lams, seed):
     """A random batch of ``lams`` with its E formed densely, the system it
     belongs to and, per lambda, the dense formula's value and the sum of
-    its terms' magnitudes."""
+    its terms' magnitudes; then the model, its data and its gamma."""
     rng = np.random.default_rng(seed)
     data = Dataset(rng.standard_normal((n, d)), rng.integers(0, k, n), k)
     Y = one_vs_all(data)
@@ -1521,7 +1529,7 @@ def _dense_objective_case(method, n, d, k, lams, seed):
             terms = [np.sum((kb @ c - Y) ** 2) / n, lam * np.sum(c * c)]
             expected.append(rf_objective(c, kb, Y, lam))
         scales.append(sum(abs(t) for t in terms))
-    return system, batch, expected, scales
+    return system, batch, expected, scales, (model, data, gamma)
 
 
 @settings(max_examples=120, deadline=None)
@@ -1533,11 +1541,17 @@ def test_objectives_match_the_dense_formulas(method, n, d, k, lams, seed):
     # one pass over the batch gives each lambda's objective within 1e-12 of
     # the dense formula, relative to the sum of its terms' magnitudes: the
     # objective itself for nystrom and rf, whose terms are non-negative
-    system, batch, expected, scales = _dense_objective_case(method, n, d, k, lams, seed)
+    system, batch, expected, scales, (model, data, gamma) = _dense_objective_case(
+        method, n, d, k, lams, seed)
     objs = system.objectives(batch)
     assert len(objs) == len(lams) and all(type(o) is float for o in objs)
     for obj, want, scale in zip(objs, expected, scales):
         assert abs(obj - want) <= 1e-12 * scale
+    # objective_value, the same pass on the dense view at the model's
+    # coefficients, holds the first lambda's to the oracle at the same bound
+    fitted = dataclasses.replace(model, coefficients=batch.coeffs[:, batch.cols[0]])
+    got = objective_value(fitted, data, lams[0], gamma)
+    assert abs(got - expected[0]) <= 1e-12 * scales[0]
     # a non-finite entry of one lambda's E makes its objective non-finite,
     # which the descent guard refuses; the other lambdas' stay finite
     last = batch.cols[-1]
