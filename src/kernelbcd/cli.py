@@ -400,15 +400,18 @@ def cmd_rates_check(cfg: RunConfig) -> int:
     rng = np.random.default_rng(cfg.seed)
     curve_rows = []
     verdicts = []
-    for q in range(cfg.quadratics):
+    probs = []
+    for _ in range(cfg.quadratics):
         raw = rng.standard_normal((cfg.dim, cfg.dim))
         H = raw @ raw.T / cfg.dim + 0.5 * np.eye(cfg.dim)
-        g = rng.standard_normal(cfg.dim)
-        prob = rates.QuadraticProblem(H, g)
+        probs.append(rates.QuadraticProblem(H, rng.standard_normal(cfg.dim)))
+    # problem q's runs are those of base seed cfg.seed + q
+    mean_gaps = rates.run_bcd_quadratic(
+        probs, cfg.b, seeds=cfg.ensemble, tau=cfg.tau, base_seed=cfg.seed
+    )
+    for q, (prob, mean_gap) in enumerate(zip(probs, mean_gaps)):
+        H = prob.H
         m = lambda_extremes(H).lmin
-        mean_gap = rates.run_bcd_quadratic(
-            prob, cfg.b, seeds=cfg.ensemble, tau=cfg.tau, base_seed=cfg.seed + q
-        )
         thm = rates.improved_bound(H, cfg.b, m, mean_gap[0], cfg.tau)
         classical = rates.classical_bound(H, cfg.b, m, mean_gap[0], cfg.tau)
         for t in range(cfg.tau + 1):

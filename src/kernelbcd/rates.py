@@ -19,30 +19,36 @@ sampler here draws a fresh uniform size-b subset each step, the model the
 expectation bound is stated for; the solvers instead sweep a fresh random
 partition each epoch, which the bound does not cover.
 
-The seeded runs of an ensemble step together: seed s draws its subsets from
-its own generator, SeedSequence(base_seed, spawn_key=(s,)), and a step of
-every run is one stacked gather, one stacked SPD solve and one stacked
-update.  Every random subset, a run's blocks or a Chernoff or Bernstein
-trial's, is the indices of the b smallest of d uniform keys, drawn in bulk
-by ``_choices`` a chunk of steps or trials at a time: one
+The seeded runs of an ensemble step together, those of every problem of a
+list at once: seed s of problem q draws its subsets from its own generator,
+SeedSequence(base_seed + q, spawn_key=(s,)), each run carries its problem's
+H, g and f*, and a step of every run is one stacked gather, one stacked SPD
+solve and one stacked update.  Every random subset, a run's blocks or a
+Chernoff or Bernstein trial's, is the indices of the b smallest of d uniform
+keys, drawn in bulk by ``_choices`` a chunk of steps or trials at a time: one
 ``Generator.random((calls, d))`` call gives byte for byte the keys of
 ``calls`` consecutive ``random(d)`` calls, so the subsets are those of a
 loop that draws one at a time.  The random-feature trials are drawn a chunk
 at a time as well, by one ``random_features_stack`` call, each trial byte
-for byte its own ``random_features_block``.  The subset families behind
-``l_max_b`` and the Monte-Carlo checks go through one stacked ``eigvalsh``
-per chunk, so their lambda_max values are byte-equal to a per-subset loop.
-The thresholds' single-matrix tops, the lambda_max of A^T A, psi^T psi and
-the kernel matrix of X, come from ``lambda_extremes``, which refuses a
-matrix that is not finite, and ``l_max_b`` refuses the same H through the
-same check (``checked_symmetric``).  The stacked solve is ``spd_solve``,
-the solvers' one: it refuses a block that is not symmetric within tolerance
-or whose Cholesky pivots are not positive to working precision
-(``NotSpdError``), and solves by LU, not Cholesky, so mean gaps agree with
-a per-seed loop to rounding (within 1e-14 of the first gap in the tests),
-and a run's gaps do not depend on how many runs step with it.  Chunks of at
-most ``_STACK_WORDS`` words (``_DRAW_WORDS`` for the feature trials) bound
-the memory whatever the seed, step, subset or trial count.
+for byte its own ``random_features_block``.  The subsets behind ``l_max_b``
+go through one stacked ``eigvalsh`` per chunk, so their lambda_max values
+are byte-equal to a per-subset loop.  A Monte-Carlo count gathers a chunk's
+blocks the same way and eigendecomposes only the blocks that a cheap bound
+leaves undecided (lambda_max <= ||S||_F for the Chernoff upper tail,
+lambda_max >= max_i S_ii for the Bernstein lower tail, each with a margin
+past ``eigvalsh``'s backward error), so its hit count is that of the
+per-subset loop.  The thresholds' single-matrix tops, the lambda_max of
+A^T A, psi^T psi and the kernel matrix of X, come from ``lambda_extremes``,
+which refuses a matrix that is not finite, and ``l_max_b`` refuses the same
+H through the same check (``checked_symmetric``).  The stacked solve is
+``spd_solve``, the solvers' one: it refuses a block that is not symmetric
+within tolerance or whose Cholesky pivots are not positive to working
+precision (``NotSpdError``), and solves by LU, not Cholesky, so mean gaps
+agree with a per-seed loop to rounding (within 1e-14 of the first gap in
+the tests), and a run's gaps do not depend on how many runs, or which problems, step
+with it.  Chunks of at most ``_STACK_WORDS`` words (``_DRAW_WORDS`` for the
+feature trials) bound the memory whatever the problem, seed, step, subset or
+trial count.
 
 Natural log throughout.
 """
@@ -101,6 +107,12 @@ COSINE_FEATURE_BOUND = math.sqrt(2.0)  # sup |sqrt(2) cos(.)|
 # chunk of subset draws.  It bounds the memory however many seeds or
 # subsets a check asks for.
 _STACK_WORDS = 1 << 13
+
+# The relative margin by which a Monte-Carlo block's cheap bound must clear
+# the threshold to decide the block, and the smallest Frobenius norm the
+# bound is trusted at; ``_hits`` derives both.
+_SCREEN_MARGIN = 2.0**-20
+_SCREEN_FLOOR = 2.0**-450
 
 
 # ---------------------------------------------------------------------------
@@ -252,77 +264,121 @@ def classical_bound(
 # empirical block coordinate descent on quadratics
 
 
-def _seed_chunks(prob: QuadraticProblem, b: int, seeds: int, base_seed: int):
-    """The generator of each seeded run s, SeedSequence(base_seed, spawn_key=(s,)),
-    in seed order, as lists of at most ``_STACK_WORDS // (b * dim)`` runs:
-    the runs of one list step together.  ``b``, ``seeds`` and ``base_seed``
-    are checked by the call, before any run is drawn."""
-    b, seeds = check_size("block size", b, prob.dim), check_size("seeds", seeds)
+def _problems(prob) -> list:
+    """``prob`` as a list of problems: itself alone, or the problems of a
+    non-empty list of one dimension (``ConfigError`` otherwise)."""
+    if isinstance(prob, QuadraticProblem):
+        return [prob]
+    probs = list(prob)
+    if not probs or not all(isinstance(p, QuadraticProblem) for p in probs):
+        raise ConfigError("expected a QuadraticProblem or a non-empty list of them")
+    if any(p.dim != probs[0].dim for p in probs):
+        raise ConfigError("the problems of one ensemble must share a dimension")
+    return probs
+
+
+def _seed_chunks(probs: list, b: int, seeds: int, base_seed: int):
+    """The seeded runs of every problem, problem by problem and in seed
+    order within one: run s of problem q draws from its own generator,
+    SeedSequence(base_seed + q, spawn_key=(s,)).  Yields (which, rngs) for
+    lists of at most ``_STACK_WORDS // (b * dim)`` runs, which may span
+    problems: the runs of one list step together, and ``which[i]`` is the
+    problem of ``rngs[i]``.  ``b``, ``seeds`` and ``base_seed`` are checked
+    by the call, before any run is drawn."""
+    b, seeds = check_size("block size", b, probs[0].dim), check_size("seeds", seeds)
     base_seed = check_count("base seed", base_seed)
-    per = max(1, _STACK_WORDS // (b * prob.dim))
+    per = max(1, _STACK_WORDS // (b * probs[0].dim))
+    runs = len(probs) * seeds
     return (
-        [
-            np.random.default_rng(np.random.SeedSequence(base_seed, spawn_key=(s,)))
-            for s in range(first, min(first + per, seeds))
-        ]
-        for first in range(0, seeds, per)
+        (
+            np.arange(first, min(first + per, runs)) // seeds,
+            [
+                np.random.default_rng(np.random.SeedSequence(
+                    base_seed + r // seeds, spawn_key=(r % seeds,)
+                ))
+                for r in range(first, min(first + per, runs))
+            ],
+        )
+        for first in range(0, runs, per)
     )
 
 
-def _ensemble_gaps(prob: QuadraticProblem, b: int, rngs: list, tau: int):
-    """Seeded runs stepping together: exact block minimization from w = 0,
-    each run drawing I_t uniformly without replacement from its own
-    generator at every step.  The blocks come from ``_choices``, a chunk of
-    steps of every run at a time, so a caller that stops early has drawn at
-    most one chunk past its last step.
+def _ensemble_gaps(probs: list, which: np.ndarray, b: int, rngs: list, tau: int):
+    """Seeded runs stepping together: run i minimizes ``probs[which[i]]``
+    exactly over a block from w = 0, drawing I_t uniformly without
+    replacement from ``rngs[i]`` at every step.  The blocks come from
+    ``_choices``, a chunk of steps of every run at a time, so a caller that
+    stops early has drawn at most one chunk past its last step.
 
     Yields the vector of the runs' gaps at t = 0..tau.  A step is one
-    stacked gather of the b x b blocks, one stacked ``spd_solve`` and one
-    stacked update of w and H w.  An H or g that is not finite, or a
-    solution that is not, raises ``DivergenceError``; a block that
-    ``spd_solve`` refuses, not symmetric within tolerance or not positive
-    definite to working precision, raises ``NotSpdError``.  (H and g are
-    checked here because ``QuadraticProblem`` checked them only when it was
-    built.)
+    stacked gather of the b x b blocks, each from its run's own H, one
+    stacked ``spd_solve`` and one stacked update of w and H w.  An H or g
+    that is not finite, or a solution that is not, raises
+    ``DivergenceError``; a block that ``spd_solve`` refuses, not symmetric
+    within tolerance or not positive definite to working precision, raises
+    ``NotSpdError``.  (H and g are checked here because ``QuadraticProblem``
+    checked them only when it was built.)
     """
-    H, g, d = prob.H, prob.g, prob.dim
+    H = np.stack([p.H for p in probs])
+    g = np.stack([p.g for p in probs])
     _raise_if_not_finite(H=H, g=g)
+    f_star = np.array([p.f_star for p in probs])[which]
+    g_runs = g[which][:, :, None]
+    d = H.shape[1]
+    # H^T, so that a run's d x b columns of H gather as b contiguous rows
+    ht = H.transpose(0, 2, 1).copy()
     runs = np.arange(len(rngs))[:, None]
     w = np.zeros((len(rngs), d))
     hw = np.zeros((len(rngs), d))  # H @ w of each run, maintained
-    yield np.full(len(rngs), 0.0 - prob.f_star)
+    yield 0.0 - f_star
     for idx in _choices(rngs, d, b, tau):
-        sub = H[idx[:, :, None], idx[:, None, :]]
+        sub = H[which[:, None, None], idx[:, :, None], idx[:, None, :]]
         old = w[runs, idx]
-        rhs = g[idx] - hw[runs, idx] + (sub @ old[:, :, None])[:, :, 0]
+        rhs = g[which[:, None], idx] - hw[runs, idx] + (sub @ old[:, :, None])[:, :, 0]
         new = spd_solve(sub, rhs[:, :, None])[:, :, 0]
         if not np.isfinite(new).all():
             raise DivergenceError("a block solve has non-finite entries")
-        hw += (H[:, idx].transpose(1, 0, 2) @ (new - old)[:, :, None])[:, :, 0]
+        # each run's columns H[:, I] in the column-major layout of the
+        # one-problem gather H[:, idx], so that matmul takes the same path
+        cols = ht[which[:, None], idx].transpose(0, 2, 1)
+        hw += (cols @ (new - old)[:, :, None])[:, :, 0]
         w[runs, idx] = new
         # one dot per run, (1 x d) @ (d x 1), so a run's gap does not depend
         # on how many runs step with it
         wt = w[:, None, :]
-        gaps = 0.5 * (wt @ hw[:, :, None]) - wt @ g[:, None]
-        yield gaps[:, 0, 0] - prob.f_star
+        gaps = 0.5 * (wt @ hw[:, :, None]) - wt @ g_runs
+        yield gaps[:, 0, 0] - f_star
 
 
 def run_bcd_quadratic(
-    prob: QuadraticProblem, b: int, seeds: int, tau: int, base_seed: int = 0
+    prob: QuadraticProblem | list[QuadraticProblem],
+    b: int,
+    seeds: int,
+    tau: int,
+    base_seed: int = 0,
 ) -> np.ndarray:
     """Mean optimality-gap sequence over seeded runs (length tau + 1).
 
-    Each step's gaps are summed in seed order, one addition at a time
-    (``sum_in_order``), so the output is reproducible for a fixed
-    (prob, b, seeds, tau, base_seed).
+    ``prob`` is one ``QuadraticProblem``, or a list of problems of one
+    dimension; a list gives one row per problem, problem q's runs drawn from
+    base_seed + q, and each row is byte for byte the one-problem call at
+    that base seed.  Every problem's runs step together, in chunks that may
+    span problems.  Each step's gaps are summed per problem in seed order,
+    one addition at a time (``sum_in_order``), so the output is reproducible
+    for a fixed (prob, b, seeds, tau, base_seed).
     """
     tau = check_count("tau", tau)
-    chunks = _seed_chunks(prob, b, seeds, base_seed)
-    total = np.zeros(tau + 1)
-    for rngs in chunks:
-        for t, gaps in enumerate(_ensemble_gaps(prob, b, rngs, tau)):
-            total[t] = sum_in_order([float(total[t]), *gaps.tolist()])
-    return total / seeds
+    probs = _problems(prob)
+    total = np.zeros((len(probs), tau + 1))
+    for which, rngs in _seed_chunks(probs, b, seeds, base_seed):
+        first = int(which[0])
+        qs, starts = np.unique(which, return_index=True)
+        steps = _ensemble_gaps(probs[first:qs[-1] + 1], which - first, b, rngs, tau)
+        for t, gaps in enumerate(steps):
+            for q, part in zip(qs.tolist(), np.split(gaps, starts[1:])):
+                total[q, t] = sum_in_order([float(total[q, t]), *part.tolist()])
+    mean = total / seeds
+    return mean[0] if isinstance(prob, QuadraticProblem) else mean
 
 
 def bcd_iterations_to_tolerance(
@@ -340,10 +396,10 @@ def bcd_iterations_to_tolerance(
     check_level("rel_tol", rel_tol)
     target = rel_tol * (0.0 - prob.f_star)
     counts = []
-    for rngs in _seed_chunks(prob, b, seeds, base_seed):
+    for which, rngs in _seed_chunks([prob], b, seeds, base_seed):
         first = np.full(len(rngs), max_iters, dtype=np.int64)
         running = np.ones(len(rngs), dtype=bool)
-        steps = enumerate(_ensemble_gaps(prob, b, rngs, max_iters))
+        steps = enumerate(_ensemble_gaps([prob], which, b, rngs, max_iters))
         next(steps)  # the gap at t = 0 is never a stop
         for t, gaps in steps:
             met = running & (gaps <= target)
@@ -389,15 +445,68 @@ def _subsets(d: int, size: int, trials: int, seed: int):
     return (draw[0] for draw in _choices([rng], d, size, trials))
 
 
-def _tops(G: np.ndarray, subsets, size: int):
-    """lambda_max of each principal submatrix G(s, s) of size ``size``: one
-    array per chunk of at most ``_STACK_WORDS // size**2`` subsets, from one
-    stacked ``eigvalsh``."""
+def _blocks(G: np.ndarray, subsets, size: int):
+    """The principal submatrices G(s, s) of size ``size``, stacked: one
+    array per chunk of at most ``_STACK_WORDS // size**2`` subsets."""
     subsets = iter(subsets)
     per = max(1, _STACK_WORDS // (size * size))
     while chunk := list(islice(subsets, per)):
         idx = np.array(chunk)
-        yield np.linalg.eigvalsh(G[idx[:, :, None], idx[:, None, :]])[:, -1]
+        yield G[idx[:, :, None], idx[:, None, :]]
+
+
+def _tops(G: np.ndarray, subsets, size: int):
+    """lambda_max of each principal submatrix G(s, s) of size ``size``: one
+    array per chunk of ``_blocks``, from one stacked ``eigvalsh``."""
+    return (np.linalg.eigvalsh(blocks)[:, -1] for blocks in _blocks(G, subsets, size))
+
+
+def _hits(G: np.ndarray, subsets, size: int, threshold: float, upper: bool) -> int:
+    """How many of the principal submatrices G(s, s) of size ``size`` have a
+    lambda_max, as ``_tops`` computes it, at or above ``threshold``
+    (``upper``) or below it (not ``upper``).
+
+    A chunk's blocks are screened by a cheap bound first, and only the
+    blocks it leaves undecided go to one stacked ``eigvalsh``, which gives
+    each block's lambda_max byte for byte as ``_tops`` does.  A decided
+    block is never a hit, so the count is that of ``_tops``.  The margin:
+    let t be a k x k block S's top as ``eigvalsh`` computes it, F its
+    Frobenius norm and F' = sqrt(sum of squares) as computed, u = 2**-53.
+    ``eigvalsh`` is backward stable, so t is the top eigenvalue of S + E
+    with ||E||_2 <= p(k) u ||S||_2 for a modest p(k), and by Weyl
+    |t - lambda_max(S)| <= p(k) u F.  A sum of k*k non-negative squares
+    and a square root lose at most (k*k + 2) u, so F <= F' (1 + (k*k + 2) u)
+    when no square underflows or overflows.  For p(k) + k*k below 2**31
+    (k up to 2**15), t lies within M F' / 2 of lambda_max(S), M = 2**-20,
+    and the other M F' / 2 covers the rounding of the screen's own
+    products and differences.  Then
+
+    * upper tail, lambda_max(S) <= ||S||_2 <= F: a block with
+      F' (1 + M) < threshold has t < threshold, no hit;
+    * lower tail, lambda_max(S) >= max_i S_ii (the Rayleigh quotient of
+      e_i): a block with max_i S_ii - M F' > threshold has t > threshold,
+      no hit.
+
+    A block whose F' is below 2**-450, where a square may have underflowed
+    (the k*k squares lose at most k*k * 2**-1075 to gradual underflow, far
+    below u F'**2 above that floor), or is infinite, or whose comparison
+    reads NaN, is left undecided.
+    """
+    hits = 0
+    for blocks in _blocks(G, subsets, size):
+        with np.errstate(over="ignore"):
+            fro = np.sqrt(np.einsum("ijk,ijk->i", blocks, blocks))
+            if upper:
+                decided = fro * (1.0 + _SCREEN_MARGIN) < threshold
+            else:
+                diag = np.diagonal(blocks, axis1=1, axis2=2).max(axis=1)
+                decided = diag - _SCREEN_MARGIN * fro > threshold
+        undecided = blocks[~(decided & (fro >= _SCREEN_FLOOR))]
+        if len(undecided):
+            tops = np.linalg.eigvalsh(undecided)[:, -1]
+            hit = tops >= threshold if upper else tops < threshold
+            hits += int(np.count_nonzero(hit))
+    return hits
 
 
 def chernoff_violation_rate(
@@ -424,9 +533,7 @@ def chernoff_violation_rate(
         math.e**2 * (b / p) * lambda_extremes(G).lmax
         + float(np.diag(G).max()) * math.log(n / delta)
     )
-    tops = _tops(G, _subsets(p, b, trials, seed), b)
-    hits = sum(int(np.count_nonzero(top >= threshold)) for top in tops)
-    return hits / trials
+    return _hits(G, _subsets(p, b, trials, seed), b, threshold, upper=True) / trials
 
 
 def bernstein_lower_rate(
@@ -458,9 +565,7 @@ def bernstein_lower_rate(
         - (4.0 / 3.0) * (lmax / m) * log_term
         - math.sqrt((8.0 * p / m) * lmax * col_b * log_term)
     )
-    tops = _tops(G, _subsets(m, p, trials, seed), p)
-    hits = sum(int(np.count_nonzero(top < threshold)) for top in tops)
-    return hits / trials
+    return _hits(G, _subsets(m, p, trials, seed), p, threshold, upper=False) / trials
 
 
 def rf_required_features(

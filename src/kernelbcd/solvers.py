@@ -1246,8 +1246,10 @@ def normal_equation_residual(
     rf:       ||(Z^T Z + n lam I) w - Z^T Y|| / ||Z^T Y||
 
     It is the ``grad_tol`` check on the dense view's one block of every
-    column: the system's ``gradients`` and ``rhs_term``.  Desk scale only.
-    Runs inside ``solver_threads``.  ``data`` must be the training set: one
+    column: the system's ``gradients`` and ``rhs_term``.  A gradient norm
+    whose squares overflow, on finite gradients, is computed scaled by the
+    largest |entry| instead.  Desk scale only.  Runs inside
+    ``solver_threads``.  ``data`` must be the training set: one
     with no rows, a row count other than a full model's anchor count, or a
     nystrom landmark past the last row raises ``DimensionMismatchError``; a
     ``gamma`` that ``check_level`` refuses, or a ``lam`` that a solve of
@@ -1256,7 +1258,14 @@ def normal_equation_residual(
     """
     system, batch, kb = _dense(model, data, lam, gamma)
     grads = system.gradients(batch, slice(None), kb, ExecContext().partition(data.n))
-    return float(np.linalg.norm(grads) / np.sqrt(system.rhs_term(slice(None), kb)))
+    with np.errstate(over="ignore"):
+        norm = np.linalg.norm(grads)
+        # an int lam past the int64 range makes the gradients object-typed
+        grads = np.asarray(grads, dtype=np.float64)
+        if np.isinf(norm) and np.isfinite(grads).all():
+            top = np.abs(grads).max()
+            norm = top * np.linalg.norm(grads / top)
+    return float(norm / np.sqrt(system.rhs_term(slice(None), kb)))
 
 
 @solver_threads()

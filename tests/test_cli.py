@@ -408,6 +408,26 @@ class TestRatesCheckCommand:
         assert len(rows) == 2 * 6
         assert all(np.isfinite([float(v) for v in row]).all() for row in rows)
 
+    def test_the_benchmark_size_decides_every_monte_carlo_block_by_its_bound(
+        self, tmp_path, monkeypatch
+    ):
+        # the Chernoff and Bernstein blocks are the only 10 x 10 matrices the
+        # command eigendecomposes (l_max_b's are b x b, the other tops 16 x
+        # 16, 24 x 24 or 100 x 100); at dim 16, b 4, seed 0 a cheap bound
+        # decides every one of them
+        shapes = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def spy(a, *args, **kwargs):
+            shapes.append(np.shape(a)[-2:])
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+        code = main(["rates-check", "--dim", "16", "--b", "4", "--seed", "0",
+                     "--out", str(tmp_path / "out")])
+        assert code == EXIT_OK
+        assert (4, 4) in shapes and (10, 10) not in shapes
+
 
 # a problem on blob_files that each method solves to GRAD_TOL well within
 # GRAD_TOL_EPOCHS epochs (full after 8, nystrom 16, rf 9)

@@ -487,11 +487,15 @@ _PROB4 = QuadraticProblem(random_spd(4, 3), np.ones(4))
         lambda: rf_concentration_check(
             FeatureMapSpec(p=4000, sigma=1.0), np.eye(3), 0.5, 0.1, trials=0
         ),
+        lambda: run_bcd_quadratic([], 2, 2, 3),
+        lambda: run_bcd_quadratic([_PROB4, QuadraticProblem(np.eye(3), np.ones(3))], 2, 2, 3),
+        lambda: run_bcd_quadratic([_PROB4, np.eye(4)], 2, 2, 3),
     ],
     ids=[
         "chernoff-trials0", "bernstein-trials0", "iterations-seeds0",
         "iterations-max_iters-1",
         "rf_required_features-delta0", "rf_concentration_check-trials0",
+        "run-no-problems", "run-mixed-dimensions", "run-not-a-problem",
     ],
 )
 def test_degenerate_rates_inputs_raise_config_error(call):
@@ -655,6 +659,63 @@ def test_chunked_stacks_give_the_same_bytes(monkeypatch, runs):
     whole = _lab_values(prob, h, a)
     monkeypatch.setattr(kernelbcd.rates, "_STACK_WORDS", runs * 2 * 6)
     assert _lab_values(prob, h, a) == whole
+
+
+@pytest.mark.parametrize(
+    "d, b, seeds, words",
+    [(16, 4, 100, None), (6, 2, 10, 1 * 2 * 6), (6, 2, 10, 3 * 2 * 6), (6, 2, 10, 4 * 2 * 6)],
+    ids=["128-run-chunk", "chunks-of-1", "chunks-of-3", "chunks-of-4"],
+)
+def test_a_problem_list_gives_the_one_problem_rows(monkeypatch, d, b, seeds, words):
+    # at d 16, b 4 a chunk holds 128 runs, so problem 1's runs straddle the
+    # first chunk's end; the small stacks of test_chunked_stacks_give_the_same_bytes
+    # make chunks of 1, 3 and 4 runs, uneven and spanning problems.  The
+    # one-problem rows are made at the default chunk size.
+    probs = [
+        QuadraticProblem(random_spd(d, 60 + q), np.random.default_rng(70 + q).standard_normal(d))
+        for q in range(3)
+    ]
+    ones = [run_bcd_quadratic(p, b, seeds, tau=25, base_seed=5 + q) for q, p in enumerate(probs)]
+    if words is not None:
+        monkeypatch.setattr(kernelbcd.rates, "_STACK_WORDS", words)
+    rows = run_bcd_quadratic(probs, b, seeds, tau=25, base_seed=5)
+    assert rows.shape == (3, 26)
+    assert [row.tobytes() for row in rows] == [one.tobytes() for one in ones]
+    assert run_bcd_quadratic(probs[:1], b, seeds, 25, 5).tobytes() == ones[0].tobytes()
+
+
+def _count_hits(G, size, threshold, upper, trials=300, seed=8):
+    """The screened count of ``_hits`` and the explicit loop's, on the
+    subsets ``_oracle_tops`` draws."""
+    tops = _oracle_tops(G, G.shape[0], size, trials, seed)
+    expected = sum((t >= threshold) if upper else (t < threshold) for t in tops)
+    subsets = kernelbcd.rates._subsets(G.shape[0], size, trials, seed)
+    return kernelbcd.rates._hits(G, subsets, size, threshold, upper), expected
+
+
+@pytest.mark.parametrize("upper", [True, False], ids=["upper", "lower"])
+@pytest.mark.parametrize("rel", [2.0**-40, -(2.0**-40)], ids=["above", "below"])
+@pytest.mark.parametrize("top", [101.0, 2.0])
+@pytest.mark.parametrize("scale", [1.0, 2.0**-560], ids=["unit", "squares-underflow"])
+def test_screen_at_a_rank_one_blocks_top(upper, rel, top, scale):
+    # every size-2 block of the rank-one G is rank one, with lambda_max =
+    # ||S||_F: 101 for the blocks that hold column 0, 2 for the others, times
+    # the scale; the threshold sits 2**-40 (relative) above or below one of
+    # the two.  At 2**-560 the entries are normal and their squares vanish,
+    # so the computed Frobenius norm reads 0
+    a = _one_heavy_column(20)
+    got, expected = _count_hits(scale * (a.T @ a), 2, scale * top * (1.0 + rel), upper)
+    assert got == expected
+
+
+@pytest.mark.parametrize("rel", [0.0, 2.0**-40, -(2.0**-40)], ids=["at", "above", "below"])
+def test_screen_at_a_diagonal_blocks_top(rel):
+    # a diagonal block's lambda_max is its largest entry: blocks whose
+    # largest entry is 10 are no hits at the lower-tail threshold 10 or
+    # 2**-40 below it, and hits 2**-40 above it
+    got, expected = _count_hits(np.diag(np.arange(1.0, 21.0)), 3, 10.0 * (1.0 + rel), False)
+    assert 0 < expected < 300
+    assert got == expected
 
 
 def _mutations():

@@ -862,6 +862,17 @@ def test_normal_equation_residual_matches_the_dense_oracle(method, family, lam, 
                                 rel=1e-10)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("lam", [1e300, 10**300], ids=["float", "int"])
+def test_normal_equation_residual_of_finite_gradients_whose_squares_overflow(lam):
+    # the gradient (K + n lam I) a - Y at a = 1 is n lam = 3.2e301 in every
+    # entry to rounding: its squares overflow, its norm and the ratio do not
+    data = gaussian_blobs(32, 2, 2, seed=0)
+    model = Model("full", np.ones((32, 2)), kernel=KernelSpec("rbf", 1.0), anchors=data.X)
+    expected = 32e300 * np.sqrt(64) / np.linalg.norm(one_vs_all(data))
+    assert normal_equation_residual(model, data, lam) == pytest.approx(expected, rel=1e-14)
+
+
 @pytest.mark.parametrize("lam", [np.inf, np.nan])
 def test_non_finite_lambda_rejected(lam):
     data = gaussian_blobs(16, 2, 2, seed=47)
